@@ -59,17 +59,9 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _place(network, scheme, delta_tau):
-    if scheme == "naive":
-        return mapping.place_naive(network)
-    if scheme == "shifted":
-        return mapping.place_shifted(network)
-    return mapping.place_refined(network, delta_tau)
-
-
 def cmd_map(args) -> int:
     network = tns_mod.tns_from_dict(_load_json(args.tns))
-    placement = _place(network, args.scheme, args.delta_tau)
+    placement = mapping.place(network, args.scheme, args.delta_tau)
     paths = mapping.route_lines(network, placement)
     report = mapping.measured_chi(network, paths)
     _write(args.out_prefix + ".map.json",
@@ -99,32 +91,10 @@ def cmd_verify(args) -> int:
     data = _load_json(args.map)
     placement, paths = mapping.map_from_dict(data, network)
 
-    if set(placement.site_of) != set(network.nodes):
-        print("structural error: map sites do not cover the network nodes")
+    problem = mapping.check_routing(network, placement, paths)
+    if problem is not None:
+        print(f"structural error: {problem}")
         return 4
-    try:
-        expected = _place(network, placement.scheme, placement.delta_tau or 1) \
-            if placement.scheme in ("naive", "shifted", "refined") else None
-    except ValueError:
-        expected = None
-    if expected is not None and expected.site_of != placement.site_of:
-        print("structural error: site positions do not match the scheme")
-        return 4
-    if set(paths.chains) != {ln.id for ln in network.lines}:
-        print("structural error: paths do not cover the contraction lines")
-        return 4
-    for line in network.lines:
-        chain = paths.chains[line.id]
-        src, dst = paths.info[line.id][0], paths.info[line.id][1]
-        if chain[0] != placement.site_of[src] \
-                or chain[-1] != placement.site_of[dst]:
-            print(f"structural error: path of line {line.id} does not join "
-                  f"its endpoints")
-            return 4
-        for a, b in zip(chain, chain[1:]):
-            if sum(abs(x - y) for x, y in zip(a, b)) != 1:
-                print(f"structural error: path of line {line.id} jumps")
-                return 4
 
     peps = mapping.assemble_peps(network, placement, paths)
     reference = dense.contract_to_statevector(network)
@@ -177,11 +147,12 @@ def _entropy_qca(args):
         c_fit = sum(s / (l ** (args.dimension - 1) * t)
                     for l, t, s in half_rows) / len(half_rows)
     else:
-        c_fit = 0.0
+        c_fit = None
     rows = ["D,L,T,cut_id,S,predicted"]
     for d, l, t, cut_id, s in rows_data:
-        pred = c_fit * l ** (d - 1) * t
-        rows.append(f"{d},{l},{t},{cut_id},{s},{pred:.6f}")
+        # the fit needs half-cut rows; without them the field stays blank
+        pred = "" if c_fit is None else f"{c_fit * l ** (d - 1) * t:.6f}"
+        rows.append(f"{d},{l},{t},{cut_id},{s},{pred}")
     if args.cross_check and code == 0:
         print("cross-check: pair tracker and stabilizer agree on all rows",
               file=sys.stderr)

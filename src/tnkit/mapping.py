@@ -146,6 +146,18 @@ def place_refined(tns: Tns, delta_tau: int = 1, offsets=None) -> Placement:
     return _place(tns, "refined", delta_tau, offsets)
 
 
+def place(tns: Tns, scheme: str, delta_tau: int = 1) -> Placement:
+    """Placement by scheme name: naive, shifted, or refined with the
+    default offsets."""
+    if scheme == "naive":
+        return place_naive(tns)
+    if scheme == "shifted":
+        return place_shifted(tns)
+    if scheme == "refined":
+        return place_refined(tns, delta_tau)
+    raise ValueError(f"unknown placement scheme {scheme!r}")
+
+
 @dataclass
 class StackReport:
     counts: dict[Site, int]
@@ -329,6 +341,43 @@ def route_lines(tns: Tns, p: Placement) -> PathAssignment:
         chains[line.id] = chain
         info[line.id] = (src, dst, axis)
     return PathAssignment(chains, info)
+
+
+def check_routing(tns: Tns, p: Placement,
+                  paths: PathAssignment) -> str | None:
+    """First structural problem of a routed placement, or None.
+
+    The sites must cover the nodes and, for a known scheme, sit where the
+    scheme puts them.  Every line needs a path from its source's site to
+    its target's that stays on the host grid, moves by unit steps and is
+    L1-shortest, as route_lines makes it.
+    """
+    if set(p.site_of) != set(tns.nodes):
+        return "map sites do not cover the network nodes"
+    try:
+        expected = place(tns, p.scheme, p.delta_tau or 1)
+    except ValueError:
+        expected = None
+    if expected is not None and expected.lattice != p.lattice:
+        return "host lattice does not match the scheme"
+    if expected is not None and expected.site_of != p.site_of:
+        return "site positions do not match the scheme"
+    if set(paths.chains) != {ln.id for ln in tns.lines}:
+        return "paths do not cover the contraction lines"
+    for line in tns.lines:
+        chain = paths.chains[line.id]
+        s, t = (p.site_of[nid] for nid in _orient(tns, line))
+        if not chain or chain[0] != s or chain[-1] != t:
+            return f"path of line {line.id} does not join its endpoints"
+        for a, b in zip(chain, chain[1:]):
+            if sum(abs(x - y) for x, y in zip(a, b)) != 1:
+                return f"path of line {line.id} jumps"
+        off = next((v for v in chain if not p.lattice.contains(v)), None)
+        if off is not None:
+            return f"path of line {line.id} leaves the host grid at {off}"
+        if len(chain) - 1 != sum(abs(x - y) for x, y in zip(s, t)):
+            return f"path of line {line.id} is not L1-shortest"
+    return None
 
 
 @dataclass
@@ -628,25 +677,31 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
 
 
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
+    """Placement and paths from a map-v1 description; ValueError when the
+    document lacks a key or a site for a line's endpoint."""
     if data.get("version") != "map-v1":
         raise ValueError(f"unsupported map format {data.get('version')!r}")
-    lat = data["lattice"]
-    host = LatticeSpec(lat["dimension"], lat["length"], lat["branching"],
-                       lat["layers"], lat["boundary"])
-    site_of = {nid: tuple(site) for nid, site in data["sites"]}
-    offsets = data.get("offsets")
-    if offsets is not None:
-        offsets = {v: tuple(m) for v, m in offsets.items()}
-    p = Placement(data["scheme"], host, data["delta_tau"], site_of,
-                  frozenset(n.id for n in tns.anchors()), offsets)
-    chains = {lid: tuple(tuple(v) for v in chain)
-              for lid, chain in data["paths"]}
-    info = {}
-    apex = _apex_isometries(tns)
-    for line in tns.lines:
-        if line.id in chains:
-            src, dst = _orient(tns, line)
-            _, axis = _route_one(tns, p, apex, src, dst, site_of[src],
-                                 site_of[dst])
-            info[line.id] = (src, dst, axis)
+    try:
+        lat = data["lattice"]
+        host = LatticeSpec(lat["dimension"], lat["length"], lat["branching"],
+                           lat["layers"], lat["boundary"])
+        site_of = {nid: tuple(site) for nid, site in data["sites"]}
+        offsets = data.get("offsets")
+        if offsets is not None:
+            offsets = {v: tuple(m) for v, m in offsets.items()}
+        p = Placement(data["scheme"], host, data["delta_tau"], site_of,
+                      frozenset(n.id for n in tns.anchors()), offsets)
+        chains = {lid: tuple(tuple(v) for v in chain)
+                  for lid, chain in data["paths"]}
+        info = {}
+        apex = _apex_isometries(tns)
+        for line in tns.lines:
+            if line.id in chains:
+                src, dst = _orient(tns, line)
+                _, axis = _route_one(tns, p, apex, src, dst, site_of[src],
+                                     site_of[dst])
+                info[line.id] = (src, dst, axis)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed map-v1 document: "
+                         f"{type(exc).__name__} {exc}") from exc
     return p, PathAssignment(chains, info)

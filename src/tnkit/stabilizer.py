@@ -1,13 +1,24 @@
-"""Bit-packed stabilizer simulator for the Clifford constructions.
+"""Generator-packed stabilizer simulator for the Clifford constructions.
 
-A state on n qubits is tracked by n generator rows of the form
+A state on n qubits is tracked by n generators of the form
 i**r * prod_q X**x_q Z**z_q (X left of Z on every qubit), with r mod 4.
-Storage is qubit-major: x and z are (ceil(n/64), n) uint64 arrays whose
-entry [w, g] holds bit (q - 64 w) of generator g for qubit q, so a gate on
-a fixed qubit touches one contiguous row per array.
+Storage is generator-packed, as in Aaronson-Gottesman (quant-ph/0406196)
+and Stim (arXiv:2103.02202): x and z are (n, ceil(n/64)) uint64 arrays
+whose row q holds the bits of every generator on qubit q, generator g at
+bit g % 64 of word g // 64.  The phases r are bit-sliced the same way: a
+(2, ceil(n/64)) array of low and high bit planes.  A gate on fixed qubits
+therefore costs O(n/64) word operations, and a swap is a row exchange.
 
-Entanglement entropy of a region A is rank_GF2(rows restricted to the X
-and Z columns of A) - |A|, exact and integer.
+apply_xx_rotations and apply_swaps take a batch of disjoint qubit pairs
+and apply the whole batch in a few array operations; the single-gate
+calls are batches of one pair.  The tableau may take at most
+16 * dense.amplitude_limit() bytes (1 GiB by default, set through
+TNKIT_MAX_AMPLITUDES); init_zero raises ResourceLimitError beyond that.
+
+Entanglement entropy of a region A is rank_GF2(generators restricted to
+the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
+the smaller side of the cut, valid because S_A = S_B for a pure state,
+from sparse rows built out of the nonzero words of that side's qubit rows.
 
 The tree-state and automaton drivers below rebuild their gate schedules
 from closed-form site formulas on purpose; the structural builders are not
@@ -16,13 +27,16 @@ imported, and the cross-checks live in the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dense import ResourceLimitError, amplitude_limit
 from .qca import initial_pairs, site_index, sublayer_swaps
 
-_ONE = np.uint64(1)
+# generator words per block of a batched rotation, bounding its temporaries
+_BLOCK_WORDS = 2 ** 20
 
 
 @dataclass
@@ -42,91 +56,141 @@ def init_zero(num_qubits: int) -> StabilizerState:
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
     words = (num_qubits + 63) // 64
-    x = np.zeros((words, num_qubits), dtype=np.uint64)
-    z = np.zeros((words, num_qubits), dtype=np.uint64)
-    g = np.arange(num_qubits)
-    z[g // 64, g] = _ONE << (g % 64).astype(np.uint64)
+    need = 2 * num_qubits * words * 8
+    if need > 16 * amplitude_limit():
+        raise ResourceLimitError(
+            f"stabilizer tableau of {num_qubits} qubits needs {need} bytes, "
+            f"over the budget of {16 * amplitude_limit()}")
+    x = np.zeros((num_qubits, words), dtype=np.uint64)
+    z = np.zeros((num_qubits, words), dtype=np.uint64)
+    q = np.arange(num_qubits)
+    z[q, q // 64] = np.uint64(1) << (q % 64).astype(np.uint64)
     return StabilizerState(num_qubits, x, z,
-                           np.zeros(num_qubits, dtype=np.uint8))
+                           np.zeros((2, words), dtype=np.uint64))
 
 
-def _col(arr: np.ndarray, q: int) -> np.ndarray:
-    w, s = divmod(q, 64)
-    return (arr[w] >> np.uint64(s)) & _ONE
+def _qubits(t: StabilizerState, qs) -> np.ndarray:
+    qs = np.asarray(qs, dtype=np.int64).reshape(-1)
+    bad = qs[(qs < 0) | (qs >= t.num_qubits)]
+    if bad.size:
+        raise ValueError(f"qubit {bad[0]} outside [0, {t.num_qubits})")
+    return qs
 
 
-def _flip(arr: np.ndarray, q: int, mask: np.ndarray) -> None:
-    w, s = divmod(q, 64)
-    arr[w] ^= mask << np.uint64(s)
-
-
-def _check_qubits(t: StabilizerState, *qs: int) -> None:
-    for q in qs:
-        if not 0 <= q < t.num_qubits:
-            raise ValueError(f"qubit {q} outside [0, {t.num_qubits})")
-    if len(set(qs)) != len(qs):
+def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _qubits(t, a), _qubits(t, b)
+    if a.size != b.size:
+        raise ValueError("pair batches need as many first as second qubits")
+    if np.unique(np.concatenate([a, b])).size != 2 * a.size:
         raise ValueError("qubits must be distinct")
+    return a, b
+
+
+def _count_mod4(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per bit, the number of rows with it set, mod 4, as (low, high)
+    bit planes; pairwise bit-sliced addition, log2(len(rows)) steps."""
+    lo, hi = rows, np.zeros_like(rows)
+    while len(lo) > 1:
+        if len(lo) % 2:
+            pad = np.zeros_like(lo[:1])
+            lo, hi = np.concatenate([lo, pad]), np.concatenate([hi, pad])
+        carry = lo[0::2] & lo[1::2]
+        lo = lo[0::2] ^ lo[1::2]
+        hi = hi[0::2] ^ hi[1::2] ^ carry
+    return lo[0], hi[0]
+
+
+def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
+    """exp(-i pi/4 X_a X_b) on every pair of a batch of disjoint pairs.
+
+    Each gate fixes X_a and X_b and maps Z_a to -Y_a X_b: it flips the X
+    bits of both qubits and subtracts 1 from the phase of every generator
+    that anticommutes with X_a X_b.  The subtractions of the batch are
+    summed mod 4 before they reach the phases.
+    """
+    a, b = _pairs(t, a, b)
+    block = max(1, _BLOCK_WORDS // t.x.shape[1])
+    for s in range(0, a.size, block):
+        qa, qb = a[s:s + block], b[s:s + block]
+        anti = t.z[qa] ^ t.z[qb]
+        t.x[qa] ^= anti
+        t.x[qb] ^= anti
+        lo, hi = _count_mod4(anti)
+        hi = hi ^ lo   # -c mod 4 has the bit planes (c0, c1 ^ c0)
+        p0, p1 = t.phase
+        t.phase = np.stack([p0 ^ lo, p1 ^ hi ^ (p0 & lo)])
+    return t
 
 
 def apply_xx_rotation(t: StabilizerState, i: int, j: int) -> StabilizerState:
     """exp(-i pi/4 X_i X_j): fixes X_i and X_j, maps Z_i to -Y_i X_j."""
-    _check_qubits(t, i, j)
-    anti = _col(t.z, i) ^ _col(t.z, j)
-    t.phase = (t.phase + 3 * anti.astype(np.uint8)) & 3
-    _flip(t.x, i, anti)
-    _flip(t.x, j, anti)
+    return apply_xx_rotations(t, [i], [j])
+
+
+def apply_swaps(t: StabilizerState, a, b) -> StabilizerState:
+    """SWAP on every pair of a batch of disjoint pairs: row exchanges."""
+    a, b = _pairs(t, a, b)
+    ab, ba = np.concatenate([a, b]), np.concatenate([b, a])
+    t.x[ab] = t.x[ba]
+    t.z[ab] = t.z[ba]
     return t
 
 
 def apply_swap(t: StabilizerState, i: int, j: int) -> StabilizerState:
-    _check_qubits(t, i, j)
-    for arr in (t.x, t.z):
-        d = _col(arr, i) ^ _col(arr, j)
-        _flip(arr, i, d)
-        _flip(arr, j, d)
-    return t
+    return apply_swaps(t, [i], [j])
 
 
 def apply_h(t: StabilizerState, q: int) -> StabilizerState:
-    _check_qubits(t, q)
-    xb, zb = _col(t.x, q), _col(t.z, q)
-    t.phase = (t.phase + 2 * (xb & zb).astype(np.uint8)) & 3
-    d = xb ^ zb
-    _flip(t.x, q, d)
-    _flip(t.z, q, d)
+    _qubits(t, q)
+    xb, zb = t.x[q].copy(), t.z[q].copy()
+    t.phase[1] ^= xb & zb
+    t.x[q], t.z[q] = zb, xb
     return t
 
 
 def apply_s(t: StabilizerState, q: int) -> StabilizerState:
-    _check_qubits(t, q)
-    xb = _col(t.x, q)
-    t.phase = (t.phase + xb.astype(np.uint8)) & 3
-    _flip(t.z, q, xb)
+    _qubits(t, q)
+    xb = t.x[q]
+    t.phase[1] ^= t.phase[0] & xb
+    t.phase[0] ^= xb
+    t.z[q] ^= xb
     return t
 
 
 def apply_cnot(t: StabilizerState, control: int, target: int) -> StabilizerState:
-    _check_qubits(t, control, target)
-    _flip(t.x, target, _col(t.x, control))
-    _flip(t.z, control, _col(t.z, target))
+    _pairs(t, control, target)
+    t.x[target] ^= t.x[control]
+    t.z[control] ^= t.z[target]
     return t
+
+
+def _restricted_rows(t: StabilizerState, qubits: np.ndarray) -> dict:
+    """Generator -> bit row of its X bits (columns 0..k-1) and Z bits
+    (columns k..2k-1) on the given qubits; generators with no support
+    there are left out."""
+    k = len(qubits)
+    rows: dict[int, int] = {}
+    for offset, arr in ((0, t.x), (k, t.z)):
+        block = arr[qubits]
+        c, w = np.nonzero(block)
+        bits = np.unpackbits(block[c, w].astype("<u8").view(np.uint8)
+                             .reshape(-1, 8), axis=1, bitorder="little")
+        e, bit = np.nonzero(bits)
+        for g, col in zip((64 * w[e] + bit).tolist(),
+                          (c[e] + offset).tolist()):
+            rows[g] = rows.get(g, 0) | (1 << col)
+    return rows
 
 
 def entanglement_entropy(t: StabilizerState, region) -> int:
     """Entropy in bits of the reduced state on the given qubits; exact."""
-    qubits = sorted(set(int(q) for q in region))
-    _check_qubits(t, *qubits)
-    k = len(qubits)
-    if k == 0 or k == t.num_qubits:
-        return 0
+    qubits = np.unique(_qubits(t, list(region)))
     n = t.num_qubits
-    bits = np.empty((n, 2 * k), dtype=np.uint8)
-    for c, q in enumerate(qubits):
-        bits[:, c] = _col(t.x, q).astype(np.uint8)
-        bits[:, k + c] = _col(t.z, q).astype(np.uint8)
-    packed = np.packbits(bits, axis=1)
-    rows = [int.from_bytes(packed[g].tobytes(), "big") for g in range(n)]
-    return _gf2_rank(rows) - k
+    if len(qubits) == 0 or len(qubits) == n:
+        return 0
+    if 2 * len(qubits) > n:
+        qubits = np.setdiff1d(np.arange(n), qubits)
+    return _gf2_rank(_restricted_rows(t, qubits).values()) - len(qubits)
 
 
 def _gf2_rank(rows) -> int:
@@ -150,14 +214,19 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _XZ = _X @ _Z
 
 
+def _bit(arr: np.ndarray, g: int) -> int:
+    """Bit of generator g in a word row."""
+    return int(arr[g // 64] >> np.uint64(g % 64)) & 1
+
+
 def generator_operator(t: StabilizerState, g: int) -> np.ndarray:
     """Dense matrix of generator g; qubit 0 is the most significant."""
     op = np.array([[1.0 + 0j]])
     for q in range(t.num_qubits):
-        xb = int(_col(t.x, q)[g])
-        zb = int(_col(t.z, q)[g])
+        xb, zb = _bit(t.x[q], g), _bit(t.z[q], g)
         op = np.kron(op, (_I2, _X, _Z, _XZ)[xb + 2 * zb])
-    return (1j ** int(t.phase[g])) * op
+    r = _bit(t.phase[0], g) + 2 * _bit(t.phase[1], g)
+    return (1j ** r) * op
 
 
 def to_projector(t: StabilizerState) -> np.ndarray:
@@ -206,17 +275,20 @@ class TtnRun:
 def run_ttn_example(layers: int) -> TtnRun:
     """Build the binary-tree Clifford state and measure the trailing cut.
 
-    Every gate is exp(-i pi/4 XX).  The distinguished region is the last
-    p sites with p_1 = 1 and p_{T+2} = 4 p_T - 1; its entropy comes out as
-    (layers + 1) / 2, growing with depth at fixed region fraction.
+    Every gate is exp(-i pi/4 XX), applied one tree layer at a time: the
+    gates of a layer act on disjoint blocks.  The distinguished region is
+    the last p sites with p_1 = 1 and p_{T+2} = 4 p_T - 1; its entropy
+    comes out as (layers + 1) / 2, growing with depth at fixed region
+    fraction.
     """
     if layers < 1 or layers % 2 == 0:
         raise ValueError("layers must be odd and >= 1")
     n = 2 ** layers
     state = init_zero(n)
     schedule = tuple(_tree_schedule(layers))
-    for _, (a, b) in schedule:
-        apply_xx_rotation(state, a, b)
+    for _, gates in itertools.groupby(schedule, key=lambda gate: gate[0]):
+        a, b = np.array([pair for _, pair in gates]).T
+        apply_xx_rotations(state, a, b)
     p = _tree_cut_size(layers)
     region = tuple(range(n - p, n))
     return TtnRun(entanglement_entropy(state, region), region, schedule, state)
@@ -227,22 +299,28 @@ def run_qca(dimension: int, length: int, layers: int) -> StabilizerState:
 
     Starts from rotation-created pairs on the odd-aligned plaquettes; each
     layer applies the odd-aligned sublayer of diagonal swaps first and the
-    even-aligned sublayer second.  Qubits are indexed row-major.
+    even-aligned sublayer second.  Qubits are indexed row-major.  The two
+    sublayers compose to one permutation of qubits, raised to the number
+    of layers on the indices before the rows are moved once.
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
-    state = init_zero(length ** dimension)
-    for a, b in initial_pairs(dimension, length).pairs:
-        apply_xx_rotation(state, site_index(a, length), site_index(b, length))
-    odd = [(site_index(a, length), site_index(b, length))
-           for a, b in sublayer_swaps(dimension, length, 1)]
-    even = [(site_index(a, length), site_index(b, length))
-            for a, b in sublayer_swaps(dimension, length, 0)]
+    n = length ** dimension
+    state = init_zero(n)
+    pairs = initial_pairs(dimension, length).pairs
+    apply_xx_rotations(state, [site_index(a, length) for a, _ in pairs],
+                       [site_index(b, length) for _, b in pairs])
+    step = np.arange(n)
+    for offset in (1, 0):   # odd-aligned sublayer first
+        swaps = sublayer_swaps(dimension, length, offset)
+        a = [site_index(s, length) for s, _ in swaps]
+        b = [site_index(s, length) for _, s in swaps]
+        step[a + b] = step[b + a]
+    # qubit q ends up holding the bits of qubit source[q]
+    source = np.arange(n)
     for _ in range(layers):
-        for i, j in odd:
-            apply_swap(state, i, j)
-        for i, j in even:
-            apply_swap(state, i, j)
+        source = source[step]
+    state.x, state.z = state.x[source], state.z[source]
     return state
 
 

@@ -542,25 +542,37 @@ def tns_to_dict(tns: Tns) -> dict:
 
 
 def tns_from_dict(data: dict) -> Tns:
+    """Network from its tns-v1 description; ValueError when the document
+    lacks a key or a line names an unknown node."""
     if data.get("version") != "tns-v1":
         raise ValueError(f"unsupported network format {data.get('version')!r}")
-    lat = data["lattice"]
-    spec = LatticeSpec(lat["dimension"], lat["length"], lat["branching"],
-                       lat["layers"], lat["boundary"])
-    m = data["meta"]
-    meta = MeraMeta(m["chi"], m["branching"], m["max_tensor_order"],
-                    m["max_tensors_per_cell"], m["max_cell_distance"],
-                    m["max_layer_distance"])
-    nodes = {}
-    for nd in data["nodes"]:
-        elements = None
-        if nd["elements"] is not None:
-            flat = np.array(nd["elements"], dtype=float)
-            elements = (flat[0::2] + 1j * flat[1::2]).reshape(tuple(nd["dims"]))
-        nodes[nd["id"]] = TensorNode(nd["id"], nd["layer"], tuple(nd["cell"]),
-                                     nd["kind"], nd["variant"],
-                                     tuple(nd["dims"]), elements)
-    lines = [ContractionLine(ld["id"], (ld["a"][0], ld["a"][1]),
-                             (ld["b"][0], ld["b"][1]), ld["dim"])
-             for ld in data["lines"]]
-    return Tns(spec, data["physical_dim"], data["chi"], meta, nodes, lines)
+    try:
+        lat = data["lattice"]
+        spec = LatticeSpec(lat["dimension"], lat["length"], lat["branching"],
+                           lat["layers"], lat["boundary"])
+        m = data["meta"]
+        meta = MeraMeta(m["chi"], m["branching"], m["max_tensor_order"],
+                        m["max_tensors_per_cell"], m["max_cell_distance"],
+                        m["max_layer_distance"])
+        nodes = {}
+        for nd in data["nodes"]:
+            elements = None
+            if nd["elements"] is not None:
+                flat = np.array(nd["elements"], dtype=float)
+                elements = (flat[0::2] + 1j * flat[1::2]).reshape(
+                    tuple(nd["dims"]))
+            nodes[nd["id"]] = TensorNode(nd["id"], nd["layer"],
+                                         tuple(nd["cell"]), nd["kind"],
+                                         nd["variant"], tuple(nd["dims"]),
+                                         elements)
+        # looking the endpoint nodes up rejects unknown ones in this pass
+        lines = [ContractionLine(ld["id"],
+                                 (nodes[ld["a"][0]].id, ld["a"][1]),
+                                 (nodes[ld["b"][0]].id, ld["b"][1]),
+                                 ld["dim"])
+                 for ld in data["lines"]]
+        return Tns(spec, data["physical_dim"], data["chi"], meta, nodes,
+                   lines)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed tns-v1 document: "
+                         f"{type(exc).__name__} {exc}") from exc

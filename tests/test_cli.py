@@ -144,3 +144,63 @@ def test_render_svg(built, tmp_path):
     text = svg_a.read_text()
     assert text.startswith("<svg")
     assert "<polyline" in text and "</svg>" in text
+
+
+def test_verify_rejects_off_grid_detour(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    main(["build", "--kind", "mera2d-b2", "--layers", "2", "--seed", "1",
+          "--out", str(net)])
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(net), "--scheme", "refined",
+          "--out-prefix", prefix])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    # step off the grid at a boundary vertex and straight back: unit
+    # steps and the same endpoints, but off the host grid and not shortest
+    entry = next(e for e in data["paths"]
+                 if len(e[1]) >= 2 and any(0 in v for v in e[1]))
+    chain = entry[1]
+    i = next(i for i, v in enumerate(chain) if 0 in v)
+    out = list(chain[i])
+    out[out.index(0)] = -1
+    entry[1] = chain[:i + 1] + [out, chain[i]] + chain[i + 1:]
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code = main(["verify", "--tns", str(net),
+                 "--map", str(tmp_path / "bad.json")])
+    assert code == 4
+    assert "leaves the host grid" in capsys.readouterr().out
+
+
+def test_malformed_inputs_exit_2(built, tmp_path, capsys):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "shifted",
+          "--out-prefix", prefix])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    del data["lattice"]
+    (tmp_path / "bad.map.json").write_text(json.dumps(data))
+    assert main(["verify", "--tns", str(built),
+                 "--map", str(tmp_path / "bad.map.json")]) == 2
+    net = json.loads(built.read_text())
+    net["lines"][0]["a"][0] = "no-such-node"
+    (tmp_path / "bad.tns.json").write_text(json.dumps(net))
+    assert main(["map", "--tns", str(tmp_path / "bad.tns.json"),
+                 "--scheme", "shifted", "--out-prefix", prefix]) == 2
+    assert capsys.readouterr().err.count("malformed") == 2
+
+
+def test_entropy_random_cuts_leave_prediction_blank(tmp_path):
+    out = tmp_path / "qca.csv"
+    main(["entropy", "--family", "qca", "--dimension", "1", "--lengths", "8",
+          "--layers-max", "1", "--cut", "random", "--cuts", "2",
+          "--out", str(out)])
+    rows = out.read_text().splitlines()
+    assert rows[0] == "D,L,T,cut_id,S,predicted"
+    for row in rows[1:]:
+        fields = row.split(",")
+        assert len(fields) == 6 and fields[-1] == ""
+
+
+def test_entropy_tree_resource_limit(monkeypatch, capsys):
+    # the T=5 tableau takes 512 bytes, over 16 * 16
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
+    assert main(["entropy", "--family", "ttn1d", "--layers-max", "5"]) == 3
+    assert "resource limit" in capsys.readouterr().err

@@ -11,7 +11,8 @@ import pytest
 from tnkit import dense
 from tnkit.lattice import LatticeSpec
 from tnkit.mapping import (CongestionReport, PathAssignment, Placement,
-                           assemble_peps, chi_bound, congestion_csv,
+                           assemble_peps, check_routing, chi_bound,
+                           congestion_csv,
                            contract_refined_to_normal,
                            default_refined_offsets, detect_stacks,
                            line_density_estimate, map_from_dict, map_to_dict,
@@ -346,3 +347,66 @@ def test_map_dict_version_guard():
     data["version"] = "map-v9"
     with pytest.raises(ValueError):
         map_from_dict(data, net)
+
+
+def test_map_dict_rejects_missing_key_or_site():
+    net, p, pa = routed(build_mera_2d_b2, 1, "shifted")
+    data = map_to_dict(p, pa)
+    del data["paths"]
+    with pytest.raises(ValueError, match="malformed"):
+        map_from_dict(data, net)
+    data = map_to_dict(p, pa)
+    data["sites"] = data["sites"][1:]
+    with pytest.raises(ValueError, match="malformed"):
+        map_from_dict(data, net)
+
+
+# ------------------------------------------------------------ routing check
+
+def test_check_routing_accepts_router_output():
+    for build, layers, scheme in ((build_mera_1d, 3, "refined"),
+                                  (build_mera_2d_b2, 2, "refined"),
+                                  (build_mera_2d_b3, 1, "shifted")):
+        net, p, pa = routed(build, layers, scheme, with_elements=False)
+        assert check_routing(net, p, pa) is None
+
+
+def test_check_routing_rejects_bad_paths():
+    net, p, pa = routed(build_mera_2d_b2, 2, "refined", with_elements=False)
+    lid, chain = next((lid, c) for lid, c in sorted(pa.chains.items())
+                      if len(c) >= 3 and any(0 in v for v in c))
+
+    def verdict(new_chain):
+        chains = dict(pa.chains)
+        chains[lid] = tuple(new_chain)
+        return check_routing(net, p, PathAssignment(chains, pa.info))
+
+    assert "does not join" in verdict(chain[:-1])
+    assert "jumps" in verdict(chain[:1] + chain[2:])
+    # out one step and straight back: unit steps, same endpoints
+    a = chain[0]
+    side = next(w for w in (a[:i] + (a[i] + d,) + a[i + 1:]
+                            for i in range(len(a)) for d in (1, -1))
+                if p.lattice.contains(w))
+    assert "L1-shortest" in verdict((a, side) + chain)
+    i = next(i for i, c in enumerate(chain) if 0 in c)
+    v = chain[i]
+    off = list(v)
+    off[v.index(0)] = -1
+    assert "leaves the host grid" in verdict(
+        chain[:i + 1] + (tuple(off), v) + chain[i + 1:])
+    chains = dict(pa.chains)
+    del chains[lid]
+    assert "do not cover" in check_routing(net, p,
+                                           PathAssignment(chains, pa.info))
+    nid = next(iter(p.site_of))
+    moved = {**p.site_of, nid: tuple(c + 1 for c in p.site_of[nid])}
+    assert "do not match the scheme" in check_routing(
+        net, Placement(p.scheme, p.lattice, p.delta_tau, moved, p.anchor_ids,
+                       p.offsets), pa)
+    wider = LatticeSpec(p.lattice.dimension, p.lattice.length + 1,
+                        p.lattice.branching, p.lattice.layers,
+                        p.lattice.boundary)
+    assert "host lattice" in check_routing(
+        net, Placement(p.scheme, wider, p.delta_tau, p.site_of, p.anchor_ids,
+                       p.offsets), pa)

@@ -200,3 +200,133 @@ def test_qca_run_matches_pair_tracker_small():
 
 def test_region_qubits_row_major():
     assert stab.region_qubits([(0, 0), (1, 2), (3, 1)], 4) == [0, 6, 13]
+
+
+# ------------------------------------------------ batched gates and layout
+
+def random_pairs(rng, n, m):
+    qs = rng.permutation(n)[:2 * m]
+    return qs[:m], qs[m:]
+
+
+def assert_same_tableau(a, b):
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.z, b.z)
+    np.testing.assert_array_equal(a.phase, b.phase)
+
+
+def test_count_mod4_matches_bit_counts():
+    rng = np.random.default_rng(3)
+    for m in range(1, 10):
+        rows = rng.integers(0, 2 ** 63, size=(m, 2), dtype=np.uint64)
+        lo, hi = stab._count_mod4(rows)
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+        count = bits.sum(axis=0) % 4
+        got = np.unpackbits(lo.view(np.uint8), bitorder="little") \
+            + 2 * np.unpackbits(hi.view(np.uint8), bitorder="little")
+        np.testing.assert_array_equal(got, count)
+
+
+@pytest.mark.parametrize("batch,single,mat", [
+    (stab.apply_xx_rotations, stab.apply_xx_rotation, XX4),
+    (stab.apply_swaps, stab.apply_swap, SWAP4)])
+def test_batches_match_single_gates_small(batch, single, mat):
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        t, psi = run_both(rng, n, int(rng.integers(2, 3 * n)))
+        a, b = random_pairs(rng, n, int(rng.integers(1, n // 2 + 1)))
+        one = t.copy()
+        for i, j in zip(a, b):
+            single(one, int(i), int(j))
+            psi = apply_2q(psi, n, int(i), int(j), mat)
+        many = batch(t.copy(), a, b)
+        assert_same_tableau(many, one)
+        np.testing.assert_allclose(stab.to_projector(many),
+                                   np.outer(psi, psi.conj()), atol=1e-9)
+
+
+def test_batches_match_single_gates_across_generator_words():
+    # 130 qubits take three generator words; the batch includes the
+    # pairs whose Z generators sit at bits 63/64 and 127/128
+    rng = np.random.default_rng(29)
+    n = 130
+    t = stab.init_zero(n)
+    for _ in range(300):
+        name, arity, _, fn = GATES[rng.integers(0, len(GATES))]
+        fn(t, *(int(q) for q in rng.choice(n, size=arity, replace=False)))
+    rest = rng.permutation([q for q in range(n)
+                            if q not in (63, 64, 127, 128)])
+    a = np.concatenate([[63, 127], rest[:40]])
+    b = np.concatenate([[64, 128], rest[40:80]])
+    for batch, single in ((stab.apply_xx_rotations, stab.apply_xx_rotation),
+                          (stab.apply_swaps, stab.apply_swap)):
+        one = t.copy()
+        for i, j in zip(a, b):
+            single(one, int(i), int(j))
+        many = batch(t.copy(), a, b)
+        assert_same_tableau(many, one)
+        for region in (range(64), range(64, 128), range(60, 130, 3),
+                       [0, 63, 64, 127, 128, 129]):
+            assert stab.entanglement_entropy(many, region) \
+                == stab.entanglement_entropy(one, region)
+
+
+def test_batch_validation():
+    t = stab.init_zero(6)
+    with pytest.raises(ValueError):
+        stab.apply_xx_rotations(t, [0, 1], [2, 1])
+    with pytest.raises(ValueError):
+        stab.apply_swaps(t, [0, 1], [2])
+    with pytest.raises(ValueError):
+        stab.apply_swaps(t, [0], [6])
+    assert_same_tableau(stab.apply_xx_rotations(t.copy(), [], []), t)
+
+
+def test_entropy_of_region_equals_complement():
+    rng = np.random.default_rng(31)
+    for n in (7, 130):
+        t = stab.init_zero(n)
+        for _ in range(6 * n):
+            name, arity, _, fn = GATES[rng.integers(0, len(GATES))]
+            fn(t, *(int(q) for q in rng.choice(n, size=arity,
+                                               replace=False)))
+        for _ in range(10):
+            k = int(rng.integers(1, n))
+            region = set(int(q) for q in rng.choice(n, size=k,
+                                                    replace=False))
+            rest = set(range(n)) - region
+            assert stab.entanglement_entropy(t, region) \
+                == stab.entanglement_entropy(t, rest)
+
+
+def test_qca_permutation_matches_swap_sublayers():
+    from tnkit import qca
+    for dim, length, layers in ((1, 12, 3), (2, 6, 2)):
+        t = stab.init_zero(length ** dim)
+        for a, b in qca.initial_pairs(dim, length).pairs:
+            stab.apply_xx_rotation(t, qca.site_index(a, length),
+                                   qca.site_index(b, length))
+        for _ in range(layers):
+            for offset in (1, 0):
+                swaps = qca.sublayer_swaps(dim, length, offset)
+                stab.apply_swaps(t, [qca.site_index(a, length)
+                                     for a, _ in swaps],
+                                 [qca.site_index(b, length)
+                                  for _, b in swaps])
+        assert_same_tableau(stab.run_qca(dim, length, layers), t)
+
+
+def test_tableau_resource_guard(monkeypatch):
+    # 32 qubits need 2 * 32 * 1 * 8 = 512 bytes, over 16 * 16
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
+    from tnkit.dense import ResourceLimitError
+    stab.init_zero(8)
+    with pytest.raises(ResourceLimitError):
+        stab.init_zero(32)
+    with pytest.raises(ResourceLimitError):
+        stab.run_ttn_example(5)
+
+
+def test_tree_run_fifteen_layers():
+    assert stab.run_ttn_example(15).entropy == 8

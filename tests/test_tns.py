@@ -218,3 +218,14 @@ def test_dict_version_guard():
     data["version"] = "tns-v0"
     with pytest.raises(ValueError):
         tns_from_dict(data)
+
+
+def test_dict_rejects_missing_key_or_unknown_node():
+    data = tns_to_dict(build_mera_1d(1))
+    del data["meta"]
+    with pytest.raises(ValueError, match="malformed"):
+        tns_from_dict(data)
+    data = tns_to_dict(build_mera_1d(1))
+    data["lines"][-1]["b"][0] = "no-such-node"
+    with pytest.raises(ValueError, match="malformed"):
+        tns_from_dict(data)
