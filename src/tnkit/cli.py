@@ -109,7 +109,12 @@ def cmd_verify(args) -> int:
 def _entropy_ttn(args):
     rows = ["T,L,cut_size,S"]
     for layers in range(1, args.layers_max + 1, 2):
-        run = stabilizer.run_ttn_example(layers)
+        try:
+            run = stabilizer.run_ttn_example(layers)
+        except ResourceLimitError as exc:
+            # keep the depths already finished
+            print(f"resource limit: {exc}", file=sys.stderr)
+            return rows, 3
         rows.append(f"{layers},{2 ** layers},{len(run.region)},{run.entropy}")
     return rows, 0
 
@@ -130,11 +135,12 @@ def _entropy_qca(args):
                          qca.random_connected_region(args.dimension, length,
                                                      rng))
                         for i in range(args.cuts)]
+            if args.cross_check:
+                state = stabilizer.run_qca(args.dimension, length, layers)
             for cut_id, region in cuts:
                 s = qca.entropy_across(ps, region)
                 rows_data.append((args.dimension, length, layers, cut_id, s))
                 if args.cross_check:
-                    state = stabilizer.run_qca(args.dimension, length, layers)
                     s2 = stabilizer.entanglement_entropy(
                         state, stabilizer.region_qubits(region, length))
                     if s2 != s:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tns import KIND_ANCHOR
+
 DEFAULT_MAX_AMPLITUDES = 2 ** 26
 
 
@@ -128,15 +130,15 @@ def _network_factors(obj):
     for line in obj.lines:
         (na, sa), (nb, sb) = line.endpoints()
         ka, kb = obj.nodes[na].kind, obj.nodes[nb].kind
-        if ka == "physical-anchor":
+        if ka == KIND_ANCHOR:
             label = ("p", obj.nodes[na].cell)
-        elif kb == "physical-anchor":
+        elif kb == KIND_ANCHOR:
             label = ("p", obj.nodes[nb].cell)
         else:
             label = ("l", line.id)
         label_of[(na, sa)] = label_of[(nb, sb)] = label
     for node in obj.nodes.values():
-        if node.kind == "physical-anchor":
+        if node.kind == KIND_ANCHOR:
             continue
         labels = tuple(label_of[(node.id, slot)]
                        for slot in range(node.order))

@@ -134,6 +134,19 @@ class LatticeSpec:
                     yield e
 
 
+def spec_to_dict(spec: LatticeSpec) -> dict:
+    """Lattice entry of the tns-v1 and map-v1 formats."""
+    return {"dimension": spec.dimension, "length": spec.length,
+            "branching": spec.branching, "layers": spec.layers,
+            "boundary": spec.boundary}
+
+
+def spec_from_dict(data: dict) -> LatticeSpec:
+    """Inverse of spec_to_dict; KeyError when a key is missing."""
+    return LatticeSpec(data["dimension"], data["length"], data["branching"],
+                       data["layers"], data["boundary"])
+
+
 def canonical_edge(a: Site, b: Site) -> Edge:
     """Order the endpoints lexicographically so edges compare as values."""
     return (a, b) if a <= b else (b, a)

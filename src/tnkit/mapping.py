@@ -37,13 +37,14 @@ own free column rather than the target's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Edge, LatticeSpec, Site, canonical_edge
-from .tns import (KIND_ANCHOR, KIND_DISENTANGLER, KIND_ISOMETRY, KIND_TOP,
-                  ContractionLine, MeraMeta, Tns)
+from .lattice import (Edge, LatticeSpec, Site, canonical_edge,
+                      spec_from_dict, spec_to_dict)
+from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_DISENTANGLER,
+                  KIND_ISOMETRY, KIND_TOP, ContractionLine, MeraMeta, Tns)
 
 _KIND_RANK = {KIND_ANCHOR: 0, KIND_DISENTANGLER: 1, KIND_ISOMETRY: 2,
               KIND_TOP: 3}
@@ -241,14 +242,12 @@ def _approach_axis(tns: Tns, apex: frozenset[str], src: str, dst: str,
 
 @dataclass
 class PathAssignment:
-    """Vertex chains per line id, plus the orientation used to build them.
-
-    info maps line id to (source id, target id, approach axis).  A chain of
-    length one denotes co-located endpoints and crosses no edge.
+    """Vertex chains per line id, each running from the line's source to
+    its target as _orient orders them.  A chain of length one denotes
+    co-located endpoints and crosses no edge.
     """
 
     chains: dict[int, tuple[Site, ...]]
-    info: dict[int, tuple[str, str, int]] = field(default_factory=dict)
 
     def path_of(self, line_id: int) -> tuple[Edge, ...]:
         chain = self.chains[line_id]
@@ -285,8 +284,10 @@ def _is_narrow_gather(tns: Tns, src: str, dst: str) -> bool:
             and tns.nodes[dst].variant == "u2x1")
 
 
-def _walk_to(chain: list[Site], cur: list[int], wp: Site) -> None:
-    for ax in range(len(wp)):
+def _walk_to(chain: list[Site], cur: list[int], wp: Site, order) -> None:
+    """Step cur to wp one axis at a time, in the given axis order,
+    appending every vertex to chain."""
+    for ax in order:
         sgn = 1 if wp[ax] > cur[ax] else -1
         while cur[ax] != wp[ax]:
             cur[ax] += sgn
@@ -294,31 +295,19 @@ def _walk_to(chain: list[Site], cur: list[int], wp: Site) -> None:
 
 
 def _route_one(tns: Tns, p: Placement, apex: frozenset[str], src: str,
-               dst: str, s: Site, t: Site) -> tuple[tuple[Site, ...], int]:
+               dst: str, s: Site, t: Site) -> tuple[Site, ...]:
     d = len(s)
+    chain, cur = [s], list(s)
     if d == 2 and _is_narrow_gather(tns, src, dst):
         step = p.lattice.branching ** tns.nodes[dst].layer
         track = _coarse_track(s[0], t[0], step)
         if track is not None:
-            w1 = list(s)
-            w1[0] = track
-            w2 = list(t)
-            w2[0] = track
-            chain = [s]
-            cur = list(s)
-            for wp in (tuple(w1), tuple(w2), t):
-                _walk_to(chain, cur, wp)
-            return tuple(chain), 0
+            for wp in ((track,) + s[1:], (track,) + t[1:], t):
+                _walk_to(chain, cur, wp, range(d))
+            return tuple(chain)
     axis = _approach_axis(tns, apex, src, dst, s, t)
-    order = [i for i in range(d) if i != axis] + [axis]
-    chain = [s]
-    cur = list(s)
-    for ax in order:
-        sgn = 1 if t[ax] > cur[ax] else -1
-        while cur[ax] != t[ax]:
-            cur[ax] += sgn
-            chain.append(tuple(cur))
-    return tuple(chain), axis
+    _walk_to(chain, cur, t, [i for i in range(d) if i != axis] + [axis])
+    return tuple(chain)
 
 
 def route_lines(tns: Tns, p: Placement) -> PathAssignment:
@@ -332,15 +321,12 @@ def route_lines(tns: Tns, p: Placement) -> PathAssignment:
     source's grid line and leaving it on the target's.
     """
     chains = {}
-    info = {}
     apex = _apex_isometries(tns)
     for line in tns.lines:
         src, dst = _orient(tns, line)
-        s, t = p.site_of[src], p.site_of[dst]
-        chain, axis = _route_one(tns, p, apex, src, dst, s, t)
-        chains[line.id] = chain
-        info[line.id] = (src, dst, axis)
-    return PathAssignment(chains, info)
+        chains[line.id] = _route_one(tns, p, apex, src, dst, p.site_of[src],
+                                     p.site_of[dst])
+    return PathAssignment(chains)
 
 
 def check_routing(tns: Tns, p: Placement,
@@ -560,7 +546,7 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
         wires.setdefault(site, []).append(Factor(array, labels, dims))
 
     for line in tns.lines:
-        src, dst = paths.info[line.id][0], paths.info[line.id][1]
+        src, dst = _orient(tns, line)
         chain = paths.chains[line.id]
         src_slot = (line.a if line.a[0] == src else line.b)
         dst_slot = (line.b if src_slot is line.a else line.a)
@@ -657,7 +643,6 @@ def contract_refined_to_normal(peps: Peps, delta_tau: int) -> Peps:
 
 def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
     """JSON-ready description of a routed placement, format map-v1."""
-    from .tns import GENERATOR_VERSION
     return {
         "version": "map-v1",
         "generator_version": GENERATOR_VERSION,
@@ -665,11 +650,7 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
         "delta_tau": p.delta_tau,
         "offsets": ({v: list(m) for v, m in sorted(p.offsets.items())}
                     if p.offsets else None),
-        "lattice": {"dimension": p.lattice.dimension,
-                    "length": p.lattice.length,
-                    "branching": p.lattice.branching,
-                    "layers": p.lattice.layers,
-                    "boundary": p.lattice.boundary},
+        "lattice": spec_to_dict(p.lattice),
         "sites": [[nid, list(site)] for nid, site in sorted(p.site_of.items())],
         "paths": [[lid, [list(v) for v in chain]]
                   for lid, chain in sorted(paths.chains.items())],
@@ -678,13 +659,11 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
 
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     """Placement and paths from a map-v1 description; ValueError when the
-    document lacks a key or a site for a line's endpoint."""
+    document lacks a key or a site for a network node."""
     if data.get("version") != "map-v1":
         raise ValueError(f"unsupported map format {data.get('version')!r}")
     try:
-        lat = data["lattice"]
-        host = LatticeSpec(lat["dimension"], lat["length"], lat["branching"],
-                           lat["layers"], lat["boundary"])
+        host = spec_from_dict(data["lattice"])
         site_of = {nid: tuple(site) for nid, site in data["sites"]}
         offsets = data.get("offsets")
         if offsets is not None:
@@ -693,15 +672,11 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
                       frozenset(n.id for n in tns.anchors()), offsets)
         chains = {lid: tuple(tuple(v) for v in chain)
                   for lid, chain in data["paths"]}
-        info = {}
-        apex = _apex_isometries(tns)
-        for line in tns.lines:
-            if line.id in chains:
-                src, dst = _orient(tns, line)
-                _, axis = _route_one(tns, p, apex, src, dst, site_of[src],
-                                     site_of[dst])
-                info[line.id] = (src, dst, axis)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc
-    return p, PathAssignment(chains, info)
+    missing = next((nid for nid in tns.nodes if nid not in site_of), None)
+    if missing is not None:
+        raise ValueError(f"malformed map-v1 document: no site for node "
+                         f"{missing!r}")
+    return p, PathAssignment(chains)

@@ -65,19 +65,11 @@ def initial_pairs(dimension: int, length: int) -> PairSet:
 
     A plaquette with base r covers r + {0,1}^D; its 2**(D-1) pairs join
     corner r + c to corner r + (1,...,1) - c.  Odd alignment means every
-    base coordinate is odd, with wrap-around on the torus.
+    base coordinate is odd, with wrap-around on the torus.  These are the
+    transpositions of the odd-aligned swap sublayer.
     """
-    _check_grid(dimension, length)
-    spec = LatticeSpec(dimension, length, 2, 1, "periodic")
-    pairs = []
-    for base in itertools.product(range(1, length, 2), repeat=dimension):
-        for c in itertools.product((0, 1), repeat=dimension):
-            if c[0] == 1:
-                continue
-            a = tuple((b + ci) % length for b, ci in zip(base, c))
-            b2 = tuple((b + 1 - ci) % length for b, ci in zip(base, c))
-            pairs.append((a, b2))
-    return PairSet(spec, _canonical(pairs))
+    pairs = _canonical(sublayer_swaps(dimension, length, 1))
+    return PairSet(LatticeSpec(dimension, length, 2, 1, "periodic"), pairs)
 
 
 def sublayer_swaps(dimension: int, length: int, offset: int) -> list[Pair]:

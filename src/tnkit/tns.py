@@ -23,11 +23,13 @@ Slot conventions (array axes follow slot order):
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, spec_from_dict, spec_to_dict
 
 GENERATOR_VERSION = "tnkit-0.1.0"
 
@@ -100,23 +102,15 @@ class Tns:
     nodes: dict[str, TensorNode] = field(default_factory=dict)
     lines: list[ContractionLine] = field(default_factory=list)
 
-    @property
-    def layer_count(self) -> int:
-        return self.spec.layers
-
     def anchors(self) -> list[TensorNode]:
         return [n for n in self.nodes.values() if n.kind == KIND_ANCHOR]
 
     def anchor_id(self, site: Site) -> str:
-        return "p:" + ",".join(str(c) for c in site)
+        return _anchor_id(site)
 
     def is_physical_line(self, line: ContractionLine) -> bool:
         return any(self.nodes[nid].kind == KIND_ANCHOR
                    for nid, _ in line.endpoints())
-
-    def lines_at(self, node_id: str) -> list[ContractionLine]:
-        return [ln for ln in self.lines
-                if ln.a[0] == node_id or ln.b[0] == node_id]
 
 
 class _Wiring:
@@ -161,27 +155,14 @@ def _random_top(rng, dim) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dim_ladder(chi: int, phys_dim: int, block: int, layers: int) -> list[int]:
-    """Index dimension per layer; grows by the block size until capped."""
-    dims = [phys_dim]
-    for _ in range(layers):
-        dims.append(min(chi, dims[-1] ** block))
-    return dims
-
-
-def _check_build_args(layers, chi, phys_dim):
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    if chi < 1:
-        raise ValueError("chi must be >= 1")
-    if phys_dim < 2:
-        raise ValueError("phys_dim must be >= 2")
+def _anchor_id(site: Site) -> str:
+    return "p:" + ",".join(str(c) for c in site)
 
 
 def _add_anchors(w: _Wiring, spec: LatticeSpec, phys_dim: int):
     exposed = {}
     for site in spec.sites():
-        sid = "p:" + ",".join(str(c) for c in site)
+        sid = _anchor_id(site)
         w.add(TensorNode(sid, 0, site, KIND_ANCHOR, "p", (phys_dim,)))
         exposed[site] = (sid, 0)
     return exposed
@@ -191,167 +172,119 @@ def _node_id(variant: str, tau: int, cell) -> str:
     return f"{variant}:{tau}:" + ",".join(str(c) for c in cell)
 
 
-def build_mera_1d(layers: int, chi: int = 2, phys_dim: int = 2, seed: int = 0,
-                  with_elements: bool = True) -> Tns:
-    """Binary 1D hierarchical network on 2**layers sites.
+# Per-axis roles of a disentangler pattern: the first cell n that carries
+# it and the offsets from b*n of the sites it covers.  A straddling axis
+# covers the sites b*n - 1, b*n on either side of an interior block
+# boundary; a middle axis covers the site b*n + 1 inside the block.
+_STRADDLE = (1, (-1, 0))
+_MIDDLE = (0, (1,))
 
-    Layer tau applies disentanglers u(n) across the boundaries of the
-    isometry blocks, then isometries w(n) coarse-grain blocks of two.
-    Boundary sites not covered by a disentangler feed their isometry
-    directly.
+# (dimension, b) -> disentangler patterns (variant, role per axis), in the
+# order their tensors are added and their elements drawn.
+_FAMILIES = {
+    (1, 2): (("u", (_STRADDLE,)),),
+    (2, 2): (("u", (_STRADDLE, _STRADDLE)),),
+    (2, 3): (("u2x2", (_STRADDLE, _STRADDLE)),
+             ("u2x1", (_STRADDLE, _MIDDLE)),
+             ("u1x2", (_MIDDLE, _STRADDLE))),
+}
+
+
+def _cover(roles, b: int, out: int):
+    """(cell, covered sites) pairs of one pattern on a layer of out^D cells,
+    cells and each cell's sites in lexicographic order.  roles holds one
+    (first cell, site offsets) pair per axis."""
+    axes = [{n: tuple(b * n + o for o in offs) for n in range(first, out)}
+            for first, offs in roles]
+    for n in itertools.product(*axes):
+        yield n, itertools.product(*map(operator.getitem, axes, n))
+
+
+def _build_mera(dimension: int, b: int, layers: int, chi: int,
+                phys_dim: int, seed: int, with_elements: bool) -> Tns:
+    """Hierarchical network with b**dimension blocks on a (b**layers)^D grid.
+
+    Layer tau first applies the family's disentangler patterns across the
+    block boundaries, pattern by pattern and cells in lexicographic order,
+    then isometries coarse-grain each block to one site of the next layer.
+    Sites no disentangler covers feed their isometry directly.  A top
+    tensor closes the hierarchy.
     """
-    _check_build_args(layers, chi, phys_dim)
-    b = 2
-    spec = LatticeSpec(1, b ** layers, b, layers)
+    if layers < 1:
+        raise ValueError("layers must be >= 1")
+    if chi < 1:
+        raise ValueError("chi must be >= 1")
+    if phys_dim < 2:
+        raise ValueError("phys_dim must be >= 2")
+    patterns = [(variant, roles, math.prod(len(offs) for _, offs in roles))
+                for variant, roles in _FAMILIES[(dimension, b)]]
+    block = b ** dimension
+    spec = LatticeSpec(dimension, b ** layers, b, layers)
     rng = np.random.default_rng(seed)
-    dims = _dim_ladder(chi, phys_dim, b, layers)
+    # index dimension per layer; grows by the block size until capped
+    dims = [phys_dim]
+    for _ in range(layers):
+        dims.append(min(chi, dims[-1] ** block))
     w = _Wiring()
     exposed = _add_anchors(w, spec, phys_dim)
+    block_roles = ((0, tuple(range(b))),) * dimension
 
     for tau in range(1, layers + 1):
-        fine = spec.length // b ** (tau - 1)
-        out = fine // b
+        out = spec.length // b ** tau
         f, c = dims[tau - 1], dims[tau]
-        for n in range(1, out):
-            u = w.add(TensorNode(_node_id("u", tau, (n,)), tau, (n,),
-                                 KIND_DISENTANGLER, "u", (f, f, f, f),
-                                 _random_unitary(rng, (f, f)) if with_elements else None))
-            for i, s in enumerate(((2 * n - 1,), (2 * n,))):
-                w.connect(exposed[s], (u.id, i), f)
-                exposed[s] = (u.id, 2 + i)
+        for variant, roles, legs in patterns:
+            for n, sites in _cover(roles, b, out):
+                u = w.add(TensorNode(
+                    _node_id(variant, tau, n), tau, n, KIND_DISENTANGLER,
+                    variant, (f,) * (2 * legs),
+                    _random_unitary(rng, (f,) * legs) if with_elements
+                    else None))
+                for i, s in enumerate(sites):
+                    w.connect(exposed[s], (u.id, i), f)
+                    exposed[s] = (u.id, legs + i)
         new_exposed = {}
-        for n in range(out):
-            iso = w.add(TensorNode(_node_id("w", tau, (n,)), tau, (n,),
-                                   KIND_ISOMETRY, "w", (f, f, c),
-                                   _random_isometry(rng, (f, f), c) if with_elements else None))
-            for i, s in enumerate(((2 * n,), (2 * n + 1,))):
+        for n, sites in _cover(block_roles, b, out):
+            iso = w.add(TensorNode(
+                _node_id("w", tau, n), tau, n, KIND_ISOMETRY, "w",
+                (f,) * block + (c,),
+                _random_isometry(rng, (f,) * block, c) if with_elements
+                else None))
+            for i, s in enumerate(sites):
                 w.connect(exposed[s], (iso.id, i), f)
-            new_exposed[(n,)] = (iso.id, 2)
+            new_exposed[n] = (iso.id, block)
         exposed = new_exposed
 
-    top = w.add(TensorNode(_node_id("t", layers, (0,)), layers, (0,),
+    origin = (0,) * dimension
+    top = w.add(TensorNode(_node_id("t", layers, origin), layers, origin,
                            KIND_TOP, "t", (dims[layers],),
-                           _random_top(rng, dims[layers]) if with_elements else None))
-    w.connect(exposed[(0,)], (top.id, 0), dims[layers])
+                           _random_top(rng, dims[layers]) if with_elements
+                           else None))
+    w.connect(exposed[origin], (top.id, 0), dims[layers])
 
-    meta = MeraMeta(chi=max(chi, phys_dim), branching=b, max_tensor_order=4,
-                    max_tensors_per_cell=2, max_cell_distance=2,
-                    max_layer_distance=1)
+    meta = MeraMeta(chi=max(chi, phys_dim), branching=b,
+                    max_tensor_order=max(2 * max(p[2] for p in patterns),
+                                         block + 1),
+                    max_tensors_per_cell=len(patterns) + 1,
+                    max_cell_distance=2, max_layer_distance=1)
     return Tns(spec, phys_dim, chi, meta, w.nodes, w.lines)
+
+
+def build_mera_1d(layers: int, chi: int = 2, phys_dim: int = 2, seed: int = 0,
+                  with_elements: bool = True) -> Tns:
+    """Binary 1D hierarchical network on 2**layers sites."""
+    return _build_mera(1, 2, layers, chi, phys_dim, seed, with_elements)
 
 
 def build_mera_2d_b2(layers: int, chi: int = 2, phys_dim: int = 2,
                      seed: int = 0, with_elements: bool = True) -> Tns:
-    """2D hierarchical network with 2x2 blocks on a (2**layers)^2 grid.
-
-    Disentanglers act on the 2x2 clusters centred on interior block
-    corners; isometries coarse-grain 2x2 blocks.  Sites on the lattice rim
-    have no disentangler and feed their isometry directly.
-    """
-    _check_build_args(layers, chi, phys_dim)
-    b = 2
-    spec = LatticeSpec(2, b ** layers, b, layers)
-    rng = np.random.default_rng(seed)
-    dims = _dim_ladder(chi, phys_dim, b * b, layers)
-    w = _Wiring()
-    exposed = _add_anchors(w, spec, phys_dim)
-
-    for tau in range(1, layers + 1):
-        fine = spec.length // b ** (tau - 1)
-        out = fine // b
-        f, c = dims[tau - 1], dims[tau]
-        for n in itertools.product(range(1, out), repeat=2):
-            sites = list(itertools.product(*[(2 * ni - 1, 2 * ni) for ni in n]))
-            u = w.add(TensorNode(_node_id("u", tau, n), tau, n,
-                                 KIND_DISENTANGLER, "u", (f,) * 8,
-                                 _random_unitary(rng, (f,) * 4) if with_elements else None))
-            for i, s in enumerate(sites):
-                w.connect(exposed[s], (u.id, i), f)
-                exposed[s] = (u.id, 4 + i)
-        new_exposed = {}
-        for n in itertools.product(range(out), repeat=2):
-            sites = list(itertools.product(*[(2 * ni, 2 * ni + 1) for ni in n]))
-            iso = w.add(TensorNode(_node_id("w", tau, n), tau, n,
-                                   KIND_ISOMETRY, "w", (f,) * 4 + (c,),
-                                   _random_isometry(rng, (f,) * 4, c) if with_elements else None))
-            for i, s in enumerate(sites):
-                w.connect(exposed[s], (iso.id, i), f)
-            new_exposed[n] = (iso.id, 4)
-        exposed = new_exposed
-
-    top = w.add(TensorNode(_node_id("t", layers, (0, 0)), layers, (0, 0),
-                           KIND_TOP, "t", (dims[layers],),
-                           _random_top(rng, dims[layers]) if with_elements else None))
-    w.connect(exposed[(0, 0)], (top.id, 0), dims[layers])
-
-    meta = MeraMeta(chi=max(chi, phys_dim), branching=b, max_tensor_order=8,
-                    max_tensors_per_cell=2, max_cell_distance=2,
-                    max_layer_distance=1)
-    return Tns(spec, phys_dim, chi, meta, w.nodes, w.lines)
+    """2D network with 2x2 blocks and 2x2 corner disentanglers."""
+    return _build_mera(2, 2, layers, chi, phys_dim, seed, with_elements)
 
 
 def build_mera_2d_b3(layers: int, chi: int = 2, phys_dim: int = 2,
                      seed: int = 0, with_elements: bool = True) -> Tns:
-    """2D hierarchical network with 3x3 blocks on a (3**layers)^2 grid.
-
-    Each interior block corner carries a 2x2 disentangler; the midpoints of
-    interior block edges carry 2x1 and 1x2 disentanglers; block centres and
-    rim sites feed their isometry directly.
-    """
-    _check_build_args(layers, chi, phys_dim)
-    b = 3
-    spec = LatticeSpec(2, b ** layers, b, layers)
-    rng = np.random.default_rng(seed)
-    dims = _dim_ladder(chi, phys_dim, b * b, layers)
-    w = _Wiring()
-    exposed = _add_anchors(w, spec, phys_dim)
-
-    for tau in range(1, layers + 1):
-        fine = spec.length // b ** (tau - 1)
-        out = fine // b
-        f, c = dims[tau - 1], dims[tau]
-
-        def covered(sites, variant, n, legs):
-            u = w.add(TensorNode(_node_id(variant, tau, n), tau, n,
-                                 KIND_DISENTANGLER, variant, (f,) * (2 * legs),
-                                 _random_unitary(rng, (f,) * legs) if with_elements else None))
-            for i, s in enumerate(sites):
-                w.connect(exposed[s], (u.id, i), f)
-                exposed[s] = (u.id, legs + i)
-
-        for n in itertools.product(range(1, out), repeat=2):
-            covered(list(itertools.product(*[(3 * ni - 1, 3 * ni) for ni in n])),
-                    "u2x2", n, 4)
-        for nx in range(1, out):
-            for ny in range(out):
-                covered([(3 * nx - 1, 3 * ny + 1), (3 * nx, 3 * ny + 1)],
-                        "u2x1", (nx, ny), 2)
-        for nx in range(out):
-            for ny in range(1, out):
-                covered([(3 * nx + 1, 3 * ny - 1), (3 * nx + 1, 3 * ny)],
-                        "u1x2", (nx, ny), 2)
-
-        new_exposed = {}
-        for n in itertools.product(range(out), repeat=2):
-            sites = list(itertools.product(*[tuple(3 * ni + d for d in range(3))
-                                             for ni in n]))
-            iso = w.add(TensorNode(_node_id("w", tau, n), tau, n,
-                                   KIND_ISOMETRY, "w", (f,) * 9 + (c,),
-                                   _random_isometry(rng, (f,) * 9, c) if with_elements else None))
-            for i, s in enumerate(sites):
-                w.connect(exposed[s], (iso.id, i), f)
-            new_exposed[n] = (iso.id, 9)
-        exposed = new_exposed
-
-    top = w.add(TensorNode(_node_id("t", layers, (0, 0)), layers, (0, 0),
-                           KIND_TOP, "t", (dims[layers],),
-                           _random_top(rng, dims[layers]) if with_elements else None))
-    w.connect(exposed[(0, 0)], (top.id, 0), dims[layers])
-
-    meta = MeraMeta(chi=max(chi, phys_dim), branching=b, max_tensor_order=10,
-                    max_tensors_per_cell=4, max_cell_distance=2,
-                    max_layer_distance=1)
-    return Tns(spec, phys_dim, chi, meta, w.nodes, w.lines)
+    """2D network with 3x3 blocks; corner and edge-midpoint disentanglers."""
+    return _build_mera(2, 3, layers, chi, phys_dim, seed, with_elements)
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -424,7 +357,7 @@ def build_ttn_example(layers: int) -> Tns:
         producer[b] = (g.id, 3)
 
     for site in spec.sites():
-        w.connect(producer[site[0]], ("p:" + str(site[0]), 0), 2)
+        w.connect(producer[site[0]], (_anchor_id(site), 0), 2)
 
     meta = MeraMeta(chi=2, branching=2, max_tensor_order=4,
                     max_tensors_per_cell=3, max_cell_distance=1,
@@ -525,9 +458,7 @@ def tns_to_dict(tns: Tns) -> dict:
     return {
         "version": "tns-v1",
         "generator_version": GENERATOR_VERSION,
-        "lattice": {"dimension": tns.spec.dimension, "length": tns.spec.length,
-                    "branching": tns.spec.branching, "layers": tns.spec.layers,
-                    "boundary": tns.spec.boundary},
+        "lattice": spec_to_dict(tns.spec),
         "physical_dim": tns.physical_dim,
         "chi": tns.chi,
         "meta": {"chi": tns.meta.chi, "branching": tns.meta.branching,
@@ -547,9 +478,7 @@ def tns_from_dict(data: dict) -> Tns:
     if data.get("version") != "tns-v1":
         raise ValueError(f"unsupported network format {data.get('version')!r}")
     try:
-        lat = data["lattice"]
-        spec = LatticeSpec(lat["dimension"], lat["length"], lat["branching"],
-                           lat["layers"], lat["boundary"])
+        spec = spec_from_dict(data["lattice"])
         m = data["meta"]
         meta = MeraMeta(m["chi"], m["branching"], m["max_tensor_order"],
                         m["max_tensors_per_cell"], m["max_cell_distance"],

@@ -204,3 +204,34 @@ def test_entropy_tree_resource_limit(monkeypatch, capsys):
     monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
     assert main(["entropy", "--family", "ttn1d", "--layers-max", "5"]) == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_entropy_tree_resource_limit_keeps_finished_rows(monkeypatch,
+                                                         capsys):
+    # 16 * 64 bytes hold the T=5 tableau (512 bytes) but not T=7 (4096)
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "64")
+    assert main(["entropy", "--family", "ttn1d", "--layers-max", "7"]) == 3
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert rows[0] == "T,L,cut_size,S"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "3", "5"]
+    assert "resource limit" in captured.err
+
+
+def test_entropy_qca_cross_check_runs_automaton_once_per_depth(monkeypatch,
+                                                               tmp_path):
+    from tnkit import stabilizer
+    calls = []
+    run_qca = stabilizer.run_qca
+
+    def counted(dimension, length, layers):
+        calls.append((dimension, length, layers))
+        return run_qca(dimension, length, layers)
+
+    monkeypatch.setattr(stabilizer, "run_qca", counted)
+    code = main(["entropy", "--family", "qca", "--dimension", "1",
+                 "--lengths", "8,12", "--layers-max", "2", "--cut", "random",
+                 "--cuts", "3", "--cross-check",
+                 "--out", str(tmp_path / "qca.csv")])
+    assert code == 0
+    assert sorted(calls) == [(1, 8, 1), (1, 8, 2), (1, 12, 1), (1, 12, 2)]

@@ -17,7 +17,7 @@ from tnkit.mapping import (CongestionReport, PathAssignment, Placement,
                            default_refined_offsets, detect_stacks,
                            line_density_estimate, map_from_dict, map_to_dict,
                            measured_chi, place_naive, place_refined,
-                           place_shifted, route_lines, _tensor_site)
+                           place_shifted, route_lines, _orient, _tensor_site)
 from tnkit.tns import (MeraMeta, build_mera_1d, build_mera_2d_b2,
                        build_mera_2d_b3, build_ttn_example)
 
@@ -123,7 +123,7 @@ def test_paths_are_shortest_and_monotone(build, layers, scheme):
     assert set(pa.chains) == {ln.id for ln in net.lines}
     for line in net.lines:
         chain = pa.chains[line.id]
-        src, dst, _ = pa.info[line.id]
+        src, dst = _orient(net, line)
         s, t = p.site_of[src], p.site_of[dst]
         assert chain[0] == s and chain[-1] == t
         l1 = sum(abs(a - b) for a, b in zip(s, t))
@@ -146,7 +146,7 @@ def test_paths_turn_at_most_twice(build, layers, scheme):
             d = tuple(y - x for x, y in zip(a, b))
             if not dirs or dirs[-1] != d:
                 dirs.append(d)
-        src, dst, _ = pa.info[line.id]
+        src, dst = _orient(net, line)
         gathers = (net.nodes[src].kind == "isometry"
                    and net.nodes[dst].variant == "u2x1")
         assert len(dirs) <= (3 if gathers else 2), line.id
@@ -165,14 +165,13 @@ def test_routing_is_deterministic():
     _, _, pa1 = routed(build_mera_2d_b3, 2, "refined")
     _, _, pa2 = routed(build_mera_2d_b3, 2, "refined")
     assert pa1.chains == pa2.chains
-    assert pa1.info == pa2.info
 
 
 def test_gather_lines_ride_coarse_tracks():
     net, p, pa = routed(build_mera_2d_b3, 3, "refined")
     found = 0
     for line in net.lines:
-        src, dst, _ = pa.info[line.id]
+        src, dst = _orient(net, line)
         if not (net.nodes[src].kind == "isometry"
                 and net.nodes[dst].variant == "u2x1"):
             continue
@@ -230,7 +229,7 @@ def test_congestion_report_arithmetic():
 
 def test_no_lines_means_unit_bonds():
     net = build_mera_1d(1)
-    rep = measured_chi(net, PathAssignment({}, {}))
+    rep = measured_chi(net, PathAssignment({}))
     assert rep.max_paths() == 0
     assert rep.chi_peps() == 1
 
@@ -338,7 +337,6 @@ def test_map_dict_roundtrip():
     assert p2.site_of == p.site_of
     assert p2.lattice == p.lattice
     assert pa2.chains == pa.chains
-    assert pa2.info == pa.info
 
 
 def test_map_dict_version_guard():
@@ -379,7 +377,7 @@ def test_check_routing_rejects_bad_paths():
     def verdict(new_chain):
         chains = dict(pa.chains)
         chains[lid] = tuple(new_chain)
-        return check_routing(net, p, PathAssignment(chains, pa.info))
+        return check_routing(net, p, PathAssignment(chains))
 
     assert "does not join" in verdict(chain[:-1])
     assert "jumps" in verdict(chain[:1] + chain[2:])
@@ -398,7 +396,7 @@ def test_check_routing_rejects_bad_paths():
     chains = dict(pa.chains)
     del chains[lid]
     assert "do not cover" in check_routing(net, p,
-                                           PathAssignment(chains, pa.info))
+                                           PathAssignment(chains))
     nid = next(iter(p.site_of))
     moved = {**p.site_of, nid: tuple(c + 1 for c in p.site_of[nid])}
     assert "do not match the scheme" in check_routing(

@@ -1,16 +1,21 @@
 """Network builders: structure, element properties, serialization."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import tnkit.stabilizer as stab
 from tnkit import dense
+from tnkit.mapping import map_to_dict, place_refined, route_lines
 from tnkit.tns import (KIND_ANCHOR, KIND_DISENTANGLER, KIND_ISOMETRY,
                        KIND_TOP, MeraMeta, build_mera_1d, build_mera_2d_b2,
                        build_mera_2d_b3, build_ttn_example,
                        tns_from_dict, tns_to_dict, ttn_cut_size,
                        ttn_gate_schedule, two_site_rotation_gate,
-                       validate_preconditions)
+                       validate_preconditions, _random_isometry,
+                       _random_top, _random_unitary)
 
 BUILDERS = [
     (build_mera_1d, 3),
@@ -229,3 +234,71 @@ def test_dict_rejects_missing_key_or_unknown_node():
     data["lines"][-1]["b"][0] = "no-such-node"
     with pytest.raises(ValueError, match="malformed"):
         tns_from_dict(data)
+
+
+# sha256 of the symbolic tns-v1 JSON and of its refined map-v1 JSON.  The
+# documents hold only integers and strings, so the digests are the same on
+# every platform; they pin node and line order, ids, dims and routing.
+DOCUMENT_DIGESTS = {
+    (build_mera_1d, 1): (
+        "fbd2c61f42a17689907a754bb25e2e2862145c59e23388ae164ae94ace8e750a",
+        "9cf85d62df9eb81d5c394457fc7d4063080ec059bf8fb6e7fb9afc3c35e1024c"),
+    (build_mera_1d, 2): (
+        "ec43e46b2eb78a8d4915ca7091469a678642e68d75221a6de0cd08d8a2e55f39",
+        "776488bdf38c4eaa33e3cda8cf9568ec3761aeac047aebf8b28a68c52a07373d"),
+    (build_mera_1d, 3): (
+        "00ea40276e6833f5d2a660bbb71e930d21ce57efc8a4030f9da1c8ce78263209",
+        "fb6ce5e8e4aa79e422a337eb84b51a7071e77b412e542fc185b16a2b64a1edec"),
+    (build_mera_2d_b2, 1): (
+        "aa345100d3dba99a8d5739b9e8b4362159f3fb48db74f034284942071c13229e",
+        "705be8097710363ad170a16f4dc1c6efc12e18d22caa53507ca90c5f23c24fd5"),
+    (build_mera_2d_b2, 2): (
+        "b3ded25dc501ae1b4f8022a8aba3204078128cca32134999674fc271ec3a712f",
+        "1e946d287861c8489bc932f0fcff0e7292af6e7c6bed27bf26096ee3acd314a3"),
+    (build_mera_2d_b2, 3): (
+        "7fb946516382a8d37c1bab2903cf4b295e256a6da87203f9fe14581837a02dfc",
+        "01556e88191a631d64767cf8052478401ecf9c7b48d6b1cd8ae6126436d45a05"),
+    (build_mera_2d_b3, 1): (
+        "2339464ab1399bf4b92f2d5819215e6d984073c5fc97ed10b0f680fe0e9d76d7",
+        "e83e6dce6432931e487cff88ea2c73db661c2ad4fcbae7b104368cd0d7b91b41"),
+    (build_mera_2d_b3, 2): (
+        "d6b7698632b978d0f5feb2c9495fa2b3a8cf70d3f0abf3a7ae982c36ca3f0d38",
+        "165ada9fa73ac2444a861a75850d0360b17ba7af93c97892c116fd806c409c00"),
+    (build_mera_2d_b3, 3): (
+        "08597bbccb2579bea477b845259b5a02ee9540ba1437c99d093b17adb1a3f609",
+        "958adf9b8e95137b25e83eb2708e5167e33dd9c12814ac2a6da1aeb99b1107c7"),
+}
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build,layers", sorted(
+    DOCUMENT_DIGESTS, key=lambda k: (k[0].__name__, k[1])))
+def test_symbolic_documents_pinned(build, layers):
+    net = build(layers, with_elements=False)
+    p = place_refined(net)
+    tns_digest, map_digest = DOCUMENT_DIGESTS[(build, layers)]
+    assert _digest(tns_to_dict(net)) == tns_digest
+    assert _digest(map_to_dict(p, route_lines(net, p))) == map_digest
+
+
+@pytest.mark.parametrize("build,layers", [(build_mera_1d, 3),
+                                          (build_mera_2d_b2, 2),
+                                          (build_mera_2d_b3, 2)])
+@pytest.mark.parametrize("chi,phys_dim", [(2, 2), (5, 3)])
+def test_elements_follow_node_order(build, layers, chi, phys_dim):
+    """Elements are drawn from one generator in node insertion order."""
+    net = build(layers, chi=chi, phys_dim=phys_dim, seed=7)
+    rng = np.random.default_rng(7)
+    for node in net.nodes.values():
+        if node.kind == KIND_ANCHOR:
+            continue
+        if node.kind == KIND_DISENTANGLER:
+            expected = _random_unitary(rng, node.dims[:node.order // 2])
+        elif node.kind == KIND_ISOMETRY:
+            expected = _random_isometry(rng, node.dims[:-1], node.dims[-1])
+        else:
+            expected = _random_top(rng, node.dims[0])
+        assert np.allclose(node.elements, expected), node.id
