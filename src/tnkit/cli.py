@@ -182,11 +182,14 @@ _MARKER_STYLE = {
 
 def cmd_render(args) -> int:
     data = _load_json(args.map)
-    lat = data["lattice"]
-    dim = lat["dimension"]
+    try:
+        dim, length = data["lattice"]["dimension"], data["lattice"]["length"]
+        paths, sites = data["paths"], data["sites"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed map-v1 document: "
+                         f"{type(exc).__name__} {exc}") from exc
     if dim > 2:
         raise ValueError("rendering supports 1 and 2 dimensions")
-    length = lat["length"]
     scale, margin = 28, 30
 
     def xy(site):
@@ -207,7 +210,7 @@ def cmd_render(args) -> int:
             px, py = xy((x, y))
             parts.append(f'<circle cx="{px}" cy="{py}" r="1.5" '
                          f'fill="#cccccc"/>')
-    for lid, chain in sorted(data["paths"]):
+    for lid, chain in sorted(paths):
         if len(chain) < 2:
             continue
         pts = " ".join("{},{}".format(*xy(v)) for v in chain)
@@ -215,7 +218,7 @@ def cmd_render(args) -> int:
                      f'stroke="#4477aa" stroke-width="2" opacity="0.35">'
                      f'<title>line {lid}</title></polyline>')
     by_site: dict[tuple, list[str]] = {}
-    for nid, site in sorted(data["sites"]):
+    for nid, site in sorted(sites):
         by_site.setdefault(tuple(site), []).append(nid)
     for site in sorted(by_site):
         for i, nid in enumerate(by_site[site]):

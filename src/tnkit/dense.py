@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tns import KIND_ANCHOR
+from .tns import KIND_ANCHOR, Tns
 
 DEFAULT_MAX_AMPLITUDES = 2 ** 26
 
@@ -122,7 +122,8 @@ class StateVector:
 
 
 def _network_factors(obj):
-    if hasattr(obj, "site_factors"):
+    if not isinstance(obj, Tns):
+        # an embedded grid network (mapping.Peps)
         return [(f.array, f.labels) for f in obj.all_factors()], \
             obj.physical_dim
     factors = []

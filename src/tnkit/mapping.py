@@ -374,12 +374,33 @@ class CongestionReport:
     it.  Physical-leg lines (those ending on an anchor) can be included or
     excluded from every figure; embedded-network bond dimensions include
     them, while the interior congestion figures of the refined scheme
-    exclude them.
+    exclude them.  The maxima over all edges are taken once, when the
+    report is made.
     """
 
     edge_lines: dict[Edge, tuple[int, ...]]
     line_dims: dict[int, int]
     physical_lines: frozenset[int]
+
+    def __post_init__(self):
+        dim_of, physical = self.line_dims.__getitem__, self.physical_lines
+        paths = paths_int = 0
+        dim = dim_int = 1
+        for lines in self.edge_lines.values():
+            n, d = len(lines), math.prod(map(dim_of, lines))
+            if n > paths:
+                paths = n
+            if d > dim:
+                dim = d
+            if not physical.isdisjoint(lines):
+                lines = self._counted(lines, False)
+                n, d = len(lines), math.prod(map(dim_of, lines))
+            if n > paths_int:
+                paths_int = n
+            if d > dim_int:
+                dim_int = d
+        # (max paths per edge, max bond dimension) by include_physical
+        self._maxima = {True: (paths, dim), False: (paths_int, dim_int)}
 
     def _counted(self, lines, include_physical):
         if include_physical:
@@ -391,15 +412,12 @@ class CongestionReport:
                                  include_physical))
 
     def bond_dim_of(self, edge: Edge, include_physical: bool = True) -> int:
-        dim = 1
-        for l in self._counted(self.edge_lines.get(edge, ()),
-                               include_physical):
-            dim *= self.line_dims[l]
-        return dim
+        return math.prod(map(self.line_dims.__getitem__,
+                             self._counted(self.edge_lines.get(edge, ()),
+                                           include_physical)))
 
     def max_paths(self, include_physical: bool = True) -> int:
-        return max((len(self._counted(ls, include_physical))
-                    for ls in self.edge_lines.values()), default=0)
+        return self._maxima[include_physical][0]
 
     def busiest_edge(self, include_physical: bool = True):
         best, best_edge = 0, None
@@ -410,8 +428,7 @@ class CongestionReport:
         return best_edge, best
 
     def chi_peps(self, include_physical: bool = True) -> int:
-        return max((self.bond_dim_of(e, include_physical)
-                    for e in self.edge_lines), default=1)
+        return self._maxima[include_physical][1]
 
     def log_chi_peps(self, chi: int, include_physical: bool = True) -> float:
         if chi < 2:
@@ -420,13 +437,20 @@ class CongestionReport:
 
 
 def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
-    """Tally routed lines per lattice edge."""
-    edge_lines: dict[Edge, list[int]] = {}
-    for lid in paths.chains:
-        for edge in paths.path_of(lid):
-            edge_lines.setdefault(edge, []).append(lid)
+    """Tally routed lines per lattice edge.
+
+    Chains are walked in line-id order, so every edge's ids come out
+    sorted.
+    """
+    edge_lines: dict[Edge, tuple[int, ...]] = {}
+    get = edge_lines.get
+    for lid in sorted(paths.chains):
+        chain = paths.chains[lid]
+        for a, b in zip(chain, chain[1:]):
+            edge = (a, b) if a <= b else (b, a)
+            edge_lines[edge] = get(edge, ()) + (lid,)
     return CongestionReport(
-        {e: tuple(sorted(ls)) for e, ls in sorted(edge_lines.items())},
+        {e: edge_lines[e] for e in sorted(edge_lines)},
         {ln.id: ln.dim for ln in tns.lines},
         frozenset(ln.id for ln in tns.lines if tns.is_physical_line(ln)),
     )
@@ -462,14 +486,12 @@ def congestion_csv(report: CongestionReport) -> str:
     Counts include physical-leg lines; interior-only figures are available
     through the report API.
     """
-    def fmt(site):
-        return ";".join(str(c) for c in site)
-
+    dim_of = report.line_dims.__getitem__
     rows = ["edge_a,edge_b,paths,bond_dim"]
-    for edge in sorted(report.edge_lines):
-        rows.append(f"{fmt(edge[0])},{fmt(edge[1])},"
-                    f"{report.paths_through(edge)},"
-                    f"{report.bond_dim_of(edge)}")
+    for a, b in sorted(report.edge_lines):
+        lines = report.edge_lines[(a, b)]
+        rows.append(f"{';'.join(map(str, a))},{';'.join(map(str, b))},"
+                    f"{len(lines)},{math.prod(map(dim_of, lines))}")
     return "\n".join(rows) + "\n"
 
 
@@ -648,18 +670,19 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
         "generator_version": GENERATOR_VERSION,
         "scheme": p.scheme,
         "delta_tau": p.delta_tau,
-        "offsets": ({v: list(m) for v, m in sorted(p.offsets.items())}
-                    if p.offsets else None),
+        "offsets": dict(sorted(p.offsets.items())) if p.offsets else None,
         "lattice": spec_to_dict(p.lattice),
-        "sites": [[nid, list(site)] for nid, site in sorted(p.site_of.items())],
-        "paths": [[lid, [list(v) for v in chain]]
-                  for lid, chain in sorted(paths.chains.items())],
+        # json writes the (id, site) and (id, chain) tuples as arrays
+        "sites": sorted(p.site_of.items()),
+        "paths": sorted(paths.chains.items()),
     }
 
 
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     """Placement and paths from a map-v1 description; ValueError when the
-    document lacks a key or a site for a network node."""
+    document is not an object or lacks a key or a site for a network node."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
         raise ValueError(f"unsupported map format {data.get('version')!r}")
     try:

@@ -474,7 +474,9 @@ def tns_to_dict(tns: Tns) -> dict:
 
 def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
-    lacks a key or a line names an unknown node."""
+    is not an object, lacks a key or a line names an unknown node."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
         raise ValueError(f"unsupported network format {data.get('version')!r}")
     try:

@@ -1,5 +1,6 @@
 """Command line driver, run in process through main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -235,3 +236,86 @@ def test_entropy_qca_cross_check_runs_automaton_once_per_depth(monkeypatch,
                  "--out", str(tmp_path / "qca.csv")])
     assert code == 0
     assert sorted(calls) == [(1, 8, 1), (1, 8, 2), (1, 12, 1), (1, 12, 2)]
+
+
+@pytest.mark.parametrize("command,role", [("map", "tns"), ("verify", "tns"),
+                                          ("verify", "map")])
+def test_non_object_document_exits_2(built, tmp_path, capsys, command, role):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "shifted",
+          "--out-prefix", prefix])
+    files = {"tns": str(built), "map": prefix + ".map.json"}
+    files[role] = str(tmp_path / "list.json")
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    argv = {"map": ["map", "--tns", files["tns"], "--scheme", "shifted",
+                    "--out-prefix", prefix],
+            "verify": ["verify", "--tns", files["tns"],
+                       "--map", files["map"]]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"malformed {role}-v1 document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lattice", "paths", "sites"])
+def test_render_rejects_map_missing_key(built, tmp_path, capsys, key):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "shifted",
+          "--out-prefix", prefix])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    del data[key]
+    (tmp_path / "bad.map.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["render", "--map", str(tmp_path / "bad.map.json")]) == 2
+    assert "malformed map-v1 document" in capsys.readouterr().err
+
+
+# sha256 of the congestion CSV and of the `map` stdout for symbolic builds
+# at the default chi and phys_dim.  Both hold only integers and fixed-point
+# text, so the digests are the same on every platform.
+MAP_OUTPUT_DIGESTS = {
+    ("mera1d", 1, "refined"): (
+        "463997b79973d29b37694a3051f1fbd3a74251a8b6fffa3972502859fa29d5cb",
+        "58690a404b8f2b07d32fe2e8047743ca693ec3e8c8de6e74c88b6ab5246c5a6a"),
+    ("mera1d", 2, "refined"): (
+        "35361020995503e1ad35204a0eb00eac83a7cca4ba621b5cc62f71d379e2a2b7",
+        "51a2ee741a8c6cea0399943d57f09d26543611f9f34d2a7edcac5bad786a00cb"),
+    ("mera1d", 3, "refined"): (
+        "3a428bf1fc738a73a334e093843406aaf4cea659492a50164273a9a9caf8ddb7",
+        "794745d2d8f532b298363c8e6dfa75636ce7065e9122fcff306dc77101c73245"),
+    ("mera2d-b2", 1, "refined"): (
+        "e892a1a74e34182c48698def3f06c98fa4fc9727f4291c7d82c742cf252ed60b",
+        "2deeb1d5493f543689bd1917d1c5a59a86813c4c25969174b1f3c0e15f3e17c4"),
+    ("mera2d-b2", 2, "refined"): (
+        "74cdcf4f11f760852de7b9ef101e71339ccdaec3057493d5a157f058eaafcfe1",
+        "a55816322f79a4913beb7e21dbdb12ce614ef8ffb57d40c0ad7160a6618709e7"),
+    ("mera2d-b2", 3, "refined"): (
+        "3ff4b1562a0baeb5fabd0cc6f730f5ab3c16615e9ff33c2efa89f45cf0925064",
+        "970380b253196c90b36b04423c7fa4f51bf21d7f9716547a29cfa15b366418eb"),
+    ("mera2d-b3", 1, "refined"): (
+        "99a6ab65aef137b9e33971c41091048ddd08b2ed9237c3c49fc303f0640fc0dd",
+        "3fa747b0143e51e737dc6e10aa3c7cb9b46bcafda3660bd12343d984c9c14608"),
+    ("mera2d-b3", 2, "refined"): (
+        "86366ae27b828520535cb141e5b168c715830ab3932b40f3f927f35760478838",
+        "5a5da1c1f5cab45dfa4479397f2bd0159d575b55c4ca334916701922a2bc2e11"),
+    ("mera2d-b3", 3, "refined"): (
+        "91053e43a238ce1fac4768967f3b2fcae80ebfdadfa5010bd901923b618f82b5",
+        "7bc8232ef19b9b2f66b287449d3fcd96d6e4e75d58d30cc87df019d10dec4bad"),
+    ("mera2d-b2", 3, "shifted"): (
+        "35cf694e8893cbcc4ed8e8b5846e743199f836ebdbbf3663df133b6a32c5e056",
+        "8228114de75ee8eefa2a5a6f224f5577c6ddc92af181bd14c0eade22e97a024d"),
+}
+
+
+@pytest.mark.parametrize("kind,layers,scheme", sorted(MAP_OUTPUT_DIGESTS))
+def test_map_outputs_pinned(tmp_path, capsys, kind, layers, scheme):
+    prefix = str(tmp_path / "m")
+    assert main(["build", "--kind", kind, "--layers", str(layers),
+                 "--no-elements", "--out", prefix + ".tns.json"]) == 0
+    capsys.readouterr()
+    assert main(["map", "--tns", prefix + ".tns.json", "--scheme", scheme,
+                 "--out-prefix", prefix]) == 0
+    stdout = capsys.readouterr().out
+    csv_digest, stdout_digest = MAP_OUTPUT_DIGESTS[(kind, layers, scheme)]
+    csv = (tmp_path / "m.congestion.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == csv_digest
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest

@@ -5,6 +5,8 @@ the router that shifts any of them needs the full acceptance scan re-run,
 not just an updated constant.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -230,8 +232,31 @@ def test_congestion_report_arithmetic():
 def test_no_lines_means_unit_bonds():
     net = build_mera_1d(1)
     rep = measured_chi(net, PathAssignment({}))
-    assert rep.max_paths() == 0
-    assert rep.chi_peps() == 1
+    for include_physical in (True, False):
+        assert rep.max_paths(include_physical) == 0
+        assert rep.chi_peps(include_physical) == 1
+        assert rep.log_chi_peps(2, include_physical) == 0.0
+
+
+@pytest.mark.parametrize("build,layers,scheme", [
+    (build_mera_2d_b2, 3, "refined"), (build_mera_2d_b3, 2, "refined"),
+    (build_mera_1d, 4, "shifted")])
+def test_report_maxima_match_brute_force(build, layers, scheme):
+    net, _, pa = routed(build, layers, scheme, chi=5, phys_dim=3,
+                        with_elements=False)
+    rep = measured_chi(net, pa)
+    # physical legs and interior lines differ in dimension
+    assert {rep.line_dims[l] for l in rep.physical_lines} == {3}
+    assert 5 in rep.line_dims.values()
+    for include_physical in (True, False):
+        counted = [[l for l in lines
+                    if include_physical or l not in rep.physical_lines]
+                   for lines in rep.edge_lines.values()]
+        chi = max(math.prod(rep.line_dims[l] for l in ls) for ls in counted)
+        assert rep.max_paths(include_physical) == max(map(len, counted))
+        assert rep.chi_peps(include_physical) == chi
+        assert rep.log_chi_peps(5, include_physical) == \
+            math.log(chi) / math.log(5)
 
 
 def test_congestion_csv_deterministic():
