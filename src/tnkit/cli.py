@@ -91,7 +91,9 @@ def cmd_verify(args) -> int:
     data = _load_json(args.map)
     placement, paths = mapping.map_from_dict(data, network)
 
-    problem = mapping.check_routing(network, placement, paths)
+    issues = tns_mod.validate_preconditions(network).issues
+    problem = issues[0] if issues else \
+        mapping.check_routing(network, placement, paths)
     if problem is not None:
         print(f"structural error: {problem}")
         return 4
@@ -100,7 +102,8 @@ def cmd_verify(args) -> int:
     reference = dense.contract_to_statevector(network)
     embedded = dense.contract_to_statevector(peps)
     if dense.states_equal(reference, embedded, tol=args.tol):
-        print(f"PASS embedded state matches (chi_peps {peps.chi_peps})")
+        print(f"PASS embedded state matches "
+              f"(chi_peps {peps.congestion.chi_peps()})")
         return 0
     print("FAIL embedded state differs from the network state")
     return 4
@@ -182,20 +185,23 @@ _MARKER_STYLE = {
 
 def cmd_render(args) -> int:
     data = _load_json(args.map)
-    try:
-        dim, length = data["lattice"]["dimension"], data["lattice"]["length"]
-        paths, sites = data["paths"], data["sites"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed map-v1 document: "
-                         f"{type(exc).__name__} {exc}") from exc
-    if dim > 2:
-        raise ValueError("rendering supports 1 and 2 dimensions")
     scale, margin = 28, 30
 
     def xy(site):
         x = site[0]
         y = site[1] if dim == 2 else 0
         return margin + scale * x, margin + scale * y
+
+    try:
+        dim, length = data["lattice"]["dimension"], data["lattice"]["length"]
+        # pixel positions of every path vertex and site
+        paths = [(lid, [xy(v) for v in chain]) for lid, chain in data["paths"]]
+        sites = [(nid, xy(site)) for nid, site in data["sites"]]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed map-v1 document: "
+                         f"{type(exc).__name__} {exc}") from exc
+    if dim > 2:
+        raise ValueError("rendering supports 1 and 2 dimensions")
 
     width = margin * 2 + scale * (length - 1)
     height = margin * 2 + scale * ((length - 1) if dim == 2 else 0)
@@ -213,19 +219,18 @@ def cmd_render(args) -> int:
     for lid, chain in sorted(paths):
         if len(chain) < 2:
             continue
-        pts = " ".join("{},{}".format(*xy(v)) for v in chain)
+        pts = " ".join("{},{}".format(*v) for v in chain)
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="#4477aa" stroke-width="2" opacity="0.35">'
                      f'<title>line {lid}</title></polyline>')
     by_site: dict[tuple, list[str]] = {}
-    for nid, site in sorted(sites):
-        by_site.setdefault(tuple(site), []).append(nid)
-    for site in sorted(by_site):
-        for i, nid in enumerate(by_site[site]):
+    for nid, point in sorted(sites):
+        by_site.setdefault(point, []).append(nid)
+    for point in sorted(by_site):
+        for i, nid in enumerate(by_site[point]):
             shape, color = _MARKER_STYLE.get(nid.split(":")[0],
                                              ("circle", "#999999"))
-            px, py = xy(site)
-            px, py = px + 3 * i, py - 3 * i
+            px, py = point[0] + 3 * i, point[1] - 3 * i
             title = f"<title>{nid}</title>"
             if shape == "square":
                 parts.append(f'<rect x="{px - 6}" y="{py - 6}" width="12" '

@@ -9,6 +9,8 @@ variable TNKIT_MAX_AMPLITUDES.
 
 from __future__ import annotations
 
+import heapq
+import math
 import os
 from dataclasses import dataclass
 
@@ -37,66 +39,67 @@ def _contract_pair(a, la, b, lb):
     return out, labels
 
 
+def _pair_size(a, la, b, lb):
+    """Amplitudes of the contraction of two factors."""
+    shared = set(la) & set(lb)
+    return math.prod(n for arr, ls in ((a, la), (b, lb))
+                     for n, l in zip(arr.shape, ls) if l not in shared)
+
+
 def contract_labeled(factors, open_order=None):
     """Contract a labeled factor list greedily; returns (array, labels).
 
-    Each repeated label must occur exactly twice.  When open_order is given
-    the result axes are transposed into that label order; otherwise labels
-    are sorted.
+    Each repeated label must occur exactly twice.  Each step contracts the
+    pair of factors sharing a label whose result is smallest, ties going to
+    the pair that comes first in factor order (results are appended last).
+    When no two factors share a label, the two smallest take an outer
+    product.  When open_order is given the result axes are transposed into
+    that label order; otherwise labels are sorted.
     """
     limit = amplitude_limit()
-    work = []
-    for array, labels in factors:
+    # factors by id in factor order, and the ids carrying each label
+    work, owners = {}, {}
+    for k, (array, labels) in enumerate(factors):
         if array is None:
             raise ValueError("network carries no elements (symbolic build)")
-        work.append((np.asarray(array), list(labels)))
-
-    counts: dict[object, int] = {}
-    for _, labels in work:
+        work[k] = (np.asarray(array), list(labels))
         for l in labels:
-            counts[l] = counts.get(l, 0) + 1
-    bad = sorted((str(l) for l, c in counts.items() if c > 2))
+            owners.setdefault(l, []).append(k)
+    bad = sorted((str(l) for l, ks in owners.items() if len(ks) > 2))
     if bad:
         raise ValueError(f"labels used more than twice: {', '.join(bad)}")
 
+    # candidate pairs (size, i, j), i < j; pairs with a contracted factor
+    # are dropped when popped
+    heap = [(_pair_size(*work[i], *work[j]), i, j)
+            for i, j in {tuple(ks) for ks in owners.values()
+                         if len(ks) == 2 and ks[0] != ks[1]}]
+    heapq.heapify(heap)
+    next_id = len(factors)
     while len(work) > 1:
-        best = None
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                la, lb = work[i][1], work[j][1]
-                if not set(la) & set(lb):
-                    continue
-                size = 1
-                shared = set(la) & set(lb)
-                for arr, ls in (work[i], work[j]):
-                    for ax, l in enumerate(ls):
-                        if l not in shared:
-                            size *= arr.shape[ax]
-                if best is None or size < best[0]:
-                    best = (size, i, j)
-        if best is None:
-            # disjoint components remain; take an outer product of the
-            # two smallest
-            order = sorted(range(len(work)), key=lambda k: work[k][0].size)
-            i, j = sorted(order[:2])
-            size = work[i][0].size * work[j][0].size
-            if size > limit:
-                raise ResourceLimitError(f"outer product of {size} amplitudes "
-                                         f"exceeds budget {limit}")
-            a, la = work[i]
-            b, lb = work[j]
-            out = np.multiply.outer(a, b)
-            labels = la + lb
+        while heap and not (heap[0][1] in work and heap[0][2] in work):
+            heapq.heappop(heap)
+        if heap:
+            size, i, j = heapq.heappop(heap)
         else:
-            size, i, j = best
-            if size > limit:
-                raise ResourceLimitError(f"contraction of {size} amplitudes "
-                                         f"exceeds budget {limit}")
-            out, labels = _contract_pair(*work[i], *work[j])
-        work = [w for k, w in enumerate(work) if k not in (i, j)]
-        work.append((out, labels))
+            # disjoint components remain: the two smallest
+            i, j = sorted(sorted(work, key=lambda k: work[k][0].size)[:2])
+            size = work[i][0].size * work[j][0].size
+        if size > limit:
+            raise ResourceLimitError(f"contraction of {size} amplitudes "
+                                     f"exceeds budget {limit}")
+        out, labels = _contract_pair(*work.pop(i), *work.pop(j))
+        k, next_id = next_id, next_id + 1
+        work[k] = (out, labels)
+        neighbours = set()
+        for l in labels:
+            ks = owners[l]
+            ks[:] = [k if o in (i, j) else o for o in ks]
+            neighbours.update(o for o in ks if o != k)
+        for n in neighbours:
+            heapq.heappush(heap, (_pair_size(*work[n], out, labels), n, k))
 
-    array, labels = work[0] if work else (np.array(1.0 + 0j), [])
+    array, labels = next(iter(work.values()), (np.array(1.0 + 0j), []))
     if open_order is None:
         open_order = sorted(labels, key=repr)
     if sorted(map(repr, labels)) != sorted(map(repr, open_order)):
@@ -124,8 +127,7 @@ class StateVector:
 def _network_factors(obj):
     if not isinstance(obj, Tns):
         # an embedded grid network (mapping.Peps)
-        return [(f.array, f.labels) for f in obj.all_factors()], \
-            obj.physical_dim
+        return obj.all_factors(), obj.physical_dim
     factors = []
     label_of = {}
     for line in obj.lines:

@@ -89,20 +89,14 @@ def _tensor_site(scheme, b, tau, cell, dt, m):
                  for c, mi in zip(cell, m))
 
 
-def _place(tns: Tns, scheme: str, delta_tau: int = 0,
-           offsets=None) -> Placement:
+def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
     b = tns.spec.branching
     d = tns.spec.dimension
     if scheme == "refined":
         if delta_tau < 1:
             raise ValueError("refined placement needs delta_tau >= 1")
-        if offsets is None:
-            offsets = default_refined_offsets(d)
+        offsets = default_refined_offsets(d)
         factor = b ** delta_tau
-        for variant, m in offsets.items():
-            if len(m) != d or any(not 0 <= mi < factor for mi in m):
-                raise ValueError(f"offset {m} for {variant!r} outside "
-                                 f"[0, {factor})^{d}")
         host = LatticeSpec(d, tns.spec.length * factor, b,
                            tns.spec.layers + delta_tau, tns.spec.boundary)
     else:
@@ -142,14 +136,14 @@ def place_shifted(tns: Tns) -> Placement:
     return _place(tns, "shifted")
 
 
-def place_refined(tns: Tns, delta_tau: int = 1, offsets=None) -> Placement:
-    """Place on a b**delta_tau refined grid with per-variant offsets."""
-    return _place(tns, "refined", delta_tau, offsets)
+def place_refined(tns: Tns, delta_tau: int = 1) -> Placement:
+    """Place on a b**delta_tau refined grid with the default per-variant
+    offsets."""
+    return _place(tns, "refined", delta_tau)
 
 
 def place(tns: Tns, scheme: str, delta_tau: int = 1) -> Placement:
-    """Placement by scheme name: naive, shifted, or refined with the
-    default offsets."""
+    """Placement by scheme name: naive, shifted or refined."""
     if scheme == "naive":
         return place_naive(tns)
     if scheme == "shifted":
@@ -496,48 +490,26 @@ def congestion_csv(report: CongestionReport) -> str:
 
 
 @dataclass
-class Factor:
-    """One array of the embedded network with hashable index labels."""
-
-    array: np.ndarray | None
-    labels: tuple
-    dims: tuple[int, ...]
-
-
-@dataclass
 class Peps:
-    """Embedded network: per-site factor lists on the host grid.
+    """Embedded network: per-site lists of (array, labels) factors on the
+    host grid.
 
     Contracting all factors over equal labels reproduces the original
     state; labels of the form ("p", site) are the open physical indices.
-    edge_channels lists the (label, dim) pairs crossing each host edge, so
-    the bond dimension of an edge is the product of its channel dims.
+    congestion tallies the lines crossing each host edge, so the bond
+    dimension of an edge is the product of its lines' dimensions.
     """
 
     lattice: LatticeSpec
     physical_lattice: LatticeSpec
     refine_factor: int
     physical_dim: int
-    site_factors: dict[Site, list[Factor]]
-    edge_channels: dict[Edge, tuple[tuple[object, int], ...]]
-    physical_host: dict[Site, Site]
+    site_factors: dict[Site, list[tuple[np.ndarray, tuple]]]
+    congestion: CongestionReport
 
-    def bond_dim_of(self, edge: Edge) -> int:
-        dim = 1
-        for _, d in self.edge_channels.get(edge, ()):
-            dim *= d
-        return dim
-
-    @property
-    def chi_peps(self) -> int:
-        return max((self.bond_dim_of(e) for e in self.edge_channels),
-                   default=1)
-
-    def all_factors(self) -> list[Factor]:
-        out = []
-        for site in sorted(self.site_factors):
-            out.extend(self.site_factors[site])
-        return out
+    def all_factors(self) -> list[tuple[np.ndarray, tuple]]:
+        return [f for site in sorted(self.site_factors)
+                for f in self.site_factors[site]]
 
     def site_tensor(self, site: Site):
         """Dense tensor of one site: factors contracted over labels shared
@@ -546,7 +518,7 @@ class Peps:
         factors = self.site_factors.get(site, [])
         if not factors:
             return np.array(1.0 + 0j), ()
-        return contract_labeled([(f.array, f.labels) for f in factors])
+        return contract_labeled(factors)
 
 
 def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
@@ -560,107 +532,77 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     placed.
     """
     label_of: dict[tuple[str, int], object] = {}
-    wires: dict[Site, list[Factor]] = {}
-    edge_channels: dict[Edge, list] = {}
-    physical_host: dict[Site, Site] = {}
-
-    def add_wire(site, labels, dims, array):
-        wires.setdefault(site, []).append(Factor(array, labels, dims))
+    wires: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
 
     for line in tns.lines:
         src, dst = _orient(tns, line)
         chain = paths.chains[line.id]
         src_slot = (line.a if line.a[0] == src else line.b)
         dst_slot = (line.b if src_slot is line.a else line.a)
-        anchor_src = src in p.anchor_ids
-        if anchor_src:
-            phys = tns.nodes[src].cell
-            physical_host[phys] = p.site_of[src]
+        phys = ("p", tns.nodes[src].cell) if src in p.anchor_ids else None
         if len(chain) == 1:
-            if anchor_src:
-                label_of[dst_slot] = ("p", phys)
+            if phys:
+                label_of[dst_slot] = phys
             else:
                 label_of[src_slot] = label_of[dst_slot] = ("i", line.id)
             continue
-        nedges = len(chain) - 1
-        first, last = ("t", line.id, 0), ("t", line.id, nedges - 1)
-        if anchor_src:
-            add_wire(chain[0], (("p", phys), first),
-                     (line.dim, line.dim), np.eye(line.dim))
+        eye = np.eye(line.dim)
+        labels = [("t", line.id, j) for j in range(len(chain) - 1)]
+        if phys:
+            wires.setdefault(chain[0], []).append((eye, (phys, labels[0])))
         else:
-            label_of[src_slot] = first
-        label_of[dst_slot] = last
-        for j in range(1, nedges):
-            add_wire(chain[j], (("t", line.id, j - 1), ("t", line.id, j)),
-                     (line.dim, line.dim), np.eye(line.dim))
-        for j in range(nedges):
-            edge = canonical_edge(chain[j], chain[j + 1])
-            edge_channels.setdefault(edge, []).append(
-                (("t", line.id, j), line.dim))
+            label_of[src_slot] = labels[0]
+        label_of[dst_slot] = labels[-1]
+        for j in range(1, len(labels)):
+            wires.setdefault(chain[j], []).append(
+                (eye, (labels[j - 1], labels[j])))
 
-    site_factors: dict[Site, list[Factor]] = {}
+    site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
     for node in tns.nodes.values():
         if node.kind == KIND_ANCHOR:
             continue
         labels = tuple(label_of[(node.id, slot)]
                        for slot in range(node.order))
-        site = p.site_of[node.id]
-        site_factors.setdefault(site, []).append(
-            Factor(node.elements, labels, node.dims))
+        site_factors.setdefault(p.site_of[node.id], []).append(
+            (node.elements, labels))
     for site, fs in wires.items():
         site_factors.setdefault(site, []).extend(fs)
 
-    return Peps(
-        lattice=p.lattice,
-        physical_lattice=tns.spec,
-        refine_factor=p.refine_factor,
-        physical_dim=tns.physical_dim,
-        site_factors={s: site_factors[s] for s in sorted(site_factors)},
-        edge_channels={e: tuple(sorted(chs, key=lambda c: (c[0][1], c[0][2])))
-                       for e, chs in sorted(edge_channels.items())},
-        physical_host=physical_host,
-    )
+    return Peps(p.lattice, tns.spec, p.refine_factor, tns.physical_dim,
+                {s: site_factors[s] for s in sorted(site_factors)},
+                measured_chi(tns, paths))
 
 
-def contract_refined_to_normal(peps: Peps, delta_tau: int) -> Peps:
-    """Merge b**delta_tau blocks of a refined embedding into single sites.
+def contract_refined_to_normal(peps: Peps) -> Peps:
+    """Merge the refine_factor blocks of a refined embedding into single
+    sites of the physical grid.
 
-    Channels between sites of one block become internal to the merged site;
-    channels crossing a block boundary multiply into the merged bond, so a
+    Lines between sites of one block become internal to the merged site;
+    lines crossing a block boundary multiply into the merged bond, so a
     merged edge carries the product of the parallel refined bonds.
     """
-    b = peps.lattice.branching
-    factor = b ** delta_tau
-    if peps.refine_factor != factor:
-        raise ValueError(f"embedding has refine factor {peps.refine_factor}, "
-                         f"expected {factor}")
-    coarse = peps.physical_lattice
+    factor = peps.refine_factor
 
-    site_factors: dict[Site, list[Factor]] = {}
+    def block(site):
+        return tuple(c // factor for c in site)
+
+    site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
     for site in sorted(peps.site_factors):
-        block = tuple(c // factor for c in site)
-        site_factors.setdefault(block, []).extend(peps.site_factors[site])
+        site_factors.setdefault(block(site), []).extend(
+            peps.site_factors[site])
 
-    edge_channels: dict[Edge, list] = {}
-    for (a, bb), channels in peps.edge_channels.items():
-        pa = tuple(c // factor for c in a)
-        pb = tuple(c // factor for c in bb)
-        if pa == pb:
-            continue
-        edge = canonical_edge(pa, pb)
-        edge_channels.setdefault(edge, []).extend(channels)
+    edge_lines: dict[Edge, tuple[int, ...]] = {}
+    for (a, b), lines in peps.congestion.edge_lines.items():
+        pa, pb = block(a), block(b)
+        if pa != pb:
+            edge = canonical_edge(pa, pb)
+            edge_lines[edge] = edge_lines.get(edge, ()) + lines
 
-    return Peps(
-        lattice=coarse,
-        physical_lattice=coarse,
-        refine_factor=1,
-        physical_dim=peps.physical_dim,
-        site_factors=site_factors,
-        edge_channels={e: tuple(sorted(chs, key=lambda c: (c[0][1], c[0][2])))
-                       for e, chs in sorted(edge_channels.items())},
-        physical_host={phys: tuple(c // factor for c in host)
-                       for phys, host in peps.physical_host.items()},
-    )
+    coarse, report = peps.physical_lattice, peps.congestion
+    return Peps(coarse, coarse, 1, peps.physical_dim, site_factors,
+                CongestionReport({e: tuple(sorted(edge_lines[e]))
+                                  for e in sorted(edge_lines)},
+                                 report.line_dims, report.physical_lines))
 
 
 def map_to_dict(p: Placement, paths: PathAssignment) -> dict:

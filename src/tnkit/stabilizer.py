@@ -20,9 +20,12 @@ the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
 the smaller side of the cut, valid because S_A = S_B for a pure state,
 from sparse rows built out of the nonzero words of that side's qubit rows.
 
-The tree-state and automaton drivers below rebuild their gate schedules
-from closed-form site formulas on purpose; the structural builders are not
-imported, and the cross-checks live in the test suite.
+The tree-state driver builds its gate schedule from a closed-form site
+formula on purpose: tns.build_ttn_example is not imported, so the tree
+entropy is an independent cross-check.  The automaton driver takes its
+initial pairs and swap sublayers from qca.initial_pairs and
+qca.sublayer_swaps, the same sets the pair tracker evolves; the
+cross-checks live in the test suite and in `entropy --cross-check`.
 """
 
 from __future__ import annotations

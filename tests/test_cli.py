@@ -269,6 +269,41 @@ def test_render_rejects_map_missing_key(built, tmp_path, capsys, key):
     assert "malformed map-v1 document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("paths", [[0, [1, 2]]]),
+    ("sites", [["w:1", 5]]),
+    ("paths", [[0, [[0], [1, 0]]]]),
+], ids=["path-vertex-not-a-list", "site-not-a-list", "short-2d-vertex"])
+def test_render_rejects_malformed_vertices(tmp_path, capsys, key, value):
+    net = str(tmp_path / "b2.json")
+    main(["build", "--kind", "mera2d-b2", "--layers", "1", "--no-elements",
+          "--out", net])
+    main(["map", "--tns", net, "--scheme", "shifted",
+          "--out-prefix", str(tmp_path / "m")])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    data[key] = value
+    (tmp_path / "bad.map.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["render", "--map", str(tmp_path / "bad.map.json")]) == 2
+    assert "malformed map-v1 document" in capsys.readouterr().err
+
+
+def test_verify_rejects_uncovered_slot(built, tmp_path, capsys):
+    data = json.loads(built.read_text())
+    data["lines"] = data["lines"][:-1]
+    net = tmp_path / "cut.json"
+    net.write_text(json.dumps(data))
+    prefix = str(tmp_path / "m")
+    assert main(["map", "--tns", str(net), "--scheme", "shifted",
+                 "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--tns", str(net), "--map", prefix + ".map.json"])
+    assert code == 4
+    # the dropped line joined the top to the apex isometry
+    assert capsys.readouterr().out == \
+        "structural error: t:2:0 slot 0: covered by 0 lines\n"
+
+
 # sha256 of the congestion CSV and of the `map` stdout for symbolic builds
 # at the default chi and phys_dim.  Both hold only integers and fixed-point
 # text, so the digests are the same on every platform.

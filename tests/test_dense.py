@@ -44,6 +44,48 @@ def test_contract_labeled_outer_product_of_components():
     np.testing.assert_allclose(out, np.outer(a, b))
 
 
+# factor label lists of small networks; every label is one einsum letter
+ORACLE_NETWORKS = {
+    "chain": ["ab", "bcd", "de", "e"],
+    "loop": ["ab", "bc", "cd", "da"],
+    "two shared labels": ["abc", "bcd"],
+    "disjoint components": ["ab", "bc", "de", "e"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NETWORKS))
+def test_contract_labeled_matches_einsum(name):
+    specs = ORACLE_NETWORKS[name]
+    rng = np.random.default_rng(len(name))
+    letters = sorted(set("".join(specs)))
+    dim = dict(zip(letters, rng.integers(2, 5, len(letters))))
+    arrays = [rng.standard_normal([dim[l] for l in spec])
+              + 1j * rng.standard_normal([dim[l] for l in spec])
+              for spec in specs]
+    open_labels = tuple(l for l in letters
+                        if "".join(specs).count(l) == 1)
+    out, labels = dense.contract_labeled(
+        [(a, tuple(spec)) for a, spec in zip(arrays, specs)],
+        open_order=open_labels)
+    expected = np.einsum(",".join(specs) + "->" + "".join(open_labels),
+                         *arrays)
+    assert labels == open_labels
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_contract_labeled_outer_product_budget(monkeypatch):
+    a, b, c = np.ones((4, 2)), np.ones((2, 4)), np.ones(2)
+    factors = [(a, ("i", "k")), (b, ("k", "j")), (c, ("m",))]
+    # the shared pair fits in 16 amplitudes, the final outer product not
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
+    with pytest.raises(dense.ResourceLimitError, match="32 amplitudes"):
+        dense.contract_labeled(factors)
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "32")
+    out, labels = dense.contract_labeled(factors)
+    assert labels == ("i", "j", "m")
+    np.testing.assert_array_equal(out, np.full((4, 4, 2), 2.0))
+
+
 def test_contract_labeled_rejects_overused_label():
     a = np.ones((2, 2))
     with pytest.raises(ValueError):

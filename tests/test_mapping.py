@@ -101,8 +101,6 @@ def test_refined_argument_validation():
     net = build_mera_2d_b2(1)
     with pytest.raises(ValueError):
         place_refined(net, delta_tau=0)
-    with pytest.raises(ValueError):
-        place_refined(net, offsets={"u": (2, 0), "w": (1, 1)})
 
 
 # ------------------------------------------------------------------ routing
@@ -304,10 +302,11 @@ def test_peps_bond_dims_match_congestion():
     net, p, pa = routed(build_mera_1d, 2, "shifted")
     peps = assemble_peps(net, p, pa)
     rep = measured_chi(net, pa)
-    assert peps.chi_peps == rep.chi_peps()
-    for edge in rep.edge_lines:
-        assert peps.bond_dim_of(edge) == rep.bond_dim_of(edge)
-    assert set(peps.physical_host) == {a.cell for a in net.anchors()}
+    assert peps.congestion.edge_lines == rep.edge_lines
+    assert peps.congestion.chi_peps() == rep.chi_peps()
+    open_cells = {l[1] for _, labels in peps.all_factors() for l in labels
+                  if l[0] == "p"}
+    assert open_cells == {a.cell for a in net.anchors()}
 
 
 def test_peps_preserves_small_states():
@@ -334,20 +333,39 @@ def test_peps_site_tensor_contracts_local_factors():
 def test_refined_merge_to_physical_grid():
     net, p, pa = routed(build_mera_2d_b2, 1, "refined")
     peps = assemble_peps(net, p, pa)
-    merged = contract_refined_to_normal(peps, 1)
+    merged = contract_refined_to_normal(peps)
     assert merged.lattice == net.spec
     assert merged.refine_factor == 1
     ref = dense.contract_to_statevector(net)
     emb = dense.contract_to_statevector(merged)
     assert dense.states_equal(ref, emb, tol=1e-12)
-    with pytest.raises(ValueError):
-        contract_refined_to_normal(peps, 2)
 
 
 def test_refined_merge_bond_dimension_b2():
     net, p, pa = routed(build_mera_2d_b2, 2, "refined")
-    merged = contract_refined_to_normal(assemble_peps(net, p, pa), 1)
-    assert merged.chi_peps == 16
+    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
+    assert merged.congestion.chi_peps() == 16
+
+
+@pytest.mark.parametrize("build,layers", [(build_mera_2d_b2, 2),
+                                          (build_mera_2d_b3, 1),
+                                          (build_mera_1d, 3)])
+def test_refined_merge_matches_coarse_grained_recount(build, layers):
+    net, p, pa = routed(build, layers, "refined", with_elements=False)
+    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
+    f = p.refine_factor
+    expected = {}
+    for lid in sorted(pa.chains):
+        blocks = [tuple(c // f for c in v) for v in pa.chains[lid]]
+        for a, b in zip(blocks, blocks[1:]):
+            if a != b:
+                expected.setdefault((min(a, b), max(a, b)), []).append(lid)
+    assert merged.congestion.edge_lines == \
+        {e: tuple(ids) for e, ids in expected.items()}
+    assert list(merged.congestion.edge_lines) == sorted(expected)
+    assert merged.congestion.chi_peps() == max(
+        math.prod(net.lines[l].dim for l in ids)
+        for ids in expected.values())
 
 
 # ------------------------------------------------------------ serialization
