@@ -197,6 +197,8 @@ def cmd_render(args) -> int:
         # pixel positions of every path vertex and site
         paths = [(lid, [xy(v) for v in chain]) for lid, chain in data["paths"]]
         sites = [(nid, xy(site)) for nid, site in data["sites"]]
+        if not all(isinstance(nid, str) for nid, _ in sites):
+            raise TypeError("node id is not a string")
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc

@@ -36,6 +36,8 @@ own free column rather than the target's.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -360,41 +362,99 @@ def check_routing(tns: Tns, p: Placement,
     return None
 
 
-@dataclass
+@dataclass(eq=False)
 class CongestionReport:
     """Edge usage of a routed placement.
 
-    edge_lines maps each traversed edge to the ids of the lines crossing
-    it.  Physical-leg lines (those ending on an anchor) can be included or
-    excluded from every figure; embedded-network bond dimensions include
-    them, while the interior congestion figures of the refined scheme
-    exclude them.  The maxima over all edges are taken once, when the
-    report is made.
+    Every crossing of a line over a host edge is one entry of keys and
+    line_ids, in line-id order.  An edge's key is the row-major index of
+    its lower vertex in the box of the given origin and shape, times D,
+    plus D-1-axis, so keys sort edges as (lower, upper) vertex pairs.
+    edge_lines, the sorted ids of the lines crossing each edge, is built
+    on first use.  Physical-leg lines (those ending on an anchor) can be
+    included or excluded from every figure; embedded-network bond
+    dimensions include them, while the interior congestion figures of the
+    refined scheme exclude them.  The per-edge figures are taken once,
+    when the report is made.
     """
 
-    edge_lines: dict[Edge, tuple[int, ...]]
+    keys: np.ndarray
+    origin: Site
+    shape: tuple[int, ...]
+    line_ids: np.ndarray
     line_dims: dict[int, int]
     physical_lines: frozenset[int]
 
     def __post_init__(self):
-        dim_of, physical = self.line_dims.__getitem__, self.physical_lines
-        paths = paths_int = 0
-        dim = dim_int = 1
-        for lines in self.edge_lines.values():
-            n, d = len(lines), math.prod(map(dim_of, lines))
-            if n > paths:
-                paths = n
-            if d > dim:
-                dim = d
-            if not physical.isdisjoint(lines):
-                lines = self._counted(lines, False)
-                n, d = len(lines), math.prod(map(dim_of, lines))
-            if n > paths_int:
-                paths_int = n
-            if d > dim_int:
-                dim_int = d
-        # (max paths per edge, max bond dimension) by include_physical
-        self._maxima = {True: (paths, dim), False: (paths_int, dim_int)}
+        # return_index makes np.unique sort stably, like edge_lines: one
+        # sort kind keeps the numpy code the tally touches, and the
+        # resident memory it costs, small
+        self._edge_keys, _, edge = np.unique(
+            self.keys, return_index=True, return_inverse=True)
+        # a line class is a (dimension, physical) pair; an edge's figures
+        # depend only on its count per class, so they are taken exactly,
+        # in Python ints, once per distinct row of counts.  Crossings of
+        # one line are adjacent, so a class is looked up once per line.
+        lids = self.line_ids
+        first_of_line = np.ones(len(lids), bool)
+        first_of_line[1:] = lids[1:] != lids[:-1]
+        starts = np.flatnonzero(first_of_line)
+        runs = lids[starts].tolist()
+        line_class = list(zip(map(self.line_dims.__getitem__, runs),
+                              map(self.physical_lines.__contains__, runs)))
+        classes = {c: i for i, c in enumerate(dict.fromkeys(line_class))}
+        shape = len(self._edge_keys), len(classes)
+        edge *= shape[1]
+        edge += np.repeat(
+            np.fromiter(map(classes.__getitem__, line_class), np.int64,
+                        len(runs)),
+            np.diff(starts, append=len(lids)))
+        counts = np.bincount(edge, minlength=math.prod(shape)).reshape(shape)
+        # one integer per row of counts, renumbered before it overflows
+        code, span = np.zeros(len(counts), np.int64), 1
+        for column in counts.T:
+            top = int(column.max(initial=0)) + 1
+            if span * top >= 2 ** 62:
+                code = np.unique(code, return_index=True,
+                                 return_inverse=True)[2]
+                span = len(code)
+            code, span = code * top + column, span * top
+        _, first, self._row_of_edge = np.unique(code, return_index=True,
+                                                return_inverse=True)
+        # (paths, bond dimension) per distinct row, by include_physical
+        self._paths, self._bonds = {}, {}
+        for include_physical in (True, False):
+            used = [[(d, k) for (d, ph), k in zip(classes, row)
+                     if include_physical or not ph]
+                    for row in counts[first].tolist()]
+            self._paths[include_physical] = np.array(
+                [sum(k for _, k in row) for row in used], np.int64)
+            self._bonds[include_physical] = [
+                math.prod(d ** k for d, k in row) for row in used]
+
+    def _ends(self, keys):
+        """Lower and upper vertices, as (n, D) arrays, of keyed edges."""
+        d = len(self.shape)
+        rank, rest = np.divmod(keys, d)
+        lower = np.stack(np.unravel_index(rank, self.shape), axis=1)
+        lower += self.origin
+        upper = lower.copy()
+        upper[np.arange(len(keys)), d - 1 - rest] += 1
+        return lower, upper
+
+    def _edge_paths(self, include_physical):
+        """Number of counted lines on each edge, in key order."""
+        return self._paths[include_physical][self._row_of_edge]
+
+    @functools.cached_property
+    def edge_lines(self) -> dict[Edge, tuple[int, ...]]:
+        """Sorted ids of the lines crossing each edge, in edge order."""
+        lids = self.line_ids[np.argsort(self.keys, kind="stable")].tolist()
+        ends = np.cumsum(self._edge_paths(True)).tolist()
+        lower, upper = self._ends(self._edge_keys)
+        return {(a, b): tuple(lids[s:t]) for a, b, s, t in
+                zip(map(tuple, lower.tolist()), map(tuple, upper.tolist()),
+                    [0] + ends, ends)}
 
     def _counted(self, lines, include_physical):
         if include_physical:
@@ -411,18 +471,21 @@ class CongestionReport:
                                            include_physical)))
 
     def max_paths(self, include_physical: bool = True) -> int:
-        return self._maxima[include_physical][0]
+        return int(self._paths[include_physical].max(initial=0))
 
     def busiest_edge(self, include_physical: bool = True):
-        best, best_edge = 0, None
-        for edge in sorted(self.edge_lines):
-            n = self.paths_through(edge, include_physical)
-            if n > best:
-                best, best_edge = n, edge
-        return best_edge, best
+        """First edge in edge order that carries the most counted lines,
+        with their number; (None, 0) when no counted line crosses one."""
+        paths = self._edge_paths(include_physical)
+        if not paths.any():
+            return None, 0
+        i = int(paths.argmax())
+        lower, upper = self._ends(self._edge_keys[i:i + 1])
+        return ((tuple(lower[0].tolist()), tuple(upper[0].tolist())),
+                int(paths[i]))
 
     def chi_peps(self, include_physical: bool = True) -> int:
-        return self._maxima[include_physical][1]
+        return max(self._bonds[include_physical], default=1)
 
     def log_chi_peps(self, chi: int, include_physical: bool = True) -> float:
         if chi < 2:
@@ -430,24 +493,66 @@ class CongestionReport:
         return math.log(self.chi_peps(include_physical)) / math.log(chi)
 
 
+def _crossing_keys(axes, line_ids: np.ndarray):
+    """Edge keys of crossings given per axis as (tail, head) coordinate
+    columns, with the origin and shape of the box of their lower
+    vertices; ValueError on a step that is not a unit step."""
+    rank = length = axis = 0
+    origin, shape, box = [], [], 1
+    for k, (tail, head) in enumerate(axes):
+        step = head - tail
+        lower = np.minimum(tail, head)
+        lo, hi = (int(lower.min()), int(lower.max())) if len(lower) else (0, 0)
+        origin.append(lo)
+        shape.append(hi - lo + 1)
+        box *= hi - lo + 1
+        if box * (k + 1) >= 2 ** 63:
+            raise ValueError("paths span too large a box to tally")
+        rank = rank * (hi - lo + 1) + (lower - lo)
+        length = length + np.abs(step)
+        axis = np.where(step != 0, k, axis)
+    jump = np.flatnonzero(length != 1)
+    if jump.size:
+        raise ValueError(f"path of line {line_ids[jump[0]]} makes a "
+                         f"non-unit step")
+    d = len(shape)
+    return rank * d + (d - 1 - axis), tuple(origin), tuple(shape)
+
+
+def _chain_steps(chains, lengths: np.ndarray, d: int):
+    """Per axis, the tail and head coordinates of every step between
+    consecutive vertices of a chain, the chains flattened in order."""
+    flat = np.fromiter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(chains)), np.int64)
+    if flat.size != int(lengths.sum()) * d:
+        raise ValueError("path vertices differ in dimension")
+    coords = flat.reshape(-1, d)
+    inner = np.ones(len(coords), bool)
+    inner[np.cumsum(lengths)[lengths > 0] - 1] = False
+    inner = inner[:-1]
+    for k in range(d):
+        yield coords[:-1, k][inner], coords[1:, k][inner]
+
+
 def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
     """Tally routed lines per lattice edge.
 
-    Chains are walked in line-id order, so every edge's ids come out
-    sorted.
+    The chains are flattened once, in line-id order, into one coordinate
+    array; each step between consecutive vertices of a chain is one
+    crossing, so every edge's ids come out sorted.  A step that is not a
+    unit step raises ValueError.
     """
-    edge_lines: dict[Edge, tuple[int, ...]] = {}
-    get = edge_lines.get
-    for lid in sorted(paths.chains):
-        chain = paths.chains[lid]
-        for a, b in zip(chain, chain[1:]):
-            edge = (a, b) if a <= b else (b, a)
-            edge_lines[edge] = get(edge, ()) + (lid,)
+    ids = sorted(paths.chains)
+    chains = list(map(paths.chains.__getitem__, ids))
+    lengths = np.fromiter(map(len, chains), np.int64, len(chains))
+    line_ids = np.repeat(np.asarray(ids, np.int64),
+                         np.maximum(lengths - 1, 0))
+    d = next((len(chain[0]) for chain in chains if chain),
+             tns.spec.dimension)
     return CongestionReport(
-        {e: edge_lines[e] for e in sorted(edge_lines)},
-        {ln.id: ln.dim for ln in tns.lines},
-        frozenset(ln.id for ln in tns.lines if tns.is_physical_line(ln)),
-    )
+        *_crossing_keys(_chain_steps(chains, lengths, d), line_ids),
+        line_ids, {ln.id: ln.dim for ln in tns.lines},
+        frozenset(ln.id for ln in tns.lines if tns.is_physical_line(ln)))
 
 
 def chi_bound(meta: MeraMeta, dimension: int) -> int:
@@ -478,15 +583,22 @@ def congestion_csv(report: CongestionReport) -> str:
     """CSV rows (edge_a, edge_b, paths, bond_dim), sorted by edge.
 
     Counts include physical-leg lines; interior-only figures are available
-    through the report API.
+    through the report API.  Rows are formatted column-wise from the
+    report's per-edge arrays, a batch of edges at a time, which bounds
+    the Python objects alive at once.
     """
-    dim_of = report.line_dims.__getitem__
-    rows = ["edge_a,edge_b,paths,bond_dim"]
-    for a, b in sorted(report.edge_lines):
-        lines = report.edge_lines[(a, b)]
-        rows.append(f"{';'.join(map(str, a))},{';'.join(map(str, b))},"
-                    f"{len(lines)},{math.prod(map(dim_of, lines))}")
-    return "\n".join(rows) + "\n"
+    vertex = ";".join(["%d"] * len(report.shape))
+    row = f"{vertex},{vertex},%d,%d\n".__mod__
+    paths = report._edge_paths(True)
+    parts, size = ["edge_a,edge_b,paths,bond_dim\n"], 1 << 16
+    for i in range(0, len(paths), size):
+        batch = slice(i, i + size)
+        lower, upper = report._ends(report._edge_keys[batch])
+        parts.append("".join(map(row, zip(
+            *lower.T.tolist(), *upper.T.tolist(), paths[batch].tolist(),
+            map(report._bonds[True].__getitem__,
+                report._row_of_edge[batch].tolist())))))
+    return "".join(parts)
 
 
 @dataclass
@@ -579,7 +691,9 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
 
     Lines between sites of one block become internal to the merged site;
     lines crossing a block boundary multiply into the merged bond, so a
-    merged edge carries the product of the parallel refined bonds.
+    merged edge carries the product of the parallel refined bonds.  The
+    crossings of block boundaries are tallied again as unit steps of the
+    physical grid.
     """
     factor = peps.refine_factor
 
@@ -591,18 +705,18 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
         site_factors.setdefault(block(site), []).extend(
             peps.site_factors[site])
 
-    edge_lines: dict[Edge, tuple[int, ...]] = {}
-    for (a, b), lines in peps.congestion.edge_lines.items():
-        pa, pb = block(a), block(b)
-        if pa != pb:
-            edge = canonical_edge(pa, pb)
-            edge_lines[edge] = edge_lines.get(edge, ()) + lines
-
-    coarse, report = peps.physical_lattice, peps.congestion
+    report = peps.congestion
+    lower, upper = report._ends(report.keys)
+    lower //= factor
+    upper //= factor
+    crossing = (lower != upper).any(axis=1)
+    line_ids = report.line_ids[crossing]
+    coarse = peps.physical_lattice
     return Peps(coarse, coarse, 1, peps.physical_dim, site_factors,
-                CongestionReport({e: tuple(sorted(edge_lines[e]))
-                                  for e in sorted(edge_lines)},
-                                 report.line_dims, report.physical_lines))
+                CongestionReport(
+                    *_crossing_keys(zip(lower[crossing].T,
+                                        upper[crossing].T), line_ids),
+                    line_ids, report.line_dims, report.physical_lines))
 
 
 def map_to_dict(p: Placement, paths: PathAssignment) -> dict:

@@ -109,8 +109,9 @@ class Tns:
         return _anchor_id(site)
 
     def is_physical_line(self, line: ContractionLine) -> bool:
-        return any(self.nodes[nid].kind == KIND_ANCHOR
-                   for nid, _ in line.endpoints())
+        nodes = self.nodes
+        return (nodes[line.a[0]].kind == KIND_ANCHOR
+                or nodes[line.b[0]].kind == KIND_ANCHOR)
 
 
 class _Wiring:
@@ -407,26 +408,25 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
             issues.append(f"layer {key[0]} cell {key[1]}: {count} tensors exceed "
                           f"{meta.max_tensors_per_cell}")
 
+    nodes, b = tns.nodes, spec.branching
     slot_seen: dict[tuple[str, int], int] = {}
     for line in tns.lines:
         if line.dim > meta.chi:
             issues.append(f"line {line.id}: dimension {line.dim} exceeds chi "
                           f"{meta.chi}")
-        (na, sa), (nb, sb) = line.endpoints()
-        pa, pb = tns.nodes[na], tns.nodes[nb]
-        for end in line.endpoints():
-            slot_seen[end] = slot_seen.get(end, 0) + 1
-        lo, hi = sorted((pa, pb), key=lambda p: p.layer)
+        slot_seen[line.a] = slot_seen.get(line.a, 0) + 1
+        slot_seen[line.b] = slot_seen.get(line.b, 0) + 1
+        pa, pb = nodes[line.a[0]], nodes[line.b[0]]
+        lo, hi = (pa, pb) if pa.layer <= pb.layer else (pb, pa)
         if hi.layer - lo.layer > meta.max_layer_distance:
             issues.append(f"line {line.id}: spans layers {lo.layer}..{hi.layer}, "
                           f"max distance {meta.max_layer_distance}")
             continue
-        if lo.kind == KIND_ANCHOR:
-            lo_cell = tuple(c // spec.branching ** hi.layer for c in lo.cell)
-        else:
-            lo_cell = tuple(c // spec.branching ** (hi.layer - lo.layer)
-                            for c in lo.cell)
-        dist = sum(abs(x - y) for x, y in zip(lo_cell, hi.cell))
+        scale = b ** (hi.layer if lo.kind == KIND_ANCHOR
+                      else hi.layer - lo.layer)
+        dist = 0
+        for x, y in zip(lo.cell, hi.cell):
+            dist += abs(x // scale - y)
         if dist > meta.max_cell_distance:
             issues.append(f"line {line.id}: cell distance {dist} exceeds "
                           f"{meta.max_cell_distance}")

@@ -5,6 +5,7 @@ the router that shifts any of them needs the full acceptance scan re-run,
 not just an updated constant.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -236,6 +237,50 @@ def test_no_lines_means_unit_bonds():
         assert rep.log_chi_peps(2, include_physical) == 0.0
 
 
+def _oracle_edge_lines(chains):
+    """Reference tally: walk every chain in line-id order and grow one
+    tuple of ids per edge, then sort the edges."""
+    edge_lines = {}
+    for lid in sorted(chains):
+        chain = chains[lid]
+        for a, b in zip(chain, chain[1:]):
+            edge = (a, b) if a <= b else (b, a)
+            edge_lines[edge] = edge_lines.get(edge, ()) + (lid,)
+    return {e: edge_lines[e] for e in sorted(edge_lines)}
+
+
+def _assert_matches_oracle(rep, chains):
+    """Every figure of rep equals the one taken from the reference tally
+    of chains."""
+    expected = _oracle_edge_lines(chains)
+    assert rep.edge_lines == expected
+    assert list(rep.edge_lines) == list(expected)
+    dims = rep.line_dims
+    rows = [f"{';'.join(map(str, a))},{';'.join(map(str, b))},{len(ls)},"
+            f"{math.prod(dims[l] for l in ls)}"
+            for (a, b), ls in expected.items()]
+    assert congestion_csv(rep) == \
+        "\n".join(["edge_a,edge_b,paths,bond_dim"] + rows) + "\n"
+    for include_physical in (True, False):
+        counted = {e: [l for l in ls if include_physical
+                       or l not in rep.physical_lines]
+                   for e, ls in expected.items()}
+        paths = {e: len(ls) for e, ls in counted.items()}
+        bonds = {e: math.prod(dims[l] for l in ls)
+                 for e, ls in counted.items()}
+        most = max(paths.values(), default=0)
+        assert rep.max_paths(include_physical) == most
+        assert type(rep.max_paths(include_physical)) is int
+        assert rep.chi_peps(include_physical) == \
+            max(bonds.values(), default=1)
+        busiest = next((e for e, n in paths.items() if n == most), None) \
+            if most else None
+        assert rep.busiest_edge(include_physical) == (busiest, most)
+        for e in expected:
+            assert rep.paths_through(e, include_physical) == paths[e]
+            assert rep.bond_dim_of(e, include_physical) == bonds[e]
+
+
 @pytest.mark.parametrize("build,layers,scheme", [
     (build_mera_2d_b2, 3, "refined"), (build_mera_2d_b3, 2, "refined"),
     (build_mera_1d, 4, "shifted")])
@@ -246,15 +291,80 @@ def test_report_maxima_match_brute_force(build, layers, scheme):
     # physical legs and interior lines differ in dimension
     assert {rep.line_dims[l] for l in rep.physical_lines} == {3}
     assert 5 in rep.line_dims.values()
-    for include_physical in (True, False):
-        counted = [[l for l in lines
-                    if include_physical or l not in rep.physical_lines]
-                   for lines in rep.edge_lines.values()]
-        chi = max(math.prod(rep.line_dims[l] for l in ls) for ls in counted)
-        assert rep.max_paths(include_physical) == max(map(len, counted))
-        assert rep.chi_peps(include_physical) == chi
-        assert rep.log_chi_peps(5, include_physical) == \
-            math.log(chi) / math.log(5)
+    _assert_matches_oracle(rep, pa.chains)
+
+
+def test_report_bond_dimensions_past_int64_stay_exact():
+    net, _, pa = routed(build_mera_1d, 6, "refined", chi=100000,
+                        with_elements=False)
+    rep = measured_chi(net, pa)
+    assert rep.chi_peps() == 922337203685477580800000
+    assert rep.chi_peps() > 2 ** 63
+    _assert_matches_oracle(rep, pa.chains)
+
+
+@pytest.mark.parametrize("chains", [
+    {0: ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)),
+     3: ((1, 1, 1), (1, 1, 0), (1, 0, 0)),
+     4: ((0, 0, 1), (0, 1, 1)), 6: ((2, 2, 2), (2, 2, 3))},
+    {1: ((-2, -1), (-1, -1), (-1, 0), (-1, 1)),
+     2: ((0, -3), (-1, -3), (-1, -2), (-1, -3)),
+     5: ((-1, -1), (-1, 0)), 8: ((7, -7), (7, -8))},
+    {0: (), 4: ((3, 3),), 7: ((3, 3), (3, 4)), 8: ((5, 5),)},
+    {2: ()},
+    {},
+], ids=["3d", "negative", "length-one", "vertexless", "empty"])
+def test_hand_made_chains_match_oracle(chains):
+    net = build_mera_1d(2, chi=5, phys_dim=3, with_elements=False)
+    _assert_matches_oracle(measured_chi(net, PathAssignment(chains)), chains)
+
+
+@pytest.mark.parametrize("chain", [((0, 0), (2, 0)), ((0, 0), (1, 1)),
+                                   ((0, 0), (0, 0)),
+                                   ((4, 0), (3, 0), (5, 0))],
+                         ids=["jump", "diagonal", "standing", "back-jump"])
+def test_tally_rejects_non_unit_steps(chain):
+    net = build_mera_1d(2, with_elements=False)
+    chains = {0: ((0, 0), (0, 1)), 3: chain}
+    with pytest.raises(ValueError, match="line 3 makes a non-unit step"):
+        measured_chi(net, PathAssignment(chains))
+
+
+def test_tally_rejects_boxes_past_int64():
+    net = build_mera_1d(2, with_elements=False)
+    chains = {0: ((0, 0), (0, 1)), 3: ((2 ** 62, 0), (2 ** 62, 1))}
+    with pytest.raises(ValueError, match="too large a box"):
+        measured_chi(net, PathAssignment(chains))
+
+
+def test_one_class_per_line_matches_oracle():
+    # a distinct dimension per line makes more line classes than one
+    # int64 code of per-class counts can hold
+    net, _, pa = routed(build_mera_1d, 5, "shifted", with_elements=False)
+    net.lines[:] = [dataclasses.replace(ln, dim=2 + ln.id)
+                    for ln in net.lines]
+    assert len(net.lines) > 63
+    _assert_matches_oracle(measured_chi(net, pa), pa.chains)
+
+
+def test_tally_rejects_mixed_dimensions():
+    net = build_mera_1d(2, with_elements=False)
+    chains = {0: ((0, 0), (0, 1)), 3: ((4,), (5,))}
+    with pytest.raises(ValueError, match="differ in dimension"):
+        measured_chi(net, PathAssignment(chains))
+
+
+def test_merged_report_matches_oracle():
+    net, p, pa = routed(build_mera_2d_b2, 2, "refined", chi=5, phys_dim=3,
+                        with_elements=False)
+    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
+    f = p.refine_factor
+    blocked = {}
+    for lid, chain in pa.chains.items():
+        blocks = [tuple(c // f for c in v) for v in chain]
+        blocked[lid] = tuple(b for i, b in enumerate(blocks)
+                             if i == 0 or b != blocks[i - 1])
+    _assert_matches_oracle(merged.congestion, blocked)
 
 
 def test_congestion_csv_deterministic():

@@ -1,5 +1,6 @@
 """Network builders: structure, element properties, serialization."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -29,6 +30,48 @@ BUILDERS = [
 def test_preconditions_hold(build, layers):
     report = validate_preconditions(build(layers))
     assert report.ok, report.issues
+
+
+def _broken_1d(edit):
+    """mera1d T=3 with one hand-made fault; edit gets (nodes, lines)."""
+    net = build_mera_1d(3, with_elements=False)
+    edit(net.nodes, net.lines)
+    return net
+
+
+def _swap_ends(lines, i, j, end):
+    """Exchange the end ("a" or "b") slots of lines i and j."""
+    slot_i, slot_j = getattr(lines[i], end), getattr(lines[j], end)
+    lines[i] = dataclasses.replace(lines[i], **{end: slot_j})
+    lines[j] = dataclasses.replace(lines[j], **{end: slot_i})
+
+
+@pytest.mark.parametrize("edit,issues", [
+    (lambda nodes, lines: lines.__setitem__(
+        0, dataclasses.replace(lines[0], dim=3)),
+     ["line 0: dimension 3 exceeds chi 2"]),
+    (lambda nodes, lines: _swap_ends(lines, 6, 22, "b"),
+     ["line 22: spans layers 1..3, max distance 1",
+      "line 6: spans layers 0..3, max distance 1"]),
+    (lambda nodes, lines: _swap_ends(lines, 6, 13, "a"),
+     ["line 13: cell distance 3 exceeds 2",
+      "line 6: cell distance 3 exceeds 2"]),
+    (lambda nodes, lines: nodes.__setitem__(
+        "w:1:3", dataclasses.replace(nodes["w:1:3"], cell=(4,))),
+     ["w:1:3: cell (4,) outside layer grid"]),
+    (lambda nodes, lines: lines.pop(),
+     ["t:3:0 slot 0: covered by 0 lines",
+      "w:3:0 slot 2: covered by 0 lines"]),
+    (lambda nodes, lines: lines.append(
+        dataclasses.replace(lines[-1], id=len(lines))),
+     ["t:3:0 slot 0: covered by 2 lines",
+      "w:3:0 slot 2: covered by 2 lines"]),
+], ids=["dim", "layer-distance", "cell-distance", "cell-outside",
+        "uncovered", "doubly-covered"])
+def test_preconditions_pin_issue_strings(edit, issues):
+    report = validate_preconditions(_broken_1d(edit))
+    assert not report.ok
+    assert report.issues == issues
 
 
 @pytest.mark.parametrize("build,layers", BUILDERS)
