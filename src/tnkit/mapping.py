@@ -386,11 +386,7 @@ class CongestionReport:
     physical_lines: frozenset[int]
 
     def __post_init__(self):
-        # return_index makes np.unique sort stably, like edge_lines: one
-        # sort kind keeps the numpy code the tally touches, and the
-        # resident memory it costs, small
-        self._edge_keys, _, edge = np.unique(
-            self.keys, return_index=True, return_inverse=True)
+        self._edge_keys, edge = np.unique(self.keys, return_inverse=True)
         # a line class is a (dimension, physical) pair; an edge's figures
         # depend only on its count per class, so they are taken exactly,
         # in Python ints, once per distinct row of counts.  Crossings of
@@ -410,27 +406,25 @@ class CongestionReport:
                         len(runs)),
             np.diff(starts, append=len(lids)))
         counts = np.bincount(edge, minlength=math.prod(shape)).reshape(shape)
-        # one integer per row of counts, renumbered before it overflows
-        code, span = np.zeros(len(counts), np.int64), 1
+        # distinct rows of counts: fold the columns into one code, made
+        # dense after each, so it stays below edges * (crossings + 1)
+        code = np.zeros(len(counts), np.int64)
         for column in counts.T:
-            top = int(column.max(initial=0)) + 1
-            if span * top >= 2 ** 62:
-                code = np.unique(code, return_index=True,
-                                 return_inverse=True)[2]
-                span = len(code)
-            code, span = code * top + column, span * top
-        _, first, self._row_of_edge = np.unique(code, return_index=True,
-                                                return_inverse=True)
+            code = np.unique(code * (int(column.max()) + 1) + column,
+                             return_inverse=True)[1]
+        rows = np.zeros((int(code.max(initial=-1)) + 1, len(classes)),
+                        np.int64)
+        rows[code] = counts
+        self._row_of_edge = code
         # (paths, bond dimension) per distinct row, by include_physical
+        dims = [d for d, _ in classes]
+        interior = np.array([not ph for _, ph in classes], bool)
         self._paths, self._bonds = {}, {}
-        for include_physical in (True, False):
-            used = [[(d, k) for (d, ph), k in zip(classes, row)
-                     if include_physical or not ph]
-                    for row in counts[first].tolist()]
-            self._paths[include_physical] = np.array(
-                [sum(k for _, k in row) for row in used], np.int64)
+        for include_physical, used in ((True, rows),
+                                       (False, rows * interior)):
+            self._paths[include_physical] = used.sum(axis=1)
             self._bonds[include_physical] = [
-                math.prod(d ** k for d, k in row) for row in used]
+                math.prod(map(pow, dims, row)) for row in used.tolist()]
 
     def _ends(self, keys):
         """Lower and upper vertices, as (n, D) arrays, of keyed edges."""
@@ -523,9 +517,8 @@ def _chain_steps(chains, lengths: np.ndarray, d: int):
     """Per axis, the tail and head coordinates of every step between
     consecutive vertices of a chain, the chains flattened in order."""
     flat = np.fromiter(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(chains)), np.int64)
-    if flat.size != int(lengths.sum()) * d:
-        raise ValueError("path vertices differ in dimension")
+        itertools.chain.from_iterable(chains)), np.int64,
+        int(lengths.sum()) * d)
     coords = flat.reshape(-1, d)
     inner = np.ones(len(coords), bool)
     inner[np.cumsum(lengths)[lengths > 0] - 1] = False
@@ -539,16 +532,18 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
 
     The chains are flattened once, in line-id order, into one coordinate
     array; each step between consecutive vertices of a chain is one
-    crossing, so every edge's ids come out sorted.  A step that is not a
-    unit step raises ValueError.
+    crossing, so every edge's ids come out sorted.  Vertices of differing
+    dimension, or a step that is not a unit step, raise ValueError.
     """
     ids = sorted(paths.chains)
     chains = list(map(paths.chains.__getitem__, ids))
     lengths = np.fromiter(map(len, chains), np.int64, len(chains))
     line_ids = np.repeat(np.asarray(ids, np.int64),
                          np.maximum(lengths - 1, 0))
-    d = next((len(chain[0]) for chain in chains if chain),
-             tns.spec.dimension)
+    dims = set(map(len, itertools.chain.from_iterable(chains)))
+    if len(dims) > 1:
+        raise ValueError("path vertices differ in dimension")
+    d = dims.pop() if dims else tns.spec.dimension
     return CongestionReport(
         *_crossing_keys(_chain_steps(chains, lengths, d), line_ids),
         line_ids, {ln.id: ln.dim for ln in tns.lines},

@@ -271,8 +271,10 @@ def _assert_matches_oracle(rep, chains):
         most = max(paths.values(), default=0)
         assert rep.max_paths(include_physical) == most
         assert type(rep.max_paths(include_physical)) is int
-        assert rep.chi_peps(include_physical) == \
-            max(bonds.values(), default=1)
+        chi = max(bonds.values(), default=1)
+        assert rep.chi_peps(include_physical) == chi
+        assert rep.log_chi_peps(5, include_physical) == \
+            math.log(chi) / math.log(5)
         busiest = next((e for e, n in paths.items() if n == most), None) \
             if most else None
         assert rep.busiest_edge(include_physical) == (busiest, most)
@@ -338,8 +340,7 @@ def test_tally_rejects_boxes_past_int64():
 
 
 def test_one_class_per_line_matches_oracle():
-    # a distinct dimension per line makes more line classes than one
-    # int64 code of per-class counts can hold
+    # a distinct dimension per line puts every line in a class of its own
     net, _, pa = routed(build_mera_1d, 5, "shifted", with_elements=False)
     net.lines[:] = [dataclasses.replace(ln, dim=2 + ln.id)
                     for ln in net.lines]
@@ -347,9 +348,12 @@ def test_one_class_per_line_matches_oracle():
     _assert_matches_oracle(measured_chi(net, pa), pa.chains)
 
 
-def test_tally_rejects_mixed_dimensions():
+@pytest.mark.parametrize("chain", [((4,), (5,)), ((0, 0, 0), (1,))],
+                         ids=["other-line", "within-line"])
+def test_tally_rejects_mixed_dimensions(chain):
+    # ((0, 0, 0), (1,)) has as many coordinates as two 2-D vertices
     net = build_mera_1d(2, with_elements=False)
-    chains = {0: ((0, 0), (0, 1)), 3: ((4,), (5,))}
+    chains = {0: ((0, 0), (0, 1)), 3: chain}
     with pytest.raises(ValueError, match="differ in dimension"):
         measured_chi(net, PathAssignment(chains))
 
