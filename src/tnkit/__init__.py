@@ -1,8 +1,7 @@
 """Hierarchical tensor network states, lattice embeddings, and exact
 entropy checks at desk scale."""
 
-from .lattice import (INFINITE_VALUATION, LatticeSpec, b_adic_valuation,
-                      cell_of, grid_edges, sublattice_sites)
+from .lattice import LatticeSpec
 from .tns import (ContractionLine, MeraMeta, TensorNode, Tns,
                   build_mera_1d, build_mera_2d_b2, build_mera_2d_b3,
                   build_ttn_example, ttn_cut_size, ttn_gate_schedule,

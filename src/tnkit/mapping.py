@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (Edge, LatticeSpec, Site, canonical_edge,
-                      spec_from_dict, spec_to_dict)
+from .lattice import Edge, LatticeSpec, Site, spec_from_dict, spec_to_dict
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_DISENTANGLER,
                   KIND_ISOMETRY, KIND_TOP, ContractionLine, MeraMeta, Tns)
 
@@ -75,7 +74,6 @@ class Placement:
     delta_tau: int
     site_of: dict[str, Site]
     anchor_ids: frozenset[str]
-    offsets: dict[str, tuple[int, ...]] | None = None
 
     @property
     def refine_factor(self) -> int:
@@ -124,8 +122,7 @@ def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
             raise ValueError(f"{node.id} placed outside the host lattice "
                              f"at {site}")
         site_of[node.id] = site
-    return Placement(scheme, host, delta_tau, site_of, frozenset(anchor_ids),
-                     offsets)
+    return Placement(scheme, host, delta_tau, site_of, frozenset(anchor_ids))
 
 
 def place_naive(tns: Tns) -> Placement:
@@ -161,12 +158,11 @@ class StackReport:
     max_height: int
 
 
-def detect_stacks(p: Placement, include_anchors: bool = False) -> StackReport:
-    """Per-site tensor counts.  Anchors are bookkeeping and excluded by
-    default."""
+def detect_stacks(p: Placement) -> StackReport:
+    """Per-site tensor counts.  Anchors are bookkeeping and excluded."""
     counts: dict[Site, int] = {}
     for nid, site in p.site_of.items():
-        if not include_anchors and nid in p.anchor_ids:
+        if nid in p.anchor_ids:
             continue
         counts[site] = counts.get(site, 0) + 1
     return StackReport(counts, max(counts.values(), default=0))
@@ -245,14 +241,6 @@ class PathAssignment:
 
     chains: dict[int, tuple[Site, ...]]
 
-    def path_of(self, line_id: int) -> tuple[Edge, ...]:
-        chain = self.chains[line_id]
-        return tuple(canonical_edge(chain[i], chain[i + 1])
-                     for i in range(len(chain) - 1))
-
-    def length_of(self, line_id: int) -> int:
-        return len(self.chains[line_id]) - 1
-
 
 def _coarse_track(s_val: int, t_val: int, step: int) -> int | None:
     """Multiple of step nearest s_val within [s_val, t_val], or None.
@@ -329,20 +317,18 @@ def check_routing(tns: Tns, p: Placement,
                   paths: PathAssignment) -> str | None:
     """First structural problem of a routed placement, or None.
 
-    The sites must cover the nodes and, for a known scheme, sit where the
-    scheme puts them.  Every line needs a path from its source's site to
-    its target's that stays on the host grid, moves by unit steps and is
-    L1-shortest, as route_lines makes it.
+    The sites must cover the nodes and sit where the scheme puts them; an
+    unknown scheme, or a delta_tau the scheme refuses, raises ValueError.
+    Every line needs a path from its source's site to its target's that
+    stays on the host grid, whose coordinates are ints, moves by unit
+    steps and is L1-shortest, as route_lines makes it.
     """
     if set(p.site_of) != set(tns.nodes):
         return "map sites do not cover the network nodes"
-    try:
-        expected = place(tns, p.scheme, p.delta_tau or 1)
-    except ValueError:
-        expected = None
-    if expected is not None and expected.lattice != p.lattice:
+    expected = place(tns, p.scheme, p.delta_tau)
+    if expected.lattice != p.lattice:
         return "host lattice does not match the scheme"
-    if expected is not None and expected.site_of != p.site_of:
+    if expected.site_of != p.site_of:
         return "site positions do not match the scheme"
     if set(paths.chains) != {ln.id for ln in tns.lines}:
         return "paths do not cover the contraction lines"
@@ -351,12 +337,14 @@ def check_routing(tns: Tns, p: Placement,
         s, t = (p.site_of[nid] for nid in _orient(tns, line))
         if not chain or chain[0] != s or chain[-1] != t:
             return f"path of line {line.id} does not join its endpoints"
+        # bools and integral floats compare equal to ints but are no sites
+        off = next((v for v in chain if any(type(c) is not int for c in v)
+                    or not p.lattice.contains(v)), None)
+        if off is not None:
+            return f"path of line {line.id} leaves the host grid at {off}"
         for a, b in zip(chain, chain[1:]):
             if sum(abs(x - y) for x, y in zip(a, b)) != 1:
                 return f"path of line {line.id} jumps"
-        off = next((v for v in chain if not p.lattice.contains(v)), None)
-        if off is not None:
-            return f"path of line {line.id} leaves the host grid at {off}"
         if len(chain) - 1 != sum(abs(x - y) for x, y in zip(s, t)):
             return f"path of line {line.id} is not L1-shortest"
     return None
@@ -715,13 +703,18 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
 
 
 def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
-    """JSON-ready description of a routed placement, format map-v1."""
+    """JSON-ready description of a routed placement, format map-v1.
+
+    The offsets entry is derived from the scheme and not read back.
+    """
+    offsets = (default_refined_offsets(p.lattice.dimension)
+               if p.scheme == "refined" else None)
     return {
         "version": "map-v1",
         "generator_version": GENERATOR_VERSION,
         "scheme": p.scheme,
         "delta_tau": p.delta_tau,
-        "offsets": dict(sorted(p.offsets.items())) if p.offsets else None,
+        "offsets": dict(sorted(offsets.items())) if offsets else None,
         "lattice": spec_to_dict(p.lattice),
         # json writes the (id, site) and (id, chain) tuples as arrays
         "sites": sorted(p.site_of.items()),
@@ -731,7 +724,8 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
 
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     """Placement and paths from a map-v1 description; ValueError when the
-    document is not an object or lacks a key or a site for a network node."""
+    document is not an object, lacks a key or a site for a network node,
+    or has a delta_tau that is not an integer."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
@@ -739,11 +733,11 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     try:
         host = spec_from_dict(data["lattice"])
         site_of = {nid: tuple(site) for nid, site in data["sites"]}
-        offsets = data.get("offsets")
-        if offsets is not None:
-            offsets = {v: tuple(m) for v, m in offsets.items()}
+        if type(data["delta_tau"]) is not int:
+            raise TypeError(f"delta_tau {data['delta_tau']!r} is not an "
+                            f"integer")
         p = Placement(data["scheme"], host, data["delta_tau"], site_of,
-                      frozenset(n.id for n in tns.anchors()), offsets)
+                      frozenset(n.id for n in tns.anchors()))
         chains = {lid: tuple(tuple(v) for v in chain)
                   for lid, chain in data["paths"]}
     except (KeyError, IndexError, TypeError) as exc:

@@ -37,6 +37,7 @@ KIND_DISENTANGLER = "disentangler"
 KIND_ISOMETRY = "isometry"
 KIND_TOP = "top"
 KIND_ANCHOR = "physical-anchor"
+KINDS = frozenset((KIND_DISENTANGLER, KIND_ISOMETRY, KIND_TOP, KIND_ANCHOR))
 
 
 @dataclass(frozen=True)
@@ -474,7 +475,9 @@ def tns_to_dict(tns: Tns) -> dict:
 
 def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
-    is not an object, lacks a key or a line names an unknown node."""
+    is not an object, lacks a key, has a node of unknown kind or with a
+    layer or cell entry that is not an integer, or a line names an
+    unknown node."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
@@ -496,6 +499,18 @@ def tns_from_dict(data: dict) -> Tns:
                                          tuple(nd["cell"]), nd["kind"],
                                          nd["variant"], tuple(nd["dims"]),
                                          elements)
+        # checked in bulk, off the per-node loop; bools and integral
+        # floats compare equal to ints, so every entry's type is checked
+        values = nodes.values()
+        kinds = set(map(operator.attrgetter("kind"), values))
+        if not kinds <= KINDS:
+            raise TypeError(f"unknown node kind "
+                            f"{min(map(repr, kinds - KINDS))}")
+        if not {int}.issuperset(map(type, itertools.chain(
+                map(operator.attrgetter("layer"), values),
+                itertools.chain.from_iterable(
+                    map(operator.attrgetter("cell"), values))))):
+            raise TypeError("node layer or cell entry is not an integer")
         # looking the endpoint nodes up rejects unknown ones in this pass
         lines = [ContractionLine(ld["id"],
                                  (nodes[ld["a"][0]].id, ld["a"][1]),

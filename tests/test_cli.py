@@ -171,6 +171,59 @@ def test_verify_rejects_off_grid_detour(tmp_path, capsys):
     assert "leaves the host grid" in capsys.readouterr().out
 
 
+def _refined_b2_map(tmp_path):
+    """Paths of a b2 T=2 refined map: (network file, map document)."""
+    net = tmp_path / "net.json"
+    main(["build", "--kind", "mera2d-b2", "--layers", "2", "--seed", "1",
+          "--out", str(net)])
+    main(["map", "--tns", str(net), "--scheme", "refined",
+          "--out-prefix", str(tmp_path / "m")])
+    return net, json.loads((tmp_path / "m.map.json").read_text())
+
+
+def _verify(tmp_path, net, data):
+    (tmp_path / "edited.json").write_text(json.dumps(data))
+    return main(["verify", "--tns", str(net),
+                 "--map", str(tmp_path / "edited.json")])
+
+
+def test_verify_rejects_half_integer_corner(tmp_path, capsys):
+    net, data = _refined_b2_map(tmp_path)
+    # cut a corner through its half-integer midpoint: both new steps have
+    # L1 length 1, but the midpoint is no grid vertex
+    entry = next(e for e in data["paths"]
+                 if any(a[0] != c[0] and a[1] != c[1]
+                        for a, c in zip(e[1], e[1][2:])))
+    chain = entry[1]
+    k = next(k for k in range(1, len(chain) - 1)
+             if chain[k - 1][0] != chain[k + 1][0]
+             and chain[k - 1][1] != chain[k + 1][1])
+    chain[k] = [(x + y) / 2 for x, y in zip(chain[k - 1], chain[k + 1])]
+    capsys.readouterr()
+    assert _verify(tmp_path, net, data) == 4
+    assert "leaves the host grid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key,value", [("scheme", "foo"), ("delta_tau", -1),
+                                       ("delta_tau", 0), ("delta_tau", "a")])
+def test_verify_rejects_scheme_it_cannot_check(tmp_path, capsys, key, value):
+    net, data = _refined_b2_map(tmp_path)
+    data[key] = value
+    capsys.readouterr()
+    assert _verify(tmp_path, net, data) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("offsets", [[1, 2], "x", {"w": 5}])
+def test_verify_ignores_offsets_field(tmp_path, capsys, offsets):
+    net, data = _refined_b2_map(tmp_path)
+    data["offsets"] = offsets
+    capsys.readouterr()
+    assert _verify(tmp_path, net, data) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def test_malformed_inputs_exit_2(built, tmp_path, capsys):
     prefix = str(tmp_path / "m")
     main(["map", "--tns", str(built), "--scheme", "shifted",
@@ -180,12 +233,21 @@ def test_malformed_inputs_exit_2(built, tmp_path, capsys):
     (tmp_path / "bad.map.json").write_text(json.dumps(data))
     assert main(["verify", "--tns", str(built),
                  "--map", str(tmp_path / "bad.map.json")]) == 2
-    net = json.loads(built.read_text())
-    net["lines"][0]["a"][0] = "no-such-node"
-    (tmp_path / "bad.tns.json").write_text(json.dumps(net))
-    assert main(["map", "--tns", str(tmp_path / "bad.tns.json"),
-                 "--scheme", "shifted", "--out-prefix", prefix]) == 2
-    assert capsys.readouterr().err.count("malformed") == 2
+    broken_nodes = [("kind", "weird"), ("layer", "1"), ("layer", 1.0),
+                    ("cell", ["0"]), ("cell", [True])]
+    for key, value in [(None, None)] + broken_nodes:
+        net = json.loads(built.read_text())
+        if key is None:
+            net["lines"][0]["a"][0] = "no-such-node"
+        else:
+            node = next(n for n in net["nodes"] if n["layer"] == 1)
+            node[key] = value
+        (tmp_path / "bad.tns.json").write_text(json.dumps(net))
+        assert main(["map", "--tns", str(tmp_path / "bad.tns.json"),
+                     "--scheme", "shifted", "--out-prefix", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err.count("malformed") == 2 + len(broken_nodes)
+    assert "unknown node kind 'weird'" in err
 
 
 def test_entropy_random_cuts_leave_prediction_blank(tmp_path):

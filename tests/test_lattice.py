@@ -1,48 +1,42 @@
-"""Geometry layer: valuations, scale sublattices, grid edges, cells."""
+"""Grid specs, and the scale sublattices of the placements the pipeline
+runs: layer-tau tensors sit on coordinates of b-adic valuation tau - 1."""
 
 import itertools
-import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tnkit.lattice import (INFINITE_VALUATION, LatticeSpec, b_adic_valuation,
-                           canonical_edge, cell_of, grid_edges, on_grid_line,
-                           sublattice_sites)
+from tnkit.lattice import LatticeSpec
+from tnkit.mapping import place, place_refined, place_shifted
+from tnkit.tns import (build_mera_1d, build_mera_2d_b2, build_mera_2d_b3,
+                       build_ttn_example)
 
-
-def test_valuation_examples():
-    assert b_adic_valuation(12, 2) == 2
-    assert b_adic_valuation(18, 3) == 2
-    assert b_adic_valuation(7, 2) == 0
-    assert b_adic_valuation(-8, 2) == 3
-    assert b_adic_valuation(0, 2) == INFINITE_VALUATION
-    assert math.isinf(b_adic_valuation(0, 5))
+NETWORKS = ((build_mera_1d, 4), (build_mera_2d_b2, 3), (build_mera_2d_b3, 2),
+            (build_ttn_example, 3))
 
 
-def test_valuation_rejects_bad_base():
-    with pytest.raises(ValueError):
-        b_adic_valuation(4, 1)
+def valuation(n, b):
+    """Largest k such that b**k divides n > 0."""
+    k = 0
+    while n % b == 0:
+        n, k = n // b, k + 1
+    return k
 
 
-@settings(max_examples=200)
-@given(base=st.sampled_from([2, 3, 5]), k=st.integers(0, 8),
-       m=st.integers(1, 500))
-def test_valuation_of_scaled_coprime(base, k, m):
-    if m % base == 0:
-        m += 1
-    assert b_adic_valuation(base ** k * m, base) == k
+def placements():
+    """(network, placement) for the shifted and refined schemes."""
+    for build, layers in NETWORKS:
+        net = build(layers)
+        for scheme in ("shifted", "refined"):
+            yield net, place(net, scheme)
 
 
-@given(n=st.integers(-10 ** 6, 10 ** 6), base=st.sampled_from([2, 3]))
-def test_valuation_divides(n, base):
-    v = b_adic_valuation(n, base)
-    if n == 0:
-        assert v == INFINITE_VALUATION
-    else:
-        assert n % base ** v == 0
-        assert n % base ** (v + 1) != 0
+def layer_sites(net, p):
+    """Distinct tensor sites per layer; anchors are not tensors."""
+    out = {}
+    for nid, site in p.site_of.items():
+        if nid not in p.anchor_ids:
+            out.setdefault(net.nodes[nid].layer, set()).add(site)
+    return out
 
 
 def test_spec_validation():
@@ -70,130 +64,51 @@ def test_spec_shape_and_sites():
     assert not spec.contains((0,))
 
 
-def test_open_edges_count():
-    # D * L^(D-1) * (L-1) nearest-neighbour edges on an open grid
-    spec = LatticeSpec(2, 3)
-    edges = list(spec.edges())
-    assert len(edges) == 2 * 3 * 2
-    assert len(set(edges)) == len(edges)
-    for a, b in edges:
-        assert a < b
-        assert sum(abs(x - y) for x, y in zip(a, b)) == 1
-
-
-def test_periodic_edges_include_wrap_once():
-    spec = LatticeSpec(1, 4, boundary="periodic")
-    edges = list(spec.edges())
-    assert ((0,), (3,)) in edges
-    assert len(edges) == 4
-    assert spec.wrap((5,)) == (1,)
-
-
 def test_mera_host_refinement():
-    host = LatticeSpec.mera_host(2, 2, 3)
-    assert (host.length, host.layers) == (8, 3)
-    refined = LatticeSpec.mera_host(2, 2, 3, refine=4)
-    assert (refined.length, refined.layers) == (32, 5)
-    with pytest.raises(ValueError):
-        LatticeSpec.mera_host(2, 2, 3, refine=3)
+    for build, layers in NETWORKS:
+        net = build(layers)
+        b = net.spec.branching
+        assert place_shifted(net).lattice == net.spec
+        for delta_tau in (1, 2):
+            host = place_refined(net, delta_tau=delta_tau).lattice
+            assert host.length == b ** (layers + delta_tau)
+            assert host.layers == layers + delta_tau
 
 
 def test_sublattice_examples():
-    spec = LatticeSpec(1, 8, 2, 3)
-    assert sublattice_sites(spec, 1) == [(1,), (3,), (5,), (7,)]
-    assert sublattice_sites(spec, 2) == [(2,), (6,)]
-    assert sublattice_sites(spec, 3) == [(4,)]
-    assert sublattice_sites(spec, 0) == list(spec.sites())
-    with pytest.raises(ValueError):
-        sublattice_sites(spec, 4)
+    net = build_mera_1d(3)
+    assert layer_sites(net, place_shifted(net)) == {
+        1: {(1,), (3,), (5,), (7,)}, 2: {(2,), (6,)}, 3: {(4,)}}
 
 
 def test_sublattice_valuation_and_size():
-    spec = LatticeSpec(2, 27, 3, 3)
-    for tau in (1, 2, 3):
-        sites = sublattice_sites(spec, tau)
-        assert len(sites) == (27 // 3 ** tau) ** 2
-        for site in sites:
-            for c in site:
-                assert b_adic_valuation(c, 3) == tau - 1
+    for net, p in placements():
+        b, length = net.spec.branching, net.spec.length
+        for tau, sites in layer_sites(net, p).items():
+            for site in sites:
+                assert all(valuation(c, b) == tau - 1 for c in site), site
+            if p.scheme == "shifted":
+                # every cell of the layer is used: the whole sublattice
+                coords = range(b ** (tau - 1), length, b ** tau)
+                assert sites == set(itertools.product(
+                    coords, repeat=net.spec.dimension))
 
 
 def test_sublattices_disjoint():
-    spec = LatticeSpec(2, 16, 2, 4)
-    seen = {}
-    for tau in (1, 2, 3, 4):
-        for site in sublattice_sites(spec, tau):
-            assert site not in seen, (site, seen.get(site), tau)
-            seen[site] = tau
+    for net, p in placements():
+        seen = {}
+        for tau, sites in layer_sites(net, p).items():
+            for site in sites:
+                assert site not in seen, (p.scheme, site, seen.get(site), tau)
+                seen[site] = tau
 
 
-@settings(max_examples=60)
-@given(b=st.sampled_from([2, 3]), layers=st.integers(1, 4),
-       tau=st.integers(1, 4), idx=st.integers(0, 100))
-def test_cell_recovers_sublattice_index(b, layers, tau, idx):
-    if tau > layers:
-        tau = layers
-    spec = LatticeSpec(1, b ** layers, b, layers)
-    sites = sublattice_sites(spec, tau)
-    site = sites[idx % len(sites)]
-    n = cell_of(site, tau, spec)
-    assert site == tuple(b ** tau * c + b ** (tau - 1) for c in n)
-
-
-def test_grid_edge_rows_include_zero_line():
-    # row 0 carries lines of every scale; the scale-2 rows proper are 2, 6
-    spec = LatticeSpec(2, 8, 2, 3)
-    rows = {a[1] for a, b in grid_edges(spec, 2) if a[1] == b[1]}
-    cols = {a[0] for a, b in grid_edges(spec, 2) if a[0] == b[0]}
-    assert rows == {0, 2, 6}
-    assert cols == {0, 2, 6}
-
-
-def test_grid_edges_one_dimension_degenerate():
-    spec = LatticeSpec(1, 8, 2, 3)
-    full = list(spec.edges())
-    for tau in (1, 2, 3):
-        assert grid_edges(spec, tau) == full
-    assert grid_edges(spec, 0) == full
-
-
-def test_grid_edges_disjoint_off_zero_lines():
-    spec = LatticeSpec(2, 8, 2, 3)
-
-    def away_from_zero(edge):
-        (ax, ay), (bx, by) = edge
-        if ay == by:
-            return ay != 0
-        return ax != 0
-
-    sets = {tau: {e for e in grid_edges(spec, tau) if away_from_zero(e)}
-            for tau in (1, 2, 3)}
-    for ta, tb in itertools.combinations(sets, 2):
-        assert not sets[ta] & sets[tb]
-
-
-def test_sublattice_sites_lie_on_their_grid():
-    spec = LatticeSpec(2, 9, 3, 2)
-    for tau in (1, 2):
-        edge_set = set(grid_edges(spec, tau))
-        for site in sublattice_sites(spec, tau):
-            for axis in range(2):
-                assert on_grid_line(spec, site, tau, axis)
-                nbr = list(site)
-                nbr[axis] += 1
-                if spec.contains(tuple(nbr)):
-                    assert canonical_edge(site, tuple(nbr)) in edge_set
-
-
-def test_grid_edges_range_check():
-    spec = LatticeSpec(2, 8, 2, 3)
-    with pytest.raises(ValueError):
-        grid_edges(spec, 4)
-
-
-def test_cell_of_examples():
-    spec = LatticeSpec(2, 8, 2, 3)
-    assert cell_of((5, 3), 1, spec) == (2, 1)
-    assert cell_of((0, 0), 3, spec) == (0, 0)
-    spec1 = LatticeSpec(1, 8, 2, 3)
-    assert cell_of((7,), 2, spec1) == (1,)
+def test_cell_recovers_sublattice_index():
+    for net, p in placements():
+        b = net.spec.branching
+        for nid, site in p.site_of.items():
+            if nid in p.anchor_ids:
+                continue
+            node = net.nodes[nid]
+            step = b ** (node.layer + p.delta_tau)
+            assert tuple(c // step for c in site) == node.cell, nid

@@ -128,7 +128,7 @@ def test_paths_are_shortest_and_monotone(build, layers, scheme):
         s, t = p.site_of[src], p.site_of[dst]
         assert chain[0] == s and chain[-1] == t
         l1 = sum(abs(a - b) for a, b in zip(s, t))
-        assert pa.length_of(line.id) == l1
+        assert len(chain) - 1 == l1
         for a, b in zip(chain, chain[1:]):
             assert sum(abs(x - y) for x, y in zip(a, b)) == 1
         for ax in range(len(s)):
@@ -158,8 +158,10 @@ def test_colocated_endpoints_give_empty_path():
     empties = [lid for lid, chain in pa.chains.items() if len(chain) == 1]
     assert empties
     for lid in empties:
-        assert pa.path_of(lid) == ()
-        assert pa.length_of(lid) == 0
+        src, dst = _orient(net, net.lines[lid])
+        assert pa.chains[lid] == (p.site_of[src],) == (p.site_of[dst],)
+    crossing = set(measured_chi(net, pa).line_ids.tolist())
+    assert crossing and not crossing & set(empties)
 
 
 def test_routing_is_deterministic():
@@ -487,13 +489,20 @@ def test_refined_merge_matches_coarse_grained_recount(build, layers):
 def test_map_dict_roundtrip():
     net, p, pa = routed(build_mera_2d_b2, 2, "refined")
     data = map_to_dict(p, pa)
-    p2, pa2 = map_from_dict(data, net)
-    assert p2.scheme == p.scheme
-    assert p2.delta_tau == p.delta_tau
-    assert p2.offsets == p.offsets
-    assert p2.site_of == p.site_of
-    assert p2.lattice == p.lattice
-    assert pa2.chains == pa.chains
+    assert data["offsets"] == dict(sorted(default_refined_offsets(2).items()))
+    assert map_to_dict(place_shifted(net), pa)["offsets"] is None
+    # offsets are derived on write and not read back
+    for offsets in (data["offsets"], None, {"w": [0, 0]}, [1, 2]):
+        p2, pa2 = map_from_dict({**data, "offsets": offsets}, net)
+        assert p2 == p
+        assert pa2.chains == pa.chains
+
+
+@pytest.mark.parametrize("delta_tau", ["1", 1.0, True, None])
+def test_map_dict_rejects_non_integer_delta_tau(delta_tau):
+    net, p, pa = routed(build_mera_2d_b2, 1, "refined")
+    with pytest.raises(ValueError, match="malformed.*delta_tau"):
+        map_from_dict({**map_to_dict(p, pa), "delta_tau": delta_tau}, net)
 
 
 def test_map_dict_version_guard():
@@ -550,6 +559,20 @@ def test_check_routing_rejects_bad_paths():
     off[v.index(0)] = -1
     assert "leaves the host grid" in verdict(
         chain[:i + 1] + (tuple(off), v) + chain[i + 1:])
+    # a corner cut by a half-integer vertex: both steps have L1 length 1
+    k = next(k for k in range(1, len(chain) - 1)
+             if chain[k - 1][0] != chain[k + 1][0]
+             and chain[k - 1][1] != chain[k + 1][1])
+    mid = tuple((x + y) / 2 for x, y in zip(chain[k - 1], chain[k + 1]))
+    assert "leaves the host grid" in verdict(chain[:k] + (mid,)
+                                             + chain[k + 1:])
+    # integral floats and bools compare equal to ints but are no sites
+    assert "leaves the host grid" in verdict(
+        chain[:1] + (tuple(map(float, chain[1])),) + chain[2:])
+    bools = next(k for k, w in enumerate(chain) if set(w) <= {0, 1})
+    assert "leaves the host grid" in verdict(
+        chain[:bools] + (tuple(map(bool, chain[bools])),)
+        + chain[bools + 1:])
     chains = dict(pa.chains)
     del chains[lid]
     assert "do not cover" in check_routing(net, p,
@@ -557,11 +580,16 @@ def test_check_routing_rejects_bad_paths():
     nid = next(iter(p.site_of))
     moved = {**p.site_of, nid: tuple(c + 1 for c in p.site_of[nid])}
     assert "do not match the scheme" in check_routing(
-        net, Placement(p.scheme, p.lattice, p.delta_tau, moved, p.anchor_ids,
-                       p.offsets), pa)
+        net, Placement(p.scheme, p.lattice, p.delta_tau, moved, p.anchor_ids),
+        pa)
     wider = LatticeSpec(p.lattice.dimension, p.lattice.length + 1,
                         p.lattice.branching, p.lattice.layers,
                         p.lattice.boundary)
     assert "host lattice" in check_routing(
-        net, Placement(p.scheme, wider, p.delta_tau, p.site_of, p.anchor_ids,
-                       p.offsets), pa)
+        net, Placement(p.scheme, wider, p.delta_tau, p.site_of, p.anchor_ids),
+        pa)
+    # the scheme check has no fallback: what place refuses, raises
+    for scheme, delta_tau in (("foo", 1), ("refined", 0), ("refined", -1)):
+        with pytest.raises(ValueError):
+            check_routing(net, dataclasses.replace(
+                p, scheme=scheme, delta_tau=delta_tau), pa)
