@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,19 +318,18 @@ def check_routing(tns: Tns, p: Placement,
                   paths: PathAssignment) -> str | None:
     """First structural problem of a routed placement, or None.
 
-    The sites must cover the nodes and sit where the scheme puts them; an
-    unknown scheme, or a delta_tau the scheme refuses, raises ValueError.
-    Every line needs a path from its source's site to its target's that
-    stays on the host grid, whose coordinates are ints, moves by unit
-    steps and is L1-shortest, as route_lines makes it.
+    The placement must be the one the scheme makes: the same host lattice,
+    delta_tau, sites and anchors; an unknown scheme, or a delta_tau the
+    scheme refuses, raises ValueError.  Every line needs a path from its
+    source's site to its target's that stays on the host grid, whose
+    coordinates are ints, moves by unit steps and is L1-shortest, as
+    route_lines makes it.
     """
-    if set(p.site_of) != set(tns.nodes):
-        return "map sites do not cover the network nodes"
     expected = place(tns, p.scheme, p.delta_tau)
     if expected.lattice != p.lattice:
         return "host lattice does not match the scheme"
-    if expected.site_of != p.site_of:
-        return "site positions do not match the scheme"
+    if expected != p:
+        return "site positions or delta_tau do not match the scheme"
     if set(paths.chains) != {ln.id for ln in tns.lines}:
         return "paths do not cover the contraction lines"
     for line in tns.lines:
@@ -501,13 +501,24 @@ def _crossing_keys(axes, line_ids: np.ndarray):
     return rank * d + (d - 1 - axis), tuple(origin), tuple(shape)
 
 
-def _chain_steps(chains, lengths: np.ndarray, d: int):
+def _chain_steps(ids, chains, lengths: np.ndarray, d: int):
     """Per axis, the tail and head coordinates of every step between
-    consecutive vertices of a chain, the chains flattened in order."""
-    flat = np.fromiter(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(chains)), np.int64,
-        int(lengths.sum()) * d)
-    coords = flat.reshape(-1, d)
+    consecutive vertices of a chain, the chains flattened in order;
+    ValueError naming the first line with a coordinate that is not a
+    64-bit integer."""
+    vertices = itertools.chain.from_iterable
+    # struct refuses a float coordinate, which np.fromiter would truncate
+    try:
+        flat = struct.pack(f"{int(lengths.sum()) * d}q",
+                           *vertices(vertices(chains)))
+    except struct.error:
+        for lid, chain in zip(ids, chains):
+            try:
+                struct.pack(f"{len(chain) * d}q", *vertices(chain))
+            except struct.error:
+                raise ValueError(f"path of line {lid} has a coordinate "
+                                 f"that is not a 64-bit integer") from None
+    coords = np.frombuffer(flat, np.int64).reshape(-1, d)
     inner = np.ones(len(coords), bool)
     inner[np.cumsum(lengths)[lengths > 0] - 1] = False
     inner = inner[:-1]
@@ -521,7 +532,8 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
     The chains are flattened once, in line-id order, into one coordinate
     array; each step between consecutive vertices of a chain is one
     crossing, so every edge's ids come out sorted.  Vertices of differing
-    dimension, or a step that is not a unit step, raise ValueError.
+    dimension, a coordinate that is not a 64-bit integer, or a step that
+    is not a unit step raise ValueError.
     """
     ids = sorted(paths.chains)
     chains = list(map(paths.chains.__getitem__, ids))
@@ -533,7 +545,7 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
         raise ValueError("path vertices differ in dimension")
     d = dims.pop() if dims else tns.spec.dimension
     return CongestionReport(
-        *_crossing_keys(_chain_steps(chains, lengths, d), line_ids),
+        *_crossing_keys(_chain_steps(ids, chains, lengths, d), line_ids),
         line_ids, {ln.id: ln.dim for ln in tns.lines},
         frozenset(ln.id for ln in tns.lines if tns.is_physical_line(ln)))
 

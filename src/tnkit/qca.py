@@ -47,14 +47,6 @@ class PairSet:
     spec: LatticeSpec
     pairs: tuple[Pair, ...]
 
-    @property
-    def length(self) -> int:
-        return self.spec.length
-
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
 
 def _canonical(pairs) -> tuple[Pair, ...]:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
@@ -93,26 +85,24 @@ def sublayer_swaps(dimension: int, length: int, offset: int) -> list[Pair]:
     return out
 
 
-def _advance(site: Site, length: int) -> Site:
-    return tuple((c + 2) % length if c % 2 else (c - 2) % length
-                 for c in site)
-
-
-def step(ps: PairSet) -> PairSet:
-    """One automaton layer (odd-aligned swaps, then even-aligned).
-
-    The net permutation moves every odd coordinate by +2 and every even
-    coordinate by -2; parities never change.
-    """
-    length = ps.length
-    pairs = [( _advance(a, length), _advance(b, length)) for a, b in ps.pairs]
-    return PairSet(ps.spec, _canonical(pairs))
+def _advance(site: Site, length: int, layers: int) -> Site:
+    return tuple((c + 2 * layers) % length if c % 2
+                 else (c - 2 * layers) % length for c in site)
 
 
 def evolve(ps: PairSet, layers: int) -> PairSet:
-    for _ in range(layers):
-        ps = step(ps)
-    return ps
+    """The pairs after the given number of automaton layers.
+
+    One layer (odd-aligned swaps, then even-aligned) moves every odd
+    coordinate by +2 and every even coordinate by -2; parities never
+    change, so T layers move them by +2T and -2T (mod L) in one pass.
+    """
+    if layers < 0:
+        raise ValueError("layers must be >= 0")
+    length = ps.spec.length
+    pairs = [(_advance(a, length, layers), _advance(b, length, layers))
+             for a, b in ps.pairs]
+    return PairSet(ps.spec, _canonical(pairs))
 
 
 def entropy_across(ps: PairSet, region) -> int:

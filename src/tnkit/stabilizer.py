@@ -21,11 +21,13 @@ the smaller side of the cut, valid because S_A = S_B for a pure state,
 from sparse rows built out of the nonzero words of that side's qubit rows.
 
 The tree-state driver builds its gate schedule from a closed-form site
-formula on purpose: tns.build_ttn_example is not imported, so the tree
-entropy is an independent cross-check.  The automaton driver takes its
-initial pairs and swap sublayers from qca.initial_pairs and
-qca.sublayer_swaps, the same sets the pair tracker evolves; the
-cross-checks live in the test suite and in `entropy --cross-check`.
+formula on purpose: tns.build_ttn_example is not called, so the tree
+entropy is an independent cross-check; only the size of the measured cut
+comes from tns.ttn_cut_size.  The automaton driver takes both swap
+sublayers from qca.sublayer_swaps, and its initial pairs are the odd
+sublayer's transpositions, the set qca.initial_pairs hands the pair
+tracker; the cross-checks live in the test suite and in
+`entropy --cross-check`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tns
 from .dense import ResourceLimitError, amplitude_limit
-from .qca import initial_pairs, site_index, sublayer_swaps
+from .qca import site_index, sublayer_swaps
 
 # generator words per block of a batched rotation, bounding its temporaries
 _BLOCK_WORDS = 2 ** 20
@@ -250,7 +253,6 @@ def _tree_schedule(layers: int):
     Gate k of layer tau pairs the midpoint 2**(tau-1) (2k - 1) - 1 of its
     block with the block's last site 2**tau k - 1.
     """
-    half = 1
     out = []
     for tau in range(layers, 0, -1):
         width = 2 ** tau
@@ -258,13 +260,6 @@ def _tree_schedule(layers: int):
         for k in range(1, 2 ** (layers - tau) + 1):
             out.append((tau, (width * k - half - 1, width * k - 1)))
     return out
-
-
-def _tree_cut_size(layers: int) -> int:
-    p = 1
-    for _ in range((layers - 1) // 2):
-        p = 4 * p - 1
-    return p
 
 
 @dataclass
@@ -284,15 +279,13 @@ def run_ttn_example(layers: int) -> TtnRun:
     comes out as (layers + 1) / 2, growing with depth at fixed region
     fraction.
     """
-    if layers < 1 or layers % 2 == 0:
-        raise ValueError("layers must be odd and >= 1")
+    p = tns.ttn_cut_size(layers)
     n = 2 ** layers
     state = init_zero(n)
     schedule = tuple(_tree_schedule(layers))
     for _, gates in itertools.groupby(schedule, key=lambda gate: gate[0]):
         a, b = np.array([pair for _, pair in gates]).T
         apply_xx_rotations(state, a, b)
-    p = _tree_cut_size(layers)
     region = tuple(range(n - p, n))
     return TtnRun(entanglement_entropy(state, region), region, schedule, state)
 
@@ -310,14 +303,13 @@ def run_qca(dimension: int, length: int, layers: int) -> StabilizerState:
         raise ValueError("layers must be >= 0")
     n = length ** dimension
     state = init_zero(n)
-    pairs = initial_pairs(dimension, length).pairs
-    apply_xx_rotations(state, [site_index(a, length) for a, _ in pairs],
-                       [site_index(b, length) for _, b in pairs])
     step = np.arange(n)
     for offset in (1, 0):   # odd-aligned sublayer first
         swaps = sublayer_swaps(dimension, length, offset)
         a = [site_index(s, length) for s, _ in swaps]
         b = [site_index(s, length) for _, s in swaps]
+        if offset:   # the initial pairs are the odd sublayer's swaps
+            apply_xx_rotations(state, a, b)
         step[a + b] = step[b + a]
     # qubit q ends up holding the bits of qubit source[q]
     source = np.arange(n)

@@ -86,6 +86,24 @@ def test_verify_flags_tampered_map(built, tmp_path, capsys):
     assert "structural error" in capsys.readouterr().out
 
 
+def test_verify_rejects_shifted_map_with_edited_delta_tau(built, tmp_path,
+                                                         capsys):
+    # the shifted scheme has delta_tau 0; 5 would make assembly merge the
+    # grid in 32-site blocks
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "shifted",
+          "--out-prefix", prefix])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    data["delta_tau"] = 5
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", "--tns", str(built),
+                 "--map", str(tmp_path / "bad.json")])
+    assert code == 4
+    out = capsys.readouterr().out
+    assert "structural error" in out and "do not match the scheme" in out
+
+
 def test_verify_resource_limit_is_reported(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "64")
     net = tmp_path / "net.json"

@@ -317,7 +317,9 @@ def test_report_bond_dimensions_past_int64_stay_exact():
     {0: (), 4: ((3, 3),), 7: ((3, 3), (3, 4)), 8: ((5, 5),)},
     {2: ()},
     {},
-], ids=["3d", "negative", "length-one", "vertexless", "empty"])
+    {0: ((np.int64(0), np.int64(0)), (np.int64(0), np.int64(1))),
+     3: ((np.int64(1), 0), (np.int64(2), 0), (2, np.int64(1)))},
+], ids=["3d", "negative", "length-one", "vertexless", "empty", "numpy-ints"])
 def test_hand_made_chains_match_oracle(chains):
     net = build_mera_1d(2, chi=5, phys_dim=3, with_elements=False)
     _assert_matches_oracle(measured_chi(net, PathAssignment(chains)), chains)
@@ -331,6 +333,20 @@ def test_tally_rejects_non_unit_steps(chain):
     net = build_mera_1d(2, with_elements=False)
     chains = {0: ((0, 0), (0, 1)), 3: chain}
     with pytest.raises(ValueError, match="line 3 makes a non-unit step"):
+        measured_chi(net, PathAssignment(chains))
+
+
+@pytest.mark.parametrize("chain", [((0.5, 0), (1, 0)),
+                                   ((0, 0), (np.float64(0.5), 1)),
+                                   ((2.0, 0), (1, 0)), ((2 ** 63, 0),)],
+                         ids=["half", "numpy-half", "integral-float",
+                              "past-int64"])
+def test_tally_rejects_non_integer_coordinates(chain):
+    # np.fromiter would truncate (0.5, 0) to (0, 0) and tally an edge
+    net = build_mera_1d(2, with_elements=False)
+    chains = {0: ((0, 0), (0, 1)), 3: chain, 5: ((1, 1), (1, 2))}
+    with pytest.raises(ValueError, match="line 3 has a coordinate that is "
+                                         "not a 64-bit integer"):
         measured_chi(net, PathAssignment(chains))
 
 
@@ -582,6 +598,11 @@ def test_check_routing_rejects_bad_paths():
     assert "do not match the scheme" in check_routing(
         net, Placement(p.scheme, p.lattice, p.delta_tau, moved, p.anchor_ids),
         pa)
+    # a site too many or too few is a placement the scheme does not make
+    for site_of in ({**p.site_of, "ghost": p.site_of[nid]},
+                    {k: v for k, v in p.site_of.items() if k != nid}):
+        assert "do not match the scheme" in check_routing(
+            net, dataclasses.replace(p, site_of=site_of), pa)
     wider = LatticeSpec(p.lattice.dimension, p.lattice.length + 1,
                         p.lattice.branching, p.lattice.layers,
                         p.lattice.boundary)

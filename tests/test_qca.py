@@ -39,20 +39,41 @@ def test_grid_validation():
 def test_step_worked_example():
     spec = LatticeSpec(2, 6, 2, 1, "periodic")
     ps = qca.PairSet(spec, (((2, 2), (3, 3)),))
-    out = qca.step(ps)
+    out = qca.evolve(ps, 1)
     assert out.pairs == (((0, 0), (5, 5)),)
 
 
 def test_step_equals_sublayer_composition():
     # one layer = odd-aligned swaps then even-aligned swaps
     for dim, length in ((1, 8), (2, 6)):
-        perm = {s: s for s in LatticeSpec(dim, length).sites()}
+        layer = {s: s for s in LatticeSpec(dim, length).sites()}
         for offset in (1, 0):
             swaps = dict(qca.sublayer_swaps(dim, length, offset))
             swaps.update({b: a for a, b in swaps.items()})
-            perm = {s: swaps.get(t, t) for s, t in perm.items()}
-        for site, image in perm.items():
-            assert image == qca._advance(site, length), (site, image)
+            layer = {s: swaps.get(t, t) for s, t in layer.items()}
+        perm = dict(layer)
+        for layers in (1, 2, 3):
+            for site, image in perm.items():
+                assert image == qca._advance(site, length, layers), \
+                    (layers, site, image)
+            perm = {s: layer[t] for s, t in perm.items()}
+
+
+def test_evolve_equals_repeated_single_layers():
+    # the closed form wraps around the torus for L=8 and 12 within T=6
+    for dim in (1, 2):
+        for length in (8, 12, 32):
+            ps = qca.initial_pairs(dim, length)
+            stepped = ps
+            for layers in range(7):
+                assert qca.evolve(ps, layers).pairs == stepped.pairs, \
+                    (dim, length, layers)
+                stepped = qca.evolve(stepped, 1)
+
+
+def test_evolve_rejects_negative_layers():
+    with pytest.raises(ValueError, match="layers must be >= 0"):
+        qca.evolve(qca.initial_pairs(1, 8), -1)
 
 
 def test_motion_preserves_parity():

@@ -167,10 +167,10 @@ def test_word_boundary_pair():
 
 
 def test_tree_run_small_values():
-    for layers, expected in ((1, 1), (3, 2), (5, 3)):
+    for layers, expected, cut in ((1, 1, 1), (3, 2, 3), (5, 3, 11)):
         run = stab.run_ttn_example(layers)
         assert run.entropy == expected
-        assert len(run.region) == stab._tree_cut_size(layers)
+        assert run.region == tuple(range(2 ** layers - cut, 2 ** layers))
         assert len(run.schedule) == 2 ** layers - 1
     with pytest.raises(ValueError):
         stab.run_ttn_example(2)
@@ -191,7 +191,7 @@ def test_qca_run_matches_pair_tracker_small():
             state, stab.region_qubits(region, length)) \
             == qca.entropy_across(ps, region)
         for layers in (1, 2):
-            ps = qca.step(ps)
+            ps = qca.evolve(ps, 1)
             state = stab.run_qca(dim, length, layers)
             assert stab.entanglement_entropy(
                 state, stab.region_qubits(region, length)) \
