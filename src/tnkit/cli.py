@@ -8,6 +8,7 @@ verification or cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import dense, mapping, qca, stabilizer, tns as tns_mod
 from .dense import ResourceLimitError
+from .lattice import spec_from_dict
 from .tns import GENERATOR_VERSION
 
 _BUILDERS = {
@@ -193,9 +195,11 @@ def cmd_render(args) -> int:
         return margin + scale * x, margin + scale * y
 
     try:
-        dim, length = data["lattice"]["dimension"], data["lattice"]["length"]
+        spec = spec_from_dict(data["lattice"])
+        dim, length = spec.dimension, spec.length
         # pixel positions of every path vertex and site
-        paths = [(lid, [xy(v) for v in chain]) for lid, chain in data["paths"]]
+        paths = sorted((lid, [xy(v) for v in chain])
+                       for lid, chain in data["paths"])
         sites = [(nid, xy(site)) for nid, site in data["sites"]]
         if not all(isinstance(nid, str) for nid, _ in sites):
             raise TypeError("node id is not a string")
@@ -213,12 +217,10 @@ def cmd_render(args) -> int:
         f"<!-- generated by {GENERATOR_VERSION} -->",
         f'<rect width="{width}" height="{height}" fill="#fdfdfb"/>',
     ]
-    for x in range(length):
-        for y in range(length if dim == 2 else 1):
-            px, py = xy((x, y))
-            parts.append(f'<circle cx="{px}" cy="{py}" r="1.5" '
-                         f'fill="#cccccc"/>')
-    for lid, chain in sorted(paths):
+    for site in spec.sites():
+        px, py = xy(site)
+        parts.append(f'<circle cx="{px}" cy="{py}" r="1.5" fill="#cccccc"/>')
+    for lid, chain in paths:
         if len(chain) < 2:
             continue
         pts = " ".join("{},{}".format(*v) for v in chain)
@@ -252,7 +254,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="tnkit",
         description="hierarchical tensor networks on scale lattices")
@@ -303,9 +307,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

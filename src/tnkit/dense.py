@@ -131,7 +131,7 @@ def _network_factors(obj):
     factors = []
     label_of = {}
     for line in obj.lines:
-        (na, sa), (nb, sb) = line.endpoints()
+        (na, sa), (nb, sb) = line.a, line.b
         ka, kb = obj.nodes[na].kind, obj.nodes[nb].kind
         if ka == KIND_ANCHOR:
             label = ("p", obj.nodes[na].cell)

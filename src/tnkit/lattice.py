@@ -9,11 +9,18 @@ on it is decided by the placement schemes in tnkit.mapping.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import asdict, dataclass, fields
+from typing import Iterable, Iterator
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
+
+
+def require_ints(values: Iterable, what: str) -> None:
+    """TypeError unless every value's type is int: bools and integral
+    floats compare equal to ints but are no sizes or coordinates."""
+    if not {int}.issuperset(map(type, values)):
+        raise TypeError(f"{what} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -42,15 +49,15 @@ class LatticeSpec:
     layers: int = 1
     boundary: str = "open"
 
+    # the integer fields and their least values
+    _LEAST = {"dimension": 1, "length": 1, "branching": 2, "layers": 0}
+
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        if self.branching < 2:
-            raise ValueError("branching must be >= 2")
-        if self.layers < 0:
-            raise ValueError("layers must be >= 0")
+        for name, least in self._LEAST.items():
+            value = getattr(self, name)
+            require_ints((value,), f"lattice {name} {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -64,7 +71,7 @@ class LatticeSpec:
 
     def contains(self, site: Site) -> bool:
         return len(site) == self.dimension and all(
-            0 <= c < self.length for c in site)
+            type(c) is int and 0 <= c < self.length for c in site)
 
     def sites(self) -> Iterator[Site]:
         """All sites in lexicographic order."""
@@ -73,12 +80,9 @@ class LatticeSpec:
 
 def spec_to_dict(spec: LatticeSpec) -> dict:
     """Lattice entry of the tns-v1 and map-v1 formats."""
-    return {"dimension": spec.dimension, "length": spec.length,
-            "branching": spec.branching, "layers": spec.layers,
-            "boundary": spec.boundary}
+    return asdict(spec)
 
 
 def spec_from_dict(data: dict) -> LatticeSpec:
     """Inverse of spec_to_dict; KeyError when a key is missing."""
-    return LatticeSpec(data["dimension"], data["length"], data["branching"],
-                       data["layers"], data["boundary"])
+    return LatticeSpec(*(data[f.name] for f in fields(LatticeSpec)))

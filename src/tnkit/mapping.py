@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Edge, LatticeSpec, Site, spec_from_dict, spec_to_dict
+from .lattice import (Edge, LatticeSpec, Site, require_ints, spec_from_dict,
+                      spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_DISENTANGLER,
                   KIND_ISOMETRY, KIND_TOP, ContractionLine, MeraMeta, Tns)
 
@@ -171,7 +172,7 @@ def detect_stacks(p: Placement) -> StackReport:
 
 def _orient(tns: Tns, line: ContractionLine):
     """Deterministic (source, target) endpoint order for routing."""
-    (na, sa), (nb, sb) = line.endpoints()
+    na, nb = line.a[0], line.b[0]
     pa, pb = tns.nodes[na], tns.nodes[nb]
     ka = (pa.layer, _KIND_RANK[pa.kind], pa.id)
     kb = (pb.layer, _KIND_RANK[pb.kind], pb.id)
@@ -274,8 +275,7 @@ def _walk_to(chain: list[Site], cur: list[int], wp: Site, order) -> None:
     appending every vertex to chain."""
     for ax in order:
         sgn = 1 if wp[ax] > cur[ax] else -1
-        while cur[ax] != wp[ax]:
-            cur[ax] += sgn
+        for cur[ax] in range(cur[ax] + sgn, wp[ax] + sgn, sgn):
             chain.append(tuple(cur))
 
 
@@ -337,9 +337,7 @@ def check_routing(tns: Tns, p: Placement,
         s, t = (p.site_of[nid] for nid in _orient(tns, line))
         if not chain or chain[0] != s or chain[-1] != t:
             return f"path of line {line.id} does not join its endpoints"
-        # bools and integral floats compare equal to ints but are no sites
-        off = next((v for v in chain if any(type(c) is not int for c in v)
-                    or not p.lattice.contains(v)), None)
+        off = next((v for v in chain if not p.lattice.contains(v)), None)
         if off is not None:
             return f"path of line {line.id} leaves the host grid at {off}"
         for a, b in zip(chain, chain[1:]):
@@ -745,9 +743,7 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     try:
         host = spec_from_dict(data["lattice"])
         site_of = {nid: tuple(site) for nid, site in data["sites"]}
-        if type(data["delta_tau"]) is not int:
-            raise TypeError(f"delta_tau {data['delta_tau']!r} is not an "
-                            f"integer")
+        require_ints((data["delta_tau"],), f"delta_tau {data['delta_tau']!r}")
         p = Placement(data["scheme"], host, data["delta_tau"], site_of,
                       frozenset(n.id for n in tns.anchors()))
         chains = {lid: tuple(tuple(v) for v in chain)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .lattice import LatticeSpec, Site, spec_from_dict, spec_to_dict
+from .lattice import (LatticeSpec, Site, require_ints, spec_from_dict,
+                      spec_to_dict)
 
 GENERATOR_VERSION = "tnkit-0.1.0"
 
@@ -90,9 +91,6 @@ class ContractionLine:
     b: tuple[str, int]
     dim: int
 
-    def endpoints(self):
-        return (self.a, self.b)
-
 
 @dataclass
 class Tns:
@@ -105,9 +103,6 @@ class Tns:
 
     def anchors(self) -> list[TensorNode]:
         return [n for n in self.nodes.values() if n.kind == KIND_ANCHOR]
-
-    def anchor_id(self, site: Site) -> str:
-        return _anchor_id(site)
 
     def is_physical_line(self, line: ContractionLine) -> bool:
         nodes = self.nodes
@@ -382,7 +377,8 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     Verifies the host lattice shape, layer labels, line dimensions against
     meta.chi, tensor orders, per-cell tensor counts, line layer distances,
     and line cell distances (L1, measured in the coarser endpoint layer).
-    Also checks that every slot is covered by exactly one line.
+    Also checks that every line end names a slot of its node with the
+    line's dimension, and that every slot is covered by exactly one line.
     """
     issues = []
     spec, meta = tns.spec, tns.meta
@@ -418,6 +414,10 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
         slot_seen[line.a] = slot_seen.get(line.a, 0) + 1
         slot_seen[line.b] = slot_seen.get(line.b, 0) + 1
         pa, pb = nodes[line.a[0]], nodes[line.b[0]]
+        for node, slot in ((pa, line.a[1]), (pb, line.b[1])):
+            if slot < 0 or node.dims[slot:slot + 1] != (line.dim,):
+                issues.append(f"line {line.id}: {node.id} has no slot {slot} "
+                              f"of dimension {line.dim}")
         lo, hi = (pa, pb) if pa.layer <= pb.layer else (pb, pa)
         if hi.layer - lo.layer > meta.max_layer_distance:
             issues.append(f"line {line.id}: spans layers {lo.layer}..{hi.layer}, "
@@ -437,9 +437,6 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
             n = slot_seen.get((node.id, slot), 0)
             if n != 1:
                 issues.append(f"{node.id} slot {slot}: covered by {n} lines")
-    for end, n in slot_seen.items():
-        if n > 1:
-            issues.append(f"{end[0]} slot {end[1]}: covered by {n} lines")
 
     return ValidationReport(sorted(set(issues)))
 
@@ -450,8 +447,9 @@ def tns_to_dict(tns: Tns) -> dict:
     for node in tns.nodes.values():
         elements = None
         if node.elements is not None:
-            flat = np.asarray(node.elements, dtype=complex).reshape(-1)
-            elements = [x for z in flat for x in (float(z.real), float(z.imag))]
+            # complex128 memory layout: real, imaginary part per amplitude
+            elements = np.ascontiguousarray(
+                node.elements, complex).view(float).ravel().tolist()
         nodes.append({"id": node.id, "layer": node.layer,
                       "cell": list(node.cell), "kind": node.kind,
                       "variant": node.variant, "dims": list(node.dims),
@@ -462,11 +460,7 @@ def tns_to_dict(tns: Tns) -> dict:
         "lattice": spec_to_dict(tns.spec),
         "physical_dim": tns.physical_dim,
         "chi": tns.chi,
-        "meta": {"chi": tns.meta.chi, "branching": tns.meta.branching,
-                 "max_tensor_order": tns.meta.max_tensor_order,
-                 "max_tensors_per_cell": tns.meta.max_tensors_per_cell,
-                 "max_cell_distance": tns.meta.max_cell_distance,
-                 "max_layer_distance": tns.meta.max_layer_distance},
+        "meta": asdict(tns.meta),
         "nodes": nodes,
         "lines": [{"id": ln.id, "a": list(ln.a), "b": list(ln.b),
                    "dim": ln.dim} for ln in tns.lines],
@@ -475,48 +469,50 @@ def tns_to_dict(tns: Tns) -> dict:
 
 def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
-    is not an object, lacks a key, has a node of unknown kind or with a
-    layer or cell entry that is not an integer, or a line names an
-    unknown node."""
+    is not an object, lacks a key, has a node of unknown kind, an integer
+    field that is not an integer, a node id or variant that is not a
+    string, two lines of one id, or a line that names an unknown node."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
         raise ValueError(f"unsupported network format {data.get('version')!r}")
     try:
         spec = spec_from_dict(data["lattice"])
-        m = data["meta"]
-        meta = MeraMeta(m["chi"], m["branching"], m["max_tensor_order"],
-                        m["max_tensors_per_cell"], m["max_cell_distance"],
-                        m["max_layer_distance"])
+        meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
         nodes = {}
         for nd in data["nodes"]:
-            elements = None
-            if nd["elements"] is not None:
-                flat = np.array(nd["elements"], dtype=float)
-                elements = (flat[0::2] + 1j * flat[1::2]).reshape(
-                    tuple(nd["dims"]))
+            dims, elements = tuple(nd["dims"]), nd["elements"]
+            if elements is not None:
+                elements = np.array(elements, float).view(complex).reshape(
+                    dims)
             nodes[nd["id"]] = TensorNode(nd["id"], nd["layer"],
                                          tuple(nd["cell"]), nd["kind"],
-                                         nd["variant"], tuple(nd["dims"]),
-                                         elements)
-        # checked in bulk, off the per-node loop; bools and integral
-        # floats compare equal to ints, so every entry's type is checked
-        values = nodes.values()
-        kinds = set(map(operator.attrgetter("kind"), values))
-        if not kinds <= KINDS:
-            raise TypeError(f"unknown node kind "
-                            f"{min(map(repr, kinds - KINDS))}")
-        if not {int}.issuperset(map(type, itertools.chain(
-                map(operator.attrgetter("layer"), values),
-                itertools.chain.from_iterable(
-                    map(operator.attrgetter("cell"), values))))):
-            raise TypeError("node layer or cell entry is not an integer")
+                                         nd["variant"], dims, elements)
         # looking the endpoint nodes up rejects unknown ones in this pass
         lines = [ContractionLine(ld["id"],
                                  (nodes[ld["a"][0]].id, ld["a"][1]),
                                  (nodes[ld["b"][0]].id, ld["b"][1]),
                                  ld["dim"])
                  for ld in data["lines"]]
+        # every field is checked in bulk, off the loops above
+        values, get = nodes.values(), operator.attrgetter
+        kinds = set(map(get("kind"), values))
+        if not kinds <= KINDS:
+            raise TypeError(f"unknown node kind "
+                            f"{min(map(repr, kinds - KINDS))}")
+        flat, slot = itertools.chain.from_iterable, operator.itemgetter(1)
+        if not {str}.issuperset(map(type, flat(map(get("id", "variant"),
+                                                   values)))):
+            raise TypeError("node id or variant is not a string")
+        ids = list(map(get("id"), lines))
+        require_ints(flat((
+            (data["physical_dim"], data["chi"]), astuple(meta), ids,
+            map(get("layer"), values), flat(map(get("cell"), values)),
+            flat(map(get("dims"), values)), map(get("dim"), lines),
+            map(slot, map(get("a"), lines)), map(slot, map(get("b"), lines)))),
+            "a count, layer, cell, dim, slot or line id")
+        if len(set(ids)) < len(ids):
+            raise ValueError("malformed tns-v1 document: repeated line id")
         return Tns(spec, data["physical_dim"], data["chi"], meta, nodes,
                    lines)
     except (KeyError, IndexError, TypeError) as exc:

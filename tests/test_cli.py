@@ -354,8 +354,9 @@ def test_render_rejects_map_missing_key(built, tmp_path, capsys, key):
     ("sites", [["w:1", 5]]),
     ("paths", [[0, [[0], [1, 0]]]]),
     ("sites", [["w:1:0,0", [1, 1]], [5, [0, 0]]]),
+    ("paths", [[0, [[0, 0]]], ["1", [[1, 1]]]]),
 ], ids=["path-vertex-not-a-list", "site-not-a-list", "short-2d-vertex",
-        "non-string-node-id"])
+        "non-string-node-id", "string-path-id"])
 def test_render_rejects_malformed_vertices(tmp_path, capsys, key, value):
     net = str(tmp_path / "b2.json")
     main(["build", "--kind", "mera2d-b2", "--layers", "1", "--no-elements",
@@ -384,6 +385,27 @@ def test_verify_rejects_uncovered_slot(built, tmp_path, capsys):
     # the dropped line joined the top to the apex isometry
     assert capsys.readouterr().out == \
         "structural error: t:2:0 slot 0: covered by 0 lines\n"
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda lines: lines.append({"id": len(lines), "a": ["t:2:0", 5],
+                                 "b": ["w:2:0", 9], "dim": 2}),
+     "line 9: t:2:0 has no slot 5 of dimension 2"),
+    (lambda lines: lines[-1].__setitem__("dim", 1),
+     "line 8: t:2:0 has no slot 0 of dimension 1"),
+], ids=["missing-slots", "dimension-mismatch"])
+def test_verify_rejects_bad_line_ends(built, tmp_path, capsys, edit, problem):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "shifted",
+          "--out-prefix", prefix])
+    data = json.loads(built.read_text())
+    edit(data["lines"])
+    net = tmp_path / "bad.json"
+    net.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(net),
+                 "--map", prefix + ".map.json"]) == 4
+    assert capsys.readouterr().out == f"structural error: {problem}\n"
 
 
 # sha256 of the congestion CSV and of the `map` stdout for symbolic builds

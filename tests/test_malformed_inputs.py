@@ -1,0 +1,180 @@
+"""Malformed input: every command exits with a code, never a traceback.
+
+One valid network and its refined map are edited one scalar field at a
+time and run through the command line in process.  Each run must return
+0, 2 (malformed input), 3 (resource limit) or 4 (structural or
+verification failure) and raise nothing.
+"""
+
+import argparse
+import json
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from tnkit import cli
+from tnkit.lattice import LatticeSpec
+from tnkit.tns import build_mera_1d, tns_from_dict, tns_to_dict
+
+EXIT_CODES = {0, 2, 3, 4}
+# one of each kind of wrong value: string, float, bool, null, negative, list
+BAD_VALUES = ["2", 2.5, True, None, -1, [1]]
+
+
+def _leaves(doc, path=()):
+    """Key paths of the scalar leaves of doc, elements skipped; lists
+    longer than three are sampled at entries 0, 1 and the last."""
+    if isinstance(doc, dict):
+        items = [(k, v) for k, v in doc.items() if k != "elements"]
+    elif isinstance(doc, list):
+        keep = range(len(doc)) if len(doc) <= 3 else (0, 1, len(doc) - 1)
+        items = [(i, doc[i]) for i in keep]
+    else:
+        yield path
+        return
+    for key, value in items:
+        yield from _leaves(value, path + (key,))
+
+
+def _edited(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    tns_path, prefix = work / "net.tns.json", str(work / "net")
+    assert cli.main(["build", "--kind", "mera1d", "--layers", "2",
+                     "--out", str(tns_path)]) == 0
+    assert cli.main(["map", "--tns", str(tns_path), "--scheme", "refined",
+                     "--out-prefix", prefix]) == 0
+    return work, tns_path, prefix + ".map.json"
+
+
+def _run_all(work, role, doc, commands):
+    """(key path, value, command, outcome) of every run that raises or
+    returns a code outside EXIT_CODES."""
+    edited = work / f"edited.{role}.json"
+    bad = []
+    for path in _leaves(doc):
+        for value in BAD_VALUES:
+            edited.write_text(json.dumps(_edited(doc, path, value)))
+            for argv in commands(str(edited)):
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:
+                    code = f"{type(exc).__name__}: {exc}"
+                if code not in EXIT_CODES:
+                    bad.append((path, value, argv[0], code))
+    return bad
+
+
+def test_edited_network_never_raises(documents, capsys):
+    work, tns_path, map_path = documents
+    doc = json.loads(tns_path.read_text())
+    assert len(list(_leaves(doc))) > 25
+    bad = _run_all(work, "tns", doc, lambda net: [
+        ["map", "--tns", net, "--scheme", "refined",
+         "--out-prefix", str(work / "out")],
+        ["verify", "--tns", net, "--map", map_path]])
+    capsys.readouterr()
+    assert bad == []
+
+
+def test_edited_map_never_raises(documents, capsys):
+    work, tns_path, map_path = documents
+    doc = json.loads(open(map_path).read())
+    assert len(list(_leaves(doc))) > 25
+    bad = _run_all(work, "map", doc, lambda routed: [
+        ["verify", "--tns", str(tns_path), "--map", routed],
+        ["render", "--map", routed, "--out", str(work / "out.svg")]])
+    capsys.readouterr()
+    assert bad == []
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("map did not finish within a second")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["lattice"].__setitem__("branching", 2.5),
+    lambda doc: next(n for n in doc["nodes"] if n["layer"] == 1)
+    .__setitem__("layer", -1),
+], ids=["fractional-branching", "negative-layer"])
+def test_map_rejects_non_integer_geometry_at_once(documents, capsys, edit):
+    work, tns_path, _ = documents
+    doc = json.loads(tns_path.read_text())
+    edit(doc)
+    (work / "loop.json").write_text(json.dumps(doc))
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        start = time.perf_counter()
+        code = cli.main(["map", "--tns", str(work / "loop.json"),
+                         "--scheme", "refined",
+                         "--out-prefix", str(work / "loop")])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and elapsed < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    cli.main([])
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main([]) == 2
+    assert cli.main(["build", "--kind", "ttn1d", "--layers", "1",
+                     "--no-elements"]) == 0
+    capsys.readouterr()
+    assert made == []
+
+
+def test_elements_round_trip_bit_exact():
+    net = build_mera_1d(1)
+    node = next(n for n in net.nodes.values() if n.elements is not None)
+    special = [complex(-0.0, 0.0), complex(1.0, np.inf), complex(np.nan, -0.0),
+               complex(-np.inf, np.nan)]
+    flat = node.elements.reshape(-1).copy()
+    flat[:len(special)] = special
+    node.elements = flat.reshape(node.elements.shape)
+    back = tns_from_dict(json.loads(json.dumps(tns_to_dict(net))))
+    for nid, original in net.nodes.items():
+        if original.elements is None:
+            assert back.nodes[nid].elements is None
+        else:
+            read = back.nodes[nid].elements
+            assert read.shape == original.elements.shape
+            assert read.tobytes() == original.elements.tobytes()
+
+
+@pytest.mark.parametrize("field", ["dimension", "length", "branching",
+                                   "layers"])
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_lattice_spec_rejects_non_integer_fields(field, value):
+    sizes = dict(dimension=2, length=4, branching=2, layers=2)
+    LatticeSpec(**sizes)
+    with pytest.raises(TypeError, match="not an integer"):
+        LatticeSpec(**{**sizes, field: value})
+
+
+def test_contains_takes_only_int_coordinates():
+    spec = LatticeSpec(2, 4, 2, 2)
+    assert spec.contains((1, 0))
+    for site in ((1.0, 0), (True, 0), (np.int64(1), 0), (1, 0.5)):
+        assert not spec.contains(site), site

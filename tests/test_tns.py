@@ -15,8 +15,8 @@ from tnkit.tns import (KIND_ANCHOR, KIND_DISENTANGLER, KIND_ISOMETRY,
                        build_mera_2d_b3, build_ttn_example,
                        tns_from_dict, tns_to_dict, ttn_cut_size,
                        ttn_gate_schedule, two_site_rotation_gate,
-                       validate_preconditions, _random_isometry,
-                       _random_top, _random_unitary)
+                       validate_preconditions, _anchor_id,
+                       _random_isometry, _random_top, _random_unitary)
 
 BUILDERS = [
     (build_mera_1d, 3),
@@ -49,7 +49,9 @@ def _swap_ends(lines, i, j, end):
 @pytest.mark.parametrize("edit,issues", [
     (lambda nodes, lines: lines.__setitem__(
         0, dataclasses.replace(lines[0], dim=3)),
-     ["line 0: dimension 3 exceeds chi 2"]),
+     ["line 0: dimension 3 exceeds chi 2",
+      "line 0: p:1 has no slot 0 of dimension 3",
+      "line 0: u:1:1 has no slot 0 of dimension 3"]),
     (lambda nodes, lines: _swap_ends(lines, 6, 22, "b"),
      ["line 22: spans layers 1..3, max distance 1",
       "line 6: spans layers 0..3, max distance 1"]),
@@ -66,8 +68,13 @@ def _swap_ends(lines, i, j, end):
         dataclasses.replace(lines[-1], id=len(lines))),
      ["t:3:0 slot 0: covered by 2 lines",
       "w:3:0 slot 2: covered by 2 lines"]),
+    (lambda nodes, lines: lines.append(
+        dataclasses.replace(lines[-1], id=len(lines), a=("t:3:0", 5),
+                            b=("w:3:0", 9))),
+     ["line 23: t:3:0 has no slot 5 of dimension 2",
+      "line 23: w:3:0 has no slot 9 of dimension 2"]),
 ], ids=["dim", "layer-distance", "cell-distance", "cell-outside",
-        "uncovered", "doubly-covered"])
+        "uncovered", "doubly-covered", "missing-slots"])
 def test_preconditions_pin_issue_strings(edit, issues):
     report = validate_preconditions(_broken_1d(edit))
     assert not report.ok
@@ -155,7 +162,7 @@ def test_anchor_bookkeeping():
     assert len(anchors) == net.spec.num_sites
     for a in anchors:
         assert a.kind == KIND_ANCHOR and a.order == 1
-        assert net.anchor_id(a.cell) == a.id
+        assert _anchor_id(a.cell) == a.id
     phys = [ln for ln in net.lines if net.is_physical_line(ln)]
     assert len(phys) == len(anchors)
 
