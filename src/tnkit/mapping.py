@@ -735,7 +735,7 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     """Placement and paths from a map-v1 description; ValueError when the
     document is not an object, lacks a key or a site for a network node,
-    or has a delta_tau that is not an integer."""
+    or has a delta_tau or path line id that is not an integer."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
@@ -748,6 +748,8 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
                       frozenset(n.id for n in tns.anchors()))
         chains = {lid: tuple(tuple(v) for v in chain)
                   for lid, chain in data["paths"]}
+        # True would hash equal to line 1 and stand in for it
+        require_ints([lid for lid, _ in data["paths"]], "path line id")
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc

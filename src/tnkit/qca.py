@@ -134,7 +134,8 @@ def random_connected_region(dimension: int, length: int, rng,
     region = {start}
     frontier = [start]
     while len(region) < size:
-        site = frontier[int(rng.integers(0, len(frontier)))]
+        i = int(rng.integers(0, len(frontier)))
+        site = frontier[i]
         nbrs = []
         for axis in range(dimension):
             for delta in (-1, 1):
@@ -144,7 +145,7 @@ def random_connected_region(dimension: int, length: int, rng,
                 if nbr not in region:
                     nbrs.append(nbr)
         if not nbrs:
-            frontier.remove(site)
+            del frontier[i]
             continue
         pick = nbrs[int(rng.integers(0, len(nbrs)))]
         region.add(pick)

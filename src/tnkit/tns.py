@@ -378,19 +378,32 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     meta.chi, tensor orders, per-cell tensor counts, line layer distances,
     and line cell distances (L1, measured in the coarser endpoint layer).
     Also checks that every line end names a slot of its node with the
-    line's dimension, and that every slot is covered by exactly one line.
+    line's dimension, that every slot is covered by exactly one line, and
+    that the header agrees with the network: meta.branching is the lattice
+    branching, every anchor has dims (physical_dim,), and chi lies in
+    [1, meta.chi].
     """
     issues = []
     spec, meta = tns.spec, tns.meta
     if spec.length != spec.branching ** spec.layers:
         issues.append(f"lattice length {spec.length} is not "
                       f"branching**layers = {spec.branching ** spec.layers}")
+    if meta.branching != spec.branching:
+        issues.append(f"meta branching {meta.branching} is not the lattice "
+                      f"branching {spec.branching}")
+    if not 1 <= tns.chi <= meta.chi:
+        issues.append(f"chi {tns.chi} outside [1, {meta.chi}]")
 
     per_cell: dict[tuple[int, tuple[int, ...]], int] = {}
+    anchor_dims = (tns.physical_dim,)
     for node in tns.nodes.values():
         if not 0 <= node.layer <= spec.layers:
             issues.append(f"{node.id}: layer {node.layer} outside [0, {spec.layers}]")
-        if node.kind != KIND_ANCHOR:
+        if node.kind == KIND_ANCHOR:
+            if node.dims != anchor_dims:
+                issues.append(f"{node.id}: dims {node.dims} are not "
+                              f"(physical_dim,) = {anchor_dims}")
+        else:
             if node.order > meta.max_tensor_order:
                 issues.append(f"{node.id}: order {node.order} exceeds "
                               f"{meta.max_tensor_order}")

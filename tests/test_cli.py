@@ -1,11 +1,12 @@
 """Command line driver, run in process through main(argv)."""
 
+import gc
 import hashlib
 import json
 
 import pytest
 
-from tnkit import tns as tns_mod
+from tnkit import cli, tns as tns_mod
 from tnkit.cli import main
 
 
@@ -406,6 +407,115 @@ def test_verify_rejects_bad_line_ends(built, tmp_path, capsys, edit, problem):
     assert main(["verify", "--tns", str(net),
                  "--map", prefix + ".map.json"]) == 4
     assert capsys.readouterr().out == f"structural error: {problem}\n"
+
+
+@pytest.mark.parametrize("key,problem", [
+    ("physical_dim", "p:0: dims (2,) are not (physical_dim,) = (-1,)"),
+    ("chi", "chi -1 outside [1, 2]"),
+    ("branching", "meta branching -1 is not the lattice branching 2"),
+])
+def test_verify_rejects_header_that_disagrees_with_network(built, tmp_path,
+                                                           capsys, key,
+                                                           problem):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    data = json.loads(built.read_text())
+    (data["meta"] if key == "branching" else data)[key] = -1
+    net = tmp_path / "bad.json"
+    net.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(net),
+                 "--map", prefix + ".map.json"]) == 4
+    assert capsys.readouterr().out == f"structural error: {problem}\n"
+
+
+def test_verify_rejects_bool_path_id(built, tmp_path, capsys):
+    # True hashes equal to 1, so it could stand in for line 1
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    assert data["paths"][1][0] == 1
+    data["paths"][1][0] = True
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(built),
+                 "--map", str(tmp_path / "bad.json")]) == 2
+    assert "malformed map-v1 document" in capsys.readouterr().err
+
+
+@pytest.fixture
+def collector_off():
+    """The collector off for the test and back in its prior state after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("argv,code,env", [
+    ("build --kind mera1d --layers 2 --out {d}/net.json", 0, None),
+    ("map --tns {d}/net.json --scheme refined --out-prefix {d}/m", 0, None),
+    ("verify --tns {d}/net.json --map {d}/m.map.json", 0, None),
+    ("verify --tns {d}/net.json --map {d}/moved.map.json", 4, None),
+    ("entropy --family ttn1d --layers-max 5 --out {d}/tree.csv", 0, None),
+    ("entropy --family qca --dimension 1 --lengths 8,12 --layers-max 2 "
+     "--cut random --cuts 2 --cross-check --out {d}/qca.csv", 0, None),
+    ("render --map {d}/m.map.json --out {d}/m.svg", 0, None),
+    ("map --tns {d}/bad.json --scheme refined --out-prefix {d}/x", 2, None),
+    ("entropy --family ttn1d --layers-max 5", 3, "16"),
+], ids=["build", "map", "verify-pass", "verify-4", "entropy-ttn1d",
+        "entropy-qca-cross-check", "render", "exit-2", "exit-3"])
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch,
+                                          collector_off, argv, code, env):
+    # main pauses the collector on the grounds that no command creates
+    # reference cycles; with it off here too, a cycle stays for collect()
+    net, mapped = tmp_path / "net.json", tmp_path / "m.map.json"
+    assert main(["build", "--kind", "mera1d", "--layers", "2",
+                 "--out", str(net)]) == 0
+    assert main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", str(tmp_path / "m")]) == 0
+    data = json.loads(mapped.read_text())
+    data["sites"][0][1][0] += 1
+    (tmp_path / "moved.map.json").write_text(json.dumps(data))
+    data = json.loads(net.read_text())
+    data["lines"][0]["dim"] = "2"
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    if env is not None:
+        monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", env)
+    argv = argv.format(d=tmp_path).split()
+    # the first call pays once-per-process work (the cached parser,
+    # numpy's lazy submodule imports), which leaves cycles of its own
+    assert main(argv) == code
+    gc.collect()
+    assert main(argv) == code
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "uncaught"])
+def test_main_restores_collector_state(tmp_path, monkeypatch, collector_off,
+                                       enabled, outcome):
+    seen = []
+
+    def failing_builder(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("builder failed")
+
+    monkeypatch.setitem(cli._BUILDERS, "mera1d", failing_builder)
+    (gc.enable if enabled else gc.disable)()
+    if outcome == "exit-0":
+        assert main(["entropy", "--family", "ttn1d", "--layers-max", "1",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+    elif outcome == "exit-2":
+        assert main(["build", "--kind", "ttn1d", "--layers", "2"]) == 2
+    else:
+        with pytest.raises(RuntimeError, match="builder failed"):
+            main(["build", "--kind", "mera1d", "--layers", "2"])
+        # the command itself ran with the collector off
+        assert seen == [False]
+    assert gc.isenabled() is enabled
 
 
 # sha256 of the congestion CSV and of the `map` stdout for symbolic builds

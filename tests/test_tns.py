@@ -32,6 +32,15 @@ def test_preconditions_hold(build, layers):
     assert report.ok, report.issues
 
 
+@pytest.mark.parametrize("build,layers", BUILDERS[:3])
+@pytest.mark.parametrize("chi,phys_dim", [(1, 2), (3, 2), (2, 3), (5, 4)])
+def test_preconditions_hold_at_any_chi_and_phys_dim(build, layers, chi,
+                                                    phys_dim):
+    net = build(layers, chi, phys_dim, with_elements=False)
+    report = validate_preconditions(net)
+    assert report.ok, report.issues
+
+
 def _broken_1d(edit):
     """mera1d T=3 with one hand-made fault; edit gets (nodes, lines)."""
     net = build_mera_1d(3, with_elements=False)
