@@ -130,7 +130,20 @@ def _entropy_ttn(args):
 
 
 def _entropy_qca(args):
-    lengths = [int(x) for x in args.lengths.split(",") if x]
+    try:
+        lengths = [int(x) for x in args.lengths.split(",") if x]
+    except ValueError:
+        raise ValueError(f"--lengths must be comma-separated integers, "
+                         f"got {args.lengths!r}") from None
+    if not lengths:
+        raise ValueError(f"--lengths names no length: {args.lengths!r}")
+    if args.cut == "random" and args.cuts < 1:
+        raise ValueError(f"--cuts must be >= 1 with --cut random, "
+                         f"got {args.cuts}")
+    if args.cut == "random" and args.seed < 0:
+        # the cuts of a row are seeded with seed + L + 97 T
+        raise ValueError(f"--seed must be >= 0 with --cut random, "
+                         f"got {args.seed}")
     rows_data = []
     code = 0
     for length in lengths:
@@ -176,6 +189,9 @@ def _entropy_qca(args):
 
 
 def cmd_entropy(args) -> int:
+    # each driver checks its flags before it computes a row
+    if args.layers_max < 1:
+        raise ValueError(f"--layers-max must be >= 1, got {args.layers_max}")
     rows, code = (_entropy_ttn(args) if args.family == "ttn1d"
                   else _entropy_qca(args))
     _write(args.out, "\n".join(rows) + "\n")

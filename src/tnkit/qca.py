@@ -12,13 +12,22 @@ by 4 per layer once endpoints have left their birth plaquette.
 
 Entropy across any region is exactly the number of pairs split by it, in
 bits, which the stabilizer simulation confirms gate by gate.
+
+The tracker works on row-major site indices, the qubit order of the
+stabilizer driver, in which index order is the lexicographic order of
+sites.  A sublayer is a pair of index arrays, a PairSet carries its
+(P, 2) endpoint-index array beside the canonical site tuples, and regions
+are grown and counted on indices; site tuples appear only where the
+public functions take or return them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .lattice import LatticeSpec, Site
 
@@ -33,6 +42,21 @@ def site_index(site: Site, length: int) -> int:
     return idx
 
 
+def site_indices(coords: np.ndarray, length: int) -> np.ndarray:
+    """Row-major indices of integer coordinates along the last axis;
+    ValueError for a coordinate outside [0, length)."""
+    coords = np.asarray(coords)
+    d = coords.shape[-1]
+    return np.ravel_multi_index(tuple(coords[..., k] for k in range(d)),
+                                (length,) * d)
+
+
+def _sites(idx: np.ndarray, dimension: int, length: int) -> list[Site]:
+    """Site tuples of a 1-d index array, in its order."""
+    return list(zip(*(c.tolist() for c in
+                      np.unravel_index(idx, (length,) * dimension))))
+
+
 def _check_grid(dimension: int, length: int) -> None:
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -42,14 +66,32 @@ def _check_grid(dimension: int, length: int) -> None:
 
 @dataclass
 class PairSet:
-    """A perfect matching of lattice sites into entangled pairs."""
+    """A perfect matching of lattice sites into entangled pairs.
+
+    ends holds the pairs' row-major endpoint indices as a (P, 2) int64
+    array, derived from pairs unless given; it does not take part in
+    comparisons.
+    """
 
     spec: LatticeSpec
     pairs: tuple[Pair, ...]
+    ends: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.ends is None:
+            coords = np.array(self.pairs, dtype=np.int64)
+            self.ends = site_indices(
+                coords.reshape(-1, 2, self.spec.dimension), self.spec.length)
 
 
-def _canonical(pairs) -> tuple[Pair, ...]:
-    return tuple(sorted(tuple(sorted(p)) for p in pairs))
+def _pair_set(spec: LatticeSpec, ends: np.ndarray) -> PairSet:
+    """The canonical PairSet of (P, 2) endpoint indices: each pair in
+    ascending order, then the pairs in ascending order."""
+    ends = np.sort(ends, axis=1)
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    d, length = spec.dimension, spec.length
+    pairs = zip(_sites(ends[:, 0], d, length), _sites(ends[:, 1], d, length))
+    return PairSet(spec, tuple(pairs), ends)
 
 
 def initial_pairs(dimension: int, length: int) -> PairSet:
@@ -60,34 +102,41 @@ def initial_pairs(dimension: int, length: int) -> PairSet:
     base coordinate is odd, with wrap-around on the torus.  These are the
     transpositions of the odd-aligned swap sublayer.
     """
-    pairs = _canonical(sublayer_swaps(dimension, length, 1))
-    return PairSet(LatticeSpec(dimension, length, 2, 1, "periodic"), pairs)
+    a, b = sublayer_indices(dimension, length, 1)
+    return _pair_set(LatticeSpec(dimension, length, 2, 1, "periodic"),
+                     np.stack([a, b], axis=1))
 
 
-def sublayer_swaps(dimension: int, length: int, offset: int) -> list[Pair]:
-    """Site transpositions of one swap sublayer.
+def sublayer_indices(dimension: int, length: int,
+                     offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major index arrays (a, b) of one swap sublayer: swap k exchanges
+    sites a[k] and b[k].
 
     offset 0 selects the even-aligned plaquette partition, offset 1 the
-    odd-aligned one.  Each plaquette contributes the swaps of its
-    antipodal corner pairs.
+    odd-aligned one.  Plaquettes come in lexicographic order of their base
+    r.  Each contributes the swaps of its antipodal corners r + c and
+    r + (1,...,1) - c for every c in {0,1}^D with c[0] = 0, in
+    lexicographic order of c.
     """
     _check_grid(dimension, length)
     if offset not in (0, 1):
         raise ValueError("offset must be 0 or 1")
-    out = []
-    for base in itertools.product(range(offset, length, 2), repeat=dimension):
-        for c in itertools.product((0, 1), repeat=dimension):
-            if c[0] == 1:
-                continue
-            a = tuple((b + ci) % length for b, ci in zip(base, c))
-            b2 = tuple((b + 1 - ci) % length for b, ci in zip(base, c))
-            out.append((a, b2))
-    return out
+    bases = 2 * np.indices((length // 2,) * dimension).reshape(
+        dimension, -1).T + offset
+    corners = np.indices((1,) + (2,) * (dimension - 1)).reshape(
+        dimension, -1).T
+    a = (bases[:, None] + corners) % length
+    b = (bases[:, None] + 1 - corners) % length
+    return (site_indices(a.reshape(-1, dimension), length),
+            site_indices(b.reshape(-1, dimension), length))
 
 
-def _advance(site: Site, length: int, layers: int) -> Site:
-    return tuple((c + 2 * layers) % length if c % 2
-                 else (c - 2 * layers) % length for c in site)
+def sublayer_swaps(dimension: int, length: int, offset: int) -> list[Pair]:
+    """Site transpositions of one swap sublayer, in the order of
+    sublayer_indices."""
+    a, b = sublayer_indices(dimension, length, offset)
+    return list(zip(_sites(a, dimension, length),
+                    _sites(b, dimension, length)))
 
 
 def evolve(ps: PairSet, layers: int) -> PairSet:
@@ -99,58 +148,82 @@ def evolve(ps: PairSet, layers: int) -> PairSet:
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
-    length = ps.spec.length
-    pairs = [(_advance(a, length, layers), _advance(b, length, layers))
-             for a, b in ps.pairs]
-    return PairSet(ps.spec, _canonical(pairs))
+    d, length = ps.spec.dimension, ps.spec.length
+    coords = np.stack(np.unravel_index(ps.ends, (length,) * d), axis=-1)
+    shift = 2 * layers % length
+    moved = np.where(coords % 2 == 1, coords + shift, coords - shift) % length
+    return _pair_set(ps.spec, site_indices(moved, length))
+
+
+def _region_indices(spec: LatticeSpec, region) -> np.ndarray:
+    """Row-major indices of a region's sites.  ValueError, naming a site,
+    unless every site is D int coordinates inside the lattice."""
+    sites = list(region)
+    coords = list(itertools.chain.from_iterable(sites))
+    if ({spec.dimension}.issuperset(map(len, sites))
+            and {int}.issuperset(map(type, coords))
+            and (not coords
+                 or 0 <= min(coords) and max(coords) < spec.length)):
+        return site_indices(np.array(coords, dtype=np.int64).reshape(
+            len(sites), spec.dimension), spec.length)
+    bad = next(site for site in sites if not spec.contains(site))
+    raise ValueError(f"site {bad} outside the lattice")
 
 
 def entropy_across(ps: PairSet, region) -> int:
     """Entropy in bits across a cut: pairs with exactly one endpoint inside."""
-    inside = set(region)
-    for site in inside:
-        if not ps.spec.contains(site):
-            raise ValueError(f"site {site} outside the lattice")
-    return sum((a in inside) != (b in inside) for a, b in ps.pairs)
+    inside = np.zeros(ps.spec.num_sites, dtype=bool)
+    inside[_region_indices(ps.spec, region)] = True
+    return int(np.count_nonzero(inside[ps.ends[:, 0]]
+                                != inside[ps.ends[:, 1]]))
 
 
 def half_cut_region(dimension: int, length: int) -> list[Site]:
     """Sites with first coordinate below length / 2."""
     _check_grid(dimension, length)
-    return [s for s in itertools.product(range(length), repeat=dimension)
-            if s[0] < length // 2]
+    return list(itertools.product(range(length // 2),
+                                  *[range(length)] * (dimension - 1)))
 
 
 def random_connected_region(dimension: int, length: int, rng,
                             size: int | None = None) -> list[Site]:
-    """Connected random site region grown by seeded breadth-first search."""
+    """Connected random site region grown by seeded breadth-first search.
+
+    Each step draws a frontier site, then one of its neighbours outside
+    the region, listed axis by axis, -1 before +1; a frontier site with
+    none left is dropped.
+    """
     _check_grid(dimension, length)
     total = length ** dimension
     if size is None:
         size = int(rng.integers(1, total))
     if not 1 <= size < total:
         raise ValueError(f"size must be in [1, {total})")
-    start = tuple(int(c) for c in rng.integers(0, length, size=dimension))
-    region = {start}
+    start = site_index(rng.integers(0, length, size=dimension).tolist(),
+                       length)
+    # items k q .. k q + k - 1: the indices of site q's k neighbours, in
+    # the order they are drawn; a flat int64 view holds each in 8 bytes
+    k = 2 * dimension
+    grid = np.arange(total).reshape((length,) * dimension)
+    neighbours = memoryview(np.stack([np.roll(grid, -delta, axis).ravel()
+                                      for axis in range(dimension)
+                                      for delta in (-1, 1)], axis=1).ravel())
+    inside = bytearray(total)
+    inside[start] = 1
     frontier = [start]
-    while len(region) < size:
-        i = int(rng.integers(0, len(frontier)))
-        site = frontier[i]
-        nbrs = []
-        for axis in range(dimension):
-            for delta in (-1, 1):
-                nbr = list(site)
-                nbr[axis] = (nbr[axis] + delta) % length
-                nbr = tuple(nbr)
-                if nbr not in region:
-                    nbrs.append(nbr)
-        if not nbrs:
+    for _ in range(size - 1):
+        while True:
+            i = int(rng.integers(0, len(frontier)))
+            q0 = k * frontier[i]
+            free = [q for q in neighbours[q0:q0 + k] if not inside[q]]
+            if free:
+                break
             del frontier[i]
-            continue
-        pick = nbrs[int(rng.integers(0, len(nbrs)))]
-        region.add(pick)
+        pick = free[int(rng.integers(0, len(free)))]
+        inside[pick] = 1
         frontier.append(pick)
-    return sorted(region)
+    return _sites(np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)),
+                  dimension, length)
 
 
 def pair_separation(pair: Pair, length: int) -> float:

@@ -24,10 +24,10 @@ The tree-state driver builds its gate schedule from a closed-form site
 formula on purpose: tns.build_ttn_example is not called, so the tree
 entropy is an independent cross-check; only the size of the measured cut
 comes from tns.ttn_cut_size.  The automaton driver takes both swap
-sublayers from qca.sublayer_swaps, and its initial pairs are the odd
-sublayer's transpositions, the set qca.initial_pairs hands the pair
-tracker; the cross-checks live in the test suite and in
-`entropy --cross-check`.
+sublayers from qca.sublayer_indices as row-major qubit index arrays, and
+its initial pairs are the odd sublayer's transpositions, the set
+qca.initial_pairs hands the pair tracker; the cross-checks live in the
+test suite and in `entropy --cross-check`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import tns
 from .dense import ResourceLimitError, amplitude_limit
-from .qca import site_index, sublayer_swaps
+from .qca import site_indices, sublayer_indices
 
 # generator words per block of a batched rotation, bounding its temporaries
 _BLOCK_WORDS = 2 ** 20
@@ -87,7 +87,8 @@ def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = _qubits(t, a), _qubits(t, b)
     if a.size != b.size:
         raise ValueError("pair batches need as many first as second qubits")
-    if np.unique(np.concatenate([a, b])).size != 2 * a.size:
+    qs = np.sort(np.concatenate([a, b]))
+    if np.any(qs[1:] == qs[:-1]):
         raise ValueError("qubits must be distinct")
     return a, b
 
@@ -190,12 +191,13 @@ def _restricted_rows(t: StabilizerState, qubits: np.ndarray) -> dict:
 
 def entanglement_entropy(t: StabilizerState, region) -> int:
     """Entropy in bits of the reduced state on the given qubits; exact."""
-    qubits = np.unique(_qubits(t, list(region)))
     n = t.num_qubits
-    if len(qubits) == 0 or len(qubits) == n:
+    inside = np.zeros(n, dtype=bool)
+    inside[_qubits(t, list(region))] = True
+    k = int(np.count_nonzero(inside))
+    if k == 0 or k == n:
         return 0
-    if 2 * len(qubits) > n:
-        qubits = np.setdiff1d(np.arange(n), qubits)
+    qubits = np.flatnonzero(inside if 2 * k <= n else ~inside)
     return _gf2_rank(_restricted_rows(t, qubits).values()) - len(qubits)
 
 
@@ -305,12 +307,10 @@ def run_qca(dimension: int, length: int, layers: int) -> StabilizerState:
     state = init_zero(n)
     step = np.arange(n)
     for offset in (1, 0):   # odd-aligned sublayer first
-        swaps = sublayer_swaps(dimension, length, offset)
-        a = [site_index(s, length) for s, _ in swaps]
-        b = [site_index(s, length) for _, s in swaps]
+        a, b = sublayer_indices(dimension, length, offset)
         if offset:   # the initial pairs are the odd sublayer's swaps
             apply_xx_rotations(state, a, b)
-        step[a + b] = step[b + a]
+        step[np.concatenate([a, b])] = step[np.concatenate([b, a])]
     # qubit q ends up holding the bits of qubit source[q]
     source = np.arange(n)
     for _ in range(layers):
@@ -321,4 +321,8 @@ def run_qca(dimension: int, length: int, layers: int) -> StabilizerState:
 
 def region_qubits(region, length: int) -> list[int]:
     """Row-major qubit indices of a site region."""
-    return [site_index(site, length) for site in region]
+    sites = list(region)
+    if not sites:
+        return []
+    coords = np.fromiter(itertools.chain.from_iterable(sites), dtype=np.int64)
+    return site_indices(coords.reshape(len(sites), -1), length).tolist()

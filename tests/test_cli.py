@@ -3,6 +3,10 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -568,3 +572,84 @@ def test_map_outputs_pinned(tmp_path, capsys, kind, layers, scheme):
     csv = (tmp_path / "m.congestion.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == csv_digest
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+
+
+# sha256 of `entropy --family qca --cross-check` stdout for the three job
+# shapes of the entropy-qca benchmark workload at seed 7.  The random-cut
+# rows depend on every draw of the region sampler, so these pins freeze its
+# draw sequence; the rows hold only integers, the same on every platform.
+QCA_OUTPUT_DIGESTS = {
+    "--dimension 2 --lengths 24,32 --layers-max 4 --cut random --cuts 2":
+        "ab60d2d31eca08cfa4b20837eae11c506c4f85f462b88bb7dfb31a7857b65c93",
+    "--dimension 1 --lengths 256,512 --layers-max 8 --cut random --cuts 2":
+        "0f888ff00b4f2a428f77b45e8569d28dfc488ef5e24efb93c46b572771cd3d56",
+    "--dimension 2 --lengths 48 --layers-max 3 --cut half":
+        "5982e92c835e0257edf386f5122e20ec8b6704164c9429ff676087c722ce7362",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(QCA_OUTPUT_DIGESTS))
+def test_entropy_qca_outputs_pinned(capsys, shape):
+    argv = ["entropy", "--family", "qca", *shape.split(), "--cross-check",
+            "--seed", "7"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() \
+        == QCA_OUTPUT_DIGESTS[shape]
+    assert captured.err == \
+        "cross-check: pair tracker and stabilizer agree on all rows\n"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("--family ttn1d --layers-max 0", "--layers-max"),
+    ("--family qca --lengths 8 --layers-max 0", "--layers-max"),
+    ("--family qca --lengths 8 --layers-max -3 --cut random", "--layers-max"),
+    ("--family qca --lengths 8 --cut random --cuts 0", "--cuts"),
+    ("--family qca --lengths 8 --cut random --cuts -1", "--cuts"),
+    ("--family qca --lengths ,", "--lengths"),
+    ("--family qca --lengths 8,x", "--lengths"),
+    ("--family qca --lengths 8 --cut random --seed -100", "--seed"),
+    ("--family qca --lengths 8 --cut random --seed -106", "--seed"),
+], ids=["ttn1d-layers-0", "qca-layers-0", "qca-layers-negative", "cuts-0",
+        "cuts-negative", "lengths-empty", "lengths-not-int",
+        "seed-negative-sum-positive", "seed-negative-sum-negative"])
+def test_entropy_rejects_bad_flags(monkeypatch, capsys, argv, flag):
+    # the check comes before any row: no depth is computed or printed
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    from tnkit import qca, stabilizer
+    monkeypatch.setattr(stabilizer, "run_ttn_example", no_rows)
+    monkeypatch.setattr(qca, "initial_pairs", no_rows)
+    assert main(["entropy", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+
+
+def test_entropy_half_cut_ignores_negative_seed(capsys):
+    # the seed only picks random cuts
+    assert main(["entropy", "--family", "qca", "--dimension", "1",
+                 "--lengths", "8", "--layers-max", "1", "--seed", "-5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1,8,1,half,2,2.000000"
+
+
+@pytest.mark.parametrize("argv", [
+    "entropy --family ttn1d --layers-max 5",
+    "entropy --family qca --dimension 1 --lengths 8,12 --layers-max 2 "
+    "--cut random --cuts 2 --cross-check",
+    "entropy --family qca --dimension 2 --lengths 8 --layers-max 2 "
+    "--cross-check",
+], ids=["ttn1d", "qca-random", "qca-half"])
+def test_entropy_does_not_import_numpy_ma(argv):
+    # numpy.ma costs 12-16 ms to import and no entropy command needs it;
+    # np.unique and np.setdiff1d pull it in
+    code = ("import sys\n"
+            "from tnkit.cli import main\n"
+            f"assert main({argv.split()!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -1,5 +1,10 @@
-"""Swap-automaton pair tracker: motion rule, symmetries, entropy law."""
+"""Swap-automaton pair tracker: motion rule, symmetries, entropy law.
 
+The tracker runs on row-major index arrays; the site-tuple versions below
+are the implementations it replaced, kept as oracles it must match.
+"""
+
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +12,68 @@ import pytest
 
 from tnkit import qca
 from tnkit.lattice import LatticeSpec
+
+
+def _advance(site, length, layers):
+    return tuple((c + 2 * layers) % length if c % 2
+                 else (c - 2 * layers) % length for c in site)
+
+
+def _canonical(pairs):
+    return tuple(sorted(tuple(sorted(p)) for p in pairs))
+
+
+def _sublayer_swaps(dimension, length, offset):
+    out = []
+    for base in itertools.product(range(offset, length, 2), repeat=dimension):
+        for c in itertools.product((0, 1), repeat=dimension):
+            if c[0] == 1:
+                continue
+            a = tuple((b + ci) % length for b, ci in zip(base, c))
+            b2 = tuple((b + 1 - ci) % length for b, ci in zip(base, c))
+            out.append((a, b2))
+    return out
+
+
+def _evolve(ps, layers):
+    length = ps.spec.length
+    return _canonical((_advance(a, length, layers),
+                       _advance(b, length, layers)) for a, b in ps.pairs)
+
+
+def _entropy_across(ps, region):
+    inside = set(region)
+    for site in inside:
+        if not ps.spec.contains(site):
+            raise ValueError(f"site {site} outside the lattice")
+    return sum((a in inside) != (b in inside) for a, b in ps.pairs)
+
+
+def _random_connected_region(dimension, length, rng, size=None):
+    total = length ** dimension
+    if size is None:
+        size = int(rng.integers(1, total))
+    start = tuple(int(c) for c in rng.integers(0, length, size=dimension))
+    region = {start}
+    frontier = [start]
+    while len(region) < size:
+        i = int(rng.integers(0, len(frontier)))
+        site = frontier[i]
+        nbrs = []
+        for axis in range(dimension):
+            for delta in (-1, 1):
+                nbr = list(site)
+                nbr[axis] = (nbr[axis] + delta) % length
+                nbr = tuple(nbr)
+                if nbr not in region:
+                    nbrs.append(nbr)
+        if not nbrs:
+            del frontier[i]
+            continue
+        pick = nbrs[int(rng.integers(0, len(nbrs)))]
+        region.add(pick)
+        frontier.append(pick)
+    return sorted(region)
 
 
 def test_initial_pairs_perfect_matching():
@@ -54,7 +121,7 @@ def test_step_equals_sublayer_composition():
         perm = dict(layer)
         for layers in (1, 2, 3):
             for site, image in perm.items():
-                assert image == qca._advance(site, length, layers), \
+                assert image == _advance(site, length, layers), \
                     (layers, site, image)
             perm = {s: layer[t] for s, t in perm.items()}
 
@@ -90,7 +157,7 @@ def test_translation_covariance():
     def shift(ps, delta):
         moved = tuple(tuple(tuple((c + d) % length for c, d in zip(s, delta))
                             for s in pair) for pair in ps.pairs)
-        return qca.PairSet(ps.spec, qca._canonical(moved))
+        return qca.PairSet(ps.spec, _canonical(moved))
 
     ps = qca.initial_pairs(2, length)
     delta = (2, 4)
@@ -104,7 +171,7 @@ def test_quarter_turn_covariance():
     def turn(ps):
         moved = tuple(tuple((length - 1 - s[1], s[0]) for s in pair)
                       for pair in ps.pairs)
-        return qca.PairSet(ps.spec, qca._canonical(moved))
+        return qca.PairSet(ps.spec, _canonical(moved))
 
     ps = qca.initial_pairs(2, length)
     assert qca.evolve(turn(ps), 2).pairs == turn(qca.evolve(ps, 2)).pairs
@@ -195,3 +262,104 @@ def test_cost_estimate_huge_layers_reported_as_inf():
     est = qca.cost_estimate(2, 1024, 40)
     assert est.state_cost == math.inf
     assert est.state_cost_log2 == 3200
+
+
+def test_sublayer_swaps_match_tuple_oracle():
+    for dim, lengths in ((1, range(4, 17, 2)), (2, range(4, 17, 2)),
+                         (3, (4, 6, 8))):
+        for length in lengths:
+            for offset in (0, 1):
+                swaps = qca.sublayer_swaps(dim, length, offset)
+                assert swaps == _sublayer_swaps(dim, length, offset)
+                a, b = qca.sublayer_indices(dim, length, offset)
+                assert a.dtype == b.dtype == np.int64
+                assert a.tolist() == [qca.site_index(s, length)
+                                      for s, _ in swaps]
+                assert b.tolist() == [qca.site_index(s, length)
+                                      for _, s in swaps]
+
+
+def test_initial_pairs_match_tuple_oracle():
+    for dim in (1, 2, 3):
+        for length in (4, 6, 8):
+            ps = qca.initial_pairs(dim, length)
+            assert ps.pairs == _canonical(_sublayer_swaps(dim, length, 1))
+            assert ps.ends.tolist() == [
+                [qca.site_index(a, length), qca.site_index(b, length)]
+                for a, b in ps.pairs]
+
+
+def test_evolve_matches_tuple_oracle():
+    for dim in (1, 2):
+        for length in range(4, 65, 2):
+            ps = qca.initial_pairs(dim, length)
+            for layers in range(10):
+                out = qca.evolve(ps, layers)
+                assert out.pairs == _evolve(ps, layers), (dim, length, layers)
+            # the endpoint indices it carries are those of its pairs
+            assert out.ends.tolist() == qca.PairSet(
+                ps.spec, out.pairs).ends.tolist()
+
+
+def test_evolve_matches_tuple_oracle_on_partial_pair_sets():
+    # any set of pairs, not only perfect matchings, in any order
+    rng = np.random.default_rng(11)
+    spec = LatticeSpec(2, 10, 2, 1, "periodic")
+    sites = list(spec.sites())
+    for _ in range(20):
+        k = int(rng.integers(0, 20))
+        picks = rng.permutation(len(sites))[:2 * k]
+        pairs = tuple((sites[picks[2 * j + 1]], sites[picks[2 * j]])
+                      for j in range(k))
+        ps = qca.PairSet(spec, pairs)
+        for layers in (0, 1, 7, 2 ** 70):
+            assert qca.evolve(ps, layers).pairs == _evolve(ps, layers)
+
+
+def test_entropy_across_matches_oracle_on_random_regions():
+    rng = np.random.default_rng(21)
+    for dim, length in ((1, 8), (1, 64), (2, 6), (2, 16), (2, 24)):
+        ps0 = qca.initial_pairs(dim, length)
+        sites = list(ps0.spec.sites())
+        for layers in range(5):
+            ps = qca.evolve(ps0, layers)
+            for _ in range(6):
+                k = int(rng.integers(0, len(sites) + 1))
+                region = [sites[i] for i in rng.choice(len(sites), size=k)]
+                assert qca.entropy_across(ps, region) \
+                    == _entropy_across(ps, region)
+                assert qca.entropy_across(ps, iter(region)) \
+                    == _entropy_across(ps, region)
+
+
+@pytest.mark.parametrize("site", [
+    (4, 0), (0, 4), (-1, 0), (0, 0, 0), (0,), (0.0, 1), (1, 1.5),
+    (True, 1), (1, False), (np.int64(1), 0), (2 ** 70, 0)])
+def test_entropy_across_rejects_sites_off_the_lattice(site):
+    ps = qca.initial_pairs(2, 4)
+    region = [(0, 0), site, (1, 1)]
+    with pytest.raises(ValueError, match="outside the lattice") as err:
+        qca.entropy_across(ps, region)
+    assert str(err.value) == f"site {site} outside the lattice"
+    with pytest.raises(ValueError, match="outside the lattice"):
+        _entropy_across(ps, region)
+
+
+# the benchmark's region shapes first, then small grids that wrap often
+REGION_SHAPES = ((1, 256), (1, 512), (2, 24), (2, 32), (2, 48),
+                 (1, 4), (1, 6), (2, 4), (2, 6), (2, 10), (3, 4), (3, 6))
+
+
+def test_random_connected_region_matches_oracle():
+    seeds = np.random.default_rng(31).integers(0, 2 ** 31, size=200)
+    for case, seed in enumerate(seeds.tolist()):
+        dim, length = REGION_SHAPES[case % len(REGION_SHAPES)]
+        total = length ** dim
+        size = None if case % 2 else 1 + seed % min(total - 1, 600)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = qca.random_connected_region(dim, length, rng, size=size)
+        assert got == _random_connected_region(dim, length, ref, size=size), \
+            (dim, length, seed, size)
+        assert all(type(c) is int for site in got for c in site)
+        # the same draws were made: the generators are left in one state
+        assert rng.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)

@@ -317,6 +317,67 @@ def test_qca_permutation_matches_swap_sublayers():
         assert_same_tableau(stab.run_qca(dim, length, layers), t)
 
 
+def _run_qca(dimension, length, layers):
+    """The site-tuple automaton driver that run_qca replaced: one
+    site_index call per swap endpoint."""
+    from tnkit import qca
+    n = length ** dimension
+    state = stab.init_zero(n)
+    step = np.arange(n)
+    for offset in (1, 0):
+        swaps = qca.sublayer_swaps(dimension, length, offset)
+        a = [qca.site_index(s, length) for s, _ in swaps]
+        b = [qca.site_index(s, length) for _, s in swaps]
+        if offset:
+            stab.apply_xx_rotations(state, a, b)
+        step[a + b] = step[b + a]
+    source = np.arange(n)
+    for _ in range(layers):
+        source = source[step]
+    state.x, state.z = state.x[source], state.z[source]
+    return state
+
+
+def test_qca_run_matches_site_tuple_driver():
+    for dim in (1, 2):
+        for length in range(4, 13, 2):
+            for layers in range(6):
+                assert_same_tableau(stab.run_qca(dim, length, layers),
+                                    _run_qca(dim, length, layers))
+
+
+def test_region_qubits_match_site_index():
+    from tnkit import qca
+    rng = np.random.default_rng(8)
+    for dim, length in ((1, 16), (2, 8), (3, 4)):
+        region = qca.random_connected_region(dim, length, rng)
+        assert stab.region_qubits(region, length) \
+            == [qca.site_index(s, length) for s in region]
+    assert stab.region_qubits([], 4) == []
+
+
+@pytest.mark.parametrize("a,b", [([0, 1], [1, 2]), ([3], [3]),
+                                 ([0, 2, 4], [5, 6, 0])])
+def test_pair_batches_need_distinct_qubits(a, b):
+    t = stab.init_zero(8)
+    for gate in (stab.apply_swaps, stab.apply_xx_rotations):
+        with pytest.raises(ValueError, match="qubits must be distinct"):
+            gate(t, a, b)
+    with pytest.raises(ValueError, match="qubits must be distinct"):
+        stab.apply_cnot(t, 5, 5)
+
+
+def test_entropy_region_repeats_and_order_do_not_matter():
+    t = stab.run_qca(1, 12, 2)
+    region = [7, 3, 3, 0, 7, 11]
+    want = stab.entanglement_entropy(t, sorted(set(region)))
+    assert stab.entanglement_entropy(t, region) == want
+    assert stab.entanglement_entropy(t, iter(region)) == want
+    assert stab.entanglement_entropy(t, range(12)) == 0
+    assert stab.entanglement_entropy(t, [5] * 3) \
+        == stab.entanglement_entropy(t, [q for q in range(12) if q != 5])
+
+
 def test_tableau_resource_guard(monkeypatch):
     # 32 qubits need 2 * 32 * 1 * 8 = 512 bytes, over 16 * 16
     monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
