@@ -37,12 +37,12 @@ _BUILDERS = {
 }
 
 
-def _write(path, text):
+def _write(path, *texts):
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _load_json(path):
@@ -50,29 +50,44 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _json(document) -> str:
+    # the documents are trees made fresh by tns_to_dict or map_to_dict.
+    # Callers write the newline on its own, which spares a copy of the
+    # text, and the document is freed before the text is written out.
+    return json.dumps(document, check_circular=False)
+
+
+def _print_issues(report) -> int:
+    """Each precondition issue on stderr; the exit code of the report."""
+    for issue in report.issues:
+        print(f"  {issue}", file=sys.stderr)
+    return 0 if report.ok else 4
+
+
 def cmd_build(args) -> int:
     network = _BUILDERS[args.kind](args)
-    _write(args.out, json.dumps(tns_mod.tns_to_dict(network)) + "\n")
+    _write(args.out, _json(tns_mod.tns_to_dict(network)), "\n")
     report = tns_mod.validate_preconditions(network)
     spec = network.spec
     print(f"built {args.kind}: {spec.dimension}D L={spec.length} "
           f"layers={spec.layers} nodes={len(network.nodes)} "
           f"lines={len(network.lines)} preconditions="
           f"{'ok' if report.ok else 'VIOLATED'}")
-    if not report.ok:
-        for issue in report.issues:
-            print(f"  {issue}", file=sys.stderr)
-        return 4
-    return 0
+    return _print_issues(report)
 
 
 def cmd_map(args) -> int:
     network = tns_mod.tns_from_dict(_load_json(args.tns))
+    code = _print_issues(tns_mod.validate_preconditions(network))
+    if code:
+        return code
     placement = mapping.place(network, args.scheme, args.delta_tau)
     paths = mapping.route_lines(network, placement)
     report = mapping.measured_chi(network, paths)
-    _write(args.out_prefix + ".map.json",
-           json.dumps(mapping.map_to_dict(placement, paths)) + "\n")
+    text = _json(mapping.map_to_dict(placement, paths))
+    # the vertex array is done with: free it before the text is encoded
+    del paths
+    _write(args.out_prefix + ".map.json", text, "\n")
     _write(args.out_prefix + ".congestion.csv",
            mapping.congestion_csv(report))
 
@@ -137,6 +152,9 @@ def _entropy_qca(args):
                          f"got {args.lengths!r}") from None
     if not lengths:
         raise ValueError(f"--lengths names no length: {args.lengths!r}")
+    odd = next((n for n in lengths if n < 4 or n % 2), None)
+    if odd is not None:
+        raise ValueError(f"--lengths must be even and >= 4, got {odd}")
     if args.cut == "random" and args.cuts < 1:
         raise ValueError(f"--cuts must be >= 1 with --cut random, "
                          f"got {args.cuts}")

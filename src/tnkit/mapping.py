@@ -32,6 +32,15 @@ spreads lines that share a target over distinct tracks.  Finally, a
 1x2 disentangler's line down to the isometry a cell below approaches
 along the first axis when the horizontal hop exceeds b, descending its
 own free column rather than the target's.
+
+Placement and routing read the network into int64 index arrays (layer,
+kind and variant codes, cells, each line's end nodes) once per call and
+apply each rule to all nodes or lines at once.  The router turns every
+line into a few corners joined by axis-parallel legs and steps them out
+into one flat (V, D) vertex array, the chains back to back in line-id
+order with an offset per line.  PathAssignment stores that array; the
+tally reads it without a per-vertex Python object, and map_to_dict
+makes vertex tuples from it only for the map-v1 document.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -46,11 +56,22 @@ import numpy as np
 
 from .lattice import (Edge, LatticeSpec, Site, require_ints, spec_from_dict,
                       spec_to_dict)
-from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_DISENTANGLER,
-                  KIND_ISOMETRY, KIND_TOP, ContractionLine, MeraMeta, Tns)
+from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
+                  ContractionLine, MeraMeta, Tns, line_ends, node_arrays)
 
-_KIND_RANK = {KIND_ANCHOR: 0, KIND_DISENTANGLER: 1, KIND_ISOMETRY: 2,
-              KIND_TOP: 3}
+_ANCHOR, _ISOMETRY = KIND_CODES[KIND_ANCHOR], KIND_CODES[KIND_ISOMETRY]
+# variant codes of node arrays: the refined offsets' variants, and 0 for
+# any other
+_VARIANTS = ("u", "u2x2", "g", "w", "t", "u2x1", "u1x2")
+_VARIANT_CODES = {v: i for i, v in enumerate(_VARIANTS, 1)}
+_U2X1, _U1X2 = _VARIANT_CODES["u2x1"], _VARIANT_CODES["u1x2"]
+
+
+def _variant_codes(tns: Tns) -> np.ndarray:
+    return np.fromiter(map(_VARIANT_CODES.get,
+                           map(operator.attrgetter("variant"),
+                               tns.nodes.values()), itertools.repeat(0)),
+                       np.int64, len(tns.nodes))
 
 
 def default_refined_offsets(dimension: int) -> dict[str, tuple[int, ...]]:
@@ -82,13 +103,17 @@ class Placement:
         return self.lattice.branching ** self.delta_tau
 
 
-def _tensor_site(scheme, b, tau, cell, dt, m):
-    if scheme == "naive":
-        return tuple(b ** tau * c for c in cell)
-    if scheme == "shifted":
-        return tuple(b ** tau * c + b ** (tau - 1) for c in cell)
-    return tuple(b ** (tau + dt) * c + b ** tau * mi + b ** (tau - 1)
-                 for c, mi in zip(cell, m))
+def _tensor_site(scheme, b, tau, cells, dt, m):
+    """Host sites, an (n, D) int64 array, of n tensors at layers tau (n,)
+    and cells (n, D); m holds their refined offsets (n, D).  Layers start
+    at 0 for the naive scheme and at 1 for the others."""
+    power = b ** np.arange(int(tau.max(initial=0)) + dt + 1)
+    site = power[tau + dt, None] * cells
+    if scheme != "naive":
+        site += power[tau - 1, None]
+    if m is not None:
+        site += power[tau, None] * m
+    return site
 
 
 def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
@@ -105,26 +130,39 @@ def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
         delta_tau, offsets, factor = 0, None, 1
         host = tns.spec
 
-    site_of = {}
-    anchor_ids = set()
-    for node in tns.nodes.values():
-        if node.kind == KIND_ANCHOR:
-            anchor_ids.add(node.id)
-            site = tuple(factor * c for c in node.cell)
-            if scheme == "refined" and d >= 2:
-                # keep anchors off the tensor sublattices: x stays even
-                # except for an offset of 1, which no layer >= 2 site has,
-                # and layer-1 sites differ in the remaining parities
-                site = (site[0] + 1,) + site[1:]
-        else:
-            m = offsets.get(node.variant, (0,) * d) if offsets else None
-            site = _tensor_site(scheme, b, node.layer, node.cell,
-                                delta_tau, m)
-        if not host.contains(site):
-            raise ValueError(f"{node.id} placed outside the host lattice "
-                             f"at {site}")
-        site_of[node.id] = site
-    return Placement(scheme, host, delta_tau, site_of, frozenset(anchor_ids))
+    ids = list(tns.nodes)
+    layer, kind, cells = node_arrays(tns)
+    anchor = kind == _ANCHOR
+    tensor = (~anchor).nonzero()[0]
+    tau = layer[tensor]
+    lowest = 0 if scheme == "naive" else 1
+    odd = ((tau - lowest).view(np.uint64)
+           > tns.spec.layers - lowest).nonzero()[0]
+    if odd.size:
+        i = tensor[odd[0]]
+        raise ValueError(f"{ids[i]} placed outside the host lattice: layer "
+                         f"{layer[i]} outside [{lowest}, {tns.spec.layers}]")
+    m = None
+    if offsets:
+        # row 0 for variants without an offset of their own
+        table = np.array([(0,) * d] + [offsets.get(v, (0,) * d)
+                                       for v in _VARIANTS], np.int64)
+        m = table[_variant_codes(tns)[tensor]]
+    sites = factor * cells
+    if scheme == "refined" and d >= 2:
+        # keep anchors off the tensor sublattices: x stays even except
+        # for an offset of 1, which no layer >= 2 site has, and layer-1
+        # sites differ in the remaining parities
+        sites[:, 0] += anchor
+    sites[tensor] = _tensor_site(scheme, b, tau, cells[tensor], delta_tau, m)
+    outside = (sites.view(np.uint64) >= host.length).any(axis=1).nonzero()[0]
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"{ids[i]} placed outside the host lattice at "
+                         f"{tuple(sites[i].tolist())}")
+    return Placement(scheme, host, delta_tau,
+                     dict(zip(ids, map(tuple, sites.tolist()))),
+                     frozenset(itertools.compress(ids, anchor.tolist())))
 
 
 def place_naive(tns: Tns) -> Placement:
@@ -174,125 +212,71 @@ def _orient(tns: Tns, line: ContractionLine):
     """Deterministic (source, target) endpoint order for routing."""
     na, nb = line.a[0], line.b[0]
     pa, pb = tns.nodes[na], tns.nodes[nb]
-    ka = (pa.layer, _KIND_RANK[pa.kind], pa.id)
-    kb = (pb.layer, _KIND_RANK[pb.kind], pb.id)
+    ka = (pa.layer, KIND_CODES[pa.kind], pa.id)
+    kb = (pb.layer, KIND_CODES[pb.kind], pb.id)
     return (na, nb) if ka <= kb else (nb, na)
 
 
-def _junction_axis(s: Site, t: Site) -> int:
-    """Approach axis for a line feeding an apex isometry.
-
-    Apex inputs form a co-columnar cluster: routed through the last axis
-    alone they would all descend the one column through the apex.  Lines
-    that run strongly horizontal, at least four times as far along the
-    first axis as the second, leave their source's row early and approach
-    along the target's row instead, which splits the cluster over both
-    grid lines through the apex.  The remaining lines approach along the
-    last axis so their first leg stays on the source's row and off the
-    column that carries the source's own inputs.  Straight lines need no
-    choice and higher dimensions fall back to the last axis.
-    """
-    d = len(s)
-    if d != 2:
-        return d - 1
-    dx, dy = abs(t[0] - s[0]), abs(t[1] - s[1])
-    if dy == 0:
-        return 0
-    if dx == 0:
-        return 1
-    return 0 if dx >= 4 * dy else 1
-
-
-def _apex_isometries(tns: Tns) -> frozenset[str]:
-    """Ids of isometries that are the only one of their layer.
-
-    Such a layer has a single cell, so no disentangler precedes it and the
-    apex gathers every input directly.
-    """
-    per_layer: dict[int, list[str]] = {}
-    for node in tns.nodes.values():
-        if node.kind == KIND_ISOMETRY:
-            per_layer.setdefault(node.layer, []).append(node.id)
-    return frozenset(ids[0] for ids in per_layer.values() if len(ids) == 1)
-
-
-def _approach_axis(tns: Tns, apex: frozenset[str], src: str, dst: str,
-                   s: Site, t: Site) -> int:
-    """Final-segment axis for the line from src at s to dst at t."""
-    d = len(s)
-    if d == 1:
-        return 0
-    if tns.nodes[src].kind == KIND_ISOMETRY and dst in apex:
-        return _junction_axis(s, t)
-    if (tns.nodes[dst].variant == "u2x1"
-            and tns.nodes[src].kind == KIND_ANCHOR):
-        return 0
-    if (tns.nodes[src].variant == "u1x2"
-            and tns.nodes[dst].kind == KIND_ISOMETRY
-            and abs(t[0] - s[0]) > tns.spec.branching):
-        return 0
-    return d - 1
-
-
-@dataclass
 class PathAssignment:
     """Vertex chains per line id, each running from the line's source to
     its target as _orient orders them.  A chain of length one denotes
     co-located endpoints and crosses no edge.
+
+    The router stores every chain in one flat layout: `vertices`, a
+    (V, D) int64 array, holds the chains back to back in ascending
+    line-id order, and the chain of line `line_ids[i]` is
+    `vertices[offsets[i]:offsets[i + 1]]`.  `chains`, a dict of vertex
+    tuples per line id, is built from it on first use.  An assignment
+    made from a chains dict (read from map-v1, or made by hand) keeps the
+    dict as given, and `arrays` flattens it on each call.
     """
 
-    chains: dict[int, tuple[Site, ...]]
+    def __init__(self, chains: dict[int, tuple[Site, ...]] | None = None, *,
+                 line_ids: np.ndarray | None = None,
+                 offsets: np.ndarray | None = None,
+                 vertices: np.ndarray | None = None):
+        if chains is not None:
+            self.chains = chains
+        self.line_ids, self.offsets = line_ids, offsets
+        self.vertices = vertices
 
+    @functools.cached_property
+    def chains(self) -> dict[int, tuple[Site, ...]]:
+        vertices = list(map(tuple, self.vertices.tolist()))
+        ends = self.offsets.tolist()
+        return {lid: tuple(vertices[a:b]) for lid, a, b in
+                zip(self.line_ids.tolist(), ends, ends[1:])}
 
-def _coarse_track(s_val: int, t_val: int, step: int) -> int | None:
-    """Multiple of step nearest s_val within [s_val, t_val], or None.
-
-    Taking the multiple on the source's side spreads lines that share a
-    target over distinct tracks, one per source.
-    """
-    if t_val >= s_val:
-        track = -((-s_val) // step) * step
-        return track if track <= t_val else None
-    track = (s_val // step) * step
-    return track if track >= t_val else None
-
-
-def _is_narrow_gather(tns: Tns, src: str, dst: str) -> bool:
-    """True for isometry lines into a 2x1 disentangler.
-
-    Such lines travel far along both axes, and their vertical stretch
-    would land on a collect column that is already full: a 2x1
-    disentangler shares its column with the isometry above it.  They
-    ride a coarse vertical track instead.  The 1x2 case needs none of
-    this; its own column carries no gathering isometry.
-    """
-    return (tns.nodes[src].kind == KIND_ISOMETRY
-            and tns.nodes[dst].variant == "u2x1")
-
-
-def _walk_to(chain: list[Site], cur: list[int], wp: Site, order) -> None:
-    """Step cur to wp one axis at a time, in the given axis order,
-    appending every vertex to chain."""
-    for ax in order:
-        sgn = 1 if wp[ax] > cur[ax] else -1
-        for cur[ax] in range(cur[ax] + sgn, wp[ax] + sgn, sgn):
-            chain.append(tuple(cur))
-
-
-def _route_one(tns: Tns, p: Placement, apex: frozenset[str], src: str,
-               dst: str, s: Site, t: Site) -> tuple[Site, ...]:
-    d = len(s)
-    chain, cur = [s], list(s)
-    if d == 2 and _is_narrow_gather(tns, src, dst):
-        step = p.lattice.branching ** tns.nodes[dst].layer
-        track = _coarse_track(s[0], t[0], step)
-        if track is not None:
-            for wp in ((track,) + s[1:], (track,) + t[1:], t):
-                _walk_to(chain, cur, wp, range(d))
-            return tuple(chain)
-    axis = _approach_axis(tns, apex, src, dst, s, t)
-    _walk_to(chain, cur, t, [i for i in range(d) if i != axis] + [axis])
-    return tuple(chain)
+    def arrays(self, dimension: int):
+        """(line_ids, offsets, vertices) of the flat layout.  Chains given
+        as a dict are flattened in line-id order; vertices of differing
+        dimension, or a coordinate that is not a 64-bit integer, raise
+        ValueError.  dimension is that of a layout without vertices."""
+        if self.vertices is not None:
+            return self.line_ids, self.offsets, self.vertices
+        ids = sorted(self.chains)
+        chains = list(map(self.chains.__getitem__, ids))
+        offsets = np.zeros(len(ids) + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, chains), np.int64, len(ids)),
+                  out=offsets[1:])
+        vertices = itertools.chain.from_iterable
+        dims = set(map(len, vertices(chains)))
+        if len(dims) > 1:
+            raise ValueError("path vertices differ in dimension")
+        d = dims.pop() if dims else dimension
+        # struct refuses a float coordinate, which np.fromiter would truncate
+        try:
+            flat = struct.pack(f"{int(offsets[-1]) * d}q",
+                               *vertices(vertices(chains)))
+        except struct.error:
+            for lid, chain in zip(ids, chains):
+                try:
+                    struct.pack(f"{len(chain) * d}q", *vertices(chain))
+                except struct.error:
+                    raise ValueError(f"path of line {lid} has a coordinate "
+                                     f"that is not a 64-bit integer") from None
+        return (np.array(ids, np.int64), offsets,
+                np.frombuffer(flat, np.int64).reshape(-1, d))
 
 
 def route_lines(tns: Tns, p: Placement) -> PathAssignment:
@@ -304,14 +288,119 @@ def route_lines(tns: Tns, p: Placement) -> PathAssignment:
     2x1 disentangler instead ride the coarse track nearest the source
     when their horizontal span contains one, crossing over to it on the
     source's grid line and leaving it on the target's.
+
+    Every rule is taken for all lines at once on int64 arrays: each line
+    becomes a few corners joined by axis-parallel legs, and the legs are
+    stepped out into the flat vertex layout of PathAssignment in one
+    pass.
     """
-    chains = {}
-    apex = _apex_isometries(tns)
-    for line in tns.lines:
-        src, dst = _orient(tns, line)
-        chains[line.id] = _route_one(tns, p, apex, src, dst, p.site_of[src],
-                                     p.site_of[dst])
-    return PathAssignment(chains)
+    d = p.lattice.dimension
+    names = list(tns.nodes)
+    layer, kind, _ = node_arrays(tns)
+    ids, ends = _oriented_ends(tns, names, layer, kind)
+    sites = np.fromiter(
+        itertools.chain.from_iterable(map(p.site_of.__getitem__, names)),
+        np.int64, len(names) * d).reshape(-1, d)
+    return PathAssignment(line_ids=ids, **_step_out(_corners(
+        p.lattice.branching, layer, kind, _variant_codes(tns), ends,
+        *sites[ends])))
+
+
+def _oriented_ends(tns: Tns, names, layer, kind):
+    """Line ids in ascending order, and the node indices (2, L) of each
+    line's source and target: the source comes first by layer, then kind
+    code, then node id, as in _orient."""
+    ends, _ = line_ends(tns)
+    ids = np.fromiter(map(operator.attrgetter("id"), tns.lines), np.int64,
+                      len(tns.lines))
+    if (ids[1:] < ids[:-1]).any():
+        by_id = ids.argsort(kind="stable")
+        ids, ends = ids[by_id], ends[:, by_id]
+    (la, lb), (ka, kb) = layer[ends], kind[ends]
+    same = la == lb
+    a_first = (la < lb) | (same & (ka <= kb))
+    for i in (same & (ka == kb)).nonzero()[0].tolist():
+        a_first[i] = names[ends[0, i]] <= names[ends[1, i]]
+    return ids, np.where(a_first, ends, ends[::-1])
+
+
+def _corners(b, layer, kind, variant, ends, s, t):
+    """Corners (L, K, D) of every line's path from its source's site s
+    to its target's t: the source's site, then one corner per axis, the
+    non-approach axes ascending and the approach axis last, so that
+    consecutive corners differ along one axis.  In 2D a fourth corner
+    makes room for a coarse track; it repeats the target otherwise."""
+    n, d = s.shape
+    (ks, kd), (vs, vd) = kind[ends], variant[ends]
+    delta = t - s
+    # the approach axis: the last, or the first for the exceptions
+    first = np.zeros(n, bool)
+    if d >= 2:
+        dx = np.abs(delta[:, 0])
+        first = (((vd == _U2X1) & (ks == _ANCHOR))
+                 | ((vs == _U1X2) & (kd == _ISOMETRY) & (dx > b)))
+        # an apex isometry is the only isometry of its layer; in 2D its
+        # strongly horizontal inputs approach along the first axis
+        iso_layers = np.sort(layer[kind == _ISOMETRY])
+        top = layer[ends[1]]
+        apex = ((ks == _ISOMETRY) & (kd == _ISOMETRY)
+                & (iso_layers.searchsorted(top, "right")
+                   - iso_layers.searchsorted(top) == 1))
+        if d == 2:
+            first = np.where(apex, dx >= 4 * np.abs(delta[:, 1]), first)
+        else:
+            first &= ~apex
+    # corner k has the axes of rank below k at the target's coordinates;
+    # the approach axis ranks last
+    axis = np.where(first, 0, d - 1)[:, None]
+    axes = np.arange(d)
+    rank = np.where(axes == axis, d - 1, axes - (axes > axis))
+    corners = np.empty((n, d + 1 + (d == 2), d), np.int64)
+    corners[:, 0] = s
+    corners[:, 1:d + 1] = np.where(
+        rank[:, None] < np.arange(1, d + 1)[:, None], t[:, None], s[:, None])
+    if d == 2:
+        corners[:, 3] = t
+        # isometry lines into a 2x1 disentangler ride the multiple of
+        # b**layer nearest the source on the first axis, when one lies
+        # between the two ends: across to it, along it, on to the target
+        gather = ((ks == _ISOMETRY) & (vd == _U2X1)).nonzero()[0]
+        if gather.size:
+            step = b ** layer[ends[1, gather]]
+            s0, t0 = s[gather, 0], t[gather, 0]
+            track = s0 // step * step
+            track += ((t0 >= s0) & (track < s0)) * step
+            ride = (track - s0) * (track - t0) <= 0
+            gather, track = gather[ride], track[ride]
+            corners[gather, 1:3, 0] = track[:, None]
+            corners[gather, 1, 1] = s[gather, 1]
+            corners[gather, 2, 1] = t[gather, 1]
+    return corners
+
+
+def _step_out(corners):
+    """Flat vertex layout of chains that walk in unit steps from corner
+    to corner of (L, K, D) corners, consecutive corners differing along
+    one axis."""
+    n, k, d = corners.shape
+    legs = corners[:, 1:] - corners[:, :-1]
+    # a move per vertex: the jump from the previous chain's end for a
+    # chain's first vertex, a unit step for the others; the running sum
+    # of the moves is the vertices
+    moves = np.empty(corners.shape, np.int64)
+    moves[:, 0] = corners[:, 0]
+    moves[1:, 0] -= corners[:-1, -1]
+    del corners
+    counts = np.ones((n, k), np.int64)
+    np.abs(legs).sum(axis=2, out=counts[:, 1:])
+    np.sign(legs, out=moves[:, 1:])
+    del legs
+    offsets = np.zeros(n + 1, np.int64)
+    counts.sum(axis=1).cumsum(out=offsets[1:])
+    vertices = moves.reshape(-1, d).repeat(counts.ravel(), axis=0)
+    del moves
+    vertices.cumsum(axis=0, out=vertices)
+    return {"offsets": offsets, "vertices": vertices}
 
 
 def check_routing(tns: Tns, p: Placement,
@@ -348,6 +437,20 @@ def check_routing(tns: Tns, p: Placement,
     return None
 
 
+def _distinct(values: np.ndarray):
+    """Sorted distinct entries of a 1-D int64 array, and the index of each
+    entry among them (np.unique without its numpy.ma import)."""
+    order = values.argsort()
+    ranked = values[order]
+    new = np.ones(len(values), bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    distinct = ranked[new]
+    del ranked
+    inverse = np.empty(len(values), np.int64)
+    inverse[order] = new.cumsum() - 1
+    return distinct, inverse
+
+
 @dataclass(eq=False)
 class CongestionReport:
     """Edge usage of a routed placement.
@@ -372,32 +475,36 @@ class CongestionReport:
     physical_lines: frozenset[int]
 
     def __post_init__(self):
-        self._edge_keys, edge = np.unique(self.keys, return_inverse=True)
+        self._edge_keys, edge = _distinct(self.keys)
         # a line class is a (dimension, physical) pair; an edge's figures
         # depend only on its count per class, so they are taken exactly,
         # in Python ints, once per distinct row of counts.  Crossings of
         # one line are adjacent, so a class is looked up once per line.
         lids = self.line_ids
-        first_of_line = np.ones(len(lids), bool)
-        first_of_line[1:] = lids[1:] != lids[:-1]
-        starts = np.flatnonzero(first_of_line)
-        runs = lids[starts].tolist()
+        bounds = np.ones(len(lids) + 1, bool)
+        np.not_equal(lids[1:], lids[:-1], out=bounds[1:-1])
+        bounds = bounds.nonzero()[0]
+        runs = lids[bounds[:-1]].tolist()
         line_class = list(zip(map(self.line_dims.__getitem__, runs),
                               map(self.physical_lines.__contains__, runs)))
         classes = {c: i for i, c in enumerate(dict.fromkeys(line_class))}
         shape = len(self._edge_keys), len(classes)
         edge *= shape[1]
-        edge += np.repeat(
-            np.fromiter(map(classes.__getitem__, line_class), np.int64,
-                        len(runs)),
-            np.diff(starts, append=len(lids)))
+        edge += np.fromiter(map(classes.__getitem__, line_class), np.int64,
+                            len(runs)).repeat(bounds[1:] - bounds[:-1])
         counts = np.bincount(edge, minlength=math.prod(shape)).reshape(shape)
-        # distinct rows of counts: fold the columns into one code, made
-        # dense after each, so it stays below edges * (crossings + 1)
-        code = np.zeros(len(counts), np.int64)
+        # distinct rows of counts: the columns as digits of one code, made
+        # dense whenever the next digit could overflow it
+        code, bound = np.zeros(len(counts), np.int64), 1
         for column in counts.T:
-            code = np.unique(code * (int(column.max()) + 1) + column,
-                             return_inverse=True)[1]
+            top = int(column.max()) + 1
+            if bound * top >= 2 ** 63:
+                code = _distinct(code)[1]
+                bound = int(code.max()) + 1
+            code *= top
+            code += column
+            bound *= top
+        code = _distinct(code)[1]
         rows = np.zeros((int(code.max(initial=-1)) + 1, len(classes)),
                         np.int64)
         rows[code] = counts
@@ -476,75 +583,61 @@ class CongestionReport:
 def _crossing_keys(axes, line_ids: np.ndarray):
     """Edge keys of crossings given per axis as (tail, head) coordinate
     columns, with the origin and shape of the box of their lower
-    vertices; ValueError on a step that is not a unit step."""
-    rank = length = axis = 0
-    origin, shape, box = [], [], 1
+    vertices; ValueError on a step that is not a unit step.  The columns
+    are overwritten: one axis at a time, in place, keeps the tally's
+    peak memory low."""
+    rank = length = axis = None
+    origin, shape = [], []
     for k, (tail, head) in enumerate(axes):
-        step = head - tail
-        lower = np.minimum(tail, head)
+        step = np.subtract(head, tail, out=head)
+        lower = tail
+        lower += np.minimum(step, 0)
         lo, hi = (int(lower.min()), int(lower.max())) if len(lower) else (0, 0)
         origin.append(lo)
         shape.append(hi - lo + 1)
-        box *= hi - lo + 1
-        if box * (k + 1) >= 2 ** 63:
+        if math.prod(shape) * (k + 1) >= 2 ** 63:
             raise ValueError("paths span too large a box to tally")
-        rank = rank * (hi - lo + 1) + (lower - lo)
-        length = length + np.abs(step)
-        axis = np.where(step != 0, k, axis)
-    jump = np.flatnonzero(length != 1)
+        lower -= lo
+        if rank is None:
+            rank, length, axis = lower, np.abs(step), np.zeros_like(step)
+        else:
+            rank *= hi - lo + 1
+            rank += lower
+            length += np.abs(step)
+        axis[step != 0] = k
+    jump = (length != 1).nonzero()[0]
     if jump.size:
         raise ValueError(f"path of line {line_ids[jump[0]]} makes a "
                          f"non-unit step")
+    # row-major rank of the lower vertex, times D, plus D-1-axis
     d = len(shape)
-    return rank * d + (d - 1 - axis), tuple(origin), tuple(shape)
-
-
-def _chain_steps(ids, chains, lengths: np.ndarray, d: int):
-    """Per axis, the tail and head coordinates of every step between
-    consecutive vertices of a chain, the chains flattened in order;
-    ValueError naming the first line with a coordinate that is not a
-    64-bit integer."""
-    vertices = itertools.chain.from_iterable
-    # struct refuses a float coordinate, which np.fromiter would truncate
-    try:
-        flat = struct.pack(f"{int(lengths.sum()) * d}q",
-                           *vertices(vertices(chains)))
-    except struct.error:
-        for lid, chain in zip(ids, chains):
-            try:
-                struct.pack(f"{len(chain) * d}q", *vertices(chain))
-            except struct.error:
-                raise ValueError(f"path of line {lid} has a coordinate "
-                                 f"that is not a 64-bit integer") from None
-    coords = np.frombuffer(flat, np.int64).reshape(-1, d)
-    inner = np.ones(len(coords), bool)
-    inner[np.cumsum(lengths)[lengths > 0] - 1] = False
-    inner = inner[:-1]
-    for k in range(d):
-        yield coords[:-1, k][inner], coords[1:, k][inner]
+    rank *= d
+    rank += d - 1
+    rank -= axis
+    return rank, tuple(origin), tuple(shape)
 
 
 def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
     """Tally routed lines per lattice edge.
 
-    The chains are flattened once, in line-id order, into one coordinate
-    array; each step between consecutive vertices of a chain is one
-    crossing, so every edge's ids come out sorted.  Vertices of differing
-    dimension, a coordinate that is not a 64-bit integer, or a step that
-    is not a unit step raise ValueError.
+    The chains come as one coordinate array in line-id order (see
+    PathAssignment); each step between consecutive vertices of a chain is
+    one crossing, so every edge's ids come out sorted.  Vertices of
+    differing dimension, a coordinate that is not a 64-bit integer, or a
+    step that is not a unit step raise ValueError.
     """
-    ids = sorted(paths.chains)
-    chains = list(map(paths.chains.__getitem__, ids))
-    lengths = np.fromiter(map(len, chains), np.int64, len(chains))
-    line_ids = np.repeat(np.asarray(ids, np.int64),
-                         np.maximum(lengths - 1, 0))
-    dims = set(map(len, itertools.chain.from_iterable(chains)))
-    if len(dims) > 1:
-        raise ValueError("path vertices differ in dimension")
-    d = dims.pop() if dims else tns.spec.dimension
+    ids, offsets, coords = paths.arrays(tns.spec.dimension)
+    lengths = offsets[1:] - offsets[:-1]
+    line_ids = ids.repeat(np.maximum(lengths - 1, 0))
+    # a step leaves every vertex but the last of its chain
+    inner = np.ones(len(coords), bool)
+    inner[offsets[1:][lengths > 0] - 1] = False
+    inner = inner[:-1]
+    axes = ((coords[:-1, k][inner], coords[1:, k][inner])
+            for k in range(coords.shape[1]))
     return CongestionReport(
-        *_crossing_keys(_chain_steps(ids, chains, lengths, d), line_ids),
-        line_ids, {ln.id: ln.dim for ln in tns.lines},
+        *_crossing_keys(axes, line_ids), line_ids,
+        {ln.id: ln.dim for ln in tns.lines},
         frozenset(ln.id for ln in tns.lines if tns.is_physical_line(ln)))
 
 
@@ -719,6 +812,8 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
     """
     offsets = (default_refined_offsets(p.lattice.dimension)
                if p.scheme == "refined" else None)
+    ids, ends, vertices = paths.arrays(p.lattice.dimension)
+    vertices, ends = list(zip(*vertices.T.tolist())), ends.tolist()
     return {
         "version": "map-v1",
         "generator_version": GENERATOR_VERSION,
@@ -726,9 +821,10 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
         "delta_tau": p.delta_tau,
         "offsets": dict(sorted(offsets.items())) if offsets else None,
         "lattice": spec_to_dict(p.lattice),
-        # json writes the (id, site) and (id, chain) tuples as arrays
+        # json writes the (id, site) tuples as arrays
         "sites": sorted(p.site_of.items()),
-        "paths": sorted(paths.chains.items()),
+        "paths": [[lid, vertices[a:b]] for lid, a, b in
+                  zip(ids.tolist(), ends, ends[1:])],
     }
 
 

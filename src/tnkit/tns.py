@@ -39,6 +39,10 @@ KIND_ISOMETRY = "isometry"
 KIND_TOP = "top"
 KIND_ANCHOR = "physical-anchor"
 KINDS = frozenset((KIND_DISENTANGLER, KIND_ISOMETRY, KIND_TOP, KIND_ANCHOR))
+# int64 code of each kind in node arrays; the router orders a line's
+# endpoints by it within a layer
+KIND_CODES = {KIND_ANCHOR: 0, KIND_DISENTANGLER: 1, KIND_ISOMETRY: 2,
+              KIND_TOP: 3}
 
 
 @dataclass(frozen=True)
@@ -371,6 +375,38 @@ class ValidationReport:
         return not self.issues
 
 
+def _int64(values, count: int = -1) -> np.ndarray:
+    """np.fromiter into int64, with a value past int64 a ValueError."""
+    try:
+        return np.fromiter(values, np.int64, count)
+    except OverflowError:
+        raise ValueError("a layer, cell, dim, slot or line id does not fit "
+                         "in 64 bits") from None
+
+
+def node_arrays(tns: Tns):
+    """Layer, kind code (KIND_CODES) and (N, D) cell of every node, int64
+    arrays in node order.  Cells must have the lattice dimension."""
+    nodes, get = tns.nodes.values(), operator.attrgetter
+    n, d = len(nodes), tns.spec.dimension
+    return (_int64(map(get("layer"), nodes), n),
+            _int64(map(KIND_CODES.__getitem__, map(get("kind"), nodes)), n),
+            _int64(itertools.chain.from_iterable(map(get("cell"), nodes)),
+                   n * d).reshape(n, d))
+
+
+def line_ends(tns: Tns):
+    """(2, L) node indices (in node order) and slots of the a and b ends
+    of every line, in line order; KeyError for an unknown node."""
+    index = dict(zip(tns.nodes, itertools.count()))
+    ends = list(map(operator.attrgetter("a"), tns.lines))
+    ends += map(operator.attrgetter("b"), tns.lines)
+    name, slot = operator.itemgetter(0), operator.itemgetter(1)
+    return (_int64(map(index.__getitem__, map(name, ends)),
+                   len(ends)).reshape(2, -1),
+            _int64(map(slot, ends), len(ends)).reshape(2, -1))
+
+
 def validate_preconditions(tns: Tns) -> ValidationReport:
     """Check the structural conditions the placement schemes rely on.
 
@@ -381,75 +417,115 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     line's dimension, that every slot is covered by exactly one line, and
     that the header agrees with the network: meta.branching is the lattice
     branching, every anchor has dims (physical_dim,), and chi lies in
-    [1, meta.chi].
+    [1, meta.chi].  The checks run on int64 arrays of the nodes and lines,
+    and only failures are formatted.
     """
     issues = []
     spec, meta = tns.spec, tns.meta
-    if spec.length != spec.branching ** spec.layers:
+    b = spec.branching
+    if spec.length != b ** spec.layers:
         issues.append(f"lattice length {spec.length} is not "
-                      f"branching**layers = {spec.branching ** spec.layers}")
-    if meta.branching != spec.branching:
+                      f"branching**layers = {b ** spec.layers}")
+    if meta.branching != b:
         issues.append(f"meta branching {meta.branching} is not the lattice "
-                      f"branching {spec.branching}")
+                      f"branching {b}")
     if not 1 <= tns.chi <= meta.chi:
         issues.append(f"chi {tns.chi} outside [1, {meta.chi}]")
 
-    per_cell: dict[tuple[int, tuple[int, ...]], int] = {}
-    anchor_dims = (tns.physical_dim,)
-    for node in tns.nodes.values():
-        if not 0 <= node.layer <= spec.layers:
-            issues.append(f"{node.id}: layer {node.layer} outside [0, {spec.layers}]")
-        if node.kind == KIND_ANCHOR:
-            if node.dims != anchor_dims:
-                issues.append(f"{node.id}: dims {node.dims} are not "
-                              f"(physical_dim,) = {anchor_dims}")
-        else:
-            if node.order > meta.max_tensor_order:
-                issues.append(f"{node.id}: order {node.order} exceeds "
-                              f"{meta.max_tensor_order}")
-            width = spec.length // spec.branching ** node.layer if node.layer else spec.length
-            if any(not 0 <= c < max(width, 1) for c in node.cell):
-                issues.append(f"{node.id}: cell {node.cell} outside layer grid")
-            key = (node.layer, node.cell)
-            per_cell[key] = per_cell.get(key, 0) + 1
+    nodes, lines = list(tns.nodes.values()), tns.lines
+    layer, kind, cells = node_arrays(tns)
+    dims = list(map(operator.attrgetter("dims"), nodes))
+    order = _int64(map(len, dims), len(dims))
+    # slot k of node i is flat entry start[i] + k; the padding entry at
+    # the end stands for every slot a node lacks
+    start = _int64(itertools.accumulate(map(len, dims), initial=0),
+                   len(dims) + 1)
+    pad = int(start[-1])
+    start = start[:-1]
+    flat_dims = _int64(itertools.chain(itertools.chain.from_iterable(dims),
+                                       (0,)), pad + 1)
 
-    for key, count in sorted(per_cell.items()):
-        if count > meta.max_tensors_per_cell:
-            issues.append(f"layer {key[0]} cell {key[1]}: {count} tensors exceed "
-                          f"{meta.max_tensors_per_cell}")
+    anchor = kind == KIND_CODES[KIND_ANCHOR]
+    tensor = ~anchor
+    # layer-grid width by layer (a negative layer takes layer 0's); from
+    # the first power of b above the length on it is 1
+    widths, scale = [], 1
+    while scale <= spec.length:
+        widths.append(min(spec.length // scale, 2 ** 63 - 1))
+        scale *= b
+    width = np.array(widths + [1], np.uint64).take(layer, mode="clip")
+    # as uint64 a negative layer or cell lies past every bound
+    for mask, text in (
+            (layer.view(np.uint64) > spec.layers, lambda n: (
+                f"{n.id}: layer {n.layer} outside [0, {spec.layers}]")),
+            (anchor & ((order != 1) | (flat_dims[start] != tns.physical_dim)),
+             lambda n: f"{n.id}: dims {n.dims} are not (physical_dim,) = "
+                       f"{(tns.physical_dim,)}"),
+            (tensor & (order > meta.max_tensor_order), lambda n: (
+                f"{n.id}: order {n.order} exceeds {meta.max_tensor_order}")),
+            (tensor & (cells.view(np.uint64) >= width[:, None]).any(axis=1),
+             lambda n: f"{n.id}: cell {n.cell} outside layer grid")):
+        issues.extend(text(nodes[i]) for i in mask.nonzero()[0].tolist())
 
-    nodes, b = tns.nodes, spec.branching
-    slot_seen: dict[tuple[str, int], int] = {}
-    for line in tns.lines:
-        if line.dim > meta.chi:
-            issues.append(f"line {line.id}: dimension {line.dim} exceeds chi "
-                          f"{meta.chi}")
-        slot_seen[line.a] = slot_seen.get(line.a, 0) + 1
-        slot_seen[line.b] = slot_seen.get(line.b, 0) + 1
-        pa, pb = nodes[line.a[0]], nodes[line.b[0]]
-        for node, slot in ((pa, line.a[1]), (pb, line.b[1])):
-            if slot < 0 or node.dims[slot:slot + 1] != (line.dim,):
-                issues.append(f"line {line.id}: {node.id} has no slot {slot} "
-                              f"of dimension {line.dim}")
-        lo, hi = (pa, pb) if pa.layer <= pb.layer else (pb, pa)
-        if hi.layer - lo.layer > meta.max_layer_distance:
-            issues.append(f"line {line.id}: spans layers {lo.layer}..{hi.layer}, "
-                          f"max distance {meta.max_layer_distance}")
-            continue
-        scale = b ** (hi.layer if lo.kind == KIND_ANCHOR
-                      else hi.layer - lo.layer)
-        dist = 0
-        for x, y in zip(lo.cell, hi.cell):
-            dist += abs(x // scale - y)
-        if dist > meta.max_cell_distance:
-            issues.append(f"line {line.id}: cell distance {dist} exceeds "
-                          f"{meta.max_cell_distance}")
+    # tensors per (layer, cell), as runs of equal rows in sorted order; a
+    # run longer than the most allowed has equal rows that many apart
+    most = meta.max_tensors_per_cell
+    keys = np.concatenate((layer[:, None], cells), axis=1)[tensor]
+    keys = keys[np.lexsort(keys.T[::-1])]
+    if most < 1 or (len(keys) > most
+                    and (keys[most:] == keys[:-most]).all(axis=1).any()):
+        runs = np.ones(len(keys) + 1, bool)
+        runs[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
+        runs = runs.nonzero()[0]
+        counts = runs[1:] - runs[:-1]
+        for i in (counts > most).nonzero()[0].tolist():
+            key = keys[runs[i]].tolist()
+            issues.append(f"layer {key[0]} cell {tuple(key[1:])}: "
+                          f"{counts[i]} tensors exceed {most}")
 
-    for node in tns.nodes.values():
-        for slot in range(node.order):
-            n = slot_seen.get((node.id, slot), 0)
-            if n != 1:
-                issues.append(f"{node.id} slot {slot}: covered by {n} lines")
+    ends, slots = line_ends(tns)
+    dim = _int64(map(operator.attrgetter("dim"), lines), len(lines))
+    has_slot = slots.view(np.uint64) < order.view(np.uint64)[ends]
+    flat_slot = np.where(has_slot, start[ends] + slots, pad)
+    for k, i in zip(*(x.tolist() for x in (
+            ~has_slot | (flat_dims[flat_slot] != dim)).nonzero())):
+        issues.append(f"line {lines[i].id}: {nodes[ends[k, i]].id} has no "
+                      f"slot {slots[k, i]} of dimension {lines[i].dim}")
+    # rows lo and hi: the end in the lower layer (the a end on a tie),
+    # then the other
+    swap = layer[ends[0]] > layer[ends[1]]
+    ends = np.where(swap, ends[::-1], ends)
+    lo_layer, hi_layer = layer[ends]
+    span = hi_layer - lo_layer
+    too_far = span > meta.max_layer_distance
+    # the lower end's cell at the higher end's scale b**exponent; past
+    # the powers of b within int64 the quotient is 0 or -1
+    exponent = np.maximum(np.where(anchor[ends[0]], hi_layer, span), 0)
+    powers = [b ** k for k in range(int(min(exponent.max(initial=0), 63))
+                                    + 1)]
+    powers = np.array([q for q in powers if q < 2 ** 63], np.int64)
+    lo_cell, hi_cell = cells[ends]
+    lo_cell //= powers.take(exponent, mode="clip")[:, None]
+    past = exponent >= len(powers)
+    if past.any():
+        lo_cell[past] = -(cells[ends[0, past]] < 0)
+    dist = np.abs(lo_cell - hi_cell).sum(axis=1)
+    for mask, text in (
+            (dim > meta.chi, lambda ln, i: (
+                f"line {ln.id}: dimension {ln.dim} exceeds chi {meta.chi}")),
+            (too_far, lambda ln, i: (
+                f"line {ln.id}: spans layers {lo_layer[i]}..{hi_layer[i]}, "
+                f"max distance {meta.max_layer_distance}")),
+            (~too_far & (dist > meta.max_cell_distance), lambda ln, i: (
+                f"line {ln.id}: cell distance {dist[i]} exceeds "
+                f"{meta.max_cell_distance}"))):
+        issues.extend(text(lines[i], i) for i in mask.nonzero()[0].tolist())
+
+    covered = np.bincount(flat_slot[has_slot], minlength=pad + 1)[:pad]
+    for j in (covered != 1).nonzero()[0].tolist():
+        i = int(np.searchsorted(start, j, "right")) - 1
+        issues.append(f"{nodes[i].id} slot {j - start[i]}: covered by "
+                      f"{covered[j]} lines")
 
     return ValidationReport(sorted(set(issues)))
 
@@ -484,7 +560,9 @@ def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
     is not an object, lacks a key, has a node of unknown kind, an integer
     field that is not an integer, a node id or variant that is not a
-    string, two lines of one id, or a line that names an unknown node."""
+    string, two lines of one id, a line that names an unknown node, a
+    node cell whose length is not the lattice dimension, or a negative
+    layer."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
@@ -526,6 +604,15 @@ def tns_from_dict(data: dict) -> Tns:
             "a count, layer, cell, dim, slot or line id")
         if len(set(ids)) < len(ids):
             raise ValueError("malformed tns-v1 document: repeated line id")
+        if set(map(len, map(get("cell"), values))) - {spec.dimension}:
+            node = next(n for n in values if len(n.cell) != spec.dimension)
+            raise ValueError(f"malformed tns-v1 document: {node.id}: cell "
+                             f"{list(node.cell)} is not {spec.dimension}-"
+                             f"dimensional")
+        if min(map(get("layer"), values), default=0) < 0:
+            node = next(n for n in values if n.layer < 0)
+            raise ValueError(f"malformed tns-v1 document: {node.id}: "
+                             f"negative layer {node.layer}")
         return Tns(spec, data["physical_dim"], data["chi"], meta, nodes,
                    lines)
     except (KeyError, IndexError, TypeError) as exc:

@@ -382,7 +382,8 @@ def test_verify_rejects_uncovered_slot(built, tmp_path, capsys):
     net = tmp_path / "cut.json"
     net.write_text(json.dumps(data))
     prefix = str(tmp_path / "m")
-    assert main(["map", "--tns", str(net), "--scheme", "shifted",
+    # map refuses the cut network, so verify gets the intact one's map
+    assert main(["map", "--tns", str(built), "--scheme", "shifted",
                  "--out-prefix", prefix]) == 0
     capsys.readouterr()
     code = main(["verify", "--tns", str(net), "--map", prefix + ".map.json"])
@@ -390,6 +391,29 @@ def test_verify_rejects_uncovered_slot(built, tmp_path, capsys):
     # the dropped line joined the top to the apex isometry
     assert capsys.readouterr().out == \
         "structural error: t:2:0 slot 0: covered by 0 lines\n"
+
+
+@pytest.mark.parametrize("edit,issues", [
+    (lambda data: data.__setitem__("lines", data["lines"][:-1]),
+     ["t:2:0 slot 0: covered by 0 lines",
+      "w:2:0 slot 2: covered by 0 lines"]),
+    (lambda data: data["meta"].__setitem__("branching", -1),
+     ["meta branching -1 is not the lattice branching 2"]),
+], ids=["uncovered-slot", "wrong-branching"])
+def test_map_rejects_network_that_fails_preconditions(built, tmp_path, capsys,
+                                                      edit, issues):
+    data = json.loads(built.read_text())
+    edit(data)
+    net = tmp_path / "bad.json"
+    net.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", str(tmp_path / "m")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"  {issue}\n" for issue in issues)
+    assert not (tmp_path / "m.map.json").exists()
+    assert not (tmp_path / "m.congestion.csv").exists()
 
 
 @pytest.mark.parametrize("edit,problem", [
@@ -574,6 +598,60 @@ def test_map_outputs_pinned(tmp_path, capsys, kind, layers, scheme):
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
+# sha256 of the tns-v1 file, the map-v1 file, the congestion CSV and the
+# `map` stdout of symbolic builds at the default chi and phys_dim: the
+# naive and shifted schemes, and shallower versions of each map-deep
+# benchmark shape.  Every digest holds only integers and fixed-point text.
+PIPELINE_DIGESTS = {
+    ("mera2d-b2", 3, "naive"): (
+        "375a5bed878d3c9b750b24cec332ce55ec2046f9238a7e607a302ea46e8f99bb",
+        "2340426b7bb3c9c423f8689b553a05fb9f0b8fbb6636b9294f12f1eb999c7512",
+        "3d07a5f4bc428f227265821b3f9038a3c60056bb7bcc065d6bfba9e47113c17a",
+        "7a349c2e254dba20364a3fc4c33e2344297472d1c751b01cd2a037e114b4b958"),
+    ("mera2d-b2", 3, "shifted"): (
+        "375a5bed878d3c9b750b24cec332ce55ec2046f9238a7e607a302ea46e8f99bb",
+        "8a6bdad72057d0fa84d34bada3956184480386ac51113472877111db3be2e455",
+        "35cf694e8893cbcc4ed8e8b5846e743199f836ebdbbf3663df133b6a32c5e056",
+        "8228114de75ee8eefa2a5a6f224f5577c6ddc92af181bd14c0eade22e97a024d"),
+    ("mera2d-b2", 5, "refined"): (
+        "100a1f5772cf6fa96a3f16655c5640a8d5def31263a2307a5d314f4db5d8d5f5",
+        "a03e4552da6e9f5297ce12850a5dcd61b764a89229d44b18eda7b456f331c6f5",
+        "5254991100d382b24434e677c6d13a8ea77ebb7e29c4898dbe31edd0555499f7",
+        "0e13be140a7563bc0eb7138f8f077bb053202ecae0ecc30d15c43ff37236481f"),
+    ("mera2d-b3", 3, "refined"): (
+        "2fb7077d19e0fd4b0fd9929987ebcb386198bd36ce86a330f0f19d71077524da",
+        "69c9bb941054c2748e79b13807426e5760705565dc2bdf95f9b8fbd545d53a11",
+        "91053e43a238ce1fac4768967f3b2fcae80ebfdadfa5010bd901923b618f82b5",
+        "7bc8232ef19b9b2f66b287449d3fcd96d6e4e75d58d30cc87df019d10dec4bad"),
+    ("mera2d-b2", 5, "shifted"): (
+        "100a1f5772cf6fa96a3f16655c5640a8d5def31263a2307a5d314f4db5d8d5f5",
+        "09c327525c520a3a4339c45b32eceb681bee283b6ea53f0bf9ebaf3736cefe8b",
+        "d30df865b6c3f0f00b532cf46f3015fb554b0d6e7d1dcbd7bbd0ff23efcfd067",
+        "b38f168b988749e9ad5bd889fed2e752d953153c04b57d5522436eecb97fd973"),
+    ("mera1d", 10, "refined"): (
+        "eaf4251426e2a6d91df9e8844b6cf7cfe26cabd8e18cdc460d6fc2f766f79458",
+        "1db47580bb0f829e7b0db8b8138fb286f29d28e184f3a8f12c9f27f43a0ef03f",
+        "44a7b737756c4354afa13d6f62b7ee80b4e4f7111f671f4b42667a51b3b37962",
+        "0fc77563740cade754a890c93c4b4a9d54582b2bd538221f92f811d687eda4aa"),
+}
+
+
+@pytest.mark.parametrize("kind,layers,scheme", sorted(PIPELINE_DIGESTS))
+def test_pipeline_outputs_pinned(tmp_path, capsys, kind, layers, scheme):
+    prefix = str(tmp_path / "m")
+    assert main(["build", "--kind", kind, "--layers", str(layers),
+                 "--no-elements", "--out", prefix + ".tns.json"]) == 0
+    capsys.readouterr()
+    assert main(["map", "--tns", prefix + ".tns.json", "--scheme", scheme,
+                 "--out-prefix", prefix]) == 0
+    stdout = capsys.readouterr().out.encode()
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        (tmp_path / "m.tns.json").read_bytes(),
+        (tmp_path / "m.map.json").read_bytes(),
+        (tmp_path / "m.congestion.csv").read_bytes(), stdout)]
+    assert tuple(digests) == PIPELINE_DIGESTS[(kind, layers, scheme)]
+
+
 # sha256 of `entropy --family qca --cross-check` stdout for the three job
 # shapes of the entropy-qca benchmark workload at seed 7.  The random-cut
 # rows depend on every draw of the region sampler, so these pins freeze its
@@ -610,9 +688,12 @@ def test_entropy_qca_outputs_pinned(capsys, shape):
     ("--family qca --lengths 8,x", "--lengths"),
     ("--family qca --lengths 8 --cut random --seed -100", "--seed"),
     ("--family qca --lengths 8 --cut random --seed -106", "--seed"),
+    ("--family qca --lengths 8,5", "--lengths"),
+    ("--family qca --lengths 8,2 --cut random", "--lengths"),
 ], ids=["ttn1d-layers-0", "qca-layers-0", "qca-layers-negative", "cuts-0",
         "cuts-negative", "lengths-empty", "lengths-not-int",
-        "seed-negative-sum-positive", "seed-negative-sum-negative"])
+        "seed-negative-sum-positive", "seed-negative-sum-negative",
+        "lengths-odd", "lengths-below-4"])
 def test_entropy_rejects_bad_flags(monkeypatch, capsys, argv, flag):
     # the check comes before any row: no depth is computed or printed
     def no_rows(*args, **kwargs):
@@ -644,12 +725,30 @@ def test_entropy_half_cut_ignores_negative_seed(capsys):
 def test_entropy_does_not_import_numpy_ma(argv):
     # numpy.ma costs 12-16 ms to import and no entropy command needs it;
     # np.unique and np.setdiff1d pull it in
+    assert not _imports_numpy_ma(argv.split())
+
+
+def _imports_numpy_ma(argv) -> bool:
+    """Whether a fresh process that runs main(argv) imports numpy.ma."""
     code = ("import sys\n"
             "from tnkit.cli import main\n"
-            f"assert main({argv.split()!r}) == 0\n"
+            f"assert main({argv!r}) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "False"
+    return out.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_map_and_verify_do_not_import_numpy_ma(tmp_path, command):
+    net, prefix = str(tmp_path / "net.json"), str(tmp_path / "m")
+    assert main(["build", "--kind", "mera2d-b2", "--layers", "2",
+                 "--seed", "3", "--out", net]) == 0
+    map_argv = ["map", "--tns", net, "--scheme", "refined",
+                "--out-prefix", prefix]
+    assert main(map_argv) == 0
+    assert not _imports_numpy_ma(
+        map_argv if command == "map"
+        else ["verify", "--tns", net, "--map", prefix + ".map.json"])

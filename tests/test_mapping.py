@@ -93,9 +93,10 @@ def test_refined_anchor_column_avoids_tensor_sites():
 
 
 def test_refined_formula_degenerates_to_shifted():
-    for tau in (1, 2, 3):
-        assert _tensor_site("refined", 2, tau, (3,), 0, (0,)) \
-            == _tensor_site("shifted", 2, tau, (3,), 0, None)
+    tau, cells = np.array([1, 2, 3]), np.array([[3], [0], [5]])
+    assert np.array_equal(
+        _tensor_site("refined", 2, tau, cells, 0, np.zeros((3, 1), int)),
+        _tensor_site("shifted", 2, tau, cells, 0, None))
 
 
 def test_refined_argument_validation():
@@ -153,6 +154,100 @@ def test_paths_turn_at_most_twice(build, layers, scheme):
         assert len(dirs) <= (3 if gathers else 2), line.id
 
 
+# The scalar router, one line at a time, kept as the oracle of route_lines.
+
+def _oracle_junction_axis(s, t):
+    d = len(s)
+    if d != 2:
+        return d - 1
+    dx, dy = abs(t[0] - s[0]), abs(t[1] - s[1])
+    if dy == 0:
+        return 0
+    if dx == 0:
+        return 1
+    return 0 if dx >= 4 * dy else 1
+
+
+def _oracle_apex_isometries(tns):
+    per_layer = {}
+    for node in tns.nodes.values():
+        if node.kind == "isometry":
+            per_layer.setdefault(node.layer, []).append(node.id)
+    return frozenset(ids[0] for ids in per_layer.values() if len(ids) == 1)
+
+
+def _oracle_approach_axis(tns, apex, src, dst, s, t):
+    d = len(s)
+    if d == 1:
+        return 0
+    if tns.nodes[src].kind == "isometry" and dst in apex:
+        return _oracle_junction_axis(s, t)
+    if (tns.nodes[dst].variant == "u2x1"
+            and tns.nodes[src].kind == "physical-anchor"):
+        return 0
+    if (tns.nodes[src].variant == "u1x2"
+            and tns.nodes[dst].kind == "isometry"
+            and abs(t[0] - s[0]) > tns.spec.branching):
+        return 0
+    return d - 1
+
+
+def _oracle_coarse_track(s_val, t_val, step):
+    if t_val >= s_val:
+        track = -((-s_val) // step) * step
+        return track if track <= t_val else None
+    track = (s_val // step) * step
+    return track if track >= t_val else None
+
+
+def _oracle_walk_to(chain, cur, wp, order):
+    for ax in order:
+        sgn = 1 if wp[ax] > cur[ax] else -1
+        for cur[ax] in range(cur[ax] + sgn, wp[ax] + sgn, sgn):
+            chain.append(tuple(cur))
+
+
+def _oracle_route_one(tns, p, apex, src, dst, s, t):
+    d = len(s)
+    chain, cur = [s], list(s)
+    if (d == 2 and tns.nodes[src].kind == "isometry"
+            and tns.nodes[dst].variant == "u2x1"):
+        step = p.lattice.branching ** tns.nodes[dst].layer
+        track = _oracle_coarse_track(s[0], t[0], step)
+        if track is not None:
+            for wp in ((track,) + s[1:], (track,) + t[1:], t):
+                _oracle_walk_to(chain, cur, wp, range(d))
+            return tuple(chain)
+    axis = _oracle_approach_axis(tns, apex, src, dst, s, t)
+    _oracle_walk_to(chain, cur, t, [i for i in range(d) if i != axis] + [axis])
+    return tuple(chain)
+
+
+def _oracle_route_lines(tns, p):
+    """Chains per line id, routed one line at a time."""
+    chains = {}
+    apex = _oracle_apex_isometries(tns)
+    for line in tns.lines:
+        src, dst = _orient(tns, line)
+        chains[line.id] = _oracle_route_one(tns, p, apex, src, dst,
+                                            p.site_of[src], p.site_of[dst])
+    return chains
+
+
+@pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
+@pytest.mark.parametrize("build,layers", [
+    (build_mera_1d, 1), (build_mera_1d, 3), (build_mera_1d, 6),
+    (build_mera_2d_b2, 1), (build_mera_2d_b2, 2), (build_mera_2d_b2, 4),
+    (build_mera_2d_b3, 1), (build_mera_2d_b3, 2), (build_mera_2d_b3, 3),
+    (build_ttn_example, 1), (build_ttn_example, 5)])
+def test_router_matches_scalar_oracle(build, layers, scheme):
+    kw = {} if build is build_ttn_example else {"with_elements": False}
+    net, p, pa = routed(build, layers, scheme, **kw)
+    expected = _oracle_route_lines(net, p)
+    assert list(pa.chains) == sorted(expected)
+    assert pa.chains == expected
+
+
 def test_colocated_endpoints_give_empty_path():
     net, p, pa = routed(build_mera_2d_b2, 2, "shifted")
     empties = [lid for lid, chain in pa.chains.items() if len(chain) == 1]
@@ -162,6 +257,49 @@ def test_colocated_endpoints_give_empty_path():
         assert pa.chains[lid] == (p.site_of[src],) == (p.site_of[dst],)
     crossing = set(measured_chi(net, pa).line_ids.tolist())
     assert crossing and not crossing & set(empties)
+
+
+def test_router_matches_oracle_on_shuffled_lines():
+    # line ids out of list order, and nodes in reverse insertion order
+    net = build_mera_2d_b3(2, with_elements=False)
+    net.lines.reverse()
+    net.nodes = dict(reversed(net.nodes.items()))
+    p = place_refined(net)
+    pa = route_lines(net, p)
+    assert list(pa.chains) == sorted(pa.chains)
+    assert pa.chains == _oracle_route_lines(net, p)
+
+
+@pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
+def test_router_breaks_ties_by_node_id(scheme):
+    # a top of isometry kind ties with the apex isometry on layer and
+    # kind, and its id orders it first
+    net = build_mera_2d_b2(2, with_elements=False)
+    net.nodes["t:2:0,0"] = dataclasses.replace(net.nodes["t:2:0,0"],
+                                               kind="isometry")
+    p = {"naive": place_naive, "shifted": place_shifted,
+         "refined": place_refined}[scheme](net)
+    pa = route_lines(net, p)
+    top_line = net.lines[-1]
+    assert _orient(net, top_line) == ("t:2:0,0", "w:2:0,0")
+    assert pa.chains == _oracle_route_lines(net, p)
+
+
+def test_router_writes_one_flat_vertex_array():
+    net, p, pa = routed(build_mera_2d_b3, 2, "refined", with_elements=False)
+    ids, offsets, vertices = pa.arrays(2)
+    assert vertices.dtype == np.int64 and vertices.shape[1] == 2
+    assert ids.tolist() == sorted(ln.id for ln in net.lines)
+    assert offsets[0] == 0 and offsets[-1] == len(vertices)
+    assert (np.diff(offsets) >= 1).all()
+    assert "chains" not in vars(pa)
+    for lid, a, b in zip(ids.tolist(), offsets, offsets[1:]):
+        assert pa.chains[lid] == tuple(map(tuple, vertices[a:b].tolist()))
+    # a dict of the same chains flattens to the same layout and document
+    again = PathAssignment(dict(pa.chains))
+    for x, y in zip(again.arrays(2), (ids, offsets, vertices)):
+        assert np.array_equal(x, y)
+    assert map_to_dict(p, again) == map_to_dict(p, pa)
 
 
 def test_routing_is_deterministic():

@@ -11,7 +11,8 @@ import tnkit.stabilizer as stab
 from tnkit import dense
 from tnkit.mapping import map_to_dict, place_refined, route_lines
 from tnkit.tns import (KIND_ANCHOR, KIND_DISENTANGLER, KIND_ISOMETRY,
-                       KIND_TOP, MeraMeta, build_mera_1d, build_mera_2d_b2,
+                       KIND_TOP, KINDS, MeraMeta, build_mera_1d,
+                       build_mera_2d_b2,
                        build_mera_2d_b3, build_ttn_example,
                        tns_from_dict, tns_to_dict, ttn_cut_size,
                        ttn_gate_schedule, two_site_rotation_gate,
@@ -55,7 +56,7 @@ def _swap_ends(lines, i, j, end):
     lines[j] = dataclasses.replace(lines[j], **{end: slot_i})
 
 
-@pytest.mark.parametrize("edit,issues", [
+HAND_MADE_FAULTS = [
     (lambda nodes, lines: lines.__setitem__(
         0, dataclasses.replace(lines[0], dim=3)),
      ["line 0: dimension 3 exceeds chi 2",
@@ -82,12 +83,178 @@ def _swap_ends(lines, i, j, end):
                             b=("w:3:0", 9))),
      ["line 23: t:3:0 has no slot 5 of dimension 2",
       "line 23: w:3:0 has no slot 9 of dimension 2"]),
-], ids=["dim", "layer-distance", "cell-distance", "cell-outside",
-        "uncovered", "doubly-covered", "missing-slots"])
+]
+FAULT_IDS = ["dim", "layer-distance", "cell-distance", "cell-outside",
+             "uncovered", "doubly-covered", "missing-slots"]
+
+
+@pytest.mark.parametrize("edit,issues", HAND_MADE_FAULTS, ids=FAULT_IDS)
 def test_preconditions_pin_issue_strings(edit, issues):
     report = validate_preconditions(_broken_1d(edit))
     assert not report.ok
     assert report.issues == issues
+
+
+def _oracle_validate(tns):
+    """Issue list of the scalar precondition check, one node and one line
+    at a time; the oracle of validate_preconditions."""
+    issues = []
+    spec, meta = tns.spec, tns.meta
+    if spec.length != spec.branching ** spec.layers:
+        issues.append(f"lattice length {spec.length} is not "
+                      f"branching**layers = {spec.branching ** spec.layers}")
+    if meta.branching != spec.branching:
+        issues.append(f"meta branching {meta.branching} is not the lattice "
+                      f"branching {spec.branching}")
+    if not 1 <= tns.chi <= meta.chi:
+        issues.append(f"chi {tns.chi} outside [1, {meta.chi}]")
+    per_cell = {}
+    anchor_dims = (tns.physical_dim,)
+    for node in tns.nodes.values():
+        if not 0 <= node.layer <= spec.layers:
+            issues.append(f"{node.id}: layer {node.layer} outside "
+                          f"[0, {spec.layers}]")
+        if node.kind == KIND_ANCHOR:
+            if node.dims != anchor_dims:
+                issues.append(f"{node.id}: dims {node.dims} are not "
+                              f"(physical_dim,) = {anchor_dims}")
+        else:
+            if node.order > meta.max_tensor_order:
+                issues.append(f"{node.id}: order {node.order} exceeds "
+                              f"{meta.max_tensor_order}")
+            width = spec.length // spec.branching ** node.layer
+            if any(not 0 <= c < max(width, 1) for c in node.cell):
+                issues.append(f"{node.id}: cell {node.cell} outside layer "
+                              f"grid")
+            key = (node.layer, node.cell)
+            per_cell[key] = per_cell.get(key, 0) + 1
+    for key, count in sorted(per_cell.items()):
+        if count > meta.max_tensors_per_cell:
+            issues.append(f"layer {key[0]} cell {key[1]}: {count} tensors "
+                          f"exceed {meta.max_tensors_per_cell}")
+    nodes, b = tns.nodes, spec.branching
+    slot_seen = {}
+    for line in tns.lines:
+        if line.dim > meta.chi:
+            issues.append(f"line {line.id}: dimension {line.dim} exceeds chi "
+                          f"{meta.chi}")
+        slot_seen[line.a] = slot_seen.get(line.a, 0) + 1
+        slot_seen[line.b] = slot_seen.get(line.b, 0) + 1
+        pa, pb = nodes[line.a[0]], nodes[line.b[0]]
+        for node, slot in ((pa, line.a[1]), (pb, line.b[1])):
+            if slot < 0 or node.dims[slot:slot + 1] != (line.dim,):
+                issues.append(f"line {line.id}: {node.id} has no slot {slot} "
+                              f"of dimension {line.dim}")
+        lo, hi = (pa, pb) if pa.layer <= pb.layer else (pb, pa)
+        if hi.layer - lo.layer > meta.max_layer_distance:
+            issues.append(f"line {line.id}: spans layers "
+                          f"{lo.layer}..{hi.layer}, max distance "
+                          f"{meta.max_layer_distance}")
+            continue
+        scale = b ** (hi.layer if lo.kind == KIND_ANCHOR
+                      else hi.layer - lo.layer)
+        dist = sum(abs(x // scale - y) for x, y in zip(lo.cell, hi.cell))
+        if dist > meta.max_cell_distance:
+            issues.append(f"line {line.id}: cell distance {dist} exceeds "
+                          f"{meta.max_cell_distance}")
+    for node in tns.nodes.values():
+        for slot in range(node.order):
+            n = slot_seen.get((node.id, slot), 0)
+            if n != 1:
+                issues.append(f"{node.id} slot {slot}: covered by {n} lines")
+    return sorted(set(issues))
+
+
+@pytest.mark.parametrize("edit,issues", HAND_MADE_FAULTS, ids=FAULT_IDS)
+def test_preconditions_match_oracle_on_hand_made_faults(edit, issues):
+    net = _broken_1d(edit)
+    assert validate_preconditions(net).issues == _oracle_validate(net)
+
+
+def _mutate(net, rng):
+    """One random edit of a node, a line or the header, to values a tns-v1
+    file can hold (layers stay >= 0, cells keep the lattice dimension)."""
+    nodes, lines, spec = net.nodes, net.lines, net.spec
+    ids = list(nodes)
+    nid = ids[rng.integers(len(ids))]
+    node = nodes[nid]
+    i = int(rng.integers(len(lines))) if lines else None
+    r = lambda lo, hi: int(rng.integers(lo, hi))
+    what = r(0, 12)
+    if what == 0 and lines:
+        lines[i] = dataclasses.replace(lines[i], dim=r(0, 5))
+    elif what == 1 and lines:
+        end = "ab"[r(0, 2)]
+        name = getattr(lines[i], end)[0]
+        lines[i] = dataclasses.replace(lines[i], **{end: (name, r(-1, 7))})
+    elif what == 2 and lines:
+        end = "ab"[r(0, 2)]
+        slot = getattr(lines[i], end)[1]
+        lines[i] = dataclasses.replace(lines[i], **{end: (nid, slot)})
+    elif what == 3 and lines:
+        del lines[i]
+    elif what == 4 and lines:
+        lines.append(dataclasses.replace(
+            lines[i], id=max(ln.id for ln in lines) + 1))
+    elif what == 5:
+        nodes[nid] = dataclasses.replace(node, layer=r(0, spec.layers + 3))
+    elif what == 6:
+        cell = list(node.cell)
+        cell[r(0, len(cell))] = r(-3, spec.length + 3)
+        nodes[nid] = dataclasses.replace(node, cell=tuple(cell))
+    elif what == 7:
+        dims = list(node.dims)
+        if dims and r(0, 3):
+            dims[r(0, len(dims))] = r(0, 5)
+        elif r(0, 2):
+            dims.append(r(1, 4))
+        else:
+            dims = dims[:-1]
+        nodes[nid] = dataclasses.replace(node, dims=tuple(dims))
+    elif what == 8:
+        nodes[nid] = dataclasses.replace(node, kind=sorted(KINDS)[r(0, 4)])
+    elif what == 9:
+        field = dataclasses.fields(MeraMeta)[r(0, 6)].name
+        net.meta = dataclasses.replace(net.meta, **{field: r(-1, 12)})
+    elif what == 10:
+        setattr(net, ("physical_dim", "chi")[r(0, 2)], r(-1, 5))
+    elif lines:
+        j = r(0, len(lines))
+        _swap_ends(lines, i, j, "ab"[r(0, 2)])
+
+
+@pytest.mark.parametrize("build,layers", BUILDERS + [(build_mera_2d_b2, 3)])
+def test_preconditions_match_oracle_on_random_faults(build, layers):
+    rng = np.random.default_rng(layers + len(build.__name__))
+    kw = {} if build is build_ttn_example else {"with_elements": False}
+    for _ in range(60):
+        net = build(layers, **kw)
+        for _ in range(int(rng.integers(1, 5))):
+            _mutate(net, rng)
+        assert validate_preconditions(net).issues == _oracle_validate(net)
+
+
+@pytest.mark.parametrize("cell", [[0, 0, 0], [0], []])
+def test_dict_rejects_cell_of_wrong_length(tmp_path, capsys, cell):
+    from tnkit.cli import main
+    data = tns_to_dict(build_mera_2d_b2(2, with_elements=False))
+    node = next(nd for nd in data["nodes"] if nd["id"] == "w:1:0,0")
+    node["cell"] = cell
+    with pytest.raises(ValueError, match="cell"):
+        tns_from_dict(data)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert main(["map", "--tns", str(path), "--scheme", "refined",
+                 "--out-prefix", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed tns-v1 document") and "cell" in err
+
+
+def test_dict_rejects_negative_layer():
+    data = tns_to_dict(build_mera_1d(2, with_elements=False))
+    data["nodes"][-1]["layer"] = -1
+    with pytest.raises(ValueError, match="malformed.*layer"):
+        tns_from_dict(data)
 
 
 @pytest.mark.parametrize("build,layers", BUILDERS)
