@@ -2,7 +2,11 @@
 entropy checks at desk scale."""
 
 from .lattice import LatticeSpec
-from .tns import (ContractionLine, MeraMeta, TensorNode, Tns,
+# a network (Tns) is a node table and a line table of int64 columns;
+# Tns.nodes (a NodeView of TensorNode records) and Tns.lines (a LineView
+# of ContractionLine records) read them on demand
+from .tns import (KIND_CODES, KIND_NAMES, VARIANTS, ContractionLine,
+                  LineView, MeraMeta, NodeView, TensorNode, Tns,
                   build_mera_1d, build_mera_2d_b2, build_mera_2d_b3,
                   build_ttn_example, ttn_cut_size, ttn_gate_schedule,
                   validate_preconditions, tns_from_dict, tns_to_dict,

@@ -70,8 +70,8 @@ def cmd_build(args) -> int:
     report = tns_mod.validate_preconditions(network)
     spec = network.spec
     print(f"built {args.kind}: {spec.dimension}D L={spec.length} "
-          f"layers={spec.layers} nodes={len(network.nodes)} "
-          f"lines={len(network.lines)} preconditions="
+          f"layers={spec.layers} nodes={len(network.ids)} "
+          f"lines={len(network.line_id)} preconditions="
           f"{'ok' if report.ok else 'VIOLATED'}")
     return _print_issues(report)
 

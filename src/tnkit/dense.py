@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tns import KIND_ANCHOR, Tns
+from .tns import KIND_ANCHOR, KIND_CODES, Tns
 
 DEFAULT_MAX_AMPLITUDES = 2 ** 26
 
@@ -128,25 +128,19 @@ def _network_factors(obj):
     if not isinstance(obj, Tns):
         # an embedded grid network (mapping.Peps)
         return obj.all_factors(), obj.physical_dim
-    factors = []
-    label_of = {}
-    for line in obj.lines:
-        (na, sa), (nb, sb) = line.a, line.b
-        ka, kb = obj.nodes[na].kind, obj.nodes[nb].kind
-        if ka == KIND_ANCHOR:
-            label = ("p", obj.nodes[na].cell)
-        elif kb == KIND_ANCHOR:
-            label = ("p", obj.nodes[nb].cell)
-        else:
-            label = ("l", line.id)
-        label_of[(na, sa)] = label_of[(nb, sb)] = label
-    for node in obj.nodes.values():
-        if node.kind == KIND_ANCHOR:
-            continue
-        labels = tuple(label_of[(node.id, slot)]
-                       for slot in range(node.order))
-        factors.append((node.elements, labels))
-    return factors, obj.physical_dim
+    anchor = (obj.kind == KIND_CODES[KIND_ANCHOR]).tolist()
+    cells, bounds = obj.cell.tolist(), obj.dim_offsets.tolist()
+    # one label per slot; slot k of node i is entry bounds[i] + k
+    labels = [None] * bounds[-1]
+    flat = obj.dim_offsets[obj.line_ends] + obj.line_slots
+    for lid, a, b, fa, fb in zip(obj.line_id.tolist(), *obj.line_ends.tolist(),
+                                 *flat.tolist()):
+        end = a if anchor[a] else b if anchor[b] else None
+        labels[fa] = labels[fb] = ("l", lid) if end is None else \
+            ("p", tuple(cells[end]))
+    return [(obj.elements[i], tuple(labels[bounds[i]:bounds[i + 1]]))
+            for i, is_anchor in enumerate(anchor) if not is_anchor], \
+        obj.physical_dim
 
 
 def contract_to_statevector(obj) -> StateVector:

@@ -33,14 +33,14 @@ spreads lines that share a target over distinct tracks.  Finally, a
 along the first axis when the horizontal hop exceeds b, descending its
 own free column rather than the target's.
 
-Placement and routing read the network into int64 index arrays (layer,
-kind and variant codes, cells, each line's end nodes) once per call and
-apply each rule to all nodes or lines at once.  The router turns every
-line into a few corners joined by axis-parallel legs and steps them out
-into one flat (V, D) vertex array, the chains back to back in line-id
-order with an offset per line.  PathAssignment stores that array; the
-tally reads it without a per-vertex Python object, and map_to_dict
-makes vertex tuples from it only for the map-v1 document.
+Placement, routing, the tally and assembly read the network's node and
+line tables (layer, kind and variant codes, cells, each line's end nodes,
+slots and dimension) and apply each rule to all nodes or lines at once.
+The router turns every line into a few corners joined by axis-parallel
+legs and steps them out into one flat (V, D) vertex array, the chains back
+to back in line-id order with an offset per line.  PathAssignment stores
+that array; the tally reads it without a per-vertex Python object, and
+map_to_dict makes vertex tuples from it only for the map-v1 document.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -57,21 +56,10 @@ import numpy as np
 from .lattice import (Edge, LatticeSpec, Site, require_ints, spec_from_dict,
                       spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
-                  ContractionLine, MeraMeta, Tns, line_ends, node_arrays)
+                  VARIANTS, MeraMeta, Tns)
 
 _ANCHOR, _ISOMETRY = KIND_CODES[KIND_ANCHOR], KIND_CODES[KIND_ISOMETRY]
-# variant codes of node arrays: the refined offsets' variants, and 0 for
-# any other
-_VARIANTS = ("u", "u2x2", "g", "w", "t", "u2x1", "u1x2")
-_VARIANT_CODES = {v: i for i, v in enumerate(_VARIANTS, 1)}
-_U2X1, _U1X2 = _VARIANT_CODES["u2x1"], _VARIANT_CODES["u1x2"]
-
-
-def _variant_codes(tns: Tns) -> np.ndarray:
-    return np.fromiter(map(_VARIANT_CODES.get,
-                           map(operator.attrgetter("variant"),
-                               tns.nodes.values()), itertools.repeat(0)),
-                       np.int64, len(tns.nodes))
+_U2X1, _U1X2 = VARIANTS.index("u2x1"), VARIANTS.index("u1x2")
 
 
 def default_refined_offsets(dimension: int) -> dict[str, tuple[int, ...]]:
@@ -122,6 +110,11 @@ def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
     if scheme == "refined":
         if delta_tau < 1:
             raise ValueError("refined placement needs delta_tau >= 1")
+        # the host length L * b**delta_tau must fit in int64; b**64 alone
+        # does not, so no power past b**63 is taken
+        if delta_tau > 63 or tns.spec.length * b ** delta_tau >= 2 ** 63:
+            raise ValueError(f"delta_tau {delta_tau} makes the host lattice "
+                             f"longer than int64 coordinates hold")
         offsets = default_refined_offsets(d)
         factor = b ** delta_tau
         host = LatticeSpec(d, tns.spec.length * factor, b,
@@ -130,9 +123,8 @@ def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
         delta_tau, offsets, factor = 0, None, 1
         host = tns.spec
 
-    ids = list(tns.nodes)
-    layer, kind, cells = node_arrays(tns)
-    anchor = kind == _ANCHOR
+    ids, layer, cells = tns.ids, tns.layer, tns.cell
+    anchor = tns.kind == _ANCHOR
     tensor = (~anchor).nonzero()[0]
     tau = layer[tensor]
     lowest = 0 if scheme == "naive" else 1
@@ -144,10 +136,10 @@ def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
                          f"{layer[i]} outside [{lowest}, {tns.spec.layers}]")
     m = None
     if offsets:
-        # row 0 for variants without an offset of their own
-        table = np.array([(0,) * d] + [offsets.get(v, (0,) * d)
-                                       for v in _VARIANTS], np.int64)
-        m = table[_variant_codes(tns)[tensor]]
+        # zeros for variants without an offset of their own
+        table = np.array([offsets.get(v, (0,) * d) for v in tns.variants],
+                         np.int64).reshape(-1, d)
+        m = table[tns.variant[tensor]]
     sites = factor * cells
     if scheme == "refined" and d >= 2:
         # keep anchors off the tensor sublattices: x stays even except
@@ -208,18 +200,9 @@ def detect_stacks(p: Placement) -> StackReport:
     return StackReport(counts, max(counts.values(), default=0))
 
 
-def _orient(tns: Tns, line: ContractionLine):
-    """Deterministic (source, target) endpoint order for routing."""
-    na, nb = line.a[0], line.b[0]
-    pa, pb = tns.nodes[na], tns.nodes[nb]
-    ka = (pa.layer, KIND_CODES[pa.kind], pa.id)
-    kb = (pb.layer, KIND_CODES[pb.kind], pb.id)
-    return (na, nb) if ka <= kb else (nb, na)
-
-
 class PathAssignment:
     """Vertex chains per line id, each running from the line's source to
-    its target as _orient orders them.  A chain of length one denotes
+    its target as _orientation orders them.  A chain of length one denotes
     co-located endpoints and crosses no edge.
 
     The router stores every chain in one flat layout: `vertices`, a
@@ -295,33 +278,27 @@ def route_lines(tns: Tns, p: Placement) -> PathAssignment:
     pass.
     """
     d = p.lattice.dimension
-    names = list(tns.nodes)
-    layer, kind, _ = node_arrays(tns)
-    ids, ends = _oriented_ends(tns, names, layer, kind)
+    by_id = tns.line_id.argsort(kind="stable")
+    ends = _orientation(tns)[:, by_id]
     sites = np.fromiter(
-        itertools.chain.from_iterable(map(p.site_of.__getitem__, names)),
-        np.int64, len(names) * d).reshape(-1, d)
-    return PathAssignment(line_ids=ids, **_step_out(_corners(
-        p.lattice.branching, layer, kind, _variant_codes(tns), ends,
+        itertools.chain.from_iterable(map(p.site_of.__getitem__, tns.ids)),
+        np.int64, len(tns.ids) * d).reshape(-1, d)
+    return PathAssignment(line_ids=tns.line_id[by_id], **_step_out(_corners(
+        p.lattice.branching, tns.layer, tns.kind, tns.variant, ends,
         *sites[ends])))
 
 
-def _oriented_ends(tns: Tns, names, layer, kind):
-    """Line ids in ascending order, and the node indices (2, L) of each
-    line's source and target: the source comes first by layer, then kind
-    code, then node id, as in _orient."""
-    ends, _ = line_ends(tns)
-    ids = np.fromiter(map(operator.attrgetter("id"), tns.lines), np.int64,
-                      len(tns.lines))
-    if (ids[1:] < ids[:-1]).any():
-        by_id = ids.argsort(kind="stable")
-        ids, ends = ids[by_id], ends[:, by_id]
-    (la, lb), (ka, kb) = layer[ends], kind[ends]
+def _orientation(tns: Tns) -> np.ndarray:
+    """Node indices (2, L) of each line's source and target, in line
+    order: the source comes first by layer, then kind code, then node
+    id."""
+    ends = tns.line_ends
+    (la, lb), (ka, kb) = tns.layer[ends], tns.kind[ends]
     same = la == lb
     a_first = (la < lb) | (same & (ka <= kb))
     for i in (same & (ka == kb)).nonzero()[0].tolist():
-        a_first[i] = names[ends[0, i]] <= names[ends[1, i]]
-    return ids, np.where(a_first, ends, ends[::-1])
+        a_first[i] = tns.ids[ends[0, i]] <= tns.ids[ends[1, i]]
+    return np.where(a_first, ends, ends[::-1])
 
 
 def _corners(b, layer, kind, variant, ends, s, t):
@@ -419,21 +396,22 @@ def check_routing(tns: Tns, p: Placement,
         return "host lattice does not match the scheme"
     if expected != p:
         return "site positions or delta_tau do not match the scheme"
-    if set(paths.chains) != {ln.id for ln in tns.lines}:
+    line_ids = tns.line_id.tolist()
+    if set(paths.chains) != set(line_ids):
         return "paths do not cover the contraction lines"
-    for line in tns.lines:
-        chain = paths.chains[line.id]
-        s, t = (p.site_of[nid] for nid in _orient(tns, line))
+    for lid, src, dst in zip(line_ids, *_orientation(tns).tolist()):
+        chain = paths.chains[lid]
+        s, t = p.site_of[tns.ids[src]], p.site_of[tns.ids[dst]]
         if not chain or chain[0] != s or chain[-1] != t:
-            return f"path of line {line.id} does not join its endpoints"
+            return f"path of line {lid} does not join its endpoints"
         off = next((v for v in chain if not p.lattice.contains(v)), None)
         if off is not None:
-            return f"path of line {line.id} leaves the host grid at {off}"
+            return f"path of line {lid} leaves the host grid at {off}"
         for a, b in zip(chain, chain[1:]):
             if sum(abs(x - y) for x, y in zip(a, b)) != 1:
-                return f"path of line {line.id} jumps"
+                return f"path of line {lid} jumps"
         if len(chain) - 1 != sum(abs(x - y) for x, y in zip(s, t)):
-            return f"path of line {line.id} is not L1-shortest"
+            return f"path of line {lid} is not L1-shortest"
     return None
 
 
@@ -463,16 +441,19 @@ class CongestionReport:
     on first use.  Physical-leg lines (those ending on an anchor) can be
     included or excluded from every figure; embedded-network bond
     dimensions include them, while the interior congestion figures of the
-    refined scheme exclude them.  The per-edge figures are taken once,
-    when the report is made.
+    refined scheme exclude them.  network_ids holds the ids of the
+    network's lines in ascending order, and network_dims and
+    network_physical their dimensions and whether they are physical legs.
+    The per-edge figures are taken once, when the report is made.
     """
 
     keys: np.ndarray
     origin: Site
     shape: tuple[int, ...]
     line_ids: np.ndarray
-    line_dims: dict[int, int]
-    physical_lines: frozenset[int]
+    network_ids: np.ndarray
+    network_dims: np.ndarray
+    network_physical: np.ndarray
 
     def __post_init__(self):
         self._edge_keys, edge = _distinct(self.keys)
@@ -484,14 +465,13 @@ class CongestionReport:
         bounds = np.ones(len(lids) + 1, bool)
         np.not_equal(lids[1:], lids[:-1], out=bounds[1:-1])
         bounds = bounds.nonzero()[0]
-        runs = lids[bounds[:-1]].tolist()
-        line_class = list(zip(map(self.line_dims.__getitem__, runs),
-                              map(self.physical_lines.__contains__, runs)))
-        classes = {c: i for i, c in enumerate(dict.fromkeys(line_class))}
+        at = self._positions(lids[bounds[:-1]])
+        dims, dim_rank = _distinct(self.network_dims[at])
+        classes, line_class = _distinct(2 * dim_rank
+                                        + self.network_physical[at])
         shape = len(self._edge_keys), len(classes)
         edge *= shape[1]
-        edge += np.fromiter(map(classes.__getitem__, line_class), np.int64,
-                            len(runs)).repeat(bounds[1:] - bounds[:-1])
+        edge += line_class.repeat(bounds[1:] - bounds[:-1])
         counts = np.bincount(edge, minlength=math.prod(shape)).reshape(shape)
         # distinct rows of counts: the columns as digits of one code, made
         # dense whenever the next digit could overflow it
@@ -510,14 +490,24 @@ class CongestionReport:
         rows[code] = counts
         self._row_of_edge = code
         # (paths, bond dimension) per distinct row, by include_physical
-        dims = [d for d, _ in classes]
-        interior = np.array([not ph for _, ph in classes], bool)
+        interior = classes % 2 == 0
+        dims = dims[classes // 2].tolist()
         self._paths, self._bonds = {}, {}
         for include_physical, used in ((True, rows),
                                        (False, rows * interior)):
             self._paths[include_physical] = used.sum(axis=1)
             self._bonds[include_physical] = [
                 math.prod(map(pow, dims, row)) for row in used.tolist()]
+
+    def _positions(self, lids: np.ndarray) -> np.ndarray:
+        """Positions in network_ids of the given line ids; ValueError for
+        an id the network lacks."""
+        at = self.network_ids.searchsorted(lids)
+        known = self.network_ids.take(at, mode="clip") == lids
+        if not known.all():
+            raise ValueError(f"path of line {lids[~known][0]} names no line "
+                             f"of the network")
+        return at
 
     def _ends(self, keys):
         """Lower and upper vertices, as (n, D) arrays, of keyed edges."""
@@ -543,19 +533,19 @@ class CongestionReport:
                 zip(map(tuple, lower.tolist()), map(tuple, upper.tolist()),
                     [0] + ends, ends)}
 
-    def _counted(self, lines, include_physical):
-        if include_physical:
-            return lines
-        return tuple(l for l in lines if l not in self.physical_lines)
+    def _counted_dims(self, edge, include_physical):
+        """Dimensions of the counted lines crossing an edge."""
+        at = self._positions(np.array(self.edge_lines.get(edge, ()),
+                                      np.int64))
+        if not include_physical:
+            at = at[~self.network_physical[at]]
+        return self.network_dims[at].tolist()
 
     def paths_through(self, edge: Edge, include_physical: bool = True) -> int:
-        return len(self._counted(self.edge_lines.get(edge, ()),
-                                 include_physical))
+        return len(self._counted_dims(edge, include_physical))
 
     def bond_dim_of(self, edge: Edge, include_physical: bool = True) -> int:
-        return math.prod(map(self.line_dims.__getitem__,
-                             self._counted(self.edge_lines.get(edge, ()),
-                                           include_physical)))
+        return math.prod(self._counted_dims(edge, include_physical))
 
     def max_paths(self, include_physical: bool = True) -> int:
         return int(self._paths[include_physical].max(initial=0))
@@ -635,10 +625,11 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
     inner = inner[:-1]
     axes = ((coords[:-1, k][inner], coords[1:, k][inner])
             for k in range(coords.shape[1]))
-    return CongestionReport(
-        *_crossing_keys(axes, line_ids), line_ids,
-        {ln.id: ln.dim for ln in tns.lines},
-        frozenset(ln.id for ln in tns.lines if tns.is_physical_line(ln)))
+    by_id = tns.line_id.argsort(kind="stable")
+    physical = (tns.kind == _ANCHOR)[tns.line_ends].any(axis=0)
+    return CongestionReport(*_crossing_keys(axes, line_ids), line_ids,
+                            tns.line_id[by_id], tns.line_dim[by_id],
+                            physical[by_id])
 
 
 def chi_bound(meta: MeraMeta, dimension: int) -> int:
@@ -729,23 +720,29 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     has one physical index per original site, located where the anchor was
     placed.
     """
-    label_of: dict[tuple[str, int], object] = {}
+    anchor = (tns.kind == _ANCHOR).tolist()
+    cells, bounds = tns.cell.tolist(), tns.dim_offsets.tolist()
+    # one label per slot; slot k of node i is entry bounds[i] + k
+    label_of: list = [None] * bounds[-1]
     wires: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
+    ends = _orientation(tns)
+    # the source's slot is the a end's when the source is the a end
+    slots = np.where(ends[0] == tns.line_ends[0], tns.line_slots,
+                     tns.line_slots[::-1])
 
-    for line in tns.lines:
-        src, dst = _orient(tns, line)
-        chain = paths.chains[line.id]
-        src_slot = (line.a if line.a[0] == src else line.b)
-        dst_slot = (line.b if src_slot is line.a else line.a)
-        phys = ("p", tns.nodes[src].cell) if src in p.anchor_ids else None
+    for lid, dim, src, src_slot, dst_slot in zip(
+            tns.line_id.tolist(), tns.line_dim.tolist(), ends[0].tolist(),
+            *(tns.dim_offsets[ends] + slots).tolist()):
+        chain = paths.chains[lid]
+        phys = ("p", tuple(cells[src])) if anchor[src] else None
         if len(chain) == 1:
             if phys:
                 label_of[dst_slot] = phys
             else:
-                label_of[src_slot] = label_of[dst_slot] = ("i", line.id)
+                label_of[src_slot] = label_of[dst_slot] = ("i", lid)
             continue
-        eye = np.eye(line.dim)
-        labels = [("t", line.id, j) for j in range(len(chain) - 1)]
+        eye = np.eye(dim)
+        labels = [("t", lid, j) for j in range(len(chain) - 1)]
         if phys:
             wires.setdefault(chain[0], []).append((eye, (phys, labels[0])))
         else:
@@ -756,13 +753,9 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
                 (eye, (labels[j - 1], labels[j])))
 
     site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
-    for node in tns.nodes.values():
-        if node.kind == KIND_ANCHOR:
-            continue
-        labels = tuple(label_of[(node.id, slot)]
-                       for slot in range(node.order))
-        site_factors.setdefault(p.site_of[node.id], []).append(
-            (node.elements, labels))
+    for i in (tns.kind != _ANCHOR).nonzero()[0].tolist():
+        site_factors.setdefault(p.site_of[tns.ids[i]], []).append(
+            (tns.elements[i], tuple(label_of[bounds[i]:bounds[i + 1]])))
     for site, fs in wires.items():
         site_factors.setdefault(site, []).extend(fs)
 
@@ -802,7 +795,8 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
                 CongestionReport(
                     *_crossing_keys(zip(lower[crossing].T,
                                         upper[crossing].T), line_ids),
-                    line_ids, report.line_dims, report.physical_lines))
+                    line_ids, report.network_ids, report.network_dims,
+                    report.network_physical))
 
 
 def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
@@ -831,7 +825,8 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     """Placement and paths from a map-v1 description; ValueError when the
     document is not an object, lacks a key or a site for a network node,
-    or has a delta_tau or path line id that is not an integer."""
+    has a delta_tau or path line id that is not an integer, or has two
+    paths of one line id."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
@@ -841,7 +836,8 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
         site_of = {nid: tuple(site) for nid, site in data["sites"]}
         require_ints((data["delta_tau"],), f"delta_tau {data['delta_tau']!r}")
         p = Placement(data["scheme"], host, data["delta_tau"], site_of,
-                      frozenset(n.id for n in tns.anchors()))
+                      frozenset(itertools.compress(
+                          tns.ids, (tns.kind == _ANCHOR).tolist())))
         chains = {lid: tuple(tuple(v) for v in chain)
                   for lid, chain in data["paths"]}
         # True would hash equal to line 1 and stand in for it
@@ -849,7 +845,9 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc
-    missing = next((nid for nid in tns.nodes if nid not in site_of), None)
+    if len(chains) < len(data["paths"]):
+        raise ValueError("malformed map-v1 document: repeated path line id")
+    missing = next((nid for nid in tns.ids if nid not in site_of), None)
     if missing is not None:
         raise ValueError(f"malformed map-v1 document: no site for node "
                          f"{missing!r}")

@@ -18,19 +18,26 @@ Slot conventions (array axes follow slot order):
 * two-site gate (binary-tree builder): slots (0, 1) are inputs, (2, 3)
   outputs, each ordered (first site, second site).
 * top and physical-anchor nodes have a single slot 0.
+
+A network (Tns) is a node table and a line table of int64 columns.  The
+builders fill them, tns-v1 is read a column at a time, and every pass
+indexes the columns without a Python object per node or line; the views
+`Tns.nodes` and `Tns.lines` make records on demand.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import operator
-from dataclasses import asdict, astuple, dataclass, field, fields
+from collections.abc import Mapping, Sequence
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .lattice import (LatticeSpec, Site, require_ints, spec_from_dict,
-                      spec_to_dict)
+from .lattice import LatticeSpec, require_ints, spec_from_dict, spec_to_dict
 
 GENERATOR_VERSION = "tnkit-0.1.0"
 
@@ -38,11 +45,15 @@ KIND_DISENTANGLER = "disentangler"
 KIND_ISOMETRY = "isometry"
 KIND_TOP = "top"
 KIND_ANCHOR = "physical-anchor"
-KINDS = frozenset((KIND_DISENTANGLER, KIND_ISOMETRY, KIND_TOP, KIND_ANCHOR))
-# int64 code of each kind in node arrays; the router orders a line's
+# kinds by their code in the node table; the router orders a line's
 # endpoints by it within a layer
-KIND_CODES = {KIND_ANCHOR: 0, KIND_DISENTANGLER: 1, KIND_ISOMETRY: 2,
-              KIND_TOP: 3}
+KIND_NAMES = (KIND_ANCHOR, KIND_DISENTANGLER, KIND_ISOMETRY, KIND_TOP)
+KIND_CODES = {k: i for i, k in enumerate(KIND_NAMES)}
+KINDS = frozenset(KIND_NAMES)
+# variant names by their code in the node table; a network read from
+# tns-v1 appends any other names it uses
+VARIANTS = ("p", "u", "u2x2", "u2x1", "u1x2", "w", "t", "g")
+_PAST_INT64 = "a layer, cell, dim, slot or line id does not fit in 64 bits"
 
 
 @dataclass(frozen=True)
@@ -64,71 +75,143 @@ class MeraMeta:
     max_layer_distance: int
 
 
-@dataclass(eq=False)
 class TensorNode:
-    """One tensor of the network.
+    """Node i of a network, its fields read from the node table on each
+    access.  They are read-only, except that setting `elements` sets the
+    table's entry; `elements` is None for symbolic networks."""
 
-    `kind` is the structural role; `variant` the placement flavour used to
-    key position offsets ("u", "w", "u2x2", "u2x1", "u1x2", "g", "t", "p").
-    `elements` is None for symbolic networks.
-    """
+    __slots__ = ("_tns", "_i")
 
-    id: str
-    layer: int
-    cell: tuple[int, ...]
-    kind: str
-    variant: str
-    dims: tuple[int, ...]
-    elements: np.ndarray | None = None
+    def __init__(self, tns: Tns, i: int):
+        self._tns, self._i = tns, i
+
+    id = property(lambda self: self._tns.ids[self._i])
+    layer = property(lambda self: int(self._tns.layer[self._i]))
+    cell = property(lambda self: tuple(self._tns.cell[self._i].tolist()))
+    kind = property(lambda self: KIND_NAMES[self._tns.kind[self._i]])
+    variant = property(
+        lambda self: self._tns.variants[self._tns.variant[self._i]])
+    dims = property(lambda self: tuple(self._tns.dims[slice(
+        *self._tns.dim_offsets[self._i:self._i + 2].tolist())].tolist()))
+    order = property(lambda self: len(self.dims))
 
     @property
-    def order(self) -> int:
-        return len(self.dims)
+    def elements(self) -> np.ndarray | None:
+        return self._tns.elements[self._i]
+
+    @elements.setter
+    def elements(self, value: np.ndarray | None) -> None:
+        self._tns.elements[self._i] = value
 
 
-@dataclass(frozen=True)
-class ContractionLine:
-    """A contracted index pair between two node slots."""
-
-    id: int
-    a: tuple[str, int]
-    b: tuple[str, int]
-    dim: int
+# a contracted index pair: line id, (node id, slot) of each end, dimension
+ContractionLine = collections.namedtuple("ContractionLine", "id a b dim")
 
 
-@dataclass
+class NodeView(Mapping):
+    """Node id -> TensorNode of a network, records made on demand."""
+
+    def __init__(self, tns: Tns):
+        self._tns = tns
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self._tns.ids, itertools.count()))
+
+    def __getitem__(self, nid: str) -> TensorNode:
+        return TensorNode(self._tns, self._index[nid])
+
+    def __iter__(self):
+        return iter(self._tns.ids)
+
+    def __len__(self) -> int:
+        return len(self._tns.ids)
+
+
+class LineView(Sequence):
+    """ContractionLine records of a network in line order, made on
+    demand."""
+
+    def __init__(self, tns: Tns):
+        self._tns = tns
+
+    def __getitem__(self, i: int) -> ContractionLine:
+        t, i = self._tns, range(len(self))[i]
+        (a, b), (sa, sb) = t.line_ends[:, i].tolist(), t.line_slots[:, i]
+        return ContractionLine(int(t.line_id[i]), (t.ids[a], int(sa)),
+                               (t.ids[b], int(sb)), int(t.line_dim[i]))
+
+    def __len__(self) -> int:
+        return len(self._tns.line_id)
+
+
+@dataclass(eq=False)
 class Tns:
+    """Node table, in node order: `ids`, int64 `layer` (N,), `kind` (N,)
+    of KIND_CODES, `variant` (N,) of codes into `variants`, `cell` (N, D),
+    node i's slot dims at `dims[dim_offsets[i]:dim_offsets[i + 1]]`, and
+    `elements`, an array or None per node.  Line table, in line order:
+    int64 `line_id` (L,), the node indices `line_ends` (2, L) and slots
+    `line_slots` (2, L) of each line's a and b ends, and `line_dim` (L,).
+    """
+
     spec: LatticeSpec
     physical_dim: int
     chi: int
     meta: MeraMeta
-    nodes: dict[str, TensorNode] = field(default_factory=dict)
-    lines: list[ContractionLine] = field(default_factory=list)
+    ids: list[str]
+    layer: np.ndarray
+    kind: np.ndarray
+    variant: np.ndarray
+    cell: np.ndarray
+    dims: np.ndarray
+    dim_offsets: np.ndarray
+    elements: list
+    line_id: np.ndarray
+    line_ends: np.ndarray
+    line_slots: np.ndarray
+    line_dim: np.ndarray
+    variants: tuple[str, ...] = VARIANTS
 
-    def anchors(self) -> list[TensorNode]:
-        return [n for n in self.nodes.values() if n.kind == KIND_ANCHOR]
-
-    def is_physical_line(self, line: ContractionLine) -> bool:
-        nodes = self.nodes
-        return (nodes[line.a[0]].kind == KIND_ANCHOR
-                or nodes[line.b[0]].kind == KIND_ANCHOR)
+    nodes = property(NodeView)
+    lines = property(LineView)
 
 
-class _Wiring:
-    """Accumulates nodes and lines with deterministic ordering."""
+class _Tables:
+    """Node and line columns of a network being built: groups of nodes that
+    share their layer, kind, variant and dims, and blocks of lines."""
 
     def __init__(self):
-        self.nodes: dict[str, TensorNode] = {}
-        self.lines: list[ContractionLine] = []
+        self.ids, self.elements, self.groups, self.lines = [], [], [], []
 
-    def add(self, node: TensorNode) -> TensorNode:
-        if node.id in self.nodes:
-            raise ValueError(f"duplicate node id {node.id}")
-        self.nodes[node.id] = node
-        return node
+    def add(self, ids, layer, kind, variant, cells, dims, elements=None):
+        """Indices of new nodes of the given ids and cells (n, D)."""
+        self.groups.append((len(ids), layer, KIND_CODES[kind],
+                            VARIANTS.index(variant), dims, cells))
+        self.elements += elements or [None] * len(ids)
+        self.ids += ids
+        return np.arange(len(self.ids) - len(ids), len(self.ids))
 
-    def connect(self, a: tuple[str, int], b: tuple[str, int], dim: int) -> None:
-        self.lines.append(ContractionLine(len(self.lines), a, b, dim))
+    def connect(self, *columns):
+        """Lines from nodes a to nodes b: columns a, b, a's slot, b's slot
+        and dim, broadcast to the shape of a, in row-major order."""
+        zero = np.zeros(np.shape(columns[0]), np.int64)
+        self.lines.append([(zero + x).ravel() for x in columns])
+
+    def network(self, spec, physical_dim, chi, meta) -> Tns:
+        counts, layer, kind, variant, dims, cells = zip(*self.groups)
+        order = np.repeat(list(map(len, dims)), counts)
+        # each group's dims padded to the widest, one row per node
+        width = max(map(len, dims))
+        rows = np.repeat([d + (0,) * (width - len(d)) for d in dims], counts,
+                         axis=0)
+        lines = np.concatenate(self.lines, axis=1)
+        return Tns(spec, physical_dim, chi, meta, self.ids,
+                   *(np.repeat(c, counts) for c in (layer, kind, variant)),
+                   np.concatenate(cells).reshape(-1, spec.dimension),
+                   rows[np.arange(width) < order[:, None]],
+                   np.concatenate(([0], order.cumsum())), self.elements,
+                   np.arange(lines.shape[1]), lines[:2], lines[2:4], lines[4])
 
 
 def _random_isometry(rng, fine_dims, coarse_dim) -> np.ndarray:
@@ -156,21 +239,17 @@ def _random_top(rng, dim) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _anchor_id(site: Site) -> str:
-    return "p:" + ",".join(str(c) for c in site)
+def _ids(prefix: str, cells: np.ndarray) -> list[str]:
+    """Node ids of the form prefix + comma-joined cell, cells (n, D)."""
+    return [prefix + ",".join(map(str, c)) for c in cells.tolist()]
 
 
-def _add_anchors(w: _Wiring, spec: LatticeSpec, phys_dim: int):
-    exposed = {}
-    for site in spec.sites():
-        sid = _anchor_id(site)
-        w.add(TensorNode(sid, 0, site, KIND_ANCHOR, "p", (phys_dim,)))
-        exposed[site] = (sid, 0)
-    return exposed
-
-
-def _node_id(variant: str, tau: int, cell) -> str:
-    return f"{variant}:{tau}:" + ",".join(str(c) for c in cell)
+def _add_anchors(t: _Tables, spec: LatticeSpec, phys_dim: int):
+    """Anchor nodes of every site in lexicographic order; the node and
+    slot that expose each site, by row-major rank."""
+    sites = np.indices(spec.shape).reshape(spec.dimension, -1).T
+    return (t.add(_ids("p:", sites), 0, KIND_ANCHOR, "p", sites,
+                  (phys_dim,)), np.zeros(len(sites), np.int64))
 
 
 # Per-axis roles of a disentangler pattern: the first cell n that carries
@@ -192,13 +271,22 @@ _FAMILIES = {
 
 
 def _cover(roles, b: int, out: int):
-    """(cell, covered sites) pairs of one pattern on a layer of out^D cells,
-    cells and each cell's sites in lexicographic order.  roles holds one
-    (first cell, site offsets) pair per axis."""
-    axes = [{n: tuple(b * n + o for o in offs) for n in range(first, out)}
-            for first, offs in roles]
-    for n in itertools.product(*axes):
-        yield n, itertools.product(*map(operator.getitem, axes, n))
+    """Cells (n, D) of one pattern on a layer of out^D cells, in
+    lexicographic order, and the row-major ranks (n, legs) of the sites
+    each covers on the (b*out)^D grid below, in lexicographic order.
+    roles holds one (first cell, site offsets) pair per axis."""
+    d = len(roles)
+    cells = np.empty([out - first for first, _ in roles] + [d], np.int64)
+    # rank[n_0..n_D-1, l_0..l_D-1] of site offset l_k along axis k of cell n
+    rank = 0
+    for k, (first, offs) in enumerate(roles):
+        n = np.arange(first, out)
+        cells[..., k] = n.reshape([-1 if j == k else 1 for j in range(d)])
+        shape = [1] * (2 * d)
+        shape[k], shape[d + k] = len(n), len(offs)
+        rank = rank * (b * out) + (b * n[:, None] + offs).reshape(shape)
+    cells = cells.reshape(-1, d)
+    return cells, rank.reshape(len(cells), math.prod(rank.shape[d:]))
 
 
 def _build_mera(dimension: int, b: int, layers: int, chi: int,
@@ -209,7 +297,8 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
     block boundaries, pattern by pattern and cells in lexicographic order,
     then isometries coarse-grain each block to one site of the next layer.
     Sites no disentangler covers feed their isometry directly.  A top
-    tensor closes the hierarchy.
+    tensor closes the hierarchy.  Each pattern's nodes and lines are
+    added as columns at once; elements are drawn in node order.
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
@@ -226,48 +315,50 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
     dims = [phys_dim]
     for _ in range(layers):
         dims.append(min(chi, dims[-1] ** block))
-    w = _Wiring()
-    exposed = _add_anchors(w, spec, phys_dim)
-    block_roles = ((0, tuple(range(b))),) * dimension
+    if max(dims) >= 2 ** 63:
+        raise ValueError(_PAST_INT64)
+    t = _Tables()
 
+    def draw(count, make, *shape):
+        return [make(rng, *shape) for _ in range(count)] \
+            if with_elements else None
+
+    # the node and slot exposing each site of the grid below layer tau
+    node, slot = _add_anchors(t, spec, phys_dim)
+    block_roles = ((0, tuple(range(b))),) * dimension
     for tau in range(1, layers + 1):
         out = spec.length // b ** tau
         f, c = dims[tau - 1], dims[tau]
         for variant, roles, legs in patterns:
-            for n, sites in _cover(roles, b, out):
-                u = w.add(TensorNode(
-                    _node_id(variant, tau, n), tau, n, KIND_DISENTANGLER,
-                    variant, (f,) * (2 * legs),
-                    _random_unitary(rng, (f,) * legs) if with_elements
-                    else None))
-                for i, s in enumerate(sites):
-                    w.connect(exposed[s], (u.id, i), f)
-                    exposed[s] = (u.id, legs + i)
-        new_exposed = {}
-        for n, sites in _cover(block_roles, b, out):
-            iso = w.add(TensorNode(
-                _node_id("w", tau, n), tau, n, KIND_ISOMETRY, "w",
-                (f,) * block + (c,),
-                _random_isometry(rng, (f,) * block, c) if with_elements
-                else None))
-            for i, s in enumerate(sites):
-                w.connect(exposed[s], (iso.id, i), f)
-            new_exposed[n] = (iso.id, block)
-        exposed = new_exposed
+            if out <= max(first for first, _ in roles):
+                continue
+            cells, sites = _cover(roles, b, out)
+            u = t.add(_ids(f"{variant}:{tau}:", cells), tau,
+                      KIND_DISENTANGLER, variant, cells, (f,) * (2 * legs),
+                      draw(len(cells), _random_unitary, (f,) * legs))
+            t.connect(node[sites], u[:, None], slot[sites], np.arange(legs),
+                      f)
+            node[sites] = u[:, None]
+            slot[sites] = legs + np.arange(legs)
+        cells, sites = _cover(block_roles, b, out)
+        iso = t.add(_ids(f"w:{tau}:", cells), tau, KIND_ISOMETRY, "w",
+                    cells, (f,) * block + (c,),
+                    draw(len(cells), _random_isometry, (f,) * block, c))
+        t.connect(node[sites], iso[:, None], slot[sites], np.arange(block),
+                  f)
+        node, slot = iso, np.full(len(iso), block)
 
-    origin = (0,) * dimension
-    top = w.add(TensorNode(_node_id("t", layers, origin), layers, origin,
-                           KIND_TOP, "t", (dims[layers],),
-                           _random_top(rng, dims[layers]) if with_elements
-                           else None))
-    w.connect(exposed[origin], (top.id, 0), dims[layers])
+    origin = np.zeros((1, dimension), np.int64)
+    top = t.add(_ids(f"t:{layers}:", origin), layers, KIND_TOP, "t", origin,
+                (dims[layers],), draw(1, _random_top, dims[layers]))
+    t.connect(node, top, slot, 0, dims[layers])
 
     meta = MeraMeta(chi=max(chi, phys_dim), branching=b,
                     max_tensor_order=max(2 * max(p[2] for p in patterns),
                                          block + 1),
                     max_tensors_per_cell=len(patterns) + 1,
                     max_cell_distance=2, max_layer_distance=1)
-    return Tns(spec, phys_dim, chi, meta, w.nodes, w.lines)
+    return t.network(spec, phys_dim, chi, meta)
 
 
 def build_mera_1d(layers: int, chi: int = 2, phys_dim: int = 2, seed: int = 0,
@@ -303,13 +394,9 @@ def ttn_gate_schedule(layers: int) -> list[tuple[int, tuple[int, int]]]:
     Layer tau holds 2**(layers - tau) gates; gate k of layer tau couples
     sites 2**(tau-1) * (2k - 1) - 1 and 2**tau * k - 1.
     """
-    out = []
-    for tau in range(layers, 0, -1):
-        for k in range(1, 2 ** (layers - tau) + 1):
-            a = 2 ** (tau - 1) * (2 * k - 1) - 1
-            b = 2 ** tau * k - 1
-            out.append((tau, (a, b)))
-    return out
+    return [(tau, (2 ** (tau - 1) * (2 * k - 1) - 1, 2 ** tau * k - 1))
+            for tau in range(layers, 0, -1)
+            for k in range(1, 2 ** (layers - tau) + 1)]
 
 
 def ttn_cut_size(layers: int) -> int:
@@ -337,33 +424,34 @@ def build_ttn_example(layers: int) -> Tns:
     if layers < 1 or layers % 2 == 0:
         raise ValueError("layers must be odd and >= 1")
     spec = LatticeSpec(1, 2 ** layers, 2, layers)
-    w = _Wiring()
-    _add_anchors(w, spec, 2)
+    t = _Tables()
+    _add_anchors(t, spec, 2)
     gate = two_site_rotation_gate()
-    producer: dict[int, tuple[str, int]] = {}
+    producer: dict[int, tuple[int, int]] = {}
 
     def zero_node(tau, cell, tag):
-        z = w.add(TensorNode(f"t:{tau}:{cell}:{tag}", tau, (cell,),
-                             KIND_TOP, "t", (2,), np.array([1.0, 0.0])))
-        return (z.id, 0)
+        z, = t.add([f"t:{tau}:{cell}:{tag}"], tau, KIND_TOP, "t", [[cell]],
+                   (2,), [np.array([1.0, 0.0])])
+        return z
 
     for tau, (a, b) in ttn_gate_schedule(layers):
         cell = b // 2 ** tau
-        g = w.add(TensorNode(f"g:{tau}:{cell}", tau, (cell,),
-                             KIND_DISENTANGLER, "g", (2, 2, 2, 2), gate))
-        w.connect(zero_node(tau, cell, "a"), (g.id, 0), 2)
-        src = producer.get(b) or zero_node(tau, cell, "b")
-        w.connect(src, (g.id, 1), 2)
-        producer[a] = (g.id, 2)
-        producer[b] = (g.id, 3)
+        g, = t.add([f"g:{tau}:{cell}"], tau, KIND_DISENTANGLER, "g",
+                   [[cell]], (2, 2, 2, 2), [gate])
+        t.connect(zero_node(tau, cell, "a"), g, 0, 0, 2)
+        src, slot = producer.get(b) or (zero_node(tau, cell, "b"), 0)
+        t.connect(src, g, slot, 1, 2)
+        producer[a] = (g, 2)
+        producer[b] = (g, 3)
 
-    for site in spec.sites():
-        w.connect(producer[site[0]], (_anchor_id(site), 0), 2)
+    # anchor i exposes site i
+    src, slot = zip(*map(producer.__getitem__, range(spec.length)))
+    t.connect(src, np.arange(spec.length), slot, 0, 2)
 
     meta = MeraMeta(chi=2, branching=2, max_tensor_order=4,
                     max_tensors_per_cell=3, max_cell_distance=1,
                     max_layer_distance=1)
-    return Tns(spec, 2, 2, meta, w.nodes, w.lines)
+    return t.network(spec, 2, 2, meta)
 
 
 @dataclass
@@ -380,31 +468,7 @@ def _int64(values, count: int = -1) -> np.ndarray:
     try:
         return np.fromiter(values, np.int64, count)
     except OverflowError:
-        raise ValueError("a layer, cell, dim, slot or line id does not fit "
-                         "in 64 bits") from None
-
-
-def node_arrays(tns: Tns):
-    """Layer, kind code (KIND_CODES) and (N, D) cell of every node, int64
-    arrays in node order.  Cells must have the lattice dimension."""
-    nodes, get = tns.nodes.values(), operator.attrgetter
-    n, d = len(nodes), tns.spec.dimension
-    return (_int64(map(get("layer"), nodes), n),
-            _int64(map(KIND_CODES.__getitem__, map(get("kind"), nodes)), n),
-            _int64(itertools.chain.from_iterable(map(get("cell"), nodes)),
-                   n * d).reshape(n, d))
-
-
-def line_ends(tns: Tns):
-    """(2, L) node indices (in node order) and slots of the a and b ends
-    of every line, in line order; KeyError for an unknown node."""
-    index = dict(zip(tns.nodes, itertools.count()))
-    ends = list(map(operator.attrgetter("a"), tns.lines))
-    ends += map(operator.attrgetter("b"), tns.lines)
-    name, slot = operator.itemgetter(0), operator.itemgetter(1)
-    return (_int64(map(index.__getitem__, map(name, ends)),
-                   len(ends)).reshape(2, -1),
-            _int64(map(slot, ends), len(ends)).reshape(2, -1))
+        raise ValueError(_PAST_INT64) from None
 
 
 def validate_preconditions(tns: Tns) -> ValidationReport:
@@ -417,8 +481,8 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     line's dimension, that every slot is covered by exactly one line, and
     that the header agrees with the network: meta.branching is the lattice
     branching, every anchor has dims (physical_dim,), and chi lies in
-    [1, meta.chi].  The checks run on int64 arrays of the nodes and lines,
-    and only failures are formatted.
+    [1, meta.chi].  The checks run on the network's columns, and only
+    failures are formatted.
     """
     issues = []
     spec, meta = tns.spec, tns.meta
@@ -432,18 +496,13 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     if not 1 <= tns.chi <= meta.chi:
         issues.append(f"chi {tns.chi} outside [1, {meta.chi}]")
 
-    nodes, lines = list(tns.nodes.values()), tns.lines
-    layer, kind, cells = node_arrays(tns)
-    dims = list(map(operator.attrgetter("dims"), nodes))
-    order = _int64(map(len, dims), len(dims))
+    layer, kind, cells = tns.layer, tns.kind, tns.cell
     # slot k of node i is flat entry start[i] + k; the padding entry at
     # the end stands for every slot a node lacks
-    start = _int64(itertools.accumulate(map(len, dims), initial=0),
-                   len(dims) + 1)
-    pad = int(start[-1])
-    start = start[:-1]
-    flat_dims = _int64(itertools.chain(itertools.chain.from_iterable(dims),
-                                       (0,)), pad + 1)
+    start = tns.dim_offsets[:-1]
+    order = tns.dim_offsets[1:] - start
+    pad = len(tns.dims)
+    flat_dims = np.append(tns.dims, 0)
 
     anchor = kind == KIND_CODES[KIND_ANCHOR]
     tensor = ~anchor
@@ -465,7 +524,8 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
                 f"{n.id}: order {n.order} exceeds {meta.max_tensor_order}")),
             (tensor & (cells.view(np.uint64) >= width[:, None]).any(axis=1),
              lambda n: f"{n.id}: cell {n.cell} outside layer grid")):
-        issues.extend(text(nodes[i]) for i in mask.nonzero()[0].tolist())
+        issues.extend(text(TensorNode(tns, i))
+                      for i in mask.nonzero()[0].tolist())
 
     # tensors per (layer, cell), as runs of equal rows in sorted order; a
     # run longer than the most allowed has equal rows that many apart
@@ -483,14 +543,14 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
             issues.append(f"layer {key[0]} cell {tuple(key[1:])}: "
                           f"{counts[i]} tensors exceed {most}")
 
-    ends, slots = line_ends(tns)
-    dim = _int64(map(operator.attrgetter("dim"), lines), len(lines))
+    ends, slots, dim, line_id = (tns.line_ends, tns.line_slots, tns.line_dim,
+                                 tns.line_id)
     has_slot = slots.view(np.uint64) < order.view(np.uint64)[ends]
     flat_slot = np.where(has_slot, start[ends] + slots, pad)
     for k, i in zip(*(x.tolist() for x in (
             ~has_slot | (flat_dims[flat_slot] != dim)).nonzero())):
-        issues.append(f"line {lines[i].id}: {nodes[ends[k, i]].id} has no "
-                      f"slot {slots[k, i]} of dimension {lines[i].dim}")
+        issues.append(f"line {line_id[i]}: {tns.ids[ends[k, i]]} has no "
+                      f"slot {slots[k, i]} of dimension {dim[i]}")
     # rows lo and hi: the end in the lower layer (the a end on a tie),
     # then the other
     swap = layer[ends[0]] > layer[ends[1]]
@@ -508,23 +568,24 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     lo_cell //= powers.take(exponent, mode="clip")[:, None]
     past = exponent >= len(powers)
     if past.any():
-        lo_cell[past] = -(cells[ends[0, past]] < 0)
+        lo_cell[past] = np.where(cells[ends[0, past]] < 0, -1, 0)
     dist = np.abs(lo_cell - hi_cell).sum(axis=1)
     for mask, text in (
-            (dim > meta.chi, lambda ln, i: (
-                f"line {ln.id}: dimension {ln.dim} exceeds chi {meta.chi}")),
-            (too_far, lambda ln, i: (
-                f"line {ln.id}: spans layers {lo_layer[i]}..{hi_layer[i]}, "
-                f"max distance {meta.max_layer_distance}")),
-            (~too_far & (dist > meta.max_cell_distance), lambda ln, i: (
-                f"line {ln.id}: cell distance {dist[i]} exceeds "
+            (dim > meta.chi, lambda i: (
+                f"line {line_id[i]}: dimension {dim[i]} exceeds chi "
+                f"{meta.chi}")),
+            (too_far, lambda i: (
+                f"line {line_id[i]}: spans layers {lo_layer[i]}.."
+                f"{hi_layer[i]}, max distance {meta.max_layer_distance}")),
+            (~too_far & (dist > meta.max_cell_distance), lambda i: (
+                f"line {line_id[i]}: cell distance {dist[i]} exceeds "
                 f"{meta.max_cell_distance}"))):
-        issues.extend(text(lines[i], i) for i in mask.nonzero()[0].tolist())
+        issues.extend(map(text, mask.nonzero()[0].tolist()))
 
     covered = np.bincount(flat_slot[has_slot], minlength=pad + 1)[:pad]
     for j in (covered != 1).nonzero()[0].tolist():
         i = int(np.searchsorted(start, j, "right")) - 1
-        issues.append(f"{nodes[i].id} slot {j - start[i]}: covered by "
+        issues.append(f"{tns.ids[i]} slot {j - start[i]}: covered by "
                       f"{covered[j]} lines")
 
     return ValidationReport(sorted(set(issues)))
@@ -532,17 +593,12 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
 
 def tns_to_dict(tns: Tns) -> dict:
     """JSON-ready description, format tns-v1.  Deterministic field order."""
-    nodes = []
-    for node in tns.nodes.values():
-        elements = None
-        if node.elements is not None:
-            # complex128 memory layout: real, imaginary part per amplitude
-            elements = np.ascontiguousarray(
-                node.elements, complex).view(float).ravel().tolist()
-        nodes.append({"id": node.id, "layer": node.layer,
-                      "cell": list(node.cell), "kind": node.kind,
-                      "variant": node.variant, "dims": list(node.dims),
-                      "elements": elements})
+    ids, bounds, dims = tns.ids, tns.dim_offsets.tolist(), tns.dims.tolist()
+    # complex128 memory layout: real, imaginary part per amplitude
+    elements = [None if e is None else np.ascontiguousarray(
+        e, complex).view(float).ravel().tolist() for e in tns.elements]
+    (a, b), (sa, sb) = np.array(ids, object)[tns.line_ends].tolist(), \
+        tns.line_slots.tolist()
     return {
         "version": "tns-v1",
         "generator_version": GENERATOR_VERSION,
@@ -550,71 +606,94 @@ def tns_to_dict(tns: Tns) -> dict:
         "physical_dim": tns.physical_dim,
         "chi": tns.chi,
         "meta": asdict(tns.meta),
-        "nodes": nodes,
-        "lines": [{"id": ln.id, "a": list(ln.a), "b": list(ln.b),
-                   "dim": ln.dim} for ln in tns.lines],
+        "nodes": [{"id": i, "layer": layer, "cell": cell, "kind": kind,
+                   "variant": variant, "dims": dims[start:end],
+                   "elements": e}
+                  for i, layer, cell, kind, variant, start, end, e in zip(
+                      ids, tns.layer.tolist(), tns.cell.tolist(),
+                      map(KIND_NAMES.__getitem__, tns.kind.tolist()),
+                      map(tns.variants.__getitem__, tns.variant.tolist()),
+                      bounds, bounds[1:], elements)],
+        "lines": [{"id": i, "a": [na, slot_a], "b": [nb, slot_b], "dim": dim}
+                  for i, na, slot_a, nb, slot_b, dim in zip(
+                      tns.line_id.tolist(), a, sa, b, sb,
+                      tns.line_dim.tolist())],
     }
+
+
+def _columns(rows, keys):
+    """Columns, as tuples, of the given keys of a list of JSON objects."""
+    return [tuple(map(operator.itemgetter(key), rows)) for key in keys]
 
 
 def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
     is not an object, lacks a key, has a node of unknown kind, an integer
-    field that is not an integer, a node id or variant that is not a
-    string, two lines of one id, a line that names an unknown node, a
-    node cell whose length is not the lattice dimension, or a negative
-    layer."""
+    field that is not an integer or does not fit in 64 bits, a node id or
+    variant that is not a string, two nodes or two lines of one id, a
+    line that names an unknown node, a node cell whose length is not the
+    lattice dimension, or a negative layer.  Each field is read and
+    checked a column at a time."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
         raise ValueError(f"unsupported network format {data.get('version')!r}")
+    flat = itertools.chain.from_iterable
     try:
         spec = spec_from_dict(data["lattice"])
         meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
-        nodes = {}
-        for nd in data["nodes"]:
-            dims, elements = tuple(nd["dims"]), nd["elements"]
-            if elements is not None:
-                elements = np.array(elements, float).view(complex).reshape(
-                    dims)
-            nodes[nd["id"]] = TensorNode(nd["id"], nd["layer"],
-                                         tuple(nd["cell"]), nd["kind"],
-                                         nd["variant"], dims, elements)
-        # looking the endpoint nodes up rejects unknown ones in this pass
-        lines = [ContractionLine(ld["id"],
-                                 (nodes[ld["a"][0]].id, ld["a"][1]),
-                                 (nodes[ld["b"][0]].id, ld["b"][1]),
-                                 ld["dim"])
-                 for ld in data["lines"]]
-        # every field is checked in bulk, off the loops above
-        values, get = nodes.values(), operator.attrgetter
-        kinds = set(map(get("kind"), values))
-        if not kinds <= KINDS:
+        ids, layers, cells, kinds, variants, dims, elements = _columns(
+            data["nodes"], ("id", "layer", "cell", "kind", "variant", "dims",
+                            "elements"))
+        line_ids, a, b, line_dims = _columns(data["lines"],
+                                             ("id", "a", "b", "dim"))
+        kind_set = set(kinds)
+        if not kind_set <= KINDS:
             raise TypeError(f"unknown node kind "
-                            f"{min(map(repr, kinds - KINDS))}")
-        flat, slot = itertools.chain.from_iterable, operator.itemgetter(1)
-        if not {str}.issuperset(map(type, flat(map(get("id", "variant"),
-                                                   values)))):
+                            f"{min(map(repr, kind_set - KINDS))}")
+        if not {str}.issuperset(map(type, ids + variants)):
             raise TypeError("node id or variant is not a string")
-        ids = list(map(get("id"), lines))
-        require_ints(flat((
-            (data["physical_dim"], data["chi"]), astuple(meta), ids,
-            map(get("layer"), values), flat(map(get("cell"), values)),
-            flat(map(get("dims"), values)), map(get("dim"), lines),
-            map(slot, map(get("a"), lines)), map(slot, map(get("b"), lines)))),
-            "a count, layer, cell, dim, slot or line id")
-        if len(set(ids)) < len(ids):
-            raise ValueError("malformed tns-v1 document: repeated line id")
-        if set(map(len, map(get("cell"), values))) - {spec.dimension}:
-            node = next(n for n in values if len(n.cell) != spec.dimension)
-            raise ValueError(f"malformed tns-v1 document: {node.id}: cell "
-                             f"{list(node.cell)} is not {spec.dimension}-"
-                             f"dimensional")
-        if min(map(get("layer"), values), default=0) < 0:
-            node = next(n for n in values if n.layer < 0)
-            raise ValueError(f"malformed tns-v1 document: {node.id}: "
-                             f"negative layer {node.layer}")
-        return Tns(spec, data["physical_dim"], data["chi"], meta, nodes,
-                   lines)
+        index = dict(zip(ids, itertools.count()))
+        if len(index) < len(ids):
+            raise ValueError("malformed tns-v1 document: repeated node id")
+        # looking the end nodes up rejects unknown ones
+        ends = list(map(index.__getitem__, map(operator.itemgetter(0),
+                                               itertools.chain(a, b))))
+        slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
+        require_ints(flat(((data["physical_dim"], data["chi"]),
+                           astuple(meta), line_ids, layers, flat(cells),
+                           flat(dims), line_dims, slots)),
+                     "a count, layer, cell, dim, slot or line id")
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed tns-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc
+    n, lines, d = len(ids), len(line_ids), spec.dimension
+    line_id = _int64(line_ids, lines)
+    ranked = np.sort(line_id)
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ValueError("malformed tns-v1 document: repeated line id")
+    if set(map(len, cells)) - {d}:
+        bad = next(i for i, c in enumerate(cells) if len(c) != d)
+        raise ValueError(f"malformed tns-v1 document: {ids[bad]}: cell "
+                         f"{list(cells[bad])} is not {d}-dimensional")
+    layer = _int64(layers, n)
+    if (layer < 0).any():
+        i = int((layer < 0).argmax())
+        raise ValueError(f"malformed tns-v1 document: {ids[i]}: "
+                         f"negative layer {layer[i]}")
+    offsets = _int64(itertools.accumulate(map(len, dims), initial=0), n + 1)
+    flat_dims = _int64(flat(dims), offsets[-1])
+    names = VARIANTS + tuple(sorted(set(variants) - set(VARIANTS)))
+    codes = dict(zip(names, itertools.count()))
+    elements = list(elements)
+    if elements.count(None) < n:
+        elements = [e if e is None else np.array(e, float).view(
+            complex).reshape(shape) for e, shape in zip(elements, dims)]
+    return Tns(spec, data["physical_dim"], data["chi"], meta, list(ids),
+               layer, _int64(map(KIND_CODES.__getitem__, kinds), n),
+               _int64(map(codes.__getitem__, variants), n),
+               _int64(flat(cells), n * d).reshape(n, d), flat_dims,
+               offsets, elements, line_id,
+               _int64(ends, 2 * lines).reshape(2, lines),
+               _int64(slots, 2 * lines).reshape(2, lines),
+               _int64(line_dims, lines), names)

@@ -37,6 +37,15 @@ def test_build_rejects_unknown_kind(tmp_path):
     assert main(["build", "--kind", "mera9d", "--layers", "2"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--chi", "--phys-dim"])
+def test_build_rejects_dims_past_int64(tmp_path, capsys, flag):
+    # 2**70 caps no line dimension of mera1d T=7 below 2**63
+    assert main(["build", "--kind", "mera1d", "--layers", "7", flag,
+                 str(2 ** 70), "--no-elements",
+                 "--out", str(tmp_path / "net.json")]) == 2
+    assert "does not fit in 64 bits" in capsys.readouterr().err
+
+
 def test_build_rejects_bad_layers(tmp_path):
     assert main(["build", "--kind", "mera1d", "--layers", "0"]) == 2
     assert main(["build", "--kind", "ttn1d", "--layers", "2"]) == 2
@@ -471,6 +480,86 @@ def test_verify_rejects_bool_path_id(built, tmp_path, capsys):
     assert main(["verify", "--tns", str(built),
                  "--map", str(tmp_path / "bad.json")]) == 2
     assert "malformed map-v1 document" in capsys.readouterr().err
+
+
+def test_verify_rejects_repeated_path_line_id(built, tmp_path, capsys):
+    # a second entry for line 1 would replace the first in a dict
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    lid, chain = data["paths"][1]
+    data["paths"].append([lid, chain[::-1]])
+    assert data["paths"][-1] != data["paths"][1]
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(built),
+                 "--map", str(tmp_path / "bad.json")]) == 2
+    assert capsys.readouterr().err == \
+        "error: malformed map-v1 document: repeated path line id\n"
+
+
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_line_id_past_int64_exits_2(built, tmp_path, capsys, command):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    data = json.loads(built.read_text())
+    data["lines"][0]["id"] = 2 ** 70
+    net = tmp_path / "big.json"
+    net.write_text(json.dumps(data))
+    argv = {"map": ["map", "--tns", str(net), "--scheme", "refined",
+                    "--out-prefix", str(tmp_path / "x")],
+            "verify": ["verify", "--tns", str(net),
+                       "--map", prefix + ".map.json"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not fit in 64 bits" in captured.err
+
+
+@pytest.mark.parametrize("delta_tau", [61, 64])
+def test_map_refuses_host_past_int64(built, tmp_path, capsys, delta_tau):
+    # 4 * 2**61 sites per axis is past int64; the check runs before any
+    # power of delta_tau is taken, so nothing is allocated
+    capsys.readouterr()
+    assert main(["map", "--tns", str(built), "--scheme", "refined",
+                 "--delta-tau", str(delta_tau),
+                 "--out-prefix", str(tmp_path / "m")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: delta_tau {delta_tau} makes")
+    assert not (tmp_path / "m.map.json").exists()
+
+
+def test_verify_refuses_map_with_host_past_int64(built, tmp_path, capsys):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    data["delta_tau"] = 61
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(built),
+                 "--map", str(tmp_path / "bad.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: delta_tau 61 makes")
+
+
+def test_pipeline_reads_the_tables_not_the_views(tmp_path, monkeypatch,
+                                                  capsys):
+    def refuse(self):
+        raise AssertionError("a node or line view was read")
+
+    monkeypatch.setattr(tns_mod.Tns, "nodes", property(refuse))
+    monkeypatch.setattr(tns_mod.Tns, "lines", property(refuse))
+    net, prefix = str(tmp_path / "net.json"), str(tmp_path / "m")
+    assert main(["build", "--kind", "mera2d-b2", "--layers", "2",
+                 "--seed", "1", "--out", net]) == 0
+    assert main(["map", "--tns", net, "--scheme", "refined",
+                 "--out-prefix", prefix]) == 0
+    assert main(["verify", "--tns", net, "--map", prefix + ".map.json"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 @pytest.fixture

@@ -20,9 +20,26 @@ from tnkit.mapping import (CongestionReport, PathAssignment, Placement,
                            default_refined_offsets, detect_stacks,
                            line_density_estimate, map_from_dict, map_to_dict,
                            measured_chi, place_naive, place_refined,
-                           place_shifted, route_lines, _orient, _tensor_site)
-from tnkit.tns import (MeraMeta, build_mera_1d, build_mera_2d_b2,
-                       build_mera_2d_b3, build_ttn_example)
+                           place_shifted, route_lines, _tensor_site)
+from tnkit.tns import (KIND_ANCHOR, KIND_CODES, MeraMeta, build_mera_1d,
+                       build_mera_2d_b2, build_mera_2d_b3, build_ttn_example,
+                       tns_from_dict, tns_to_dict)
+
+
+def _orient(tns, line):
+    """(source, target) node ids of a line as the router orders them: by
+    layer, then kind code, then node id."""
+    nodes = tns.nodes
+
+    def key(nid):
+        return nodes[nid].layer, KIND_CODES[nodes[nid].kind], nid
+
+    na, nb = line.a[0], line.b[0]
+    return (na, nb) if key(na) <= key(nb) else (nb, na)
+
+
+def _anchor_rows(net):
+    return net.kind == KIND_CODES[KIND_ANCHOR]
 
 
 def routed(build, layers, scheme, **kw):
@@ -55,7 +72,7 @@ def test_shifted_keeps_stacks_within_meta():
         report = detect_stacks(place_shifted(net))
         assert report.max_height <= net.meta.max_tensors_per_cell
         assert sum(report.counts.values()) \
-            == len(net.nodes) - len(net.anchors())
+            == len(net.ids) - _anchor_rows(net).sum()
 
 
 def test_shifted_layers_use_disjoint_sublattices():
@@ -103,6 +120,18 @@ def test_refined_argument_validation():
     net = build_mera_2d_b2(1)
     with pytest.raises(ValueError):
         place_refined(net, delta_tau=0)
+
+
+def test_refined_host_length_stays_within_int64():
+    # L = 4: 4 * 2**60 fits in int64 and 4 * 2**61 does not; placing
+    # allocates per node, not per host site
+    net = build_mera_1d(2, with_elements=False)
+    p = place_refined(net, delta_tau=60)
+    assert p.lattice.length == 2 ** 62
+    assert max(max(s) for s in p.site_of.values()) < 2 ** 62
+    for delta_tau in (61, 2 ** 70):
+        with pytest.raises(ValueError, match=f"delta_tau {delta_tau} "):
+            place_refined(net, delta_tau)
 
 
 # ------------------------------------------------------------------ routing
@@ -261,9 +290,10 @@ def test_colocated_endpoints_give_empty_path():
 
 def test_router_matches_oracle_on_shuffled_lines():
     # line ids out of list order, and nodes in reverse insertion order
-    net = build_mera_2d_b3(2, with_elements=False)
-    net.lines.reverse()
-    net.nodes = dict(reversed(net.nodes.items()))
+    data = tns_to_dict(build_mera_2d_b3(2, with_elements=False))
+    data["lines"].reverse()
+    data["nodes"].reverse()
+    net = tns_from_dict(data)
     p = place_refined(net)
     pa = route_lines(net, p)
     assert list(pa.chains) == sorted(pa.chains)
@@ -274,9 +304,10 @@ def test_router_matches_oracle_on_shuffled_lines():
 def test_router_breaks_ties_by_node_id(scheme):
     # a top of isometry kind ties with the apex isometry on layer and
     # kind, and its id orders it first
-    net = build_mera_2d_b2(2, with_elements=False)
-    net.nodes["t:2:0,0"] = dataclasses.replace(net.nodes["t:2:0,0"],
-                                               kind="isometry")
+    data = tns_to_dict(build_mera_2d_b2(2, with_elements=False))
+    next(nd for nd in data["nodes"] if nd["id"] == "t:2:0,0")["kind"] = \
+        "isometry"
+    net = tns_from_dict(data)
     p = {"naive": place_naive, "shifted": place_shifted,
          "refined": place_refined}[scheme](net)
     pa = route_lines(net, p)
@@ -389,13 +420,21 @@ def _oracle_edge_lines(chains):
     return {e: edge_lines[e] for e in sorted(edge_lines)}
 
 
-def _assert_matches_oracle(rep, chains):
+def _line_classes(net):
+    """Dimension per line id, and the ids of the physical legs."""
+    nodes = net.nodes
+    return ({ln.id: ln.dim for ln in net.lines},
+            {ln.id for ln in net.lines
+             if KIND_ANCHOR in (nodes[ln.a[0]].kind, nodes[ln.b[0]].kind)})
+
+
+def _assert_matches_oracle(rep, chains, net):
     """Every figure of rep equals the one taken from the reference tally
-    of chains."""
+    of chains, with the line dimensions of net."""
     expected = _oracle_edge_lines(chains)
     assert rep.edge_lines == expected
     assert list(rep.edge_lines) == list(expected)
-    dims = rep.line_dims
+    dims, physical = _line_classes(net)
     rows = [f"{';'.join(map(str, a))},{';'.join(map(str, b))},{len(ls)},"
             f"{math.prod(dims[l] for l in ls)}"
             for (a, b), ls in expected.items()]
@@ -403,7 +442,7 @@ def _assert_matches_oracle(rep, chains):
         "\n".join(["edge_a,edge_b,paths,bond_dim"] + rows) + "\n"
     for include_physical in (True, False):
         counted = {e: [l for l in ls if include_physical
-                       or l not in rep.physical_lines]
+                       or l not in physical]
                    for e, ls in expected.items()}
         paths = {e: len(ls) for e, ls in counted.items()}
         bonds = {e: math.prod(dims[l] for l in ls)
@@ -431,9 +470,10 @@ def test_report_maxima_match_brute_force(build, layers, scheme):
                         with_elements=False)
     rep = measured_chi(net, pa)
     # physical legs and interior lines differ in dimension
-    assert {rep.line_dims[l] for l in rep.physical_lines} == {3}
-    assert 5 in rep.line_dims.values()
-    _assert_matches_oracle(rep, pa.chains)
+    dims, physical = _line_classes(net)
+    assert {dims[l] for l in physical} == {3}
+    assert 5 in dims.values()
+    _assert_matches_oracle(rep, pa.chains, net)
 
 
 def test_report_bond_dimensions_past_int64_stay_exact():
@@ -442,7 +482,7 @@ def test_report_bond_dimensions_past_int64_stay_exact():
     rep = measured_chi(net, pa)
     assert rep.chi_peps() == 922337203685477580800000
     assert rep.chi_peps() > 2 ** 63
-    _assert_matches_oracle(rep, pa.chains)
+    _assert_matches_oracle(rep, pa.chains, net)
 
 
 @pytest.mark.parametrize("chains", [
@@ -460,7 +500,8 @@ def test_report_bond_dimensions_past_int64_stay_exact():
 ], ids=["3d", "negative", "length-one", "vertexless", "empty", "numpy-ints"])
 def test_hand_made_chains_match_oracle(chains):
     net = build_mera_1d(2, chi=5, phys_dim=3, with_elements=False)
-    _assert_matches_oracle(measured_chi(net, PathAssignment(chains)), chains)
+    _assert_matches_oracle(measured_chi(net, PathAssignment(chains)), chains,
+                           net)
 
 
 @pytest.mark.parametrize("chain", [((0, 0), (2, 0)), ((0, 0), (1, 1)),
@@ -498,10 +539,9 @@ def test_tally_rejects_boxes_past_int64():
 def test_one_class_per_line_matches_oracle():
     # a distinct dimension per line puts every line in a class of its own
     net, _, pa = routed(build_mera_1d, 5, "shifted", with_elements=False)
-    net.lines[:] = [dataclasses.replace(ln, dim=2 + ln.id)
-                    for ln in net.lines]
+    net.line_dim[:] = 2 + net.line_id
     assert len(net.lines) > 63
-    _assert_matches_oracle(measured_chi(net, pa), pa.chains)
+    _assert_matches_oracle(measured_chi(net, pa), pa.chains, net)
 
 
 @pytest.mark.parametrize("chain", [((4,), (5,)), ((0, 0, 0), (1,))],
@@ -524,7 +564,7 @@ def test_merged_report_matches_oracle():
         blocks = [tuple(c // f for c in v) for v in chain]
         blocked[lid] = tuple(b for i, b in enumerate(blocks)
                              if i == 0 or b != blocks[i - 1])
-    _assert_matches_oracle(merged.congestion, blocked)
+    _assert_matches_oracle(merged.congestion, blocked, net)
 
 
 def test_congestion_csv_deterministic():
@@ -576,7 +616,7 @@ def test_peps_bond_dims_match_congestion():
     assert peps.congestion.chi_peps() == rep.chi_peps()
     open_cells = {l[1] for _, labels in peps.all_factors() for l in labels
                   if l[0] == "p"}
-    assert open_cells == {a.cell for a in net.anchors()}
+    assert open_cells == set(map(tuple, net.cell[_anchor_rows(net)].tolist()))
 
 
 def test_peps_preserves_small_states():
@@ -657,6 +697,14 @@ def test_map_dict_rejects_non_integer_delta_tau(delta_tau):
     net, p, pa = routed(build_mera_2d_b2, 1, "refined")
     with pytest.raises(ValueError, match="malformed.*delta_tau"):
         map_from_dict({**map_to_dict(p, pa), "delta_tau": delta_tau}, net)
+
+
+def test_map_dict_rejects_repeated_path_line_id():
+    net, p, pa = routed(build_mera_1d, 2, "refined")
+    data = map_to_dict(p, pa)
+    data["paths"].append([data["paths"][0][0], data["paths"][1][1]])
+    with pytest.raises(ValueError, match="repeated path line id"):
+        map_from_dict(data, net)
 
 
 def test_map_dict_version_guard():

@@ -10,13 +10,13 @@ import pytest
 import tnkit.stabilizer as stab
 from tnkit import dense
 from tnkit.mapping import map_to_dict, place_refined, route_lines
-from tnkit.tns import (KIND_ANCHOR, KIND_DISENTANGLER, KIND_ISOMETRY,
-                       KIND_TOP, KINDS, MeraMeta, build_mera_1d,
-                       build_mera_2d_b2,
+from tnkit.tns import (KIND_ANCHOR, KIND_CODES, KIND_DISENTANGLER,
+                       KIND_ISOMETRY, KIND_TOP, KINDS, MeraMeta,
+                       build_mera_1d, build_mera_2d_b2,
                        build_mera_2d_b3, build_ttn_example,
                        tns_from_dict, tns_to_dict, ttn_cut_size,
                        ttn_gate_schedule, two_site_rotation_gate,
-                       validate_preconditions, _anchor_id,
+                       validate_preconditions,
                        _random_isometry, _random_top, _random_unitary)
 
 BUILDERS = [
@@ -43,22 +43,24 @@ def test_preconditions_hold_at_any_chi_and_phys_dim(build, layers, chi,
 
 
 def _broken_1d(edit):
-    """mera1d T=3 with one hand-made fault; edit gets (nodes, lines)."""
-    net = build_mera_1d(3, with_elements=False)
-    edit(net.nodes, net.lines)
-    return net
+    """mera1d T=3 with one hand-made fault; edit gets the node and line
+    lists of its tns-v1 document."""
+    data = tns_to_dict(build_mera_1d(3, with_elements=False))
+    edit(data["nodes"], data["lines"])
+    return tns_from_dict(data)
 
 
 def _swap_ends(lines, i, j, end):
     """Exchange the end ("a" or "b") slots of lines i and j."""
-    slot_i, slot_j = getattr(lines[i], end), getattr(lines[j], end)
-    lines[i] = dataclasses.replace(lines[i], **{end: slot_j})
-    lines[j] = dataclasses.replace(lines[j], **{end: slot_i})
+    lines[i][end], lines[j][end] = lines[j][end], lines[i][end]
+
+
+def _node_entry(nodes, nid):
+    return next(nd for nd in nodes if nd["id"] == nid)
 
 
 HAND_MADE_FAULTS = [
-    (lambda nodes, lines: lines.__setitem__(
-        0, dataclasses.replace(lines[0], dim=3)),
+    (lambda nodes, lines: lines[0].__setitem__("dim", 3),
      ["line 0: dimension 3 exceeds chi 2",
       "line 0: p:1 has no slot 0 of dimension 3",
       "line 0: u:1:1 has no slot 0 of dimension 3"]),
@@ -68,19 +70,18 @@ HAND_MADE_FAULTS = [
     (lambda nodes, lines: _swap_ends(lines, 6, 13, "a"),
      ["line 13: cell distance 3 exceeds 2",
       "line 6: cell distance 3 exceeds 2"]),
-    (lambda nodes, lines: nodes.__setitem__(
-        "w:1:3", dataclasses.replace(nodes["w:1:3"], cell=(4,))),
+    (lambda nodes, lines: _node_entry(nodes, "w:1:3").__setitem__(
+        "cell", [4]),
      ["w:1:3: cell (4,) outside layer grid"]),
     (lambda nodes, lines: lines.pop(),
      ["t:3:0 slot 0: covered by 0 lines",
       "w:3:0 slot 2: covered by 0 lines"]),
-    (lambda nodes, lines: lines.append(
-        dataclasses.replace(lines[-1], id=len(lines))),
+    (lambda nodes, lines: lines.append({**lines[-1], "id": len(lines)}),
      ["t:3:0 slot 0: covered by 2 lines",
       "w:3:0 slot 2: covered by 2 lines"]),
     (lambda nodes, lines: lines.append(
-        dataclasses.replace(lines[-1], id=len(lines), a=("t:3:0", 5),
-                            b=("w:3:0", 9))),
+        {**lines[-1], "id": len(lines), "a": ["t:3:0", 5],
+         "b": ["w:3:0", 9]}),
      ["line 23: t:3:0 has no slot 5 of dimension 2",
       "line 23: w:3:0 has no slot 9 of dimension 2"]),
 ]
@@ -171,53 +172,47 @@ def test_preconditions_match_oracle_on_hand_made_faults(edit, issues):
     assert validate_preconditions(net).issues == _oracle_validate(net)
 
 
-def _mutate(net, rng):
-    """One random edit of a node, a line or the header, to values a tns-v1
-    file can hold (layers stay >= 0, cells keep the lattice dimension)."""
-    nodes, lines, spec = net.nodes, net.lines, net.spec
-    ids = list(nodes)
-    nid = ids[rng.integers(len(ids))]
-    node = nodes[nid]
+def _mutate(data, rng):
+    """One random edit of a node, a line or the header of a tns-v1
+    document, to values the format can hold (layers stay >= 0, cells keep
+    the lattice dimension)."""
+    nodes, lines, lattice = data["nodes"], data["lines"], data["lattice"]
+    node = nodes[rng.integers(len(nodes))]
     i = int(rng.integers(len(lines))) if lines else None
     r = lambda lo, hi: int(rng.integers(lo, hi))
     what = r(0, 12)
     if what == 0 and lines:
-        lines[i] = dataclasses.replace(lines[i], dim=r(0, 5))
+        lines[i]["dim"] = r(0, 5)
     elif what == 1 and lines:
         end = "ab"[r(0, 2)]
-        name = getattr(lines[i], end)[0]
-        lines[i] = dataclasses.replace(lines[i], **{end: (name, r(-1, 7))})
+        lines[i][end] = [lines[i][end][0], r(-1, 7)]
     elif what == 2 and lines:
         end = "ab"[r(0, 2)]
-        slot = getattr(lines[i], end)[1]
-        lines[i] = dataclasses.replace(lines[i], **{end: (nid, slot)})
+        lines[i][end] = [node["id"], lines[i][end][1]]
     elif what == 3 and lines:
         del lines[i]
     elif what == 4 and lines:
-        lines.append(dataclasses.replace(
-            lines[i], id=max(ln.id for ln in lines) + 1))
+        lines.append({**lines[i], "id": max(ln["id"] for ln in lines) + 1})
     elif what == 5:
-        nodes[nid] = dataclasses.replace(node, layer=r(0, spec.layers + 3))
+        node["layer"] = r(0, lattice["layers"] + 3)
     elif what == 6:
-        cell = list(node.cell)
-        cell[r(0, len(cell))] = r(-3, spec.length + 3)
-        nodes[nid] = dataclasses.replace(node, cell=tuple(cell))
+        node["cell"][r(0, len(node["cell"]))] = r(-3, lattice["length"] + 3)
     elif what == 7:
-        dims = list(node.dims)
+        dims = node["dims"]
         if dims and r(0, 3):
             dims[r(0, len(dims))] = r(0, 5)
         elif r(0, 2):
             dims.append(r(1, 4))
         else:
-            dims = dims[:-1]
-        nodes[nid] = dataclasses.replace(node, dims=tuple(dims))
+            dims.pop()
+        # elements of the old shape would no longer read back
+        node["elements"] = None
     elif what == 8:
-        nodes[nid] = dataclasses.replace(node, kind=sorted(KINDS)[r(0, 4)])
+        node["kind"] = sorted(KINDS)[r(0, 4)]
     elif what == 9:
-        field = dataclasses.fields(MeraMeta)[r(0, 6)].name
-        net.meta = dataclasses.replace(net.meta, **{field: r(-1, 12)})
+        data["meta"][dataclasses.fields(MeraMeta)[r(0, 6)].name] = r(-1, 12)
     elif what == 10:
-        setattr(net, ("physical_dim", "chi")[r(0, 2)], r(-1, 5))
+        data[("physical_dim", "chi")[r(0, 2)]] = r(-1, 5)
     elif lines:
         j = r(0, len(lines))
         _swap_ends(lines, i, j, "ab"[r(0, 2)])
@@ -227,11 +222,26 @@ def _mutate(net, rng):
 def test_preconditions_match_oracle_on_random_faults(build, layers):
     rng = np.random.default_rng(layers + len(build.__name__))
     kw = {} if build is build_ttn_example else {"with_elements": False}
+    text = json.dumps(tns_to_dict(build(layers, **kw)))
     for _ in range(60):
-        net = build(layers, **kw)
+        data = json.loads(text)
         for _ in range(int(rng.integers(1, 5))):
-            _mutate(net, rng)
+            _mutate(data, rng)
+        net = tns_from_dict(data)
         assert validate_preconditions(net).issues == _oracle_validate(net)
+
+
+def test_preconditions_match_oracle_with_branching_past_int64():
+    # every power of b past b**0 leaves int64, so each lower cell at the
+    # higher end's scale is 0 (or -1 for a negative cell)
+    data = tns_to_dict(build_mera_1d(2, with_elements=False))
+    data["lattice"]["branching"] = 2 ** 63
+    data["nodes"][0]["cell"] = [-3]
+    net = tns_from_dict(data)
+    issues = validate_preconditions(net).issues
+    assert issues == _oracle_validate(net)
+    assert ("meta branching 2 is not the lattice branching "
+            "9223372036854775808") in issues
 
 
 @pytest.mark.parametrize("cell", [[0, 0, 0], [0], []])
@@ -257,19 +267,57 @@ def test_dict_rejects_negative_layer():
         tns_from_dict(data)
 
 
+COLUMNS = ("layer", "kind", "variant", "cell", "dims", "dim_offsets",
+           "line_id", "line_ends", "line_slots", "line_dim")
+
+
+def _assert_same_tables(a, b):
+    """a and b have equal node and line tables: the same ids and variant
+    names, int64 columns of equal shape and values, equal elements."""
+    assert a.ids == b.ids and a.variants == b.variants
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64, name
+        assert np.array_equal(x, y), name
+    assert len(a.elements) == len(b.elements) == len(a.ids)
+    for x, y in zip(a.elements, b.elements):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("build,layers", BUILDERS)
 def test_builders_deterministic(build, layers):
-    a, b = build(layers), build(layers)
-    assert list(a.nodes) == list(b.nodes)
-    assert a.lines == b.lines
-    for nid in a.nodes:
-        na, nb = a.nodes[nid], b.nodes[nid]
-        assert (na.layer, na.cell, na.kind, na.variant, na.dims) \
-            == (nb.layer, nb.cell, nb.kind, nb.variant, nb.dims)
-        if na.elements is None:
-            assert nb.elements is None
-        else:
-            assert np.array_equal(na.elements, nb.elements)
+    _assert_same_tables(build(layers), build(layers))
+
+
+@pytest.mark.parametrize("build,layers", [
+    (build_mera_1d, 2), (build_mera_1d, 5), (build_mera_2d_b2, 1),
+    (build_mera_2d_b2, 3), (build_mera_2d_b3, 1), (build_mera_2d_b3, 2),
+    (build_ttn_example, 1), (build_ttn_example, 5)])
+def test_read_network_has_the_built_tables(build, layers):
+    kw = {} if build is build_ttn_example else {"with_elements": False}
+    net = build(layers, **kw)
+    _assert_same_tables(net, tns_from_dict(tns_to_dict(net)))
+
+
+def test_views_read_the_tables():
+    net = build_mera_1d(2, with_elements=False)
+    assert len(net.nodes) == len(net.ids) and len(net.lines) == 9
+    assert list(net.nodes) == net.ids
+    w = net.nodes["w:1:1"]
+    assert (w.id, w.layer, w.cell, w.kind, w.variant, w.dims, w.order) \
+        == ("w:1:1", 1, (1,), KIND_ISOMETRY, "w", (2, 2, 2), 3)
+    top = net.lines[-1]
+    assert (top.id, top.a, top.b, top.dim) == (8, ("w:2:0", 2),
+                                               ("t:2:0", 0), 2)
+    assert net.lines[8] == top
+    with pytest.raises(AttributeError):
+        w.layer = 2
+    with pytest.raises(IndexError):
+        net.lines[9]
+    with pytest.raises(KeyError):
+        net.nodes["no-such-node"]
 
 
 def test_seed_changes_elements():
@@ -334,12 +382,15 @@ def test_top_tensor_normalized():
 
 def test_anchor_bookkeeping():
     net = build_mera_2d_b2(1)
-    anchors = net.anchors()
+    nodes = net.nodes
+    anchors = [n for n in nodes.values() if n.kind == KIND_ANCHOR]
     assert len(anchors) == net.spec.num_sites
+    assert (net.kind == KIND_CODES[KIND_ANCHOR]).sum() == len(anchors)
     for a in anchors:
-        assert a.kind == KIND_ANCHOR and a.order == 1
-        assert _anchor_id(a.cell) == a.id
-    phys = [ln for ln in net.lines if net.is_physical_line(ln)]
+        assert a.order == 1
+        assert a.id == "p:" + ",".join(map(str, a.cell))
+    phys = [ln for ln in net.lines if KIND_ANCHOR in
+            (nodes[ln.a[0]].kind, nodes[ln.b[0]].kind)]
     assert len(phys) == len(anchors)
 
 
@@ -430,18 +481,9 @@ def test_dict_roundtrip(build, layers):
     net = build(layers)
     data = tns_to_dict(net)
     back = tns_from_dict(data)
-    assert list(back.nodes) == list(net.nodes)
-    assert back.lines == net.lines
     assert back.spec == net.spec
     assert back.meta == net.meta
-    for nid, node in net.nodes.items():
-        other = back.nodes[nid]
-        assert other.dims == node.dims
-        if node.elements is None:
-            assert other.elements is None
-        else:
-            np.testing.assert_allclose(other.elements, node.elements,
-                                       atol=1e-15)
+    _assert_same_tables(back, net)
 
 
 def test_dict_version_guard():
@@ -449,6 +491,21 @@ def test_dict_version_guard():
     data["version"] = "tns-v0"
     with pytest.raises(ValueError):
         tns_from_dict(data)
+
+
+def test_dict_rejects_repeated_node_id():
+    data = tns_to_dict(build_mera_1d(2, with_elements=False))
+    data["nodes"][5]["id"] = data["nodes"][4]["id"]
+    with pytest.raises(ValueError, match="malformed.*repeated node id"):
+        tns_from_dict(data)
+
+
+def test_dict_keeps_unknown_variant_names():
+    data = tns_to_dict(build_mera_1d(2, with_elements=False))
+    data["nodes"][-1]["variant"] = "apex"
+    net = tns_from_dict(data)
+    assert net.nodes[data["nodes"][-1]["id"]].variant == "apex"
+    assert tns_to_dict(net) == data
 
 
 def test_dict_rejects_missing_key_or_unknown_node():
