@@ -33,14 +33,13 @@ spreads lines that share a target over distinct tracks.  Finally, a
 along the first axis when the horizontal hop exceeds b, descending its
 own free column rather than the target's.
 
-Placement, routing, the tally and assembly read the network's node and
-line tables (layer, kind and variant codes, cells, each line's end nodes,
-slots and dimension) and apply each rule to all nodes or lines at once.
-The router turns every line into a few corners joined by axis-parallel
-legs and steps them out into one flat (V, D) vertex array, the chains back
-to back in line-id order with an offset per line.  PathAssignment stores
-that array; the tally reads it without a per-vertex Python object, and
-map_to_dict makes vertex tuples from it only for the map-v1 document.
+Every step reads the network's node and line tables and applies each
+rule to all nodes or lines at once.  A routed map is a Placement, one
+(N, D) int64 site per node in node order, and a PathAssignment, every
+chain back to back in one (V, D) vertex array in line-id order with an
+offset per line; from placement to check_routing and assemble_peps no
+step converts them, and map-v1 JSON is read and written only by
+map_from_dict and map_to_dict.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -56,7 +56,7 @@ import numpy as np
 from .lattice import (Edge, LatticeSpec, Site, require_ints, spec_from_dict,
                       spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
-                  VARIANTS, MeraMeta, Tns)
+                  VARIANTS, MeraMeta, Tns, row_runs)
 
 _ANCHOR, _ISOMETRY = KIND_CODES[KIND_ANCHOR], KIND_CODES[KIND_ISOMETRY]
 _U2X1, _U1X2 = VARIANTS.index("u2x1"), VARIANTS.index("u1x2")
@@ -78,17 +78,28 @@ def default_refined_offsets(dimension: int) -> dict[str, tuple[int, ...]]:
     return offsets
 
 
-@dataclass
+@dataclass(eq=False)
 class Placement:
+    """Host sites of a network's nodes, in its node order: `sites` is an
+    (N, D) int64 array, `ids` the node ids and `anchor` the (N,) mask of
+    physical anchors.  `site_of` (id -> site) and `anchor_ids` are made
+    from them on each access, for inspection."""
+
     scheme: str
     lattice: LatticeSpec
     delta_tau: int
-    site_of: dict[str, Site]
-    anchor_ids: frozenset[str]
+    ids: list[str]
+    sites: np.ndarray
+    anchor: np.ndarray
 
     @property
     def refine_factor(self) -> int:
         return self.lattice.branching ** self.delta_tau
+
+    site_of = property(
+        lambda self: dict(zip(self.ids, map(tuple, self.sites.tolist()))))
+    anchor_ids = property(lambda self: frozenset(
+        itertools.compress(self.ids, self.anchor.tolist())))
 
 
 def _tensor_site(scheme, b, tau, cells, dt, m):
@@ -152,9 +163,7 @@ def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
         i = outside[0]
         raise ValueError(f"{ids[i]} placed outside the host lattice at "
                          f"{tuple(sites[i].tolist())}")
-    return Placement(scheme, host, delta_tau,
-                     dict(zip(ids, map(tuple, sites.tolist()))),
-                     frozenset(itertools.compress(ids, anchor.tolist())))
+    return Placement(scheme, host, delta_tau, ids, sites, anchor)
 
 
 def place_naive(tns: Tns) -> Placement:
@@ -192,100 +201,43 @@ class StackReport:
 
 def detect_stacks(p: Placement) -> StackReport:
     """Per-site tensor counts.  Anchors are bookkeeping and excluded."""
-    counts: dict[Site, int] = {}
-    for nid, site in p.site_of.items():
-        if nid in p.anchor_ids:
-            continue
-        counts[site] = counts.get(site, 0) + 1
-    return StackReport(counts, max(counts.values(), default=0))
+    sites, heights = row_runs(p.sites[~p.anchor])
+    return StackReport(dict(zip(map(tuple, sites.tolist()), heights.tolist())),
+                       int(heights.max(initial=0)))
 
 
+@dataclass(eq=False)
 class PathAssignment:
-    """Vertex chains per line id, each running from the line's source to
-    its target as _orientation orders them.  A chain of length one denotes
-    co-located endpoints and crosses no edge.
+    """Vertex chains of a network's lines in one flat layout: the chain of
+    line `line_ids[i]` is `vertices[offsets[i]:offsets[i + 1]]`, and the
+    (V, D) int64 `vertices` hold the chains back to back in ascending
+    line-id order.  Each chain runs from the line's source to its target
+    as _orientation orders them; a chain of length one crosses no edge.
+    `chains`, a dict of vertex tuples per line id, is made on each access,
+    for inspection."""
 
-    The router stores every chain in one flat layout: `vertices`, a
-    (V, D) int64 array, holds the chains back to back in ascending
-    line-id order, and the chain of line `line_ids[i]` is
-    `vertices[offsets[i]:offsets[i + 1]]`.  `chains`, a dict of vertex
-    tuples per line id, is built from it on first use.  An assignment
-    made from a chains dict (read from map-v1, or made by hand) keeps the
-    dict as given, and `arrays` flattens it on each call.
-    """
+    line_ids: np.ndarray
+    offsets: np.ndarray
+    vertices: np.ndarray
 
-    def __init__(self, chains: dict[int, tuple[Site, ...]] | None = None, *,
-                 line_ids: np.ndarray | None = None,
-                 offsets: np.ndarray | None = None,
-                 vertices: np.ndarray | None = None):
-        if chains is not None:
-            self.chains = chains
-        self.line_ids, self.offsets = line_ids, offsets
-        self.vertices = vertices
-
-    @functools.cached_property
+    @property
     def chains(self) -> dict[int, tuple[Site, ...]]:
         vertices = list(map(tuple, self.vertices.tolist()))
         ends = self.offsets.tolist()
         return {lid: tuple(vertices[a:b]) for lid, a, b in
                 zip(self.line_ids.tolist(), ends, ends[1:])}
 
-    def arrays(self, dimension: int):
-        """(line_ids, offsets, vertices) of the flat layout.  Chains given
-        as a dict are flattened in line-id order; vertices of differing
-        dimension, or a coordinate that is not a 64-bit integer, raise
-        ValueError.  dimension is that of a layout without vertices."""
-        if self.vertices is not None:
-            return self.line_ids, self.offsets, self.vertices
-        ids = sorted(self.chains)
-        chains = list(map(self.chains.__getitem__, ids))
-        offsets = np.zeros(len(ids) + 1, np.int64)
-        np.cumsum(np.fromiter(map(len, chains), np.int64, len(ids)),
-                  out=offsets[1:])
-        vertices = itertools.chain.from_iterable
-        dims = set(map(len, vertices(chains)))
-        if len(dims) > 1:
-            raise ValueError("path vertices differ in dimension")
-        d = dims.pop() if dims else dimension
-        # struct refuses a float coordinate, which np.fromiter would truncate
-        try:
-            flat = struct.pack(f"{int(offsets[-1]) * d}q",
-                               *vertices(vertices(chains)))
-        except struct.error:
-            for lid, chain in zip(ids, chains):
-                try:
-                    struct.pack(f"{len(chain) * d}q", *vertices(chain))
-                except struct.error:
-                    raise ValueError(f"path of line {lid} has a coordinate "
-                                     f"that is not a 64-bit integer") from None
-        return (np.array(ids, np.int64), offsets,
-                np.frombuffer(flat, np.int64).reshape(-1, d))
-
 
 def route_lines(tns: Tns, p: Placement) -> PathAssignment:
-    """Deterministic L1-shortest paths for every contraction line.
-
-    Axis order is all non-approach axes ascending, then the approach axis
-    of the endpoint pair, so the final segment runs on the target's grid
-    line and the earlier segments on the source's.  Isometry lines into a
-    2x1 disentangler instead ride the coarse track nearest the source
-    when their horizontal span contains one, crossing over to it on the
-    source's grid line and leaving it on the target's.
-
-    Every rule is taken for all lines at once on int64 arrays: each line
-    becomes a few corners joined by axis-parallel legs, and the legs are
-    stepped out into the flat vertex layout of PathAssignment in one
-    pass.
-    """
-    d = p.lattice.dimension
+    """Deterministic L1-shortest paths for every contraction line, by the
+    rules of the module docstring: each line becomes a few corners joined
+    by axis-parallel legs (_corners), stepped out into the flat layout of
+    PathAssignment in one pass."""
     by_id = tns.line_id.argsort(kind="stable")
     ends = _orientation(tns)[:, by_id]
-    sites = np.fromiter(
-        itertools.chain.from_iterable(map(p.site_of.__getitem__, tns.ids)),
-        np.int64, len(tns.ids) * d).reshape(-1, d)
-    return PathAssignment(line_ids=tns.line_id[by_id], **_step_out(_corners(
+    return PathAssignment(tns.line_id[by_id], *_step_out(_corners(
         p.lattice.branching, tns.layer, tns.kind, tns.variant, ends,
-        *sites[ends])))
+        *p.sites[ends])))
 
 
 def _orientation(tns: Tns) -> np.ndarray:
@@ -356,9 +308,9 @@ def _corners(b, layer, kind, variant, ends, s, t):
 
 
 def _step_out(corners):
-    """Flat vertex layout of chains that walk in unit steps from corner
-    to corner of (L, K, D) corners, consecutive corners differing along
-    one axis."""
+    """Offsets and vertices of the flat layout of chains that walk in
+    unit steps from corner to corner of (L, K, D) corners, consecutive
+    corners differing along one axis."""
     n, k, d = corners.shape
     legs = corners[:, 1:] - corners[:, :-1]
     # a move per vertex: the jump from the previous chain's end for a
@@ -377,7 +329,7 @@ def _step_out(corners):
     vertices = moves.reshape(-1, d).repeat(counts.ravel(), axis=0)
     del moves
     vertices.cumsum(axis=0, out=vertices)
-    return {"offsets": offsets, "vertices": vertices}
+    return offsets, vertices
 
 
 def check_routing(tns: Tns, p: Placement,
@@ -385,34 +337,49 @@ def check_routing(tns: Tns, p: Placement,
     """First structural problem of a routed placement, or None.
 
     The placement must be the one the scheme makes: the same host lattice,
-    delta_tau, sites and anchors; an unknown scheme, or a delta_tau the
-    scheme refuses, raises ValueError.  Every line needs a path from its
-    source's site to its target's that stays on the host grid, whose
-    coordinates are ints, moves by unit steps and is L1-shortest, as
-    route_lines makes it.
-    """
+    delta_tau and sites; an unknown scheme, or a delta_tau the scheme
+    refuses, raises ValueError.  Every line needs a path from its source's
+    site to its target's that stays on the host grid, moves by unit steps
+    and is L1-shortest, as route_lines makes it.  Each rule is a mask over
+    all lines or vertices; the first line in line order to break one
+    reports the first it breaks, in the order given here."""
     expected = place(tns, p.scheme, p.delta_tau)
     if expected.lattice != p.lattice:
         return "host lattice does not match the scheme"
-    if expected != p:
+    if (expected.delta_tau != p.delta_tau
+            or not np.array_equal(expected.sites, p.sites)):
         return "site positions or delta_tau do not match the scheme"
-    line_ids = tns.line_id.tolist()
-    if set(paths.chains) != set(line_ids):
+    if not np.array_equal(paths.line_ids, _distinct(tns.line_id)[0]):
         return "paths do not cover the contraction lines"
-    for lid, src, dst in zip(line_ids, *_orientation(tns).tolist()):
-        chain = paths.chains[lid]
-        s, t = p.site_of[tns.ids[src]], p.site_of[tns.ids[dst]]
-        if not chain or chain[0] != s or chain[-1] != t:
-            return f"path of line {lid} does not join its endpoints"
-        off = next((v for v in chain if not p.lattice.contains(v)), None)
-        if off is not None:
-            return f"path of line {lid} leaves the host grid at {off}"
-        for a, b in zip(chain, chain[1:]):
-            if sum(abs(x - y) for x, y in zip(a, b)) != 1:
-                return f"path of line {lid} jumps"
-        if len(chain) - 1 != sum(abs(x - y) for x, y in zip(s, t)):
-            return f"path of line {lid} is not L1-shortest"
-    return None
+    v, at = paths.vertices, paths.line_ids.searchsorted(tns.line_id)
+    start, end = paths.offsets[at], paths.offsets[at + 1]
+    s, t = p.sites[_orientation(tns)]
+    joined = end > start
+    k = joined.nonzero()[0]
+    joined[k] = ((v[start[k]] == s[k]) & (v[end[k] - 1] == t[k])).all(axis=1)
+    # running counts of vertices off the grid and of non-unit steps (at
+    # the vertex they leave; one off the grid may wrap around, but its
+    # line fails the grid rule first)
+    off = (v.view(np.uint64) >= p.lattice.length).any(axis=1)
+    step = np.abs(np.diff(v, axis=0))
+    runs = np.zeros((len(v) + 1, 2), np.int64)
+    runs[1:, 0] = off
+    runs[1:-1, 1] = (step.max(axis=1) != 1) | (step.sum(axis=1) != 1)
+    runs.cumsum(axis=0, out=runs)
+    problems = np.stack((~joined, runs[end, 0] > runs[start, 0],
+                         runs[end - 1, 1] > runs[start, 1],
+                         end - start - 1 != np.abs(t - s).sum(axis=1)))
+    bad = problems.any(axis=0)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    rule, lid = int(problems[:, i].argmax()), tns.line_id[i]
+    if rule == 1:
+        j = start[i] + int(off[start[i]:end[i]].argmax())
+        return (f"path of line {lid} leaves the host grid at "
+                f"{tuple(v[j].tolist())}")
+    return f"path of line {lid} " + ("does not join its endpoints", "",
+                                      "jumps", "is not L1-shortest")[rule]
 
 
 def _distinct(values: np.ndarray):
@@ -612,11 +579,10 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
 
     The chains come as one coordinate array in line-id order (see
     PathAssignment); each step between consecutive vertices of a chain is
-    one crossing, so every edge's ids come out sorted.  Vertices of
-    differing dimension, a coordinate that is not a 64-bit integer, or a
-    step that is not a unit step raise ValueError.
+    one crossing, so every edge's ids come out sorted.  A step that is
+    not a unit step raises ValueError.
     """
-    ids, offsets, coords = paths.arrays(tns.spec.dimension)
+    ids, offsets, coords = paths.line_ids, paths.offsets, paths.vertices
     lengths = offsets[1:] - offsets[:-1]
     line_ids = ids.repeat(np.maximum(lengths - 1, 0))
     # a step leaves every vertex but the last of its chain
@@ -729,32 +695,37 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     # the source's slot is the a end's when the source is the a end
     slots = np.where(ends[0] == tns.line_ends[0], tns.line_slots,
                      tns.line_slots[::-1])
+    vertices = list(map(tuple, paths.vertices.tolist()))
+    # the paths cover the lines, as check_routing requires
+    at = paths.line_ids.searchsorted(tns.line_id)
 
-    for lid, dim, src, src_slot, dst_slot in zip(
+    for lid, dim, src, src_slot, dst_slot, start, end in zip(
             tns.line_id.tolist(), tns.line_dim.tolist(), ends[0].tolist(),
-            *(tns.dim_offsets[ends] + slots).tolist()):
-        chain = paths.chains[lid]
+            *(tns.dim_offsets[ends] + slots).tolist(),
+            paths.offsets[at].tolist(), paths.offsets[at + 1].tolist()):
         phys = ("p", tuple(cells[src])) if anchor[src] else None
-        if len(chain) == 1:
+        if end - start == 1:
             if phys:
                 label_of[dst_slot] = phys
             else:
                 label_of[src_slot] = label_of[dst_slot] = ("i", lid)
             continue
         eye = np.eye(dim)
-        labels = [("t", lid, j) for j in range(len(chain) - 1)]
+        labels = [("t", lid, j) for j in range(end - start - 1)]
         if phys:
-            wires.setdefault(chain[0], []).append((eye, (phys, labels[0])))
+            wires.setdefault(vertices[start], []).append(
+                (eye, (phys, labels[0])))
         else:
             label_of[src_slot] = labels[0]
         label_of[dst_slot] = labels[-1]
         for j in range(1, len(labels)):
-            wires.setdefault(chain[j], []).append(
+            wires.setdefault(vertices[start + j], []).append(
                 (eye, (labels[j - 1], labels[j])))
 
+    sites = list(map(tuple, p.sites.tolist()))
     site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
     for i in (tns.kind != _ANCHOR).nonzero()[0].tolist():
-        site_factors.setdefault(p.site_of[tns.ids[i]], []).append(
+        site_factors.setdefault(sites[i], []).append(
             (tns.elements[i], tuple(label_of[bounds[i]:bounds[i + 1]])))
     for site, fs in wires.items():
         site_factors.setdefault(site, []).extend(fs)
@@ -775,13 +746,9 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
     physical grid.
     """
     factor = peps.refine_factor
-
-    def block(site):
-        return tuple(c // factor for c in site)
-
     site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
     for site in sorted(peps.site_factors):
-        site_factors.setdefault(block(site), []).extend(
+        site_factors.setdefault(tuple(c // factor for c in site), []).extend(
             peps.site_factors[site])
 
     report = peps.congestion
@@ -806,8 +773,8 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
     """
     offsets = (default_refined_offsets(p.lattice.dimension)
                if p.scheme == "refined" else None)
-    ids, ends, vertices = paths.arrays(p.lattice.dimension)
-    vertices, ends = list(zip(*vertices.T.tolist())), ends.tolist()
+    vertices = list(zip(*paths.vertices.T.tolist()))
+    ends = paths.offsets.tolist()
     return {
         "version": "map-v1",
         "generator_version": GENERATOR_VERSION,
@@ -816,39 +783,63 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
         "offsets": dict(sorted(offsets.items())) if offsets else None,
         "lattice": spec_to_dict(p.lattice),
         # json writes the (id, site) tuples as arrays
-        "sites": sorted(p.site_of.items()),
+        "sites": sorted(zip(p.ids, zip(*p.sites.T.tolist()))),
         "paths": [[lid, vertices[a:b]] for lid, a, b in
-                  zip(ids.tolist(), ends, ends[1:])],
+                  zip(paths.line_ids.tolist(), ends, ends[1:])],
     }
 
 
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
-    """Placement and paths from a map-v1 description; ValueError when the
-    document is not an object, lacks a key or a site for a network node,
-    has a delta_tau or path line id that is not an integer, or has two
-    paths of one line id."""
+    """Placement and paths of a map-v1 description, read straight into
+    their arrays.  ValueError when the document is not an object or lacks
+    a key, when delta_tau, a path line id or a coordinate is no JSON
+    integer or past int64, a site or vertex not of the network's
+    dimension, or when a site names an unknown node, a node has no site
+    or two, or two paths share a line id."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
         raise ValueError(f"unsupported map format {data.get('version')!r}")
+    # vertices have the network's dimension; check_routing compares the
+    # host lattice with the network's
+    flat, d = itertools.chain.from_iterable, tns.spec.dimension
     try:
-        host = spec_from_dict(data["lattice"])
-        site_of = {nid: tuple(site) for nid, site in data["sites"]}
+        scheme, host = data["scheme"], spec_from_dict(data["lattice"])
         require_ints((data["delta_tau"],), f"delta_tau {data['delta_tau']!r}")
-        p = Placement(data["scheme"], host, data["delta_tau"], site_of,
-                      frozenset(itertools.compress(
-                          tns.ids, (tns.kind == _ANCHOR).tolist())))
-        chains = {lid: tuple(tuple(v) for v in chain)
-                  for lid, chain in data["paths"]}
-        # True would hash equal to line 1 and stand in for it
+        index = dict(zip(tns.ids, itertools.count()))
+        nids = [nid for nid, _ in data["sites"]]
+        named = np.array([index.get(nid, -1) for nid in nids], np.int64)
         require_ints([lid for lid, _ in data["paths"]], "path line id")
+        paths = sorted(data["paths"], key=operator.itemgetter(0))
+        rows = [site for _, site in data["sites"]]
+        rows += flat(chain for _, chain in paths)
+        if set(map(len, rows)) - {d}:
+            raise TypeError(f"a site or path vertex is not {d}-dimensional")
+        values = [lid for lid, _ in paths] + list(flat(rows))
+        require_ints(values, "a site or path vertex coordinate")
+        packed = np.frombuffer(struct.pack(f"{len(values)}q", *values),
+                               np.int64)
+    except struct.error:
+        raise ValueError("malformed map-v1 document: a path line id or "
+                         "coordinate does not fit in 64 bits") from None
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc
-    if len(chains) < len(data["paths"]):
+    line_ids, coords = packed[:len(paths)], packed[len(paths):].reshape(-1, d)
+    if (line_ids[1:] == line_ids[:-1]).any():
         raise ValueError("malformed map-v1 document: repeated path line id")
-    missing = next((nid for nid in tns.ids if nid not in site_of), None)
-    if missing is not None:
-        raise ValueError(f"malformed map-v1 document: no site for node "
-                         f"{missing!r}")
-    return p, PathAssignment(chains)
+    count = np.bincount(named[named >= 0], minlength=len(tns.ids))
+    for problem, bad, names in (
+            ("site for unknown node", named < 0, nids),
+            ("repeated site id", count > 1, tns.ids),
+            ("no site for node", count == 0, tns.ids)):
+        if bad.any():
+            raise ValueError(f"malformed map-v1 document: {problem} "
+                             f"{names[int(bad.argmax())]!r}")
+    sites = np.empty((len(tns.ids), d), np.int64)
+    sites[named] = coords[:len(nids)]
+    offsets = np.cumsum([0] + [len(chain) for _, chain in paths],
+                        dtype=np.int64)
+    return (Placement(scheme, host, data["delta_tau"], tns.ids, sites,
+                      tns.kind == _ANCHOR),
+            PathAssignment(line_ids, offsets, coords[len(nids):]))

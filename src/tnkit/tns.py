@@ -471,6 +471,16 @@ def _int64(values, count: int = -1) -> np.ndarray:
         raise ValueError(_PAST_INT64) from None
 
 
+def row_runs(rows: np.ndarray):
+    """Distinct rows of an (n, k) int64 array in lexicographic order, and
+    how often each occurs: the runs of equal rows once sorted."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows) + 1, bool)
+    new[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = new.nonzero()[0]
+    return rows[starts[:-1]], np.diff(starts)
+
+
 def validate_preconditions(tns: Tns) -> ValidationReport:
     """Check the structural conditions the placement schemes rely on.
 
@@ -480,16 +490,21 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     Also checks that every line end names a slot of its node with the
     line's dimension, that every slot is covered by exactly one line, and
     that the header agrees with the network: meta.branching is the lattice
-    branching, every anchor has dims (physical_dim,), and chi lies in
-    [1, meta.chi].  The checks run on the network's columns, and only
-    failures are formatted.
+    branching, meta.max_layer_distance lies in [0, layers], every anchor
+    has dims (physical_dim,), and chi lies in [1, meta.chi].  The checks
+    run on the network's columns, and only failures are formatted.
     """
     issues = []
     spec, meta = tns.spec, tns.meta
     b = spec.branching
-    if spec.length != b ** spec.layers:
+    # b**layers exceeds the length past its bit length: no huge power
+    if (spec.layers > spec.length.bit_length()
+            or spec.length != b ** spec.layers):
         issues.append(f"lattice length {spec.length} is not "
-                      f"branching**layers = {b ** spec.layers}")
+                      f"branching**layers = {b}**{spec.layers}")
+    if not 0 <= meta.max_layer_distance <= spec.layers:
+        issues.append(f"meta max_layer_distance {meta.max_layer_distance} "
+                      f"outside [0, {spec.layers}]")
     if meta.branching != b:
         issues.append(f"meta branching {meta.branching} is not the lattice "
                       f"branching {b}")
@@ -527,21 +542,14 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
         issues.extend(text(TensorNode(tns, i))
                       for i in mask.nonzero()[0].tolist())
 
-    # tensors per (layer, cell), as runs of equal rows in sorted order; a
-    # run longer than the most allowed has equal rows that many apart
+    # tensors per (layer, cell)
     most = meta.max_tensors_per_cell
-    keys = np.concatenate((layer[:, None], cells), axis=1)[tensor]
-    keys = keys[np.lexsort(keys.T[::-1])]
-    if most < 1 or (len(keys) > most
-                    and (keys[most:] == keys[:-most]).all(axis=1).any()):
-        runs = np.ones(len(keys) + 1, bool)
-        runs[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
-        runs = runs.nonzero()[0]
-        counts = runs[1:] - runs[:-1]
-        for i in (counts > most).nonzero()[0].tolist():
-            key = keys[runs[i]].tolist()
-            issues.append(f"layer {key[0]} cell {tuple(key[1:])}: "
-                          f"{counts[i]} tensors exceed {most}")
+    keys, counts = row_runs(np.concatenate((layer[:, None], cells),
+                                           axis=1)[tensor])
+    over = counts > most
+    for key, count in zip(keys[over].tolist(), counts[over].tolist()):
+        issues.append(f"layer {key[0]} cell {tuple(key[1:])}: {count} "
+                      f"tensors exceed {most}")
 
     ends, slots, dim, line_id = (tns.line_ends, tns.line_slots, tns.line_dim,
                                  tns.line_id)

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from tnkit import cli, tns as tns_mod
+from tnkit import cli, mapping, tns as tns_mod
 from tnkit.cli import main
 
 
@@ -222,7 +223,8 @@ def _verify(tmp_path, net, data):
 def test_verify_rejects_half_integer_corner(tmp_path, capsys):
     net, data = _refined_b2_map(tmp_path)
     # cut a corner through its half-integer midpoint: both new steps have
-    # L1 length 1, but the midpoint is no grid vertex
+    # L1 length 1, but the midpoint is no grid vertex, and no JSON
+    # integer, so the map is malformed
     entry = next(e for e in data["paths"]
                  if any(a[0] != c[0] and a[1] != c[1]
                         for a, c in zip(e[1], e[1][2:])))
@@ -232,8 +234,42 @@ def test_verify_rejects_half_integer_corner(tmp_path, capsys):
              and chain[k - 1][1] != chain[k + 1][1])
     chain[k] = [(x + y) / 2 for x, y in zip(chain[k - 1], chain[k + 1])]
     capsys.readouterr()
-    assert _verify(tmp_path, net, data) == 4
-    assert "leaves the host grid" in capsys.readouterr().out
+    assert _verify(tmp_path, net, data) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "site or path vertex coordinate is not an integer" in captured.err
+
+
+def _coordinate_one(data, where, value):
+    """Set to value the first site or path vertex coordinate that is 1,
+    which 1.0 and true equal."""
+    vertices = ([site for _, site in data["sites"]] if where == "site"
+                else [v for _, chain in data["paths"] for v in chain])
+    vertex = next(v for v in vertices if v[0] == 1)
+    vertex[0] = value
+
+
+@pytest.mark.parametrize("edit,message", [
+    *((lambda data, w=where, v=value: _coordinate_one(data, w, v),
+       "site or path vertex coordinate is not an integer")
+      for where in ("site", "path") for value in (1.0, True, "1", 2.5)),
+    (lambda data: data["sites"].append(["ghost", data["sites"][0][1]]),
+     "site for unknown node 'ghost'"),
+    (lambda data: data["sites"].append(data["sites"][-1]),
+     "repeated site id "),
+], ids=[f"{where}-{value}" for where in ("site", "path")
+        for value in ("1.0", "true", "str", "2.5")] + ["ghost", "repeated"])
+def test_verify_refuses_malformed_sites_and_vertices(tmp_path, capsys, edit,
+                                                     message):
+    # 1.0, true and a repeated site once passed verify on their values
+    net, data = _refined_b2_map(tmp_path)
+    edit(data)
+    capsys.readouterr()
+    assert _verify(tmp_path, net, data) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed map-v1 document: ")
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("key,value", [("scheme", "foo"), ("delta_tau", -1),
@@ -549,10 +585,13 @@ def test_verify_refuses_map_with_host_past_int64(built, tmp_path, capsys):
 def test_pipeline_reads_the_tables_not_the_views(tmp_path, monkeypatch,
                                                   capsys):
     def refuse(self):
-        raise AssertionError("a node or line view was read")
+        raise AssertionError("a record, site or chain view was read")
 
-    monkeypatch.setattr(tns_mod.Tns, "nodes", property(refuse))
-    monkeypatch.setattr(tns_mod.Tns, "lines", property(refuse))
+    for owner, name in ((tns_mod.Tns, "nodes"), (tns_mod.Tns, "lines"),
+                        (mapping.Placement, "site_of"),
+                        (mapping.Placement, "anchor_ids"),
+                        (mapping.PathAssignment, "chains")):
+        monkeypatch.setattr(owner, name, property(refuse))
     net, prefix = str(tmp_path / "net.json"), str(tmp_path / "m")
     assert main(["build", "--kind", "mera2d-b2", "--layers", "2",
                  "--seed", "1", "--out", net]) == 0
@@ -841,3 +880,35 @@ def test_map_and_verify_do_not_import_numpy_ma(tmp_path, command):
     assert not _imports_numpy_ma(
         map_argv if command == "map"
         else ["verify", "--tns", net, "--map", prefix + ".map.json"])
+
+
+@pytest.mark.parametrize("value", [2 ** 63, 2 ** 70])
+@pytest.mark.parametrize("entry,field,issue", [
+    ("lattice", "layers", "lattice length 4 is not branching**layers = "
+                          "2**{value}"),
+    ("meta", "max_layer_distance", "meta max_layer_distance {value} outside "
+                                   "[0, 2]")])
+def test_huge_header_fields_exit_4_at_once(tmp_path, capsys, entry, field,
+                                           issue, value):
+    # b ** layers and chi_bound's power of max_layer_distance once ran out
+    # of memory; b ** layers is now taken only while layers is within the
+    # length's bit length, and the distance is checked against the depth
+    net = tmp_path / "net.json"
+    main(["build", "--kind", "mera1d", "--layers", "2", "--out", str(net)])
+    main(["map", "--tns", str(net), "--scheme", "refined",
+          "--out-prefix", str(tmp_path / "m")])
+    data = json.loads(net.read_text())
+    data[entry][field] = value
+    (tmp_path / "huge.json").write_text(json.dumps(data))
+    issue = issue.format(value=value)
+    capsys.readouterr()
+    for argv, stream in (
+            (["map", "--tns", str(tmp_path / "huge.json"), "--scheme",
+              "refined", "--out-prefix", str(tmp_path / "x")], "err"),
+            (["verify", "--tns", str(tmp_path / "huge.json"),
+              "--map", str(tmp_path / "m.map.json")], "out")):
+        start = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - start < 1.0
+        assert issue in getattr(capsys.readouterr(), stream)
+    assert not list(tmp_path.glob("x.*"))

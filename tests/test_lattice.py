@@ -32,9 +32,9 @@ def placements():
 
 def layer_sites(net, p):
     """Distinct tensor sites per layer; anchors are not tensors."""
-    out = {}
+    out, anchor_ids = {}, p.anchor_ids
     for nid, site in p.site_of.items():
-        if nid not in p.anchor_ids:
+        if nid not in anchor_ids:
             out.setdefault(net.nodes[nid].layer, set()).add(site)
     return out
 
@@ -105,9 +105,9 @@ def test_sublattices_disjoint():
 
 def test_cell_recovers_sublattice_index():
     for net, p in placements():
-        b = net.spec.branching
+        b, anchor_ids = net.spec.branching, p.anchor_ids
         for nid, site in p.site_of.items():
-            if nid in p.anchor_ids:
+            if nid in anchor_ids:
                 continue
             node = net.nodes[nid]
             step = b ** (node.layer + p.delta_tau)

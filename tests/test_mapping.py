@@ -6,6 +6,7 @@ not just an updated constant.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from tnkit.mapping import (CongestionReport, PathAssignment, Placement,
                            contract_refined_to_normal,
                            default_refined_offsets, detect_stacks,
                            line_density_estimate, map_from_dict, map_to_dict,
-                           measured_chi, place_naive, place_refined,
+                           measured_chi, place, place_naive, place_refined,
                            place_shifted, route_lines, _tensor_site)
 from tnkit.tns import (KIND_ANCHOR, KIND_CODES, MeraMeta, build_mera_1d,
                        build_mera_2d_b2, build_mera_2d_b3, build_ttn_example,
@@ -49,6 +50,24 @@ def routed(build, layers, scheme, **kw):
              "refined": place_refined}[scheme]
     p = place(net)
     return net, p, route_lines(net, p)
+
+
+def _same_placement(a, b):
+    return ((a.scheme, a.lattice, a.delta_tau, a.ids)
+            == (b.scheme, b.lattice, b.delta_tau, b.ids)
+            and np.array_equal(a.sites, b.sites)
+            and np.array_equal(a.anchor, b.anchor))
+
+
+def _paths(chains, d=2):
+    """PathAssignment of a dict of vertex chains per line id, in the
+    router's layout; d is the dimension of a layout without vertices."""
+    ids = sorted(chains)
+    rows = [v for lid in ids for v in chains[lid]]
+    return PathAssignment(
+        np.array(ids, np.int64),
+        np.cumsum([0] + [len(chains[lid]) for lid in ids], dtype=np.int64),
+        np.array(rows, np.int64).reshape(-1, len(rows[0]) if rows else d))
 
 
 # ---------------------------------------------------------------- placement
@@ -103,10 +122,10 @@ def test_refined_positions_b3():
 def test_refined_anchor_column_avoids_tensor_sites():
     net = build_mera_2d_b2(2)
     p = place_refined(net)
-    tensor_sites = {p.site_of[nid] for nid in p.site_of
-                    if nid not in p.anchor_ids}
-    for aid in p.anchor_ids:
-        assert p.site_of[aid] not in tensor_sites
+    site_of, anchor_ids = p.site_of, p.anchor_ids
+    tensor_sites = {site_of[nid] for nid in site_of if nid not in anchor_ids}
+    for aid in anchor_ids:
+        assert site_of[aid] not in tensor_sites
 
 
 def test_refined_formula_degenerates_to_shifted():
@@ -151,11 +170,12 @@ ROUTE_CASES = [
 @pytest.mark.parametrize("build,layers,scheme", ROUTE_CASES)
 def test_paths_are_shortest_and_monotone(build, layers, scheme):
     net, p, pa = routed(build, layers, scheme)
-    assert set(pa.chains) == {ln.id for ln in net.lines}
+    chains, site_of = pa.chains, p.site_of
+    assert set(chains) == {ln.id for ln in net.lines}
     for line in net.lines:
-        chain = pa.chains[line.id]
+        chain = chains[line.id]
         src, dst = _orient(net, line)
-        s, t = p.site_of[src], p.site_of[dst]
+        s, t = site_of[src], site_of[dst]
         assert chain[0] == s and chain[-1] == t
         l1 = sum(abs(a - b) for a, b in zip(s, t))
         assert len(chain) - 1 == l1
@@ -170,8 +190,9 @@ def test_paths_are_shortest_and_monotone(build, layers, scheme):
 @pytest.mark.parametrize("build,layers,scheme", ROUTE_CASES)
 def test_paths_turn_at_most_twice(build, layers, scheme):
     net, p, pa = routed(build, layers, scheme)
+    chains = pa.chains
     for line in net.lines:
-        chain = pa.chains[line.id]
+        chain = chains[line.id]
         dirs = []
         for a, b in zip(chain, chain[1:]):
             d = tuple(y - x for x, y in zip(a, b))
@@ -256,10 +277,11 @@ def _oracle_route_lines(tns, p):
     """Chains per line id, routed one line at a time."""
     chains = {}
     apex = _oracle_apex_isometries(tns)
+    site_of = p.site_of
     for line in tns.lines:
         src, dst = _orient(tns, line)
         chains[line.id] = _oracle_route_one(tns, p, apex, src, dst,
-                                            p.site_of[src], p.site_of[dst])
+                                            site_of[src], site_of[dst])
     return chains
 
 
@@ -279,11 +301,12 @@ def test_router_matches_scalar_oracle(build, layers, scheme):
 
 def test_colocated_endpoints_give_empty_path():
     net, p, pa = routed(build_mera_2d_b2, 2, "shifted")
-    empties = [lid for lid, chain in pa.chains.items() if len(chain) == 1]
+    chains, site_of = pa.chains, p.site_of
+    empties = [lid for lid, chain in chains.items() if len(chain) == 1]
     assert empties
     for lid in empties:
         src, dst = _orient(net, net.lines[lid])
-        assert pa.chains[lid] == (p.site_of[src],) == (p.site_of[dst],)
+        assert chains[lid] == (site_of[src],) == (site_of[dst],)
     crossing = set(measured_chi(net, pa).line_ids.tolist())
     assert crossing and not crossing & set(empties)
 
@@ -318,19 +341,18 @@ def test_router_breaks_ties_by_node_id(scheme):
 
 def test_router_writes_one_flat_vertex_array():
     net, p, pa = routed(build_mera_2d_b3, 2, "refined", with_elements=False)
-    ids, offsets, vertices = pa.arrays(2)
-    assert vertices.dtype == np.int64 and vertices.shape[1] == 2
+    ids, offsets, vertices = pa.line_ids, pa.offsets, pa.vertices
+    assert vars(pa).keys() == {"line_ids", "offsets", "vertices"}
+    assert vertices.dtype == ids.dtype == offsets.dtype == np.int64
+    assert vertices.shape[1] == 2
     assert ids.tolist() == sorted(ln.id for ln in net.lines)
     assert offsets[0] == 0 and offsets[-1] == len(vertices)
     assert (np.diff(offsets) >= 1).all()
-    assert "chains" not in vars(pa)
+    # the chains are made from the layout on each access, not kept
+    chains = pa.chains
+    assert pa.chains is not chains and "chains" not in vars(pa)
     for lid, a, b in zip(ids.tolist(), offsets, offsets[1:]):
-        assert pa.chains[lid] == tuple(map(tuple, vertices[a:b].tolist()))
-    # a dict of the same chains flattens to the same layout and document
-    again = PathAssignment(dict(pa.chains))
-    for x, y in zip(again.arrays(2), (ids, offsets, vertices)):
-        assert np.array_equal(x, y)
-    assert map_to_dict(p, again) == map_to_dict(p, pa)
+        assert chains[lid] == tuple(map(tuple, vertices[a:b].tolist()))
 
 
 def test_routing_is_deterministic():
@@ -341,13 +363,14 @@ def test_routing_is_deterministic():
 
 def test_gather_lines_ride_coarse_tracks():
     net, p, pa = routed(build_mera_2d_b3, 3, "refined")
+    chains = pa.chains
     found = 0
     for line in net.lines:
         src, dst = _orient(net, line)
         if not (net.nodes[src].kind == "isometry"
                 and net.nodes[dst].variant == "u2x1"):
             continue
-        chain = pa.chains[line.id]
+        chain = chains[line.id]
         vertical = {a[0] for a, b in zip(chain, chain[1:]) if a[0] == b[0]}
         step = 3 ** net.nodes[dst].layer
         if any(x % step == 0 for x in vertical):
@@ -401,7 +424,7 @@ def test_congestion_report_arithmetic():
 
 def test_no_lines_means_unit_bonds():
     net = build_mera_1d(1)
-    rep = measured_chi(net, PathAssignment({}))
+    rep = measured_chi(net, _paths({}, 1))
     for include_physical in (True, False):
         assert rep.max_paths(include_physical) == 0
         assert rep.chi_peps(include_physical) == 1
@@ -500,8 +523,7 @@ def test_report_bond_dimensions_past_int64_stay_exact():
 ], ids=["3d", "negative", "length-one", "vertexless", "empty", "numpy-ints"])
 def test_hand_made_chains_match_oracle(chains):
     net = build_mera_1d(2, chi=5, phys_dim=3, with_elements=False)
-    _assert_matches_oracle(measured_chi(net, PathAssignment(chains)), chains,
-                           net)
+    _assert_matches_oracle(measured_chi(net, _paths(chains)), chains, net)
 
 
 @pytest.mark.parametrize("chain", [((0, 0), (2, 0)), ((0, 0), (1, 1)),
@@ -512,7 +534,16 @@ def test_tally_rejects_non_unit_steps(chain):
     net = build_mera_1d(2, with_elements=False)
     chains = {0: ((0, 0), (0, 1)), 3: chain}
     with pytest.raises(ValueError, match="line 3 makes a non-unit step"):
-        measured_chi(net, PathAssignment(chains))
+        measured_chi(net, _paths(chains))
+
+
+def _edited_path(chain):
+    """A b2 T=1 shifted map-v1 document with the path of its second line
+    replaced by chain, and its network."""
+    net, p, pa = routed(build_mera_2d_b2, 1, "shifted", with_elements=False)
+    data = map_to_dict(p, pa)
+    data["paths"][1][1] = chain
+    return data, net
 
 
 @pytest.mark.parametrize("chain", [((0.5, 0), (1, 0)),
@@ -521,19 +552,21 @@ def test_tally_rejects_non_unit_steps(chain):
                          ids=["half", "numpy-half", "integral-float",
                               "past-int64"])
 def test_tally_rejects_non_integer_coordinates(chain):
-    # np.fromiter would truncate (0.5, 0) to (0, 0) and tally an edge
-    net = build_mera_1d(2, with_elements=False)
-    chains = {0: ((0, 0), (0, 1)), 3: chain, 5: ((1, 1), (1, 2))}
-    with pytest.raises(ValueError, match="line 3 has a coordinate that is "
-                                         "not a 64-bit integer"):
-        measured_chi(net, PathAssignment(chains))
+    # the tally reads int64 arrays; np.fromiter would truncate (0.5, 0)
+    # to (0, 0), so such a vertex is refused where map-v1 is read and
+    # never reaches a tally
+    data, net = _edited_path(chain)
+    with pytest.raises(ValueError, match="malformed map-v1 document: .*"
+                       "coordinate (is not an integer|does not fit in 64 "
+                       "bits)"):
+        map_from_dict(data, net)
 
 
 def test_tally_rejects_boxes_past_int64():
     net = build_mera_1d(2, with_elements=False)
     chains = {0: ((0, 0), (0, 1)), 3: ((2 ** 62, 0), (2 ** 62, 1))}
     with pytest.raises(ValueError, match="too large a box"):
-        measured_chi(net, PathAssignment(chains))
+        measured_chi(net, _paths(chains))
 
 
 def test_one_class_per_line_matches_oracle():
@@ -547,11 +580,13 @@ def test_one_class_per_line_matches_oracle():
 @pytest.mark.parametrize("chain", [((4,), (5,)), ((0, 0, 0), (1,))],
                          ids=["other-line", "within-line"])
 def test_tally_rejects_mixed_dimensions(chain):
-    # ((0, 0, 0), (1,)) has as many coordinates as two 2-D vertices
-    net = build_mera_1d(2, with_elements=False)
-    chains = {0: ((0, 0), (0, 1)), 3: chain}
-    with pytest.raises(ValueError, match="differ in dimension"):
-        measured_chi(net, PathAssignment(chains))
+    # the tally's layout has D coordinates per vertex; ((0, 0, 0), (1,))
+    # has as many coordinates as two 2-D vertices, and either chain is
+    # refused where map-v1 is read
+    data, net = _edited_path(chain)
+    with pytest.raises(ValueError, match="site or path vertex is not "
+                                         "2-dimensional"):
+        map_from_dict(data, net)
 
 
 def test_merged_report_matches_oracle():
@@ -665,8 +700,9 @@ def test_refined_merge_matches_coarse_grained_recount(build, layers):
     merged = contract_refined_to_normal(assemble_peps(net, p, pa))
     f = p.refine_factor
     expected = {}
-    for lid in sorted(pa.chains):
-        blocks = [tuple(c // f for c in v) for v in pa.chains[lid]]
+    chains = pa.chains
+    for lid in sorted(chains):
+        blocks = [tuple(c // f for c in v) for v in chains[lid]]
         for a, b in zip(blocks, blocks[1:]):
             if a != b:
                 expected.setdefault((min(a, b), max(a, b)), []).append(lid)
@@ -688,8 +724,37 @@ def test_map_dict_roundtrip():
     # offsets are derived on write and not read back
     for offsets in (data["offsets"], None, {"w": [0, 0]}, [1, 2]):
         p2, pa2 = map_from_dict({**data, "offsets": offsets}, net)
-        assert p2 == p
+        assert _same_placement(p2, p)
         assert pa2.chains == pa.chains
+
+
+@pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
+@pytest.mark.parametrize("build,layers", [
+    (build_mera_1d, 3), (build_mera_2d_b2, 2), (build_mera_2d_b3, 2)])
+def test_map_dict_reads_the_router_arrays(build, layers, scheme):
+    net, p, pa = routed(build, layers, scheme, with_elements=False)
+    doc = map_to_dict(p, pa)
+    assert map_to_dict(*map_from_dict(doc, net)) == doc
+    text = json.dumps(doc)
+    read = json.loads(text)
+    p2, pa2 = map_from_dict(read, net)
+    assert json.loads(json.dumps(map_to_dict(p2, pa2))) == read
+    assert json.dumps(map_to_dict(p2, pa2)) == text
+    assert _same_placement(p2, p) and p2.ids == net.ids
+    pairs = [(p2.sites, p.sites), (p2.anchor, p.anchor)] + [
+        (getattr(pa2, name), getattr(pa, name))
+        for name in ("line_ids", "offsets", "vertices")]
+    for x, y in pairs:
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y)
+    assert pa2.vertices.dtype == np.int64
+    # sites and paths in another order read into the same arrays
+    read["sites"].reverse()
+    read["paths"].reverse()
+    p3, pa3 = map_from_dict(read, net)
+    assert _same_placement(p3, p)
+    for name in ("line_ids", "offsets", "vertices"):
+        assert np.array_equal(getattr(pa3, name), getattr(pa, name))
 
 
 @pytest.mark.parametrize("delta_tau", ["1", 1.0, True, None])
@@ -722,32 +787,106 @@ def test_map_dict_rejects_missing_key_or_site():
     with pytest.raises(ValueError, match="malformed"):
         map_from_dict(data, net)
     data = map_to_dict(p, pa)
-    data["sites"] = data["sites"][1:]
-    with pytest.raises(ValueError, match="malformed"):
-        map_from_dict(data, net)
+    first = data["sites"][0]
+    # a site too few, a site too many (for an unknown node or a second
+    # one for a node) is no placement of the network
+    for sites, message in (
+            (data["sites"][1:], f"no site for node {first[0]!r}"),
+            (data["sites"] + [["ghost", first[1]]],
+             "site for unknown node 'ghost'"),
+            (data["sites"] + [first], f"repeated site id {first[0]!r}")):
+        with pytest.raises(ValueError, match="malformed map-v1 document: "
+                                             + message):
+            map_from_dict({**data, "sites": sites}, net)
+
+
+def test_map_dict_rejects_non_integer_vertices():
+    # a vertex off the integer grid is refused where map-v1 is read
+    net, p, pa = routed(build_mera_2d_b2, 2, "refined", with_elements=False)
+    data = map_to_dict(p, pa)
+    entry = next(e for e in data["paths"]
+                 if len(e[1]) >= 3 and any(0 in v for v in e[1]))
+    chain = entry[1]
+    # a corner cut by a half-integer vertex: both steps have L1 length 1
+    k = next(k for k in range(1, len(chain) - 1)
+             if chain[k - 1][0] != chain[k + 1][0]
+             and chain[k - 1][1] != chain[k + 1][1])
+    mid = tuple((x + y) / 2 for x, y in zip(chain[k - 1], chain[k + 1]))
+    # integral floats and bools compare equal to ints but are no sites
+    bools = next(k for k, w in enumerate(chain) if set(w) <= {0, 1})
+    for edited in (chain[:k] + [mid] + chain[k + 1:],
+                   chain[:1] + [tuple(map(float, chain[1]))] + chain[2:],
+                   chain[:bools] + [tuple(map(bool, chain[bools]))]
+                   + chain[bools + 1:]):
+        entry[1] = edited
+        with pytest.raises(ValueError, match="path vertex coordinate is "
+                                             "not an integer"):
+            map_from_dict(data, net)
+    entry[1] = chain
+    nid, site = data["sites"][0]
+    for value in (float(site[0]), 0.5, "1", True, 2 ** 63):
+        data["sites"][0] = (nid, (value,) + site[1:])
+        with pytest.raises(ValueError, match="coordinate (is not an "
+                                             "integer|does not fit)"):
+            map_from_dict(data, net)
 
 
 # ------------------------------------------------------------ routing check
+
+def _oracle_check_routing(tns, p, paths):
+    """The routing check one line and one vertex at a time, on the
+    placement's site dict and the paths' chains; the oracle of
+    check_routing."""
+    expected = place(tns, p.scheme, p.delta_tau)
+    if expected.lattice != p.lattice:
+        return "host lattice does not match the scheme"
+    chains, site_of = paths.chains, p.site_of
+    if (expected.delta_tau, expected.site_of) != (p.delta_tau, site_of):
+        return "site positions or delta_tau do not match the scheme"
+    if set(chains) != set(tns.line_id.tolist()):
+        return "paths do not cover the contraction lines"
+    for line in tns.lines:
+        lid, chain = line.id, chains[line.id]
+        s, t = map(site_of.__getitem__, _orient(tns, line))
+        if not chain or chain[0] != s or chain[-1] != t:
+            return f"path of line {lid} does not join its endpoints"
+        off = next((v for v in chain if not p.lattice.contains(v)), None)
+        if off is not None:
+            return f"path of line {lid} leaves the host grid at {off}"
+        for a, b in zip(chain, chain[1:]):
+            if sum(abs(x - y) for x, y in zip(a, b)) != 1:
+                return f"path of line {lid} jumps"
+        if len(chain) - 1 != sum(abs(x - y) for x, y in zip(s, t)):
+            return f"path of line {lid} is not L1-shortest"
+    return None
+
+
+def _checked(net, p, pa):
+    """check_routing's verdict, asserted equal to the oracle's."""
+    verdict = check_routing(net, p, pa)
+    assert verdict == _oracle_check_routing(net, p, pa)
+    return verdict
+
 
 def test_check_routing_accepts_router_output():
     for build, layers, scheme in ((build_mera_1d, 3, "refined"),
                                   (build_mera_2d_b2, 2, "refined"),
                                   (build_mera_2d_b3, 1, "shifted")):
         net, p, pa = routed(build, layers, scheme, with_elements=False)
-        assert check_routing(net, p, pa) is None
+        assert _checked(net, p, pa) is None
 
 
 def test_check_routing_rejects_bad_paths():
     net, p, pa = routed(build_mera_2d_b2, 2, "refined", with_elements=False)
-    lid, chain = next((lid, c) for lid, c in sorted(pa.chains.items())
+    chains = pa.chains
+    lid, chain = next((lid, c) for lid, c in sorted(chains.items())
                       if len(c) >= 3 and any(0 in v for v in c))
 
     def verdict(new_chain):
-        chains = dict(pa.chains)
-        chains[lid] = tuple(new_chain)
-        return check_routing(net, p, PathAssignment(chains))
+        return _checked(net, p, _paths({**chains, lid: tuple(new_chain)}))
 
     assert "does not join" in verdict(chain[:-1])
+    assert "does not join" in verdict(())
     assert "jumps" in verdict(chain[:1] + chain[2:])
     # out one step and straight back: unit steps, same endpoints
     a = chain[0]
@@ -761,42 +900,59 @@ def test_check_routing_rejects_bad_paths():
     off[v.index(0)] = -1
     assert "leaves the host grid" in verdict(
         chain[:i + 1] + (tuple(off), v) + chain[i + 1:])
-    # a corner cut by a half-integer vertex: both steps have L1 length 1
-    k = next(k for k in range(1, len(chain) - 1)
-             if chain[k - 1][0] != chain[k + 1][0]
-             and chain[k - 1][1] != chain[k + 1][1])
-    mid = tuple((x + y) / 2 for x, y in zip(chain[k - 1], chain[k + 1]))
-    assert "leaves the host grid" in verdict(chain[:k] + (mid,)
-                                             + chain[k + 1:])
-    # integral floats and bools compare equal to ints but are no sites
-    assert "leaves the host grid" in verdict(
-        chain[:1] + (tuple(map(float, chain[1])),) + chain[2:])
-    bools = next(k for k, w in enumerate(chain) if set(w) <= {0, 1})
-    assert "leaves the host grid" in verdict(
-        chain[:bools] + (tuple(map(bool, chain[bools])),)
-        + chain[bools + 1:])
-    chains = dict(pa.chains)
-    del chains[lid]
-    assert "do not cover" in check_routing(net, p,
-                                           PathAssignment(chains))
-    nid = next(iter(p.site_of))
-    moved = {**p.site_of, nid: tuple(c + 1 for c in p.site_of[nid])}
-    assert "do not match the scheme" in check_routing(
-        net, Placement(p.scheme, p.lattice, p.delta_tau, moved, p.anchor_ids),
-        pa)
-    # a site too many or too few is a placement the scheme does not make
-    for site_of in ({**p.site_of, "ghost": p.site_of[nid]},
-                    {k: v for k, v in p.site_of.items() if k != nid}):
-        assert "do not match the scheme" in check_routing(
-            net, dataclasses.replace(p, site_of=site_of), pa)
+    # half-integer, float and bool vertices: see
+    # test_map_dict_rejects_non_integer_vertices
+    rest = dict(chains)
+    del rest[lid]
+    assert "do not cover" in _checked(net, p, _paths(rest))
+    assert "do not cover" in _checked(net, p, _paths({**chains, 999: ()}))
+    moved = p.sites.copy()
+    moved[0] += 1
+    assert "do not match the scheme" in _checked(
+        net, dataclasses.replace(p, sites=moved), pa)
+    # a site too many or too few: see test_map_dict_rejects_missing_key_or_site
     wider = LatticeSpec(p.lattice.dimension, p.lattice.length + 1,
                         p.lattice.branching, p.lattice.layers,
                         p.lattice.boundary)
-    assert "host lattice" in check_routing(
-        net, Placement(p.scheme, wider, p.delta_tau, p.site_of, p.anchor_ids),
-        pa)
+    assert "host lattice" in _checked(
+        net, dataclasses.replace(p, lattice=wider), pa)
     # the scheme check has no fallback: what place refuses, raises
     for scheme, delta_tau in (("foo", 1), ("refined", 0), ("refined", -1)):
         with pytest.raises(ValueError):
             check_routing(net, dataclasses.replace(
                 p, scheme=scheme, delta_tau=delta_tau), pa)
+
+
+def _vertex_edits(pa, length, rng, count):
+    """count copies of pa, each with one vertex moved by a step or two,
+    moved off the grid, removed or repeated."""
+    for _ in range(count):
+        vertices, offsets = pa.vertices.copy(), pa.offsets.copy()
+        j, axis = (int(rng.integers(n)) for n in vertices.shape)
+        what = int(rng.integers(4))
+        if what == 0:
+            vertices[j, axis] += rng.choice([-2, -1, 1, 2])
+        elif what == 1:
+            vertices[j, axis] = rng.choice([-1, length, -2 ** 62])
+        elif what == 2:
+            vertices = np.delete(vertices, j, axis=0)
+            offsets[offsets > j] -= 1
+        else:
+            vertices = np.insert(vertices, j, vertices[j], axis=0)
+            offsets[offsets > j] += 1
+        yield PathAssignment(pa.line_ids, offsets, vertices)
+
+
+@pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
+@pytest.mark.parametrize("build,layers", [
+    (build_mera_1d, 3), (build_mera_2d_b2, 2), (build_mera_2d_b3, 1)])
+def test_check_routing_matches_oracle_on_vertex_edits(build, layers, scheme):
+    net, p, pa = routed(build, layers, scheme, with_elements=False)
+    rng = np.random.default_rng(layers + len(scheme) + 10 * len(net.ids))
+    verdicts = set()
+    for edited in _vertex_edits(pa, p.lattice.length, rng, 200):
+        verdict = _checked(net, p, edited)
+        verdicts.add(verdict.split(" ", 4)[-1].split(" at ")[0]
+                     if verdict else None)
+    assert {"does not join its endpoints", "leaves the host grid",
+            "jumps"} <= verdicts

@@ -103,10 +103,13 @@ def _oracle_validate(tns):
     spec, meta = tns.spec, tns.meta
     if spec.length != spec.branching ** spec.layers:
         issues.append(f"lattice length {spec.length} is not "
-                      f"branching**layers = {spec.branching ** spec.layers}")
+                      f"branching**layers = {spec.branching}**{spec.layers}")
     if meta.branching != spec.branching:
         issues.append(f"meta branching {meta.branching} is not the lattice "
                       f"branching {spec.branching}")
+    if not 0 <= meta.max_layer_distance <= spec.layers:
+        issues.append(f"meta max_layer_distance {meta.max_layer_distance} "
+                      f"outside [0, {spec.layers}]")
     if not 1 <= tns.chi <= meta.chi:
         issues.append(f"chi {tns.chi} outside [1, {meta.chi}]")
     per_cell = {}
