@@ -109,6 +109,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.tol < 1:
+        raise ValueError(f"--tol must lie in [0, 1), got {args.tol}")
     network = tns_mod.tns_from_dict(_load_json(args.tns))
     data = _load_json(args.map)
     placement, paths = mapping.map_from_dict(data, network)

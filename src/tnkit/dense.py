@@ -2,15 +2,16 @@
 
 Works on lists of (array, labels) pairs; equal labels are contracted,
 labels of the form ("p", site) stay open and define the state vector in
-lexicographic site order.  A hard amplitude budget keeps accidental large
-contractions from exhausting memory; override it with the environment
-variable TNKIT_MAX_AMPLITUDES.
+lexicographic site order.  Identity wires, the factors an embedding adds
+along each routed line, are renamed away before any dense work: their
+two labels become one, and only the real tensors are contracted.  A hard
+amplitude budget keeps accidental large contractions from exhausting
+memory; override it with the environment variable TNKIT_MAX_AMPLITUDES.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import os
 from dataclasses import dataclass
 
@@ -39,43 +40,121 @@ def _contract_pair(a, la, b, lb):
     return out, labels
 
 
-def _pair_size(a, la, b, lb):
-    """Amplitudes of the contraction of two factors."""
-    shared = set(la) & set(lb)
-    return math.prod(n for arr, ls in ((a, la), (b, lb))
-                     for n, l in zip(arr.shape, ls) if l not in shared)
+def _find(parent, c):
+    """Root of label code c's class, halving the path on the way."""
+    while parent[c] != c:
+        parent[c] = c = parent[parent[c]]
+    return c
+
+
+def _drop_wires(work, dims, uses):
+    """The factors that are not identity wires, their labels renamed.
+
+    A square two-label factor equal to the identity joins its two labels
+    into one class and is dropped.  A class that holds an open label (one
+    used once) is named by it.  A wire stays a factor when its labels are
+    already joined (a loop, traced here) or when both classes hold an open
+    label.
+    """
+    parent = list(range(len(dims)))
+    is_open = [k == 1 for k in uses]
+    kept, renamed = [], False
+    for array, codes in work:
+        if array.ndim == 2 and array.shape[0] == array.shape[1]:
+            a, b = _find(parent, codes[0]), _find(parent, codes[1])
+            renamed |= a == b
+            # the identity by value: n nonzero entries, all on the diagonal
+            # and equal to 1
+            if a != b and not (is_open[a] and is_open[b]) and \
+                    np.count_nonzero(array) == len(array) and \
+                    (array.diagonal() == 1).all():
+                if is_open[b]:
+                    a, b = b, a
+                parent[b] = a
+                renamed = True
+                continue
+        kept.append((array, codes))
+    if not renamed:
+        return kept
+    return [_trace_repeats(array, [_find(parent, c) for c in codes])
+            for array, codes in kept]
+
+
+def _trace_repeats(array, codes):
+    """A factor traced over each label it carries twice."""
+    for c in [c for k, c in enumerate(codes) if c in codes[:k]]:
+        i, j = [k for k, d in enumerate(codes) if d == c]
+        array = np.trace(array, axis1=i, axis2=j)
+        codes = [d for d in codes if d != c]
+    return array, codes
 
 
 def contract_labeled(factors, open_order=None):
     """Contract a labeled factor list greedily; returns (array, labels).
 
-    Each repeated label must occur exactly twice.  Each step contracts the
-    pair of factors sharing a label whose result is smallest, ties going to
-    the pair that comes first in factor order (results are appended last).
-    When no two factors share a label, the two smallest take an outer
-    product.  When open_order is given the result axes are transposed into
-    that label order; otherwise labels are sorted.
+    Each repeated label must occur exactly twice.  Identity wires are
+    renamed away first: a factor equal to the identity on two labels is
+    dropped and its labels are joined, an open label keeping its name
+    (see _drop_wires); a factor left carrying one label twice is traced
+    over it.  Each step then contracts the pair of factors sharing a label
+    whose result is smallest, ties going to the pair that comes first in
+    factor order (results are appended last).  When no two factors share
+    a label, the two smallest take an outer product.  The loop runs on
+    integer label codes.  When open_order is given the result axes are
+    transposed into that label order; otherwise labels are sorted.
     """
     limit = amplitude_limit()
-    # factors by id in factor order, and the ids carrying each label
-    work, owners = {}, {}
-    for k, (array, labels) in enumerate(factors):
+    # label codes in order of first use, with each code's dim and uses
+    code, dims, uses, work = {}, [], [], []
+    for array, labels in factors:
         if array is None:
             raise ValueError("network carries no elements (symbolic build)")
-        work[k] = (np.asarray(array), list(labels))
-        for l in labels:
-            owners.setdefault(l, []).append(k)
-    bad = sorted((str(l) for l, ks in owners.items() if len(ks) > 2))
+        array = np.asarray(array)
+        if len(labels) != array.ndim:
+            raise ValueError(f"factor of {array.ndim} axes carries "
+                             f"{len(labels)} labels")
+        codes = []
+        for label, n in zip(labels, array.shape):
+            c = code.setdefault(label, len(code))
+            if c == len(dims):
+                dims.append(n)
+                uses.append(0)
+            elif dims[c] != n:
+                raise ValueError(f"label {label!r} has dimensions "
+                                 f"{dims[c]} and {n}")
+            uses[c] += 1
+            codes.append(c)
+        work.append((array, codes))
+    names = list(code)
+    bad = sorted(str(names[c]) for c, k in enumerate(uses) if k > 2)
     if bad:
         raise ValueError(f"labels used more than twice: {', '.join(bad)}")
 
+    work = dict(enumerate(_drop_wires(work, dims, uses)))
+    # the ids of the factors carrying each code
+    owners = [[] for _ in dims]
+    for k, (_, codes) in work.items():
+        for c in codes:
+            owners[c].append(k)
+
+    def pair_size(i, j):
+        """Amplitudes of the contraction of factors i and j."""
+        la, lb = work[i][1], work[j][1]
+        size = 1
+        for c in la:
+            if c not in lb:
+                size *= dims[c]
+        for c in lb:
+            if c not in la:
+                size *= dims[c]
+        return size
+
     # candidate pairs (size, i, j), i < j; pairs with a contracted factor
     # are dropped when popped
-    heap = [(_pair_size(*work[i], *work[j]), i, j)
-            for i, j in {tuple(ks) for ks in owners.values()
-                         if len(ks) == 2 and ks[0] != ks[1]}]
+    heap = [(pair_size(i, j), i, j)
+            for i, j in {tuple(ks) for ks in owners if len(ks) == 2}]
     heapq.heapify(heap)
-    next_id = len(factors)
+    next_id = len(work)
     while len(work) > 1:
         while heap and not (heap[0][1] in work and heap[0][2] in work):
             heapq.heappop(heap)
@@ -88,18 +167,20 @@ def contract_labeled(factors, open_order=None):
         if size > limit:
             raise ResourceLimitError(f"contraction of {size} amplitudes "
                                      f"exceeds budget {limit}")
-        out, labels = _contract_pair(*work.pop(i), *work.pop(j))
         k, next_id = next_id, next_id + 1
-        work[k] = (out, labels)
+        work[k] = _contract_pair(*work.pop(i), *work.pop(j))
         neighbours = set()
-        for l in labels:
-            ks = owners[l]
-            ks[:] = [k if o in (i, j) else o for o in ks]
-            neighbours.update(o for o in ks if o != k)
+        for c in work[k][1]:
+            ks = owners[c]
+            if len(ks) == 2:
+                n = ks[1] if ks[0] == i or ks[0] == j else ks[0]
+                ks[:] = n, k
+                neighbours.add(n)
         for n in neighbours:
-            heapq.heappush(heap, (_pair_size(*work[n], out, labels), n, k))
+            heapq.heappush(heap, (pair_size(n, k), n, k))
 
-    array, labels = next(iter(work.values()), (np.array(1.0 + 0j), []))
+    array, codes = next(iter(work.values()), (np.array(1.0 + 0j), []))
+    labels = [names[c] for c in codes]
     if open_order is None:
         open_order = sorted(labels, key=repr)
     if sorted(map(repr, labels)) != sorted(map(repr, open_order)):

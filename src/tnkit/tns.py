@@ -214,24 +214,14 @@ class _Tables:
                    np.arange(lines.shape[1]), lines[:2], lines[2:4], lines[4])
 
 
-def _random_isometry(rng, fine_dims, coarse_dim) -> np.ndarray:
-    """Array of shape (*fine_dims, coarse_dim) with orthonormal columns."""
-    rows = int(np.prod(fine_dims))
-    a = rng.standard_normal((rows, coarse_dim)) \
-        + 1j * rng.standard_normal((rows, coarse_dim))
-    q, r = np.linalg.qr(a)
+def _random_orthonormal(rng, count, rows, cols) -> np.ndarray:
+    """count complex (rows, cols) matrices with orthonormal columns, from
+    one draw that holds each matrix's real part, then its imaginary part."""
+    a = rng.standard_normal((count, 2, rows, cols))
+    q, r = np.linalg.qr(a[:, 0] + 1j * a[:, 1])
     # fix the gauge so the decomposition is unique and runs reproduce
-    q = q * np.sign(np.real(np.diagonal(r)) + 1e-300)
-    return np.ascontiguousarray(q.reshape(*fine_dims, coarse_dim))
-
-
-def _random_unitary(rng, leg_dims) -> np.ndarray:
-    """Unitary on prod(leg_dims), shaped (*leg_dims_out, *leg_dims_in)."""
-    n = int(np.prod(leg_dims))
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.real(np.diagonal(r)) + 1e-300)
-    return np.ascontiguousarray(q.reshape(*leg_dims, *leg_dims))
+    return q * np.sign(np.real(np.diagonal(r, axis1=1, axis2=2))
+                       + 1e-300)[:, None]
 
 
 def _random_top(rng, dim) -> np.ndarray:
@@ -298,7 +288,8 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
     then isometries coarse-grain each block to one site of the next layer.
     Sites no disentangler covers feed their isometry directly.  A top
     tensor closes the hierarchy.  Each pattern's nodes and lines are
-    added as columns at once; elements are drawn in node order.
+    added as columns at once, and its elements are drawn in one call, in
+    node order.
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
@@ -319,9 +310,13 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
         raise ValueError(_PAST_INT64)
     t = _Tables()
 
-    def draw(count, make, *shape):
-        return [make(rng, *shape) for _ in range(count)] \
-            if with_elements else None
+    def draw(count, rows, cols):
+        """Elements of count tensors shaped (*rows, *cols), each a matrix
+        with orthonormal columns: unitaries and isometries."""
+        if not with_elements:
+            return None
+        q = _random_orthonormal(rng, count, math.prod(rows), math.prod(cols))
+        return list(q.reshape(count, *rows, *cols))
 
     # the node and slot exposing each site of the grid below layer tau
     node, slot = _add_anchors(t, spec, phys_dim)
@@ -335,7 +330,7 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
             cells, sites = _cover(roles, b, out)
             u = t.add(_ids(f"{variant}:{tau}:", cells), tau,
                       KIND_DISENTANGLER, variant, cells, (f,) * (2 * legs),
-                      draw(len(cells), _random_unitary, (f,) * legs))
+                      draw(len(cells), (f,) * legs, (f,) * legs))
             t.connect(node[sites], u[:, None], slot[sites], np.arange(legs),
                       f)
             node[sites] = u[:, None]
@@ -343,14 +338,15 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
         cells, sites = _cover(block_roles, b, out)
         iso = t.add(_ids(f"w:{tau}:", cells), tau, KIND_ISOMETRY, "w",
                     cells, (f,) * block + (c,),
-                    draw(len(cells), _random_isometry, (f,) * block, c))
+                    draw(len(cells), (f,) * block, (c,)))
         t.connect(node[sites], iso[:, None], slot[sites], np.arange(block),
                   f)
         node, slot = iso, np.full(len(iso), block)
 
     origin = np.zeros((1, dimension), np.int64)
     top = t.add(_ids(f"t:{layers}:", origin), layers, KIND_TOP, "t", origin,
-                (dims[layers],), draw(1, _random_top, dims[layers]))
+                (dims[layers],),
+                [_random_top(rng, dims[layers])] if with_elements else None)
     t.connect(node, top, slot, 0, dims[layers])
 
     meta = MeraMeta(chi=max(chi, phys_dim), branching=b,

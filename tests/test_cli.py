@@ -836,6 +836,33 @@ def test_entropy_rejects_bad_flags(monkeypatch, capsys, argv, flag):
     assert captured.err.startswith(f"error: {flag} ")
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "1", "2", "inf"])
+def test_verify_rejects_bad_tol(monkeypatch, tmp_path, capsys, tol):
+    # the check comes before any file is read
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_load_json", no_read)
+    assert main(["verify", "--tns", str(tmp_path / "net.json"),
+                 "--map", str(tmp_path / "net.map.json"),
+                 "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol must lie in [0, 1), got ")
+
+
+@pytest.mark.parametrize("tol", ["0", "0.5"])
+def test_verify_accepts_tol_in_range(built, tmp_path, capsys, tol):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    capsys.readouterr()
+    code = main(["verify", "--tns", str(built), "--map", prefix + ".map.json",
+                 "--tol", tol])
+    assert code in (0, 4)
+    assert capsys.readouterr().err == ""
+
+
 def test_entropy_half_cut_ignores_negative_seed(capsys):
     # the seed only picks random cuts
     assert main(["entropy", "--family", "qca", "--dimension", "1",

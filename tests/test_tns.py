@@ -17,7 +17,7 @@ from tnkit.tns import (KIND_ANCHOR, KIND_CODES, KIND_DISENTANGLER,
                        tns_from_dict, tns_to_dict, ttn_cut_size,
                        ttn_gate_schedule, two_site_rotation_gate,
                        validate_preconditions,
-                       _random_isometry, _random_top, _random_unitary)
+                       _random_orthonormal, _random_top)
 
 BUILDERS = [
     (build_mera_1d, 3),
@@ -570,21 +570,57 @@ def test_symbolic_documents_pinned(build, layers):
     assert _digest(map_to_dict(p, route_lines(net, p))) == map_digest
 
 
+def _random_isometry(rng, fine_dims, coarse_dim):
+    """One isometry drawn on its own, (*fine_dims, coarse_dim): the
+    per-tensor draw the builders' batched draw must reproduce."""
+    rows = int(np.prod(fine_dims))
+    a = rng.standard_normal((rows, coarse_dim)) \
+        + 1j * rng.standard_normal((rows, coarse_dim))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.real(np.diagonal(r)) + 1e-300)
+    return np.ascontiguousarray(q.reshape(*fine_dims, coarse_dim))
+
+
+def _random_unitary(rng, leg_dims):
+    """One unitary drawn on its own, (*leg_dims_out, *leg_dims_in)."""
+    n = int(np.prod(leg_dims))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.real(np.diagonal(r)) + 1e-300)
+    return np.ascontiguousarray(q.reshape(*leg_dims, *leg_dims))
+
+
 @pytest.mark.parametrize("build,layers", [(build_mera_1d, 3),
                                           (build_mera_2d_b2, 2),
                                           (build_mera_2d_b3, 2)])
 @pytest.mark.parametrize("chi,phys_dim", [(2, 2), (5, 3)])
 def test_elements_follow_node_order(build, layers, chi, phys_dim):
-    """Elements are drawn from one generator in node insertion order."""
-    net = build(layers, chi=chi, phys_dim=phys_dim, seed=7)
-    rng = np.random.default_rng(7)
-    for node in net.nodes.values():
-        if node.kind == KIND_ANCHOR:
-            continue
-        if node.kind == KIND_DISENTANGLER:
-            expected = _random_unitary(rng, node.dims[:node.order // 2])
-        elif node.kind == KIND_ISOMETRY:
-            expected = _random_isometry(rng, node.dims[:-1], node.dims[-1])
-        else:
-            expected = _random_top(rng, node.dims[0])
-        assert np.allclose(node.elements, expected), node.id
+    """Elements equal, bit for bit, one per-tensor draw after another from
+    one generator in node insertion order."""
+    for seed in (7, 8):
+        net = build(layers, chi=chi, phys_dim=phys_dim, seed=seed)
+        rng = np.random.default_rng(seed)
+        for node in net.nodes.values():
+            if node.kind == KIND_ANCHOR:
+                continue
+            if node.kind == KIND_DISENTANGLER:
+                expected = _random_unitary(rng, node.dims[:node.order // 2])
+            elif node.kind == KIND_ISOMETRY:
+                expected = _random_isometry(rng, node.dims[:-1],
+                                            node.dims[-1])
+            else:
+                expected = _random_top(rng, node.dims[0])
+            assert np.array_equal(node.elements, expected), node.id
+
+
+@pytest.mark.parametrize("count,rows,cols", [(1, 2, 2), (3, 4, 4),
+                                             (6, 16, 2), (5, 8, 5),
+                                             (4, 81, 5)])
+def test_batched_draw_matches_per_tensor_draws(count, rows, cols):
+    """One stacked draw gives the per-tensor elements bit for bit and
+    leaves the generator where the per-tensor draws leave it."""
+    batched, single = np.random.default_rng(3), np.random.default_rng(3)
+    q = _random_orthonormal(batched, count, rows, cols)
+    for k in range(count):
+        assert np.array_equal(q[k], _random_isometry(single, (rows,), cols))
+    assert batched.bit_generator.state == single.bit_generator.state
