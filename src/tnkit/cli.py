@@ -238,6 +238,8 @@ def cmd_render(args) -> int:
     try:
         spec = spec_from_dict(data["lattice"])
         dim, length = spec.dimension, spec.length
+        # the ids and coordinates follow map_from_dict's rules
+        mapping.map_ints(data["sites"], data["paths"], dim)
         # pixel positions of every path vertex and site
         paths = sorted((lid, [xy(v) for v in chain])
                        for lid, chain in data["paths"])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tns import KIND_ANCHOR, KIND_CODES, Tns
+from .tns import KIND_ANCHOR, KIND_CODES, Tns, slot_labels
 
 DEFAULT_MAX_AMPLITUDES = 2 ** 26
 
@@ -209,19 +209,10 @@ def _network_factors(obj):
     if not isinstance(obj, Tns):
         # an embedded grid network (mapping.Peps)
         return obj.all_factors(), obj.physical_dim
-    anchor = (obj.kind == KIND_CODES[KIND_ANCHOR]).tolist()
-    cells, bounds = obj.cell.tolist(), obj.dim_offsets.tolist()
-    # one label per slot; slot k of node i is entry bounds[i] + k
-    labels = [None] * bounds[-1]
-    flat = obj.dim_offsets[obj.line_ends] + obj.line_slots
-    for lid, a, b, fa, fb in zip(obj.line_id.tolist(), *obj.line_ends.tolist(),
-                                 *flat.tolist()):
-        end = a if anchor[a] else b if anchor[b] else None
-        labels[fa] = labels[fb] = ("l", lid) if end is None else \
-            ("p", tuple(cells[end]))
+    labels, bounds = slot_labels(obj), obj.dim_offsets.tolist()
+    tensors = (obj.kind != KIND_CODES[KIND_ANCHOR]).nonzero()[0].tolist()
     return [(obj.elements[i], tuple(labels[bounds[i]:bounds[i + 1]]))
-            for i, is_anchor in enumerate(anchor) if not is_anchor], \
-        obj.physical_dim
+            for i in tensors], obj.physical_dim
 
 
 def contract_to_statevector(obj) -> StateVector:

@@ -39,7 +39,11 @@ rule to all nodes or lines at once.  A routed map is a Placement, one
 chain back to back in one (V, D) vertex array in line-id order with an
 offset per line; from placement to check_routing and assemble_peps no
 step converts them, and map-v1 JSON is read and written only by
-map_from_dict and map_to_dict.
+map_from_dict and map_to_dict.  The tally, measured_chi, keeps only the
+crossings: per crossing an edge key, a line id and the code of the
+line's class, a (dimension, physical) pair of a small table.  An edge's
+figures depend only on its count of crossings per class, so they are
+taken once per distinct row of those counts.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import numpy as np
 from .lattice import (Edge, LatticeSpec, Site, require_ints, spec_from_dict,
                       spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
-                  VARIANTS, MeraMeta, Tns, row_runs)
+                  VARIANTS, MeraMeta, Tns, distinct, slot_labels)
 
 _ANCHOR, _ISOMETRY = KIND_CODES[KIND_ANCHOR], KIND_CODES[KIND_ISOMETRY]
 _U2X1, _U1X2 = VARIANTS.index("u2x1"), VARIANTS.index("u1x2")
@@ -201,7 +205,8 @@ class StackReport:
 
 def detect_stacks(p: Placement) -> StackReport:
     """Per-site tensor counts.  Anchors are bookkeeping and excluded."""
-    sites, heights = row_runs(p.sites[~p.anchor])
+    sites, at = distinct(p.sites[~p.anchor])
+    heights = np.bincount(at, minlength=len(sites))
     return StackReport(dict(zip(map(tuple, sites.tolist()), heights.tolist())),
                        int(heights.max(initial=0)))
 
@@ -349,7 +354,7 @@ def check_routing(tns: Tns, p: Placement,
     if (expected.delta_tau != p.delta_tau
             or not np.array_equal(expected.sites, p.sites)):
         return "site positions or delta_tau do not match the scheme"
-    if not np.array_equal(paths.line_ids, _distinct(tns.line_id)[0]):
+    if not np.array_equal(paths.line_ids, distinct(tns.line_id)[0]):
         return "paths do not cover the contraction lines"
     v, at = paths.vertices, paths.line_ids.searchsorted(tns.line_id)
     start, end = paths.offsets[at], paths.offsets[at + 1]
@@ -382,99 +387,50 @@ def check_routing(tns: Tns, p: Placement,
                                       "jumps", "is not L1-shortest")[rule]
 
 
-def _distinct(values: np.ndarray):
-    """Sorted distinct entries of a 1-D int64 array, and the index of each
-    entry among them (np.unique without its numpy.ma import)."""
-    order = values.argsort()
-    ranked = values[order]
-    new = np.ones(len(values), bool)
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    distinct = ranked[new]
-    del ranked
-    inverse = np.empty(len(values), np.int64)
-    inverse[order] = new.cumsum() - 1
-    return distinct, inverse
-
-
 @dataclass(eq=False)
 class CongestionReport:
     """Edge usage of a routed placement.
 
-    Every crossing of a line over a host edge is one entry of keys and
-    line_ids, in line-id order.  An edge's key is the row-major index of
-    its lower vertex in the box of the given origin and shape, times D,
-    plus D-1-axis, so keys sort edges as (lower, upper) vertex pairs.
-    edge_lines, the sorted ids of the lines crossing each edge, is built
-    on first use.  Physical-leg lines (those ending on an anchor) can be
-    included or excluded from every figure; embedded-network bond
-    dimensions include them, while the interior congestion figures of the
-    refined scheme exclude them.  network_ids holds the ids of the
-    network's lines in ascending order, and network_dims and
-    network_physical their dimensions and whether they are physical legs.
-    The per-edge figures are taken once, when the report is made.
+    Every crossing of a line over a host edge is one entry of keys,
+    line_ids and classes, in line-id order.  An edge's key is the
+    row-major index of its lower vertex in the box of the given origin
+    and shape, times D, plus D-1-axis, so keys sort edges as (lower,
+    upper) vertex pairs.  A crossing's class indexes class_table, whose
+    row per line class holds a dimension and 1 for physical legs (lines
+    ending on an anchor), else 0.  edge_lines, the sorted ids of the
+    lines crossing each edge, is built on first use; paths_through and
+    bond_dim_of find an edge by its (lower, upper) pair, and give 0
+    paths and bond 1 for a pair that is no edge of the report.  Physical
+    legs can be included or excluded from every figure; embedded-network
+    bond dimensions include them, while the interior congestion figures
+    of the refined scheme exclude them.  The per-edge figures are taken
+    once, when the report is made.
     """
 
     keys: np.ndarray
     origin: Site
     shape: tuple[int, ...]
     line_ids: np.ndarray
-    network_ids: np.ndarray
-    network_dims: np.ndarray
-    network_physical: np.ndarray
+    classes: np.ndarray
+    class_table: np.ndarray
 
     def __post_init__(self):
-        self._edge_keys, edge = _distinct(self.keys)
-        # a line class is a (dimension, physical) pair; an edge's figures
-        # depend only on its count per class, so they are taken exactly,
-        # in Python ints, once per distinct row of counts.  Crossings of
-        # one line are adjacent, so a class is looked up once per line.
-        lids = self.line_ids
-        bounds = np.ones(len(lids) + 1, bool)
-        np.not_equal(lids[1:], lids[:-1], out=bounds[1:-1])
-        bounds = bounds.nonzero()[0]
-        at = self._positions(lids[bounds[:-1]])
-        dims, dim_rank = _distinct(self.network_dims[at])
-        classes, line_class = _distinct(2 * dim_rank
-                                        + self.network_physical[at])
-        shape = len(self._edge_keys), len(classes)
-        edge *= shape[1]
-        edge += line_class.repeat(bounds[1:] - bounds[:-1])
-        counts = np.bincount(edge, minlength=math.prod(shape)).reshape(shape)
-        # distinct rows of counts: the columns as digits of one code, made
-        # dense whenever the next digit could overflow it
-        code, bound = np.zeros(len(counts), np.int64), 1
-        for column in counts.T:
-            top = int(column.max()) + 1
-            if bound * top >= 2 ** 63:
-                code = _distinct(code)[1]
-                bound = int(code.max()) + 1
-            code *= top
-            code += column
-            bound *= top
-        code = _distinct(code)[1]
-        rows = np.zeros((int(code.max(initial=-1)) + 1, len(classes)),
-                        np.int64)
-        rows[code] = counts
-        self._row_of_edge = code
+        self._edge_keys, edge = distinct(self.keys)
+        # counts of crossings per edge and class; the figures are exact
+        # Python ints, taken once per distinct row
+        shape = len(self._edge_keys), len(self.class_table)
+        counts = np.bincount(edge * shape[1] + self.classes,
+                             minlength=math.prod(shape)).reshape(shape)
+        rows, self._row_of_edge = distinct(counts)
         # (paths, bond dimension) per distinct row, by include_physical
-        interior = classes % 2 == 0
-        dims = dims[classes // 2].tolist()
+        dims = self.class_table[:, 0].tolist()
+        interior = self.class_table[:, 1] == 0
         self._paths, self._bonds = {}, {}
         for include_physical, used in ((True, rows),
                                        (False, rows * interior)):
             self._paths[include_physical] = used.sum(axis=1)
             self._bonds[include_physical] = [
                 math.prod(map(pow, dims, row)) for row in used.tolist()]
-
-    def _positions(self, lids: np.ndarray) -> np.ndarray:
-        """Positions in network_ids of the given line ids; ValueError for
-        an id the network lacks."""
-        at = self.network_ids.searchsorted(lids)
-        known = self.network_ids.take(at, mode="clip") == lids
-        if not known.all():
-            raise ValueError(f"path of line {lids[~known][0]} names no line "
-                             f"of the network")
-        return at
 
     def _ends(self, keys):
         """Lower and upper vertices, as (n, D) arrays, of keyed edges."""
@@ -500,19 +456,18 @@ class CongestionReport:
                 zip(map(tuple, lower.tolist()), map(tuple, upper.tolist()),
                     [0] + ends, ends)}
 
-    def _counted_dims(self, edge, include_physical):
-        """Dimensions of the counted lines crossing an edge."""
-        at = self._positions(np.array(self.edge_lines.get(edge, ()),
-                                      np.int64))
-        if not include_physical:
-            at = at[~self.network_physical[at]]
-        return self.network_dims[at].tolist()
+    @functools.cached_property
+    def _row_of(self) -> dict[Edge, int]:
+        """Row of counts of each edge, by its (lower, upper) vertices."""
+        return dict(zip(self.edge_lines, self._row_of_edge.tolist()))
 
     def paths_through(self, edge: Edge, include_physical: bool = True) -> int:
-        return len(self._counted_dims(edge, include_physical))
+        row = self._row_of.get(edge)
+        return 0 if row is None else int(self._paths[include_physical][row])
 
     def bond_dim_of(self, edge: Edge, include_physical: bool = True) -> int:
-        return math.prod(self._counted_dims(edge, include_physical))
+        row = self._row_of.get(edge)
+        return 1 if row is None else self._bonds[include_physical][row]
 
     def max_paths(self, include_physical: bool = True) -> int:
         return int(self._paths[include_physical].max(initial=0))
@@ -580,22 +535,35 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
     The chains come as one coordinate array in line-id order (see
     PathAssignment); each step between consecutive vertices of a chain is
     one crossing, so every edge's ids come out sorted.  A step that is
-    not a unit step raises ValueError.
+    not a unit step, or a crossing of a line the network lacks, raises
+    ValueError.
     """
     ids, offsets, coords = paths.line_ids, paths.offsets, paths.vertices
     lengths = offsets[1:] - offsets[:-1]
-    line_ids = ids.repeat(np.maximum(lengths - 1, 0))
+    steps = np.maximum(lengths - 1, 0)
+    line_ids = ids.repeat(steps)
     # a step leaves every vertex but the last of its chain
     inner = np.ones(len(coords), bool)
     inner[offsets[1:][lengths > 0] - 1] = False
     inner = inner[:-1]
     axes = ((coords[:-1, k][inner], coords[1:, k][inner])
             for k in range(coords.shape[1]))
+    keys, origin, shape = _crossing_keys(axes, line_ids)
+    # a line's crossings are adjacent, so each crossed line is looked up
+    # once; a line class is a (dimension, physical) pair
+    crossed = ids[steps > 0]
     by_id = tns.line_id.argsort(kind="stable")
-    physical = (tns.kind == _ANCHOR)[tns.line_ends].any(axis=0)
-    return CongestionReport(*_crossing_keys(axes, line_ids), line_ids,
-                            tns.line_id[by_id], tns.line_dim[by_id],
-                            physical[by_id])
+    line = by_id.take(tns.line_id[by_id].searchsorted(crossed), mode="clip")
+    unknown = tns.line_id[line] != crossed
+    if unknown.any():
+        raise ValueError(f"path of line {crossed[unknown][0]} names no line "
+                         f"of the network")
+    physical = (tns.kind == _ANCHOR)[tns.line_ends[:, line]].any(axis=0)
+    table, classes = distinct(np.stack((tns.line_dim[line], physical), 1))
+    # the report keeps a class code per crossing, in the smallest dtype
+    classes = classes.astype(np.min_scalar_type(len(table)))
+    return CongestionReport(keys, origin, shape, line_ids,
+                            classes.repeat(steps[steps > 0]), table)
 
 
 def chi_bound(meta: MeraMeta, dimension: int) -> int:
@@ -687,9 +655,8 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     placed.
     """
     anchor = (tns.kind == _ANCHOR).tolist()
-    cells, bounds = tns.cell.tolist(), tns.dim_offsets.tolist()
-    # one label per slot; slot k of node i is entry bounds[i] + k
-    label_of: list = [None] * bounds[-1]
+    bounds = tns.dim_offsets.tolist()
+    label_of = slot_labels(tns)
     wires: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
     ends = _orientation(tns)
     # the source's slot is the a end's when the source is the a end
@@ -703,18 +670,14 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
             tns.line_id.tolist(), tns.line_dim.tolist(), ends[0].tolist(),
             *(tns.dim_offsets[ends] + slots).tolist(),
             paths.offsets[at].tolist(), paths.offsets[at + 1].tolist()):
-        phys = ("p", tuple(cells[src])) if anchor[src] else None
         if end - start == 1:
-            if phys:
-                label_of[dst_slot] = phys
-            else:
-                label_of[src_slot] = label_of[dst_slot] = ("i", lid)
+            # a line of length 0 keeps its label
             continue
         eye = np.eye(dim)
         labels = [("t", lid, j) for j in range(end - start - 1)]
-        if phys:
+        if anchor[src]:
             wires.setdefault(vertices[start], []).append(
-                (eye, (phys, labels[0])))
+                (eye, (label_of[src_slot], labels[0])))
         else:
             label_of[src_slot] = labels[0]
         label_of[dst_slot] = labels[-1]
@@ -762,8 +725,7 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
                 CongestionReport(
                     *_crossing_keys(zip(lower[crossing].T,
                                         upper[crossing].T), line_ids),
-                    line_ids, report.network_ids, report.network_dims,
-                    report.network_physical))
+                    line_ids, report.classes[crossing], report.class_table))
 
 
 def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
@@ -789,6 +751,26 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
     }
 
 
+def map_ints(sites, paths, d: int) -> np.ndarray:
+    """The line ids of a map-v1 document's paths, then the coordinates of
+    its sites, then those of its path vertices, as one int64 array:
+    TypeError unless every site and vertex holds d JSON integers, and
+    ValueError for a value past int64."""
+    flat = itertools.chain.from_iterable
+    rows = [site for _, site in sites]
+    rows += flat(chain for _, chain in paths)
+    if set(map(len, rows)) - {d}:
+        raise TypeError(f"a site or path vertex is not {d}-dimensional")
+    values = [lid for lid, _ in paths] + list(flat(rows))
+    require_ints(values, "a site or path vertex coordinate")
+    try:
+        return np.frombuffer(struct.pack(f"{len(values)}q", *values),
+                             np.int64)
+    except struct.error:
+        raise ValueError("malformed map-v1 document: a path line id or "
+                         "coordinate does not fit in 64 bits") from None
+
+
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     """Placement and paths of a map-v1 description, read straight into
     their arrays.  ValueError when the document is not an object or lacks
@@ -802,7 +784,7 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
         raise ValueError(f"unsupported map format {data.get('version')!r}")
     # vertices have the network's dimension; check_routing compares the
     # host lattice with the network's
-    flat, d = itertools.chain.from_iterable, tns.spec.dimension
+    d = tns.spec.dimension
     try:
         scheme, host = data["scheme"], spec_from_dict(data["lattice"])
         require_ints((data["delta_tau"],), f"delta_tau {data['delta_tau']!r}")
@@ -811,17 +793,7 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
         named = np.array([index.get(nid, -1) for nid in nids], np.int64)
         require_ints([lid for lid, _ in data["paths"]], "path line id")
         paths = sorted(data["paths"], key=operator.itemgetter(0))
-        rows = [site for _, site in data["sites"]]
-        rows += flat(chain for _, chain in paths)
-        if set(map(len, rows)) - {d}:
-            raise TypeError(f"a site or path vertex is not {d}-dimensional")
-        values = [lid for lid, _ in paths] + list(flat(rows))
-        require_ints(values, "a site or path vertex coordinate")
-        packed = np.frombuffer(struct.pack(f"{len(values)}q", *values),
-                               np.int64)
-    except struct.error:
-        raise ValueError("malformed map-v1 document: a path line id or "
-                         "coordinate does not fit in 64 bits") from None
+        packed = map_ints(data["sites"], paths, d)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc

@@ -177,6 +177,22 @@ class Tns:
     lines = property(LineView)
 
 
+def slot_labels(tns: Tns) -> list:
+    """One label per slot, slot k of node i at entry dim_offsets[i] + k:
+    both slots of a physical leg carry ("p", cell of its anchor), those
+    of any other line ("l", line id)."""
+    anchor = (tns.kind == KIND_CODES[KIND_ANCHOR]).tolist()
+    cells = tns.cell.tolist()
+    labels = [None] * int(tns.dim_offsets[-1])
+    flat = tns.dim_offsets[tns.line_ends] + tns.line_slots
+    for lid, a, b, fa, fb in zip(tns.line_id.tolist(), *tns.line_ends.tolist(),
+                                 *flat.tolist()):
+        end = a if anchor[a] else b if anchor[b] else None
+        labels[fa] = labels[fb] = ("l", lid) if end is None else \
+            ("p", tuple(cells[end]))
+    return labels
+
+
 class _Tables:
     """Node and line columns of a network being built: groups of nodes that
     share their layer, kind, variant and dims, and blocks of lines."""
@@ -467,14 +483,26 @@ def _int64(values, count: int = -1) -> np.ndarray:
         raise ValueError(_PAST_INT64) from None
 
 
-def row_runs(rows: np.ndarray):
-    """Distinct rows of an (n, k) int64 array in lexicographic order, and
-    how often each occurs: the runs of equal rows once sorted."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    new = np.ones(len(rows) + 1, bool)
-    new[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = new.nonzero()[0]
-    return rows[starts[:-1]], np.diff(starts)
+def distinct(values: np.ndarray):
+    """Sorted distinct entries of a 1-D array, or distinct rows of a 2-D
+    one in lexicographic order, and the index of each entry or row among
+    them (np.unique without its numpy.ma import)."""
+    if values.ndim == 1:
+        order = values.argsort()
+    else:
+        # rows of no columns are all equal; lexsort needs a key
+        order = np.lexsort(values.T[::-1]) if values.shape[1] else \
+            np.arange(len(values))
+    ranked = values.take(order, axis=0)
+    # an entry or row is new where a column differs from the one before
+    new = np.zeros(len(values), bool)
+    new[:1] = True
+    for column in np.atleast_2d(ranked.T):
+        new[1:] |= column[1:] != column[:-1]
+    ranked = ranked[new]
+    inverse = np.empty(len(values), np.int64)
+    inverse[order] = new.cumsum() - 1
+    return ranked, inverse
 
 
 def validate_preconditions(tns: Tns) -> ValidationReport:
@@ -540,8 +568,9 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
 
     # tensors per (layer, cell)
     most = meta.max_tensors_per_cell
-    keys, counts = row_runs(np.concatenate((layer[:, None], cells),
-                                           axis=1)[tensor])
+    keys, at = distinct(np.concatenate((layer[:, None], cells),
+                                       axis=1)[tensor])
+    counts = np.bincount(at, minlength=len(keys))
     over = counts > most
     for key, count in zip(keys[over].tolist(), counts[over].tolist()):
         issues.append(f"layer {key[0]} cell {tuple(key[1:])}: {count} "

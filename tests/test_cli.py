@@ -405,8 +405,13 @@ def test_render_rejects_map_missing_key(built, tmp_path, capsys, key):
     ("paths", [[0, [[0], [1, 0]]]]),
     ("sites", [["w:1:0,0", [1, 1]], [5, [0, 0]]]),
     ("paths", [[0, [[0, 0]]], ["1", [[1, 1]]]]),
+    ("paths", [[0, [[0, 0], [1.5, 0]]]]),
+    ("paths", [[0, [[0, 0], [True, 0]]]]),
+    ("paths", [[0, [[0, 0], [2 ** 70, 0]]]]),
+    ("sites", [["w:1:0,0", [1, 1, 0]]]),
 ], ids=["path-vertex-not-a-list", "site-not-a-list", "short-2d-vertex",
-        "non-string-node-id", "string-path-id"])
+        "non-string-node-id", "string-path-id", "fractional-coordinate",
+        "bool-coordinate", "coordinate-past-int64", "3d-site-in-2d"])
 def test_render_rejects_malformed_vertices(tmp_path, capsys, key, value):
     net = str(tmp_path / "b2.json")
     main(["build", "--kind", "mera2d-b2", "--layers", "1", "--no-elements",

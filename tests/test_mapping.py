@@ -483,6 +483,11 @@ def _assert_matches_oracle(rep, chains, net):
         for e in expected:
             assert rep.paths_through(e, include_physical) == paths[e]
             assert rep.bond_dim_of(e, include_physical) == bonds[e]
+        # pairs that are no edge: every edge reversed, and a non-unit pair
+        zero = (0,) * len(rep.shape)
+        for e in [(b, a) for a, b in expected] + [(zero, (2,) + zero[1:])]:
+            assert rep.paths_through(e, include_physical) == 0
+            assert rep.bond_dim_of(e, include_physical) == 1
 
 
 @pytest.mark.parametrize("build,layers,scheme", [
@@ -534,6 +539,15 @@ def test_tally_rejects_non_unit_steps(chain):
     net = build_mera_1d(2, with_elements=False)
     chains = {0: ((0, 0), (0, 1)), 3: chain}
     with pytest.raises(ValueError, match="line 3 makes a non-unit step"):
+        measured_chi(net, _paths(chains))
+
+
+@pytest.mark.parametrize("lid", [-1, 99])
+def test_tally_rejects_unknown_line(lid):
+    net = build_mera_1d(2, with_elements=False)
+    chains = {0: ((0, 0), (0, 1)), lid: ((1, 0), (1, 1))}
+    with pytest.raises(ValueError, match=f"path of line {lid} names no line "
+                                         f"of the network"):
         measured_chi(net, _paths(chains))
 
 
