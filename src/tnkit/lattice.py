@@ -12,6 +12,8 @@ import itertools
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator
 
+import numpy as np
+
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
 
@@ -21,6 +23,14 @@ def require_ints(values: Iterable, what: str) -> None:
     floats compare equal to ints but are no sizes or coordinates."""
     if not {int}.issuperset(map(type, values)):
         raise TypeError(f"{what} is not an integer")
+
+
+def int64_array(values: Iterable, count: int = -1, *, past: str) -> np.ndarray:
+    """np.fromiter into int64, with a value past int64 ValueError(past)."""
+    try:
+        return np.fromiter(values, np.int64, count)
+    except OverflowError:
+        raise ValueError(past) from None
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,12 @@ import functools
 import itertools
 import math
 import operator
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (Edge, LatticeSpec, Site, require_ints, spec_from_dict,
-                      spec_to_dict)
+from .lattice import (Edge, LatticeSpec, Site, int64_array, require_ints,
+                      spec_from_dict, spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
                   VARIANTS, MeraMeta, Tns, distinct, slot_labels)
 
@@ -552,12 +551,12 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
     # a line's crossings are adjacent, so each crossed line is looked up
     # once; a line class is a (dimension, physical) pair
     crossed = ids[steps > 0]
-    by_id = tns.line_id.argsort(kind="stable")
-    line = by_id.take(tns.line_id[by_id].searchsorted(crossed), mode="clip")
-    unknown = tns.line_id[line] != crossed
+    unknown = ~np.isin(crossed, tns.line_id)
     if unknown.any():
         raise ValueError(f"path of line {crossed[unknown][0]} names no line "
                          f"of the network")
+    by_id = tns.line_id.argsort(kind="stable")
+    line = by_id[tns.line_id[by_id].searchsorted(crossed)]
     physical = (tns.kind == _ANCHOR)[tns.line_ends[:, line]].any(axis=0)
     table, classes = distinct(np.stack((tns.line_dim[line], physical), 1))
     # the report keeps a class code per crossing, in the smallest dtype
@@ -763,12 +762,9 @@ def map_ints(sites, paths, d: int) -> np.ndarray:
         raise TypeError(f"a site or path vertex is not {d}-dimensional")
     values = [lid for lid, _ in paths] + list(flat(rows))
     require_ints(values, "a site or path vertex coordinate")
-    try:
-        return np.frombuffer(struct.pack(f"{len(values)}q", *values),
-                             np.int64)
-    except struct.error:
-        raise ValueError("malformed map-v1 document: a path line id or "
-                         "coordinate does not fit in 64 bits") from None
+    return int64_array(values, len(values),
+                       past="malformed map-v1 document: a path line id or "
+                            "coordinate does not fit in 64 bits")
 
 
 def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:

@@ -20,14 +20,14 @@ the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
 the smaller side of the cut, valid because S_A = S_B for a pure state,
 from sparse rows built out of the nonzero words of that side's qubit rows.
 
-The tree-state driver builds its gate schedule from a closed-form site
-formula on purpose: tns.build_ttn_example is not called, so the tree
-entropy is an independent cross-check; only the size of the measured cut
-comes from tns.ttn_cut_size.  The automaton driver takes both swap
-sublayers from qca.sublayer_indices as row-major qubit index arrays, and
-its initial pairs are the odd sublayer's transpositions, the set
-qca.initial_pairs hands the pair tracker; the cross-checks live in the
-test suite and in `entropy --cross-check`.
+The tree-state driver applies tns.ttn_gate_schedule a layer's block of
+rows at a time and sizes the cut by tns.ttn_cut_size; it never calls
+tns.build_ttn_example, so the tableau and the dense contraction of the
+built network simulate the same gates independently.  The automaton
+driver takes both swap sublayers from qca.sublayer_indices as row-major
+qubit index arrays, and its initial pairs are the odd sublayer's
+transpositions, the set qca.initial_pairs hands the pair tracker; the
+cross-checks live in the test suite and in `entropy --cross-check`.
 """
 
 from __future__ import annotations
@@ -249,26 +249,11 @@ def to_projector(t: StabilizerState) -> np.ndarray:
     return proj
 
 
-def _tree_schedule(layers: int):
-    """(layer, (site_a, site_b)) gate list, root gate first.
-
-    Gate k of layer tau pairs the midpoint 2**(tau-1) (2k - 1) - 1 of its
-    block with the block's last site 2**tau k - 1.
-    """
-    out = []
-    for tau in range(layers, 0, -1):
-        width = 2 ** tau
-        half = width // 2
-        for k in range(1, 2 ** (layers - tau) + 1):
-            out.append((tau, (width * k - half - 1, width * k - 1)))
-    return out
-
-
 @dataclass
 class TtnRun:
     entropy: int
     region: tuple[int, ...]
-    schedule: tuple
+    schedule: np.ndarray
     state: StabilizerState
 
 
@@ -284,9 +269,9 @@ def run_ttn_example(layers: int) -> TtnRun:
     p = tns.ttn_cut_size(layers)
     n = 2 ** layers
     state = init_zero(n)
-    schedule = tuple(_tree_schedule(layers))
-    for _, gates in itertools.groupby(schedule, key=lambda gate: gate[0]):
-        a, b = np.array([pair for _, pair in gates]).T
+    schedule = tns.ttn_gate_schedule(layers)
+    for top in range(layers):   # the rows of layer layers - top
+        _, a, b = schedule[2 ** top - 1:2 ** (top + 1) - 1].T
         apply_xx_rotations(state, a, b)
     region = tuple(range(n - p, n))
     return TtnRun(entanglement_entropy(state, region), region, schedule, state)

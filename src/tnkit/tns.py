@@ -37,7 +37,8 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .lattice import LatticeSpec, require_ints, spec_from_dict, spec_to_dict
+from .lattice import (LatticeSpec, int64_array, require_ints, spec_from_dict,
+                      spec_to_dict)
 
 GENERATOR_VERSION = "tnkit-0.1.0"
 
@@ -54,6 +55,7 @@ KINDS = frozenset(KIND_NAMES)
 # tns-v1 appends any other names it uses
 VARIANTS = ("p", "u", "u2x2", "u2x1", "u1x2", "w", "t", "g")
 _PAST_INT64 = "a layer, cell, dim, slot or line id does not fit in 64 bits"
+_int64 = functools.partial(int64_array, past=_PAST_INT64)
 
 
 @dataclass(frozen=True)
@@ -400,15 +402,16 @@ def two_site_rotation_gate() -> np.ndarray:
     return u.T.reshape(2, 2, 2, 2)
 
 
-def ttn_gate_schedule(layers: int) -> list[tuple[int, tuple[int, int]]]:
-    """Gate layer and 0-based site pair, in application order (top first).
-
-    Layer tau holds 2**(layers - tau) gates; gate k of layer tau couples
-    sites 2**(tau-1) * (2k - 1) - 1 and 2**tau * k - 1.
+def ttn_gate_schedule(layers: int) -> np.ndarray:
+    """Gate rows (layer tau, site a, site b), int64, top layer first; the
+    builder and the stabilizer tree driver both read them.  Layer tau
+    holds 2**(layers - tau) gates from row 2**(layers - tau) - 1 on; gate
+    k of it couples sites 2**(tau-1) * (2k - 1) - 1 and 2**tau * k - 1.
     """
-    return [(tau, (2 ** (tau - 1) * (2 * k - 1) - 1, 2 ** tau * k - 1))
-            for tau in range(layers, 0, -1)
-            for k in range(1, 2 ** (layers - tau) + 1)]
+    tau = np.repeat(np.arange(layers, 0, -1), 2 ** np.arange(layers))
+    k = np.arange(2, 2 ** layers + 1) - 2 ** (layers - tau)
+    b = (k << tau) - 1
+    return np.stack([tau, b - (1 << (tau - 1)), b], axis=1)
 
 
 def ttn_cut_size(layers: int) -> int:
@@ -446,7 +449,7 @@ def build_ttn_example(layers: int) -> Tns:
                    (2,), [np.array([1.0, 0.0])])
         return z
 
-    for tau, (a, b) in ttn_gate_schedule(layers):
+    for tau, a, b in ttn_gate_schedule(layers).tolist():
         cell = b // 2 ** tau
         g, = t.add([f"g:{tau}:{cell}"], tau, KIND_DISENTANGLER, "g",
                    [[cell]], (2, 2, 2, 2), [gate])
@@ -473,14 +476,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-
-def _int64(values, count: int = -1) -> np.ndarray:
-    """np.fromiter into int64, with a value past int64 a ValueError."""
-    try:
-        return np.fromiter(values, np.int64, count)
-    except OverflowError:
-        raise ValueError(_PAST_INT64) from None
 
 
 def distinct(values: np.ndarray):

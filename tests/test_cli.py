@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tnkit import cli, mapping, tns as tns_mod
@@ -117,6 +118,31 @@ def test_verify_rejects_shifted_map_with_edited_delta_tau(built, tmp_path,
     assert code == 4
     out = capsys.readouterr().out
     assert "structural error" in out and "do not match the scheme" in out
+
+
+def test_verify_reports_differing_state(built, tmp_path, monkeypatch,
+                                        capsys):
+    # an assembly with Pauli X in place of one identity wire embeds a
+    # different state than the network's
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    assemble = mapping.assemble_peps
+
+    def flipped(*args):
+        peps = assemble(*args)
+        factors, k = next((fs, k) for fs in peps.site_factors.values()
+                          for k, (a, _) in enumerate(fs)
+                          if a.shape == (2, 2) and (a == np.eye(2)).all())
+        factors[k] = (np.array([[0.0, 1.0], [1.0, 0.0]]), factors[k][1])
+        return peps
+
+    monkeypatch.setattr(mapping, "assemble_peps", flipped)
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(built),
+                 "--map", prefix + ".map.json"]) == 4
+    assert capsys.readouterr().out == \
+        "FAIL embedded state differs from the network state\n"
 
 
 def test_verify_resource_limit_is_reported(tmp_path, monkeypatch, capsys):
@@ -368,6 +394,19 @@ def test_entropy_qca_cross_check_runs_automaton_once_per_depth(monkeypatch,
     assert sorted(calls) == [(1, 8, 1), (1, 8, 2), (1, 12, 1), (1, 12, 2)]
 
 
+def test_entropy_qca_cross_check_reports_disagreement(monkeypatch, capsys):
+    from tnkit import qca
+    entropy_across = qca.entropy_across
+    monkeypatch.setattr(qca, "entropy_across",
+                        lambda ps, region: entropy_across(ps, region) + 1)
+    assert main(["entropy", "--family", "qca", "--dimension", "1",
+                 "--lengths", "8", "--layers-max", "1",
+                 "--cross-check"]) == 4
+    err = capsys.readouterr().err
+    assert "cross-check FAILED at L=8 T=1 half" in err
+    assert "agree" not in err
+
+
 @pytest.mark.parametrize("command,role", [("map", "tns"), ("verify", "tns"),
                                           ("verify", "map")])
 def test_non_object_document_exits_2(built, tmp_path, capsys, command, role):
@@ -424,6 +463,27 @@ def test_render_rejects_malformed_vertices(tmp_path, capsys, key, value):
     capsys.readouterr()
     assert main(["render", "--map", str(tmp_path / "bad.map.json")]) == 2
     assert "malformed map-v1 document" in capsys.readouterr().err
+
+
+def test_render_refuses_3d_map(tmp_path, capsys):
+    # a well-formed 3-D map: the b2 T=1 map with a third coordinate 0
+    net = str(tmp_path / "b2.json")
+    main(["build", "--kind", "mera2d-b2", "--layers", "1", "--no-elements",
+          "--out", net])
+    main(["map", "--tns", net, "--scheme", "shifted",
+          "--out-prefix", str(tmp_path / "m")])
+    data = json.loads((tmp_path / "m.map.json").read_text())
+    data["lattice"]["dimension"] = 3
+    data["sites"] = [[nid, site + [0]] for nid, site in data["sites"]]
+    data["paths"] = [[lid, [v + [0] for v in chain]]
+                     for lid, chain in data["paths"]]
+    (tmp_path / "3d.map.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["render", "--map", str(tmp_path / "3d.map.json"),
+                 "--out", str(tmp_path / "3d.svg")]) == 2
+    assert capsys.readouterr().err == \
+        "error: rendering supports 1 and 2 dimensions\n"
+    assert not (tmp_path / "3d.svg").exists()
 
 
 def test_verify_rejects_uncovered_slot(built, tmp_path, capsys):
@@ -521,6 +581,27 @@ def test_verify_rejects_bool_path_id(built, tmp_path, capsys):
     assert main(["verify", "--tns", str(built),
                  "--map", str(tmp_path / "bad.json")]) == 2
     assert "malformed map-v1 document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_repeated_line_id_exits_2(built, tmp_path, capsys, command):
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "refined",
+          "--out-prefix", prefix])
+    data = json.loads(built.read_text())
+    data["lines"][1]["id"] = data["lines"][0]["id"]
+    net = tmp_path / "twice.json"
+    net.write_text(json.dumps(data))
+    argv = {"map": ["map", "--tns", str(net), "--scheme", "refined",
+                    "--out-prefix", str(tmp_path / "x")],
+            "verify": ["verify", "--tns", str(net),
+                       "--map", prefix + ".map.json"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: malformed tns-v1 document: repeated line id\n"
 
 
 def test_verify_rejects_repeated_path_line_id(built, tmp_path, capsys):

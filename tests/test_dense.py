@@ -158,6 +158,19 @@ def test_contract_labeled_rejects_overused_label():
         dense.contract_labeled([(a, ("i", "i")), (a, ("i", "j"))])
 
 
+@pytest.mark.parametrize("factors,open_order,message", [
+    ([(np.ones((2, 2)), ("i",))], None, "factor of 2 axes carries 1 labels"),
+    ([(np.ones((2, 3)), ("i", "j")), (np.ones(2), ("j",))], None,
+     "label 'j' has dimensions 3 and 2"),
+    ([(np.ones((2, 3)), ("i", "j"))], ("i", "k"),
+     "open labels do not match the requested order"),
+], ids=["label-count", "label-of-two-dims", "open-order-not-in-result"])
+def test_contract_labeled_rejects_malformed_factors(factors, open_order,
+                                                    message):
+    with pytest.raises(ValueError, match=message):
+        dense.contract_labeled(factors, open_order)
+
+
 def test_contract_labeled_rejects_symbolic():
     with pytest.raises(ValueError):
         dense.contract_labeled([(None, ("i",))])

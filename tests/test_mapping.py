@@ -141,6 +141,16 @@ def test_refined_argument_validation():
         place_refined(net, delta_tau=0)
 
 
+def test_shifted_refuses_tensor_at_layer_0():
+    net = build_mera_1d(2, with_elements=False)
+    i = int((net.kind != KIND_CODES[KIND_ANCHOR]).argmax())
+    net.layer[i] = 0
+    with pytest.raises(ValueError, match=f"{net.ids[i]} placed outside the "
+                                         f"host lattice: layer 0 outside "
+                                         f"\\[1, 2\\]"):
+        place_shifted(net)
+
+
 def test_refined_host_length_stays_within_int64():
     # L = 4: 4 * 2**60 fits in int64 and 4 * 2**61 does not; placing
     # allocates per node, not per host site
@@ -542,9 +552,14 @@ def test_tally_rejects_non_unit_steps(chain):
         measured_chi(net, _paths(chains))
 
 
-@pytest.mark.parametrize("lid", [-1, 99])
-def test_tally_rejects_unknown_line(lid):
+@pytest.mark.parametrize("lid,empty", [(-1, False), (99, False), (0, True)],
+                         ids=["-1", "99", "no-lines"])
+def test_tally_rejects_unknown_line(lid, empty):
     net = build_mera_1d(2, with_elements=False)
+    if empty:   # no nodes and no lines: an empty line table
+        data = tns_to_dict(net)
+        data["nodes"], data["lines"] = [], []
+        net = tns_from_dict(data)
     chains = {0: ((0, 0), (0, 1)), lid: ((1, 0), (1, 1))}
     with pytest.raises(ValueError, match=f"path of line {lid} names no line "
                                          f"of the network"):

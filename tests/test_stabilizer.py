@@ -178,7 +178,15 @@ def test_tree_run_small_values():
 
 def test_tree_schedule_agrees_with_builder_formula():
     from tnkit.tns import ttn_gate_schedule
-    assert stab._tree_schedule(5) == ttn_gate_schedule(5)
+    for layers in (1, 3, 5):
+        schedule = stab.run_ttn_example(layers).schedule
+        np.testing.assert_array_equal(schedule, ttn_gate_schedule(layers))
+        assert len(schedule) == 2 ** layers - 1
+
+
+def test_qca_run_rejects_negative_layers():
+    with pytest.raises(ValueError, match="layers must be >= 0"):
+        stab.run_qca(1, 8, -1)
 
 
 def test_qca_run_matches_pair_tracker_small():

@@ -438,16 +438,17 @@ def test_rotation_gate_matrix():
 
 
 def test_gate_schedule_matches_simulator_schedule():
-    for layers in (1, 3, 5):
-        assert ttn_gate_schedule(layers) == stab._tree_schedule(layers)
-        assert len(ttn_gate_schedule(layers)) == 2 ** layers - 1
+    schedule = ttn_gate_schedule(3)
+    assert schedule.dtype == np.int64
+    assert schedule.tolist() == [[3, 3, 7], [2, 1, 3], [2, 5, 7], [1, 0, 1],
+                                 [1, 2, 3], [1, 4, 5], [1, 6, 7]]
 
 
 def test_gate_schedule_sites_in_range():
     layers = 4
     n = 2 ** layers
     seen_pairs = set()
-    for tau, (a, b) in ttn_gate_schedule(layers):
+    for tau, a, b in ttn_gate_schedule(layers).tolist():
         assert 1 <= tau <= layers
         assert 0 <= a < b < n
         assert (a, b) not in seen_pairs
