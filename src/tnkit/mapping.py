@@ -397,9 +397,10 @@ class CongestionReport:
     upper) vertex pairs.  A crossing's class indexes class_table, whose
     row per line class holds a dimension and 1 for physical legs (lines
     ending on an anchor), else 0.  edge_lines, the sorted ids of the
-    lines crossing each edge, is built on first use; paths_through and
-    bond_dim_of find an edge by its (lower, upper) pair, and give 0
-    paths and bond 1 for a pair that is no edge of the report.  Physical
+    lines crossing each edge, is built on first use.  paths_through and
+    bond_dim_of take the key of a (lower, upper) pair and look it up in
+    the sorted edge keys; a pair that is no edge of the report, reversed
+    pairs and non-unit steps among them, has 0 paths and bond 1.  Physical
     legs can be included or excluded from every figure; embedded-network
     bond dimensions include them, while the interior congestion figures
     of the refined scheme exclude them.  The per-edge figures are taken
@@ -455,17 +456,33 @@ class CongestionReport:
                 zip(map(tuple, lower.tolist()), map(tuple, upper.tolist()),
                     [0] + ends, ends)}
 
-    @functools.cached_property
-    def _row_of(self) -> dict[Edge, int]:
-        """Row of counts of each edge, by its (lower, upper) vertices."""
-        return dict(zip(self.edge_lines, self._row_of_edge.tolist()))
+    def _row(self, edge: Edge) -> int | None:
+        """Row of counts of the edge from lower to upper, one unit step up
+        one axis; None when the pair is no edge of the report."""
+        lower, upper = edge
+        d = len(self.shape)
+        if len(lower) != d or len(upper) != d:
+            return None
+        steps = [b - a for a, b in zip(lower, upper)]
+        if sorted(steps) != [0] * (d - 1) + [1]:
+            return None
+        rank = 0
+        for c, o, n in zip(lower, self.origin, self.shape):
+            if not o <= c < o + n:
+                return None
+            rank = rank * n + c - o
+        key = rank * d + d - 1 - steps.index(1)
+        i = int(np.searchsorted(self._edge_keys, key))
+        if i == len(self._edge_keys) or self._edge_keys[i] != key:
+            return None
+        return int(self._row_of_edge[i])
 
     def paths_through(self, edge: Edge, include_physical: bool = True) -> int:
-        row = self._row_of.get(edge)
+        row = self._row(edge)
         return 0 if row is None else int(self._paths[include_physical][row])
 
     def bond_dim_of(self, edge: Edge, include_physical: bool = True) -> int:
-        row = self._row_of.get(edge)
+        row = self._row(edge)
         return 1 if row is None else self._bonds[include_physical][row]
 
     def max_paths(self, include_physical: bool = True) -> int:

@@ -19,6 +19,17 @@ sites.  A sublayer is a pair of index arrays, a PairSet carries its
 (P, 2) endpoint-index array beside the canonical site tuples, and regions
 are grown and counted on indices; site tuples appear only where the
 public functions take or return them.
+
+The region sampler draws the same integers as scalar rng.integers calls
+and leaves the generator in the same state.  Its picks are computed by
+numpy's bounded-integer rule from blocks of the generator's 32-bit words,
+and the words it read are then drawn again from the saved state.
+
+The functions that hold per-site data (initial_pairs and the sublayers,
+half_cut_region, random_connected_region) take at most
+dense.amplitude_limit() // 64 sites, 2**20 by default: the tableau's
+budget of 16 bytes per amplitude at 1 KiB a site.  Beyond that they
+raise ResourceLimitError before they allocate.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dense import ResourceLimitError, amplitude_limit
 from .lattice import LatticeSpec, Site
 
 Pair = tuple[Site, Site]
@@ -62,6 +74,17 @@ def _check_grid(dimension: int, length: int) -> None:
         raise ValueError("dimension must be >= 1")
     if length < 4 or length % 2:
         raise ValueError(f"length must be even and >= 4, got {length}")
+
+
+def _check_sites(dimension: int, length: int) -> None:
+    """_check_grid, then ResourceLimitError unless the grid's sites fit the
+    site budget of amplitude_limit() // 64."""
+    _check_grid(dimension, length)
+    budget = amplitude_limit() // 64
+    if length ** dimension > budget:
+        raise ResourceLimitError(
+            f"automaton grid of {length}^{dimension} sites exceeds the "
+            f"site budget {budget}")
 
 
 @dataclass
@@ -118,7 +141,7 @@ def sublayer_indices(dimension: int, length: int,
     r + (1,...,1) - c for every c in {0,1}^D with c[0] = 0, in
     lexicographic order of c.
     """
-    _check_grid(dimension, length)
+    _check_sites(dimension, length)
     if offset not in (0, 1):
         raise ValueError("offset must be 0 or 1")
     bases = 2 * np.indices((length // 2,) * dimension).reshape(
@@ -180,9 +203,67 @@ def entropy_across(ps: PairSet, region) -> int:
 
 def half_cut_region(dimension: int, length: int) -> list[Site]:
     """Sites with first coordinate below length / 2."""
-    _check_grid(dimension, length)
+    _check_sites(dimension, length)
     return list(itertools.product(range(length // 2),
                                   *[range(length)] * (dimension - 1)))
+
+
+# generator words _Words holds at once
+_BLOCK = 1024
+
+
+class _Words:
+    """Bounded integers computed from a generator's 32-bit words.
+
+    numpy draws integers(0, m) by Lemire's multiply-shift rule
+    (arXiv:1805.10941): it takes the generator's next 32-bit word w,
+    redraws while the low word of w * m is below (2**32 - m) % m, returns
+    (w * m) >> 32, and reads no word for m = 1.  bounded(m) applies that
+    rule to words read _BLOCK at a time by one integers call, so it equals
+    the scalar call made at the same point of the stream.  close() puts
+    back the state saved at the start and draws again exactly the words
+    read, _BLOCK at a time, which leaves the generator where the scalar
+    calls would have.  Only .state and integers are used, so this holds
+    for every bit generator.
+    """
+
+    __slots__ = ("rng", "state", "block", "pos", "done")
+
+    def __init__(self, rng) -> None:
+        self.rng = rng
+        self.state = rng.bit_generator.state
+        self.block: list[int] = []
+        self.pos = 0    # words read of block
+        self.done = 0   # words of the blocks before it
+
+    def _draw(self, n: int) -> np.ndarray:
+        return self.rng.integers(0, 2 ** 32, size=n, dtype=np.uint64)
+
+    def bounded(self, m: int) -> int:
+        """int(rng.integers(0, m)) for 1 <= m <= 2**32."""
+        if m == 1:
+            return 0
+        block, pos = self.block, self.pos
+        while True:
+            if pos == len(block):
+                self.done += pos
+                block = self.block = self._draw(_BLOCK).tolist()
+                pos = 0
+            x = block[pos] * m
+            pos += 1
+            low = x & 0xFFFFFFFF
+            if low >= m or low >= (2 ** 32 - m) % m:
+                self.pos = pos
+                return x >> 32
+
+    def close(self) -> None:
+        """Leave the generator where the words read have taken it."""
+        left = self.done + self.pos
+        self.rng.bit_generator.state = self.state
+        while left:
+            n = min(left, _BLOCK)
+            self._draw(n)
+            left -= n
 
 
 def random_connected_region(dimension: int, length: int, rng,
@@ -191,9 +272,12 @@ def random_connected_region(dimension: int, length: int, rng,
 
     Each step draws a frontier site, then one of its neighbours outside
     the region, listed axis by axis, -1 before +1; a frontier site with
-    none left is dropped.
+    none left is dropped.  Every draw equals a scalar rng.integers call,
+    and rng ends where those calls would leave it: the size and start
+    are drawn by integers, the picks are replayed from blocks of the
+    generator's words (_Words).
     """
-    _check_grid(dimension, length)
+    _check_sites(dimension, length)
     total = length ** dimension
     if size is None:
         size = int(rng.integers(1, total))
@@ -201,27 +285,27 @@ def random_connected_region(dimension: int, length: int, rng,
         raise ValueError(f"size must be in [1, {total})")
     start = site_index(rng.integers(0, length, size=dimension).tolist(),
                        length)
-    # items k q .. k q + k - 1: the indices of site q's k neighbours, in
-    # the order they are drawn; a flat int64 view holds each in 8 bytes
-    k = 2 * dimension
+    # neighbours[q]: the indices of site q's neighbours, in draw order
     grid = np.arange(total).reshape((length,) * dimension)
-    neighbours = memoryview(np.stack([np.roll(grid, -delta, axis).ravel()
-                                      for axis in range(dimension)
-                                      for delta in (-1, 1)], axis=1).ravel())
+    neighbours = np.stack([np.roll(grid, -delta, axis).ravel()
+                           for axis in range(dimension)
+                           for delta in (-1, 1)], axis=1).tolist()
     inside = bytearray(total)
     inside[start] = 1
     frontier = [start]
+    words = _Words(rng)
+    draw = words.bounded
     for _ in range(size - 1):
         while True:
-            i = int(rng.integers(0, len(frontier)))
-            q0 = k * frontier[i]
-            free = [q for q in neighbours[q0:q0 + k] if not inside[q]]
+            i = draw(len(frontier))
+            free = [q for q in neighbours[frontier[i]] if not inside[q]]
             if free:
                 break
             del frontier[i]
-        pick = free[int(rng.integers(0, len(free)))]
+        pick = free[draw(len(free))]
         inside[pick] = 1
         frontier.append(pick)
+    words.close()
     return _sites(np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)),
                   dimension, length)
 

@@ -375,6 +375,20 @@ def test_entropy_tree_resource_limit_keeps_finished_rows(monkeypatch,
     assert "resource limit" in captured.err
 
 
+@pytest.mark.parametrize("cut", ["half", "random"])
+def test_entropy_qca_site_budget(monkeypatch, capsys, cut):
+    # 16 amplitudes leave no site for the 64 x 64 grid; without
+    # --cross-check no tableau is asked for, and the tracker stops first
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
+    argv = ["entropy", "--family", "qca", "--dimension", "2", "--lengths",
+            "64", "--layers-max", "1", "--cut", cut]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: automaton grid of 64^2 sites " \
+        "exceeds the site budget 0\n"
+
+
 def test_entropy_qca_cross_check_runs_automaton_once_per_depth(monkeypatch,
                                                                tmp_path):
     from tnkit import stabilizer

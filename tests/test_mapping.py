@@ -432,6 +432,20 @@ def test_congestion_report_arithmetic():
         rep.log_chi_peps(1)
 
 
+def test_edge_queries_do_not_build_edge_lines():
+    net, _, pa = routed(build_mera_2d_b2, 3, "refined")
+    rep = measured_chi(net, pa)
+    edge, count = rep.busiest_edge()
+    a, b = edge
+    assert rep.paths_through(edge) == count
+    assert rep.bond_dim_of(edge, include_physical=False) >= 1
+    assert rep.paths_through((b, a)) == 0
+    assert rep.paths_through((a, tuple(c + 1 for c in b))) == 0
+    assert rep.paths_through(((-5, -5), (-5, -4))) == 0
+    assert "edge_lines" not in vars(rep)
+    assert rep.paths_through(edge) == len(rep.edge_lines[edge])
+
+
 def test_no_lines_means_unit_bonds():
     net = build_mera_1d(1)
     rep = measured_chi(net, _paths({}, 1))

@@ -363,3 +363,80 @@ def test_random_connected_region_matches_oracle():
         assert all(type(c) is int for site in got for c in site)
         # the same draws were made: the generators are left in one state
         assert rng.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
+
+
+# bounds at both ends of numpy's 32-bit rule; 2**31 + 1 and 3 * 2**30
+# reject about a half and a quarter of their words, so the redraw runs
+BOUNDS = (1, 2, 3, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32)
+
+
+@pytest.mark.parametrize("m", BOUNDS)
+def test_bounded_draw_equals_scalar_integers(m):
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    words = qca._Words(rng)
+    got = [words.bounded(m) for _ in range(400)]
+    read = words.done + words.pos
+    words.close()
+    assert got == [int(ref.integers(0, m)) for _ in range(400)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if m == 1:
+        assert read == 0
+    elif m in (2 ** 31 + 1, 3 * 2 ** 30):
+        assert read > 400
+    else:
+        assert read == 400
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox,
+                                           np.random.SFC64])
+def test_random_connected_region_matches_oracle_on_bit_generators(
+        bit_generator):
+    for case, (dim, length) in enumerate(REGION_SHAPES):
+        rng = np.random.Generator(bit_generator(100 + case))
+        ref = np.random.Generator(bit_generator(100 + case))
+        for _ in range(2):   # the second region starts where the first left
+            assert qca.random_connected_region(dim, length, rng) == \
+                _random_connected_region(dim, length, ref)
+        assert rng.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
+
+
+def test_random_connected_region_refills_its_block(monkeypatch):
+    monkeypatch.setattr(qca, "_BLOCK", 7)
+    sizes = []
+    draw = qca._Words._draw
+
+    def recording(self, n):
+        sizes.append(n)
+        return draw(self, n)
+
+    monkeypatch.setattr(qca._Words, "_draw", recording)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    got = qca.random_connected_region(2, 10, rng, size=60)
+    assert got == _random_connected_region(2, 10, ref, size=60)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # the picks read several blocks, and the replay draws the words read
+    # again in as many chunks; no draw holds more than 7 words
+    reads = len(sizes) // 2
+    assert reads > 3 and sizes[:reads] == [7] * reads
+    assert max(sizes[reads:]) == 7 and sum(sizes[reads:]) > 7 * (reads - 1)
+
+
+def test_site_budget(monkeypatch):
+    from tnkit.dense import ResourceLimitError
+    # a budget of 64 * 64 amplitudes holds 64 sites: a ring of 64 sites,
+    # not one of 66 or a 10 x 10 grid
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(64 * 64))
+    rng = np.random.default_rng(0)
+    assert len(qca.half_cut_region(1, 64)) == 32
+    qca.initial_pairs(1, 64)
+    assert len(qca.random_connected_region(1, 64, rng, size=5)) == 5
+    for call in (lambda: qca.half_cut_region(1, 66),
+                 lambda: qca.initial_pairs(2, 10),
+                 lambda: qca.sublayer_swaps(2, 10, 0),
+                 lambda: qca.random_connected_region(2, 10, rng)):
+        with pytest.raises(ResourceLimitError, match="site budget 64"):
+            call()
+    # the grid is checked first: a bad length stays a ValueError
+    with pytest.raises(ValueError):
+        qca.half_cut_region(1, 67)
