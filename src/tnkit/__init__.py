@@ -16,7 +16,7 @@ from .mapping import (CongestionReport, PathAssignment, Peps, Placement,
                       contract_refined_to_normal, default_refined_offsets,
                       detect_stacks, line_density_estimate, map_from_dict,
                       map_to_dict, measured_chi, place_naive, place_refined,
-                      place_shifted, route_lines)
+                      place_shifted, read_map, route_lines)
 from .dense import (ResourceLimitError, StateVector, contract_to_statevector,
                     entanglement_entropy, entropy_bits, reduced_density,
                     states_equal)

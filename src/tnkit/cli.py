@@ -21,7 +21,6 @@ import numpy as np
 
 from . import dense, mapping, qca, stabilizer, tns as tns_mod
 from .dense import ResourceLimitError
-from .lattice import spec_from_dict
 from .tns import GENERATOR_VERSION
 
 _BUILDERS = {
@@ -164,33 +163,45 @@ def _entropy_qca(args):
         # the cuts of a row are seeded with seed + L + 97 T
         raise ValueError(f"--seed must be >= 0 with --cut random, "
                          f"got {args.seed}")
+    # every grid fits the site budget before the first row is computed
+    for length in lengths:
+        qca.check_sites(args.dimension, length)
     rows_data = []
     code = 0
-    for length in lengths:
-        ps0 = qca.initial_pairs(args.dimension, length)
-        for layers in range(1, args.layers_max + 1):
-            ps = qca.evolve(ps0, layers)
-            if args.cut == "half":
-                cuts = [("half", qca.half_cut_region(args.dimension, length))]
-            else:
-                rng = np.random.default_rng(args.seed + length + 97 * layers)
-                cuts = [(f"rand{i}",
-                         qca.random_connected_region(args.dimension, length,
-                                                     rng))
-                        for i in range(args.cuts)]
-            if args.cross_check:
-                state = stabilizer.run_qca(args.dimension, length, layers)
-            for cut_id, region in cuts:
-                s = qca.entropy_across(ps, region)
-                rows_data.append((args.dimension, length, layers, cut_id, s))
+    try:
+        for length in lengths:
+            ps0 = qca.initial_pairs(args.dimension, length)
+            for layers in range(1, args.layers_max + 1):
+                ps = qca.evolve(ps0, layers)
+                if args.cut == "half":
+                    cuts = [("half",
+                             qca.half_cut_region(args.dimension, length))]
+                else:
+                    rng = np.random.default_rng(args.seed + length
+                                                + 97 * layers)
+                    cuts = [(f"rand{i}", qca.random_connected_region(
+                        args.dimension, length, rng))
+                            for i in range(args.cuts)]
                 if args.cross_check:
-                    s2 = stabilizer.entanglement_entropy(
-                        state, stabilizer.region_qubits(region, length))
-                    if s2 != s:
-                        print(f"cross-check FAILED at L={length} T={layers} "
-                              f"{cut_id}: pair count {s}, stabilizer {s2}",
-                              file=sys.stderr)
-                        code = 4
+                    state = stabilizer.run_qca(args.dimension, length,
+                                               layers)
+                for cut_id, region in cuts:
+                    s = qca.entropy_across(ps, region)
+                    rows_data.append((args.dimension, length, layers,
+                                      cut_id, s))
+                    if args.cross_check:
+                        s2 = stabilizer.entanglement_entropy(
+                            state, stabilizer.region_qubits(region, length))
+                        if s2 != s:
+                            print(f"cross-check FAILED at L={length} "
+                                  f"T={layers} {cut_id}: pair count {s}, "
+                                  f"stabilizer {s2}", file=sys.stderr)
+                            code = 4
+    except ResourceLimitError as exc:
+        # the tableau ran out: keep the rows already finished; a failed
+        # cross-check keeps its exit code
+        print(f"resource limit: {exc}", file=sys.stderr)
+        code = code or 3
     half_rows = [(l, t, s) for d, l, t, c, s in rows_data if c == "half"]
     if half_rows:
         c_fit = sum(s / (l ** (args.dimension - 1) * t)
@@ -227,30 +238,20 @@ _MARKER_STYLE = {
 
 
 def cmd_render(args) -> int:
-    data = _load_json(args.map)
+    _, spec, _, nids, coords, paths = mapping.read_map(_load_json(args.map))
+    dim, length = spec.dimension, spec.length
+    if dim > 2:
+        raise ValueError("rendering supports 1 and 2 dimensions")
+    budget = dense.site_budget()
+    if spec.num_sites > budget:
+        raise ResourceLimitError(f"render grid of {length}^{dim} sites "
+                                 f"exceeds the site budget {budget}")
     scale, margin = 28, 30
 
     def xy(site):
         x = site[0]
         y = site[1] if dim == 2 else 0
         return margin + scale * x, margin + scale * y
-
-    try:
-        spec = spec_from_dict(data["lattice"])
-        dim, length = spec.dimension, spec.length
-        # the ids and coordinates follow map_from_dict's rules
-        mapping.map_ints(data["sites"], data["paths"], dim)
-        # pixel positions of every path vertex and site
-        paths = sorted((lid, [xy(v) for v in chain])
-                       for lid, chain in data["paths"])
-        sites = [(nid, xy(site)) for nid, site in data["sites"]]
-        if not all(isinstance(nid, str) for nid, _ in sites):
-            raise TypeError("node id is not a string")
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed map-v1 document: "
-                         f"{type(exc).__name__} {exc}") from exc
-    if dim > 2:
-        raise ValueError("rendering supports 1 and 2 dimensions")
 
     width = margin * 2 + scale * (length - 1)
     height = margin * 2 + scale * ((length - 1) if dim == 2 else 0)
@@ -263,15 +264,18 @@ def cmd_render(args) -> int:
     for site in spec.sites():
         px, py = xy(site)
         parts.append(f'<circle cx="{px}" cy="{py}" r="1.5" fill="#cccccc"/>')
-    for lid, chain in paths:
-        if len(chain) < 2:
+    # pixel positions of every path vertex and site, in Python ints
+    vertices = list(map(xy, paths.vertices.tolist()))
+    ends = paths.offsets.tolist()
+    for lid, a, b in zip(paths.line_ids.tolist(), ends, ends[1:]):
+        if b - a < 2:
             continue
-        pts = " ".join("{},{}".format(*v) for v in chain)
+        pts = " ".join("{},{}".format(*v) for v in vertices[a:b])
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="#4477aa" stroke-width="2" opacity="0.35">'
                      f'<title>line {lid}</title></polyline>')
     by_site: dict[tuple, list[str]] = {}
-    for nid, point in sorted(sites):
+    for nid, point in sorted(zip(nids, map(xy, coords.tolist()))):
         by_site.setdefault(point, []).append(nid)
     for point in sorted(by_site):
         for i, nid in enumerate(by_site[point]):

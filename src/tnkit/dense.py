@@ -30,6 +30,12 @@ def amplitude_limit() -> int:
     return int(os.environ.get("TNKIT_MAX_AMPLITUDES", DEFAULT_MAX_AMPLITUDES))
 
 
+def site_budget() -> int:
+    """The most sites of a grid whose every site is held in memory: the
+    tableau's 16 bytes per amplitude at 1 KiB a site."""
+    return amplitude_limit() // 64
+
+
 def _contract_pair(a, la, b, lb):
     shared = [l for l in la if l in lb]
     ax_a = [la.index(l) for l in shared]

@@ -38,12 +38,12 @@ rule to all nodes or lines at once.  A routed map is a Placement, one
 (N, D) int64 site per node in node order, and a PathAssignment, every
 chain back to back in one (V, D) vertex array in line-id order with an
 offset per line; from placement to check_routing and assemble_peps no
-step converts them, and map-v1 JSON is read and written only by
-map_from_dict and map_to_dict.  The tally, measured_chi, keeps only the
-crossings: per crossing an edge key, a line id and the code of the
-line's class, a (dimension, physical) pair of a small table.  An edge's
-figures depend only on its count of crossings per class, so they are
-taken once per distinct row of those counts.
+step converts them, and map-v1 JSON is read only by read_map, which
+map_from_dict calls, and written only by map_to_dict.  The tally,
+measured_chi, keeps only the crossings: per crossing an edge key, a line
+id and the code of the line's class, a (dimension, physical) pair of a
+small table.  An edge's figures depend only on its count of crossings
+per class, so they are taken once per distinct row of those counts.
 """
 
 from __future__ import annotations
@@ -767,64 +767,74 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
     }
 
 
-def map_ints(sites, paths, d: int) -> np.ndarray:
-    """The line ids of a map-v1 document's paths, then the coordinates of
-    its sites, then those of its path vertices, as one int64 array:
-    TypeError unless every site and vertex holds d JSON integers, and
-    ValueError for a value past int64."""
-    flat = itertools.chain.from_iterable
-    rows = [site for _, site in sites]
-    rows += flat(chain for _, chain in paths)
-    if set(map(len, rows)) - {d}:
-        raise TypeError(f"a site or path vertex is not {d}-dimensional")
-    values = [lid for lid, _ in paths] + list(flat(rows))
-    require_ints(values, "a site or path vertex coordinate")
-    return int64_array(values, len(values),
-                       past="malformed map-v1 document: a path line id or "
-                            "coordinate does not fit in 64 bits")
-
-
-def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
-    """Placement and paths of a map-v1 description, read straight into
-    their arrays.  ValueError when the document is not an object or lacks
-    a key, when delta_tau, a path line id or a coordinate is no JSON
-    integer or past int64, a site or vertex not of the network's
-    dimension, or when a site names an unknown node, a node has no site
-    or two, or two paths share a line id."""
+def read_map(data: dict, d: int | None = None):
+    """The scheme, host lattice, delta_tau, site ids, (S, d) int64 site
+    coordinates and PathAssignment of a map-v1 document, every check that
+    needs no network made.  Sites and vertices have d coordinates, the
+    host lattice's dimension when d is None.  ValueError when the document
+    is not an object or lacks a key, when delta_tau, a path line id or a
+    coordinate is no JSON integer or past int64, a node id no string, a
+    site or vertex not d-dimensional, or two sites or two paths share an
+    id."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
         raise ValueError(f"unsupported map format {data.get('version')!r}")
-    # vertices have the network's dimension; check_routing compares the
-    # host lattice with the network's
-    d = tns.spec.dimension
+    flat = itertools.chain.from_iterable
     try:
         scheme, host = data["scheme"], spec_from_dict(data["lattice"])
+        d = host.dimension if d is None else d
         require_ints((data["delta_tau"],), f"delta_tau {data['delta_tau']!r}")
-        index = dict(zip(tns.ids, itertools.count()))
         nids = [nid for nid, _ in data["sites"]]
-        named = np.array([index.get(nid, -1) for nid in nids], np.int64)
+        if not {str}.issuperset(map(type, nids)):
+            raise TypeError("node id is not a string")
         require_ints([lid for lid, _ in data["paths"]], "path line id")
         paths = sorted(data["paths"], key=operator.itemgetter(0))
-        packed = map_ints(data["sites"], paths, d)
+        rows = [site for _, site in data["sites"]]
+        rows += flat(chain for _, chain in paths)
+        if set(map(len, rows)) - {d}:
+            raise TypeError(f"a site or path vertex is not {d}-dimensional")
+        values = [lid for lid, _ in paths] + list(flat(rows))
+        require_ints(values, "a site or path vertex coordinate")
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc
+    packed = int64_array(values, len(values),
+                         past="malformed map-v1 document: a path line id or "
+                              "coordinate does not fit in 64 bits")
     line_ids, coords = packed[:len(paths)], packed[len(paths):].reshape(-1, d)
     if (line_ids[1:] == line_ids[:-1]).any():
         raise ValueError("malformed map-v1 document: repeated path line id")
+    if len(set(nids)) < len(nids):
+        seen = set()
+        repeat = next(nid for nid in nids if nid in seen or seen.add(nid))
+        raise ValueError(f"malformed map-v1 document: repeated site id "
+                         f"{repeat!r}")
+    offsets = np.cumsum([0] + [len(chain) for _, chain in paths],
+                        dtype=np.int64)
+    return (scheme, host, data["delta_tau"], nids, coords[:len(nids)],
+            PathAssignment(line_ids, offsets, coords[len(nids):]))
+
+
+def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
+    """Placement and paths of a map-v1 description: read_map with the
+    network's dimension, the sites then bound to the network's node
+    order.  ValueError as read_map, or when a site names an unknown node
+    or a node has no site."""
+    # vertices have the network's dimension; check_routing compares the
+    # host lattice with the network's
+    scheme, host, delta_tau, nids, coords, paths = read_map(
+        data, tns.spec.dimension)
+    index = dict(zip(tns.ids, itertools.count()))
+    named = np.array([index.get(nid, -1) for nid in nids], np.int64)
     count = np.bincount(named[named >= 0], minlength=len(tns.ids))
     for problem, bad, names in (
             ("site for unknown node", named < 0, nids),
-            ("repeated site id", count > 1, tns.ids),
             ("no site for node", count == 0, tns.ids)):
         if bad.any():
             raise ValueError(f"malformed map-v1 document: {problem} "
                              f"{names[int(bad.argmax())]!r}")
-    sites = np.empty((len(tns.ids), d), np.int64)
-    sites[named] = coords[:len(nids)]
-    offsets = np.cumsum([0] + [len(chain) for _, chain in paths],
-                        dtype=np.int64)
-    return (Placement(scheme, host, data["delta_tau"], tns.ids, sites,
-                      tns.kind == _ANCHOR),
-            PathAssignment(line_ids, offsets, coords[len(nids):]))
+    sites = np.empty((len(tns.ids), tns.spec.dimension), np.int64)
+    sites[named] = coords
+    return (Placement(scheme, host, delta_tau, tns.ids, sites,
+                      tns.kind == _ANCHOR), paths)

@@ -27,9 +27,9 @@ and the words it read are then drawn again from the saved state.
 
 The functions that hold per-site data (initial_pairs and the sublayers,
 half_cut_region, random_connected_region) take at most
-dense.amplitude_limit() // 64 sites, 2**20 by default: the tableau's
-budget of 16 bytes per amplitude at 1 KiB a site.  Beyond that they
-raise ResourceLimitError before they allocate.
+dense.site_budget() sites, 2**20 by default: the tableau's budget of 16
+bytes per amplitude at 1 KiB a site.  Beyond that they raise
+ResourceLimitError before they allocate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import ResourceLimitError, amplitude_limit
+from .dense import ResourceLimitError, site_budget
 from .lattice import LatticeSpec, Site
 
 Pair = tuple[Site, Site]
@@ -76,11 +76,11 @@ def _check_grid(dimension: int, length: int) -> None:
         raise ValueError(f"length must be even and >= 4, got {length}")
 
 
-def _check_sites(dimension: int, length: int) -> None:
-    """_check_grid, then ResourceLimitError unless the grid's sites fit the
-    site budget of amplitude_limit() // 64."""
+def check_sites(dimension: int, length: int) -> None:
+    """_check_grid, then ResourceLimitError unless the grid's sites fit
+    dense.site_budget()."""
     _check_grid(dimension, length)
-    budget = amplitude_limit() // 64
+    budget = site_budget()
     if length ** dimension > budget:
         raise ResourceLimitError(
             f"automaton grid of {length}^{dimension} sites exceeds the "
@@ -141,7 +141,7 @@ def sublayer_indices(dimension: int, length: int,
     r + (1,...,1) - c for every c in {0,1}^D with c[0] = 0, in
     lexicographic order of c.
     """
-    _check_sites(dimension, length)
+    check_sites(dimension, length)
     if offset not in (0, 1):
         raise ValueError("offset must be 0 or 1")
     bases = 2 * np.indices((length // 2,) * dimension).reshape(
@@ -203,7 +203,7 @@ def entropy_across(ps: PairSet, region) -> int:
 
 def half_cut_region(dimension: int, length: int) -> list[Site]:
     """Sites with first coordinate below length / 2."""
-    _check_sites(dimension, length)
+    check_sites(dimension, length)
     return list(itertools.product(range(length // 2),
                                   *[range(length)] * (dimension - 1)))
 
@@ -277,7 +277,7 @@ def random_connected_region(dimension: int, length: int, rng,
     are drawn by integers, the picks are replayed from blocks of the
     generator's words (_Words).
     """
-    _check_sites(dimension, length)
+    check_sites(dimension, length)
     total = length ** dimension
     if size is None:
         size = int(rng.integers(1, total))

@@ -389,6 +389,53 @@ def test_entropy_qca_site_budget(monkeypatch, capsys, cut):
         "exceeds the site budget 0\n"
 
 
+def test_entropy_qca_checks_every_length_first(monkeypatch, capsys):
+    # 1024 amplitudes leave 16 sites: the 64-site grid is refused before
+    # the L=8 row is computed
+    from tnkit import qca
+    calls = []
+    monkeypatch.setattr(qca, "initial_pairs", lambda *a: calls.append(a))
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "1024")
+    assert main(["entropy", "--family", "qca", "--dimension", "1",
+                 "--lengths", "8,64", "--layers-max", "1",
+                 "--cut", "half"]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: automaton grid of 64^1 sites " \
+        "exceeds the site budget 16\n"
+
+
+def test_entropy_qca_keeps_rows_past_the_tableau(monkeypatch, capsys):
+    # 16384 sites fit the site budget of 2**20 amplitudes but their
+    # tableau does not: the L=8 row is printed, then the scan exits 3
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(2 ** 20))
+    assert main(["entropy", "--family", "qca", "--dimension", "1",
+                 "--lengths", "8,16384", "--layers-max", "1",
+                 "--cut", "half", "--cross-check"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "D,L,T,cut_id,S,predicted\n1,8,1,half,2,2.000000\n"
+    assert captured.err == "resource limit: stabilizer tableau of 16384 " \
+        "qubits needs 67108864 bytes, over the budget of 16777216\n"
+
+
+def test_entropy_qca_failed_cross_check_outranks_the_limit(monkeypatch,
+                                                          capsys):
+    from tnkit import qca
+    entropy_across = qca.entropy_across
+    monkeypatch.setattr(qca, "entropy_across",
+                        lambda ps, region: entropy_across(ps, region) + 1)
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(2 ** 20))
+    assert main(["entropy", "--family", "qca", "--dimension", "1",
+                 "--lengths", "8,16384", "--layers-max", "1",
+                 "--cut", "half", "--cross-check"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == "1,8,1,half,3,3.000000"
+    assert captured.err.splitlines()[0].startswith(
+        "cross-check FAILED at L=8 T=1 half")
+    assert captured.err.splitlines()[1].startswith("resource limit: ")
+
+
 def test_entropy_qca_cross_check_runs_automaton_once_per_depth(monkeypatch,
                                                                tmp_path):
     from tnkit import stabilizer
@@ -439,7 +486,8 @@ def test_non_object_document_exits_2(built, tmp_path, capsys, command, role):
     assert f"malformed {role}-v1 document" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["lattice", "paths", "sites"])
+@pytest.mark.parametrize("key", ["lattice", "paths", "sites", "scheme",
+                                 "delta_tau"])
 def test_render_rejects_map_missing_key(built, tmp_path, capsys, key):
     prefix = str(tmp_path / "m")
     main(["map", "--tns", str(built), "--scheme", "shifted",
@@ -498,6 +546,89 @@ def test_render_refuses_3d_map(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: rendering supports 1 and 2 dimensions\n"
     assert not (tmp_path / "3d.svg").exists()
+
+
+def _b2_shifted_map(tmp_path):
+    """A b2 T=1 shifted map of four nodes: (network file, map document)."""
+    net = str(tmp_path / "b2.json")
+    main(["build", "--kind", "mera2d-b2", "--layers", "1", "--no-elements",
+          "--out", net])
+    main(["map", "--tns", net, "--scheme", "shifted",
+          "--out-prefix", str(tmp_path / "m")])
+    return net, json.loads((tmp_path / "m.map.json").read_text())
+
+
+def _first_node_id(data):
+    data["sites"][0][0] = 5
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.update(version="map-v0"),
+    lambda data: data["paths"].append(data["paths"][0]),
+    lambda data: data["sites"].append(data["sites"][0]),
+    lambda data: data.update(delta_tau=1.0), _first_node_id,
+], ids=["version", "repeated-path-id", "repeated-site-id",
+        "float-delta-tau", "integer-node-id"])
+def test_render_and_verify_share_the_map_reader(tmp_path, capsys, edit):
+    # a problem of the document itself is found by the one reader both
+    # commands call, with one message
+    net, data = _b2_shifted_map(tmp_path)
+    edit(data)
+    bad = tmp_path / "bad.map.json"
+    bad.write_text(json.dumps(data))
+    errs = []
+    for argv in (["verify", "--tns", net, "--map", str(bad)],
+                 ["render", "--map", str(bad),
+                  "--out", str(tmp_path / "out.svg")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(("error: malformed map-v1 document: ",
+                               "error: unsupported map format "))
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_verify_reads_map_in_network_dimension(tmp_path, capsys):
+    # a host lattice of another dimension than the network is a
+    # structural error of verify; render reads the map in its own
+    # dimension and finds its vertices malformed
+    net, data = _b2_shifted_map(tmp_path)
+    data["lattice"]["dimension"] = 1
+    (tmp_path / "bad.map.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--tns", net,
+                 "--map", str(tmp_path / "bad.map.json")]) == 4
+    assert capsys.readouterr().out.startswith("structural error: ")
+    assert main(["render", "--map", str(tmp_path / "bad.map.json")]) == 2
+    assert "site or path vertex is not 1-dimensional" in \
+        capsys.readouterr().err
+
+
+def test_render_site_budget(tmp_path, capsys, monkeypatch):
+    # one marker per lattice site: a 4096 x 4096 grid is refused before
+    # any drawing, and no file is written
+    _, data = _b2_shifted_map(tmp_path)
+    data["lattice"]["length"] = 4096
+    (tmp_path / "big.map.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["render", "--map", str(tmp_path / "big.map.json"),
+                 "--out", str(tmp_path / "big.svg")]) == 3
+    assert capsys.readouterr().err == "resource limit: render grid of " \
+        "4096^2 sites exceeds the site budget 1048576\n"
+    assert not (tmp_path / "big.svg").exists()
+    # a grid of exactly the budget renders: 16 sites at 16 * 64 amplitudes
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(16 * 64))
+    data["lattice"]["length"] = 4
+    (tmp_path / "m.map.json").write_text(json.dumps(data))
+    assert main(["render", "--map", str(tmp_path / "m.map.json"),
+                 "--out", str(tmp_path / "m.svg")]) == 0
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(16 * 64 - 1))
+    assert main(["render", "--map", str(tmp_path / "m.map.json"),
+                 "--out", str(tmp_path / "m15.svg")]) == 3
+    assert not (tmp_path / "m15.svg").exists()
 
 
 def test_verify_rejects_uncovered_slot(built, tmp_path, capsys):

@@ -21,7 +21,7 @@ from tnkit.mapping import (CongestionReport, PathAssignment, Placement,
                            default_refined_offsets, detect_stacks,
                            line_density_estimate, map_from_dict, map_to_dict,
                            measured_chi, place, place_naive, place_refined,
-                           place_shifted, route_lines, _tensor_site)
+                           place_shifted, read_map, route_lines, _tensor_site)
 from tnkit.tns import (KIND_ANCHOR, KIND_CODES, MeraMeta, build_mera_1d,
                        build_mera_2d_b2, build_mera_2d_b3, build_ttn_example,
                        tns_from_dict, tns_to_dict)
@@ -798,6 +798,25 @@ def test_map_dict_reads_the_router_arrays(build, layers, scheme):
     assert _same_placement(p3, p)
     for name in ("line_ids", "offsets", "vertices"):
         assert np.array_equal(getattr(pa3, name), getattr(pa, name))
+
+
+@pytest.mark.parametrize("build,layers,scheme", [
+    (build_mera_1d, 3, "refined"), (build_mera_2d_b2, 2, "shifted"),
+    (build_mera_2d_b3, 2, "refined")])
+def test_read_map_needs_no_network(build, layers, scheme):
+    # the reader returns the document's own values in document order;
+    # map_from_dict only binds the sites to the network's nodes
+    net, p, pa = routed(build, layers, scheme, with_elements=False)
+    doc = json.loads(json.dumps(map_to_dict(p, pa)))
+    got_scheme, host, delta_tau, ids, coords, paths = read_map(doc)
+    assert (got_scheme, host, delta_tau) == (p.scheme, p.lattice,
+                                             p.delta_tau)
+    assert ids == sorted(p.ids)
+    assert coords.dtype == np.int64
+    order = [p.ids.index(nid) for nid in ids]
+    assert np.array_equal(coords, p.sites[order])
+    for name in ("line_ids", "offsets", "vertices"):
+        assert np.array_equal(getattr(paths, name), getattr(pa, name))
 
 
 @pytest.mark.parametrize("delta_tau", ["1", 1.0, True, None])
