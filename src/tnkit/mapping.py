@@ -121,9 +121,8 @@ def _tensor_site(scheme, b, tau, cells, dt, m):
 def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
     b = tns.spec.branching
     d = tns.spec.dimension
+    check_scheme(scheme, delta_tau)
     if scheme == "refined":
-        if delta_tau < 1:
-            raise ValueError("refined placement needs delta_tau >= 1")
         # the host length L * b**delta_tau must fit in int64; b**64 alone
         # does not, so no power past b**63 is taken
         if delta_tau > 63 or tns.spec.length * b ** delta_tau >= 2 ** 63:
@@ -185,15 +184,23 @@ def place_refined(tns: Tns, delta_tau: int = 1) -> Placement:
     return _place(tns, "refined", delta_tau)
 
 
+def check_scheme(scheme, delta_tau) -> None:
+    """ValueError unless scheme names a placement (naive, shifted or
+    refined) and a refined one has delta_tau >= 1."""
+    if scheme not in ("naive", "shifted", "refined"):
+        raise ValueError(f"unknown placement scheme {scheme!r}")
+    if scheme == "refined" and delta_tau < 1:
+        raise ValueError("refined placement needs delta_tau >= 1")
+
+
 def place(tns: Tns, scheme: str, delta_tau: int = 1) -> Placement:
     """Placement by scheme name: naive, shifted or refined."""
+    check_scheme(scheme, delta_tau)
     if scheme == "naive":
         return place_naive(tns)
     if scheme == "shifted":
         return place_shifted(tns)
-    if scheme == "refined":
-        return place_refined(tns, delta_tau)
-    raise ValueError(f"unknown placement scheme {scheme!r}")
+    return place_refined(tns, delta_tau)
 
 
 @dataclass
@@ -774,8 +781,8 @@ def read_map(data: dict, d: int | None = None):
     host lattice's dimension when d is None.  ValueError when the document
     is not an object or lacks a key, when delta_tau, a path line id or a
     coordinate is no JSON integer or past int64, a node id no string, a
-    site or vertex not d-dimensional, or two sites or two paths share an
-    id."""
+    site or vertex not d-dimensional, two sites or two paths share an
+    id, or check_scheme refuses the scheme and delta_tau."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
@@ -810,6 +817,7 @@ def read_map(data: dict, d: int | None = None):
         repeat = next(nid for nid in nids if nid in seen or seen.add(nid))
         raise ValueError(f"malformed map-v1 document: repeated site id "
                          f"{repeat!r}")
+    check_scheme(scheme, data["delta_tau"])
     offsets = np.cumsum([0] + [len(chain) for _, chain in paths],
                         dtype=np.int64)
     return (scheme, host, data["delta_tau"], nids, coords[:len(nids)],

@@ -11,14 +11,22 @@ therefore costs O(n/64) word operations, and a swap is a row exchange.
 
 apply_xx_rotations and apply_swaps take a batch of disjoint qubit pairs
 and apply the whole batch in a few array operations; the single-gate
-calls are batches of one pair.  The tableau may take at most
+calls are batches of one pair.  A batch of rotations runs in blocks of
+about _BLOCK_WORDS generator words, so that its temporaries stay in
+cache, and each block's phase change is a bit-sliced count mod 4 taken
+from the running XOR of its rows.  The tableau may take at most
 16 * dense.amplitude_limit() bytes (1 GiB by default, set through
 TNKIT_MAX_AMPLITUDES); init_zero raises ResourceLimitError beyond that.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
 the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
 the smaller side of the cut, valid because S_A = S_B for a pure state,
-from sparse rows built out of the nonzero words of that side's qubit rows.
+on the list of (generator, column) bits read from the nonzero words of
+that side's qubit rows, a block of rows at a time.  Rounds of array
+operations first peel the pivots that need no elimination: a generator
+that alone sets some column, and a column that is some generator's only
+bit.  Only the core left over becomes Python-int rows for _gf2_rank;
+the tree cuts of every odd T <= 15 peel completely.
 
 The tree-state driver applies tns.ttn_gate_schedule a layer's block of
 rows at a time and sizes the cut by tns.ttn_cut_size; it never calls
@@ -41,8 +49,9 @@ from . import tns
 from .dense import ResourceLimitError, amplitude_limit
 from .qca import site_indices, sublayer_indices
 
-# generator words per block of a batched rotation, bounding its temporaries
-_BLOCK_WORDS = 2 ** 20
+# generator words per block of a batched rotation or of the rows an
+# entropy reads: 128 KiB temporaries stay in L2 (fastest of 2**11-2**20)
+_BLOCK_WORDS = 2 ** 14
 
 
 @dataclass
@@ -95,16 +104,13 @@ def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _count_mod4(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per bit, the number of rows with it set, mod 4, as (low, high)
-    bit planes; pairwise bit-sliced addition, log2(len(rows)) steps."""
-    lo, hi = rows, np.zeros_like(rows)
-    while len(lo) > 1:
-        if len(lo) % 2:
-            pad = np.zeros_like(lo[:1])
-            lo, hi = np.concatenate([lo, pad]), np.concatenate([hi, pad])
-        carry = lo[0::2] & lo[1::2]
-        lo = lo[0::2] ^ lo[1::2]
-        hi = hi[0::2] ^ hi[1::2] ^ carry
-    return lo[0], hi[0]
+    bit planes.  The low plane is the parity of all rows; the high one
+    flips at every carry, where row i meets an odd parity of the rows
+    before it: the XOR over i >= 1 of prefix[i - 1] & rows[i]."""
+    prefix = np.bitwise_xor.accumulate(rows, axis=0)
+    carry = prefix[:-1]
+    carry &= rows[1:]
+    return prefix[-1], np.bitwise_xor.reduce(carry, axis=0)
 
 
 def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
@@ -117,15 +123,19 @@ def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
     """
     a, b = _pairs(t, a, b)
     block = max(1, _BLOCK_WORDS // t.x.shape[1])
+    p0, p1 = t.phase
     for s in range(0, a.size, block):
         qa, qb = a[s:s + block], b[s:s + block]
-        anti = t.z[qa] ^ t.z[qb]
+        anti = t.z[qa]
+        anti ^= t.z[qb]
         t.x[qa] ^= anti
         t.x[qb] ^= anti
         lo, hi = _count_mod4(anti)
-        hi = hi ^ lo   # -c mod 4 has the bit planes (c0, c1 ^ c0)
-        p0, p1 = t.phase
-        t.phase = np.stack([p0 ^ lo, p1 ^ hi ^ (p0 & lo)])
+        # -c mod 4 has the bit planes (c0, c1 ^ c0)
+        hi ^= lo
+        hi ^= p0 & lo
+        p1 ^= hi
+        p0 ^= lo
     return t
 
 
@@ -171,22 +181,62 @@ def apply_cnot(t: StabilizerState, control: int, target: int) -> StabilizerState
     return t
 
 
-def _restricted_rows(t: StabilizerState, qubits: np.ndarray) -> dict:
-    """Generator -> bit row of its X bits (columns 0..k-1) and Z bits
-    (columns k..2k-1) on the given qubits; generators with no support
-    there are left out."""
-    k = len(qubits)
-    rows: dict[int, int] = {}
+def _restricted_hits(t: StabilizerState,
+                     qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(generator, column) of every set bit of the generators restricted
+    to the X bits (columns 0..k-1) and Z bits (columns k..2k-1) of the
+    given qubits, as two int64 arrays; the qubit rows are read a block
+    at a time."""
+    k, words = len(qubits), t.x.shape[1]
+    step = max(1, _BLOCK_WORDS // words)
+    gens, cols = [], []
     for offset, arr in ((0, t.x), (k, t.z)):
-        block = arr[qubits]
-        c, w = np.nonzero(block)
-        bits = np.unpackbits(block[c, w].astype("<u8").view(np.uint8)
-                             .reshape(-1, 8), axis=1, bitorder="little")
-        e, bit = np.nonzero(bits)
-        for g, col in zip((64 * w[e] + bit).tolist(),
-                          (c[e] + offset).tolist()):
-            rows[g] = rows.get(g, 0) | (1 << col)
-    return rows
+        for s in range(0, k, step):
+            block = arr[qubits[s:s + step]].reshape(-1)
+            at = np.flatnonzero(block != 0)
+            bits = np.unpackbits(block[at].astype("<u8", copy=False)
+                                 .view(np.uint8).reshape(-1, 8),
+                                 axis=1, bitorder="little")
+            hit = np.flatnonzero(bits)
+            at = at[hit >> 6]
+            gens.append(64 * (at % words) + (hit & 63))
+            cols.append(at // words + (offset + s))
+    return np.concatenate(gens), np.concatenate(cols)
+
+
+def _peeled_rank(gens: np.ndarray, cols: np.ndarray, num_rows: int,
+                 num_cols: int) -> int:
+    """GF(2) rank of the num_rows x num_cols matrix whose ones sit at the
+    distinct (row, column) pairs (gens[i], cols[i]).
+
+    Rounds of array operations remove two kinds of pivot: a row that
+    sets a column no other row sets (the row and its bits go), and a
+    column that some row sets as its only bit (that column of every row
+    goes, and with it the row); each adds one to the rank.  _gf2_rank
+    takes the core that is left, one Python int per row."""
+    rank = 0
+    while gens.size:
+        before = gens.size
+        # rows with a column of their own
+        lone = np.bincount(cols, minlength=num_cols)[cols] == 1
+        pivot = np.zeros(num_rows, dtype=bool)
+        pivot[gens[lone]] = True
+        rank += int(np.count_nonzero(pivot))
+        keep = ~pivot[gens]
+        gens, cols = gens[keep], cols[keep]
+        # columns that are some row's only bit
+        lone = np.bincount(gens, minlength=num_rows)[gens] == 1
+        pivot = np.zeros(num_cols, dtype=bool)
+        pivot[cols[lone]] = True
+        rank += int(np.count_nonzero(pivot))
+        keep = ~pivot[cols]
+        gens, cols = gens[keep], cols[keep]
+        if gens.size == before:
+            break
+    core: dict[int, int] = {}
+    for g, c in zip(gens.tolist(), cols.tolist()):
+        core[g] = core.get(g, 0) | (1 << c)
+    return rank + _gf2_rank(core.values())
 
 
 def entanglement_entropy(t: StabilizerState, region) -> int:
@@ -198,7 +248,8 @@ def entanglement_entropy(t: StabilizerState, region) -> int:
     if k == 0 or k == n:
         return 0
     qubits = np.flatnonzero(inside if 2 * k <= n else ~inside)
-    return _gf2_rank(_restricted_rows(t, qubits).values()) - len(qubits)
+    gens, cols = _restricted_hits(t, qubits)
+    return _peeled_rank(gens, cols, n, 2 * len(qubits)) - len(qubits)
 
 
 def _gf2_rank(rows) -> int:

@@ -99,6 +99,29 @@ def test_edited_map_never_raises(documents, capsys):
     assert bad == []
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("scheme", "2", "unknown placement scheme '2'"),
+    ("scheme", 2.5, "unknown placement scheme 2.5"),
+    ("scheme", None, "unknown placement scheme None"),
+    ("scheme", [1], "unknown placement scheme [1]"),
+    ("delta_tau", -1, "refined placement needs delta_tau >= 1"),
+    ("delta_tau", 0, "refined placement needs delta_tau >= 1"),
+])
+def test_render_and_verify_share_the_scheme_rules(documents, capsys, field,
+                                                  value, message):
+    work, tns_path, map_path = documents
+    edited = work / "scheme.json"
+    edited.write_text(json.dumps(
+        _edited(json.loads(open(map_path).read()), (field,), value)))
+    errs = []
+    for argv in (["verify", "--tns", str(tns_path), "--map", str(edited)],
+                 ["render", "--map", str(edited),
+                  "--out", str(work / "scheme.svg")]):
+        assert cli.main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == [f"error: {message}\n"] * 2
+
+
 def _timeout(signum, frame):
     raise TimeoutError("map did not finish within a second")
 

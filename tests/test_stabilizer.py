@@ -225,7 +225,7 @@ def assert_same_tableau(a, b):
 
 def test_count_mod4_matches_bit_counts():
     rng = np.random.default_rng(3)
-    for m in range(1, 10):
+    for m in range(1, 201):
         rows = rng.integers(0, 2 ** 63, size=(m, 2), dtype=np.uint64)
         lo, hi = stab._count_mod4(rows)
         bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
@@ -278,6 +278,28 @@ def test_batches_match_single_gates_across_generator_words():
                        [0, 63, 64, 127, 128, 129]):
             assert stab.entanglement_entropy(many, region) \
                 == stab.entanglement_entropy(one, region)
+
+
+def test_batched_rotation_spanning_blocks_matches_single_gates():
+    # enough generator words per row that a batch of disjoint pairs fills
+    # at least three blocks of the rotation kernel
+    words = int(np.ceil(np.sqrt(3 * stab._BLOCK_WORDS / 32))) + 1
+    n = 64 * words
+    block = max(1, stab._BLOCK_WORDS // words)
+    m = 3 * block + 1
+    assert 2 * m <= n
+    rng = np.random.default_rng(37)
+    t = stab.init_zero(n)
+    for q in rng.choice(n, size=n // 2, replace=False):
+        stab.apply_h(t, int(q))
+    for _ in range(n):
+        name, arity, _, fn = GATES[rng.integers(0, len(GATES))]
+        fn(t, *(int(q) for q in rng.choice(n, size=arity, replace=False)))
+    a, b = random_pairs(rng, n, m)
+    one = t.copy()
+    for i, j in zip(a, b):
+        stab.apply_xx_rotation(one, int(i), int(j))
+    assert_same_tableau(stab.apply_xx_rotations(t.copy(), a, b), one)
 
 
 def test_batch_validation():
@@ -399,3 +421,105 @@ def test_tableau_resource_guard(monkeypatch):
 
 def test_tree_run_fifteen_layers():
     assert stab.run_ttn_example(15).entropy == 8
+
+
+# ------------------------------------------------------- rank and entropy
+
+def _rank_oracle(gens, cols):
+    rows = {}
+    for g, c in zip(gens.tolist(), cols.tolist()):
+        rows[g] = rows.get(g, 0) | (1 << c)
+    return stab._gf2_rank(rows.values())
+
+
+def _hit_set(matrix):
+    gens, cols = np.nonzero(matrix)
+    return gens.astype(np.int64), cols.astype(np.int64)
+
+
+def _sparse(rng):
+    r, c = (int(x) for x in rng.integers(1, 60, size=2))
+    return rng.random((r, c)) < rng.uniform(0.01, 0.15)
+
+
+def _dense(rng):
+    # every row and column holds at least two bits, so nothing peels
+    while True:
+        r, c = (int(x) for x in rng.integers(2, 40, size=2))
+        m = rng.random((r, c)) < 0.5
+        if (m.sum(axis=0) >= 2).all() and (m.sum(axis=1) >= 2).all():
+            return m
+
+
+def _duplicate_single_bits(rng):
+    m = _sparse(rng)
+    col = int(rng.integers(0, m.shape[1]))
+    unit = np.zeros((int(rng.integers(2, 5)), m.shape[1]), dtype=bool)
+    unit[:, col] = True
+    return rng.permutation(np.concatenate([m, unit]))
+
+
+def _shared_singletons(rng):
+    # each row owns a column no other row sets, and all rows share one
+    # more column besides random bits in the remaining ones
+    r = int(rng.integers(2, 20))
+    extra = rng.random((r, int(rng.integers(0, 10)))) < 0.4
+    m = np.concatenate([np.eye(r, dtype=bool), np.ones((r, 1), bool),
+                        extra], axis=1)
+    return m[:, rng.permutation(m.shape[1])]
+
+
+@pytest.mark.parametrize("kind", [_sparse, _dense, _duplicate_single_bits,
+                                  _shared_singletons])
+def test_peeled_rank_matches_gf2_rank(kind):
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        m = kind(rng)
+        gens, cols = _hit_set(m)
+        assert stab._peeled_rank(gens, cols, *m.shape) \
+            == _rank_oracle(gens, cols)
+
+
+def test_peeled_rank_of_no_hits_is_zero():
+    none = np.zeros(0, dtype=np.int64)
+    assert stab._peeled_rank(none, none, 5, 8) == 0
+
+
+def _restricted_rows(t, qubits):
+    """The per-bit row builder the hit list replaced: generator -> bit
+    row of its X bits (columns 0..k-1) and Z bits (columns k..2k-1) on
+    the given qubits."""
+    k = len(qubits)
+    rows = {}
+    for offset, arr in ((0, t.x), (k, t.z)):
+        block = arr[qubits]
+        c, w = np.nonzero(block)
+        bits = np.unpackbits(block[c, w].astype("<u8").view(np.uint8)
+                             .reshape(-1, 8), axis=1, bitorder="little")
+        e, bit = np.nonzero(bits)
+        for g, col in zip((64 * w[e] + bit).tolist(),
+                          (c[e] + offset).tolist()):
+            rows[g] = rows.get(g, 0) | (1 << col)
+    return rows
+
+
+def test_entropy_matches_python_int_rank_past_one_word():
+    rng = np.random.default_rng(43)
+    # at the last size, a quarter of the qubits fill four blocks of the
+    # hit list
+    words = int(np.sqrt(stab._BLOCK_WORDS)) + 1
+    for n in [int(n) for n in rng.integers(65, 201, size=12)] + [64 * words]:
+        t = stab.init_zero(n)
+        for _ in range(int(rng.integers(n // 2, 4 * n))):
+            name, arity, _, fn = GATES[rng.integers(0, len(GATES))]
+            fn(t, *(int(q) for q in rng.choice(n, size=arity,
+                                               replace=False)))
+        for _ in range(10):
+            k = int(rng.integers(1, n))
+            region = rng.choice(n, size=k, replace=False)
+            inside = np.zeros(n, dtype=bool)
+            inside[region] = True
+            qubits = np.flatnonzero(inside if 2 * k <= n else ~inside)
+            want = stab._gf2_rank(_restricted_rows(t, qubits).values()) \
+                - len(qubits)
+            assert stab.entanglement_entropy(t, region) == want
