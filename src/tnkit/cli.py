@@ -12,6 +12,7 @@ counting alone frees what they allocate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -36,12 +37,19 @@ _BUILDERS = {
 }
 
 
-def _write(path, *texts):
+@contextlib.contextmanager
+def _output(path):
+    """The file to write, standard output for None or "-"."""
     if path in (None, "-"):
-        sys.stdout.writelines(texts)
+        yield sys.stdout
     else:
         with open(path, "w") as fh:
-            fh.writelines(texts)
+            yield fh
+
+
+def _write(path, *texts):
+    with _output(path) as fh:
+        fh.writelines(texts)
 
 
 def _load_json(path):
@@ -49,11 +57,84 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _json(document) -> str:
-    # the documents are trees made fresh by tns_to_dict or map_to_dict.
-    # Callers write the newline on its own, which spares a copy of the
-    # text, and the document is freed before the text is written out.
-    return json.dumps(document, check_circular=False)
+# the documents are trees made fresh by tns_to_dict or map_to_dict, with
+# no cycle to look for; one encoder serves every slice
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
+def _write_json(path, first: dict, parts: dict):
+    """Write json.dumps(document) and a newline.  first is the document
+    with only the first JSON_SLICE entries of each key of parts, which
+    are its last keys, in the same order; parts[key] is the key's count
+    of entries and a function that gives a list of them for a range.
+    The entries past the first are encoded JSON_SLICE at a time, so that
+    neither the document nor its text is ever whole."""
+    step, dumps = tns_mod.JSON_SLICE, _ENCODER.encode
+    text = dumps({k: v for k, v in first.items() if k not in parts})
+    with _output(path) as fh:
+        # the other members, then each part in place of the closing brace
+        fh.write(text[:-1])
+        sep = ", " if len(text) > 2 else ""
+        for key, (count, entries) in parts.items():
+            fh.write(f"{sep}{dumps(key)}: {dumps(first[key])[:-1]}")
+            sep = ", "
+            for start in range(step, count, step):
+                text = dumps(entries(slice(start, start + step)))
+                fh.write(f", {text[1:-1]}")
+            fh.write("]")
+        fh.write("}\n")
+
+
+def _read_tns(path) -> tns_mod.Tns:
+    """tns_from_dict of a tns-v1 file.  Its top-level object is walked by
+    hand, each member's value decoded by one call of json's scanner, and
+    the nodes and lines become columns before the next member is decoded,
+    so the whole document never exists.  The text is read as json.load
+    reads it: any key order or whitespace, the last of repeated keys, and
+    ValueError for anything but one JSON value."""
+    with open(path) as fh:
+        text = fh.read()
+    space = json.decoder.WHITESPACE.match
+    pos = space(text).end()
+    if not text.startswith("{", pos):
+        # not an object: json and tns_from_dict name the fault
+        return tns_mod.tns_from_dict(json.loads(text))
+    decode = json.JSONDecoder().raw_decode
+    data, pos = {}, space(text, pos + 1).end()
+    more = not text.startswith("}", pos)
+    while more:
+        if not text.startswith('"', pos):
+            raise json.JSONDecodeError("Expecting property name enclosed in "
+                                       "double quotes", text, pos)
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        pos = space(text, pos).end()
+        if not text.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        value, pos = decode(text, space(text, pos + 1).end())
+        try:
+            if key == "nodes":
+                value = tns_mod.node_columns(value)
+            elif key == "lines":
+                nodes = data.get("nodes")
+                value = tns_mod.line_columns(value, nodes if isinstance(
+                    nodes, tns_mod.NodeColumns) else None)
+        except ValueError as exc:
+            # raised by tns_from_dict unless a later member replaces it; a
+            # copy, whose traceback holds no frame that holds it
+            value = ValueError(*exc.args)
+        data[key] = value
+        del value
+        pos = space(text, pos).end()
+        more = text.startswith(",", pos)
+        if more:
+            pos = space(text, pos + 1).end()
+        elif not text.startswith("}", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    pos = space(text, pos + 1).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    del text
+    return tns_mod.tns_from_dict(data)
 
 
 def _print_issues(report) -> int:
@@ -65,7 +146,13 @@ def _print_issues(report) -> int:
 
 def cmd_build(args) -> int:
     network = _BUILDERS[args.kind](args)
-    _write(args.out, _json(tns_mod.tns_to_dict(network)), "\n")
+    to_dict = functools.partial(tns_mod.tns_to_dict, network)
+    first = slice(tns_mod.JSON_SLICE)
+    _write_json(args.out, to_dict(first, first), {
+        "nodes": (len(network.ids),
+                  lambda part: to_dict(part, slice(0))["nodes"]),
+        "lines": (len(network.line_id),
+                  lambda part: to_dict(slice(0), part)["lines"])})
     report = tns_mod.validate_preconditions(network)
     spec = network.spec
     print(f"built {args.kind}: {spec.dimension}D L={spec.length} "
@@ -76,17 +163,19 @@ def cmd_build(args) -> int:
 
 
 def cmd_map(args) -> int:
-    network = tns_mod.tns_from_dict(_load_json(args.tns))
+    network = _read_tns(args.tns)
     code = _print_issues(tns_mod.validate_preconditions(network))
     if code:
         return code
     placement = mapping.place(network, args.scheme, args.delta_tau)
     paths = mapping.route_lines(network, placement)
     report = mapping.measured_chi(network, paths)
-    text = _json(mapping.map_to_dict(placement, paths))
-    # the vertex array is done with: free it before the text is encoded
-    del paths
-    _write(args.out_prefix + ".map.json", text, "\n")
+    to_dict = functools.partial(mapping.map_to_dict, placement, paths)
+    _write_json(args.out_prefix + ".map.json",
+                to_dict(lines=slice(tns_mod.JSON_SLICE)), {
+        "paths": (len(paths.line_ids),
+                  lambda part: to_dict(slice(0), part)["paths"])})
+    del paths, to_dict
     _write(args.out_prefix + ".congestion.csv",
            mapping.congestion_csv(report))
 
@@ -110,7 +199,7 @@ def cmd_map(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 <= args.tol < 1:
         raise ValueError(f"--tol must lie in [0, 1), got {args.tol}")
-    network = tns_mod.tns_from_dict(_load_json(args.tns))
+    network = _read_tns(args.tns)
     data = _load_json(args.map)
     placement, paths = mapping.map_from_dict(data, network)
 

@@ -9,7 +9,7 @@ on it is decided by the placement schemes in tnkit.mapping.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -89,8 +89,10 @@ class LatticeSpec:
 
 
 def spec_to_dict(spec: LatticeSpec) -> dict:
-    """Lattice entry of the tns-v1 and map-v1 formats."""
-    return asdict(spec)
+    """Lattice entry of the tns-v1 and map-v1 formats: the fields in
+    their order (dataclasses.asdict without its recursive copy, since
+    every field is an int or a str)."""
+    return dict(vars(spec))
 
 
 def spec_from_dict(data: dict) -> LatticeSpec:

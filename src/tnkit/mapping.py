@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tns as _tns
 from .lattice import (Edge, LatticeSpec, Site, int64_array, require_ints,
                       spec_from_dict, spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
@@ -751,15 +752,22 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
                     line_ids, report.classes[crossing], report.class_table))
 
 
-def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
-    """JSON-ready description of a routed placement, format map-v1.
+def map_to_dict(p: Placement, paths: PathAssignment,
+                sites: slice = slice(None), lines: slice = slice(None)) -> dict:
+    """JSON-ready description of a routed placement, format map-v1.  Its
+    sites and paths entries are those in the given ranges of site id order
+    and line id order, all of them by default, so that a writer can encode
+    the document a range at a time; the sites are sorted only when their
+    range is not empty.
 
     The offsets entry is derived from the scheme and not read back.
     """
     offsets = (default_refined_offsets(p.lattice.dimension)
                if p.scheme == "refined" else None)
-    vertices = list(zip(*paths.vertices.T.tolist()))
-    ends = paths.offsets.tolist()
+    first = range(len(paths.line_ids))[lines].start
+    line_ids = paths.line_ids[lines].tolist()
+    ends = paths.offsets[first:first + len(line_ids) + 1].tolist()
+    vertices = list(zip(*paths.vertices[ends[0]:ends[-1]].T.tolist()))
     return {
         "version": "map-v1",
         "generator_version": GENERATOR_VERSION,
@@ -768,9 +776,10 @@ def map_to_dict(p: Placement, paths: PathAssignment) -> dict:
         "offsets": dict(sorted(offsets.items())) if offsets else None,
         "lattice": spec_to_dict(p.lattice),
         # json writes the (id, site) tuples as arrays
-        "sites": sorted(zip(p.ids, zip(*p.sites.T.tolist()))),
-        "paths": [[lid, vertices[a:b]] for lid, a, b in
-                  zip(paths.line_ids.tolist(), ends, ends[1:])],
+        "sites": sorted(zip(p.ids, zip(*p.sites.T.tolist())))[sites]
+        if range(len(p.ids))[sites] else [],
+        "paths": [[lid, vertices[a - ends[0]:b - ends[0]]] for lid, a, b in
+                  zip(line_ids, ends, ends[1:])],
     }
 
 
@@ -782,12 +791,16 @@ def read_map(data: dict, d: int | None = None):
     is not an object or lacks a key, when delta_tau, a path line id or a
     coordinate is no JSON integer or past int64, a node id no string, a
     site or vertex not d-dimensional, two sites or two paths share an
-    id, or check_scheme refuses the scheme and delta_tau."""
+    id, or check_scheme refuses the scheme and delta_tau.  The vertices
+    are checked and packed a slice of paths at a time."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
         raise ValueError(f"unsupported map format {data.get('version')!r}")
     flat = itertools.chain.from_iterable
+    past = ("malformed map-v1 document: a path line id or coordinate does "
+            "not fit in 64 bits")
+    step = _tns.JSON_SLICE
     try:
         scheme, host = data["scheme"], spec_from_dict(data["lattice"])
         d = host.dimension if d is None else d
@@ -797,19 +810,25 @@ def read_map(data: dict, d: int | None = None):
             raise TypeError("node id is not a string")
         require_ints([lid for lid, _ in data["paths"]], "path line id")
         paths = sorted(data["paths"], key=operator.itemgetter(0))
-        rows = [site for _, site in data["sites"]]
-        rows += flat(chain for _, chain in paths)
-        if set(map(len, rows)) - {d}:
-            raise TypeError(f"a site or path vertex is not {d}-dimensional")
-        values = [lid for lid, _ in paths] + list(flat(rows))
-        require_ints(values, "a site or path vertex coordinate")
+        # the sites, then the vertices of each slice of paths
+        parts = [[site for _, site in data["sites"]]]
+        parts += (list(flat(chain for _, chain in paths[i:i + step]))
+                  for i in range(0, len(paths), step))
+        coords = []
+        for rows in parts:
+            if set(map(len, rows)) - {d}:
+                raise TypeError(f"a site or path vertex is not "
+                                f"{d}-dimensional")
+            values = list(flat(rows))
+            require_ints(values, "a site or path vertex coordinate")
+            coords.append(int64_array(values, len(values),
+                                      past=past).reshape(-1, d))
+        coords = np.concatenate(coords)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed map-v1 document: "
                          f"{type(exc).__name__} {exc}") from exc
-    packed = int64_array(values, len(values),
-                         past="malformed map-v1 document: a path line id or "
-                              "coordinate does not fit in 64 bits")
-    line_ids, coords = packed[:len(paths)], packed[len(paths):].reshape(-1, d)
+    line_ids = int64_array(map(operator.itemgetter(0), paths), len(paths),
+                           past=past)
     if (line_ids[1:] == line_ids[:-1]).any():
         raise ValueError("malformed map-v1 document: repeated path line id")
     if len(set(nids)) < len(nids):

@@ -33,7 +33,7 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,9 @@ KINDS = frozenset(KIND_NAMES)
 # variant names by their code in the node table; a network read from
 # tns-v1 appends any other names it uses
 VARIANTS = ("p", "u", "u2x2", "u2x1", "u1x2", "w", "t", "g")
+# entries of a tns-v1 or map-v1 array per json.dumps call when the
+# command line writes a document, and paths per slice when a map is read
+JSON_SLICE = 8192
 _PAST_INT64 = "a layer, cell, dim, slot or line id does not fit in 64 bits"
 _int64 = functools.partial(int64_array, past=_PAST_INT64)
 
@@ -619,33 +622,44 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
     return ValidationReport(sorted(set(issues)))
 
 
-def tns_to_dict(tns: Tns) -> dict:
-    """JSON-ready description, format tns-v1.  Deterministic field order."""
-    ids, bounds, dims = tns.ids, tns.dim_offsets.tolist(), tns.dims.tolist()
+def tns_to_dict(tns: Tns, nodes: slice = slice(None),
+                lines: slice = slice(None)) -> dict:
+    """JSON-ready description, format tns-v1.  Deterministic field order.
+    Its nodes and lines entries are those in the given ranges of node and
+    line order, all of them by default, so that a writer can encode the
+    document a range at a time."""
+    ids = tns.ids[nodes]
+    first = range(len(tns.ids))[nodes].start
+    bounds = tns.dim_offsets[first:first + len(ids) + 1]
+    dims = tns.dims[bounds[0]:bounds[-1]].tolist()
+    bounds = (bounds - bounds[0]).tolist()
     # complex128 memory layout: real, imaginary part per amplitude
     elements = [None if e is None else np.ascontiguousarray(
-        e, complex).view(float).ravel().tolist() for e in tns.elements]
-    (a, b), (sa, sb) = np.array(ids, object)[tns.line_ends].tolist(), \
-        tns.line_slots.tolist()
+        e, complex).view(float).ravel().tolist() for e in tns.elements[nodes]]
+    (a, b), (sa, sb) = [list(map(tns.ids.__getitem__, row)) for row in
+                        tns.line_ends[:, lines].tolist()], \
+        tns.line_slots[:, lines].tolist()
     return {
         "version": "tns-v1",
         "generator_version": GENERATOR_VERSION,
         "lattice": spec_to_dict(tns.spec),
         "physical_dim": tns.physical_dim,
         "chi": tns.chi,
-        "meta": asdict(tns.meta),
+        # the int fields in their order, as dataclasses.asdict gives them
+        "meta": dict(vars(tns.meta)),
         "nodes": [{"id": i, "layer": layer, "cell": cell, "kind": kind,
                    "variant": variant, "dims": dims[start:end],
                    "elements": e}
                   for i, layer, cell, kind, variant, start, end, e in zip(
-                      ids, tns.layer.tolist(), tns.cell.tolist(),
-                      map(KIND_NAMES.__getitem__, tns.kind.tolist()),
-                      map(tns.variants.__getitem__, tns.variant.tolist()),
+                      ids, tns.layer[nodes].tolist(), tns.cell[nodes].tolist(),
+                      map(KIND_NAMES.__getitem__, tns.kind[nodes].tolist()),
+                      map(tns.variants.__getitem__,
+                          tns.variant[nodes].tolist()),
                       bounds, bounds[1:], elements)],
         "lines": [{"id": i, "a": [na, slot_a], "b": [nb, slot_b], "dim": dim}
                   for i, na, slot_a, nb, slot_b, dim in zip(
-                      tns.line_id.tolist(), a, sa, b, sb,
-                      tns.line_dim.tolist())],
+                      tns.line_id[lines].tolist(), a, sa, b, sb,
+                      tns.line_dim[lines].tolist())],
     }
 
 
@@ -654,74 +668,169 @@ def _columns(rows, keys):
     return [tuple(map(operator.itemgetter(key), rows)) for key in keys]
 
 
-def tns_from_dict(data: dict) -> Tns:
-    """Network from its tns-v1 description; ValueError when the document
-    is not an object, lacks a key, has a node of unknown kind, an integer
-    field that is not an integer or does not fit in 64 bits, a node id or
-    variant that is not a string, two nodes or two lines of one id, a
-    line that names an unknown node, a node cell whose length is not the
-    lattice dimension, or a negative layer.  Each field is read and
-    checked a column at a time."""
-    if not isinstance(data, dict):
-        raise ValueError("malformed tns-v1 document: not a JSON object")
-    if data.get("version") != "tns-v1":
-        raise ValueError(f"unsupported network format {data.get('version')!r}")
+def _malformed(exc: Exception) -> ValueError:
+    return ValueError(f"malformed tns-v1 document: {type(exc).__name__} {exc}")
+
+
+_INTS = "a count, layer, cell, dim, slot or line id"
+
+
+@dataclass(eq=False)
+class NodeColumns:
+    """A tns-v1 node list as columns: `ids` and the `index` of each id,
+    int64 `layer`, `kind` codes and `variant` codes into `variants`, the
+    length `cell_len` of each cell and the cells back to back in `cells`,
+    each node's slot dims at `dims[dim_offsets[i]:dim_offsets[i + 1]]`,
+    and `elements`, an array or None per node."""
+
+    ids: list[str]
+    index: dict[str, int]
+    layer: np.ndarray
+    kind: np.ndarray
+    variant: np.ndarray
+    variants: tuple[str, ...]
+    cell_len: np.ndarray
+    cells: np.ndarray
+    dims: np.ndarray
+    dim_offsets: np.ndarray
+    elements: list
+
+
+@dataclass(eq=False)
+class LineColumns:
+    """A tns-v1 line list as columns: int64 `line_id`, `slots` (2, L) and
+    `dim`, and the a ends then the b ends in `ends`: int64 indices into
+    `nodes`, or node ids when `nodes` is None."""
+
+    line_id: np.ndarray
+    ends: np.ndarray | list[str]
+    nodes: NodeColumns | None
+    slots: np.ndarray
+    dim: np.ndarray
+
+
+def node_columns(rows) -> NodeColumns:
+    """Columns of a tns-v1 node list; ValueError when an entry is not an
+    object or lacks a key, has a kind that is unknown, an id or variant
+    that is not a string, a cell or dims that is not an array, elements
+    that are neither an array of numbers nor null, or a layer, cell entry
+    or dim that is not an integer or does not fit in 64 bits, or when two
+    nodes share an id."""
     flat = itertools.chain.from_iterable
     try:
-        spec = spec_from_dict(data["lattice"])
-        meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
         ids, layers, cells, kinds, variants, dims, elements = _columns(
-            data["nodes"], ("id", "layer", "cell", "kind", "variant", "dims",
-                            "elements"))
-        line_ids, a, b, line_dims = _columns(data["lines"],
-                                             ("id", "a", "b", "dim"))
+            rows, ("id", "layer", "cell", "kind", "variant", "dims",
+                   "elements"))
         kind_set = set(kinds)
         if not kind_set <= KINDS:
             raise TypeError(f"unknown node kind "
                             f"{min(map(repr, kind_set - KINDS))}")
         if not {str}.issuperset(map(type, ids + variants)):
             raise TypeError("node id or variant is not a string")
+        if not {list}.issuperset(map(type, cells + dims)):
+            raise TypeError("node cell or dims is not an array")
+        if not {list, type(None)}.issuperset(map(type, elements)):
+            raise TypeError("node elements are neither an array nor null")
         index = dict(zip(ids, itertools.count()))
         if len(index) < len(ids):
             raise ValueError("malformed tns-v1 document: repeated node id")
-        # looking the end nodes up rejects unknown ones
-        ends = list(map(index.__getitem__, map(operator.itemgetter(0),
-                                               itertools.chain(a, b))))
-        slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
-        require_ints(flat(((data["physical_dim"], data["chi"]),
-                           astuple(meta), line_ids, layers, flat(cells),
-                           flat(dims), line_dims, slots)),
-                     "a count, layer, cell, dim, slot or line id")
+        require_ints(flat((layers, flat(cells), flat(dims))), _INTS)
+        n = len(ids)
+        if elements.count(None) < n:
+            elements = [e if e is None else np.array(e, float).view(
+                complex).reshape(shape) for e, shape in zip(elements, dims)]
     except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed tns-v1 document: "
-                         f"{type(exc).__name__} {exc}") from exc
-    n, lines, d = len(ids), len(line_ids), spec.dimension
-    line_id = _int64(line_ids, lines)
-    ranked = np.sort(line_id)
-    if (ranked[1:] == ranked[:-1]).any():
-        raise ValueError("malformed tns-v1 document: repeated line id")
-    if set(map(len, cells)) - {d}:
-        bad = next(i for i, c in enumerate(cells) if len(c) != d)
-        raise ValueError(f"malformed tns-v1 document: {ids[bad]}: cell "
-                         f"{list(cells[bad])} is not {d}-dimensional")
-    layer = _int64(layers, n)
-    if (layer < 0).any():
-        i = int((layer < 0).argmax())
-        raise ValueError(f"malformed tns-v1 document: {ids[i]}: "
-                         f"negative layer {layer[i]}")
-    offsets = _int64(itertools.accumulate(map(len, dims), initial=0), n + 1)
-    flat_dims = _int64(flat(dims), offsets[-1])
+        raise _malformed(exc) from exc
     names = VARIANTS + tuple(sorted(set(variants) - set(VARIANTS)))
     codes = dict(zip(names, itertools.count()))
-    elements = list(elements)
-    if elements.count(None) < n:
-        elements = [e if e is None else np.array(e, float).view(
-            complex).reshape(shape) for e, shape in zip(elements, dims)]
-    return Tns(spec, data["physical_dim"], data["chi"], meta, list(ids),
-               layer, _int64(map(KIND_CODES.__getitem__, kinds), n),
-               _int64(map(codes.__getitem__, variants), n),
-               _int64(flat(cells), n * d).reshape(n, d), flat_dims,
-               offsets, elements, line_id,
-               _int64(ends, 2 * lines).reshape(2, lines),
-               _int64(slots, 2 * lines).reshape(2, lines),
-               _int64(line_dims, lines), names)
+    cell_len = _int64(map(len, cells), n)
+    offsets = _int64(itertools.accumulate(map(len, dims), initial=0), n + 1)
+    return NodeColumns(list(ids), index, _int64(layers, n),
+                       _int64(map(KIND_CODES.__getitem__, kinds), n),
+                       _int64(map(codes.__getitem__, variants), n), names,
+                       cell_len, _int64(flat(cells), int(cell_len.sum())),
+                       _int64(flat(dims), offsets[-1]), offsets,
+                       list(elements))
+
+
+def line_columns(rows, nodes: NodeColumns | None = None) -> LineColumns:
+    """Columns of a tns-v1 line list, the ends as indices into nodes when
+    every end names one of them; ValueError when an entry is not an
+    object or lacks a key, an end is not a (node id, slot) pair, or an
+    id, slot or dim is not an integer or does not fit in 64 bits."""
+    try:
+        line_ids, a, b, dims = _columns(rows, ("id", "a", "b", "dim"))
+        ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
+        slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
+        require_ints(itertools.chain(line_ids, slots, dims), _INTS)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise _malformed(exc) from exc
+    if nodes is not None:
+        try:
+            ends = _int64(map(nodes.index.__getitem__, ends), len(ends))
+        except (KeyError, TypeError):
+            # tns_from_dict names the end no node has
+            nodes = None
+    count = len(line_ids)
+    return LineColumns(_int64(line_ids, count), ends, nodes,
+                       _int64(slots, 2 * count).reshape(2, count),
+                       _int64(dims, count))
+
+
+def tns_from_dict(data: dict) -> Tns:
+    """Network from its tns-v1 description; ValueError when the document
+    is not an object, lacks a key, has a count that is not an integer,
+    nodes or lines that node_columns or line_columns rejects, a line that
+    names an unknown node, two lines of one id, a node cell whose length
+    is not the lattice dimension, or a negative layer.  The nodes and
+    lines entries may also hold the columns node_columns and line_columns
+    made of them, or a ValueError that either raised, raised here again,
+    as a reader that builds them while it decodes the text passes them."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed tns-v1 document: not a JSON object")
+    if data.get("version") != "tns-v1":
+        raise ValueError(f"unsupported network format {data.get('version')!r}")
+    try:
+        spec = spec_from_dict(data["lattice"])
+        meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
+        nodes, lines = data["nodes"], data["lines"]
+        require_ints((data["physical_dim"], data["chi"], *astuple(meta)),
+                     _INTS)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise _malformed(exc) from exc
+    if isinstance(nodes, ValueError):
+        raise ValueError(*nodes.args)
+    if not isinstance(nodes, NodeColumns):
+        nodes = node_columns(nodes)
+    if isinstance(lines, ValueError):
+        raise ValueError(*lines.args)
+    if not isinstance(lines, LineColumns):
+        lines = line_columns(lines, nodes)
+    ends = lines.ends
+    if lines.nodes is not nodes:
+        # the ends name nodes of another list, or were read before these
+        if lines.nodes is not None:
+            ends = list(map(lines.nodes.ids.__getitem__, ends.tolist()))
+        try:
+            ends = _int64(map(nodes.index.__getitem__, ends), len(ends))
+        except (KeyError, TypeError) as exc:
+            raise _malformed(exc) from exc
+    n, count, d = len(nodes.ids), len(lines.line_id), spec.dimension
+    ranked = np.sort(lines.line_id)
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ValueError("malformed tns-v1 document: repeated line id")
+    if (nodes.cell_len != d).any():
+        bad = int((nodes.cell_len != d).argmax())
+        start = int(nodes.cell_len[:bad].sum())
+        cell = nodes.cells[start:start + nodes.cell_len[bad]].tolist()
+        raise ValueError(f"malformed tns-v1 document: {nodes.ids[bad]}: cell "
+                         f"{cell} is not {d}-dimensional")
+    if (nodes.layer < 0).any():
+        i = int((nodes.layer < 0).argmax())
+        raise ValueError(f"malformed tns-v1 document: {nodes.ids[i]}: "
+                         f"negative layer {nodes.layer[i]}")
+    return Tns(spec, data["physical_dim"], data["chi"], meta, nodes.ids,
+               nodes.layer, nodes.kind, nodes.variant,
+               nodes.cells.reshape(n, d), nodes.dims, nodes.dim_offsets,
+               nodes.elements, lines.line_id, ends.reshape(2, count),
+               lines.slots, lines.dim, nodes.variants)

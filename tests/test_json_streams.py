@@ -1,0 +1,212 @@
+"""tns-v1 and map-v1 streamed through the command line.
+
+`build` and `map` encode their documents a slice of entries at a time,
+and `map` and `verify` read tns-v1 one top-level member at a time.  The
+bytes must be those of json.dumps of the whole document, and the reader
+must accept and refuse what json.load accepts and refuses.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from tnkit import cli, mapping, tns as tns_mod
+from tnkit.cli import main
+from tnkit.tns import (build_mera_1d, build_mera_2d_b2, build_ttn_example,
+                       tns_from_dict, tns_to_dict)
+
+
+@pytest.fixture(scope="module")
+def seeded(tmp_path_factory):
+    """A seeded mera1d T=2 file and the outputs `map` makes of it."""
+    work = tmp_path_factory.mktemp("seeded")
+    net = work / "net.tns.json"
+    assert main(["build", "--kind", "mera1d", "--layers", "2", "--seed", "7",
+                 "--out", str(net)]) == 0
+    assert main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", str(work / "net")]) == 0
+    return work, net
+
+
+def _map(net, prefix):
+    return main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", str(prefix)])
+
+
+def test_every_truncation_exits_2(seeded, tmp_path, capsys):
+    work, net = seeded
+    text = net.read_text()
+    cuts = sorted(set(np.linspace(0, len(text), 300).astype(int).tolist()))
+    incomplete = 0
+    for cut in cuts:
+        try:
+            json.loads(text[:cut])
+            continue
+        except ValueError:
+            incomplete += 1
+        (tmp_path / "cut.json").write_text(text[:cut])
+        assert _map(tmp_path / "cut.json", tmp_path / "cut") == 2, cut
+        assert capsys.readouterr().err.startswith("error: "), cut
+    assert incomplete >= 290
+
+
+@pytest.mark.parametrize("tail", ["x", "{}", " 1", "]"])
+def test_trailing_data_exits_2(seeded, tmp_path, capsys, tail):
+    work, net = seeded
+    (tmp_path / "tail.json").write_text(net.read_text() + tail)
+    for argv in (["map", "--tns", str(tmp_path / "tail.json"), "--scheme",
+                  "refined", "--out-prefix", str(tmp_path / "tail")],
+                 ["verify", "--tns", str(tmp_path / "tail.json"),
+                  "--map", str(work / "net.map.json")]):
+        assert main(argv) == 2
+        assert "Extra data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda text: '{"nodes": [], ' + text[1:],
+    lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True),
+    lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    lambda text: '{"lines": [], "nodes": [1], ' + text[1:],
+    lambda text: '\n\t ' + text.replace(": ", " :\r\n ") + ' \n',
+], ids=["repeated-nodes-first", "indent-sorted", "compact", "repeated-both",
+        "whitespace"])
+def test_reader_takes_any_key_order_and_whitespace(seeded, tmp_path, capsys,
+                                                   rewrite):
+    work, net = seeded
+    edited = tmp_path / "edited.json"
+    edited.write_text(rewrite(net.read_text()))
+    expected = tns_from_dict(json.loads(net.read_text()))
+    assert tns_to_dict(cli._read_tns(edited)) == tns_to_dict(expected)
+    assert _map(edited, tmp_path / "edited") == 0
+    for suffix in (".map.json", ".congestion.csv"):
+        assert (tmp_path / f"edited{suffix}").read_bytes() == \
+            (work / f"net{suffix}").read_bytes()
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(edited),
+                 "--map", str(work / "net.map.json")]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
+@pytest.mark.parametrize("text", ["", " ", "[]", "1", "null", '"tns-v1"',
+                                  "{}", '{"version": "tns-v1"}',
+                                  '{"version": "tns-v1",}', '{"version"}',
+                                  '{"version": }', "{'version': 1}",
+                                  '{"a": 1 "b": 2}'])
+def test_reader_refuses_what_json_refuses(tmp_path, capsys, text):
+    (tmp_path / "bad.json").write_text(text)
+    assert _map(tmp_path / "bad.json", tmp_path / "bad") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lines_before_their_nodes_name_unknown_ends(seeded, tmp_path, capsys):
+    work, net = seeded
+    doc = json.loads(net.read_text())
+    doc["lines"][3]["b"][0] = "ghost"
+    edited = tmp_path / "ghost.json"
+    edited.write_text(json.dumps(doc, sort_keys=True))
+    assert _map(edited, tmp_path / "ghost") == 2
+    assert capsys.readouterr().err == \
+        "error: malformed tns-v1 document: KeyError 'ghost'\n"
+
+
+def test_a_later_member_replaces_a_malformed_one(seeded, tmp_path, capsys):
+    work, net = seeded
+    edited = tmp_path / "later.json"
+    edited.write_text('{"nodes": [{}], "lines": 5, ' + net.read_text()[1:])
+    assert _map(edited, tmp_path / "later") == 0
+    edited.write_text(net.read_text()[:-2] + ', "nodes": [{}]}')
+    assert _map(edited, tmp_path / "later") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: malformed tns-v1 document: KeyError 'id'")
+
+
+NETWORKS = {
+    "mera1d-1": lambda: build_mera_1d(1),
+    "mera1d-2": lambda: build_mera_1d(2, with_elements=False),
+    "ttn1d-1": lambda: build_ttn_example(1),
+    "b2-1": lambda: build_mera_2d_b2(1, with_elements=False),
+}
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_sliced_files_equal_whole_documents(tmp_path, monkeypatch, capsys,
+                                            name, step):
+    net = NETWORKS[name]()
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
+    monkeypatch.setitem(cli._BUILDERS, "ttn1d", lambda args: net)
+    out = tmp_path / "net.json"
+    assert main(["build", "--kind", "ttn1d", "--layers", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(tns_to_dict(net)) + "\n"
+    capsys.readouterr()
+    assert main(["build", "--kind", "ttn1d", "--layers", "1"]) == 0
+    assert capsys.readouterr().out.startswith(out.read_text())
+
+    assert _map(out, tmp_path / "m") == 0
+    p = mapping.place(net, "refined")
+    paths = mapping.route_lines(net, p)
+    assert (tmp_path / "m.map.json").read_text() == \
+        json.dumps(mapping.map_to_dict(p, paths)) + "\n"
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
+def test_writer_at_every_slice_boundary(tmp_path, monkeypatch, step, count):
+    """Entry counts 0, 1, step - 1, step and step + 1 for each step."""
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
+    doc = tns_to_dict(build_mera_1d(2))
+    doc["nodes"], doc["lines"] = doc["nodes"][:count], doc["lines"][:count]
+    first = {**doc, "nodes": doc["nodes"][:step], "lines": doc["lines"][:step]}
+    cli._write_json(tmp_path / "out.json", first, {
+        key: (count, lambda part, key=key: doc[key][part])
+        for key in ("nodes", "lines")})
+    assert (tmp_path / "out.json").read_text() == json.dumps(doc) + "\n"
+
+
+def _joined(to_dict, key, arg, count, step):
+    """The key entries of to_dict(**{arg: part}) over consecutive parts of
+    step entries, joined."""
+    joined = []
+    for start in range(0, count, step):
+        joined += to_dict(**{arg: slice(start, start + step)})[key]
+    return joined
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 5])
+def test_ranges_join_to_whole_documents(step):
+    net = build_mera_2d_b2(1, seed=2)
+    whole = tns_to_dict(net)
+    for key in ("nodes", "lines"):
+        assert _joined(lambda **part: tns_to_dict(net, **part), key, key,
+                       len(whole[key]), step) == whole[key]
+    p = mapping.place(net, "shifted")
+    paths = mapping.route_lines(net, p)
+    whole = mapping.map_to_dict(p, paths)
+    assert mapping.map_to_dict(p, paths, lines=slice(0))["paths"] == []
+    assert mapping.map_to_dict(p, paths, sites=slice(0))["sites"] == []
+    for key, arg in (("sites", "sites"), ("paths", "lines")):
+        assert _joined(lambda **part: mapping.map_to_dict(p, paths, **part),
+                       key, arg, len(whole[key]), step) == whole[key]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_map_reader_slices_give_the_whole_reading(seeded, monkeypatch, step):
+    work, _ = seeded
+    data = json.loads((work / "net.map.json").read_text())
+    whole = mapping.read_map(data)
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
+    sliced = mapping.read_map(data)
+    assert sliced[:4] == whole[:4]
+    assert np.array_equal(sliced[4], whole[4])
+    for name in ("line_ids", "offsets", "vertices"):
+        assert np.array_equal(getattr(sliced[5], name),
+                              getattr(whole[5], name))
+    # a fault in the last slice is named as in the first
+    data["paths"][-1][1][-1][0] = 1.5
+    with pytest.raises(ValueError, match="coordinate is not an integer"):
+        mapping.read_map(data)
+    data["paths"][-1][1][-1] = [1, 2]
+    with pytest.raises(ValueError, match="vertex is not 1-dimensional"):
+        mapping.read_map(data)

@@ -88,6 +88,26 @@ def test_edited_network_never_raises(documents, capsys):
     assert bad == []
 
 
+@pytest.mark.parametrize("value", [{}, {"a": 1}, ""], ids=repr)
+@pytest.mark.parametrize("field", ["elements", "dims", "cell"])
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_node_field_of_wrong_json_type_exits_2(documents, capsys, command,
+                                               field, value):
+    work, tns_path, map_path = documents
+    doc = json.loads(tns_path.read_text())
+    node = next(n for n in doc["nodes"] if n["elements"] is not None)
+    node[field] = value
+    edited = work / "wrong-type.json"
+    edited.write_text(json.dumps(doc))
+    argv = {"map": ["map", "--tns", str(edited), "--scheme", "refined",
+                    "--out-prefix", str(work / "wrong-type")],
+            "verify": ["verify", "--tns", str(edited), "--map", map_path]}
+    assert cli.main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed tns-v1 document: ")
+
+
 def test_edited_map_never_raises(documents, capsys):
     work, tns_path, map_path = documents
     doc = json.loads(open(map_path).read())
