@@ -87,11 +87,13 @@ def _write_json(path, first: dict, parts: dict):
 
 def _read_tns(path) -> tns_mod.Tns:
     """tns_from_dict of a tns-v1 file.  Its top-level object is walked by
-    hand, each member's value decoded by one call of json's scanner, and
-    the nodes and lines become columns before the next member is decoded,
-    so the whole document never exists.  The text is read as json.load
-    reads it: any key order or whitespace, the last of repeated keys, and
-    ValueError for anything but one JSON value."""
+    hand, each member's value decoded by one call of json's scanner.  The
+    nodes become columns before the next member is decoded, so that in
+    the order tnkit writes the decoded node list is freed before the
+    lines are decoded; every other member is kept as decoded, and
+    tns_from_dict makes the line columns once the text is freed.  The text is read as json.load reads it: any
+    key order or whitespace, the last of repeated keys, and ValueError
+    for anything but one JSON value."""
     with open(path) as fh:
         text = fh.read()
     space = json.decoder.WHITESPACE.match
@@ -111,17 +113,12 @@ def _read_tns(path) -> tns_mod.Tns:
         if not text.startswith(":", pos):
             raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
         value, pos = decode(text, space(text, pos + 1).end())
-        try:
-            if key == "nodes":
+        if key == "nodes":
+            # a list node_columns refuses stays as decoded, and
+            # tns_from_dict refuses it again unless a later member
+            # replaces it
+            with contextlib.suppress(ValueError):
                 value = tns_mod.node_columns(value)
-            elif key == "lines":
-                nodes = data.get("nodes")
-                value = tns_mod.line_columns(value, nodes if isinstance(
-                    nodes, tns_mod.NodeColumns) else None)
-        except ValueError as exc:
-            # raised by tns_from_dict unless a later member replaces it; a
-            # copy, whose traceback holds no frame that holds it
-            value = ValueError(*exc.args)
         data[key] = value
         del value
         pos = space(text, pos).end()

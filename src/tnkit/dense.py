@@ -12,28 +12,13 @@ memory; override it with the environment variable TNKIT_MAX_AMPLITUDES.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+# the budgets are defined beside the grids, where the builders reach them
+from .lattice import ResourceLimitError, amplitude_limit, site_budget
 from .tns import KIND_ANCHOR, KIND_CODES, Tns, slot_labels
-
-DEFAULT_MAX_AMPLITUDES = 2 ** 26
-
-
-class ResourceLimitError(Exception):
-    """A contraction or density matrix would exceed the size budget."""
-
-
-def amplitude_limit() -> int:
-    return int(os.environ.get("TNKIT_MAX_AMPLITUDES", DEFAULT_MAX_AMPLITUDES))
-
-
-def site_budget() -> int:
-    """The most sites of a grid whose every site is held in memory: the
-    tableau's 16 bytes per amplitude at 1 KiB a site."""
-    return amplitude_limit() // 64
 
 
 def _contract_pair(a, la, b, lb):

@@ -4,11 +4,16 @@ Sites are integer coordinate tuples on a finite D-dimensional grid, and an
 edge joins two sites one unit step apart.  A LatticeSpec records the grid
 together with the scale hierarchy it hosts; where each layer's tensors sit
 on it is decided by the placement schemes in tnkit.mapping.
+
+The size budgets live here too, so that every module can reach them: an
+amplitude limit, TNKIT_MAX_AMPLITUDES or 2**26, the site budget a
+sixty-fourth of it, and ResourceLimitError for what would pass either.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
@@ -16,6 +21,23 @@ import numpy as np
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
+
+DEFAULT_MAX_AMPLITUDES = 2 ** 26
+
+
+class ResourceLimitError(Exception):
+    """A build, route, contraction or density matrix would exceed the
+    size budget."""
+
+
+def amplitude_limit() -> int:
+    return int(os.environ.get("TNKIT_MAX_AMPLITUDES", DEFAULT_MAX_AMPLITUDES))
+
+
+def site_budget() -> int:
+    """The most sites of a grid whose every site is held in memory: the
+    tableau's 16 bytes per amplitude at 1 KiB a site."""
+    return amplitude_limit() // 64
 
 
 def require_ints(values: Iterable, what: str) -> None:

@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tns as _tns
-from .lattice import (Edge, LatticeSpec, Site, int64_array, require_ints,
+from .lattice import (Edge, LatticeSpec, ResourceLimitError, Site,
+                      amplitude_limit, int64_array, require_ints,
                       spec_from_dict, spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
                   VARIANTS, MeraMeta, Tns, distinct, slot_labels)
@@ -322,7 +323,9 @@ def _corners(b, layer, kind, variant, ends, s, t):
 def _step_out(corners):
     """Offsets and vertices of the flat layout of chains that walk in
     unit steps from corner to corner of (L, K, D) corners, consecutive
-    corners differing along one axis."""
+    corners differing along one axis; ResourceLimitError before the
+    vertices are allocated when they would number more than the
+    amplitude limit."""
     n, k, d = corners.shape
     legs = corners[:, 1:] - corners[:, :-1]
     # a move per vertex: the jump from the previous chain's end for a
@@ -336,6 +339,13 @@ def _step_out(corners):
     np.abs(legs).sum(axis=2, out=counts[:, 1:])
     np.sign(legs, out=moves[:, 1:])
     del legs
+    # a leg runs along one axis of the grid, so its length fits in int64;
+    # their total, summed in float64, is exact up to 2**53 and cannot
+    # overflow
+    size, limit = counts.sum(dtype=float), amplitude_limit()
+    if size > limit:
+        raise ResourceLimitError(f"routed paths of {size:.0f} vertices "
+                                 f"exceed the budget {limit}")
     offsets = np.zeros(n + 1, np.int64)
     counts.sum(axis=1).cumsum(out=offsets[1:])
     vertices = moves.reshape(-1, d).repeat(counts.ravel(), axis=0)

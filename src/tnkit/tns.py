@@ -37,7 +37,8 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .lattice import (LatticeSpec, int64_array, require_ints, spec_from_dict,
+from .lattice import (LatticeSpec, ResourceLimitError, amplitude_limit,
+                      int64_array, require_ints, site_budget, spec_from_dict,
                       spec_to_dict)
 
 GENERATOR_VERSION = "tnkit-0.1.0"
@@ -235,6 +236,15 @@ class _Tables:
                    np.arange(lines.shape[1]), lines[:2], lines[2:4], lines[4])
 
 
+def _check_sites(dimension: int, b: int, layers: int) -> None:
+    """ResourceLimitError unless a (b**layers)^dimension grid fits the site
+    budget; no power of b past the budget's bit length is taken."""
+    budget, power = site_budget(), dimension * layers
+    if power > budget.bit_length() or b ** power > budget:
+        raise ResourceLimitError(f"network grid of {b}^{power} sites "
+                                 f"exceeds the site budget {budget}")
+
+
 def _random_orthonormal(rng, count, rows, cols) -> np.ndarray:
     """count complex (rows, cols) matrices with orthonormal columns, from
     one draw that holds each matrix's real part, then its imaginary part."""
@@ -310,7 +320,8 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
     Sites no disentangler covers feed their isometry directly.  A top
     tensor closes the hierarchy.  Each pattern's nodes and lines are
     added as columns at once, and its elements are drawn in one call, in
-    node order.
+    node order.  The grid must fit the site budget, and the elements drawn
+    so far, counted before each draw, the amplitude limit.
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
@@ -318,6 +329,7 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
         raise ValueError("chi must be >= 1")
     if phys_dim < 2:
         raise ValueError("phys_dim must be >= 2")
+    _check_sites(dimension, b, layers)
     patterns = [(variant, roles, math.prod(len(offs) for _, offs in roles))
                 for variant, roles in _FAMILIES[(dimension, b)]]
     block = b ** dimension
@@ -330,12 +342,23 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
     if max(dims) >= 2 ** 63:
         raise ValueError(_PAST_INT64)
     t = _Tables()
+    limit, drawn = amplitude_limit(), 0
+
+    def charge(amplitudes):
+        """ResourceLimitError when the next draw takes the elements past
+        the amplitude limit."""
+        nonlocal drawn
+        drawn += amplitudes
+        if drawn > limit:
+            raise ResourceLimitError(f"elements of {drawn} amplitudes exceed "
+                                     f"the budget {limit}")
 
     def draw(count, rows, cols):
         """Elements of count tensors shaped (*rows, *cols), each a matrix
         with orthonormal columns: unitaries and isometries."""
         if not with_elements:
             return None
+        charge(count * math.prod(rows) * math.prod(cols))
         q = _random_orthonormal(rng, count, math.prod(rows), math.prod(cols))
         return list(q.reshape(count, *rows, *cols))
 
@@ -365,6 +388,8 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
         node, slot = iso, np.full(len(iso), block)
 
     origin = np.zeros((1, dimension), np.int64)
+    if with_elements:
+        charge(dims[layers])
     top = t.add(_ids(f"t:{layers}:", origin), layers, KIND_TOP, "t", origin,
                 (dims[layers],),
                 [_random_top(rng, dims[layers])] if with_elements else None)
@@ -441,6 +466,7 @@ def build_ttn_example(layers: int) -> Tns:
     """
     if layers < 1 or layers % 2 == 0:
         raise ValueError("layers must be odd and >= 1")
+    _check_sites(1, 2, layers)
     spec = LatticeSpec(1, 2 ** layers, 2, layers)
     t = _Tables()
     _add_anchors(t, spec, 2)
@@ -696,26 +722,14 @@ class NodeColumns:
     elements: list
 
 
-@dataclass(eq=False)
-class LineColumns:
-    """A tns-v1 line list as columns: int64 `line_id`, `slots` (2, L) and
-    `dim`, and the a ends then the b ends in `ends`: int64 indices into
-    `nodes`, or node ids when `nodes` is None."""
-
-    line_id: np.ndarray
-    ends: np.ndarray | list[str]
-    nodes: NodeColumns | None
-    slots: np.ndarray
-    dim: np.ndarray
-
-
 def node_columns(rows) -> NodeColumns:
-    """Columns of a tns-v1 node list; ValueError when an entry is not an
-    object or lacks a key, has a kind that is unknown, an id or variant
-    that is not a string, a cell or dims that is not an array, elements
-    that are neither an array of numbers nor null, or a layer, cell entry
-    or dim that is not an integer or does not fit in 64 bits, or when two
-    nodes share an id."""
+    """Columns of a tns-v1 node list, which a reader makes as soon as the
+    list is decoded, so that the list is freed before the next member is;
+    ValueError when an entry is not an object or lacks a key, has a kind
+    that is unknown, an id or variant that is not a string, a cell or
+    dims that is not an array, elements that are neither an array of
+    numbers nor null, or a layer, cell entry or dim that is not an
+    integer or does not fit in 64 bits, or when two nodes share an id."""
     flat = itertools.chain.from_iterable
     try:
         ids, layers, cells, kinds, variants, dims, elements = _columns(
@@ -753,39 +767,17 @@ def node_columns(rows) -> NodeColumns:
                        list(elements))
 
 
-def line_columns(rows, nodes: NodeColumns | None = None) -> LineColumns:
-    """Columns of a tns-v1 line list, the ends as indices into nodes when
-    every end names one of them; ValueError when an entry is not an
-    object or lacks a key, an end is not a (node id, slot) pair, or an
-    id, slot or dim is not an integer or does not fit in 64 bits."""
-    try:
-        line_ids, a, b, dims = _columns(rows, ("id", "a", "b", "dim"))
-        ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
-        slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
-        require_ints(itertools.chain(line_ids, slots, dims), _INTS)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise _malformed(exc) from exc
-    if nodes is not None:
-        try:
-            ends = _int64(map(nodes.index.__getitem__, ends), len(ends))
-        except (KeyError, TypeError):
-            # tns_from_dict names the end no node has
-            nodes = None
-    count = len(line_ids)
-    return LineColumns(_int64(line_ids, count), ends, nodes,
-                       _int64(slots, 2 * count).reshape(2, count),
-                       _int64(dims, count))
-
-
 def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
     is not an object, lacks a key, has a count that is not an integer,
-    nodes or lines that node_columns or line_columns rejects, a line that
-    names an unknown node, two lines of one id, a node cell whose length
-    is not the lattice dimension, or a negative layer.  The nodes and
-    lines entries may also hold the columns node_columns and line_columns
-    made of them, or a ValueError that either raised, raised here again,
-    as a reader that builds them while it decodes the text passes them."""
+    nodes that node_columns rejects, a line entry that is not an object or
+    lacks a key, a line end that is not a (node id, slot) pair, a line
+    id, slot or dim that is not an integer or does not fit in 64 bits, a
+    line that names an unknown node, two lines of one id, a node cell
+    whose length is not the lattice dimension, or a negative layer.  The
+    nodes entry may also hold the columns node_columns made of it, as a
+    reader that builds them while it decodes the text passes them; the
+    lines become columns here, against the final node list."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
@@ -798,25 +790,23 @@ def tns_from_dict(data: dict) -> Tns:
                      _INTS)
     except (KeyError, IndexError, TypeError) as exc:
         raise _malformed(exc) from exc
-    if isinstance(nodes, ValueError):
-        raise ValueError(*nodes.args)
     if not isinstance(nodes, NodeColumns):
         nodes = node_columns(nodes)
-    if isinstance(lines, ValueError):
-        raise ValueError(*lines.args)
-    if not isinstance(lines, LineColumns):
-        lines = line_columns(lines, nodes)
-    ends = lines.ends
-    if lines.nodes is not nodes:
-        # the ends name nodes of another list, or were read before these
-        if lines.nodes is not None:
-            ends = list(map(lines.nodes.ids.__getitem__, ends.tolist()))
-        try:
-            ends = _int64(map(nodes.index.__getitem__, ends), len(ends))
-        except (KeyError, TypeError) as exc:
-            raise _malformed(exc) from exc
-    n, count, d = len(nodes.ids), len(lines.line_id), spec.dimension
-    ranked = np.sort(lines.line_id)
+    try:
+        line_ids, a, b, dims = _columns(lines, ("id", "a", "b", "dim"))
+        ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
+        slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
+        require_ints(itertools.chain(line_ids, slots, dims), _INTS)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise _malformed(exc) from exc
+    n, count, d = len(nodes.ids), len(line_ids), spec.dimension
+    line_id, slots, dims = (_int64(line_ids, count), _int64(
+        slots, 2 * count).reshape(2, count), _int64(dims, count))
+    try:
+        ends = _int64(map(nodes.index.__getitem__, ends), 2 * count)
+    except (KeyError, TypeError) as exc:
+        raise _malformed(exc) from exc
+    ranked = np.sort(line_id)
     if (ranked[1:] == ranked[:-1]).any():
         raise ValueError("malformed tns-v1 document: repeated line id")
     if (nodes.cell_len != d).any():
@@ -832,5 +822,5 @@ def tns_from_dict(data: dict) -> Tns:
     return Tns(spec, data["physical_dim"], data["chi"], meta, nodes.ids,
                nodes.layer, nodes.kind, nodes.variant,
                nodes.cells.reshape(n, d), nodes.dims, nodes.dim_offsets,
-               nodes.elements, lines.line_id, ends.reshape(2, count),
-               lines.slots, lines.dim, nodes.variants)
+               nodes.elements, line_id, ends.reshape(2, count), slots, dims,
+               nodes.variants)

@@ -146,12 +146,12 @@ def test_verify_reports_differing_state(built, tmp_path, monkeypatch,
 
 
 def test_verify_resource_limit_is_reported(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "64")
     net = tmp_path / "net.json"
     main(["build", "--kind", "mera1d", "--layers", "3", "--out", str(net)])
     prefix = str(tmp_path / "m")
     main(["map", "--tns", str(net), "--scheme", "shifted",
           "--out-prefix", prefix])
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "64")
     code = main(["verify", "--tns", str(net), "--map", prefix + ".map.json"])
     assert code == 3
     assert "resource limit" in capsys.readouterr().err
@@ -629,6 +629,69 @@ def test_render_site_budget(tmp_path, capsys, monkeypatch):
     assert main(["render", "--map", str(tmp_path / "m.map.json"),
                  "--out", str(tmp_path / "m15.svg")]) == 3
     assert not (tmp_path / "m15.svg").exists()
+
+
+@pytest.mark.parametrize("argv,err", [
+    ("--kind mera2d-b2 --layers 20 --no-elements",
+     "network grid of 2^40 sites exceeds the site budget 1048576"),
+    ("--kind ttn1d --layers 21",
+     "network grid of 2^21 sites exceeds the site budget 1048576"),
+    ("--kind mera1d --layers 1 --phys-dim 65536",
+     "elements of 8589934592 amplitudes exceed the budget 67108864"),
+], ids=["b2-grid", "ttn-grid", "mera1d-elements"])
+def test_build_budget_exits_3_before_allocating(tmp_path, capsys, argv, err):
+    out = tmp_path / "big.json"
+    assert main(["build", *argv.split(), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"resource limit: {err}\n")
+    assert not out.exists()
+
+
+def test_build_budget_boundaries(tmp_path, capsys, monkeypatch):
+    # mera1d T=3 has 8 sites: a budget of 8 * 64 amplitudes holds them
+    argv = ["build", "--kind", "mera1d", "--layers", "3", "--no-elements",
+            "--out"]
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(8 * 64))
+    assert main(argv + [str(tmp_path / "fits.json")]) == 0
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(8 * 64 - 1))
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "over.json")]) == 3
+    assert capsys.readouterr().err == "resource limit: network grid of 2^3 " \
+        "sites exceeds the site budget 7\n"
+    assert not (tmp_path / "over.json").exists()
+    # mera1d T=1 at phys dim 16 draws a 16 x 16 x 2 isometry and a top of
+    # 2: 514 amplitudes, the elements the file holds
+    argv = ["build", "--kind", "mera1d", "--layers", "1", "--phys-dim", "16",
+            "--out"]
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "514")
+    assert main(argv + [str(tmp_path / "fits.json")]) == 0
+    doc = json.loads((tmp_path / "fits.json").read_text())
+    assert sum(len(n["elements"] or ()) for n in doc["nodes"]) == 2 * 514
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "513")
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "over.json")]) == 3
+    assert capsys.readouterr().err == "resource limit: elements of 514 " \
+        "amplitudes exceed the budget 513\n"
+    assert not (tmp_path / "over.json").exists()
+
+
+def test_map_route_budget_exits_3(built, tmp_path, capsys):
+    # a top 2^37 cells from its isometry: the shifted routes would hold
+    # 2^39 + 17 vertices, 4 TiB
+    doc = json.loads(built.read_text())
+    doc["lattice"].update(length=2 ** 40, layers=40)
+    doc["meta"]["max_cell_distance"] = 2 ** 41
+    top, = (n for n in doc["nodes"] if n["kind"] == "top")
+    top["cell"] = [2 ** 37]
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["map", "--tns", str(far), "--scheme", "shifted",
+                 "--out-prefix", str(tmp_path / "far")]) == 3
+    assert capsys.readouterr() == ("", "resource limit: routed paths of "
+                                   "549755813905 vertices exceed the budget "
+                                   "67108864\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json",
+                                                          "net.json"]
 
 
 def test_verify_rejects_uncovered_slot(built, tmp_path, capsys):

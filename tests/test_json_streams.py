@@ -7,6 +7,7 @@ must accept and refuse what json.load accepts and refuses.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,56 @@ def test_a_later_member_replaces_a_malformed_one(seeded, tmp_path, capsys):
     assert _map(edited, tmp_path / "later") == 2
     assert capsys.readouterr().err.startswith(
         "error: malformed tns-v1 document: KeyError 'id'")
+
+
+def test_nodes_repeated_after_lines_read_as_json_load(seeded, tmp_path,
+                                                     capsys):
+    # the lines are read against the last node list, whatever its order
+    work, net = seeded
+    text = net.read_text()
+    nodes = json.loads(text)["nodes"]
+    nodes = nodes[1::2] + nodes[::2]
+    edited = tmp_path / "twice.json"
+    edited.write_text(f'{text[:-2]}, "nodes": {json.dumps(nodes)}}}')
+    expected = tns_from_dict(json.loads(edited.read_text()))
+    got = cli._read_tns(edited)
+    assert got.ids == expected.ids == [n["id"] for n in nodes]
+    assert (got.line_ends == expected.line_ends).all()
+    assert tns_to_dict(got) == tns_to_dict(expected)
+    # an id that only the first list has
+    gone = nodes.pop(3)["id"]
+    edited.write_text(f'{text[:-2]}, "nodes": {json.dumps(nodes)}}}')
+    message = f"malformed tns-v1 document: KeyError {gone!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tns_from_dict(json.loads(edited.read_text()))
+    assert _map(edited, tmp_path / "twice") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _traced_peak(read):
+    """Peak bytes tracemalloc sees while read() runs."""
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,layers", [("mera2d-b2", 6), ("mera1d", 10)])
+def test_reader_peaks_below_json_load(tmp_path, kind, layers):
+    # the decoded node list is freed before the lines are decoded
+    net = tmp_path / "net.json"
+    assert main(["build", "--kind", kind, "--layers", str(layers),
+                 "--no-elements", "--out", str(net)]) == 0
+
+    def load():
+        with open(net) as fh:
+            return tns_from_dict(json.load(fh))
+
+    read, loaded = _traced_peak(lambda: cli._read_tns(net)), \
+        _traced_peak(load)
+    assert read <= 0.78 * loaded, read / loaded
 
 
 NETWORKS = {

@@ -365,6 +365,19 @@ def test_router_writes_one_flat_vertex_array():
         assert chains[lid] == tuple(map(tuple, vertices[a:b].tolist()))
 
 
+def test_router_vertex_budget_boundary(monkeypatch):
+    # mera1d T=3 shifted routes 53 vertices: a budget of 53 holds them
+    net = build_mera_1d(3, with_elements=False)
+    p = place_shifted(net)
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "53")
+    assert len(route_lines(net, p).vertices) == 53
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "52")
+    with pytest.raises(dense.ResourceLimitError,
+                       match="^routed paths of 53 vertices exceed the "
+                             "budget 52$"):
+        route_lines(net, p)
+
+
 def test_routing_is_deterministic():
     _, _, pa1 = routed(build_mera_2d_b3, 2, "refined")
     _, _, pa2 = routed(build_mera_2d_b3, 2, "refined")
