@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import dense, mapping, qca, stabilizer, tns as tns_mod
-from .dense import ResourceLimitError
+from .lattice import ResourceLimitError, check_grid, malformed
 from .tns import GENERATOR_VERSION
 
 _BUILDERS = {
@@ -53,7 +53,8 @@ def _write(path, *texts):
 
 
 def _load_json(path):
-    with open(path) as fh:
+    """The map-v1 document of a file."""
+    with open(path) as fh, malformed("map-v1"):
         return json.load(fh)
 
 
@@ -91,16 +92,18 @@ def _read_tns(path) -> tns_mod.Tns:
     nodes become columns before the next member is decoded, so that in
     the order tnkit writes the decoded node list is freed before the
     lines are decoded; every other member is kept as decoded, and
-    tns_from_dict makes the line columns once the text is freed.  The text is read as json.load reads it: any
-    key order or whitespace, the last of repeated keys, and ValueError
-    for anything but one JSON value."""
+    tns_from_dict makes the line columns once the text is freed.  The
+    text is read as json.load reads it: any key order or whitespace, the
+    last of repeated keys, and ValueError for anything but one JSON
+    value, or for nesting past the decoder's depth."""
     with open(path) as fh:
         text = fh.read()
     space = json.decoder.WHITESPACE.match
     pos = space(text).end()
     if not text.startswith("{", pos):
         # not an object: json and tns_from_dict name the fault
-        return tns_mod.tns_from_dict(json.loads(text))
+        with malformed("tns-v1"):
+            return tns_mod.tns_from_dict(json.loads(text))
     decode = json.JSONDecoder().raw_decode
     data, pos = {}, space(text, pos + 1).end()
     more = not text.startswith("}", pos)
@@ -112,7 +115,8 @@ def _read_tns(path) -> tns_mod.Tns:
         pos = space(text, pos).end()
         if not text.startswith(":", pos):
             raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-        value, pos = decode(text, space(text, pos + 1).end())
+        with malformed("tns-v1"):
+            value, pos = decode(text, space(text, pos + 1).end())
         if key == "nodes":
             # a list node_columns refuses stays as decoded, and
             # tns_from_dict refuses it again unless a later member
@@ -328,10 +332,7 @@ def cmd_render(args) -> int:
     dim, length = spec.dimension, spec.length
     if dim > 2:
         raise ValueError("rendering supports 1 and 2 dimensions")
-    budget = dense.site_budget()
-    if spec.num_sites > budget:
-        raise ResourceLimitError(f"render grid of {length}^{dim} sites "
-                                 f"exceeds the site budget {budget}")
+    check_grid("render", length, dim)
     scale, margin = 28, 30
 
     def xy(site):

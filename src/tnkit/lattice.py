@@ -7,11 +7,14 @@ on it is decided by the placement schemes in tnkit.mapping.
 
 The size budgets live here too, so that every module can reach them: an
 amplitude limit, TNKIT_MAX_AMPLITUDES or 2**26, the site budget a
-sixty-fourth of it, and ResourceLimitError for what would pass either.
+sixty-fourth of it, check_grid for a grid against that budget, and
+ResourceLimitError for what would pass either.  The fault guard
+`malformed` serves every reader of tns-v1 and map-v1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, fields
@@ -38,6 +41,29 @@ def site_budget() -> int:
     """The most sites of a grid whose every site is held in memory: the
     tableau's 16 bytes per amplitude at 1 KiB a site."""
     return amplitude_limit() // 64
+
+
+def check_grid(what: str, base: int, power: int) -> None:
+    """ResourceLimitError unless a grid of base**power sites fits the
+    site budget; no power of a base above 1 past the budget's bit length
+    is taken."""
+    budget = site_budget()
+    if base > 1 and power > budget.bit_length() or base ** power > budget:
+        raise ResourceLimitError(f"{what} grid of {base}^{power} sites "
+                                 f"exceeds the site budget {budget}")
+
+
+@contextlib.contextmanager
+def malformed(fmt: str):
+    """Turn a fault in the values of a document of format fmt into
+    ValueError: a missing key or entry, a value of the wrong type, a
+    number past float64, or nesting past the JSON decoder's depth."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, OverflowError,
+            RecursionError) as exc:
+        raise ValueError(f"malformed {fmt} document: "
+                         f"{type(exc).__name__} {exc}") from exc
 
 
 def require_ints(values: Iterable, what: str) -> None:

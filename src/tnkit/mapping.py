@@ -58,7 +58,7 @@ import numpy as np
 
 from . import tns as _tns
 from .lattice import (Edge, LatticeSpec, ResourceLimitError, Site,
-                      amplitude_limit, int64_array, require_ints,
+                      amplitude_limit, int64_array, malformed, require_ints,
                       spec_from_dict, spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
                   VARIANTS, MeraMeta, Tns, distinct, slot_labels)
@@ -811,7 +811,7 @@ def read_map(data: dict, d: int | None = None):
     past = ("malformed map-v1 document: a path line id or coordinate does "
             "not fit in 64 bits")
     step = _tns.JSON_SLICE
-    try:
+    with malformed("map-v1"):
         scheme, host = data["scheme"], spec_from_dict(data["lattice"])
         d = host.dimension if d is None else d
         require_ints((data["delta_tau"],), f"delta_tau {data['delta_tau']!r}")
@@ -834,9 +834,6 @@ def read_map(data: dict, d: int | None = None):
             coords.append(int64_array(values, len(values),
                                       past=past).reshape(-1, d))
         coords = np.concatenate(coords)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed map-v1 document: "
-                         f"{type(exc).__name__} {exc}") from exc
     line_ids = int64_array(map(operator.itemgetter(0), paths), len(paths),
                            past=past)
     if (line_ids[1:] == line_ids[:-1]).any():

@@ -27,7 +27,7 @@ and the words it read are then drawn again from the saved state.
 
 The functions that hold per-site data (initial_pairs and the sublayers,
 half_cut_region, random_connected_region) take at most
-dense.site_budget() sites, 2**20 by default: the tableau's budget of 16
+lattice.site_budget() sites, 2**20 by default: the tableau's budget of 16
 bytes per amplitude at 1 KiB a site.  Beyond that they raise
 ResourceLimitError before they allocate.
 """
@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import ResourceLimitError, site_budget
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, check_grid
 
 Pair = tuple[Site, Site]
 
@@ -78,13 +77,9 @@ def _check_grid(dimension: int, length: int) -> None:
 
 def check_sites(dimension: int, length: int) -> None:
     """_check_grid, then ResourceLimitError unless the grid's sites fit
-    dense.site_budget()."""
+    lattice.site_budget()."""
     _check_grid(dimension, length)
-    budget = site_budget()
-    if length ** dimension > budget:
-        raise ResourceLimitError(
-            f"automaton grid of {length}^{dimension} sites exceeds the "
-            f"site budget {budget}")
+    check_grid("automaton", length, dimension)
 
 
 @dataclass

@@ -15,7 +15,7 @@ calls are batches of one pair.  A batch of rotations runs in blocks of
 about _BLOCK_WORDS generator words, so that its temporaries stay in
 cache, and each block's phase change is a bit-sliced count mod 4 taken
 from the running XOR of its rows.  The tableau may take at most
-16 * dense.amplitude_limit() bytes (1 GiB by default, set through
+16 * lattice.amplitude_limit() bytes (1 GiB by default, set through
 TNKIT_MAX_AMPLITUDES); init_zero raises ResourceLimitError beyond that.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tns
-from .dense import ResourceLimitError, amplitude_limit
+from .lattice import ResourceLimitError, amplitude_limit
 from .qca import site_indices, sublayer_indices
 
 # generator words per block of a batched rotation or of the rows an

@@ -38,8 +38,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .lattice import (LatticeSpec, ResourceLimitError, amplitude_limit,
-                      int64_array, require_ints, site_budget, spec_from_dict,
-                      spec_to_dict)
+                      check_grid, int64_array, malformed, require_ints,
+                      spec_from_dict, spec_to_dict)
 
 GENERATOR_VERSION = "tnkit-0.1.0"
 
@@ -236,15 +236,6 @@ class _Tables:
                    np.arange(lines.shape[1]), lines[:2], lines[2:4], lines[4])
 
 
-def _check_sites(dimension: int, b: int, layers: int) -> None:
-    """ResourceLimitError unless a (b**layers)^dimension grid fits the site
-    budget; no power of b past the budget's bit length is taken."""
-    budget, power = site_budget(), dimension * layers
-    if power > budget.bit_length() or b ** power > budget:
-        raise ResourceLimitError(f"network grid of {b}^{power} sites "
-                                 f"exceeds the site budget {budget}")
-
-
 def _random_orthonormal(rng, count, rows, cols) -> np.ndarray:
     """count complex (rows, cols) matrices with orthonormal columns, from
     one draw that holds each matrix's real part, then its imaginary part."""
@@ -329,7 +320,7 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
         raise ValueError("chi must be >= 1")
     if phys_dim < 2:
         raise ValueError("phys_dim must be >= 2")
-    _check_sites(dimension, b, layers)
+    check_grid("network", b, dimension * layers)
     patterns = [(variant, roles, math.prod(len(offs) for _, offs in roles))
                 for variant, roles in _FAMILIES[(dimension, b)]]
     block = b ** dimension
@@ -466,7 +457,7 @@ def build_ttn_example(layers: int) -> Tns:
     """
     if layers < 1 or layers % 2 == 0:
         raise ValueError("layers must be odd and >= 1")
-    _check_sites(1, 2, layers)
+    check_grid("network", 2, layers)
     spec = LatticeSpec(1, 2 ** layers, 2, layers)
     t = _Tables()
     _add_anchors(t, spec, 2)
@@ -694,10 +685,6 @@ def _columns(rows, keys):
     return [tuple(map(operator.itemgetter(key), rows)) for key in keys]
 
 
-def _malformed(exc: Exception) -> ValueError:
-    return ValueError(f"malformed tns-v1 document: {type(exc).__name__} {exc}")
-
-
 _INTS = "a count, layer, cell, dim, slot or line id"
 
 
@@ -728,10 +715,11 @@ def node_columns(rows) -> NodeColumns:
     ValueError when an entry is not an object or lacks a key, has a kind
     that is unknown, an id or variant that is not a string, a cell or
     dims that is not an array, elements that are neither an array of
-    numbers nor null, or a layer, cell entry or dim that is not an
-    integer or does not fit in 64 bits, or when two nodes share an id."""
+    numbers nor null or that hold a number past float64, or a layer,
+    cell entry or dim that is not an integer or does not fit in 64 bits,
+    or when two nodes share an id."""
     flat = itertools.chain.from_iterable
-    try:
+    with malformed("tns-v1"):
         ids, layers, cells, kinds, variants, dims, elements = _columns(
             rows, ("id", "layer", "cell", "kind", "variant", "dims",
                    "elements"))
@@ -753,8 +741,6 @@ def node_columns(rows) -> NodeColumns:
         if elements.count(None) < n:
             elements = [e if e is None else np.array(e, float).view(
                 complex).reshape(shape) for e, shape in zip(elements, dims)]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise _malformed(exc) from exc
     names = VARIANTS + tuple(sorted(set(variants) - set(VARIANTS)))
     codes = dict(zip(names, itertools.count()))
     cell_len = _int64(map(len, cells), n)
@@ -782,30 +768,24 @@ def tns_from_dict(data: dict) -> Tns:
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
         raise ValueError(f"unsupported network format {data.get('version')!r}")
-    try:
+    with malformed("tns-v1"):
         spec = spec_from_dict(data["lattice"])
         meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
         nodes, lines = data["nodes"], data["lines"]
         require_ints((data["physical_dim"], data["chi"], *astuple(meta)),
                      _INTS)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise _malformed(exc) from exc
     if not isinstance(nodes, NodeColumns):
         nodes = node_columns(nodes)
-    try:
+    with malformed("tns-v1"):
         line_ids, a, b, dims = _columns(lines, ("id", "a", "b", "dim"))
         ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
         slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
         require_ints(itertools.chain(line_ids, slots, dims), _INTS)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise _malformed(exc) from exc
     n, count, d = len(nodes.ids), len(line_ids), spec.dimension
     line_id, slots, dims = (_int64(line_ids, count), _int64(
         slots, 2 * count).reshape(2, count), _int64(dims, count))
-    try:
+    with malformed("tns-v1"):
         ends = _int64(map(nodes.index.__getitem__, ends), 2 * count)
-    except (KeyError, TypeError) as exc:
-        raise _malformed(exc) from exc
     ranked = np.sort(line_id)
     if (ranked[1:] == ranked[:-1]).any():
         raise ValueError("malformed tns-v1 document: repeated line id")

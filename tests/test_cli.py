@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -605,6 +606,78 @@ def test_verify_reads_map_in_network_dimension(tmp_path, capsys):
     assert main(["render", "--map", str(tmp_path / "bad.map.json")]) == 2
     assert "site or path vertex is not 1-dimensional" in \
         capsys.readouterr().err
+
+
+def _isometry_tree_3d(layers, seed=None):
+    """tns-v1 document of a 3D tree of isometries with b=2 and chi=2: an
+    anchor per site of the (2**layers)^3 grid, an isometry per 2x2x2 block
+    of each layer, and a top; random isometries when seed is given, else
+    no elements."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    nodes, lines = [], []
+
+    def add(nid, layer, cell, kind, variant, dims, matrix=None):
+        """Append a node; its elements a random (rows, cols) matrix of
+        orthonormal columns when matrix gives the shape."""
+        elements = None
+        if rng is not None and matrix:
+            a = rng.standard_normal((2, *matrix))
+            q = np.linalg.qr(a[0] + 1j * a[1])[0]
+            elements = np.ascontiguousarray(q).view(float).ravel().tolist()
+        nodes.append({"id": nid, "layer": layer, "cell": list(cell),
+                      "kind": kind, "variant": variant, "dims": list(dims),
+                      "elements": elements})
+        return nid
+
+    def grid(n):
+        return itertools.product(range(n), repeat=3)
+
+    length = 2 ** layers
+    # the node and slot exposing each site of the layer below
+    below = {c: (add("p:" + ",".join(map(str, c)), 0, c, "physical-anchor",
+                     "p", (2,)), 0) for c in grid(length)}
+    for tau in range(1, layers + 1):
+        above = {}
+        for c in grid(length >> tau):
+            nid = add(f"w:{tau}:" + ",".join(map(str, c)), tau, c,
+                      "isometry", "w", (2,) * 9, (256, 2))
+            for k, o in enumerate(grid(2)):
+                fine = below[tuple(2 * x + y for x, y in zip(c, o))]
+                lines.append({"id": len(lines), "a": list(fine),
+                              "b": [nid, k], "dim": 2})
+            above[c] = (nid, 8)
+        below = above
+    top = add(f"t:{layers}:0,0,0", layers, (0, 0, 0), "top", "t", (2,),
+              (2, 1))
+    lines.append({"id": len(lines), "a": list(below[0, 0, 0]),
+                  "b": [top, 0], "dim": 2})
+    return {"version": "tns-v1", "generator_version": "test",
+            "lattice": {"dimension": 3, "length": length, "branching": 2,
+                        "layers": layers, "boundary": "open"},
+            "physical_dim": 2, "chi": 2,
+            "meta": {"chi": 2, "branching": 2, "max_tensor_order": 9,
+                     "max_tensors_per_cell": 2, "max_cell_distance": 1,
+                     "max_layer_distance": 1},
+            "nodes": nodes, "lines": lines}
+
+
+@pytest.mark.parametrize("layers,seed", [(2, None), (1, 5)])
+def test_3d_isometry_tree_maps_and_verifies(tmp_path, capsys, layers, seed):
+    # in 3D no input of an apex isometry approaches along the first axis;
+    # the T=2 tree has an apex, the T=1 tree is small enough to verify
+    doc = _isometry_tree_3d(layers, seed)
+    net, routed = tmp_path / "iso3d.tns.json", tmp_path / "iso3d.map.json"
+    net.write_text(json.dumps(doc))
+    assert main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", str(tmp_path / "iso3d")]) == 0
+    network = tns_mod.tns_from_dict(doc)
+    placement, paths = mapping.map_from_dict(json.loads(routed.read_text()),
+                                             network)
+    assert mapping.check_routing(network, placement, paths) is None
+    if seed is not None:
+        capsys.readouterr()
+        assert main(["verify", "--tns", str(net), "--map", str(routed)]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
 
 def test_render_site_budget(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import argparse
 import json
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,60 @@ def test_edited_network_never_raises(documents, capsys):
         ["verify", "--tns", net, "--map", map_path]])
     capsys.readouterr()
     assert bad == []
+
+
+def test_edited_elements_never_raise(documents, capsys):
+    # _leaves skips elements: one entry of a node's elements is edited
+    # here, and the list is shortened
+    work, tns_path, map_path = documents
+    doc = json.loads(tns_path.read_text())
+    at = next(i for i, n in enumerate(doc["nodes"]) if n["elements"])
+    edits = [(("nodes", at, "elements", 0), value)
+             for value in (10 ** 400, "x", [1.0], True, None)]
+    edits.append((("nodes", at, "elements"), doc["nodes"][at]["elements"][1:]))
+    edited = work / "elements.json"
+    codes = []
+    for path, value in edits:
+        edited.write_text(json.dumps(_edited(doc, path, value)))
+        for argv in (["map", "--tns", str(edited), "--scheme", "refined",
+                      "--out-prefix", str(work / "elements")],
+                     ["verify", "--tns", str(edited), "--map", map_path]):
+            codes.append(cli.main(argv))
+            err = capsys.readouterr().err
+            if value == 10 ** 400:
+                assert err.startswith(
+                    "error: malformed tns-v1 document: OverflowError"), err
+    assert set(codes) <= EXIT_CODES
+    assert codes[:2] == [2, 2]
+
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("role,member", [
+    ("tns", "nodes"), ("tns", None), ("map", "paths"), ("map", None)])
+def test_nesting_past_the_decoder_depth_exits_2(documents, capsys, role,
+                                                member):
+    # the member's value, or the whole file, is the deep array; the
+    # member's entries move to a key of no meaning
+    work, tns_path, map_path = documents
+    files = {"tns": str(tns_path), "map": map_path}
+    text = Path(files[role]).read_text()
+    deep = work / f"deep.{role}.json"
+    deep.write_text(_DEEP if member is None else text.replace(
+        f'"{member}": [', f'"{member}": {_DEEP}, "x": [', 1))
+    files[role] = str(deep)
+    net, routed, out = files["tns"], files["map"], str(work / "deep-out")
+    runs = {"tns": [["map", "--tns", net, "--scheme", "refined",
+                     "--out-prefix", out]],
+            "map": [["render", "--map", routed, "--out", out]]}[role]
+    for argv in runs + [["verify", "--tns", net, "--map", routed]]:
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: malformed {role}-v1 document: RecursionError")
+        assert list(work.glob("deep-out*")) == []
 
 
 @pytest.mark.parametrize("value", [{}, {"a": 1}, ""], ids=repr)

@@ -6,6 +6,7 @@ not just an updated constant.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -457,6 +458,15 @@ def test_edge_queries_do_not_build_edge_lines():
     assert rep.paths_through(((-5, -5), (-5, -4))) == 0
     assert "edge_lines" not in vars(rep)
     assert rep.paths_through(edge) == len(rep.edge_lines[edge])
+    # pairs of another dimension, and an edge in the box no line crosses
+    units = np.eye(len(rep.shape), dtype=int).tolist()
+    box = itertools.product(*(range(o, o + n)
+                              for o, n in zip(rep.origin, rep.shape)))
+    free = next((lower, upper) for lower in box
+                for upper in (tuple(map(sum, zip(lower, u))) for u in units)
+                if (lower, upper) not in rep.edge_lines)
+    for pair in (((0,), (1,)), ((0, 0, 0), (0, 0, 1)), free):
+        assert (rep.paths_through(pair), rep.bond_dim_of(pair)) == (0, 1)
 
 
 def test_no_lines_means_unit_bonds():
