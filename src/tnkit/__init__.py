@@ -4,7 +4,7 @@ entropy checks at desk scale."""
 from .lattice import LatticeSpec
 # a network (Tns) is a node table and a line table of int64 columns;
 # Tns.nodes (a NodeView of TensorNode records) and Tns.lines (a LineView
-# of ContractionLine records) read them on demand
+# of ContractionLine records) copy a row into a record on each access
 from .tns import (KIND_CODES, KIND_NAMES, VARIANTS, ContractionLine,
                   LineView, MeraMeta, NodeView, TensorNode, Tns,
                   build_mera_1d, build_mera_2d_b2, build_mera_2d_b3,

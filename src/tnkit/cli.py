@@ -171,6 +171,9 @@ def cmd_map(args) -> int:
     placement = mapping.place(network, args.scheme, args.delta_tau)
     paths = mapping.route_lines(network, placement)
     report = mapping.measured_chi(network, paths)
+    # both figures first, so that a chi they refuse leaves no file
+    log_all = report.log_chi_peps(network.meta.chi)
+    log_int = report.log_chi_peps(network.meta.chi, include_physical=False)
     to_dict = functools.partial(mapping.map_to_dict, placement, paths)
     _write_json(args.out_prefix + ".map.json",
                 to_dict(lines=slice(tns_mod.JSON_SLICE)), {
@@ -182,8 +185,6 @@ def cmd_map(args) -> int:
 
     stacks = mapping.detect_stacks(placement)
     bound = mapping.chi_bound(network.meta, network.spec.dimension)
-    log_all = report.log_chi_peps(network.meta.chi)
-    log_int = report.log_chi_peps(network.meta.chi, include_physical=False)
     print(f"scheme: {args.scheme} (host L={placement.lattice.length}, "
           f"refine {placement.refine_factor})")
     print(f"max stack height: {stacks.max_height}")

@@ -87,8 +87,8 @@ class PairSet:
     """A perfect matching of lattice sites into entangled pairs.
 
     ends holds the pairs' row-major endpoint indices as a (P, 2) int64
-    array, derived from pairs unless given; it does not take part in
-    comparisons.
+    array, derived from pairs unless given (ValueError unless each pair is
+    two lattice sites); it does not take part in comparisons.
     """
 
     spec: LatticeSpec
@@ -97,9 +97,11 @@ class PairSet:
 
     def __post_init__(self) -> None:
         if self.ends is None:
-            coords = np.array(self.pairs, dtype=np.int64)
-            self.ends = site_indices(
-                coords.reshape(-1, 2, self.spec.dimension), self.spec.length)
+            bad = [pair for pair in self.pairs if len(pair) != 2]
+            if bad:
+                raise ValueError(f"pair {bad[0]} is not two sites")
+            sites = itertools.chain.from_iterable(self.pairs)
+            self.ends = _region_indices(self.spec, sites).reshape(-1, 2)
 
 
 def _pair_set(spec: LatticeSpec, ends: np.ndarray) -> PairSet:

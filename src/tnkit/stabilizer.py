@@ -85,11 +85,13 @@ def init_zero(num_qubits: int) -> StabilizerState:
 
 
 def _qubits(t: StabilizerState, qs) -> np.ndarray:
-    qs = np.asarray(qs, dtype=np.int64).reshape(-1)
+    qs = np.asarray(qs).reshape(-1)
+    if qs.size and qs.dtype.kind not in "iu":
+        raise TypeError(f"qubits must be integers, not {qs.dtype}")
     bad = qs[(qs < 0) | (qs >= t.num_qubits)]
     if bad.size:
         raise ValueError(f"qubit {bad[0]} outside [0, {t.num_qubits})")
-    return qs
+    return qs.astype(np.int64, copy=False)
 
 
 def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:

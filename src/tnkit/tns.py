@@ -22,7 +22,7 @@ Slot conventions (array axes follow slot order):
 A network (Tns) is a node table and a line table of int64 columns.  The
 builders fill them, tns-v1 is read a column at a time, and every pass
 indexes the columns without a Python object per node or line; the views
-`Tns.nodes` and `Tns.lines` make records on demand.
+`Tns.nodes` and `Tns.lines` copy a row into a snapshot record per access.
 """
 
 from __future__ import annotations
@@ -81,33 +81,20 @@ class MeraMeta:
     max_layer_distance: int
 
 
-class TensorNode:
-    """Node i of a network, its fields read from the node table on each
-    access.  They are read-only, except that setting `elements` sets the
-    table's entry; `elements` is None for symbolic networks."""
+class TensorNode(collections.namedtuple(
+        "TensorNode", "id layer cell kind variant dims elements")):
+    """A node's row of the node table, copied when `of` makes it;
+    `elements` is None for symbolic networks."""
 
-    __slots__ = ("_tns", "_i")
-
-    def __init__(self, tns: Tns, i: int):
-        self._tns, self._i = tns, i
-
-    id = property(lambda self: self._tns.ids[self._i])
-    layer = property(lambda self: int(self._tns.layer[self._i]))
-    cell = property(lambda self: tuple(self._tns.cell[self._i].tolist()))
-    kind = property(lambda self: KIND_NAMES[self._tns.kind[self._i]])
-    variant = property(
-        lambda self: self._tns.variants[self._tns.variant[self._i]])
-    dims = property(lambda self: tuple(self._tns.dims[slice(
-        *self._tns.dim_offsets[self._i:self._i + 2].tolist())].tolist()))
+    __slots__ = ()
     order = property(lambda self: len(self.dims))
 
-    @property
-    def elements(self) -> np.ndarray | None:
-        return self._tns.elements[self._i]
-
-    @elements.setter
-    def elements(self, value: np.ndarray | None) -> None:
-        self._tns.elements[self._i] = value
+    @classmethod
+    def of(cls, tns: Tns, i: int) -> TensorNode:
+        start, end = tns.dim_offsets[i:i + 2].tolist()
+        return cls(tns.ids[i], int(tns.layer[i]), tuple(tns.cell[i].tolist()),
+                   KIND_NAMES[tns.kind[i]], tns.variants[tns.variant[i]],
+                   tuple(tns.dims[start:end].tolist()), tns.elements[i])
 
 
 # a contracted index pair: line id, (node id, slot) of each end, dimension
@@ -125,7 +112,7 @@ class NodeView(Mapping):
         return dict(zip(self._tns.ids, itertools.count()))
 
     def __getitem__(self, nid: str) -> TensorNode:
-        return TensorNode(self._tns, self._index[nid])
+        return TensorNode.of(self._tns, self._index[nid])
 
     def __iter__(self):
         return iter(self._tns.ids)
@@ -523,8 +510,8 @@ def distinct(values: np.ndarray):
 def validate_preconditions(tns: Tns) -> ValidationReport:
     """Check the structural conditions the placement schemes rely on.
 
-    Verifies the host lattice shape, layer labels, line dimensions against
-    meta.chi, tensor orders, per-cell tensor counts, line layer distances,
+    Verifies the host lattice shape, layer labels, line dimensions from 1
+    to meta.chi, tensor orders, per-cell tensor counts, line layer distances,
     and line cell distances (L1, measured in the coarser endpoint layer).
     Also checks that every line end names a slot of its node with the
     line's dimension, that every slot is covered by exactly one line, and
@@ -578,7 +565,7 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
                 f"{n.id}: order {n.order} exceeds {meta.max_tensor_order}")),
             (tensor & (cells.view(np.uint64) >= width[:, None]).any(axis=1),
              lambda n: f"{n.id}: cell {n.cell} outside layer grid")):
-        issues.extend(text(TensorNode(tns, i))
+        issues.extend(text(TensorNode.of(tns, i))
                       for i in mask.nonzero()[0].tolist())
 
     # tensors per (layer, cell)
@@ -622,6 +609,8 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
             (dim > meta.chi, lambda i: (
                 f"line {line_id[i]}: dimension {dim[i]} exceeds chi "
                 f"{meta.chi}")),
+            (dim < 1, lambda i: (
+                f"line {line_id[i]}: dimension {dim[i]} is below 1")),
             (too_far, lambda i: (
                 f"line {line_id[i]}: spans layers {lo_layer[i]}.."
                 f"{hi_layer[i]}, max distance {meta.max_layer_distance}")),
@@ -739,6 +728,11 @@ def node_columns(rows) -> NodeColumns:
         require_ints(flat((layers, flat(cells), flat(dims))), _INTS)
         n = len(ids)
         if elements.count(None) < n:
+            for nid, e, shape in zip(ids, elements, dims):
+                if e is not None and len(e) != 2 * math.prod(shape):
+                    raise ValueError(
+                        f"malformed tns-v1 document: {nid}: {len(e)} "
+                        f"numbers in elements, not 2 per amplitude of {shape}")
             elements = [e if e is None else np.array(e, float).view(
                 complex).reshape(shape) for e, shape in zip(elements, dims)]
     names = VARIANTS + tuple(sorted(set(variants) - set(VARIANTS)))

@@ -849,6 +849,61 @@ def test_verify_rejects_header_that_disagrees_with_network(built, tmp_path,
     assert capsys.readouterr().out == f"structural error: {problem}\n"
 
 
+def _every_dim(tmp_path, value, chi=None):
+    """Symbolic mera1d T=2 with physical_dim, every node dims entry and
+    every line dim set to value, and chi and meta.chi to chi unless it
+    is None; the path of its tns-v1 file and of the intact network's
+    shifted map."""
+    intact, prefix = tmp_path / "net.json", str(tmp_path / "m")
+    assert main(["build", "--kind", "mera1d", "--layers", "2",
+                 "--no-elements", "--out", str(intact)]) == 0
+    assert main(["map", "--tns", str(intact), "--scheme", "shifted",
+                 "--out-prefix", prefix]) == 0
+    data = json.loads(intact.read_text())
+    data["physical_dim"] = value
+    for node in data["nodes"]:
+        node["dims"] = [value] * len(node["dims"])
+    for line in data["lines"]:
+        line["dim"] = value
+    if chi is not None:
+        data["chi"] = data["meta"]["chi"] = chi
+    net = tmp_path / "dims.json"
+    net.write_text(json.dumps(data))
+    return net, prefix + ".map.json"
+
+
+@pytest.mark.parametrize("value", [-2, 0])
+def test_line_dimension_below_1_fails_preconditions(tmp_path, capsys, value):
+    # an even number of -2 factors makes a positive chi_peps, and 0 has no
+    # logarithm: validation has to catch both
+    net, map_path = _every_dim(tmp_path, value)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["map", "--tns", str(net), "--scheme", "shifted",
+                 "--out-prefix", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(
+        f"  line {i}: dimension {value} is below 1\n" for i in range(9))
+    assert not list(tmp_path.glob("out.*"))
+    assert main(["verify", "--tns", str(net), "--map", map_path]) == 4
+    assert capsys.readouterr().out == \
+        f"structural error: line 0: dimension {value} is below 1\n"
+
+
+def test_map_refuses_chi_1_before_writing(tmp_path, capsys):
+    # every dim 1 passes the preconditions, but no log-chi figure has
+    # base 1; map has to find that out before it writes
+    net, _ = _every_dim(tmp_path, 1, chi=1)
+    capsys.readouterr()
+    assert main(["map", "--tns", str(net), "--scheme", "shifted",
+                 "--out-prefix", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: chi must be >= 2 for a log-chi figure\n"
+    assert not (tmp_path / "out.map.json").exists()
+    assert not (tmp_path / "out.congestion.csv").exists()
+
+
 def test_verify_rejects_bool_path_id(built, tmp_path, capsys):
     # True hashes equal to 1, so it could stand in for line 1
     prefix = str(tmp_path / "m")

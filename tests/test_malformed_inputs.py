@@ -91,13 +91,15 @@ def test_edited_network_never_raises(documents, capsys):
 
 def test_edited_elements_never_raise(documents, capsys):
     # _leaves skips elements: one entry of a node's elements is edited
-    # here, and the list is shortened
+    # here, and the list is shortened by one number (an odd count) and by
+    # two (a whole amplitude)
     work, tns_path, map_path = documents
     doc = json.loads(tns_path.read_text())
     at = next(i for i, n in enumerate(doc["nodes"]) if n["elements"])
     edits = [(("nodes", at, "elements", 0), value)
              for value in (10 ** 400, "x", [1.0], True, None)]
-    edits.append((("nodes", at, "elements"), doc["nodes"][at]["elements"][1:]))
+    edits += [(("nodes", at, "elements"), doc["nodes"][at]["elements"][k:])
+              for k in (1, 2)]
     edited = work / "elements.json"
     codes = []
     for path, value in edits:
@@ -110,8 +112,13 @@ def test_edited_elements_never_raise(documents, capsys):
             if value == 10 ** 400:
                 assert err.startswith(
                     "error: malformed tns-v1 document: OverflowError"), err
+            elif path[-1] == "elements":
+                assert err.startswith(
+                    f"error: malformed tns-v1 document: "
+                    f"{doc['nodes'][at]['id']}: {len(value)} numbers in "
+                    f"elements, not 2 per amplitude of"), err
     assert set(codes) <= EXIT_CODES
-    assert codes[:2] == [2, 2]
+    assert codes[:2] == codes[-4:-2] == codes[-2:] == [2, 2]
 
 
 _DEEP = "[" * 200_000 + "]" * 200_000
@@ -250,7 +257,7 @@ def test_elements_round_trip_bit_exact():
                complex(-np.inf, np.nan)]
     flat = node.elements.reshape(-1).copy()
     flat[:len(special)] = special
-    node.elements = flat.reshape(node.elements.shape)
+    net.elements[net.ids.index(node.id)] = flat.reshape(node.elements.shape)
     back = tns_from_dict(json.loads(json.dumps(tns_to_dict(net))))
     for nid, original in net.nodes.items():
         if original.elements is None:

@@ -110,6 +110,22 @@ def test_step_worked_example():
     assert out.pairs == (((0, 0), (5, 5)),)
 
 
+@pytest.mark.parametrize("pair,message", [
+    (((2.5, 2), (3, 3)), "site (2.5, 2) outside the lattice"),
+    (((True, 2), (3, 3)), "site (True, 2) outside the lattice"),
+    (((2, 2), (6, 3)), "site (6, 3) outside the lattice"),
+    (((2, 2),), "pair ((2, 2),) is not two sites"),
+    (((1, 1), (2, 2), (3, 3)), "pair ((1, 1), (2, 2), (3, 3)) is not two "
+                               "sites"),
+])
+def test_pair_set_refuses_pairs_that_are_not_two_sites(pair, message):
+    # an int64 cast would read 2.5 as 2 and True as 1
+    spec = LatticeSpec(2, 6, 2, 1, "periodic")
+    with pytest.raises(ValueError) as err:
+        qca.PairSet(spec, (pair,))
+    assert str(err.value) == message
+
+
 def test_step_equals_sublayer_composition():
     # one layer = odd-aligned swaps then even-aligned swaps
     for dim, length in ((1, 8), (2, 6)):

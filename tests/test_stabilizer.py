@@ -397,6 +397,23 @@ def test_pair_batches_need_distinct_qubits(a, b):
         stab.apply_cnot(t, 5, 5)
 
 
+@pytest.mark.parametrize("qubits", [[0.5], [True], np.array([1.0])])
+def test_qubits_must_be_integers(qubits):
+    # an int64 cast would read [0.5] as qubit 0 and [True] as qubit 1
+    t = stab.init_zero(4)
+    with pytest.raises(TypeError, match="qubits must be integers"):
+        stab.entanglement_entropy(t, qubits)
+    for gate in (stab.apply_swaps, stab.apply_xx_rotations):
+        with pytest.raises(TypeError, match="qubits must be integers"):
+            gate(t, qubits, [2])
+        with pytest.raises(TypeError, match="qubits must be integers"):
+            gate(t, [2], qubits)
+    # an empty list holds no qubit of any type
+    assert stab.entanglement_entropy(t, []) == 0
+    stab.apply_xx_rotations(t, [], [])
+    assert stab.entanglement_entropy(t, [0]) == 0
+
+
 def test_entropy_region_repeats_and_order_do_not_matter():
     t = stab.run_qca(1, 12, 2)
     region = [7, 3, 3, 0, 7, 11]

@@ -142,6 +142,8 @@ def _oracle_validate(tns):
         if line.dim > meta.chi:
             issues.append(f"line {line.id}: dimension {line.dim} exceeds chi "
                           f"{meta.chi}")
+        if line.dim < 1:
+            issues.append(f"line {line.id}: dimension {line.dim} is below 1")
         slot_seen[line.a] = slot_seen.get(line.a, 0) + 1
         slot_seen[line.b] = slot_seen.get(line.b, 0) + 1
         pa, pb = nodes[line.a[0]], nodes[line.b[0]]
