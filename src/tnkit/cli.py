@@ -262,6 +262,11 @@ def _entropy_qca(args):
     try:
         for length in lengths:
             ps0 = qca.initial_pairs(args.dimension, length)
+            if args.cross_check:
+                # the rotated pairs once per length; each layer is then
+                # one row gather through the layer's qubit permutation
+                state = stabilizer.run_qca(args.dimension, length, 0)
+                step = qca.layer_permutation(args.dimension, length)
             for layers in range(1, args.layers_max + 1):
                 ps = qca.evolve(ps0, layers)
                 if args.cut == "half":
@@ -274,15 +279,13 @@ def _entropy_qca(args):
                         args.dimension, length, rng))
                             for i in range(args.cuts)]
                 if args.cross_check:
-                    state = stabilizer.run_qca(args.dimension, length,
-                                               layers)
+                    stabilizer.permute_qubits(state, step)
                 for cut_id, region in cuts:
                     s = qca.entropy_across(ps, region)
                     rows_data.append((args.dimension, length, layers,
                                       cut_id, s))
                     if args.cross_check:
-                        s2 = stabilizer.entanglement_entropy(
-                            state, stabilizer.region_qubits(region, length))
+                        s2 = stabilizer.entanglement_entropy(state, region)
                         if s2 != s:
                             print(f"cross-check FAILED at L={length} "
                                   f"T={layers} {cut_id}: pair count {s}, "

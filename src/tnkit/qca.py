@@ -15,18 +15,24 @@ bits, which the stabilizer simulation confirms gate by gate.
 
 The tracker works on row-major site indices, the qubit order of the
 stabilizer driver, in which index order is the lexicographic order of
-sites.  A sublayer is a pair of index arrays, a PairSet carries its
-(P, 2) endpoint-index array beside the canonical site tuples, and regions
-are grown and counted on indices; site tuples appear only where the
-public functions take or return them.
+sites.  A sublayer is a pair of index arrays, and one layer is the
+permutation layer_permutation composes from them.  A PairSet carries its
+(P, 2) endpoint-index array beside the canonical site tuples.  A region
+is a sorted int64 array of site indices: half_cut_region and
+random_connected_region return one, and entropy_across and
+stabilizer.entanglement_entropy both take it as it is.  Site tuples
+remain only where a public name holds single sites or pairs:
+PairSet.pairs, sublayer_swaps, site_index and pair_separation.
 
 The region sampler draws the same integers as scalar rng.integers calls
 and leaves the generator in the same state.  Its picks are computed by
 numpy's bounded-integer rule from blocks of the generator's 32-bit words,
-and the words it read are then drawn again from the saved state.
+and the words it read are then drawn again from the saved state.  The
+neighbour table it walks is built once per grid and kept for the most
+recent grid only.
 
-The functions that hold per-site data (initial_pairs and the sublayers,
-half_cut_region, random_connected_region) take at most
+The functions that hold per-site data (initial_pairs, the sublayers and
+layer_permutation, half_cut_region, random_connected_region) take at most
 lattice.site_budget() sites, 2**20 by default: the tableau's budget of 16
 bytes per amplitude at 1 KiB a site.  Beyond that they raise
 ResourceLimitError before they allocate.
@@ -34,6 +40,7 @@ ResourceLimitError before they allocate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -159,6 +166,18 @@ def sublayer_swaps(dimension: int, length: int, offset: int) -> list[Pair]:
                     _sites(b, dimension, length)))
 
 
+def layer_permutation(dimension: int, length: int) -> np.ndarray:
+    """One automaton layer as a gather of row-major sites: after the
+    odd-aligned sublayer and then the even-aligned one, site q holds what
+    site step[q] held before."""
+    check_sites(dimension, length)
+    step = np.arange(length ** dimension)
+    for offset in (1, 0):
+        a, b = sublayer_indices(dimension, length, offset)
+        step[np.concatenate([a, b])] = step[np.concatenate([b, a])]
+    return step
+
+
 def evolve(ps: PairSet, layers: int) -> PairSet:
     """The pairs after the given number of automaton layers.
 
@@ -191,18 +210,33 @@ def _region_indices(spec: LatticeSpec, region) -> np.ndarray:
 
 
 def entropy_across(ps: PairSet, region) -> int:
-    """Entropy in bits across a cut: pairs with exactly one endpoint inside."""
-    inside = np.zeros(ps.spec.num_sites, dtype=bool)
-    inside[_region_indices(ps.spec, region)] = True
+    """Entropy in bits across a cut: pairs with exactly one endpoint inside.
+
+    region holds row-major site indices, in any order and with repeats;
+    ValueError, naming an entry, unless it is a 1-d array of integers in
+    [0, L**D)."""
+    idx = np.asarray(region)
+    n = ps.spec.num_sites
+    if idx.ndim != 1:
+        raise ValueError(f"region must be a 1-d array of site indices, "
+                         f"not of shape {idx.shape}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"region entry {idx[:1].tolist()[0]!r} "
+                         f"is not an int64 index")
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise ValueError(f"region index {bad[0]} outside [0, {n})")
+    inside = np.zeros(n, dtype=bool)
+    inside[idx.astype(np.int64, copy=False)] = True
     return int(np.count_nonzero(inside[ps.ends[:, 0]]
                                 != inside[ps.ends[:, 1]]))
 
 
-def half_cut_region(dimension: int, length: int) -> list[Site]:
-    """Sites with first coordinate below length / 2."""
+def half_cut_region(dimension: int, length: int) -> np.ndarray:
+    """Row-major indices of the sites with first coordinate below
+    length / 2: the first half of all indices."""
     check_sites(dimension, length)
-    return list(itertools.product(range(length // 2),
-                                  *[range(length)] * (dimension - 1)))
+    return np.arange(length // 2 * length ** (dimension - 1), dtype=np.int64)
 
 
 # generator words _Words holds at once
@@ -263,9 +297,21 @@ class _Words:
             left -= n
 
 
+@functools.lru_cache(maxsize=1)
+def _neighbours(dimension: int, length: int) -> list[list[int]]:
+    """neighbours[q]: the indices of site q's neighbours, in draw order.
+    Only the most recent grid's table is kept, and its regions share it,
+    so the sampler only reads it."""
+    grid = np.arange(length ** dimension).reshape((length,) * dimension)
+    return np.stack([np.roll(grid, -delta, axis).ravel()
+                     for axis in range(dimension)
+                     for delta in (-1, 1)], axis=1).tolist()
+
+
 def random_connected_region(dimension: int, length: int, rng,
-                            size: int | None = None) -> list[Site]:
-    """Connected random site region grown by seeded breadth-first search.
+                            size: int | None = None) -> np.ndarray:
+    """Connected random region grown by seeded breadth-first search, as
+    the sorted int64 array of its row-major site indices.
 
     Each step draws a frontier site, then one of its neighbours outside
     the region, listed axis by axis, -1 before +1; a frontier site with
@@ -282,11 +328,7 @@ def random_connected_region(dimension: int, length: int, rng,
         raise ValueError(f"size must be in [1, {total})")
     start = site_index(rng.integers(0, length, size=dimension).tolist(),
                        length)
-    # neighbours[q]: the indices of site q's neighbours, in draw order
-    grid = np.arange(total).reshape((length,) * dimension)
-    neighbours = np.stack([np.roll(grid, -delta, axis).ravel()
-                           for axis in range(dimension)
-                           for delta in (-1, 1)], axis=1).tolist()
+    neighbours = _neighbours(dimension, length)
     inside = bytearray(total)
     inside[start] = 1
     frontier = [start]
@@ -303,8 +345,7 @@ def random_connected_region(dimension: int, length: int, rng,
         inside[pick] = 1
         frontier.append(pick)
     words.close()
-    return _sites(np.flatnonzero(np.frombuffer(inside, dtype=np.uint8)),
-                  dimension, length)
+    return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8))
 
 
 def pair_separation(pair: Pair, length: int) -> float:

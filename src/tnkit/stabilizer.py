@@ -32,22 +32,26 @@ The tree-state driver applies tns.ttn_gate_schedule a layer's block of
 rows at a time and sizes the cut by tns.ttn_cut_size; it never calls
 tns.build_ttn_example, so the tableau and the dense contraction of the
 built network simulate the same gates independently.  The automaton
-driver takes both swap sublayers from qca.sublayer_indices as row-major
-qubit index arrays, and its initial pairs are the odd sublayer's
-transpositions, the set qca.initial_pairs hands the pair tracker; the
-cross-checks live in the test suite and in `entropy --cross-check`.
+driver rotates the odd swap sublayer's pairs of qca.sublayer_indices
+into entangled pairs, the set qca.initial_pairs hands the pair tracker.
+Its layers are one permutation of qubits, qca.layer_permutation, and
+permute_qubits, the one row mover, applies a permutation as a single
+gather of the x and z rows; run_qca raises the permutation to the
+number of layers before it moves the rows once, and `entropy
+--cross-check` sets each length up once and moves the rows one layer
+at a time.  The cross-checks live in the test suite and in that
+command.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tns
-from .lattice import ResourceLimitError, amplitude_limit
-from .qca import site_indices, sublayer_indices
+from .lattice import LatticeSpec, ResourceLimitError, amplitude_limit
+from .qca import _region_indices, layer_permutation, sublayer_indices
 
 # generator words per block of a batched rotation or of the rows an
 # entropy reads: 128 KiB temporaries stay in L2 (fastest of 2**11-2**20)
@@ -242,10 +246,13 @@ def _peeled_rank(gens: np.ndarray, cols: np.ndarray, num_rows: int,
 
 
 def entanglement_entropy(t: StabilizerState, region) -> int:
-    """Entropy in bits of the reduced state on the given qubits; exact."""
+    """Entropy in bits of the reduced state on the given qubits, an
+    integer array (such as a qca region) or any iterable of ints; exact."""
     n = t.num_qubits
+    if not isinstance(region, np.ndarray):
+        region = list(region)
     inside = np.zeros(n, dtype=bool)
-    inside[_qubits(t, list(region))] = True
+    inside[_qubits(t, region)] = True
     k = int(np.count_nonzero(inside))
     if k == 0 or k == n:
         return 0
@@ -330,37 +337,55 @@ def run_ttn_example(layers: int) -> TtnRun:
     return TtnRun(entanglement_entropy(state, region), region, schedule, state)
 
 
+def permute_qubits(t: StabilizerState, source) -> StabilizerState:
+    """Move every qubit's rows at once: qubit q takes the X and Z bits
+    that qubit source[q] held.  source must be a permutation of the
+    qubits (ValueError otherwise); phases do not change."""
+    source = _qubits(t, source)
+    seen = np.zeros(t.num_qubits, dtype=bool)
+    seen[source] = True
+    if source.size != t.num_qubits or not seen.all():
+        raise ValueError("source must be a permutation of the qubits")
+    # one array at a time, so that at most one old copy is alive
+    t.x = t.x[source]
+    t.z = t.z[source]
+    return t
+
+
 def run_qca(dimension: int, length: int, layers: int) -> StabilizerState:
     """State of the swap automaton after the given number of layers.
 
     Starts from rotation-created pairs on the odd-aligned plaquettes; each
     layer applies the odd-aligned sublayer of diagonal swaps first and the
     even-aligned sublayer second.  Qubits are indexed row-major.  The two
-    sublayers compose to one permutation of qubits, raised to the number
-    of layers on the indices before the rows are moved once.
+    sublayers compose to one permutation of qubits,
+    qca.layer_permutation; it is raised to the number of layers on the
+    indices, and permute_qubits moves the rows once.  A caller that
+    wants every depth takes run_qca(dimension, length, 0) and applies
+    permute_qubits(state, qca.layer_permutation(dimension, length)) once
+    per layer, the same state layer by layer.
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
-    n = length ** dimension
-    state = init_zero(n)
-    step = np.arange(n)
-    for offset in (1, 0):   # odd-aligned sublayer first
-        a, b = sublayer_indices(dimension, length, offset)
-        if offset:   # the initial pairs are the odd sublayer's swaps
-            apply_xx_rotations(state, a, b)
-        step[np.concatenate([a, b])] = step[np.concatenate([b, a])]
-    # qubit q ends up holding the bits of qubit source[q]
-    source = np.arange(n)
-    for _ in range(layers):
-        source = source[step]
-    state.x, state.z = state.x[source], state.z[source]
+    state = init_zero(length ** dimension)
+    # the initial pairs are the odd sublayer's swaps
+    apply_xx_rotations(state, *sublayer_indices(dimension, length, 1))
+    if layers:
+        step = layer_permutation(dimension, length)
+        source = step
+        for _ in range(layers - 1):
+            source = source[step]
+        permute_qubits(state, source)
     return state
 
 
 def region_qubits(region, length: int) -> list[int]:
-    """Row-major qubit indices of a site region."""
+    """Row-major qubit indices of a site region; ValueError, naming a
+    site, unless every site has as many int coordinates as the first
+    and each lies in [0, length)."""
     sites = list(region)
     if not sites:
         return []
-    coords = np.fromiter(itertools.chain.from_iterable(sites), dtype=np.int64)
-    return site_indices(coords.reshape(len(sites), -1), length).tolist()
+    # a first site of no coordinates is named as a site, not a dimension
+    spec = LatticeSpec(max(len(sites[0]), 1), length)
+    return _region_indices(spec, sites).tolist()

@@ -704,9 +704,10 @@ def node_columns(rows) -> NodeColumns:
     ValueError when an entry is not an object or lacks a key, has a kind
     that is unknown, an id or variant that is not a string, a cell or
     dims that is not an array, elements that are neither an array of
-    numbers nor null or that hold a number past float64, or a layer,
-    cell entry or dim that is not an integer or does not fit in 64 bits,
-    or when two nodes share an id."""
+    numbers nor null, that hold a number past float64, or that numpy
+    cannot convert or shape by dims (naming the node), or a layer, cell
+    entry or dim that is not an integer or does not fit in 64 bits, or
+    when two nodes share an id."""
     flat = itertools.chain.from_iterable
     with malformed("tns-v1"):
         ids, layers, cells, kinds, variants, dims, elements = _columns(
@@ -733,8 +734,16 @@ def node_columns(rows) -> NodeColumns:
                     raise ValueError(
                         f"malformed tns-v1 document: {nid}: {len(e)} "
                         f"numbers in elements, not 2 per amplitude of {shape}")
-            elements = [e if e is None else np.array(e, float).view(
-                complex).reshape(shape) for e, shape in zip(elements, dims)]
+            arrays = []
+            try:
+                for nid, e, shape in zip(ids, elements, dims):
+                    arrays.append(e if e is None else np.array(e, float)
+                                  .view(complex).reshape(shape))
+            except ValueError as exc:
+                # an entry that is no number, or dims numpy cannot take
+                raise ValueError(f"malformed tns-v1 document: {nid}: "
+                                 f"{exc}") from None
+            elements = arrays
     names = VARIANTS + tuple(sorted(set(variants) - set(VARIANTS)))
     codes = dict(zip(names, itertools.count()))
     cell_len = _int64(map(len, cells), n)

@@ -437,8 +437,9 @@ def test_entropy_qca_failed_cross_check_outranks_the_limit(monkeypatch,
     assert captured.err.splitlines()[1].startswith("resource limit: ")
 
 
-def test_entropy_qca_cross_check_runs_automaton_once_per_depth(monkeypatch,
-                                                               tmp_path):
+def test_entropy_qca_cross_check_runs_automaton_once_per_length(monkeypatch,
+                                                                tmp_path):
+    # each length's tableau is set up once and advanced layer by layer
     from tnkit import stabilizer
     calls = []
     run_qca = stabilizer.run_qca
@@ -453,7 +454,7 @@ def test_entropy_qca_cross_check_runs_automaton_once_per_depth(monkeypatch,
                  "--cuts", "3", "--cross-check",
                  "--out", str(tmp_path / "qca.csv")])
     assert code == 0
-    assert sorted(calls) == [(1, 8, 1), (1, 8, 2), (1, 12, 1), (1, 12, 2)]
+    assert calls == [(1, 8, 0), (1, 12, 0)]
 
 
 def test_entropy_qca_cross_check_reports_disagreement(monkeypatch, capsys):

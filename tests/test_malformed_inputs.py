@@ -170,6 +170,32 @@ def test_node_field_of_wrong_json_type_exits_2(documents, capsys, command,
     assert captured.err.startswith("error: malformed tns-v1 document: ")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda node: node["elements"].__setitem__(0, "x"),
+    lambda node: node["elements"].__setitem__(0, [1.0]),
+    lambda node: node.update(dims=[-2, -2, 2], elements=[0.5] * 16)],
+    ids=["string-entry", "list-entry", "two-negative-dims"])
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_elements_numpy_refuses_name_the_node(documents, capsys, command,
+                                              edit):
+    # numpy refuses each of these while it converts the elements; the
+    # message names the document and the node
+    work, tns_path, map_path = documents
+    doc = json.loads(tns_path.read_text())
+    node = next(n for n in doc["nodes"] if n["elements"] is not None)
+    edit(node)
+    edited = work / "numpy-refuses.json"
+    edited.write_text(json.dumps(doc))
+    argv = {"map": ["map", "--tns", str(edited), "--scheme", "refined",
+                    "--out-prefix", str(work / "numpy-refuses")],
+            "verify": ["verify", "--tns", str(edited), "--map", map_path]}
+    assert cli.main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: malformed tns-v1 document: {node['id']}: "), captured.err
+
+
 def test_edited_map_never_raises(documents, capsys):
     work, tns_path, map_path = documents
     doc = json.loads(open(map_path).read())

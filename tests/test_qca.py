@@ -2,6 +2,8 @@
 
 The tracker runs on row-major index arrays; the site-tuple versions below
 are the implementations it replaced, kept as oracles it must match.
+Regions are index arrays, turned into site tuples (_sites_of) only where
+an oracle takes them.
 """
 
 import itertools
@@ -33,6 +35,12 @@ def _sublayer_swaps(dimension, length, offset):
             b2 = tuple((b + 1 - ci) % length for b, ci in zip(base, c))
             out.append((a, b2))
     return out
+
+
+def _sites_of(region, dimension, length):
+    """Site tuples of row-major indices, in their order."""
+    sites = list(itertools.product(range(length), repeat=dimension))
+    return [sites[i] for i in np.asarray(region).tolist()]
 
 
 def _evolve(ps, layers):
@@ -209,15 +217,14 @@ def test_separation_grows_four_root_d_per_layer():
 def test_entropy_region_validation():
     ps = qca.initial_pairs(2, 4)
     with pytest.raises(ValueError):
-        qca.entropy_across(ps, [(4, 0)])
+        qca.entropy_across(ps, [16])
     assert qca.entropy_across(ps, []) == 0
 
 
 def test_entropy_complement_symmetry():
     ps = qca.evolve(qca.initial_pairs(2, 8), 2)
     region = qca.half_cut_region(2, 8)
-    inside = set(region)
-    complement = [s for s in ps.spec.sites() if s not in inside]
+    complement = np.setdiff1d(np.arange(64), region)
     assert qca.entropy_across(ps, region) \
         == qca.entropy_across(ps, complement)
 
@@ -238,10 +245,19 @@ def test_half_cut_region_size():
     assert len(qca.half_cut_region(1, 8)) == 4
 
 
+def test_half_cut_region_is_the_first_half_of_the_indices():
+    for dim, length in ((1, 8), (2, 6), (3, 4)):
+        region = qca.half_cut_region(dim, length)
+        assert region.dtype == np.int64
+        assert _sites_of(region, dim, length) == [
+            s for s in itertools.product(range(length), repeat=dim)
+            if s[0] < length // 2]
+
+
 def test_random_connected_region_properties():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        region = qca.random_connected_region(2, 6, rng)
+        region = _sites_of(qca.random_connected_region(2, 6, rng), 2, 6)
         cells = set(region)
         assert 1 <= len(cells) < 36
         # connectivity under periodic wrap
@@ -260,7 +276,7 @@ def test_random_connected_region_properties():
 def test_random_connected_region_seeded_and_sized():
     a = qca.random_connected_region(2, 6, np.random.default_rng(12), size=9)
     b = qca.random_connected_region(2, 6, np.random.default_rng(12), size=9)
-    assert a == b and len(a) == 9
+    assert a.tolist() == b.tolist() and len(a) == 9
     with pytest.raises(ValueError):
         qca.random_connected_region(2, 6, np.random.default_rng(0), size=36)
 
@@ -341,24 +357,49 @@ def test_entropy_across_matches_oracle_on_random_regions():
             ps = qca.evolve(ps0, layers)
             for _ in range(6):
                 k = int(rng.integers(0, len(sites) + 1))
-                region = [sites[i] for i in rng.choice(len(sites), size=k)]
-                assert qca.entropy_across(ps, region) \
-                    == _entropy_across(ps, region)
-                assert qca.entropy_across(ps, iter(region)) \
-                    == _entropy_across(ps, region)
+                region = rng.choice(len(sites), size=k)
+                want = _entropy_across(ps, [sites[i] for i in region])
+                assert qca.entropy_across(ps, region) == want
+                assert qca.entropy_across(ps, region.tolist()) == want
 
 
 @pytest.mark.parametrize("site", [
     (4, 0), (0, 4), (-1, 0), (0, 0, 0), (0,), (0.0, 1), (1, 1.5),
     (True, 1), (1, False), (np.int64(1), 0), (2 ** 70, 0)])
 def test_entropy_across_rejects_sites_off_the_lattice(site):
+    # entropy_across takes site indices, so no region of site tuples;
+    # the site check that PairSet and stabilizer.region_qubits use names
+    # the site
     ps = qca.initial_pairs(2, 4)
     region = [(0, 0), site, (1, 1)]
-    with pytest.raises(ValueError, match="outside the lattice") as err:
+    with pytest.raises(ValueError):
         qca.entropy_across(ps, region)
+    with pytest.raises(ValueError, match="outside the lattice") as err:
+        qca._region_indices(ps.spec, region)
     assert str(err.value) == f"site {site} outside the lattice"
     with pytest.raises(ValueError, match="outside the lattice"):
         _entropy_across(ps, region)
+
+
+@pytest.mark.parametrize("region,message", [
+    ([0, -1], "region index -1 outside [0, 16)"),
+    ([16, 3], "region index 16 outside [0, 16)"),
+    (np.array([2 ** 63], dtype=np.uint64),
+     "region index 9223372036854775808 outside [0, 16)"),
+    ([2 ** 70], "region entry 1180591620717411303424 is not an int64 index"),
+    (np.array([1.0, 2.0]), "region entry 1.0 is not an int64 index"),
+    ([0.5], "region entry 0.5 is not an int64 index"),
+    ([True, False], "region entry True is not an int64 index"),
+    ([(0, 1)], "region must be a 1-d array of site indices, "
+               "not of shape (1, 2)"),
+    (3, "region must be a 1-d array of site indices, not of shape ()")],
+    ids=["negative", "past-the-grid", "past-int64", "past-int64-int",
+         "float-array", "fraction", "bool", "site-tuple", "scalar"])
+def test_entropy_across_refuses_bad_indices(region, message):
+    ps = qca.initial_pairs(2, 4)
+    with pytest.raises(ValueError) as err:
+        qca.entropy_across(ps, region)
+    assert str(err.value) == message
 
 
 # the benchmark's region shapes first, then small grids that wrap often
@@ -374,9 +415,10 @@ def test_random_connected_region_matches_oracle():
         size = None if case % 2 else 1 + seed % min(total - 1, 600)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = qca.random_connected_region(dim, length, rng, size=size)
-        assert got == _random_connected_region(dim, length, ref, size=size), \
+        want = _random_connected_region(dim, length, ref, size=size)
+        assert got.tolist() == [qca.site_index(s, length) for s in want], \
             (dim, length, seed, size)
-        assert all(type(c) is int for site in got for c in site)
+        assert got.dtype == np.int64
         # the same draws were made: the generators are left in one state
         assert rng.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
 
@@ -412,8 +454,9 @@ def test_random_connected_region_matches_oracle_on_bit_generators(
         rng = np.random.Generator(bit_generator(100 + case))
         ref = np.random.Generator(bit_generator(100 + case))
         for _ in range(2):   # the second region starts where the first left
-            assert qca.random_connected_region(dim, length, rng) == \
-                _random_connected_region(dim, length, ref)
+            got = qca.random_connected_region(dim, length, rng)
+            want = _random_connected_region(dim, length, ref)
+            assert got.tolist() == [qca.site_index(s, length) for s in want]
         assert rng.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
 
 
@@ -429,13 +472,49 @@ def test_random_connected_region_refills_its_block(monkeypatch):
     monkeypatch.setattr(qca._Words, "_draw", recording)
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     got = qca.random_connected_region(2, 10, rng, size=60)
-    assert got == _random_connected_region(2, 10, ref, size=60)
+    assert _sites_of(got, 2, 10) == _random_connected_region(2, 10, ref,
+                                                              size=60)
     assert rng.bit_generator.state == ref.bit_generator.state
     # the picks read several blocks, and the replay draws the words read
     # again in as many chunks; no draw holds more than 7 words
     reads = len(sizes) // 2
     assert reads > 3 and sizes[:reads] == [7] * reads
     assert max(sizes[reads:]) == 7 and sum(sizes[reads:]) > 7 * (reads - 1)
+
+
+def test_sampler_keeps_the_most_recent_neighbour_table():
+    qca._neighbours.cache_clear()
+    rng = np.random.default_rng(4)
+    for dim, length in ((2, 6), (2, 6), (1, 8), (2, 6)):
+        qca.random_connected_region(dim, length, rng)
+    info = qca._neighbours.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
+
+def test_layer_permutation_is_both_sublayers():
+    for dim, length in ((1, 8), (1, 10), (2, 6), (3, 4)):
+        index = {s: i for i, s in
+                 enumerate(itertools.product(range(length), repeat=dim))}
+        # held[q]: the site whose content site q holds
+        held = list(index)
+        for offset in (1, 0):
+            for a, b in _sublayer_swaps(dim, length, offset):
+                held[index[a]], held[index[b]] = held[index[b]], held[index[a]]
+        step = qca.layer_permutation(dim, length)
+        assert step.dtype == np.int64
+        assert step.tolist() == [index[s] for s in held]
+
+
+def test_layer_permutation_moves_pairs_as_evolve_does():
+    for dim, length in ((1, 12), (2, 8), (3, 4)):
+        ps = qca.initial_pairs(dim, length)
+        # an endpoint at site e goes to the site q with step[q] == e
+        to = np.argsort(qca.layer_permutation(dim, length))
+        ends = ps.ends
+        for layers in range(1, 6):
+            ends = to[ends]
+            assert sorted(sorted(pair) for pair in ends.tolist()) \
+                == qca.evolve(ps, layers).ends.tolist()
 
 
 def test_site_budget(monkeypatch):
@@ -449,6 +528,8 @@ def test_site_budget(monkeypatch):
     assert len(qca.random_connected_region(1, 64, rng, size=5)) == 5
     for call in (lambda: qca.half_cut_region(1, 66),
                  lambda: qca.initial_pairs(2, 10),
+                 lambda: qca.layer_permutation(2, 10),
+                 lambda: qca.layer_permutation(1, 2 ** 40),
                  lambda: qca.sublayer_swaps(2, 10, 0),
                  lambda: qca.random_connected_region(2, 10, rng)):
         with pytest.raises(ResourceLimitError, match="site budget 64"):

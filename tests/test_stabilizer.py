@@ -195,19 +195,29 @@ def test_qca_run_matches_pair_tracker_small():
         ps = qca.initial_pairs(dim, length)
         state = stab.run_qca(dim, length, 0)
         region = qca.half_cut_region(dim, length)
-        assert stab.entanglement_entropy(
-            state, stab.region_qubits(region, length)) \
+        assert stab.entanglement_entropy(state, region) \
             == qca.entropy_across(ps, region)
         for layers in (1, 2):
             ps = qca.evolve(ps, 1)
             state = stab.run_qca(dim, length, layers)
-            assert stab.entanglement_entropy(
-                state, stab.region_qubits(region, length)) \
+            assert stab.entanglement_entropy(state, region) \
                 == qca.entropy_across(ps, region)
 
 
 def test_region_qubits_row_major():
     assert stab.region_qubits([(0, 0), (1, 2), (3, 1)], 4) == [0, 6, 13]
+
+
+@pytest.mark.parametrize("region,bad", [
+    ([(1, 1), (0.5, 1)], (0.5, 1)),
+    ([(True, 1)], (True, 1)),
+    ([(0, 1, 2), (3,)], (3,))], ids=["fraction", "bool", "ragged"])
+def test_region_qubits_refuse_sites_they_would_misread(region, bad):
+    # an int64 cast read (0.5, 1) as (0, 1) and True as 1, and a reshape
+    # read [(0, 1, 2), (3,)] as (0, 1), (2, 3)
+    with pytest.raises(ValueError) as err:
+        stab.region_qubits(region, 4)
+    assert str(err.value) == f"site {bad} outside the lattice"
 
 
 # ------------------------------------------------ batched gates and layout
@@ -347,6 +357,41 @@ def test_qca_permutation_matches_swap_sublayers():
         assert_same_tableau(stab.run_qca(dim, length, layers), t)
 
 
+@pytest.mark.parametrize("dim,length", [(1, 256), (2, 24), (2, 48)])
+def test_qca_layer_by_layer_matches_run_qca(dim, length):
+    from tnkit import qca
+    state = stab.run_qca(dim, length, 0)
+    step = qca.layer_permutation(dim, length)
+    for layers in range(9):
+        assert_same_tableau(state, stab.run_qca(dim, length, layers))
+        assert stab.permute_qubits(state, step) is state
+
+
+@pytest.mark.parametrize("source,error,message", [
+    ([0, 1, 2], ValueError, "source must be a permutation of the qubits"),
+    ([0, 1, 2, 2], ValueError, "source must be a permutation of the qubits"),
+    ([0, 1, 2, 3, 0], ValueError,
+     "source must be a permutation of the qubits"),
+    ([0, 1, 2, 4], ValueError, "qubit 4 outside [0, 4)"),
+    ([0.0, 1.0, 2.0, 3.0], TypeError, "qubits must be integers, not float64")],
+    ids=["short", "repeat", "long", "off-the-tableau", "float"])
+def test_permute_qubits_takes_only_permutations(source, error, message):
+    t = stab.apply_xx_rotations(stab.init_zero(4), [0], [3])
+    before = t.copy()
+    with pytest.raises(error) as err:
+        stab.permute_qubits(t, source)
+    assert str(err.value) == message
+    assert_same_tableau(t, before)
+
+
+def test_permute_qubits_moves_rows_not_phases():
+    t = stab.apply_xx_rotations(stab.init_zero(4), [0, 1], [3, 2])
+    moved = stab.permute_qubits(t.copy(), [2, 0, 3, 1])
+    np.testing.assert_array_equal(moved.x, t.x[[2, 0, 3, 1]])
+    np.testing.assert_array_equal(moved.z, t.z[[2, 0, 3, 1]])
+    np.testing.assert_array_equal(moved.phase, t.phase)
+
+
 def _run_qca(dimension, length, layers):
     """The site-tuple automaton driver that run_qca replaced: one
     site_index call per swap endpoint."""
@@ -381,8 +426,10 @@ def test_region_qubits_match_site_index():
     rng = np.random.default_rng(8)
     for dim, length in ((1, 16), (2, 8), (3, 4)):
         region = qca.random_connected_region(dim, length, rng)
-        assert stab.region_qubits(region, length) \
-            == [qca.site_index(s, length) for s in region]
+        sites = list(zip(*(c.tolist() for c in
+                           np.unravel_index(region, (length,) * dim))))
+        assert stab.region_qubits(sites, length) \
+            == [qca.site_index(s, length) for s in sites] == region.tolist()
     assert stab.region_qubits([], 4) == []
 
 
