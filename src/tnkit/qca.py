@@ -16,13 +16,13 @@ bits, which the stabilizer simulation confirms gate by gate.
 The tracker works on row-major site indices, the qubit order of the
 stabilizer driver, in which index order is the lexicographic order of
 sites.  A sublayer is a pair of index arrays, and one layer is the
-permutation layer_permutation composes from them.  A PairSet carries its
-(P, 2) endpoint-index array beside the canonical site tuples.  A region
-is a sorted int64 array of site indices: half_cut_region and
-random_connected_region return one, and entropy_across and
-stabilizer.entanglement_entropy both take it as it is.  Site tuples
-remain only where a public name holds single sites or pairs:
-PairSet.pairs, sublayer_swaps, site_index and pair_separation.
+permutation layer_permutation composes from them.  A PairSet is its
+(P, 2) endpoint-index array.  A region is a sorted int64 array of site
+indices: half_cut_region and random_connected_region return one, and
+entropy_across and stabilizer.entanglement_entropy both take it as it
+is.  Both arrays pass one index check.  Site tuples are made only where
+a public name reads single sites or pairs: the PairSet.pairs view,
+sublayer_swaps, site_index and pair_separation.
 
 The region sampler draws the same integers as scalar rng.integers calls
 and leaves the generator in the same state.  Its picks are computed by
@@ -41,9 +41,8 @@ ResourceLimitError before they allocate.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,36 +88,56 @@ def check_sites(dimension: int, length: int) -> None:
     check_grid("automaton", length, dimension)
 
 
-@dataclass
+def _indices(spec: LatticeSpec, values, what: str,
+             width: int = 0) -> np.ndarray:
+    """values as an int64 array of row-major site indices of spec's grid,
+    1-d, or of shape (P, width) for a width; ValueError, naming what and
+    the first offending entry, unless it has that shape and every entry
+    is an integer in [0, L**D)."""
+    idx = np.asarray(values)
+    tail = (width,) if width else ()
+    if idx.ndim != 1 + len(tail) or idx.shape[1:] != tail:
+        form = f"a (P, {width})" if width else "a 1-d"
+        raise ValueError(f"{what} must be {form} array of site indices, "
+                         f"not of shape {idx.shape}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{what} entry {idx.ravel()[:1].tolist()[0]!r} "
+                         f"is not an int64 index")
+    n = spec.num_sites
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise ValueError(f"{what} index {bad[0]} outside [0, {n})")
+    return idx.astype(np.int64, copy=False)
+
+
+@dataclass(eq=False)
 class PairSet:
     """A perfect matching of lattice sites into entangled pairs.
 
     ends holds the pairs' row-major endpoint indices as a (P, 2) int64
-    array, derived from pairs unless given (ValueError unless each pair is
-    two lattice sites); it does not take part in comparisons.
+    array; ValueError unless it is a (P, 2) array of integers in
+    [0, L**D).  pairs is a view that makes the site tuples of ends on
+    each access.
     """
 
     spec: LatticeSpec
-    pairs: tuple[Pair, ...]
-    ends: np.ndarray = field(default=None, repr=False, compare=False)
+    ends: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.ends is None:
-            bad = [pair for pair in self.pairs if len(pair) != 2]
-            if bad:
-                raise ValueError(f"pair {bad[0]} is not two sites")
-            sites = itertools.chain.from_iterable(self.pairs)
-            self.ends = _region_indices(self.spec, sites).reshape(-1, 2)
+        self.ends = _indices(self.spec, self.ends, "ends", 2)
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        d, length = self.spec.dimension, self.spec.length
+        return tuple(zip(_sites(self.ends[:, 0], d, length),
+                         _sites(self.ends[:, 1], d, length)))
 
 
 def _pair_set(spec: LatticeSpec, ends: np.ndarray) -> PairSet:
     """The canonical PairSet of (P, 2) endpoint indices: each pair in
     ascending order, then the pairs in ascending order."""
     ends = np.sort(ends, axis=1)
-    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
-    d, length = spec.dimension, spec.length
-    pairs = zip(_sites(ends[:, 0], d, length), _sites(ends[:, 1], d, length))
-    return PairSet(spec, tuple(pairs), ends)
+    return PairSet(spec, ends[np.lexsort((ends[:, 1], ends[:, 0]))])
 
 
 def initial_pairs(dimension: int, length: int) -> PairSet:
@@ -194,40 +213,15 @@ def evolve(ps: PairSet, layers: int) -> PairSet:
     return _pair_set(ps.spec, site_indices(moved, length))
 
 
-def _region_indices(spec: LatticeSpec, region) -> np.ndarray:
-    """Row-major indices of a region's sites.  ValueError, naming a site,
-    unless every site is D int coordinates inside the lattice."""
-    sites = list(region)
-    coords = list(itertools.chain.from_iterable(sites))
-    if ({spec.dimension}.issuperset(map(len, sites))
-            and {int}.issuperset(map(type, coords))
-            and (not coords
-                 or 0 <= min(coords) and max(coords) < spec.length)):
-        return site_indices(np.array(coords, dtype=np.int64).reshape(
-            len(sites), spec.dimension), spec.length)
-    bad = next(site for site in sites if not spec.contains(site))
-    raise ValueError(f"site {bad} outside the lattice")
-
-
 def entropy_across(ps: PairSet, region) -> int:
     """Entropy in bits across a cut: pairs with exactly one endpoint inside.
 
     region holds row-major site indices, in any order and with repeats;
     ValueError, naming an entry, unless it is a 1-d array of integers in
     [0, L**D)."""
-    idx = np.asarray(region)
-    n = ps.spec.num_sites
-    if idx.ndim != 1:
-        raise ValueError(f"region must be a 1-d array of site indices, "
-                         f"not of shape {idx.shape}")
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"region entry {idx[:1].tolist()[0]!r} "
-                         f"is not an int64 index")
-    bad = idx[(idx < 0) | (idx >= n)]
-    if bad.size:
-        raise ValueError(f"region index {bad[0]} outside [0, {n})")
-    inside = np.zeros(n, dtype=bool)
-    inside[idx.astype(np.int64, copy=False)] = True
+    idx = _indices(ps.spec, region, "region")
+    inside = np.zeros(ps.spec.num_sites, dtype=bool)
+    inside[idx] = True
     return int(np.count_nonzero(inside[ps.ends[:, 0]]
                                 != inside[ps.ends[:, 1]]))
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import tns
 from .lattice import LatticeSpec, ResourceLimitError, amplitude_limit
-from .qca import _region_indices, layer_permutation, sublayer_indices
+from .qca import layer_permutation, site_indices, sublayer_indices
 
 # generator words per block of a batched rotation or of the rows an
 # entropy reads: 128 KiB temporaries stay in L2 (fastest of 2**11-2**20)
@@ -388,4 +388,7 @@ def region_qubits(region, length: int) -> list[int]:
         return []
     # a first site of no coordinates is named as a site, not a dimension
     spec = LatticeSpec(max(len(sites[0]), 1), length)
-    return _region_indices(spec, sites).tolist()
+    bad = next((site for site in sites if not spec.contains(site)), None)
+    if bad is not None:
+        raise ValueError(f"site {bad} outside the lattice")
+    return site_indices(np.array(sites, dtype=np.int64), length).tolist()

@@ -703,11 +703,12 @@ def node_columns(rows) -> NodeColumns:
     list is decoded, so that the list is freed before the next member is;
     ValueError when an entry is not an object or lacks a key, has a kind
     that is unknown, an id or variant that is not a string, a cell or
-    dims that is not an array, elements that are neither an array of
-    numbers nor null, that hold a number past float64, or that numpy
-    cannot convert or shape by dims (naming the node), or a layer, cell
-    entry or dim that is not an integer or does not fit in 64 bits, or
-    when two nodes share an id."""
+    dims that is not an array, elements that are neither an array nor
+    null, that hold a number past float64, an entry that is not a finite
+    JSON number (a string, a bool, an array, null, NaN or an infinity),
+    or that numpy cannot shape by dims (naming the node), or a layer,
+    cell entry or dim that is not an integer or does not fit in 64 bits,
+    or when two nodes share an id."""
     flat = itertools.chain.from_iterable
     with malformed("tns-v1"):
         ids, layers, cells, kinds, variants, dims, elements = _columns(
@@ -737,10 +738,21 @@ def node_columns(rows) -> NodeColumns:
             arrays = []
             try:
                 for nid, e, shape in zip(ids, elements, dims):
-                    arrays.append(e if e is None else np.array(e, float)
-                                  .view(complex).reshape(shape))
+                    if e is not None:
+                        # numpy would parse a string and read a bool as 1
+                        a = (np.array(e, float)
+                             if {int, float}.issuperset(map(type, e))
+                             else None)
+                        if a is None or not np.isfinite(a).all():
+                            bad = next(x for x in e if type(x) not in
+                                       (int, float) or not math.isfinite(x))
+                            raise ValueError(f"elements entry {bad!r} is "
+                                             f"not a finite number")
+                        e = a.view(complex).reshape(shape)
+                    arrays.append(e)
             except ValueError as exc:
-                # an entry that is no number, or dims numpy cannot take
+                # an entry that is no finite number, or dims numpy cannot
+                # take
                 raise ValueError(f"malformed tns-v1 document: {nid}: "
                                  f"{exc}") from None
             elements = arrays

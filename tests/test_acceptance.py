@@ -195,7 +195,8 @@ def test_criterion_07_stabilizer_matches_dense_oracle():
 
 
 def test_criterion_08_automaton_matches_stabilizer():
-    ps = qca.PairSet(qca.initial_pairs(2, 6).spec, (((2, 2), (3, 3)),))
+    ps = qca.PairSet(qca.initial_pairs(2, 6).spec, qca.site_indices(
+        np.array([[(2, 2), (3, 3)]]), 6))
     assert qca.evolve(ps, 1).pairs == (((0, 0), (5, 5)),)
 
     rng = np.random.default_rng(8)

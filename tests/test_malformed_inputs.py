@@ -178,7 +178,7 @@ def test_node_field_of_wrong_json_type_exits_2(documents, capsys, command,
 @pytest.mark.parametrize("command", ["map", "verify"])
 def test_elements_numpy_refuses_name_the_node(documents, capsys, command,
                                               edit):
-    # numpy refuses each of these while it converts the elements; the
+    # each of these is refused while the elements are converted; the
     # message names the document and the node
     work, tns_path, map_path = documents
     doc = json.loads(tns_path.read_text())
@@ -194,6 +194,35 @@ def test_elements_numpy_refuses_name_the_node(documents, capsys, command,
     assert captured.out == ""
     assert captured.err.startswith(
         f"error: malformed tns-v1 document: {node['id']}: "), captured.err
+
+
+@pytest.mark.parametrize("text,shown", [
+    ('"2"', "'2'"), ('" 1e3 "', "' 1e3 '"), ("true", "True"),
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+    ("1e400", "inf")],
+    ids=["numeric-string", "padded-string", "bool", "nan", "infinity",
+         "minus-infinity", "past-float64"])
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_elements_entries_must_be_finite_numbers(documents, capsys, command,
+                                                 text, shown):
+    # numpy reads "2" as 2.0 and true as 1.0, and json reads 1e400 as inf;
+    # the first entry of a node's elements is written as the raw JSON text
+    work, tns_path, map_path = documents
+    doc = json.loads(tns_path.read_text())
+    node = next(n for n in doc["nodes"] if n["elements"] is not None)
+    node["elements"][0] = "@entry@"
+    edited = work / "not-finite.json"
+    edited.write_text(json.dumps(doc).replace('"@entry@"', text, 1))
+    argv = {"map": ["map", "--tns", str(edited), "--scheme", "refined",
+                    "--out-prefix", str(work / "not-finite")],
+            "verify": ["verify", "--tns", str(edited), "--map", map_path]}
+    assert cli.main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: malformed tns-v1 document: "
+                            f"{node['id']}: elements entry {shown} is not "
+                            f"a finite number\n")
+    assert list(work.glob("not-finite*")) == [edited]
 
 
 def test_edited_map_never_raises(documents, capsys):
@@ -279,8 +308,11 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 def test_elements_round_trip_bit_exact():
     net = build_mera_1d(1)
     node = next(n for n in net.nodes.values() if n.elements is not None)
-    special = [complex(-0.0, 0.0), complex(1.0, np.inf), complex(np.nan, -0.0),
-               complex(-np.inf, np.nan)]
+    # signed zeros, the least subnormal, the extremes of float64 and
+    # fractions that take 17 digits; NaN and infinities are refused
+    special = [complex(-0.0, 0.0), complex(5e-324, -0.0),
+               complex(-1.7976931348623157e308, 2.2250738585072014e-308),
+               complex(0.1, -1 / 3)]
     flat = node.elements.reshape(-1).copy()
     flat[:len(special)] = special
     net.elements[net.ids.index(node.id)] = flat.reshape(node.elements.shape)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from tnkit import qca
+from tnkit import qca, stabilizer
 from tnkit.lattice import LatticeSpec
 
 
@@ -35,6 +35,12 @@ def _sublayer_swaps(dimension, length, offset):
             b2 = tuple((b + 1 - ci) % length for b, ci in zip(base, c))
             out.append((a, b2))
     return out
+
+
+def _pair_set(spec, pairs):
+    """PairSet of site-tuple pairs, through their row-major indices."""
+    coords = np.array(pairs, dtype=np.int64).reshape(-1, 2, spec.dimension)
+    return qca.PairSet(spec, qca.site_indices(coords, spec.length))
 
 
 def _sites_of(region, dimension, length):
@@ -113,24 +119,27 @@ def test_grid_validation():
 
 def test_step_worked_example():
     spec = LatticeSpec(2, 6, 2, 1, "periodic")
-    ps = qca.PairSet(spec, (((2, 2), (3, 3)),))
+    ps = _pair_set(spec, (((2, 2), (3, 3)),))
     out = qca.evolve(ps, 1)
     assert out.pairs == (((0, 0), (5, 5)),)
 
 
-@pytest.mark.parametrize("pair,message", [
-    (((2.5, 2), (3, 3)), "site (2.5, 2) outside the lattice"),
-    (((True, 2), (3, 3)), "site (True, 2) outside the lattice"),
-    (((2, 2), (6, 3)), "site (6, 3) outside the lattice"),
-    (((2, 2),), "pair ((2, 2),) is not two sites"),
-    (((1, 1), (2, 2), (3, 3)), "pair ((1, 1), (2, 2), (3, 3)) is not two "
-                               "sites"),
-])
-def test_pair_set_refuses_pairs_that_are_not_two_sites(pair, message):
-    # an int64 cast would read 2.5 as 2 and True as 1
+@pytest.mark.parametrize("ends,message", [
+    (np.array([[14.0, 21.0]]), "ends entry 14.0 is not an int64 index"),
+    (np.array([[True, False]]), "ends entry True is not an int64 index"),
+    (np.array([[14, -1]]), "ends index -1 outside [0, 36)"),
+    (np.array([[14, 36]]), "ends index 36 outside [0, 36)"),
+    (np.array([[14, 21, 28]]), "ends must be a (P, 2) array of site "
+                               "indices, not of shape (1, 3)"),
+    (np.array([14, 21]), "ends must be a (P, 2) array of site indices, "
+                         "not of shape (2,)")],
+    ids=["float", "bool", "negative", "past-the-grid", "three-ends",
+         "one-axis"])
+def test_pair_set_refuses_ends_that_are_not_index_pairs(ends, message):
+    # an int64 cast would read 14.0 as 14 and True as 1
     spec = LatticeSpec(2, 6, 2, 1, "periodic")
     with pytest.raises(ValueError) as err:
-        qca.PairSet(spec, (pair,))
+        qca.PairSet(spec, ends)
     assert str(err.value) == message
 
 
@@ -181,7 +190,7 @@ def test_translation_covariance():
     def shift(ps, delta):
         moved = tuple(tuple(tuple((c + d) % length for c, d in zip(s, delta))
                             for s in pair) for pair in ps.pairs)
-        return qca.PairSet(ps.spec, _canonical(moved))
+        return _pair_set(ps.spec, _canonical(moved))
 
     ps = qca.initial_pairs(2, length)
     delta = (2, 4)
@@ -195,7 +204,7 @@ def test_quarter_turn_covariance():
     def turn(ps):
         moved = tuple(tuple((length - 1 - s[1], s[0]) for s in pair)
                       for pair in ps.pairs)
-        return qca.PairSet(ps.spec, _canonical(moved))
+        return _pair_set(ps.spec, _canonical(moved))
 
     ps = qca.initial_pairs(2, length)
     assert qca.evolve(turn(ps), 2).pairs == turn(qca.evolve(ps, 2)).pairs
@@ -205,7 +214,7 @@ def test_separation_grows_four_root_d_per_layer():
     # endpoints move independently, so a single tracked pair suffices
     for dim in (1, 2):
         ps0 = qca.initial_pairs(dim, 32)
-        single = qca.PairSet(ps0.spec, (ps0.pairs[1],))
+        single = _pair_set(ps0.spec, (ps0.pairs[1],))
         prev = None
         for layers in (1, 2, 3):
             sep = qca.pair_separation(qca.evolve(single, layers).pairs[0], 32)
@@ -329,7 +338,7 @@ def test_evolve_matches_tuple_oracle():
                 out = qca.evolve(ps, layers)
                 assert out.pairs == _evolve(ps, layers), (dim, length, layers)
             # the endpoint indices it carries are those of its pairs
-            assert out.ends.tolist() == qca.PairSet(
+            assert out.ends.tolist() == _pair_set(
                 ps.spec, out.pairs).ends.tolist()
 
 
@@ -343,7 +352,7 @@ def test_evolve_matches_tuple_oracle_on_partial_pair_sets():
         picks = rng.permutation(len(sites))[:2 * k]
         pairs = tuple((sites[picks[2 * j + 1]], sites[picks[2 * j]])
                       for j in range(k))
-        ps = qca.PairSet(spec, pairs)
+        ps = _pair_set(spec, pairs)
         for layers in (0, 1, 7, 2 ** 70):
             assert qca.evolve(ps, layers).pairs == _evolve(ps, layers)
 
@@ -368,14 +377,13 @@ def test_entropy_across_matches_oracle_on_random_regions():
     (True, 1), (1, False), (np.int64(1), 0), (2 ** 70, 0)])
 def test_entropy_across_rejects_sites_off_the_lattice(site):
     # entropy_across takes site indices, so no region of site tuples;
-    # the site check that PairSet and stabilizer.region_qubits use names
-    # the site
+    # the site check of stabilizer.region_qubits names the site
     ps = qca.initial_pairs(2, 4)
     region = [(0, 0), site, (1, 1)]
     with pytest.raises(ValueError):
         qca.entropy_across(ps, region)
     with pytest.raises(ValueError, match="outside the lattice") as err:
-        qca._region_indices(ps.spec, region)
+        stabilizer.region_qubits(region, 4)
     assert str(err.value) == f"site {site} outside the lattice"
     with pytest.raises(ValueError, match="outside the lattice"):
         _entropy_across(ps, region)
