@@ -12,7 +12,7 @@ from .tns import (KIND_CODES, KIND_NAMES, VARIANTS, ContractionLine,
                   validate_preconditions, tns_from_dict, tns_to_dict,
                   GENERATOR_VERSION)
 from .mapping import (CongestionReport, PathAssignment, Peps, Placement,
-                      StackReport, assemble_peps, chi_bound, congestion_csv,
+                      assemble_peps, chi_bound, congestion_csv,
                       contract_refined_to_normal, default_refined_offsets,
                       detect_stacks, line_density_estimate, map_from_dict,
                       map_to_dict, measured_chi, place_naive, place_refined,

@@ -138,11 +138,11 @@ def _read_tns(path) -> tns_mod.Tns:
     return tns_mod.tns_from_dict(data)
 
 
-def _print_issues(report) -> int:
-    """Each precondition issue on stderr; the exit code of the report."""
-    for issue in report.issues:
+def _print_issues(issues) -> int:
+    """Each precondition issue on stderr; 4 if there is any, else 0."""
+    for issue in issues:
         print(f"  {issue}", file=sys.stderr)
-    return 0 if report.ok else 4
+    return 4 if issues else 0
 
 
 def cmd_build(args) -> int:
@@ -154,13 +154,13 @@ def cmd_build(args) -> int:
                   lambda part: to_dict(part, slice(0))["nodes"]),
         "lines": (len(network.line_id),
                   lambda part: to_dict(slice(0), part)["lines"])})
-    report = tns_mod.validate_preconditions(network)
+    issues = tns_mod.validate_preconditions(network)
     spec = network.spec
     print(f"built {args.kind}: {spec.dimension}D L={spec.length} "
           f"layers={spec.layers} nodes={len(network.ids)} "
           f"lines={len(network.line_id)} preconditions="
-          f"{'ok' if report.ok else 'VIOLATED'}")
-    return _print_issues(report)
+          f"{'VIOLATED' if issues else 'ok'}")
+    return _print_issues(issues)
 
 
 def cmd_map(args) -> int:
@@ -183,11 +183,10 @@ def cmd_map(args) -> int:
     _write(args.out_prefix + ".congestion.csv",
            mapping.congestion_csv(report))
 
-    stacks = mapping.detect_stacks(placement)
     bound = mapping.chi_bound(network.meta, network.spec.dimension)
     print(f"scheme: {args.scheme} (host L={placement.lattice.length}, "
           f"refine {placement.refine_factor})")
-    print(f"max stack height: {stacks.max_height}")
+    print(f"max stack height: {mapping.detect_stacks(placement)}")
     print(f"paths per edge: max {report.max_paths()} "
           f"(interior {report.max_paths(include_physical=False)})")
     print(f"chi_peps: {report.chi_peps()} (log_chi {log_all:.3f}); "
@@ -205,7 +204,7 @@ def cmd_verify(args) -> int:
     data = _load_json(args.map)
     placement, paths = mapping.map_from_dict(data, network)
 
-    issues = tns_mod.validate_preconditions(network).issues
+    issues = tns_mod.validate_preconditions(network)
     problem = issues[0] if issues else \
         mapping.check_routing(network, placement, paths)
     if problem is not None:

@@ -192,9 +192,6 @@ class StateVector:
     def num_sites(self) -> int:
         return len(self.sites)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _network_factors(obj):
     if not isinstance(obj, Tns):
@@ -254,14 +251,10 @@ def _region_axes(state: StateVector, region):
     return sorted(set(axes))
 
 
-@dataclass
-class DensityOperator:
-    matrix: np.ndarray
-    region: tuple
-
-
-def reduced_density(state: StateVector, region) -> DensityOperator:
-    """Partial trace of |psi><psi| onto the given sites."""
+def reduced_density(state: StateVector, region) -> np.ndarray:
+    """Partial trace of |psi><psi| onto the given sites: the matrix of
+    unit trace (unless psi is zero), its axes over the region's sites in
+    the state's site order."""
     axes = _region_axes(state, region)
     d = state.site_dim
     n = state.num_sites
@@ -277,15 +270,15 @@ def reduced_density(state: StateVector, region) -> DensityOperator:
     tr = np.trace(rho).real
     if tr > 0:
         rho = rho / tr
-    return DensityOperator(rho, tuple(state.sites[ax] for ax in axes))
+    return rho
 
 
-def entropy_bits(rho: DensityOperator | np.ndarray) -> float:
-    """Von Neumann entropy in bits; eigenvalues below 1e-12 are dropped."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    if not np.allclose(m, m.conj().T, atol=1e-9):
+def entropy_bits(rho: np.ndarray) -> float:
+    """Von Neumann entropy in bits of a density matrix; eigenvalues below
+    1e-12 are dropped."""
+    if not np.allclose(rho, rho.conj().T, atol=1e-9):
         raise ValueError("density matrix is not Hermitian")
-    evals = np.linalg.eigvalsh(m)
+    evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > 1e-12]
     return float(-np.sum(evals * np.log2(evals)))
 

@@ -205,18 +205,11 @@ def place(tns: Tns, scheme: str, delta_tau: int = 1) -> Placement:
     return place_refined(tns, delta_tau)
 
 
-@dataclass
-class StackReport:
-    counts: dict[Site, int]
-    max_height: int
-
-
-def detect_stacks(p: Placement) -> StackReport:
-    """Per-site tensor counts.  Anchors are bookkeeping and excluded."""
-    sites, at = distinct(p.sites[~p.anchor])
-    heights = np.bincount(at, minlength=len(sites))
-    return StackReport(dict(zip(map(tuple, sites.tolist()), heights.tolist())),
-                       int(heights.max(initial=0)))
+def detect_stacks(p: Placement) -> int:
+    """The largest number of tensors placed on one host site, 0 when there
+    are none.  Anchors are bookkeeping and excluded."""
+    _, at = distinct(p.sites[~p.anchor])
+    return int(np.bincount(at).max(initial=0))
 
 
 @dataclass(eq=False)
@@ -667,15 +660,6 @@ class Peps:
     def all_factors(self) -> list[tuple[np.ndarray, tuple]]:
         return [f for site in sorted(self.site_factors)
                 for f in self.site_factors[site]]
-
-    def site_tensor(self, site: Site):
-        """Dense tensor of one site: factors contracted over labels shared
-        within the site.  Returns (array, open labels)."""
-        from .dense import contract_labeled
-        factors = self.site_factors.get(site, [])
-        if not factors:
-            return np.array(1.0 + 0j), ()
-        return contract_labeled(factors)
 
 
 def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:

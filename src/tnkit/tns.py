@@ -476,15 +476,6 @@ def build_ttn_example(layers: int) -> Tns:
     return t.network(spec, 2, 2, meta)
 
 
-@dataclass
-class ValidationReport:
-    issues: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
 def distinct(values: np.ndarray):
     """Sorted distinct entries of a 1-D array, or distinct rows of a 2-D
     one in lexicographic order, and the index of each entry or row among
@@ -507,8 +498,9 @@ def distinct(values: np.ndarray):
     return ranked, inverse
 
 
-def validate_preconditions(tns: Tns) -> ValidationReport:
-    """Check the structural conditions the placement schemes rely on.
+def validate_preconditions(tns: Tns) -> list[str]:
+    """The sorted distinct issues with the structural conditions the
+    placement schemes rely on; empty when the network meets them all.
 
     Verifies the host lattice shape, layer labels, line dimensions from 1
     to meta.chi, tensor orders, per-cell tensor counts, line layer distances,
@@ -625,7 +617,7 @@ def validate_preconditions(tns: Tns) -> ValidationReport:
         issues.append(f"{tns.ids[i]} slot {j - start[i]}: covered by "
                       f"{covered[j]} lines")
 
-    return ValidationReport(sorted(set(issues)))
+    return sorted(set(issues))
 
 
 def tns_to_dict(tns: Tns, nodes: slice = slice(None),
@@ -633,15 +625,24 @@ def tns_to_dict(tns: Tns, nodes: slice = slice(None),
     """JSON-ready description, format tns-v1.  Deterministic field order.
     Its nodes and lines entries are those in the given ranges of node and
     line order, all of them by default, so that a writer can encode the
-    document a range at a time."""
+    document a range at a time.  ValueError names a node whose elements
+    hold a NaN or an infinity, which tns-v1 cannot carry."""
     ids = tns.ids[nodes]
     first = range(len(tns.ids))[nodes].start
     bounds = tns.dim_offsets[first:first + len(ids) + 1]
     dims = tns.dims[bounds[0]:bounds[-1]].tolist()
     bounds = (bounds - bounds[0]).tolist()
-    # complex128 memory layout: real, imaginary part per amplitude
-    elements = [None if e is None else np.ascontiguousarray(
-        e, complex).view(float).ravel().tolist() for e in tns.elements[nodes]]
+    elements = []
+    for nid, e in zip(ids, tns.elements[nodes]):
+        if e is not None:
+            # complex128 memory layout: real, imaginary part per amplitude
+            e = np.ascontiguousarray(e, complex).view(float).ravel()
+            bad = e[~np.isfinite(e)]
+            if len(bad):
+                raise ValueError(f"{nid}: elements entry {float(bad[0])} is "
+                                 f"not a finite number")
+            e = e.tolist()
+        elements.append(e)
     (a, b), (sa, sb) = [list(map(tns.ids.__getitem__, row)) for row in
                         tns.line_ends[:, lines].tolist()], \
         tns.line_slots[:, lines].tolist()

@@ -1131,6 +1131,17 @@ MAP_OUTPUT_DIGESTS = {
     ("mera2d-b2", 3, "shifted"): (
         "35cf694e8893cbcc4ed8e8b5846e743199f836ebdbbf3663df133b6a32c5e056",
         "8228114de75ee8eefa2a5a6f224f5577c6ddc92af181bd14c0eade22e97a024d"),
+    # naive is the one scheme that stacks more than two tensors on a site:
+    # max stack height 8, 4 and 4
+    ("mera1d", 5, "naive"): (
+        "19b6f89c8cb6e5f0c460d6a48b2a36c69427d0059f2d7fe24140dda90b2000ee",
+        "da5e00d50cf18ce2f5284b756d1e81fff6664a95b3fce35e042ce4e048652cda"),
+    ("mera2d-b2", 3, "naive"): (
+        "3d07a5f4bc428f227265821b3f9038a3c60056bb7bcc065d6bfba9e47113c17a",
+        "7a349c2e254dba20364a3fc4c33e2344297472d1c751b01cd2a037e114b4b958"),
+    ("mera2d-b3", 2, "naive"): (
+        "54c0a9a051422f34840fc3627944e03d5e4635618f773aff3b9653346d4ead97",
+        "aa4ada6d94d1b8592f9edd4cfc6b81653002111757fa95fb9c19fdfac89b011a"),
 }
 
 

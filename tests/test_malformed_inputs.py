@@ -326,6 +326,20 @@ def test_elements_round_trip_bit_exact():
             assert read.tobytes() == original.elements.tobytes()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 float("-inf")])
+def test_elements_non_finite_refused_at_write(bad):
+    # tns-v1 has no NaN or infinity, so the writer refuses what the
+    # reader would
+    net = build_mera_1d(1)
+    i = next(i for i, e in enumerate(net.elements) if e is not None)
+    net.elements[i] = net.elements[i].copy()
+    net.elements[i].flat[1] = complex(0.5, bad)
+    with pytest.raises(ValueError, match=(
+            f"^{net.ids[i]}: elements entry {bad} is not a finite number$")):
+        tns_to_dict(net)
+
+
 @pytest.mark.parametrize("field", ["dimension", "length", "branching",
                                    "layers"])
 @pytest.mark.parametrize("value", [True, 2.0])

@@ -82,17 +82,15 @@ def test_refined_offsets_shape():
 
 def test_naive_piles_layers_at_origin():
     net = build_mera_1d(5)
-    assert detect_stacks(place_naive(net)).max_height >= 5
+    assert detect_stacks(place_naive(net)) >= 5
 
 
 def test_shifted_keeps_stacks_within_meta():
     for build, layers in ((build_mera_1d, 3), (build_mera_2d_b2, 2),
                           (build_mera_2d_b3, 2), (build_ttn_example, 3)):
         net = build(layers)
-        report = detect_stacks(place_shifted(net))
-        assert report.max_height <= net.meta.max_tensors_per_cell
-        assert sum(report.counts.values()) \
-            == len(net.ids) - _anchor_rows(net).sum()
+        assert detect_stacks(place_shifted(net)) \
+            <= net.meta.max_tensors_per_cell
 
 
 def test_shifted_layers_use_disjoint_sublattices():
@@ -117,7 +115,7 @@ def test_refined_positions_b3():
     assert p.site_of["u1x2:1:1,1"] == (10, 13)
     assert p.site_of["w:1:1,1"] == (13, 13)
     assert p.site_of["w:2:0,0"] == (12, 12)
-    assert detect_stacks(p).max_height == 2
+    assert detect_stacks(p) == 2
 
 
 def test_refined_anchor_column_avoids_tensor_sites():
@@ -730,15 +728,6 @@ def test_peps_preserves_small_states():
         emb = dense.contract_to_statevector(peps)
         assert ref.sites == emb.sites
         assert dense.states_equal(ref, emb, tol=1e-12)
-
-
-def test_peps_site_tensor_contracts_local_factors():
-    net, p, pa = routed(build_mera_1d, 1, "shifted")
-    peps = assemble_peps(net, p, pa)
-    site = next(iter(peps.site_factors))
-    arr, labels = peps.site_tensor(site)
-    assert len(labels) == arr.ndim
-    assert peps.site_tensor((999,))[1] == ()
 
 
 def test_refined_merge_to_physical_grid():
