@@ -1,7 +1,8 @@
 """Exact dense contraction for desk-scale networks.
 
-Works on lists of (array, labels) pairs; equal labels are contracted,
-labels of the form ("p", site) stay open and define the state vector in
+Works on lists of (array, labels) pairs, as a network's all_factors()
+gives them (tns.Tns, mapping.Peps); equal labels are contracted, labels
+of the form ("p", site) stay open and define the state vector in
 lexicographic site order.  Identity wires, the factors an embedding adds
 along each routed line, are renamed away before any dense work: their
 two labels become one, and only the real tensors are contracted.  A hard
@@ -18,7 +19,6 @@ import numpy as np
 
 # the budgets are defined beside the grids, where the builders reach them
 from .lattice import ResourceLimitError, amplitude_limit, site_budget
-from .tns import KIND_ANCHOR, KIND_CODES, Tns, slot_labels
 
 
 def _contract_pair(a, la, b, lb):
@@ -193,23 +193,13 @@ class StateVector:
         return len(self.sites)
 
 
-def _network_factors(obj):
-    if not isinstance(obj, Tns):
-        # an embedded grid network (mapping.Peps)
-        return obj.all_factors(), obj.physical_dim
-    labels, bounds = slot_labels(obj), obj.dim_offsets.tolist()
-    tensors = (obj.kind != KIND_CODES[KIND_ANCHOR]).nonzero()[0].tolist()
-    return [(obj.elements[i], tuple(labels[bounds[i]:bounds[i + 1]]))
-            for i in tensors], obj.physical_dim
-
-
 def contract_to_statevector(obj) -> StateVector:
-    """Contract a hierarchical network or an embedded grid network.
+    """Contract any network with all_factors() and physical_dim.
 
     The result's amplitude array is indexed by the physical sites in
     lexicographic order, flattened row-major.
     """
-    factors, phys_dim = _network_factors(obj)
+    factors, phys_dim = obj.all_factors(), obj.physical_dim
     open_labels = sorted({l for _, labels in factors for l in labels
                           if isinstance(l, tuple) and l[0] == "p"},
                          key=lambda l: l[1])

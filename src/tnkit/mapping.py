@@ -673,7 +673,6 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     placed.
     """
     anchor = (tns.kind == _ANCHOR).tolist()
-    bounds = tns.dim_offsets.tolist()
     label_of = slot_labels(tns)
     wires: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
     ends = _orientation(tns)
@@ -703,11 +702,10 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
             wires.setdefault(vertices[start + j], []).append(
                 (eye, (labels[j - 1], labels[j])))
 
-    sites = list(map(tuple, p.sites.tolist()))
     site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
-    for i in (tns.kind != _ANCHOR).nonzero()[0].tolist():
-        site_factors.setdefault(sites[i], []).append(
-            (tns.elements[i], tuple(label_of[bounds[i]:bounds[i + 1]])))
+    for site, factor in zip(map(tuple, p.sites[tns.kind != _ANCHOR].tolist()),
+                            tns.all_factors(label_of)):
+        site_factors.setdefault(site, []).append(factor)
     for site, fs in wires.items():
         site_factors.setdefault(site, []).extend(fs)
 

@@ -169,6 +169,15 @@ class Tns:
     nodes = property(NodeView)
     lines = property(LineView)
 
+    def all_factors(self, labels=None) -> list[tuple]:
+        """(elements, labels of its slots) of every node but the anchors,
+        in node order, sliced from `labels` (default slot_labels(self))."""
+        labels = slot_labels(self) if labels is None else labels
+        bounds = self.dim_offsets.tolist()
+        tensors = (self.kind != KIND_CODES[KIND_ANCHOR]).nonzero()[0]
+        return [(self.elements[i], tuple(labels[bounds[i]:bounds[i + 1]]))
+                for i in tensors.tolist()]
+
 
 def slot_labels(tns: Tns) -> list:
     """One label per slot, slot k of node i at entry dim_offsets[i] + k:
@@ -508,9 +517,9 @@ def validate_preconditions(tns: Tns) -> list[str]:
     Also checks that every line end names a slot of its node with the
     line's dimension, that every slot is covered by exactly one line, and
     that the header agrees with the network: meta.branching is the lattice
-    branching, meta.max_layer_distance lies in [0, layers], every anchor
-    has dims (physical_dim,), and chi lies in [1, meta.chi].  The checks
-    run on the network's columns, and only failures are formatted.
+    branching, meta.max_layer_distance lies in [0, layers], anchors sit on
+    layer 0 with dims (physical_dim,), and chi lies in [1, meta.chi].  The
+    checks run on the network's columns, and only failures are formatted.
     """
     issues = []
     spec, meta = tns.spec, tns.meta
@@ -553,6 +562,8 @@ def validate_preconditions(tns: Tns) -> list[str]:
             (anchor & ((order != 1) | (flat_dims[start] != tns.physical_dim)),
              lambda n: f"{n.id}: dims {n.dims} are not (physical_dim,) = "
                        f"{(tns.physical_dim,)}"),
+            (anchor & (layer != 0),
+             lambda n: f"{n.id}: anchor at layer {n.layer}, not 0"),
             (tensor & (order > meta.max_tensor_order), lambda n: (
                 f"{n.id}: order {n.order} exceeds {meta.max_tensor_order}")),
             (tensor & (cells.view(np.uint64) >= width[:, None]).any(axis=1),

@@ -207,6 +207,31 @@ def test_render_svg(built, tmp_path):
     assert "<polyline" in text and "</svg>" in text
 
 
+# sha256 of the `render` SVG of symbolic builds' maps.  Every coordinate
+# is an integer, so the digests are the same on every platform; the SVG
+# names the generator version, which a version change moves.
+RENDER_DIGESTS = {
+    ("mera1d", 3, "refined"):
+        "afb7a58f867ca77a27a0fe6ed1d3d07f2a2fa4581116e27ee4d626aa655f53e0",
+    ("mera2d-b2", 2, "shifted"):
+        "beda1f52753e86372b26149d9454122f939a7d2c554d5bf2a61e42c9248af8c8",
+}
+
+
+@pytest.mark.parametrize("kind,layers,scheme", sorted(RENDER_DIGESTS))
+def test_render_svg_pinned(tmp_path, kind, layers, scheme):
+    prefix = str(tmp_path / "m")
+    assert main(["build", "--kind", kind, "--layers", str(layers),
+                 "--no-elements", "--out", prefix + ".tns.json"]) == 0
+    assert main(["map", "--tns", prefix + ".tns.json", "--scheme", scheme,
+                 "--out-prefix", prefix]) == 0
+    assert main(["render", "--map", prefix + ".map.json",
+                 "--out", prefix + ".svg"]) == 0
+    svg = (tmp_path / "m.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == RENDER_DIGESTS[
+        (kind, layers, scheme)]
+
+
 def test_verify_rejects_off_grid_detour(tmp_path, capsys):
     net = tmp_path / "net.json"
     main(["build", "--kind", "mera2d-b2", "--layers", "2", "--seed", "1",
@@ -806,6 +831,61 @@ def test_map_rejects_network_that_fails_preconditions(built, tmp_path, capsys,
     assert captured.err == "".join(f"  {issue}\n" for issue in issues)
     assert not (tmp_path / "m.map.json").exists()
     assert not (tmp_path / "m.congestion.csv").exists()
+
+
+@pytest.mark.parametrize("nid,edit", [("p:0", {"layer": 2}),
+                                      ("t:2:0", {"kind": "physical-anchor"})],
+                         ids=["anchor-raised", "top-made-anchor"])
+def test_anchor_off_layer_0_fails_preconditions(built, tmp_path, capsys, nid,
+                                                edit):
+    # the embedding hangs a physical leg's open index on the line's source,
+    # which an anchor above its partner is not
+    prefix = str(tmp_path / "m")
+    assert main(["map", "--tns", str(built), "--scheme", "refined",
+                 "--out-prefix", prefix]) == 0
+    data = json.loads(built.read_text())
+    next(nd for nd in data["nodes"] if nd["id"] == nid).update(edit)
+    net = tmp_path / "bad.json"
+    net.write_text(json.dumps(data))
+    issue = f"{nid}: anchor at layer 2, not 0"
+    capsys.readouterr()
+    assert main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", str(tmp_path / "bad")]) == 4
+    assert capsys.readouterr() == ("", f"  {issue}\n")
+    assert not (tmp_path / "bad.map.json").exists()
+    assert not (tmp_path / "bad.congestion.csv").exists()
+    assert main(["verify", "--tns", str(net),
+                 "--map", prefix + ".map.json"]) == 4
+    assert capsys.readouterr() == (f"structural error: {issue}\n", "")
+
+
+@pytest.mark.parametrize("kind,layers,scheme", [
+    ("mera1d", 3, "refined"), ("mera2d-b2", 2, "refined"),
+    ("mera2d-b3", 1, "shifted")])
+def test_line_order_changes_no_output(tmp_path, capsys, kind, layers,
+                                      scheme):
+    # every pass finds a line by its id, never by its place in the list
+    net = tmp_path / "net.json"
+    assert main(["build", "--kind", kind, "--layers", str(layers),
+                 "--seed", "4", "--out", str(net)]) == 0
+    data = json.loads(net.read_text())
+    data["lines"].reverse()
+    reversed_net = tmp_path / "reversed.json"
+    reversed_net.write_text(json.dumps(data))
+    outputs = []
+    for path in (net, reversed_net):
+        prefix = str(tmp_path / path.stem)
+        capsys.readouterr()
+        assert main(["map", "--tns", str(path), "--scheme", scheme,
+                     "--out-prefix", prefix]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["verify", "--tns", str(path),
+                     "--map", prefix + ".map.json"]) == 0
+        outputs.append((Path(prefix + ".map.json").read_bytes(),
+                        Path(prefix + ".congestion.csv").read_bytes(),
+                        stdout, capsys.readouterr().out))
+    assert outputs[0][3].startswith("PASS ")
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("edit,problem", [

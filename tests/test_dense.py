@@ -1,7 +1,9 @@
 """Labeled contraction engine, state utilities, entropy, size guards."""
 
+import ast
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,7 +226,7 @@ VERIFY_SMALL = [(build_mera_1d, 4, "refined"), (build_mera_1d, 4, "shifted"),
 
 
 def _oracle_state(obj):
-    factors, _ = dense._network_factors(obj)
+    factors = obj.all_factors()
     open_labels = sorted({l for _, ls in factors for l in ls if l[0] == "p"},
                          key=lambda l: l[1])
     return _oracle_contract_labeled(factors, open_order=open_labels)[0]
@@ -414,3 +416,19 @@ def test_reduced_density_size_guard(monkeypatch):
                               tuple((q,) for q in range(4)), 2)
     with pytest.raises(dense.ResourceLimitError):
         dense.reduced_density(state, [(0,), (1,)])
+
+
+def test_dense_imports_no_package_module_but_lattice():
+    # networks state their own factors (all_factors), so dense contracts
+    # factor lists and knows no network type
+    names = []
+    for node in ast.walk(ast.parse(Path(dense.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "tnkit." * (node.level > 0) + (node.module or "")
+            names += [module] + [f"{module}.{alias.name}"
+                                 for alias in node.names]
+    package = [n for n in names if n.split(".")[0] == "tnkit"]
+    assert package
+    assert all(n.split(".")[1:2] == ["lattice"] for n in package), package

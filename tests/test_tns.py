@@ -82,9 +82,11 @@ HAND_MADE_FAULTS = [
          "b": ["w:3:0", 9]}),
      ["line 23: t:3:0 has no slot 5 of dimension 2",
       "line 23: w:3:0 has no slot 9 of dimension 2"]),
+    (lambda nodes, lines: _node_entry(nodes, "p:0").__setitem__("layer", 2),
+     ["p:0: anchor at layer 2, not 0"]),
 ]
 FAULT_IDS = ["dim", "layer-distance", "cell-distance", "cell-outside",
-             "uncovered", "doubly-covered", "missing-slots"]
+             "uncovered", "doubly-covered", "missing-slots", "anchor-layer"]
 
 
 @pytest.mark.parametrize("edit,issues", HAND_MADE_FAULTS, ids=FAULT_IDS)
@@ -116,6 +118,9 @@ def _oracle_validate(tns):
             issues.append(f"{node.id}: layer {node.layer} outside "
                           f"[0, {spec.layers}]")
         if node.kind == KIND_ANCHOR:
+            if node.layer != 0:
+                issues.append(f"{node.id}: anchor at layer {node.layer}, "
+                              f"not 0")
             if node.dims != anchor_dims:
                 issues.append(f"{node.id}: dims {node.dims} are not "
                               f"(physical_dim,) = {anchor_dims}")
