@@ -218,14 +218,15 @@ def _as_amplitudes(state):
 
 
 def states_equal(a, b, tol: float = 1e-10) -> bool:
-    """Equality up to global phase: |<a|b>| >= (1 - tol) |a||b|."""
+    """Equality up to global phase, |<a|b>|^2 >= (1 - tol)^2 <a|a><b|b>,
+    tested as two ratios that are 1 for a state against itself."""
     va, vb = _as_amplitudes(a), _as_amplitudes(b)
     if va.shape != vb.shape:
         raise ValueError(f"state sizes differ: {va.shape} vs {vb.shape}")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0 or nb == 0:
+    aa, bb, ab = map(abs, map(np.vdot, (va, vb, va), (va, vb, vb)))
+    if aa == 0 or bb == 0:
         raise ValueError("zero state has no direction")
-    return abs(np.vdot(va, vb)) >= (1 - tol) * na * nb
+    return (ab / aa) * (ab / bb) >= (1 - tol) ** 2
 
 
 def _region_axes(state: StateVector, region):

@@ -641,82 +641,84 @@ def congestion_csv(report: CongestionReport) -> str:
 
 @dataclass
 class Peps:
-    """Embedded network: per-site lists of (array, labels) factors on the
-    host grid.
+    """Embedded network: `factors` lists the (array, labels) factors, the
+    network's tensors in node order and then the identity wires in line
+    order, and `sites`, an (F, D) int64 array, their host sites.
 
     Contracting all factors over equal labels reproduces the original
     state; labels of the form ("p", site) are the open physical indices.
     congestion tallies the lines crossing each host edge, so the bond
     dimension of an edge is the product of its lines' dimensions.
+    `site_factors`, the factor lists by site, is made on each access.
     """
 
     lattice: LatticeSpec
     physical_lattice: LatticeSpec
     refine_factor: int
     physical_dim: int
-    site_factors: dict[Site, list[tuple[np.ndarray, tuple]]]
+    factors: list[tuple[np.ndarray, tuple]]
+    sites: np.ndarray
     congestion: CongestionReport
 
     def all_factors(self) -> list[tuple[np.ndarray, tuple]]:
-        return [f for site in sorted(self.site_factors)
-                for f in self.site_factors[site]]
+        return self.factors
+
+    @property
+    def site_factors(self) -> dict[Site, list[tuple[np.ndarray, tuple]]]:
+        by_site: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
+        for site, factor in zip(map(tuple, self.sites.tolist()), self.factors):
+            by_site.setdefault(site, []).append(factor)
+        return dict(sorted(by_site.items()))
 
 
 def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     """Realize a routed placement as a grid network of local factors.
 
-    Tensors become factors at their host sites.  A line of positive length
-    is split into one label per traversed edge, joined by identity wires at
-    the intermediate sites.  A physical leg keeps its open index at the
-    anchor's host site through an identity wire, so the embedded network
-    has one physical index per original site, located where the anchor was
-    placed.
+    Tensors become factors at their host sites, in node order.  A line of
+    positive length is split into one label per traversed edge, joined by
+    identity wires at the intermediate sites.  A physical leg keeps its
+    open index at the anchor's host site through an identity wire, so the
+    embedded network has one physical index per original site, located
+    where the anchor was placed.
     """
     anchor = (tns.kind == _ANCHOR).tolist()
     label_of = slot_labels(tns)
-    wires: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
     ends = _orientation(tns)
     # the source's slot is the a end's when the source is the a end
     slots = np.where(ends[0] == tns.line_ends[0], tns.line_slots,
                      tns.line_slots[::-1])
-    vertices = list(map(tuple, paths.vertices.tolist()))
     # the paths cover the lines, as check_routing requires
-    at = paths.line_ids.searchsorted(tns.line_id)
+    row = paths.line_ids.searchsorted(tns.line_id)
+    wires, at = [], []  # the wires and their vertex indices
 
     for lid, dim, src, src_slot, dst_slot, start, end in zip(
             tns.line_id.tolist(), tns.line_dim.tolist(), ends[0].tolist(),
             *(tns.dim_offsets[ends] + slots).tolist(),
-            paths.offsets[at].tolist(), paths.offsets[at + 1].tolist()):
+            paths.offsets[row].tolist(), paths.offsets[row + 1].tolist()):
         if end - start == 1:
             # a line of length 0 keeps its label
             continue
         eye = np.eye(dim)
         labels = [("t", lid, j) for j in range(end - start - 1)]
         if anchor[src]:
-            wires.setdefault(vertices[start], []).append(
-                (eye, (label_of[src_slot], labels[0])))
+            wires.append((eye, (label_of[src_slot], labels[0])))
+            at.append(start)
         else:
             label_of[src_slot] = labels[0]
         label_of[dst_slot] = labels[-1]
-        for j in range(1, len(labels)):
-            wires.setdefault(vertices[start + j], []).append(
-                (eye, (labels[j - 1], labels[j])))
-
-    site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
-    for site, factor in zip(map(tuple, p.sites[tns.kind != _ANCHOR].tolist()),
-                            tns.all_factors(label_of)):
-        site_factors.setdefault(site, []).append(factor)
-    for site, fs in wires.items():
-        site_factors.setdefault(site, []).extend(fs)
+        wires += [(eye, pair) for pair in zip(labels, labels[1:])]
+        at += range(start + 1, end - 1)
 
     return Peps(p.lattice, tns.spec, p.refine_factor, tns.physical_dim,
-                {s: site_factors[s] for s in sorted(site_factors)},
+                tns.all_factors(label_of) + wires,
+                np.concatenate((p.sites[tns.kind != _ANCHOR],
+                                paths.vertices[at])),
                 measured_chi(tns, paths))
 
 
 def contract_refined_to_normal(peps: Peps) -> Peps:
     """Merge the refine_factor blocks of a refined embedding into single
-    sites of the physical grid.
+    sites of the physical grid; the factors stay, in a list of their own.
 
     Lines between sites of one block become internal to the merged site;
     lines crossing a block boundary multiply into the merged bond, so a
@@ -725,11 +727,6 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
     physical grid.
     """
     factor = peps.refine_factor
-    site_factors: dict[Site, list[tuple[np.ndarray, tuple]]] = {}
-    for site in sorted(peps.site_factors):
-        site_factors.setdefault(tuple(c // factor for c in site), []).extend(
-            peps.site_factors[site])
-
     report = peps.congestion
     lower, upper = report._ends(report.keys)
     lower //= factor
@@ -737,7 +734,8 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
     crossing = (lower != upper).any(axis=1)
     line_ids = report.line_ids[crossing]
     coarse = peps.physical_lattice
-    return Peps(coarse, coarse, 1, peps.physical_dim, site_factors,
+    return Peps(coarse, coarse, 1, peps.physical_dim, list(peps.factors),
+                peps.sites // factor,
                 CongestionReport(
                     *_crossing_keys(zip(lower[crossing].T,
                                         upper[crossing].T), line_ids),

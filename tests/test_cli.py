@@ -132,10 +132,10 @@ def test_verify_reports_differing_state(built, tmp_path, monkeypatch,
 
     def flipped(*args):
         peps = assemble(*args)
-        factors, k = next((fs, k) for fs in peps.site_factors.values()
-                          for k, (a, _) in enumerate(fs)
-                          if a.shape == (2, 2) and (a == np.eye(2)).all())
-        factors[k] = (np.array([[0.0, 1.0], [1.0, 0.0]]), factors[k][1])
+        k = next(k for k, (a, _) in enumerate(peps.factors)
+                 if a.shape == (2, 2) and (a == np.eye(2)).all())
+        peps.factors[k] = (np.array([[0.0, 1.0], [1.0, 0.0]]),
+                           peps.factors[k][1])
         return peps
 
     monkeypatch.setattr(mapping, "assemble_peps", flipped)
@@ -1373,8 +1373,28 @@ def test_verify_accepts_tol_in_range(built, tmp_path, capsys, tol):
     capsys.readouterr()
     code = main(["verify", "--tns", str(built), "--map", prefix + ".map.json",
                  "--tol", tol])
-    assert code in (0, 4)
-    assert capsys.readouterr().err == ""
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("PASS embedded state matches")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("kind,layers,scheme", [
+    ("mera1d", 4, "refined"), ("mera1d", 4, "shifted"),
+    ("mera2d-b2", 2, "refined"), ("mera2d-b2", 2, "shifted"),
+    ("mera2d-b3", 1, "refined")])
+def test_verify_passes_at_tol_zero(tmp_path, capsys, kind, layers, scheme):
+    # the embedding contracts in the network's order, so the two states
+    # agree bit for bit
+    net, prefix = str(tmp_path / "net.json"), str(tmp_path / "m")
+    assert main(["build", "--kind", kind, "--layers", str(layers),
+                 "--seed", "5", "--out", net]) == 0
+    assert main(["map", "--tns", net, "--scheme", scheme,
+                 "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--tns", net, "--map", prefix + ".map.json",
+                 "--tol", "0"]) == 0
+    assert capsys.readouterr().out.startswith("PASS embedded state matches")
 
 
 def test_entropy_half_cut_ignores_negative_seed(capsys):

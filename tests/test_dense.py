@@ -247,6 +247,18 @@ def test_contraction_matches_oracle_on_verify_shapes(build, layers, scheme):
     assert dense.states_equal(embedded, state, tol=1e-12)
 
 
+@pytest.mark.parametrize("build,layers,scheme", VERIFY_SMALL)
+def test_embedding_contracts_to_the_network_state_bit_for_bit(build, layers,
+                                                              scheme):
+    # the embedding lists the network's tensors in node order, so once its
+    # wires are renamed away the greedy loop takes the network's steps
+    net = build(layers, seed=5)
+    p = place(net, scheme, 1)
+    peps = assemble_peps(net, p, route_lines(net, p))
+    assert np.array_equal(dense.contract_to_statevector(peps).amplitudes,
+                          dense.contract_to_statevector(net).amplitudes)
+
+
 def test_wire_chain_matches_einsum():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
@@ -274,11 +286,10 @@ def test_pauli_x_in_place_of_a_wire_changes_the_state():
     peps = assemble_peps(net, p, route_lines(net, p))
     state = dense.contract_to_statevector(net)
     assert dense.states_equal(dense.contract_to_statevector(peps), state)
-    site, k = next((site, k) for site, fs in peps.site_factors.items()
-                   for k, (a, ls) in enumerate(fs)
-                   if a.shape == (2, 2) and np.array_equal(a, np.eye(2)))
-    labels = peps.site_factors[site][k][1]
-    peps.site_factors[site][k] = (np.array([[0.0, 1.0], [1.0, 0.0]]), labels)
+    k = next(k for k, (a, ls) in enumerate(peps.factors)
+             if a.shape == (2, 2) and np.array_equal(a, np.eye(2)))
+    labels = peps.factors[k][1]
+    peps.factors[k] = (np.array([[0.0, 1.0], [1.0, 0.0]]), labels)
     assert not dense.states_equal(dense.contract_to_statevector(peps), state)
 
 
@@ -343,6 +354,28 @@ def test_statevector_norm_and_equality():
         dense.states_equal(v, np.ones(4))
     with pytest.raises(ValueError):
         dense.states_equal(v, np.zeros(2))
+
+
+def test_states_equal_passes_a_state_against_itself_at_tol_zero():
+    rng = np.random.default_rng(0)
+    for n in (7, 64, 333, 1393):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for scale in (1.0, 1e150, 1e-150):
+            assert dense.states_equal(v * scale, v * scale, tol=0)
+            assert dense.states_equal(v * scale, np.exp(0.7j) * v * scale,
+                                      tol=1e-12)
+        w = v.copy()
+        w[n // 2] += 1e-3
+        assert not dense.states_equal(v, w, tol=0)
+        assert not dense.states_equal(v, w)
+
+
+def test_states_equal_refuses_tiny_orthogonal_states():
+    a, b = np.zeros(4), np.zeros(4)
+    a[0], b[3] = 1e-150, 1e-150
+    for tol in (0, 1e-10, 0.5):
+        assert not dense.states_equal(a, b, tol=tol)
+    assert dense.states_equal(a, a, tol=0)
 
 
 def test_contract_to_statevector_against_manual_contraction():

@@ -15,8 +15,8 @@ import pytest
 
 from tnkit import dense
 from tnkit.lattice import LatticeSpec
-from tnkit.mapping import (CongestionReport, PathAssignment, Placement,
-                           assemble_peps, check_routing, chi_bound,
+from tnkit.mapping import (CongestionReport, PathAssignment, Peps,
+                           Placement, assemble_peps, check_routing, chi_bound,
                            congestion_csv,
                            contract_refined_to_normal,
                            default_refined_offsets, detect_stacks,
@@ -739,6 +739,50 @@ def test_refined_merge_to_physical_grid():
     ref = dense.contract_to_statevector(net)
     emb = dense.contract_to_statevector(merged)
     assert dense.states_equal(ref, emb, tol=1e-12)
+
+
+@pytest.mark.parametrize("build,layers,scheme", [
+    (build_mera_1d, 3, "refined"), (build_mera_2d_b2, 2, "refined"),
+    (build_mera_2d_b3, 1, "shifted")])
+def test_peps_is_a_factor_list_and_a_site_column(build, layers, scheme):
+    net, p, pa = routed(build, layers, scheme)
+    peps = assemble_peps(net, p, pa)
+    fields = [f.name for f in dataclasses.fields(Peps)]
+    assert "factors" in fields and "sites" in fields
+    assert "site_factors" not in fields
+    with pytest.raises(AttributeError):
+        peps.site_factors = {}
+    assert peps.all_factors() is peps.factors
+    assert peps.sites.dtype == np.int64
+    assert peps.sites.shape == (len(peps.factors), net.spec.dimension)
+    # the tracer counts factors and wires from the view
+    view = peps.site_factors
+    assert list(view) == sorted(view)
+    assert sum(map(len, view.values())) == len(peps.all_factors())
+    # each site's list: its tensors in node order, then its wires in line
+    # order, a line's wires along its path
+    node_of = {id(net.elements[i]): i
+               for i in (~_anchor_rows(net)).nonzero()[0].tolist()}
+    line_pos = {lid: k for k, lid in enumerate(net.line_id.tolist())}
+
+    def key(factor):
+        array, labels = factor
+        if id(array) in node_of:
+            return 0, node_of[id(array)], 0
+        t = [l for l in labels if l[0] == "t"]
+        return 1, line_pos[t[-1][1]], t[-1][2]
+
+    assert sum(id(a) in node_of for a, _ in peps.factors) == len(node_of)
+    for factors in view.values():
+        keys = list(map(key, factors))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    merged = contract_refined_to_normal(peps)
+    assert merged.factors is not peps.factors
+    assert len(merged.factors) == len(peps.factors)
+    assert all(a is b and la == lb for (a, la), (b, lb)
+               in zip(merged.factors, peps.factors))
+    assert np.array_equal(merged.sites, peps.sites // peps.refine_factor)
+    assert sum(map(len, merged.site_factors.values())) == len(peps.factors)
 
 
 def test_refined_merge_bond_dimension_b2():
