@@ -1,32 +1,49 @@
-"""Generator-packed stabilizer simulator for the Clifford constructions.
+"""Word-sparse stabilizer simulator for the Clifford constructions.
 
 A state on n qubits is tracked by n generators of the form
 i**r * prod_q X**x_q Z**z_q (X left of Z on every qubit), with r mod 4.
-Storage is generator-packed, as in Aaronson-Gottesman (quant-ph/0406196)
-and Stim (arXiv:2103.02202): x and z are (n, ceil(n/64)) uint64 arrays
-whose row q holds the bits of every generator on qubit q, generator g at
-bit g % 64 of word g // 64.  The phases r are bit-sliced the same way: a
-(2, ceil(n/64)) array of low and high bit planes.  A gate on fixed qubits
-therefore costs O(n/64) word operations, and a swap is a row exchange.
+The bits are generator-packed, as in Aaronson-Gottesman
+(quant-ph/0406196) and Stim (arXiv:2103.02202): bit row q holds the X
+bits of every generator on qubit q and bit row n + q its Z bits,
+generator g at bit g % 64 of word g // 64 of the row's ceil(n/64) words.
+The rows are word-sparse.  The state stores only their nonzero words, as
+three parallel arrays: the bit row, the word index and the uint64 value
+of each.  No zero word is stored, and the words of each row are
+ascending.  The phases r stay dense: a (2, ceil(n/64)) array of low and
+high bit planes.  The tree state at T=13 keeps 16,638 of the 2,097,152
+words of the dense tableau.
 
+Every gate touches only the stored words.  A row move (SWAP,
+permute_qubits, the exchange of a qubit's X and Z rows by H) relabels
+the rows of the words; rows therefore need not stay in order.  XOR-ing
+rows into rows (CNOT, S and the X bits of the rotations) takes the
+stored words of the rows written and the new ones, sorts them by (row,
+word), XORs the words of equal key into one, drops those that came out
+zero and stores the result after the words of the other rows.
 apply_xx_rotations and apply_swaps take a batch of disjoint qubit pairs
 and apply the whole batch in a few array operations; the single-gate
-calls are batches of one pair.  A batch of rotations runs in blocks of
-about _BLOCK_WORDS generator words, so that its temporaries stay in
-cache, and each block's phase change is a bit-sliced count mod 4 taken
-from the running XOR of its rows.  The tableau may take at most
-16 * lattice.amplitude_limit() bytes (1 GiB by default, set through
-TNKIT_MAX_AMPLITUDES); init_zero raises ResourceLimitError beyond that.
+calls are batches of one pair.  A batch of rotations gathers the Z words
+of its rows, merges them into each pair's anticommuting words and XORs
+those into the pair's X rows; its phase change is a bit-sliced count
+mod 4 over the pairs, taken per generator word as a segmented prefix
+parity.
+
+The store never holds more words than the dense tableau's
+2 * n * ceil(n/64), and a store that dense arises only from Clifford
+circuits that no command runs.  init_zero admits a tableau only if
+those dense words take at most 16 * lattice.amplitude_limit() bytes
+(1 GiB by default, set through TNKIT_MAX_AMPLITUDES) and raises
+ResourceLimitError beyond that.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
 the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
 the smaller side of the cut, valid because S_A = S_B for a pure state,
-on the list of (generator, column) bits read from the nonzero words of
-that side's qubit rows, a block of rows at a time.  Rounds of array
-operations first peel the pivots that need no elimination: a generator
-that alone sets some column, and a column that is some generator's only
-bit.  Only the core left over becomes Python-int rows for _gf2_rank;
-the tree cuts of every odd T <= 15 peel completely.
+on the list of (generator, column) bits of the stored words of that
+side's rows.  Rounds of array operations first peel the pivots that need
+no elimination: a generator that alone sets some column, and a column
+that is some generator's only bit.  Only the core left over becomes
+Python-int rows for _gf2_rank; the tree cuts of every odd T <= 17 peel
+completely.
 
 The tree-state driver applies tns.ttn_gate_schedule a layer's block of
 rows at a time and sizes the cut by tns.ttn_cut_size; it never calls
@@ -35,8 +52,8 @@ built network simulate the same gates independently.  The automaton
 driver rotates the odd swap sublayer's pairs of qca.sublayer_indices
 into entangled pairs, the set qca.initial_pairs hands the pair tracker.
 Its layers are one permutation of qubits, qca.layer_permutation, and
-permute_qubits, the one row mover, applies a permutation as a single
-gather of the x and z rows; run_qca raises the permutation to the
+permute_qubits, the one row mover of whole layers, relabels the rows of
+every stored word at once; run_qca raises the permutation to the
 number of layers before it moves the rows once, and `entropy
 --cross-check` sets each length up once and moves the rows one layer
 at a time.  The cross-checks live in the test suite and in that
@@ -45,6 +62,7 @@ command.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,20 +71,23 @@ from . import tns
 from .lattice import LatticeSpec, ResourceLimitError, amplitude_limit
 from .qca import layer_permutation, site_indices, sublayer_indices
 
-# generator words per block of a batched rotation or of the rows an
-# entropy reads: 128 KiB temporaries stay in L2 (fastest of 2**11-2**20)
-_BLOCK_WORDS = 2 ** 14
-
 
 @dataclass
 class StabilizerState:
+    """Generators of a state on num_qubits qubits: stored word i is word
+    word[i] of bit row row[i] (X bits of qubit q in row q, Z bits in row
+    num_qubits + q) and holds val[i]; phase holds the (low, high) bit
+    planes of r."""
+
     num_qubits: int
-    x: np.ndarray
-    z: np.ndarray
+    row: np.ndarray
+    word: np.ndarray
+    val: np.ndarray
     phase: np.ndarray
 
     def copy(self) -> "StabilizerState":
-        return StabilizerState(self.num_qubits, self.x.copy(), self.z.copy(),
+        return StabilizerState(self.num_qubits, self.row.copy(),
+                               self.word.copy(), self.val.copy(),
                                self.phase.copy())
 
 
@@ -80,11 +101,9 @@ def init_zero(num_qubits: int) -> StabilizerState:
         raise ResourceLimitError(
             f"stabilizer tableau of {num_qubits} qubits needs {need} bytes, "
             f"over the budget of {16 * amplitude_limit()}")
-    x = np.zeros((num_qubits, words), dtype=np.uint64)
-    z = np.zeros((num_qubits, words), dtype=np.uint64)
-    q = np.arange(num_qubits)
-    z[q, q // 64] = np.uint64(1) << (q % 64).astype(np.uint64)
-    return StabilizerState(num_qubits, x, z,
+    q = np.arange(num_qubits, dtype=np.int64)
+    return StabilizerState(num_qubits, num_qubits + q, q // 64,
+                           np.uint64(1) << (q % 64).astype(np.uint64),
                            np.zeros((2, words), dtype=np.uint64))
 
 
@@ -98,6 +117,20 @@ def _qubits(t: StabilizerState, qs) -> np.ndarray:
     return qs.astype(np.int64, copy=False)
 
 
+def _qubit(t: StabilizerState, q) -> int:
+    """The qubit argument q of a one-qubit gate as an int; ValueError
+    unless it is a single integer (not a bool, not a sequence) on the
+    tableau."""
+    try:
+        if isinstance(q, (bool, np.bool_)):
+            raise TypeError
+        q = operator.index(q)
+    except TypeError:
+        raise ValueError(f"q must be one integer qubit, not {q!r}") from None
+    _qubits(t, q)
+    return q
+
+
 def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = _qubits(t, a), _qubits(t, b)
     if a.size != b.size:
@@ -108,15 +141,73 @@ def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _count_mod4(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per bit, the number of rows with it set, mod 4, as (low, high)
-    bit planes.  The low plane is the parity of all rows; the high one
-    flips at every carry, where row i meets an odd parity of the rows
-    before it: the XOR over i >= 1 of prefix[i - 1] & rows[i]."""
-    prefix = np.bitwise_xor.accumulate(rows, axis=0)
-    carry = prefix[:-1]
-    carry &= rows[1:]
-    return prefix[-1], np.bitwise_xor.reduce(carry, axis=0)
+def _select(t: StabilizerState,
+            label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(label of the row, word, value) of the stored words whose bit row
+    has a label >= 0 in label, a (2n,) int64 array, in store order."""
+    lab = label[t.row]
+    at = np.flatnonzero(lab >= 0)
+    return lab[at], t.word[at], t.val[at]
+
+
+def _starts(key: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values of a sorted array begins."""
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _xor_merge(key: np.ndarray,
+               val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct keys of key, each with the XOR of its
+    values, leaving out the keys whose XOR is zero."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = _starts(key)
+    val = np.bitwise_xor.reduceat(val[order], start)
+    keep = np.flatnonzero(val)
+    return key[start[keep]], val[keep]
+
+
+def _xor_into(t: StabilizerState, rows: np.ndarray, words: np.ndarray,
+              vals: np.ndarray) -> None:
+    """XOR vals[i] into word words[i] of bit row rows[i], repeats allowed.
+    Only the stored words of those rows are merged with the new ones; the
+    merged rows, in (row, word) order, follow the other stored words."""
+    n, width = t.num_qubits, t.phase.shape[1]
+    written = np.zeros(2 * n, dtype=bool)
+    written[rows] = True
+    at = written[t.row]
+    key, val = _xor_merge(
+        np.concatenate([t.row[at], rows]) * width
+        + np.concatenate([t.word[at], words]),
+        np.concatenate([t.val[at], vals]))
+    row, word = np.divmod(key, width)
+    rest = ~at
+    t.row = np.concatenate([t.row[rest], row])
+    t.word = np.concatenate([t.word[rest], word])
+    t.val = np.concatenate([t.val[rest], val])
+
+
+def _segment_count_mod4(vals: np.ndarray,
+                        start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per bit and per segment of vals (segment i runs from start[i] to
+    start[i + 1]), the number of values with the bit set, mod 4, as
+    (low, high) bit planes.  The low plane is the segment's parity; the
+    high one flips at every carry, where value i meets an odd parity of
+    the segment's values before it."""
+    # the parity of all values before each one, then of those of its
+    # own segment
+    before = np.zeros_like(vals)
+    np.bitwise_xor.accumulate(vals[:-1], out=before[1:])
+    seg = np.zeros(vals.size, dtype=np.int64)
+    seg[start[1:]] = 1
+    np.cumsum(seg, out=seg)
+    before ^= before[start][seg]
+    before &= vals
+    return (np.bitwise_xor.reduceat(vals, start),
+            np.bitwise_xor.reduceat(before, start))
 
 
 def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
@@ -128,20 +219,27 @@ def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
     summed mod 4 before they reach the phases.
     """
     a, b = _pairs(t, a, b)
-    block = max(1, _BLOCK_WORDS // t.x.shape[1])
+    n, width = t.num_qubits, t.phase.shape[1]
+    pair = np.full(2 * n, -1, dtype=np.int64)
+    pair[n + a] = pair[n + b] = np.arange(a.size)
+    # the words of z[a] ^ z[b]: the generators anticommuting with X_a X_b
+    k, word, val = _select(t, pair)
+    key, anti = _xor_merge(k * width + word, val)
+    k, word = np.divmod(key, width)
+    _xor_into(t, np.concatenate([a[k], b[k]]), np.concatenate([word, word]),
+              np.concatenate([anti, anti]))
+    # per generator word, the anticommuting pairs counted mod 4
+    order = np.argsort(word, kind="stable")
+    word, anti = word[order], anti[order]
+    start = _starts(word)
+    lo, hi = _segment_count_mod4(anti, start)
+    word = word[start]
     p0, p1 = t.phase
-    for s in range(0, a.size, block):
-        qa, qb = a[s:s + block], b[s:s + block]
-        anti = t.z[qa]
-        anti ^= t.z[qb]
-        t.x[qa] ^= anti
-        t.x[qb] ^= anti
-        lo, hi = _count_mod4(anti)
-        # -c mod 4 has the bit planes (c0, c1 ^ c0)
-        hi ^= lo
-        hi ^= p0 & lo
-        p1 ^= hi
-        p0 ^= lo
+    # -c mod 4 has the bit planes (c0, c1 ^ c0)
+    hi ^= lo
+    hi ^= p0[word] & lo
+    p1[word] ^= hi
+    p0[word] ^= lo
     return t
 
 
@@ -153,9 +251,11 @@ def apply_xx_rotation(t: StabilizerState, i: int, j: int) -> StabilizerState:
 def apply_swaps(t: StabilizerState, a, b) -> StabilizerState:
     """SWAP on every pair of a batch of disjoint pairs: row exchanges."""
     a, b = _pairs(t, a, b)
+    n = t.num_qubits
     ab, ba = np.concatenate([a, b]), np.concatenate([b, a])
-    t.x[ab] = t.x[ba]
-    t.z[ab] = t.z[ba]
+    dest = np.arange(2 * n)
+    dest[np.concatenate([ab, n + ab])] = np.concatenate([ba, n + ba])
+    t.row = dest[t.row]
     return t
 
 
@@ -164,26 +264,34 @@ def apply_swap(t: StabilizerState, i: int, j: int) -> StabilizerState:
 
 
 def apply_h(t: StabilizerState, q: int) -> StabilizerState:
-    _qubits(t, q)
-    xb, zb = t.x[q].copy(), t.z[q].copy()
-    t.phase[1] ^= xb & zb
-    t.x[q], t.z[q] = zb, xb
+    q = _qubit(t, q)
+    n = t.num_qubits
+    xs, zs = np.flatnonzero(t.row == q), np.flatnonzero(t.row == n + q)
+    both, i, j = np.intersect1d(t.word[xs], t.word[zs], assume_unique=True,
+                                return_indices=True)
+    t.phase[1, both] ^= t.val[xs[i]] & t.val[zs[j]]
+    t.row[xs], t.row[zs] = n + q, q
     return t
 
 
 def apply_s(t: StabilizerState, q: int) -> StabilizerState:
-    _qubits(t, q)
-    xb = t.x[q]
-    t.phase[1] ^= t.phase[0] & xb
-    t.phase[0] ^= xb
-    t.z[q] ^= xb
+    q = _qubit(t, q)
+    xs = np.flatnonzero(t.row == q)
+    word, xb = t.word[xs], t.val[xs]
+    p0, p1 = t.phase
+    p1[word] ^= p0[word] & xb
+    p0[word] ^= xb
+    _xor_into(t, np.full(xs.size, t.num_qubits + q), word, xb)
     return t
 
 
 def apply_cnot(t: StabilizerState, control: int, target: int) -> StabilizerState:
-    _pairs(t, control, target)
-    t.x[target] ^= t.x[control]
-    t.z[control] ^= t.z[target]
+    control, target = _pairs(t, control, target)
+    n = t.num_qubits
+    # x[target] ^= x[control], z[control] ^= z[target]
+    label = np.full(2 * n, -1, dtype=np.int64)
+    label[control], label[n + target] = target, n + control
+    _xor_into(t, *_select(t, label))
     return t
 
 
@@ -191,23 +299,17 @@ def _restricted_hits(t: StabilizerState,
                      qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(generator, column) of every set bit of the generators restricted
     to the X bits (columns 0..k-1) and Z bits (columns k..2k-1) of the
-    given qubits, as two int64 arrays; the qubit rows are read a block
-    at a time."""
-    k, words = len(qubits), t.x.shape[1]
-    step = max(1, _BLOCK_WORDS // words)
-    gens, cols = [], []
-    for offset, arr in ((0, t.x), (k, t.z)):
-        for s in range(0, k, step):
-            block = arr[qubits[s:s + step]].reshape(-1)
-            at = np.flatnonzero(block != 0)
-            bits = np.unpackbits(block[at].astype("<u8", copy=False)
-                                 .view(np.uint8).reshape(-1, 8),
-                                 axis=1, bitorder="little")
-            hit = np.flatnonzero(bits)
-            at = at[hit >> 6]
-            gens.append(64 * (at % words) + (hit & 63))
-            cols.append(at // words + (offset + s))
-    return np.concatenate(gens), np.concatenate(cols)
+    given qubits, as two int64 arrays, read from the stored words of
+    their rows."""
+    n, k = t.num_qubits, len(qubits)
+    column = np.full(2 * n, -1, dtype=np.int64)
+    column[np.concatenate([qubits, n + qubits])] = np.arange(2 * k)
+    cols, word, val = _select(t, column)
+    bits = np.unpackbits(val.astype("<u8", copy=False).view(np.uint8)
+                         .reshape(-1, 8), axis=1, bitorder="little")
+    hit = np.flatnonzero(bits)
+    at = hit >> 6
+    return 64 * word[at] + (hit & 63), cols[at]
 
 
 def _peeled_rank(gens: np.ndarray, cols: np.ndarray, num_rows: int,
@@ -287,11 +389,20 @@ def _bit(arr: np.ndarray, g: int) -> int:
     return int(arr[g // 64] >> np.uint64(g % 64)) & 1
 
 
+def _dense_row(t: StabilizerState, r: int) -> np.ndarray:
+    """Every word of bit row r, zeros included."""
+    out = np.zeros(t.phase.shape[1], dtype=np.uint64)
+    at = t.row == r
+    out[t.word[at]] = t.val[at]
+    return out
+
+
 def generator_operator(t: StabilizerState, g: int) -> np.ndarray:
     """Dense matrix of generator g; qubit 0 is the most significant."""
     op = np.array([[1.0 + 0j]])
     for q in range(t.num_qubits):
-        xb, zb = _bit(t.x[q], g), _bit(t.z[q], g)
+        xb = _bit(_dense_row(t, q), g)
+        zb = _bit(_dense_row(t, t.num_qubits + q), g)
         op = np.kron(op, (_I2, _X, _Z, _XZ)[xb + 2 * zb])
     r = _bit(t.phase[0], g) + 2 * _bit(t.phase[1], g)
     return (1j ** r) * op
@@ -340,15 +451,17 @@ def run_ttn_example(layers: int) -> TtnRun:
 def permute_qubits(t: StabilizerState, source) -> StabilizerState:
     """Move every qubit's rows at once: qubit q takes the X and Z bits
     that qubit source[q] held.  source must be a permutation of the
-    qubits (ValueError otherwise); phases do not change."""
+    qubits (ValueError otherwise); phases do not change.  Only the row
+    labels of the stored words change; no word moves."""
     source = _qubits(t, source)
     seen = np.zeros(t.num_qubits, dtype=bool)
     seen[source] = True
     if source.size != t.num_qubits or not seen.all():
         raise ValueError("source must be a permutation of the qubits")
-    # one array at a time, so that at most one old copy is alive
-    t.x = t.x[source]
-    t.z = t.z[source]
+    n = t.num_qubits
+    dest = np.empty(2 * n, dtype=np.int64)
+    dest[np.concatenate([source, n + source])] = np.arange(2 * n)
+    t.row = dest[t.row]
     return t
 
 

@@ -2,12 +2,14 @@
 
 The dense reference below applies gate matrices to full statevectors and
 measures entropy through singular values, sharing no code with the
-tableau implementation.
+tableau implementation.  tableau_oracle keeps the dense generator-packed
+kernel the word-sparse store replaced, the bit-for-bit reference.
 """
 
 import numpy as np
 import pytest
 
+import tableau_oracle as oracle
 from tnkit import stabilizer as stab
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -227,22 +229,55 @@ def random_pairs(rng, n, m):
     return qs[:m], qs[m:]
 
 
+def assert_canonical(t):
+    """The store's form: every stored word nonzero, on a bit row and a
+    word of the tableau, and the words of each row ascending."""
+    n, width = t.num_qubits, t.phase.shape[1]
+    assert t.row.dtype == t.word.dtype == np.int64
+    assert t.val.dtype == np.uint64
+    assert t.row.shape == t.word.shape == t.val.shape
+    assert np.all(t.val != 0)
+    assert np.all((t.row >= 0) & (t.row < 2 * n))
+    assert np.all((t.word >= 0) & (t.word < width))
+    order = np.argsort(t.row, kind="stable")
+    row, word = t.row[order], t.word[order]
+    same = row[1:] == row[:-1]
+    assert np.all(word[1:][same] > word[:-1][same])
+
+
+def assert_matches_oracle(t, ref):
+    assert_canonical(t)
+    dense = oracle.densify(t)
+    np.testing.assert_array_equal(dense.x, ref.x)
+    np.testing.assert_array_equal(dense.z, ref.z)
+    np.testing.assert_array_equal(dense.phase, ref.phase)
+
+
 def assert_same_tableau(a, b):
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.z, b.z)
-    np.testing.assert_array_equal(a.phase, b.phase)
+    assert_canonical(b)
+    assert_matches_oracle(a, oracle.densify(b))
 
 
 def test_count_mod4_matches_bit_counts():
+    # the phase count of a rotation batch, on values cut into segments
     rng = np.random.default_rng(3)
     for m in range(1, 201):
-        rows = rng.integers(0, 2 ** 63, size=(m, 2), dtype=np.uint64)
-        lo, hi = stab._count_mod4(rows)
-        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
-        count = bits.sum(axis=0) % 4
-        got = np.unpackbits(lo.view(np.uint8), bitorder="little") \
-            + 2 * np.unpackbits(hi.view(np.uint8), bitorder="little")
-        np.testing.assert_array_equal(got, count)
+        vals = rng.integers(0, 2 ** 63, size=m, dtype=np.uint64)
+        cuts = np.sort(rng.choice(np.arange(1, m), replace=False,
+                                  size=min(m - 1, int(rng.integers(0, 8)))))
+        start = np.concatenate([[0], cuts]).astype(np.int64)
+        lo, hi = stab._segment_count_mod4(vals.copy(), start)
+        for i, group in enumerate(np.split(vals, cuts)):
+            bits = np.unpackbits(group.view(np.uint8).reshape(-1, 8),
+                                 axis=1, bitorder="little")
+            count = bits.sum(axis=0) % 4
+            got = np.unpackbits(lo[i:i + 1].view(np.uint8),
+                                bitorder="little") \
+                + 2 * np.unpackbits(hi[i:i + 1].view(np.uint8),
+                                    bitorder="little")
+            np.testing.assert_array_equal(got, count)
+            ref_lo, ref_hi = oracle.count_mod4(group[:, None])
+            assert (lo[i], hi[i]) == (ref_lo[0], ref_hi[0])
 
 
 @pytest.mark.parametrize("batch,single,mat", [
@@ -292,10 +327,11 @@ def test_batches_match_single_gates_across_generator_words():
 
 def test_batched_rotation_spanning_blocks_matches_single_gates():
     # enough generator words per row that a batch of disjoint pairs fills
-    # at least three blocks of the rotation kernel
-    words = int(np.ceil(np.sqrt(3 * stab._BLOCK_WORDS / 32))) + 1
+    # at least three blocks of the dense reference kernel, which sums the
+    # phase changes block by block; the sparse batch sums them at once
+    words = int(np.ceil(np.sqrt(3 * oracle.BLOCK_WORDS / 32))) + 1
     n = 64 * words
-    block = max(1, stab._BLOCK_WORDS // words)
+    block = max(1, oracle.BLOCK_WORDS // words)
     m = 3 * block + 1
     assert 2 * m <= n
     rng = np.random.default_rng(37)
@@ -309,7 +345,9 @@ def test_batched_rotation_spanning_blocks_matches_single_gates():
     one = t.copy()
     for i, j in zip(a, b):
         stab.apply_xx_rotation(one, int(i), int(j))
-    assert_same_tableau(stab.apply_xx_rotations(t.copy(), a, b), one)
+    many = stab.apply_xx_rotations(t.copy(), a, b)
+    assert_same_tableau(many, one)
+    assert_matches_oracle(many, oracle.xx_rotations(oracle.densify(t), a, b))
 
 
 def test_batch_validation():
@@ -387,8 +425,8 @@ def test_permute_qubits_takes_only_permutations(source, error, message):
 def test_permute_qubits_moves_rows_not_phases():
     t = stab.apply_xx_rotations(stab.init_zero(4), [0, 1], [3, 2])
     moved = stab.permute_qubits(t.copy(), [2, 0, 3, 1])
-    np.testing.assert_array_equal(moved.x, t.x[[2, 0, 3, 1]])
-    np.testing.assert_array_equal(moved.z, t.z[[2, 0, 3, 1]])
+    before = oracle.densify(t)
+    assert_matches_oracle(moved, oracle.permute(before, [2, 0, 3, 1]))
     np.testing.assert_array_equal(moved.phase, t.phase)
 
 
@@ -409,7 +447,10 @@ def _run_qca(dimension, length, layers):
     source = np.arange(n)
     for _ in range(layers):
         source = source[step]
-    state.x, state.z = state.x[source], state.z[source]
+    # bit row source[q] (X) and n + source[q] (Z) become rows q and n + q
+    dest = np.empty(2 * n, dtype=np.int64)
+    dest[np.concatenate([source, n + source])] = np.arange(2 * n)
+    state.row = dest[state.row]
     return state
 
 
@@ -487,6 +528,125 @@ def test_tree_run_fifteen_layers():
     assert stab.run_ttn_example(15).entropy == 8
 
 
+def test_tree_run_seventeen_layers_under_a_raised_budget(monkeypatch):
+    # 2**17 qubits need 2 * 2**17 * 2**11 * 8 = 2**32 bytes by the dense
+    # rule, exactly 16 * 2**28; the sparse store holds a few words a row
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(2 ** 28))
+    run = stab.run_ttn_example(17)
+    assert run.entropy == 9
+    assert len(run.region) == 43691
+    assert run.state.val.size < 8 * run.state.num_qubits
+
+
+# ------------------------------------------- against the dense reference
+
+def assert_hits_match(t, ref, qubits):
+    gens, cols = stab._restricted_hits(t, qubits)
+    np.testing.assert_array_equal(
+        np.unique(np.stack([gens, cols], axis=1), axis=0),
+        oracle.restricted_hits(ref, qubits))
+
+
+ORACLE_GATES = {stab.apply_h: oracle.h, stab.apply_s: oracle.s,
+                stab.apply_cnot: oracle.cnot,
+                stab.apply_swap: lambda t, i, j: oracle.swaps(t, [i], [j]),
+                stab.apply_xx_rotation:
+                    lambda t, i, j: oracle.xx_rotations(t, [i], [j])}
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 65, 127, 130])
+def test_random_circuits_match_dense_kernel_gate_by_gate(n):
+    # single gates and batches, compared bit for bit after every gate,
+    # with qubits on both sides of the generator-word boundaries
+    rng = np.random.default_rng(1000 + n)
+    t, ref = stab.init_zero(n), oracle.init_zero(n)
+    edges = sorted({q for q in (0, 63, 64, 127, 128, n - 1) if q < n})
+    for step in range(6 * n + 20):
+        kind = int(rng.integers(0, len(GATES) + 2))
+        if kind < len(GATES):
+            _, arity, _, fn = GATES[kind]
+            pool = edges if step % 3 == 0 and len(edges) >= arity \
+                else range(n)
+            qs = [int(q) for q in rng.choice(pool, size=arity,
+                                             replace=False)]
+            fn(t, *qs)
+            ORACLE_GATES[fn](ref, *qs)
+        else:
+            a, b = random_pairs(rng, n, int(rng.integers(1, n // 2 + 1)))
+            if kind == len(GATES):
+                stab.apply_xx_rotations(t, a, b)
+                oracle.xx_rotations(ref, a, b)
+            else:
+                stab.apply_swaps(t, a, b)
+                oracle.swaps(ref, a, b)
+        assert_matches_oracle(t, ref)
+    for _ in range(5):
+        qubits = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                    replace=False))
+        assert_hits_match(t, ref, qubits)
+
+
+@pytest.mark.parametrize("layers", [1, 3, 5, 7, 9, 11])
+def test_tree_tableau_matches_dense_kernel(layers):
+    from tnkit.tns import ttn_gate_schedule
+    ref = oracle.init_zero(2 ** layers)
+    schedule = ttn_gate_schedule(layers)
+    for top in range(layers):
+        _, a, b = schedule[2 ** top - 1:2 ** (top + 1) - 1].T
+        oracle.xx_rotations(ref, a, b)
+    run = stab.run_ttn_example(layers)
+    assert_matches_oracle(run.state, ref)
+    assert_hits_match(run.state, ref, np.array(run.region))
+
+
+@pytest.mark.parametrize("dim,lengths,layers_max", [
+    (2, (24, 32), 4), (1, (256, 512), 8), (2, (48,), 3)])
+def test_qca_layers_match_dense_kernel(dim, lengths, layers_max):
+    # the job shapes of `entropy --cross-check`, one layer at a time
+    from tnkit import qca
+    rng = np.random.default_rng(53)
+    for length in lengths:
+        n = length ** dim
+        ref = oracle.xx_rotations(oracle.init_zero(n),
+                                  *qca.sublayer_indices(dim, length, 1))
+        state = stab.run_qca(dim, length, 0)
+        assert_matches_oracle(state, ref)
+        step = qca.layer_permutation(dim, length)
+        for layers in range(1, layers_max + 1):
+            stab.permute_qubits(state, step)
+            oracle.permute(ref, step)
+            assert_matches_oracle(state, ref)
+            assert_same_tableau(stab.run_qca(dim, length, layers), state)
+            assert_hits_match(state, ref,
+                              qca.random_connected_region(dim, length, rng))
+
+
+@pytest.mark.parametrize("gate", [stab.apply_h, stab.apply_s])
+@pytest.mark.parametrize("q", [[0, 1], [], [2], np.array([1]), 1.0, True,
+                               "1", None],
+                         ids=["two", "none", "list", "array", "float",
+                              "bool", "str", "None"])
+def test_one_qubit_gates_take_one_integer(gate, q):
+    # a list used to pass the qubit check and fail inside numpy with
+    # "non-broadcastable output operand"
+    t = stab.apply_xx_rotations(stab.init_zero(4), [0], [3])
+    before = t.copy()
+    with pytest.raises(ValueError) as err:
+        gate(t, q)
+    assert str(err.value) == f"q must be one integer qubit, not {q!r}"
+    assert_same_tableau(t, before)
+
+
+def test_one_qubit_gates_take_numpy_integers():
+    a, b = stab.init_zero(3), stab.init_zero(3)
+    for gate in (stab.apply_h, stab.apply_s):
+        gate(a, np.int64(2))
+        gate(b, 2)
+    assert_same_tableau(a, b)
+    with pytest.raises(ValueError, match=r"qubit 3 outside \[0, 3\)"):
+        stab.apply_h(a, 3)
+
+
 # ------------------------------------------------------- rank and entropy
 
 def _rank_oracle(gens, cols):
@@ -552,9 +712,10 @@ def test_peeled_rank_of_no_hits_is_zero():
 def _restricted_rows(t, qubits):
     """The per-bit row builder the hit list replaced: generator -> bit
     row of its X bits (columns 0..k-1) and Z bits (columns k..2k-1) on
-    the given qubits."""
+    the given qubits, read from the densified tableau."""
     k = len(qubits)
     rows = {}
+    t = oracle.densify(t)
     for offset, arr in ((0, t.x), (k, t.z)):
         block = arr[qubits]
         c, w = np.nonzero(block)
@@ -569,10 +730,8 @@ def _restricted_rows(t, qubits):
 
 def test_entropy_matches_python_int_rank_past_one_word():
     rng = np.random.default_rng(43)
-    # at the last size, a quarter of the qubits fill four blocks of the
-    # hit list
-    words = int(np.sqrt(stab._BLOCK_WORDS)) + 1
-    for n in [int(n) for n in rng.integers(65, 201, size=12)] + [64 * words]:
+    # the last size spans many generator words per row
+    for n in [int(n) for n in rng.integers(65, 201, size=12)] + [64 * 40]:
         t = stab.init_zero(n)
         for _ in range(int(rng.integers(n // 2, 4 * n))):
             name, arity, _, fn = GATES[rng.integers(0, len(GATES))]
