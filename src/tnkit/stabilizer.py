@@ -6,34 +6,42 @@ The bits are generator-packed, as in Aaronson-Gottesman
 (quant-ph/0406196) and Stim (arXiv:2103.02202): bit row q holds the X
 bits of every generator on qubit q and bit row n + q its Z bits,
 generator g at bit g % 64 of word g // 64 of the row's ceil(n/64) words.
-The rows are word-sparse.  The state stores only their nonzero words, as
-three parallel arrays: the bit row, the word index and the uint64 value
-of each.  No zero word is stored, and the words of each row are
+The rows are word-sparse.  The state stores only their nonzero words, in
+a pool of two parallel arrays (the word index and the uint64 value of
+each), and every bit row is one slice of the pool, named by its start
+and stop slots.  No zero word is stored, and the words of each row are
 ascending.  The phases r stay dense: a (2, ceil(n/64)) array of low and
 high bit planes.  The tree state at T=13 keeps 16,638 of the 2,097,152
 words of the dense tableau.
 
-Every gate touches only the stored words.  A row move (SWAP,
-permute_qubits, the exchange of a qubit's X and Z rows by H) relabels
-the rows of the words; rows therefore need not stay in order.  XOR-ing
-rows into rows (CNOT, S and the X bits of the rotations) takes the
-stored words of the rows written and the new ones, sorts them by (row,
-word), XORs the words of equal key into one, drops those that came out
-zero and stores the result after the words of the other rows.
-apply_xx_rotations and apply_swaps take a batch of disjoint qubit pairs
-and apply the whole batch in a few array operations; the single-gate
-calls are batches of one pair.  A batch of rotations gathers the Z words
-of its rows, merges them into each pair's anticommuting words and XORs
-those into the pair's X rows; its phase change is a bit-sliced count
-mod 4 over the pairs, taken per generator word as a segmented prefix
-parity.
+Every gate reads and writes only the slices of its own rows.  A row
+move (SWAP, permute_qubits, the exchange of a qubit's X and Z rows by H)
+moves the rows' start and stop slots; no word moves.  XOR-ing rows into
+rows (CNOT, S and the X bits of the rotations) gathers the slices of the
+rows written together with the new words, sorts them by (row, word),
+XORs the words of equal key into one, drops those that came out zero
+and appends each row's result to the pool as its new slice.  The old
+slices are left dead; when the pool is full, the live slices are packed,
+row by row, into a new pool twice their size.  apply_xx_rotations and
+apply_swaps take a batch of disjoint qubit pairs and apply the whole
+batch in a few array operations; the single-gate calls are batches of
+one pair.  A batch of rotations gathers the Z words of its rows, merges
+them into each pair's anticommuting words and XORs those into the pair's
+X rows; its phase change is a bit-sliced count mod 4 over the pairs,
+taken per generator word as a segmented prefix parity.  Whatever the
+size of the state, a single H, S, CNOT or rotation costs a few dozen
+numpy calls, some tens of microseconds, plus time about linear in its
+rows' words; the packing of a full pool comes on top now and then.
 
-The store never holds more words than the dense tableau's
-2 * n * ceil(n/64), and a store that dense arises only from Clifford
-circuits that no command runs.  init_zero admits a tableau only if
-those dense words take at most 16 * lattice.amplitude_limit() bytes
-(1 GiB by default, set through TNKIT_MAX_AMPLITUDES) and raises
-ResourceLimitError beyond that.
+init_zero admits a tableau only if the words of the dense tableau,
+2 * n * ceil(n/64) of them, take at most 16 * lattice.amplitude_limit()
+bytes (1 GiB by default, set through TNKIT_MAX_AMPLITUDES) and raises
+ResourceLimitError beyond that.  The budget counts dense words, not the
+bytes of the sparse store: a live word takes 16 bytes of the pool, whose
+dead and free slots, the gates' merge temporaries and the entropy's bit
+lists come on top.  The store never holds more live words than the
+dense tableau, and one that dense arises only from Clifford circuits
+that no command runs; the tree state holds a few words per row.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
 the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
@@ -52,12 +60,11 @@ built network simulate the same gates independently.  The automaton
 driver rotates the odd swap sublayer's pairs of qca.sublayer_indices
 into entangled pairs, the set qca.initial_pairs hands the pair tracker.
 Its layers are one permutation of qubits, qca.layer_permutation, and
-permute_qubits, the one row mover of whole layers, relabels the rows of
-every stored word at once; run_qca raises the permutation to the
-number of layers before it moves the rows once, and `entropy
---cross-check` sets each length up once and moves the rows one layer
-at a time.  The cross-checks live in the test suite and in that
-command.
+permute_qubits, the one row mover of whole layers, permutes the slots of
+every row at once; run_qca raises the permutation to the number of
+layers before it moves the rows once, and `entropy --cross-check` sets
+each length up once and moves the rows one layer at a time.  The
+cross-checks live in the test suite and in that command.
 """
 
 from __future__ import annotations
@@ -74,20 +81,25 @@ from .qca import layer_permutation, site_indices, sublayer_indices
 
 @dataclass
 class StabilizerState:
-    """Generators of a state on num_qubits qubits: stored word i is word
-    word[i] of bit row row[i] (X bits of qubit q in row q, Z bits in row
-    num_qubits + q) and holds val[i]; phase holds the (low, high) bit
+    """Generators of a state on num_qubits qubits.  Bit row r (the X bits
+    of qubit q in row q, its Z bits in row num_qubits + q) is the pool
+    slice start[r]:stop[r], its nonzero words: word index word[i] and
+    value val[i].  Pool slots from used on are free; those below it that
+    no row's slice covers are dead.  phase holds the (low, high) bit
     planes of r."""
 
     num_qubits: int
-    row: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
     word: np.ndarray
     val: np.ndarray
+    used: int
     phase: np.ndarray
 
     def copy(self) -> "StabilizerState":
-        return StabilizerState(self.num_qubits, self.row.copy(),
-                               self.word.copy(), self.val.copy(),
+        return StabilizerState(self.num_qubits, self.start.copy(),
+                               self.stop.copy(), self.word.copy(),
+                               self.val.copy(), self.used,
                                self.phase.copy())
 
 
@@ -102,9 +114,12 @@ def init_zero(num_qubits: int) -> StabilizerState:
             f"stabilizer tableau of {num_qubits} qubits needs {need} bytes, "
             f"over the budget of {16 * amplitude_limit()}")
     q = np.arange(num_qubits, dtype=np.int64)
-    return StabilizerState(num_qubits, num_qubits + q, q // 64,
+    # empty X rows; the Z row of qubit q is pool slot q
+    start = np.concatenate([np.zeros_like(q), q])
+    stop = np.concatenate([np.zeros_like(q), q + 1])
+    return StabilizerState(num_qubits, start, stop, q // 64,
                            np.uint64(1) << (q % 64).astype(np.uint64),
-                           np.zeros((2, words), dtype=np.uint64))
+                           num_qubits, np.zeros((2, words), dtype=np.uint64))
 
 
 def _qubits(t: StabilizerState, qs) -> np.ndarray:
@@ -141,13 +156,47 @@ def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _select(t: StabilizerState,
-            label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(label of the row, word, value) of the stored words whose bit row
-    has a label >= 0 in label, a (2n,) int64 array, in store order."""
-    lab = label[t.row]
-    at = np.flatnonzero(lab >= 0)
-    return lab[at], t.word[at], t.val[at]
+def _read(t: StabilizerState,
+          rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index into rows, word, value) of every stored word of the given
+    bit rows, row after row."""
+    first = t.start[rows]
+    count = t.stop[rows] - first
+    label = np.repeat(np.arange(rows.size), count)
+    # the i-th word read is slot i + first - (words of the rows before)
+    slot = np.cumsum(count)
+    slot -= count + first
+    slot = np.arange(label.size) - slot[label]
+    return label, t.word[slot], t.val[slot]
+
+
+def _write(t: StabilizerState, rows: np.ndarray, label: np.ndarray,
+           word: np.ndarray, val: np.ndarray) -> None:
+    """Make the words of label i, ascending in label, the new content of
+    bit row rows[i]; rows are distinct.  The rows' old slices die, and
+    the new ones are appended to the pool."""
+    t.start[rows] = t.stop[rows] = 0
+    if t.used + word.size > t.word.size:
+        _pack(t, word.size)
+    count = np.bincount(label, minlength=rows.size)
+    end = t.used + word.size
+    t.word[t.used:end], t.val[t.used:end] = word, val
+    t.stop[rows] = t.used + np.cumsum(count)
+    t.start[rows] = t.stop[rows] - count
+    t.used = end
+
+
+def _pack(t: StabilizerState, extra: int) -> None:
+    """Move the live slices, row by row, to the front of a new pool twice
+    the size of them and extra more words."""
+    _, word, val = _read(t, np.arange(t.start.size))
+    t.word = np.empty(2 * (word.size + extra), dtype=np.int64)
+    t.val = np.empty(t.word.size, dtype=np.uint64)
+    t.word[:word.size], t.val[:word.size] = word, val
+    count = t.stop - t.start
+    t.stop = np.cumsum(count)
+    t.start = t.stop - count
+    t.used = word.size
 
 
 def _starts(key: np.ndarray) -> np.ndarray:
@@ -170,24 +219,18 @@ def _xor_merge(key: np.ndarray,
     return key[start[keep]], val[keep]
 
 
-def _xor_into(t: StabilizerState, rows: np.ndarray, words: np.ndarray,
-              vals: np.ndarray) -> None:
-    """XOR vals[i] into word words[i] of bit row rows[i], repeats allowed.
-    Only the stored words of those rows are merged with the new ones; the
-    merged rows, in (row, word) order, follow the other stored words."""
-    n, width = t.num_qubits, t.phase.shape[1]
-    written = np.zeros(2 * n, dtype=bool)
-    written[rows] = True
-    at = written[t.row]
-    key, val = _xor_merge(
-        np.concatenate([t.row[at], rows]) * width
-        + np.concatenate([t.word[at], words]),
-        np.concatenate([t.val[at], vals]))
-    row, word = np.divmod(key, width)
-    rest = ~at
-    t.row = np.concatenate([t.row[rest], row])
-    t.word = np.concatenate([t.word[rest], word])
-    t.val = np.concatenate([t.val[rest], val])
+def _xor_into(t: StabilizerState, rows: np.ndarray, label: np.ndarray,
+              word: np.ndarray, val: np.ndarray) -> None:
+    """XOR val[i] into word word[i] of bit row rows[label[i]], repeats
+    allowed; rows are distinct.  Only the slices of those rows are read
+    and written."""
+    width = t.phase.shape[1]
+    old, old_word, old_val = _read(t, rows)
+    key, val = _xor_merge(np.concatenate([old, label]) * width
+                          + np.concatenate([old_word, word]),
+                          np.concatenate([old_val, val]))
+    label, word = np.divmod(key, width)
+    _write(t, rows, label, word, val)
 
 
 def _segment_count_mod4(vals: np.ndarray,
@@ -219,14 +262,13 @@ def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
     summed mod 4 before they reach the phases.
     """
     a, b = _pairs(t, a, b)
-    n, width = t.num_qubits, t.phase.shape[1]
-    pair = np.full(2 * n, -1, dtype=np.int64)
-    pair[n + a] = pair[n + b] = np.arange(a.size)
+    n, width, m = t.num_qubits, t.phase.shape[1], a.size
+    ab = np.concatenate([a, b])
     # the words of z[a] ^ z[b]: the generators anticommuting with X_a X_b
-    k, word, val = _select(t, pair)
-    key, anti = _xor_merge(k * width + word, val)
+    k, word, val = _read(t, n + ab)
+    key, anti = _xor_merge(k % m * width + word, val)
     k, word = np.divmod(key, width)
-    _xor_into(t, np.concatenate([a[k], b[k]]), np.concatenate([word, word]),
+    _xor_into(t, ab, np.concatenate([k, k + m]), np.concatenate([word, word]),
               np.concatenate([anti, anti]))
     # per generator word, the anticommuting pairs counted mod 4
     order = np.argsort(word, kind="stable")
@@ -253,9 +295,8 @@ def apply_swaps(t: StabilizerState, a, b) -> StabilizerState:
     a, b = _pairs(t, a, b)
     n = t.num_qubits
     ab, ba = np.concatenate([a, b]), np.concatenate([b, a])
-    dest = np.arange(2 * n)
-    dest[np.concatenate([ab, n + ab])] = np.concatenate([ba, n + ba])
-    t.row = dest[t.row]
+    rows, source = np.concatenate([ab, n + ab]), np.concatenate([ba, n + ba])
+    t.start[rows], t.stop[rows] = t.start[source], t.stop[source]
     return t
 
 
@@ -264,34 +305,40 @@ def apply_swap(t: StabilizerState, i: int, j: int) -> StabilizerState:
 
 
 def apply_h(t: StabilizerState, q: int) -> StabilizerState:
+    """Hadamard on qubit q: exchanges its X and Z rows' slices and flips
+    the high phase bit of the generators with Y on q."""
     q = _qubit(t, q)
-    n = t.num_qubits
-    xs, zs = np.flatnonzero(t.row == q), np.flatnonzero(t.row == n + q)
+    z = t.num_qubits + q
+    xs, zs = slice(t.start[q], t.stop[q]), slice(t.start[z], t.stop[z])
     both, i, j = np.intersect1d(t.word[xs], t.word[zs], assume_unique=True,
                                 return_indices=True)
-    t.phase[1, both] ^= t.val[xs[i]] & t.val[zs[j]]
-    t.row[xs], t.row[zs] = n + q, q
+    t.phase[1, both] ^= t.val[xs][i] & t.val[zs][j]
+    t.start[[q, z]], t.stop[[q, z]] = t.start[[z, q]], t.stop[[z, q]]
     return t
 
 
 def apply_s(t: StabilizerState, q: int) -> StabilizerState:
+    """Phase gate on qubit q: adds 1 to the phase of the generators with
+    an X bit on q and XORs q's X row into its Z row, a merge of the two
+    rows' slices."""
     q = _qubit(t, q)
-    xs = np.flatnonzero(t.row == q)
+    xs = slice(t.start[q], t.stop[q])
     word, xb = t.word[xs], t.val[xs]
     p0, p1 = t.phase
     p1[word] ^= p0[word] & xb
     p0[word] ^= xb
-    _xor_into(t, np.full(xs.size, t.num_qubits + q), word, xb)
+    _xor_into(t, np.array([t.num_qubits + q]),
+              np.zeros(word.size, dtype=np.int64), word, xb)
     return t
 
 
 def apply_cnot(t: StabilizerState, control: int, target: int) -> StabilizerState:
+    """CNOT: x[target] ^= x[control] and z[control] ^= z[target], merges
+    of those four rows' slices; the phases do not change."""
     control, target = _pairs(t, control, target)
     n = t.num_qubits
-    # x[target] ^= x[control], z[control] ^= z[target]
-    label = np.full(2 * n, -1, dtype=np.int64)
-    label[control], label[n + target] = target, n + control
-    _xor_into(t, *_select(t, label))
+    _xor_into(t, np.concatenate([target, n + control]),
+              *_read(t, np.concatenate([control, n + target])))
     return t
 
 
@@ -299,12 +346,10 @@ def _restricted_hits(t: StabilizerState,
                      qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(generator, column) of every set bit of the generators restricted
     to the X bits (columns 0..k-1) and Z bits (columns k..2k-1) of the
-    given qubits, as two int64 arrays, read from the stored words of
-    their rows."""
-    n, k = t.num_qubits, len(qubits)
-    column = np.full(2 * n, -1, dtype=np.int64)
-    column[np.concatenate([qubits, n + qubits])] = np.arange(2 * k)
-    cols, word, val = _select(t, column)
+    given qubits, as two int64 arrays, read from the slices of their
+    rows."""
+    cols, word, val = _read(t, np.concatenate([qubits,
+                                               t.num_qubits + qubits]))
     bits = np.unpackbits(val.astype("<u8", copy=False).view(np.uint8)
                          .reshape(-1, 8), axis=1, bitorder="little")
     hit = np.flatnonzero(bits)
@@ -392,7 +437,7 @@ def _bit(arr: np.ndarray, g: int) -> int:
 def _dense_row(t: StabilizerState, r: int) -> np.ndarray:
     """Every word of bit row r, zeros included."""
     out = np.zeros(t.phase.shape[1], dtype=np.uint64)
-    at = t.row == r
+    at = slice(t.start[r], t.stop[r])
     out[t.word[at]] = t.val[at]
     return out
 
@@ -451,17 +496,15 @@ def run_ttn_example(layers: int) -> TtnRun:
 def permute_qubits(t: StabilizerState, source) -> StabilizerState:
     """Move every qubit's rows at once: qubit q takes the X and Z bits
     that qubit source[q] held.  source must be a permutation of the
-    qubits (ValueError otherwise); phases do not change.  Only the row
-    labels of the stored words change; no word moves."""
+    qubits (ValueError otherwise); phases do not change.  Only the rows'
+    start and stop slots move; no word does."""
     source = _qubits(t, source)
     seen = np.zeros(t.num_qubits, dtype=bool)
     seen[source] = True
     if source.size != t.num_qubits or not seen.all():
         raise ValueError("source must be a permutation of the qubits")
-    n = t.num_qubits
-    dest = np.empty(2 * n, dtype=np.int64)
-    dest[np.concatenate([source, n + source])] = np.arange(2 * n)
-    t.row = dest[t.row]
+    rows = np.concatenate([source, t.num_qubits + source])
+    t.start, t.stop = t.start[rows], t.stop[rows]
     return t
 
 

@@ -28,11 +28,23 @@ class DenseTableau:
                             self.phase.copy())
 
 
+def live_words(t):
+    """(bit row, word, value) of every stored word of a word-sparse
+    StabilizerState, row after row, each row's words in pool order."""
+    count = t.stop - t.start
+    row = np.repeat(np.arange(count.size), count)
+    slot = np.concatenate([np.arange(a, b) for a, b in
+                           zip(t.start.tolist(), t.stop.tolist())] + [[]])
+    slot = slot.astype(np.int64)
+    return row, t.word[slot], t.val[slot]
+
+
 def densify(t) -> DenseTableau:
     """The dense tableau of a word-sparse StabilizerState."""
     n = t.num_qubits
     bits = np.zeros((2 * n, t.phase.shape[1]), dtype=np.uint64)
-    bits[t.row, t.word] = t.val
+    row, word, val = live_words(t)
+    bits[row, word] = val
     return DenseTableau(n, bits[:n], bits[n:], t.phase.copy())
 
 

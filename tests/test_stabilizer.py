@@ -230,17 +230,22 @@ def random_pairs(rng, n, m):
 
 
 def assert_canonical(t):
-    """The store's form: every stored word nonzero, on a bit row and a
-    word of the tableau, and the words of each row ascending."""
+    """The store's form: every row a slice of the used pool, no two rows
+    sharing a slot, every stored word nonzero and on a word of the
+    tableau, and the words of each row ascending."""
     n, width = t.num_qubits, t.phase.shape[1]
-    assert t.row.dtype == t.word.dtype == np.int64
+    assert t.start.dtype == t.stop.dtype == t.word.dtype == np.int64
     assert t.val.dtype == np.uint64
-    assert t.row.shape == t.word.shape == t.val.shape
-    assert np.all(t.val != 0)
-    assert np.all((t.row >= 0) & (t.row < 2 * n))
-    assert np.all((t.word >= 0) & (t.word < width))
-    order = np.argsort(t.row, kind="stable")
-    row, word = t.row[order], t.word[order]
+    assert t.start.shape == t.stop.shape == (2 * n,)
+    assert t.word.shape == t.val.shape
+    assert np.all((0 <= t.start) & (t.start <= t.stop) & (t.stop <= t.used))
+    assert t.used <= t.word.size
+    slots = np.concatenate([np.arange(a, b) for a, b in
+                            zip(t.start.tolist(), t.stop.tolist())])
+    assert np.unique(slots).size == slots.size
+    row, word, val = oracle.live_words(t)
+    assert np.all(val != 0)
+    assert np.all((word >= 0) & (word < width))
     same = row[1:] == row[:-1]
     assert np.all(word[1:][same] > word[:-1][same])
 
@@ -447,10 +452,9 @@ def _run_qca(dimension, length, layers):
     source = np.arange(n)
     for _ in range(layers):
         source = source[step]
-    # bit row source[q] (X) and n + source[q] (Z) become rows q and n + q
-    dest = np.empty(2 * n, dtype=np.int64)
-    dest[np.concatenate([source, n + source])] = np.arange(2 * n)
-    state.row = dest[state.row]
+    # qubit q takes the X and Z rows (pool slices) of qubit source[q]
+    rows = np.concatenate([source, n + source])
+    state.start, state.stop = state.start[rows], state.stop[rows]
     return state
 
 
@@ -535,7 +539,7 @@ def test_tree_run_seventeen_layers_under_a_raised_budget(monkeypatch):
     run = stab.run_ttn_example(17)
     assert run.entropy == 9
     assert len(run.region) == 43691
-    assert run.state.val.size < 8 * run.state.num_qubits
+    assert np.sum(run.state.stop - run.state.start) < 8 * 2 ** 17
 
 
 # ------------------------------------------- against the dense reference
@@ -730,8 +734,11 @@ def _restricted_rows(t, qubits):
 
 def test_entropy_matches_python_int_rank_past_one_word():
     rng = np.random.default_rng(43)
-    # the last size spans many generator words per row
-    for n in [int(n) for n in rng.integers(65, 201, size=12)] + [64 * 40]:
+    # the last size, 64 * 129 qubits, spans many generator words per row
+    # (a quarter of its qubits filled four blocks of the dense kernel's
+    # hit list)
+    words = int(np.sqrt(oracle.BLOCK_WORDS)) + 1
+    for n in [int(n) for n in rng.integers(65, 201, size=12)] + [64 * words]:
         t = stab.init_zero(n)
         for _ in range(int(rng.integers(n // 2, 4 * n))):
             name, arity, _, fn = GATES[rng.integers(0, len(GATES))]
