@@ -23,13 +23,16 @@ XORs the words of equal key into one, drops those that came out zero
 and appends each row's result to the pool as its new slice.  The old
 slices are left dead; when the pool is full, the live slices are packed,
 row by row, into a new pool twice their size.  apply_xx_rotations and
-apply_swaps take a batch of disjoint qubit pairs and apply the whole
-batch in a few array operations; the single-gate calls are batches of
-one pair.  A batch of rotations gathers the Z words of its rows, merges
-them into each pair's anticommuting words and XORs those into the pair's
-X rows; its phase change is a bit-sliced count mod 4 over the pairs,
-taken per generator word as a segmented prefix parity.  Whatever the
-size of the state, a single H, S, CNOT or rotation costs a few dozen
+apply_swaps apply a whole batch of qubit pairs in a few array
+operations; the single-gate calls are batches of one pair.  A batch of
+swaps moves rows, so its pairs must be disjoint.  The rotations of a
+batch may share qubits: they commute and none changes a Z bit, so the Z
+rows before the batch tell which generators anticommute with each pair.
+A batch of rotations gathers the Z words of its rows, merges them into
+each pair's anticommuting words and XORs those into the X rows of the
+pairs' qubits; its phase change is a bit-sliced count mod 4 over the
+pairs, taken per generator word as a segmented prefix parity.  Whatever
+the size of the state, a single H, S, CNOT or rotation costs a few dozen
 numpy calls, some tens of microseconds, plus time about linear in its
 rows' words; the packing of a full pool comes on top now and then.
 
@@ -53,8 +56,8 @@ that is some generator's only bit.  Only the core left over becomes
 Python-int rows for _gf2_rank; the tree cuts of every odd T <= 17 peel
 completely.
 
-The tree-state driver applies tns.ttn_gate_schedule a layer's block of
-rows at a time and sizes the cut by tns.ttn_cut_size; it never calls
+The tree-state driver applies every row of tns.ttn_gate_schedule as one
+batch of rotations and sizes the cut by tns.ttn_cut_size; it never calls
 tns.build_ttn_example, so the tableau and the dense contraction of the
 built network simulate the same gates independently.  The automaton
 driver rotates the odd swap sublayer's pairs of qca.sublayer_indices
@@ -146,12 +149,18 @@ def _qubit(t: StabilizerState, q) -> int:
     return q
 
 
-def _pairs(t: StabilizerState, a, b) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(t: StabilizerState, a, b,
+           disjoint: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The qubits of a pair batch; ValueError unless the two qubits of
+    each pair differ and, if disjoint, no qubit is in two pairs."""
     a, b = _qubits(t, a), _qubits(t, b)
     if a.size != b.size:
         raise ValueError("pair batches need as many first as second qubits")
-    qs = np.sort(np.concatenate([a, b]))
-    if np.any(qs[1:] == qs[:-1]):
+    same = a == b
+    if disjoint:
+        qs = np.sort(np.concatenate([a, b]))
+        same = qs[1:] == qs[:-1]
+    if np.any(same):
         raise ValueError("qubits must be distinct")
     return a, b
 
@@ -254,22 +263,28 @@ def _segment_count_mod4(vals: np.ndarray,
 
 
 def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
-    """exp(-i pi/4 X_a X_b) on every pair of a batch of disjoint pairs.
+    """exp(-i pi/4 X_a X_b) on every pair of a batch; pairs may share
+    qubits and repeat, as the gates commute.
 
     Each gate fixes X_a and X_b and maps Z_a to -Y_a X_b: it flips the X
     bits of both qubits and subtracts 1 from the phase of every generator
-    that anticommutes with X_a X_b.  The subtractions of the batch are
-    summed mod 4 before they reach the phases.
+    that anticommutes with X_a X_b.  No gate changes a Z bit, so whether a
+    generator anticommutes with a pair does not depend on the other gates
+    of the batch.  A qubit's X row takes the XOR of the flips of every
+    pair on it, and the subtractions of the batch are summed mod 4 before
+    they reach the phases.
     """
-    a, b = _pairs(t, a, b)
+    a, b = _pairs(t, a, b, disjoint=False)
     n, width, m = t.num_qubits, t.phase.shape[1], a.size
     ab = np.concatenate([a, b])
     # the words of z[a] ^ z[b]: the generators anticommuting with X_a X_b
     k, word, val = _read(t, n + ab)
     key, anti = _xor_merge(k % m * width + word, val)
     k, word = np.divmod(key, width)
-    _xor_into(t, ab, np.concatenate([k, k + m]), np.concatenate([word, word]),
-              np.concatenate([anti, anti]))
+    # the X row of a qubit in several pairs takes the words of each
+    rows, at = np.unique(ab, return_inverse=True)
+    _xor_into(t, rows, np.concatenate([at[k], at[k + m]]),
+              np.concatenate([word, word]), np.concatenate([anti, anti]))
     # per generator word, the anticommuting pairs counted mod 4
     order = np.argsort(word, kind="stable")
     word, anti = word[order], anti[order]
@@ -476,19 +491,17 @@ class TtnRun:
 def run_ttn_example(layers: int) -> TtnRun:
     """Build the binary-tree Clifford state and measure the trailing cut.
 
-    Every gate is exp(-i pi/4 XX), applied one tree layer at a time: the
-    gates of a layer act on disjoint blocks.  The distinguished region is
-    the last p sites with p_1 = 1 and p_{T+2} = 4 p_T - 1; its entropy
-    comes out as (layers + 1) / 2, growing with depth at fixed region
-    fraction.
+    Every gate is exp(-i pi/4 XX); the gates commute, so the whole
+    schedule is one batch.  The distinguished region is the last p sites
+    with p_1 = 1 and p_{T+2} = 4 p_T - 1; its entropy comes out as
+    (layers + 1) / 2, growing with depth at fixed region fraction.
     """
     p = tns.ttn_cut_size(layers)
     n = 2 ** layers
     state = init_zero(n)
     schedule = tns.ttn_gate_schedule(layers)
-    for top in range(layers):   # the rows of layer layers - top
-        _, a, b = schedule[2 ** top - 1:2 ** (top + 1) - 1].T
-        apply_xx_rotations(state, a, b)
+    _, a, b = schedule.T
+    apply_xx_rotations(state, a, b)
     region = tuple(range(n - p, n))
     return TtnRun(entanglement_entropy(state, region), region, schedule, state)
 

@@ -68,6 +68,10 @@ def count_mod4(rows):
 
 
 def xx_rotations(t: DenseTableau, a, b) -> DenseTableau:
+    """The rotations of a batch of disjoint pairs.  A batch whose pairs
+    share a qubit is not supported: t.x[qa] ^= anti is a fancy-index
+    XOR that writes a repeated row once, so it keeps only one of that
+    row's flips; apply such batches one pair per call."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     block = max(1, BLOCK_WORDS // t.x.shape[1])
     p0, p1 = t.phase

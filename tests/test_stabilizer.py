@@ -481,10 +481,19 @@ def test_region_qubits_match_site_index():
 @pytest.mark.parametrize("a,b", [([0, 1], [1, 2]), ([3], [3]),
                                  ([0, 2, 4], [5, 6, 0])])
 def test_pair_batches_need_distinct_qubits(a, b):
-    t = stab.init_zero(8)
-    for gate in (stab.apply_swaps, stab.apply_xx_rotations):
+    # swaps move rows, so their pairs must be disjoint; rotations commute,
+    # so only a pair (q, q) is refused and pairs may share a qubit
+    t, _ = run_both(np.random.default_rng(43), 8, 24)
+    with pytest.raises(ValueError, match="qubits must be distinct"):
+        stab.apply_swaps(t, a, b)
+    if any(i == j for i, j in zip(a, b)):
         with pytest.raises(ValueError, match="qubits must be distinct"):
-            gate(t, a, b)
+            stab.apply_xx_rotations(t, a, b)
+    else:
+        one = t.copy()
+        for i, j in zip(a, b):
+            stab.apply_xx_rotation(one, i, j)
+        assert_same_tableau(stab.apply_xx_rotations(t.copy(), a, b), one)
     with pytest.raises(ValueError, match="qubits must be distinct"):
         stab.apply_cnot(t, 5, 5)
 
@@ -590,7 +599,36 @@ def test_random_circuits_match_dense_kernel_gate_by_gate(n):
         assert_hits_match(t, ref, qubits)
 
 
-@pytest.mark.parametrize("layers", [1, 3, 5, 7, 9, 11])
+@pytest.mark.parametrize("n", [2, 7, 64, 65, 130])
+def test_overlapping_rotation_batches_match_one_pair_at_a_time(n):
+    # batches whose pairs share qubits, repeat a pair and hold both
+    # orientations of one, on random Clifford states with qubits on both
+    # sides of the generator-word boundaries; the dense reference takes
+    # one pair per call, as its batch kernel needs disjoint pairs
+    rng = np.random.default_rng(2000 + n)
+    t, ref = stab.init_zero(n), oracle.init_zero(n)
+    for _ in range(8):
+        for _ in range(2 * n):
+            _, arity, _, fn = GATES[rng.integers(0, len(GATES))]
+            qs = [int(q) for q in rng.choice(n, size=arity, replace=False)]
+            fn(t, *qs)
+            ORACLE_GATES[fn](ref, *qs)
+        m = int(rng.integers(1, 2 * n + 1))
+        a = rng.integers(0, n, size=m)
+        b = (a + rng.integers(1, n, size=m)) % n
+        # a repeated pair and the reverse of a pair
+        a = np.concatenate([a, a[:1], b[-1:]])
+        b = np.concatenate([b, b[:1], a[m - 1:m]])
+        one = t.copy()
+        for i, j in zip(a.tolist(), b.tolist()):
+            stab.apply_xx_rotation(one, i, j)
+            oracle.xx_rotations(ref, [i], [j])
+        stab.apply_xx_rotations(t, a, b)
+        assert_same_tableau(t, one)
+        assert_matches_oracle(t, ref)
+
+
+@pytest.mark.parametrize("layers", [1, 3, 5, 7, 9, 11, 13])
 def test_tree_tableau_matches_dense_kernel(layers):
     from tnkit.tns import ttn_gate_schedule
     ref = oracle.init_zero(2 ** layers)
@@ -649,6 +687,27 @@ def test_one_qubit_gates_take_numpy_integers():
     assert_same_tableau(a, b)
     with pytest.raises(ValueError, match=r"qubit 3 outside \[0, 3\)"):
         stab.apply_h(a, 3)
+
+
+def test_tree_fifteen_layers_matches_layer_by_layer():
+    # run_ttn_example applies the whole schedule in one call; a layer's
+    # block of rows is a batch of disjoint pairs.  Up to T=13 the dense
+    # reference checks the tree; its T=15 tableau would take 256 MiB
+    from tnkit.tns import ttn_gate_schedule
+    layers = 15
+    state = stab.init_zero(2 ** layers)
+    schedule = ttn_gate_schedule(layers)
+    for top in range(layers):
+        _, a, b = schedule[2 ** top - 1:2 ** (top + 1) - 1].T
+        stab.apply_xx_rotations(state, a, b)
+    run = stab.run_ttn_example(layers).state
+    # equal stored words mean equal dense tableaux: in the canonical form
+    # a row stores its nonzero words, ascending
+    assert_canonical(run)
+    assert_canonical(state)
+    for got, want in zip(oracle.live_words(run), oracle.live_words(state)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(run.phase, state.phase)
 
 
 # ------------------------------------------------------- rank and entropy
