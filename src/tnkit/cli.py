@@ -58,16 +58,17 @@ def _load_json(path):
         return json.load(fh)
 
 
-# the documents are trees made fresh by tns_to_dict or map_to_dict, with
-# no cycle to look for; one encoder serves every slice
+# map-v1 documents are trees made fresh by map_to_dict, with no cycle to
+# look for; one encoder serves every slice
 _ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def _write_json(path, first: dict, parts: dict):
-    """Write json.dumps(document) and a newline.  first is the document
-    with only the first JSON_SLICE entries of each key of parts, which
-    are its last keys, in the same order; parts[key] is the key's count
-    of entries and a function that gives a list of them for a range.
+    """Write json.dumps(document) and a newline, for a map-v1 document.
+    first is the document with only the first JSON_SLICE entries of each
+    key of parts, which are its last keys, in the same order; parts[key]
+    is the key's count of entries and a function that gives a list of
+    them for a range.
     The entries past the first are encoded JSON_SLICE at a time, so that
     neither the document nor its text is ever whole."""
     step, dumps = tns_mod.JSON_SLICE, _ENCODER.encode
@@ -147,13 +148,8 @@ def _print_issues(issues) -> int:
 
 def cmd_build(args) -> int:
     network = _BUILDERS[args.kind](args)
-    to_dict = functools.partial(tns_mod.tns_to_dict, network)
-    first = slice(tns_mod.JSON_SLICE)
-    _write_json(args.out, to_dict(first, first), {
-        "nodes": (len(network.ids),
-                  lambda part: to_dict(part, slice(0))["nodes"]),
-        "lines": (len(network.line_id),
-                  lambda part: to_dict(slice(0), part)["lines"])})
+    with _output(args.out) as fh:
+        fh.writelines(tns_mod.tns_text(network))
     issues = tns_mod.validate_preconditions(network)
     spec = network.spec
     print(f"built {args.kind}: {spec.dimension}D L={spec.length} "

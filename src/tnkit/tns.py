@@ -30,6 +30,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import json
 import math
 import operator
 from collections.abc import Mapping, Sequence
@@ -249,7 +250,8 @@ def _random_top(rng, dim) -> np.ndarray:
 
 def _ids(prefix: str, cells: np.ndarray) -> list[str]:
     """Node ids of the form prefix + comma-joined cell, cells (n, D)."""
-    return [prefix + ",".join(map(str, c)) for c in cells.tolist()]
+    template = (prefix + ",".join(["%d"] * cells.shape[1])).__mod__
+    return list(map(template, zip(*cells.T.tolist())))
 
 
 def _add_anchors(t: _Tables, spec: LatticeSpec, phys_dim: int):
@@ -631,6 +633,21 @@ def validate_preconditions(tns: Tns) -> list[str]:
     return sorted(set(issues))
 
 
+def _flat_elements(nid: str, elements):
+    """The float list tns-v1 stores for a node's elements, None for none:
+    the complex128 memory layout, real then imaginary part per amplitude.
+    ValueError names the node when an entry is a NaN or an infinity,
+    which tns-v1 cannot carry."""
+    if elements is None:
+        return None
+    flat = np.ascontiguousarray(elements, complex).view(float).ravel()
+    bad = flat[~np.isfinite(flat)]
+    if len(bad):
+        raise ValueError(f"{nid}: elements entry {float(bad[0])} is not a "
+                         f"finite number")
+    return flat.tolist()
+
+
 def tns_to_dict(tns: Tns, nodes: slice = slice(None),
                 lines: slice = slice(None)) -> dict:
     """JSON-ready description, format tns-v1.  Deterministic field order.
@@ -643,17 +660,7 @@ def tns_to_dict(tns: Tns, nodes: slice = slice(None),
     bounds = tns.dim_offsets[first:first + len(ids) + 1]
     dims = tns.dims[bounds[0]:bounds[-1]].tolist()
     bounds = (bounds - bounds[0]).tolist()
-    elements = []
-    for nid, e in zip(ids, tns.elements[nodes]):
-        if e is not None:
-            # complex128 memory layout: real, imaginary part per amplitude
-            e = np.ascontiguousarray(e, complex).view(float).ravel()
-            bad = e[~np.isfinite(e)]
-            if len(bad):
-                raise ValueError(f"{nid}: elements entry {float(bad[0])} is "
-                                 f"not a finite number")
-            e = e.tolist()
-        elements.append(e)
+    elements = list(map(_flat_elements, ids, tns.elements[nodes]))
     (a, b), (sa, sb) = [list(map(tns.ids.__getitem__, row)) for row in
                         tns.line_ends[:, lines].tolist()], \
         tns.line_slots[:, lines].tolist()
@@ -679,6 +686,53 @@ def tns_to_dict(tns: Tns, nodes: slice = slice(None),
                       tns.line_id[lines].tolist(), a, sa, b, sb,
                       tns.line_dim[lines].tolist())],
     }
+
+
+def tns_text(tns: Tns):
+    """The text of json.dumps(tns_to_dict(tns)) and a newline, as batches
+    of text for a file's writelines.  The header members come from
+    tns_to_dict; the nodes and lines are formatted column-wise from the
+    network's arrays, JSON_SLICE entries per batch, with one template per
+    entry kind, so that neither the document nor its text is ever whole.
+    ValueError as tns_to_dict's, once the batches before it are given."""
+    dumps, step = json.dumps, JSON_SLICE
+    head = tns_to_dict(tns, slice(0), slice(0))
+    del head["nodes"], head["lines"]
+    yield dumps(head)[:-1] + ', "nodes": ['
+    # the function json.dumps applies to every string, so that any id
+    # reads back exactly
+    ids = list(map(json.encoder.encode_basestring_ascii, tns.ids))
+    kinds, variants = list(map(dumps, KIND_NAMES)), \
+        list(map(dumps, tns.variants))
+    cell = ", ".join(["%d"] * tns.spec.dimension)
+    node = (f'{{"id": %s, "layer": %d, "cell": [{cell}], "kind": %s, '
+            '"variant": %s, "dims": [%s], "elements": %s}').__mod__
+    for start in range(0, len(ids), step):
+        part = slice(start, start + step)
+        bounds = tns.dim_offsets[start:start + step + 1]
+        dims = list(map(str, tns.dims[bounds[0]:bounds[-1]].tolist()))
+        bounds = (bounds - bounds[0]).tolist()
+        if start:
+            yield ", "
+        yield ", ".join(map(node, zip(
+            ids[part], tns.layer[part].tolist(), *tns.cell[part].T.tolist(),
+            map(kinds.__getitem__, tns.kind[part].tolist()),
+            map(variants.__getitem__, tns.variant[part].tolist()),
+            (", ".join(dims[i:j]) for i, j in zip(bounds, bounds[1:])),
+            ("null" if e is None else dumps(_flat_elements(nid, e))
+             for nid, e in zip(tns.ids[part], tns.elements[part])))))
+    yield '], "lines": ['
+    line = '{"id": %d, "a": [%s, %d], "b": [%s, %d], "dim": %d}'.__mod__
+    for start in range(0, len(tns.line_id), step):
+        part = slice(start, start + step)
+        (a, b), (sa, sb) = tns.line_ends[:, part].tolist(), \
+            tns.line_slots[:, part].tolist()
+        if start:
+            yield ", "
+        yield ", ".join(map(line, zip(
+            tns.line_id[part].tolist(), map(ids.__getitem__, a), sa,
+            map(ids.__getitem__, b), sb, tns.line_dim[part].tolist())))
+    yield "]}\n"
 
 
 def _columns(rows, keys):

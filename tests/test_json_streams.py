@@ -216,6 +216,56 @@ def test_writer_at_every_slice_boundary(tmp_path, monkeypatch, step, count):
     assert (tmp_path / "out.json").read_text() == json.dumps(doc) + "\n"
 
 
+def _adversarial_network(empty=False):
+    """mera1d T=2 read back from its tns-v1 document, edited: ids with
+    quotes, backslashes, control, non-ASCII and lone surrogate
+    characters, a variant outside VARIANTS, elements entries -0.0, the
+    least subnormal and 1e308; no nodes and no lines when empty."""
+    doc = json.loads(json.dumps(tns_to_dict(build_mera_1d(2))))
+    names = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f",
+             "né世\U0001f600", "\ud800lone", "", "%d %s {}"]
+    rename = {n["id"]: name for n, name in zip(doc["nodes"], names)}
+    for n in doc["nodes"]:
+        n["id"] = rename.get(n["id"], n["id"])
+    for line in doc["lines"]:
+        for end in (line["a"], line["b"]):
+            end[0] = rename.get(end[0], end[0])
+    doc["nodes"][-1]["variant"] = 'vé"\\x'
+    node = next(n for n in doc["nodes"] if n["elements"])
+    node["elements"][:3] = [-0.0, 5e-324, 1e308]
+    if empty:
+        doc["nodes"], doc["lines"] = [], []
+    return tns_from_dict(doc)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, tns_mod.JSON_SLICE])
+@pytest.mark.parametrize("empty", [False, True], ids=["edited", "empty"])
+def test_column_writer_equals_json_dumps(monkeypatch, step, empty):
+    net = _adversarial_network(empty)
+    assert empty or net.variants[-1] not in tns_mod.VARIANTS
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
+    assert "".join(tns_mod.tns_text(net)) == \
+        json.dumps(tns_to_dict(net)) + "\n"
+
+
+def test_column_writer_holds_a_slice_not_the_text(tmp_path, monkeypatch):
+    # b2 T=6 symbolic is 1,560,535 bytes of tns-v1, and its 6,707 nodes
+    # fit one default slice, so the slices are made smaller.  At 128
+    # entries per slice the writer holds the json-encoded ids (about 0.29
+    # of the text) and one slice: a traced peak of 0.38 of the file's
+    # size on CPython 3.11, 1.0 or more were the text ever whole
+    net = build_mera_2d_b2(6, with_elements=False)
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", 128)
+    out = tmp_path / "net.json"
+
+    def write():
+        with open(out, "w") as fh:
+            fh.writelines(tns_mod.tns_text(net))
+
+    peak = _traced_peak(write)
+    assert peak <= 0.5 * out.stat().st_size, peak / out.stat().st_size
+
+
 def _joined(to_dict, key, arg, count, step):
     """The key entries of to_dict(**{arg: part}) over consecutive parts of
     step entries, joined."""
