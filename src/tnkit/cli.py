@@ -58,35 +58,6 @@ def _load_json(path):
         return json.load(fh)
 
 
-# map-v1 documents are trees made fresh by map_to_dict, with no cycle to
-# look for; one encoder serves every slice
-_ENCODER = json.JSONEncoder(check_circular=False)
-
-
-def _write_json(path, first: dict, parts: dict):
-    """Write json.dumps(document) and a newline, for a map-v1 document.
-    first is the document with only the first JSON_SLICE entries of each
-    key of parts, which are its last keys, in the same order; parts[key]
-    is the key's count of entries and a function that gives a list of
-    them for a range.
-    The entries past the first are encoded JSON_SLICE at a time, so that
-    neither the document nor its text is ever whole."""
-    step, dumps = tns_mod.JSON_SLICE, _ENCODER.encode
-    text = dumps({k: v for k, v in first.items() if k not in parts})
-    with _output(path) as fh:
-        # the other members, then each part in place of the closing brace
-        fh.write(text[:-1])
-        sep = ", " if len(text) > 2 else ""
-        for key, (count, entries) in parts.items():
-            fh.write(f"{sep}{dumps(key)}: {dumps(first[key])[:-1]}")
-            sep = ", "
-            for start in range(step, count, step):
-                text = dumps(entries(slice(start, start + step)))
-                fh.write(f", {text[1:-1]}")
-            fh.write("]")
-        fh.write("}\n")
-
-
 def _read_tns(path) -> tns_mod.Tns:
     """tns_from_dict of a tns-v1 file.  Its top-level object is walked by
     hand, each member's value decoded by one call of json's scanner.  The
@@ -170,12 +141,9 @@ def cmd_map(args) -> int:
     # both figures first, so that a chi they refuse leaves no file
     log_all = report.log_chi_peps(network.meta.chi)
     log_int = report.log_chi_peps(network.meta.chi, include_physical=False)
-    to_dict = functools.partial(mapping.map_to_dict, placement, paths)
-    _write_json(args.out_prefix + ".map.json",
-                to_dict(lines=slice(tns_mod.JSON_SLICE)), {
-        "paths": (len(paths.line_ids),
-                  lambda part: to_dict(slice(0), part)["paths"])})
-    del paths, to_dict
+    with _output(args.out_prefix + ".map.json") as fh:
+        fh.writelines(mapping.map_text(placement, paths))
+    del paths
     _write(args.out_prefix + ".congestion.csv",
            mapping.congestion_csv(report))
 

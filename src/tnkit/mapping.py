@@ -38,18 +38,20 @@ rule to all nodes or lines at once.  A routed map is a Placement, one
 (N, D) int64 site per node in node order, and a PathAssignment, every
 chain back to back in one (V, D) vertex array in line-id order with an
 offset per line; from placement to check_routing and assemble_peps no
-step converts them, and map-v1 JSON is read only by read_map, which
-map_from_dict calls, and written only by map_to_dict.  The tally,
-measured_chi, keeps only the crossings: per crossing an edge key, a line
-id and the code of the line's class, a (dimension, physical) pair of a
-small table.  An edge's figures depend only on its count of crossings
-per class, so they are taken once per distinct row of those counts.
+step converts them.  map-v1 JSON is read only by read_map, which
+map_from_dict calls; map_to_dict makes it as a document and map_text as
+text, column-wise.  The tally, measured_chi, keeps only the crossings:
+per crossing an edge key, a line id and the code of the line's class, a
+(dimension, physical) pair of a small table.  An edge's figures depend
+only on its count of crossings per class, so they are taken once per
+distinct row of those counts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -61,7 +63,8 @@ from .lattice import (Edge, LatticeSpec, ResourceLimitError, Site,
                       amplitude_limit, int64_array, malformed, require_ints,
                       spec_from_dict, spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
-                  VARIANTS, MeraMeta, Tns, distinct, slot_labels)
+                  VARIANTS, MeraMeta, Tns, distinct, encoded, joined,
+                  numeral_axes, numerals, slot_labels, tails)
 
 _ANCHOR, _ISOMETRY = KIND_CODES[KIND_ANCHOR], KIND_CODES[KIND_ISOMETRY]
 _U2X1, _U1X2 = VARIANTS.index("u2x1"), VARIANTS.index("u1x2")
@@ -622,20 +625,20 @@ def congestion_csv(report: CongestionReport) -> str:
 
     Counts include physical-leg lines; interior-only figures are available
     through the report API.  Rows are formatted column-wise from the
-    report's per-edge arrays, a batch of edges at a time, which bounds
-    the Python objects alive at once.
+    report's per-edge arrays by tns.joined, 8 * JSON_SLICE edges at a
+    time, which bounds the Python objects alive at once; an edge's paths
+    and bond dimension depend only on its row of counts, so their text is
+    made once per distinct row.
     """
-    vertex = ";".join(["%d"] * len(report.shape))
-    row = f"{vertex},{vertex},%d,%d\n".__mod__
-    paths = report._edge_paths(True)
-    parts, size = ["edge_a,edge_b,paths,bond_dim\n"], 1 << 16
-    for i in range(0, len(paths), size):
+    row_tails = np.array([f",{paths},{bond}\n" for paths, bond in zip(
+        report._paths[True].tolist(), report._bonds[True])], object)
+    parts, size = ["edge_a,edge_b,paths,bond_dim\n"], 8 * _tns.JSON_SLICE
+    for i in range(0, len(report._edge_keys), size):
         batch = slice(i, i + size)
         lower, upper = report._ends(report._edge_keys[batch])
-        parts.append("".join(map(row, zip(
-            *lower.T.tolist(), *upper.T.tolist(), paths[batch].tolist(),
-            map(report._bonds[True].__getitem__,
-                report._row_of_edge[batch].tolist())))))
+        parts.append(joined(len(lower), *numeral_axes(lower, ";"), ",",
+                            *numeral_axes(upper, ";"),
+                            row_tails[report._row_of_edge[batch]]))
     return "".join(parts)
 
 
@@ -771,6 +774,48 @@ def map_to_dict(p: Placement, paths: PathAssignment,
         "paths": [[lid, vertices[a - ends[0]:b - ends[0]]] for lid, a, b in
                   zip(line_ids, ends, ends[1:])],
     }
+
+
+def map_text(p: Placement, paths: PathAssignment):
+    """The text of json.dumps(map_to_dict(p, paths)) and a newline, as
+    batches of text for a file's writelines.  The header members come
+    from map_to_dict; the sites, in id order, and the paths are formatted
+    column-wise from the arrays, JSON_SLICE entries per batch, by
+    tns.joined, so that neither the document nor its text is ever whole.
+    A batch of paths is one stream of vertices, each ending with a tail:
+    "], [" inside a chain, "]]], [<next id>, [[" at a chain's end and
+    "]]]" at the batch's end."""
+    dumps, step = json.dumps, _tns.JSON_SLICE
+    head = map_to_dict(p, paths, slice(0), slice(0))
+    del head["sites"], head["paths"]
+    yield dumps(head)[:-1] + ', "sites": ['
+    # ids are distinct, so this is the order sorted gives the sites
+    order = np.array(p.ids, object).argsort(kind="stable")
+    for start in range(0, len(order), step):
+        at = order[start:start + step]
+        if start:
+            yield ", "
+        yield joined(len(at), "[", encoded(map(p.ids.__getitem__,
+                                               at.tolist())),
+                     ", [", *numeral_axes(p.sites[at], ", "),
+                     tails(len(at), "]], ", "]]"))
+    yield '], "paths": ['
+    for start in range(0, len(paths.line_ids), step):
+        part = slice(start, start + step)
+        ends = paths.offsets[start:start + step + 1]
+        if start:
+            yield ", "
+        if (ends[1:] == ends[:-1]).any():
+            # an empty chain has no vertex to carry its text
+            yield dumps(map_to_dict(p, paths, slice(0), part)["paths"])[1:-1]
+            continue
+        lids = numerals(paths.line_ids[part])
+        tail = tails(ends[-1] - ends[0], "], [", "]]]")
+        tail[ends[1:-1] - ends[0] - 1] = "]]], [" + lids[1:] + ", [["
+        yield "[" + lids[0] + ", [["
+        yield joined(len(tail), *numeral_axes(
+            paths.vertices[ends[0]:ends[-1]], ", "), tail)
+    yield "]}\n"
 
 
 def read_map(data: dict, d: int | None = None):

@@ -56,11 +56,74 @@ KINDS = frozenset(KIND_NAMES)
 # variant names by their code in the node table; a network read from
 # tns-v1 appends any other names it uses
 VARIANTS = ("p", "u", "u2x2", "u2x1", "u1x2", "w", "t", "g")
-# entries of a tns-v1 or map-v1 array per json.dumps call when the
-# command line writes a document, and paths per slice when a map is read
+# entries of a tns-v1 or map-v1 array per batch of text when the command
+# line writes a document (congestion CSV rows: 8 times as many), and
+# paths per slice when a map is read
 JSON_SLICE = 8192
 _PAST_INT64 = "a layer, cell, dim, slot or line id does not fit in 64 bits"
 _int64 = functools.partial(int64_array, past=_PAST_INT64)
+
+
+# The text kernel of the writers of tns-v1, map-v1 and the congestion CSV:
+# each formats a batch of entries as object-array columns of strings and
+# joins them once, so that each distinct value is formatted once and the
+# rest moves references.
+
+
+def joined(count: int, *pieces) -> str:
+    """The text of count entries back to back, each the pieces in order:
+    a str piece is the same in every entry, any other is an object array
+    of count strings, one per entry.  The pieces are interleaved in one
+    list, which str.join takes as it is; an object array would be copied
+    into a list of the same size first."""
+    out = [None] * (count * len(pieces))
+    for k, piece in enumerate(pieces):
+        out[k::len(pieces)] = [piece] * count if isinstance(piece, str) \
+            else piece.tolist()
+    return "".join(out)
+
+
+def numerals(values: np.ndarray) -> np.ndarray:
+    """str of each entry of an int column, as an object array, each
+    distinct value formatted once: by a table of every value from the
+    least to the greatest when that range is no longer than the column,
+    else by one numeral per distinct value."""
+    if not len(values):
+        return np.empty(0, object)
+    # Python ints, so that the range of int64 extremes does not wrap
+    low, high = int(values.min()), int(values.max())
+    if high - low < len(values):
+        table, at = range(low, high + 1), values - low
+    else:
+        table, at = distinct(values)
+        table = table.tolist()
+    return np.array(list(map(str, table)), object)[at]
+
+
+def numeral_axes(rows: np.ndarray, sep: str) -> list:
+    """Pieces for joined: the numeral column of each axis of (n, D) int
+    rows, with sep between axes."""
+    pieces = []
+    for column in rows.T:
+        pieces += [sep, numerals(column)]
+    return pieces[1:]
+
+
+def encoded(strings) -> np.ndarray:
+    """Each string as json.dumps writes it, quotes included, as an object
+    array."""
+    return np.array(list(map(json.encoder.encode_basestring_ascii, strings)),
+                    object)
+
+
+def tails(count: int, inner: str, last: str) -> np.ndarray:
+    """A piece for joined that ends every entry with inner but the last,
+    which it ends with last.  (np.full would copy inner into a new
+    string per entry.)"""
+    out = np.empty(count, object)
+    out[:] = inner
+    out[-1:] = last
+    return out
 
 
 @dataclass(frozen=True)
@@ -692,47 +755,61 @@ def tns_text(tns: Tns):
     """The text of json.dumps(tns_to_dict(tns)) and a newline, as batches
     of text for a file's writelines.  The header members come from
     tns_to_dict; the nodes and lines are formatted column-wise from the
-    network's arrays, JSON_SLICE entries per batch, with one template per
-    entry kind, so that neither the document nor its text is ever whole.
-    ValueError as tns_to_dict's, once the batches before it are given."""
+    network's arrays, JSON_SLICE entries per batch, by joined over the
+    id, kind and variant tables and numeral columns, so that neither the
+    document nor its text is ever whole.  ValueError as tns_to_dict's,
+    once the batches before it are given."""
     dumps, step = json.dumps, JSON_SLICE
     head = tns_to_dict(tns, slice(0), slice(0))
     del head["nodes"], head["lines"]
     yield dumps(head)[:-1] + ', "nodes": ['
     # the function json.dumps applies to every string, so that any id
     # reads back exactly
-    ids = list(map(json.encoder.encode_basestring_ascii, tns.ids))
-    kinds, variants = list(map(dumps, KIND_NAMES)), \
-        list(map(dumps, tns.variants))
-    cell = ", ".join(["%d"] * tns.spec.dimension)
-    node = (f'{{"id": %s, "layer": %d, "cell": [{cell}], "kind": %s, '
-            '"variant": %s, "dims": [%s], "elements": %s}').__mod__
+    ids = encoded(tns.ids)
+    kinds, variants = encoded(KIND_NAMES), encoded(tns.variants)
     for start in range(0, len(ids), step):
         part = slice(start, start + step)
-        bounds = tns.dim_offsets[start:start + step + 1]
-        dims = list(map(str, tns.dims[bounds[0]:bounds[-1]].tolist()))
-        bounds = (bounds - bounds[0]).tolist()
+        count = len(ids[part])
         if start:
             yield ", "
-        yield ", ".join(map(node, zip(
-            ids[part], tns.layer[part].tolist(), *tns.cell[part].T.tolist(),
-            map(kinds.__getitem__, tns.kind[part].tolist()),
-            map(variants.__getitem__, tns.variant[part].tolist()),
-            (", ".join(dims[i:j]) for i, j in zip(bounds, bounds[1:])),
-            ("null" if e is None else dumps(_flat_elements(nid, e))
-             for nid, e in zip(tns.ids[part], tns.elements[part])))))
+        yield joined(
+            count, '{"id": ', ids[part], ', "layer": ',
+            numerals(tns.layer[part]), ', "cell": [',
+            *numeral_axes(tns.cell[part], ", "), '], "kind": ',
+            kinds[tns.kind[part]], ', "variant": ',
+            variants[tns.variant[part]], ', "dims": [',
+            _dims_text(tns.dims, tns.dim_offsets[start:start + step + 1]),
+            '], "elements": ', np.array(
+                ["null" if e is None else dumps(_flat_elements(nid, e))
+                 for nid, e in zip(tns.ids[part], tns.elements[part])],
+                object),
+            tails(count, "}, ", "}"))
     yield '], "lines": ['
-    line = '{"id": %d, "a": [%s, %d], "b": [%s, %d], "dim": %d}'.__mod__
     for start in range(0, len(tns.line_id), step):
         part = slice(start, start + step)
-        (a, b), (sa, sb) = tns.line_ends[:, part].tolist(), \
-            tns.line_slots[:, part].tolist()
+        (a, b), (sa, sb) = tns.line_ends[:, part], tns.line_slots[:, part]
         if start:
             yield ", "
-        yield ", ".join(map(line, zip(
-            tns.line_id[part].tolist(), map(ids.__getitem__, a), sa,
-            map(ids.__getitem__, b), sb, tns.line_dim[part].tolist())))
+        yield joined(
+            len(a), '{"id": ', numerals(tns.line_id[part]), ', "a": [',
+            ids[a], ", ", numerals(sa), '], "b": [', ids[b], ", ",
+            numerals(sb), '], "dim": ', numerals(tns.line_dim[part]),
+            tails(len(a), "}, ", "}"))
     yield "]}\n"
+
+
+def _dims_text(dims: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The text of each node's dims, dims[bounds[i]:bounds[i + 1]] joined
+    by ", ", as an object array; each distinct row of dims is formatted
+    once."""
+    order = np.diff(bounds)
+    text = np.empty(len(order), object)
+    for width in distinct(order)[0].tolist():
+        at = (order == width).nonzero()[0]
+        rows, inverse = distinct(dims[bounds[at, None] + np.arange(width)])
+        text[at] = np.array([", ".join(map(str, row)) for row in
+                             rows.tolist()], object)[inverse]
+    return text
 
 
 def _columns(rows, keys):

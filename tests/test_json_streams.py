@@ -204,16 +204,24 @@ def test_sliced_files_equal_whole_documents(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("step", [1, 2, 3])
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
-def test_writer_at_every_slice_boundary(tmp_path, monkeypatch, step, count):
-    """Entry counts 0, 1, step - 1, step and step + 1 for each step."""
+def test_writer_at_every_slice_boundary(monkeypatch, step, count):
+    """Site and path counts 0, 1, step - 1, step and step + 1 for each
+    step; the chains have one vertex, their whole length, or none, which
+    a slice writes through map_to_dict."""
     monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
-    doc = tns_to_dict(build_mera_1d(2))
-    doc["nodes"], doc["lines"] = doc["nodes"][:count], doc["lines"][:count]
-    first = {**doc, "nodes": doc["nodes"][:step], "lines": doc["lines"][:step]}
-    cli._write_json(tmp_path / "out.json", first, {
-        key: (count, lambda part, key=key: doc[key][part])
-        for key in ("nodes", "lines")})
-    assert (tmp_path / "out.json").read_text() == json.dumps(doc) + "\n"
+    net = build_mera_1d(2)
+    p = mapping.place(net, "refined")
+    paths = mapping.route_lines(net, p)
+    p = mapping.Placement(p.scheme, p.lattice, p.delta_tau, p.ids[:count],
+                          p.sites[:count], p.anchor[:count])
+    starts = paths.offsets[:count].tolist()
+    chains = [paths.vertices[i:i + n] for i, n in
+              zip(starts, [1, 5, 3, 0][:count])]
+    paths = mapping.PathAssignment(
+        paths.line_ids[:count], np.cumsum([0] + list(map(len, chains))),
+        np.concatenate(chains) if chains else paths.vertices[:0])
+    assert "".join(mapping.map_text(p, paths)) == \
+        json.dumps(mapping.map_to_dict(p, paths)) + "\n"
 
 
 def _adversarial_network(empty=False):
@@ -246,6 +254,82 @@ def test_column_writer_equals_json_dumps(monkeypatch, step, empty):
     monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
     assert "".join(tns_mod.tns_text(net)) == \
         json.dumps(tns_to_dict(net)) + "\n"
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, tns_mod.JSON_SLICE])
+@pytest.mark.parametrize("scheme", ["naive", "refined"])
+def test_map_writer_equals_json_dumps(monkeypatch, step, scheme):
+    # ids that sort by code point and need escapes; the sites go out in
+    # the order sorted gives them
+    net = _adversarial_network()
+    p = mapping.place(net, scheme)
+    paths = mapping.route_lines(net, p)
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
+    text = "".join(mapping.map_text(p, paths))
+    assert text == json.dumps(mapping.map_to_dict(p, paths)) + "\n"
+    sites = json.loads(text)["sites"]
+    assert [nid for nid, _ in sites] == sorted(net.ids)
+    assert {'q"uote', "\ud800lone", "né世\U0001f600"} <= \
+        {nid for nid, _ in sites}
+
+
+@pytest.mark.parametrize("values", [
+    [0], [0, 0, 1, 1], [7, 3, 5], [-1, -3, -2, -2], [-5, 12, 0, 100],
+    [2**63 - 1, 2**63 - 2], [-2**63, -2**63 + 1],
+    [2**63 - 1, -2**63, 0, -1, 2**63 - 1]])
+def test_numerals_print_as_str(values):
+    column = np.array(values, np.int64)
+    assert tns_mod.numerals(column).tolist() == list(map(str, values))
+    rows = np.stack([column, column[::-1]], axis=1)
+    assert tns_mod.joined(len(rows), "[", *tns_mod.numeral_axes(rows, ";"),
+                          "]") == "".join(f"[{a};{b}]" for a, b in
+                                          rows.tolist())
+    assert tns_mod.numerals(column[:0]).tolist() == []
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_column_writer_takes_any_int64(monkeypatch, step):
+    doc = tns_to_dict(build_mera_2d_b2(1, seed=4))
+    for i, n in enumerate(doc["nodes"]):
+        n["cell"] = [-n["cell"][0] - i, n["cell"][1] - 2**40]
+    doc["lines"][0]["id"], doc["lines"][-1]["id"] = 2**32 + 5, -2**63
+    doc["lines"][1]["dim"] = 2**63 - 1
+    net = tns_from_dict(doc)
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
+    assert "".join(tns_mod.tns_text(net)) == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, tns_mod.JSON_SLICE])
+def test_csv_batches_equal_rows(monkeypatch, step):
+    # 8 * step edges per batch
+    net = build_mera_2d_b2(2, with_elements=False)
+    report = mapping.measured_chi(
+        net, mapping.route_lines(net, mapping.place(net, "refined")))
+    oracle = ["edge_a,edge_b,paths,bond_dim\n"] + [
+        f"{';'.join(map(str, a))},{';'.join(map(str, b))},"
+        f"{report.paths_through((a, b))},{report.bond_dim_of((a, b))}\n"
+        for a, b in report.edge_lines]
+    assert len(oracle) - 1 > 8 * 3
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
+    assert mapping.congestion_csv(report) == "".join(oracle)
+
+
+def test_map_writer_holds_a_slice_not_the_text(tmp_path, monkeypatch):
+    # b2 T=6 refined is 859,881 bytes of map-v1.  At 128 entries per
+    # slice the writer holds the site order and one slice, 1.0 or more
+    # were the text ever whole
+    net = build_mera_2d_b2(6, with_elements=False)
+    p = mapping.place(net, "refined")
+    paths = mapping.route_lines(net, p)
+    monkeypatch.setattr(tns_mod, "JSON_SLICE", 128)
+    out = tmp_path / "net.map.json"
+
+    def write():
+        with open(out, "w") as fh:
+            fh.writelines(mapping.map_text(p, paths))
+
+    peak = _traced_peak(write)
+    assert peak <= 0.5 * out.stat().st_size, peak / out.stat().st_size
 
 
 def test_column_writer_holds_a_slice_not_the_text(tmp_path, monkeypatch):
