@@ -27,9 +27,12 @@ sublayer_swaps, site_index and pair_separation.
 The region sampler draws the same integers as scalar rng.integers calls
 and leaves the generator in the same state.  Its picks are computed by
 numpy's bounded-integer rule from blocks of the generator's 32-bit words,
-and the words it read are then drawn again from the saved state.  The
-neighbour table it walks is built once per grid and kept for the most
-recent grid only.
+and the words it read are then drawn again from the saved state.  It
+keeps each site's count of neighbours outside the region in a bytearray,
+so a frontier site with none left costs one lookup.  The neighbour table
+it walks holds one tuple per site over one shared int object per site,
+about 130 bytes per site on a 2D grid; it is built once per grid, 65,536
+rows at a time, and kept for the most recent grid only.
 
 The functions that hold per-site data (initial_pairs, the sublayers and
 layer_permutation, half_cut_region, random_connected_region) take at most
@@ -249,7 +252,10 @@ class _Words:
     back the state saved at the start and draws again exactly the words
     read, _BLOCK at a time, which leaves the generator where the scalar
     calls would have.  Only .state and integers are used, so this holds
-    for every bit generator.
+    for every bit generator.  random_connected_region reads block and pos
+    itself for the one test numpy's rule always passes, low >= m (its
+    threshold (2**32 - m) % m is below m), and hands bounded every other
+    word.
     """
 
     __slots__ = ("rng", "state", "block", "pos", "done")
@@ -291,15 +297,30 @@ class _Words:
             left -= n
 
 
+# rows of the neighbour table turned into Python ints at once
+_ROWS = 65536
+
+
 @functools.lru_cache(maxsize=1)
-def _neighbours(dimension: int, length: int) -> list[list[int]]:
-    """neighbours[q]: the indices of site q's neighbours, in draw order.
-    Only the most recent grid's table is kept, and its regions share it,
-    so the sampler only reads it."""
-    grid = np.arange(length ** dimension).reshape((length,) * dimension)
-    return np.stack([np.roll(grid, -delta, axis).ravel()
-                     for axis in range(dimension)
-                     for delta in (-1, 1)], axis=1).tolist()
+def _neighbours(dimension: int, length: int) -> list[tuple[int, ...]]:
+    """neighbours[q]: the indices of site q's neighbours, in draw order,
+    as one tuple per site whose entries are shared int objects, one per
+    site.  Only the most recent grid's table is kept, and its regions
+    share it, so the sampler only reads it."""
+    total = length ** dimension
+    ints = list(range(total)).__getitem__
+    table = []
+    for lo in range(0, total, _ROWS):
+        q = np.arange(lo, min(lo + _ROWS, total))
+        columns = []
+        for axis in range(dimension):
+            stride = length ** (dimension - 1 - axis)
+            c = q // stride % length
+            columns += [map(ints, (q + ((c + delta) % length - c)
+                                   * stride).tolist())
+                        for delta in (-1, 1)]
+        table += zip(*columns)
+    return table
 
 
 def random_connected_region(dimension: int, length: int, rng,
@@ -312,32 +333,74 @@ def random_connected_region(dimension: int, length: int, rng,
     none left is dropped.  Every draw equals a scalar rng.integers call,
     and rng ends where those calls would leave it: the size and start
     are drawn by integers, the picks are replayed from blocks of the
-    generator's words (_Words).
+    generator's words (_Words).  ValueError, before any draw, unless
+    size is None or an integer (not a bool) in [1, L**D).
+
+    Each site keeps its count of neighbours outside the region, so a
+    frontier site with none is dropped after one lookup, and a site with
+    one left takes it without a draw, as integers(0, 1) reads no word.
+    The accept test of numpy's rule is inlined for a word whose low half
+    is at least m, which it always accepts; every other word, and every
+    block read, goes through _Words.bounded.
     """
     check_sites(dimension, length)
     total = length ** dimension
     if size is None:
         size = int(rng.integers(1, total))
+    elif isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError(f"size must be an integer, not {size!r}")
     if not 1 <= size < total:
         raise ValueError(f"size must be in [1, {total})")
     start = site_index(rng.integers(0, length, size=dimension).tolist(),
                        length)
     neighbours = _neighbours(dimension, length)
     inside = bytearray(total)
+    free = bytearray([2 * dimension]) * total
     inside[start] = 1
+    for q in neighbours[start]:
+        free[q] -= 1
     frontier = [start]
     words = _Words(rng)
-    draw = words.bounded
+    bounded = words.bounded
+    block, pos, end = words.block, 0, 0
     for _ in range(size - 1):
         while True:
-            i = draw(len(frontier))
-            free = [q for q in neighbours[frontier[i]] if not inside[q]]
-            if free:
+            m = len(frontier)
+            if m == 1:
+                i = 0
+            elif pos < end and (x := block[pos] * m) & 0xFFFFFFFF >= m:
+                pos += 1
+                i = x >> 32
+            else:
+                words.pos = pos
+                i = bounded(m)
+                block, pos = words.block, words.pos
+                end = len(block)
+            site = frontier[i]
+            m = free[site]
+            if m:
                 break
             del frontier[i]
-        pick = free[draw(len(free))]
+        if m == 1:
+            k = 0
+        elif pos < end and (x := block[pos] * m) & 0xFFFFFFFF >= m:
+            pos += 1
+            k = x >> 32
+        else:
+            words.pos = pos
+            k = bounded(m)
+            block, pos = words.block, words.pos
+            end = len(block)
+        for pick in neighbours[site]:
+            if not inside[pick]:
+                if not k:
+                    break
+                k -= 1
         inside[pick] = 1
+        for q in neighbours[pick]:
+            free[q] -= 1
         frontier.append(pick)
+    words.pos = pos
     words.close()
     return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8))
 

@@ -417,10 +417,18 @@ REGION_SHAPES = ((1, 256), (1, 512), (2, 24), (2, 32), (2, 48),
 
 def test_random_connected_region_matches_oracle():
     seeds = np.random.default_rng(31).integers(0, 2 ** 31, size=200)
+    cases = []
     for case, seed in enumerate(seeds.tolist()):
         dim, length = REGION_SHAPES[case % len(REGION_SHAPES)]
         total = length ** dim
         size = None if case % 2 else 1 + seed % min(total - 1, 600)
+        cases.append((dim, length, seed, size))
+    # both ends on the small grids: size 1 draws no pick, and total - 1
+    # drains the frontier down to sites with no neighbour left outside
+    for seed, (dim, length) in enumerate(REGION_SHAPES[5:]):
+        cases += [(dim, length, seed, 1),
+                  (dim, length, seed, length ** dim - 1)]
+    for dim, length, seed, size in cases:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = qca.random_connected_region(dim, length, rng, size=size)
         want = _random_connected_region(dim, length, ref, size=size)
@@ -488,6 +496,86 @@ def test_random_connected_region_refills_its_block(monkeypatch):
     reads = len(sizes) // 2
     assert reads > 3 and sizes[:reads] == [7] * reads
     assert max(sizes[reads:]) == 7 and sum(sizes[reads:]) > 7 * (reads - 1)
+
+
+def test_random_connected_region_redraws_as_bounded_does(monkeypatch):
+    """Most words zeroed: a low half of 0 is below every m, and numpy's
+    rule rejects it unless m is a power of two, so most picks go through
+    the redraw of _Words.bounded while the other words take the sampler's
+    inlined accept test.  The oracle draws every pick through bounded on
+    the same words, so the regions and the words read agree only if both
+    paths keep one position in the block."""
+    monkeypatch.setattr(qca, "_BLOCK", 5)
+    draw, close = qca._Words._draw, qca._Words.close
+    read = []
+
+    def zeroed(self, n):
+        words = draw(self, n)
+        words[words % 4 != 0] = 0
+        return words
+
+    def counted(self):
+        read.append(self.done + self.pos)
+        close(self)
+
+    monkeypatch.setattr(qca._Words, "_draw", zeroed)
+    monkeypatch.setattr(qca._Words, "close", counted)
+
+    class Bounded:
+        """integers as the oracle calls it: the start from the generator,
+        then each scalar draw by bounded on the words after it."""
+
+        def __init__(self, rng):
+            self.rng, self.words, self.draws = rng, None, 0
+
+        def integers(self, low, high, size=None):
+            if size is not None:
+                return self.rng.integers(low, high, size=size)
+            self.words = self.words or qca._Words(self.rng)
+            self.draws += high - low > 1
+            return low + self.words.bounded(high - low)
+
+    for case, (dim, length, size) in enumerate(
+            ((1, 64, 40), (2, 10, 60), (2, 24, 300), (3, 4, 50))):
+        rng = np.random.default_rng(60 + case)
+        ref = Bounded(np.random.default_rng(60 + case))
+        got = qca.random_connected_region(dim, length, rng, size=size)
+        want = _random_connected_region(dim, length, ref, size=size)
+        ref.words.close()
+        assert got.tolist() == [qca.site_index(s, length) for s in want]
+        assert read[-2] == read[-1] > ref.draws
+        assert rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_random_connected_region_refuses_a_size_that_is_not_an_integer():
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    for size in (2.5, 3.0, True, np.bool_(True), "3", np.float64(3)):
+        with pytest.raises(ValueError) as err:
+            qca.random_connected_region(2, 6, rng, size=size)
+        assert str(err.value) == f"size must be an integer, not {size!r}"
+        assert rng.bit_generator.state == state
+    assert qca.random_connected_region(2, 6, rng, size=np.int64(9)).tolist() \
+        == qca.random_connected_region(2, 6, np.random.default_rng(6),
+                                       size=9).tolist()
+
+
+def test_neighbour_table_built_in_chunks(monkeypatch):
+    """The table built 7 rows at a time, so rows straddle the chunks,
+    against np.roll of the grid; each site's index is one int object."""
+    monkeypatch.setattr(qca, "_ROWS", 7)
+    # past 256 sites, where CPython no longer shares small ints itself
+    for dim, length in ((1, 6), (2, 18), (3, 8)):
+        qca._neighbours.cache_clear()
+        table = qca._neighbours(dim, length)
+        grid = np.arange(length ** dim).reshape((length,) * dim)
+        assert table == [tuple(row) for row in np.stack(
+            [np.roll(grid, -delta, axis).ravel() for axis in range(dim)
+             for delta in (-1, 1)], axis=1).tolist()]
+        shared = {}
+        assert all(shared.setdefault(q, q) is q
+                   for row in table for q in row)
+    qca._neighbours.cache_clear()
 
 
 def test_sampler_keeps_the_most_recent_neighbour_table():
