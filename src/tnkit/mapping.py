@@ -404,38 +404,41 @@ def check_routing(tns: Tns, p: Placement,
 class CongestionReport:
     """Edge usage of a routed placement.
 
-    Every crossing of a line over a host edge is one entry of keys,
-    line_ids and classes, in line-id order.  An edge's key is the
+    A leg is a maximal straight run of one line's path: it covers
+    leg_lengths[i] consecutive edges along one axis, the first of which
+    has the key leg_keys[i]; leg_lines and leg_classes hold its line id
+    and line class, legs in line-id order.  An edge's key is the
     row-major index of its lower vertex in the box of the given origin
     and shape, times D, plus D-1-axis, so keys sort edges as (lower,
-    upper) vertex pairs.  A crossing's class indexes class_table, whose
-    row per line class holds a dimension and 1 for physical legs (lines
-    ending on an anchor), else 0.  edge_lines, the sorted ids of the
-    lines crossing each edge, is built on first use.  paths_through and
-    bond_dim_of take the key of a (lower, upper) pair and look it up in
-    the sorted edge keys; a pair that is no edge of the report, reversed
-    pairs and non-unit steps among them, has 0 paths and bond 1.  Physical
-    legs can be included or excluded from every figure; embedded-network
+    upper) vertex pairs.  edge_keys are the used edges, ascending, and
+    counts (E, C) holds the lines of each class on each of them; a
+    class indexes class_table, whose row per line class holds a
+    dimension and 1 for physical legs (lines ending on an anchor), else
+    0.  edge_lines, the sorted ids of the lines crossing each edge, is
+    expanded from the legs on first use.  paths_through and bond_dim_of
+    take the key of a (lower, upper) pair and look it up in the used
+    edge keys; a pair that is no edge of the report, reversed pairs and
+    non-unit steps among them, has 0 paths and bond 1.  Physical legs
+    can be included or excluded from every figure; embedded-network
     bond dimensions include them, while the interior congestion figures
     of the refined scheme exclude them.  The per-edge figures are taken
     once, when the report is made.
     """
 
-    keys: np.ndarray
+    edge_keys: np.ndarray
+    counts: np.ndarray
     origin: Site
     shape: tuple[int, ...]
-    line_ids: np.ndarray
-    classes: np.ndarray
     class_table: np.ndarray
+    leg_lines: np.ndarray
+    leg_keys: np.ndarray
+    leg_lengths: np.ndarray
+    leg_classes: np.ndarray
 
     def __post_init__(self):
-        self._edge_keys, edge = distinct(self.keys)
-        # counts of crossings per edge and class; the figures are exact
-        # Python ints, taken once per distinct row
-        shape = len(self._edge_keys), len(self.class_table)
-        counts = np.bincount(edge * shape[1] + self.classes,
-                             minlength=math.prod(shape)).reshape(shape)
-        rows, self._row_of_edge = distinct(counts)
+        # the figures are exact Python ints, taken once per distinct row
+        # of counts
+        rows, self._row_of_edge = distinct(self.counts)
         # (paths, bond dimension) per distinct row, by include_physical
         dims = self.class_table[:, 0].tolist()
         interior = self.class_table[:, 1] == 0
@@ -463,9 +466,18 @@ class CongestionReport:
     @functools.cached_property
     def edge_lines(self) -> dict[Edge, tuple[int, ...]]:
         """Sorted ids of the lines crossing each edge, in edge order."""
-        lids = self.line_ids[np.argsort(self.keys, kind="stable")].tolist()
+        d, n = len(self.shape), self.leg_lengths
+        # the key step along axis D-1-r, for a key of remainder r
+        step = np.array([math.prod(self.shape[d - r:]) * d
+                         for r in range(d)], np.int64)
+        keys = np.arange(n.sum(), dtype=np.int64)
+        keys -= np.repeat(n.cumsum() - n, n)
+        keys *= np.repeat(step[self.leg_keys % d], n)
+        keys += np.repeat(self.leg_keys, n)
+        lids = np.repeat(self.leg_lines, n)[
+            np.argsort(keys, kind="stable")].tolist()
         ends = np.cumsum(self._edge_paths(True)).tolist()
-        lower, upper = self._ends(self._edge_keys)
+        lower, upper = self._ends(self.edge_keys)
         return {(a, b): tuple(lids[s:t]) for a, b, s, t in
                 zip(map(tuple, lower.tolist()), map(tuple, upper.tolist()),
                     [0] + ends, ends)}
@@ -486,8 +498,8 @@ class CongestionReport:
                 return None
             rank = rank * n + c - o
         key = rank * d + d - 1 - steps.index(1)
-        i = int(np.searchsorted(self._edge_keys, key))
-        if i == len(self._edge_keys) or self._edge_keys[i] != key:
+        i = int(np.searchsorted(self.edge_keys, key))
+        if i == len(self.edge_keys) or self.edge_keys[i] != key:
             return None
         return int(self._row_of_edge[i])
 
@@ -509,7 +521,7 @@ class CongestionReport:
         if not paths.any():
             return None, 0
         i = int(paths.argmax())
-        lower, upper = self._ends(self._edge_keys[i:i + 1])
+        lower, upper = self._ends(self.edge_keys[i:i + 1])
         return ((tuple(lower[0].tolist()), tuple(upper[0].tolist())),
                 int(paths[i]))
 
@@ -522,78 +534,133 @@ class CongestionReport:
         return math.log(self.chi_peps(include_physical)) / math.log(chi)
 
 
-def _crossing_keys(axes, line_ids: np.ndarray):
-    """Edge keys of crossings given per axis as (tail, head) coordinate
-    columns, with the origin and shape of the box of their lower
-    vertices; ValueError on a step that is not a unit step.  The columns
-    are overwritten: one axis at a time, in place, keeps the tally's
-    peak memory low."""
-    rank = length = axis = None
-    origin, shape = [], []
-    for k, (tail, head) in enumerate(axes):
-        step = np.subtract(head, tail, out=head)
-        lower = tail
-        lower += np.minimum(step, 0)
-        lo, hi = (int(lower.min()), int(lower.max())) if len(lower) else (0, 0)
-        origin.append(lo)
-        shape.append(hi - lo + 1)
-        if math.prod(shape) * (k + 1) >= 2 ** 63:
-            raise ValueError("paths span too large a box to tally")
-        lower -= lo
-        if rank is None:
-            rank, length, axis = lower, np.abs(step), np.zeros_like(step)
-        else:
-            rank *= hi - lo + 1
-            rank += lower
-            length += np.abs(step)
-        axis[step != 0] = k
-    jump = (length != 1).nonzero()[0]
-    if jump.size:
-        raise ValueError(f"path of line {line_ids[jump[0]]} makes a "
-                         f"non-unit step")
-    # row-major rank of the lower vertex, times D, plus D-1-axis
-    d = len(shape)
-    rank *= d
-    rank += d - 1
-    rank -= axis
-    return rank, tuple(origin), tuple(shape)
+def _tally(lines, lower, axis, lengths, classes, class_table):
+    """CongestionReport of legs: leg i, of line lines[i] and class
+    classes[i], covers lengths[i] >= 1 edges up axis[i] from the (n, D)
+    vertex lower[i], which is overwritten.  The lines of each class on
+    each edge are counted by coverage, one axis at a time: +1 at a leg's
+    first edge and -1 past its last, then a running sum along the axis,
+    over the box of the edges' lower vertices.  ValueError when the box
+    holds too many edges to key in int64, ResourceLimitError when its
+    counts would take more than the amplitude limit."""
+    n, d = lower.shape
+    origin, shape = [0] * d, [1] * d
+    for k in range(n and d):
+        along = axis == k
+        origin[k], top = int(lower[:, k].min()), int(lower[:, k].max())
+        top = (lower[along, k] + (lengths[along] - 1)).max(initial=top)
+        shape[k] = int(top) - origin[k] + 1
+    size, c = math.prod(shape), len(class_table)
+    if size * d >= 2 ** 63:
+        raise ValueError("paths span too large a box to tally")
+    if size * c > amplitude_limit():
+        raise ResourceLimitError(f"tally of {size} edges by {c} line "
+                                 f"classes exceeds the budget "
+                                 f"{amplitude_limit()}")
+    stride = [math.prod(shape[k + 1:]) for k in range(d)]
+    rank = np.zeros(n, np.int64)
+    for k in range(d):
+        lower[:, k] -= origin[k]
+        rank += lower[:, k] * stride[k]
+    used, found = np.zeros((size, d), bool), []
+    for a in range(d):
+        on = (axis == a).nonzero()[0]
+        at = classes[on] * np.int64(size) + rank[on]
+        cover = np.bincount(at, minlength=c * size)
+        # -1 past a leg's last edge, unless that lies outside the box
+        past = (lower[on, a] + lengths[on] < shape[a]).nonzero()[0]
+        at += lengths[on] * stride[a]
+        cover -= np.bincount(at[past], minlength=c * size)
+        del on, at, past
+        box = cover.reshape(c, *shape)
+        box.cumsum(axis=a + 1, out=box)
+        cover = cover.reshape(c, size)
+        used[:, d - 1 - a] = hit = cover.any(axis=0)
+        rows = cover.compress(hit, axis=1)
+        del box, cover, hit
+        found.append(rows.astype(np.min_scalar_type(rows.max(initial=0))))
+    # the used edges come out in key order: the row-major rank of an
+    # edge's lower vertex, times D, plus D-1-axis
+    edge_keys = np.flatnonzero(used)
+    del used
+    counts = np.empty((len(edge_keys), c), np.result_type(np.uint8, *found))
+    for a, rows in enumerate(found):
+        counts[edge_keys % d == d - 1 - a] = rows.T
+    return CongestionReport(edge_keys, counts, tuple(origin), tuple(shape),
+                            class_table, lines, rank * d + (d - 1 - axis),
+                            lengths, classes)
 
 
 def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
-    """Tally routed lines per lattice edge.
+    """Tally routed lines per lattice edge from the legs of their chains.
 
     The chains come as one coordinate array in line-id order (see
-    PathAssignment); each step between consecutive vertices of a chain is
-    one crossing, so every edge's ids come out sorted.  A step that is
-    not a unit step, or a crossing of a line the network lacks, raises
+    PathAssignment).  A leg is a maximal run of equal steps within one
+    chain, found where some axis's step changes; its two end vertices
+    give its edges.  A leg that is not a run of unit steps along one
+    axis, or a chain with a step of a line the network lacks, raises
     ValueError.
     """
-    ids, offsets, coords = paths.line_ids, paths.offsets, paths.vertices
-    lengths = offsets[1:] - offsets[:-1]
-    steps = np.maximum(lengths - 1, 0)
-    line_ids = ids.repeat(steps)
-    # a step leaves every vertex but the last of its chain
-    inner = np.ones(len(coords), bool)
-    inner[offsets[1:][lengths > 0] - 1] = False
-    inner = inner[:-1]
-    axes = ((coords[:-1, k][inner], coords[1:, k][inner])
-            for k in range(coords.shape[1]))
-    keys, origin, shape = _crossing_keys(axes, line_ids)
-    # a line's crossings are adjacent, so each crossed line is looked up
-    # once; a line class is a (dimension, physical) pair
-    crossed = ids[steps > 0]
+    ids, offsets, v = paths.line_ids, paths.offsets, paths.vertices
+    n, d = v.shape
+    # 1 at a leg's first vertex: a chain's first and where the step
+    # changes; 2 at a chain's last vertex, which starts no leg
+    mark = np.zeros(n, np.int8)
+    for k in range(d):
+        step = np.diff(v[:, k])
+        mark[1:-1] |= step[1:] != step[:-1]
+    del step
+    full = (offsets[1:] > offsets[:-1]).nonzero()[0]
+    mark[offsets[full]] = 1
+    mark[offsets[full + 1] - 1] = 2
+    at = mark.nonzero()[0]
+    kind = mark[at]
+    leg = (kind[:-1] == 1).nonzero()[0]
+    # a leg's chain follows the non-empty chains that end before it
+    chain = full[np.cumsum(kind == 2)[leg]]
+    first, last = at[leg], at[leg + 1]
+    del mark, at, kind, leg
+    lengths = last - first
+    # a leg is good when exactly one axis moves, by its number of steps
+    lower = np.empty((len(first), d), np.int64)
+    axis = np.zeros(len(first), np.min_scalar_type(d))
+    moved = np.zeros(len(first), np.min_scalar_type(d))
+    jump = np.zeros(len(first), bool)
+    for k in range(d):
+        low, span = v[first, k], v[last, k]
+        np.minimum(low, span, out=lower[:, k])
+        span -= low
+        np.abs(span, out=span)
+        on = span != 0
+        moved += on
+        axis[on] = k
+        jump |= on & (span != lengths)
+    del first, last, low, span, on
+    jump = (jump | (moved != 1)).nonzero()[0]
+    if jump.size:
+        raise ValueError(f"path of line {ids[chain[jump[0]]]} makes a "
+                         f"non-unit step")
+    # a line's class, a (dimension, physical) pair, is looked up once
+    # per line that crosses an edge
+    steps = offsets[1:] - offsets[:-1] > 1
+    crossed = ids[steps]
     unknown = ~np.isin(crossed, tns.line_id)
     if unknown.any():
         raise ValueError(f"path of line {crossed[unknown][0]} names no line "
                          f"of the network")
     by_id = tns.line_id.argsort(kind="stable")
     line = by_id[tns.line_id[by_id].searchsorted(crossed)]
-    physical = (tns.kind == _ANCHOR)[tns.line_ends[:, line]].any(axis=0)
+    anchor = tns.kind == _ANCHOR
+    physical = anchor[tns.line_ends[0, line]] | anchor[tns.line_ends[1, line]]
     table, classes = distinct(np.stack((tns.line_dim[line], physical), 1))
-    # the report keeps a class code per crossing, in the smallest dtype
-    classes = classes.astype(np.min_scalar_type(len(table)))
-    return CongestionReport(keys, origin, shape, line_ids,
-                            classes.repeat(steps[steps > 0]), table)
+    del crossed, by_id, line, anchor, physical
+    # legs keep a class code in the smallest dtype
+    code = np.zeros(len(ids), np.min_scalar_type(len(table)))
+    code[steps] = classes
+    del steps, classes
+    lines, classes = ids[chain], code[chain]
+    del chain, code
+    return _tally(lines, lower, axis, lengths, classes, table)
 
 
 def chi_bound(meta: MeraMeta, dimension: int) -> int:
@@ -633,9 +700,9 @@ def congestion_csv(report: CongestionReport) -> str:
     row_tails = np.array([f",{paths},{bond}\n" for paths, bond in zip(
         report._paths[True].tolist(), report._bonds[True])], object)
     parts, size = ["edge_a,edge_b,paths,bond_dim\n"], 8 * _tns.JSON_SLICE
-    for i in range(0, len(report._edge_keys), size):
+    for i in range(0, len(report.edge_keys), size):
         batch = slice(i, i + size)
-        lower, upper = report._ends(report._edge_keys[batch])
+        lower, upper = report._ends(report.edge_keys[batch])
         parts.append(joined(len(lower), *numeral_axes(lower, ";"), ",",
                             *numeral_axes(upper, ";"),
                             row_tails[report._row_of_edge[batch]]))
@@ -726,23 +793,25 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
     Lines between sites of one block become internal to the merged site;
     lines crossing a block boundary multiply into the merged bond, so a
     merged edge carries the product of the parallel refined bonds.  The
-    crossings of block boundaries are tallied again as unit steps of the
-    physical grid.
+    legs are blocked and tallied again: a leg of length n along axis a
+    from s crosses the block boundaries k * f with s < k * f <= s + n,
+    a leg of the physical grid from block s // f.
     """
     factor = peps.refine_factor
     report = peps.congestion
-    lower, upper = report._ends(report.keys)
+    d = len(report.shape)
+    lower, _ = report._ends(report.leg_keys)
+    axis = d - 1 - report.leg_keys % d
+    start = lower[np.arange(len(axis)), axis]
+    lengths = (start + report.leg_lengths) // factor - start // factor
     lower //= factor
-    upper //= factor
-    crossing = (lower != upper).any(axis=1)
-    line_ids = report.line_ids[crossing]
+    keep = lengths.nonzero()[0]
     coarse = peps.physical_lattice
     return Peps(coarse, coarse, 1, peps.physical_dim, list(peps.factors),
                 peps.sites // factor,
-                CongestionReport(
-                    *_crossing_keys(zip(lower[crossing].T,
-                                        upper[crossing].T), line_ids),
-                    line_ids, report.classes[crossing], report.class_table))
+                _tally(report.leg_lines[keep], lower[keep], axis[keep],
+                       lengths[keep], report.leg_classes[keep],
+                       report.class_table))
 
 
 def map_to_dict(p: Placement, paths: PathAssignment,
@@ -753,7 +822,8 @@ def map_to_dict(p: Placement, paths: PathAssignment,
     the document a range at a time; the sites are sorted only when their
     range is not empty.
 
-    The offsets entry is derived from the scheme and not read back.
+    The offsets entry is derived from the scheme; read_map refuses any
+    other.
     """
     offsets = (default_refined_offsets(p.lattice.dimension)
                if p.scheme == "refined" else None)
@@ -826,8 +896,10 @@ def read_map(data: dict, d: int | None = None):
     is not an object or lacks a key, when delta_tau, a path line id or a
     coordinate is no JSON integer or past int64, a node id no string, a
     site or vertex not d-dimensional, two sites or two paths share an
-    id, or check_scheme refuses the scheme and delta_tau.  The vertices
-    are checked and packed a slice of paths at a time."""
+    id, check_scheme refuses the scheme and delta_tau, generator_version
+    is no string, or offsets are not the ones map_to_dict writes for the
+    scheme.  The vertices are checked and packed a slice of paths at a
+    time."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
@@ -869,6 +941,15 @@ def read_map(data: dict, d: int | None = None):
         raise ValueError(f"malformed map-v1 document: repeated site id "
                          f"{repeat!r}")
     check_scheme(scheme, data["delta_tau"])
+    written = (default_refined_offsets(host.dimension)
+               if scheme == "refined" else None)
+    with malformed("map-v1"):
+        if not isinstance(data["generator_version"], str):
+            raise TypeError("generator_version is not a string")
+        if (json.dumps(data["offsets"], sort_keys=True)
+                != json.dumps(written, sort_keys=True)):
+            raise TypeError(f"offsets differ from the ones the {scheme} "
+                            f"scheme writes")
     offsets = np.cumsum([0] + [len(chain) for _, chain in paths],
                         dtype=np.int64)
     return (scheme, host, data["delta_tau"], nids, coords[:len(nids)],

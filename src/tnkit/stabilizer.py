@@ -106,16 +106,29 @@ class StabilizerState:
                                self.phase.copy())
 
 
+def _charge(num_qubits: int, need: int) -> None:
+    """ResourceLimitError unless need bytes, what a tableau of num_qubits
+    qubits would hold, fit in 16 bytes per amplitude of the budget."""
+    budget = 16 * amplitude_limit()
+    if need > budget:
+        raise ResourceLimitError(
+            f"stabilizer tableau of {num_qubits} qubits needs {need} bytes, "
+            f"over the budget of {budget}")
+
+
+def _held(t: StabilizerState) -> int:
+    """Bytes of the store: 16 per pool slot, 16 per row, the phases."""
+    return (t.word.nbytes + t.val.nbytes + t.start.nbytes + t.stop.nbytes
+            + t.phase.nbytes)
+
+
 def init_zero(num_qubits: int) -> StabilizerState:
     """All-zeros computational state, stabilized by Z on every qubit."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
     words = (num_qubits + 63) // 64
-    need = 2 * num_qubits * words * 8
-    if need > 16 * amplitude_limit():
-        raise ResourceLimitError(
-            f"stabilizer tableau of {num_qubits} qubits needs {need} bytes, "
-            f"over the budget of {16 * amplitude_limit()}")
+    # a pool slot per qubit, two rows per qubit and the phase planes
+    _charge(num_qubits, 16 * (3 * num_qubits + words))
     q = np.arange(num_qubits, dtype=np.int64)
     # empty X rows; the Z row of qubit q is pool slot q
     start = np.concatenate([np.zeros_like(q), q])
@@ -168,9 +181,11 @@ def _pairs(t: StabilizerState, a, b,
 def _read(t: StabilizerState,
           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(index into rows, word, value) of every stored word of the given
-    bit rows, row after row."""
+    bit rows, row after row.  The read and the merge that follows it are
+    charged to the budget first, 64 bytes per word read."""
     first = t.start[rows]
     count = t.stop[rows] - first
+    _charge(t.num_qubits, _held(t) + 64 * int(count.sum()))
     label = np.repeat(np.arange(rows.size), count)
     # the i-th word read is slot i + first - (words of the rows before)
     slot = np.cumsum(count)
@@ -197,9 +212,12 @@ def _write(t: StabilizerState, rows: np.ndarray, label: np.ndarray,
 
 def _pack(t: StabilizerState, extra: int) -> None:
     """Move the live slices, row by row, to the front of a new pool twice
-    the size of them and extra more words."""
+    the size of them and extra more words; ResourceLimitError first when
+    the store would pass the budget while it holds both pools."""
+    size = 2 * (int((t.stop - t.start).sum()) + extra)
+    _charge(t.num_qubits, _held(t) + 16 * size)
     _, word, val = _read(t, np.arange(t.start.size))
-    t.word = np.empty(2 * (word.size + extra), dtype=np.int64)
+    t.word = np.empty(size, dtype=np.int64)
     t.val = np.empty(t.word.size, dtype=np.uint64)
     t.word[:word.size], t.val[:word.size] = word, val
     count = t.stop - t.start
@@ -357,16 +375,22 @@ def apply_cnot(t: StabilizerState, control: int, target: int) -> StabilizerState
     return t
 
 
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)
+
+
 def _restricted_hits(t: StabilizerState,
                      qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(generator, column) of every set bit of the generators restricted
     to the X bits (columns 0..k-1) and Z bits (columns k..2k-1) of the
     given qubits, as two int64 arrays, read from the slices of their
-    rows."""
+    rows.  Before the words are unpacked, the store, 64 bytes per word
+    read and 32 per set bit are charged to the budget."""
     cols, word, val = _read(t, np.concatenate([qubits,
                                                t.num_qubits + qubits]))
-    bits = np.unpackbits(val.astype("<u8", copy=False).view(np.uint8)
-                         .reshape(-1, 8), axis=1, bitorder="little")
+    octets = val.astype("<u8", copy=False).view(np.uint8)
+    _charge(t.num_qubits, _held(t) + 64 * val.size
+            + 32 * int(_POPCOUNT[octets].sum(dtype=np.int64)))
+    bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
     hit = np.flatnonzero(bits)
     at = hit >> 6
     return 64 * word[at] + (hit & 63), cols[at]

@@ -913,8 +913,8 @@ def node_columns(rows) -> NodeColumns:
 
 def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
-    is not an object, lacks a key, has a count that is not an integer,
-    nodes that node_columns rejects, a line entry that is not an object or
+    is not an object, lacks a key, has a generator_version that is not a
+    string or a count that is not an integer, nodes that node_columns rejects, a line entry that is not an object or
     lacks a key, a line end that is not a (node id, slot) pair, a line
     id, slot or dim that is not an integer or does not fit in 64 bits, a
     line that names an unknown node, two lines of one id, a node cell
@@ -927,6 +927,8 @@ def tns_from_dict(data: dict) -> Tns:
     if data.get("version") != "tns-v1":
         raise ValueError(f"unsupported network format {data.get('version')!r}")
     with malformed("tns-v1"):
+        if not isinstance(data["generator_version"], str):
+            raise TypeError("generator_version is not a string")
         spec = spec_from_dict(data["lattice"])
         meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
         nodes, lines = data["nodes"], data["lines"]

@@ -335,15 +335,6 @@ def test_verify_rejects_scheme_it_cannot_check(tmp_path, capsys, key, value):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("offsets", [[1, 2], "x", {"w": 5}])
-def test_verify_ignores_offsets_field(tmp_path, capsys, offsets):
-    net, data = _refined_b2_map(tmp_path)
-    data["offsets"] = offsets
-    capsys.readouterr()
-    assert _verify(tmp_path, net, data) == 0
-    assert capsys.readouterr().out.startswith("PASS")
-
-
 def test_malformed_inputs_exit_2(built, tmp_path, capsys):
     prefix = str(tmp_path / "m")
     main(["map", "--tns", str(built), "--scheme", "shifted",
@@ -383,16 +374,27 @@ def test_entropy_random_cuts_leave_prediction_blank(tmp_path):
 
 
 def test_entropy_tree_resource_limit(monkeypatch, capsys):
-    # the T=5 tableau takes 512 bytes, over 16 * 16
+    # the T=1 tableau holds 112 bytes, and 336 with the words its
+    # entropy reads, over 16 * 16
     monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
     assert main(["entropy", "--family", "ttn1d", "--layers-max", "5"]) == 3
-    assert "resource limit" in capsys.readouterr().err
+    assert capsys.readouterr().err == "resource limit: stabilizer tableau " \
+        "of 2 qubits needs 336 bytes, over the budget of 256\n"
+
+
+def test_entropy_tree_seventeen_layers_at_the_default_budget(capsys):
+    # 2**17 qubits: the store and the entropy's bits take 23,553,376
+    # bytes, the dense tableau would take 2**32
+    assert main(["entropy", "--family", "ttn1d", "--layers-max", "17"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == \
+        ["15,32768,10923,8", "17,131072,43691,9"]
 
 
 def test_entropy_tree_resource_limit_keeps_finished_rows(monkeypatch,
                                                          capsys):
-    # 16 * 64 bytes hold the T=5 tableau (512 bytes) but not T=7 (4096)
-    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "64")
+    # 16 * 512 bytes hold the T=5 tableau and its entropy (5808 bytes at
+    # most) but not T=7, whose rotations read words of 22432 bytes
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "512")
     assert main(["entropy", "--family", "ttn1d", "--layers-max", "7"]) == 3
     captured = capsys.readouterr()
     rows = captured.out.splitlines()
@@ -432,17 +434,25 @@ def test_entropy_qca_checks_every_length_first(monkeypatch, capsys):
         "exceeds the site budget 16\n"
 
 
+def _small_tableau_budget(monkeypatch):
+    """A tableau budget of 2**14 amplitudes under the default site budget:
+    the automaton's tableau takes 48 bytes a site, so at the default
+    budget every grid that fits the site budget fits the tableau."""
+    from tnkit import stabilizer
+    monkeypatch.setattr(stabilizer, "amplitude_limit", lambda: 2 ** 14)
+
+
 def test_entropy_qca_keeps_rows_past_the_tableau(monkeypatch, capsys):
-    # 16384 sites fit the site budget of 2**20 amplitudes but their
-    # tableau does not: the L=8 row is printed, then the scan exits 3
-    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(2 ** 20))
+    # 16384 sites fit the site budget but their tableau does not fit the
+    # small tableau budget: the L=8 row is printed, then the scan exits 3
+    _small_tableau_budget(monkeypatch)
     assert main(["entropy", "--family", "qca", "--dimension", "1",
                  "--lengths", "8,16384", "--layers-max", "1",
                  "--cut", "half", "--cross-check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "D,L,T,cut_id,S,predicted\n1,8,1,half,2,2.000000\n"
     assert captured.err == "resource limit: stabilizer tableau of 16384 " \
-        "qubits needs 67108864 bytes, over the budget of 16777216\n"
+        "qubits needs 790528 bytes, over the budget of 262144\n"
 
 
 def test_entropy_qca_failed_cross_check_outranks_the_limit(monkeypatch,
@@ -451,7 +461,7 @@ def test_entropy_qca_failed_cross_check_outranks_the_limit(monkeypatch,
     entropy_across = qca.entropy_across
     monkeypatch.setattr(qca, "entropy_across",
                         lambda ps, region: entropy_across(ps, region) + 1)
-    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(2 ** 20))
+    _small_tableau_budget(monkeypatch)
     assert main(["entropy", "--family", "qca", "--dimension", "1",
                  "--lengths", "8,16384", "--layers-max", "1",
                  "--cut", "half", "--cross-check"]) == 4

@@ -236,6 +236,43 @@ def test_edited_map_never_raises(documents, capsys):
     assert bad == []
 
 
+@pytest.mark.parametrize("role,member,value,message", [
+    ("map", "offsets", {"a": 1},
+     "offsets differ from the ones the refined scheme writes"),
+    ("map", "offsets", None,
+     "offsets differ from the ones the refined scheme writes"),
+    ("map", "offsets", {"w": [True]},
+     "offsets differ from the ones the refined scheme writes"),
+    ("map", "generator_version", [0], "generator_version is not a string"),
+    ("map", "generator_version", 2 ** 63,
+     "generator_version is not a string"),
+    ("tns", "generator_version", [0], "generator_version is not a string"),
+    ("tns", "generator_version", 2 ** 63,
+     "generator_version is not a string"),
+], ids=["offsets-a", "offsets-null", "offsets-bool", "map-version-list",
+        "map-version-2**63", "tns-version-list", "tns-version-2**63"])
+def test_members_no_reader_reads_exit_2(documents, capsys, role, member,
+                                        value, message):
+    # the members a fuzz of the readers once changed without a refusal:
+    # both readers now check them against what the writers write
+    work, tns_path, map_path = documents
+    path = {"map": map_path, "tns": tns_path}[role]
+    edited = work / f"member.{role}.json"
+    edited.write_text(json.dumps(
+        _edited(json.loads(open(path).read()), (member,), value)))
+    net, routed = (edited, map_path) if role == "tns" else (tns_path, edited)
+    commands = [["verify", "--tns", str(net), "--map", str(routed)]]
+    commands.append(["map", "--tns", str(net), "--scheme", "refined",
+                     "--out-prefix", str(work / "member")]
+                    if role == "tns" else
+                    ["render", "--map", str(routed),
+                     "--out", str(work / "member.svg")])
+    for argv in commands:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: malformed {role}-v1 document: TypeError {message}\n"
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("scheme", "2", "unknown placement scheme '2'"),
     ("scheme", 2.5, "unknown placement scheme 2.5"),

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import tally_oracle
 from tnkit import dense
 from tnkit.lattice import LatticeSpec
 from tnkit.mapping import (CongestionReport, PathAssignment, Peps,
@@ -316,7 +317,7 @@ def test_colocated_endpoints_give_empty_path():
     for lid in empties:
         src, dst = _orient(net, net.lines[lid])
         assert chains[lid] == (site_of[src],) == (site_of[dst],)
-    crossing = set(measured_chi(net, pa).line_ids.tolist())
+    crossing = set(measured_chi(net, pa).leg_lines.tolist())
     assert crossing and not crossing & set(empties)
 
 
@@ -666,6 +667,102 @@ def test_merged_report_matches_oracle():
     _assert_matches_oracle(merged.congestion, blocked, net)
 
 
+def _assert_matches_crossings(rep, ref):
+    """rep has the box, class table, used edges, per-class counts and
+    edge_lines of the per-crossing reference tally ref."""
+    edge_keys, counts = ref.edge_counts()
+    assert (rep.origin, rep.shape) == (ref.origin, ref.shape)
+    np.testing.assert_array_equal(rep.class_table, ref.class_table)
+    np.testing.assert_array_equal(rep.edge_keys, edge_keys)
+    np.testing.assert_array_equal(rep.counts, counts)
+    expected = ref.edge_lines()
+    assert rep.edge_lines == expected
+    assert list(rep.edge_lines) == list(expected)
+    assert int(rep.counts.sum()) == len(ref.keys) >= len(rep.leg_keys)
+
+
+def _iso3d(layers, **_):
+    from test_cli import _isometry_tree_3d
+    return tns_from_dict(_isometry_tree_3d(layers))
+
+
+def _rerouted(pa, rng):
+    """pa with every chain replaced by a random L1-shortest monotone path
+    between its ends: the unit steps along each axis, shuffled, so most
+    chains zig-zag in many legs."""
+    chains = {}
+    for lid, chain in pa.chains.items():
+        s, t = np.array(chain[0]), np.array(chain[-1])
+        axes = np.repeat(np.arange(len(s)), np.abs(t - s))
+        rng.shuffle(axes)
+        steps = np.zeros((len(axes), len(s)), np.int64)
+        steps[np.arange(len(axes)), axes] = np.sign(t - s)[axes]
+        chains[lid] = tuple(map(tuple, (s + np.cumsum(
+            np.concatenate([[0 * s], steps]), axis=0)).tolist()))
+    return _paths(chains, pa.vertices.shape[1])
+
+
+FAMILIES = [(build_mera_1d, 3), (build_mera_2d_b2, 2), (build_mera_2d_b3, 2),
+            (build_ttn_example, 5), (_iso3d, 2)]
+
+
+@pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
+@pytest.mark.parametrize("build,layers", FAMILIES,
+                         ids=["1d", "b2", "b3", "ttn", "iso3d"])
+def test_legs_tally_matches_crossing_oracle(build, layers, scheme):
+    net, p, pa = routed(build, layers, scheme, chi=3, phys_dim=5,
+                        with_elements=False)
+    _assert_matches_crossings(measured_chi(net, pa),
+                              tally_oracle.crossings(net, pa))
+    # zig-zag re-routings that the routing check accepts
+    rng = np.random.default_rng(layers + 7 * len(scheme))
+    for _ in range(3):
+        zigzag = _rerouted(pa, rng)
+        assert check_routing(net, p, zigzag) is None
+        rep = measured_chi(net, zigzag)
+        ref = tally_oracle.crossings(net, zigzag)
+        _assert_matches_crossings(rep, ref)
+        if scheme == "refined":
+            merged = contract_refined_to_normal(assemble_peps(net, p, zigzag))
+            _assert_matches_crossings(merged.congestion,
+                                      ref.blocked(p.refine_factor))
+
+
+@pytest.mark.parametrize("build,layers", [(build_mera_1d, 3),
+                                          (build_mera_2d_b2, 2),
+                                          (build_mera_2d_b3, 2)])
+def test_blocked_legs_match_crossing_oracle(build, layers):
+    net, p, pa = routed(build, layers, "refined", chi=3, phys_dim=5,
+                        with_elements=False)
+    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
+    _assert_matches_crossings(
+        merged.congestion,
+        tally_oracle.crossings(net, pa).blocked(p.refine_factor))
+
+
+@pytest.mark.parametrize("build,layers", [(build_mera_1d, 3),
+                                          (build_mera_2d_b2, 2)])
+def test_legs_tally_matches_crossing_oracle_on_vertex_edits(build, layers):
+    # edited chains: the same report, or the same non-unit step; a vertex
+    # far off the grid makes both a non-unit step and a box past int64,
+    # which the legs tally reports in that order
+    net, p, pa = routed(build, layers, "shifted", with_elements=False)
+    rng = np.random.default_rng(layers)
+    raised = 0
+    for edited in _vertex_edits(pa, p.lattice.length, rng, 100):
+        try:
+            ref = tally_oracle.crossings(net, edited)
+        except ValueError as exc:
+            raised += 1
+            with pytest.raises(ValueError) as got:
+                measured_chi(net, edited)
+            if "too large a box" not in str(exc):
+                assert str(got.value) == str(exc)
+            continue
+        _assert_matches_crossings(measured_chi(net, edited), ref)
+    assert 0 < raised < 100
+
+
 def test_congestion_csv_deterministic():
     net, _, pa = routed(build_mera_1d, 2, "shifted")
     rep = measured_chi(net, pa)
@@ -820,11 +917,15 @@ def test_map_dict_roundtrip():
     data = map_to_dict(p, pa)
     assert data["offsets"] == dict(sorted(default_refined_offsets(2).items()))
     assert map_to_dict(place_shifted(net), pa)["offsets"] is None
-    # offsets are derived on write and not read back
-    for offsets in (data["offsets"], None, {"w": [0, 0]}, [1, 2]):
+    # offsets are derived from the scheme; only the scheme's are read
+    for offsets in (data["offsets"], json.loads(json.dumps(data["offsets"]))):
         p2, pa2 = map_from_dict({**data, "offsets": offsets}, net)
         assert _same_placement(p2, p)
         assert pa2.chains == pa.chains
+    for offsets in (None, {"w": [0, 0]}, [1, 2]):
+        with pytest.raises(ValueError, match="offsets differ from the ones "
+                                             "the refined scheme writes"):
+            map_from_dict({**data, "offsets": offsets}, net)
 
 
 @pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])

@@ -527,14 +527,49 @@ def test_entropy_region_repeats_and_order_do_not_matter():
 
 
 def test_tableau_resource_guard(monkeypatch):
-    # 32 qubits need 2 * 32 * 1 * 8 = 512 bytes, over 16 * 16
-    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
+    # 8 qubits hold 16 * (3 * 8 + 1) = 400 bytes, exactly 16 * 25; 32
+    # qubits hold 1552
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "25")
     from tnkit.dense import ResourceLimitError
     stab.init_zero(8)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^stabilizer tableau of "
+                       "32 qubits needs 1552 bytes, over the budget of "
+                       "400$"):
         stab.init_zero(32)
     with pytest.raises(ResourceLimitError):
         stab.run_ttn_example(5)
+
+
+def _dense_clifford(n, layers, seed):
+    """n qubits after layers of H on a random half of them and a batch
+    of CNOTs on random disjoint pairs: most words of the tableau set."""
+    rng = np.random.default_rng(seed)
+    t = stab.init_zero(n)
+    for _ in range(layers):
+        for q in rng.choice(n, size=n // 2, replace=False).tolist():
+            stab.apply_h(t, q)
+        stab.apply_cnot(t, *random_pairs(rng, n, n // 2))
+    return t
+
+
+def test_dense_clifford_state_exits_the_budget(monkeypatch):
+    from tnkit.dense import ResourceLimitError
+    t = _dense_clifford(256, 8, 3)
+    # more than half of the 2 * 256 * 4 words of the dense tableau
+    assert np.sum(t.stop - t.start) > 1024
+    # the store fits, its entropy's unpacked bits do not
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(stab._held(t) // 16 + 1))
+    with pytest.raises(ResourceLimitError, match="^stabilizer tableau of "
+                       "256 qubits needs [0-9]+ bytes, over the budget"):
+        stab.entanglement_entropy(t, range(128))
+    # the initial store, 16 * (3 * 256 + 4) bytes, fits; its first pack
+    # does not
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(3 * 256 + 4))
+    stab.init_zero(256)
+    with pytest.raises(ResourceLimitError, match="^stabilizer tableau of "
+                       "256 qubits needs [0-9]+ bytes, over the budget of "
+                       "12352$"):
+        _dense_clifford(256, 8, 3)
 
 
 def test_tree_run_fifteen_layers():
