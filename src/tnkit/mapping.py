@@ -40,11 +40,15 @@ chain back to back in one (V, D) vertex array in line-id order with an
 offset per line; from placement to check_routing and assemble_peps no
 step converts them.  map-v1 JSON is read only by read_map, which
 map_from_dict calls; map_to_dict makes it as a document and map_text as
-text, column-wise.  The tally, measured_chi, keeps only the crossings:
-per crossing an edge key, a line id and the code of the line's class, a
-(dimension, physical) pair of a small table.  An edge's figures depend
-only on its count of crossings per class, so they are taken once per
-distinct row of those counts.
+text, column-wise.  The tally, measured_chi, reads the chains as legs,
+maximal straight runs, found where a chain's step changes; per leg it
+keeps the key of its first edge, its length, line id and the code of the
+line's class, a (dimension, physical) pair of a small table.  The lines
+of each class on each edge are counted by coverage along each axis, so
+the used edges come out in key order with their per-class counts, and
+no crossing is ever listed.  An edge's figures depend only on its row of
+those counts, so they are taken once per distinct row.
+contract_refined_to_normal blocks the same legs onto the physical grid.
 """
 
 from __future__ import annotations

@@ -36,15 +36,19 @@ the size of the state, a single H, S, CNOT or rotation costs a few dozen
 numpy calls, some tens of microseconds, plus time about linear in its
 rows' words; the packing of a full pool comes on top now and then.
 
-init_zero admits a tableau only if the words of the dense tableau,
-2 * n * ceil(n/64) of them, take at most 16 * lattice.amplitude_limit()
-bytes (1 GiB by default, set through TNKIT_MAX_AMPLITUDES) and raises
-ResourceLimitError beyond that.  The budget counts dense words, not the
-bytes of the sparse store: a live word takes 16 bytes of the pool, whose
-dead and free slots, the gates' merge temporaries and the entropy's bit
-lists come on top.  The store never holds more live words than the
-dense tableau, and one that dense arises only from Clifford circuits
-that no command runs; the tree state holds a few words per row.
+The budget counts the bytes the store holds: 16 per pool slot, live,
+dead or free (word index and value), 16 per bit row (its start and
+stop) and the phase planes, against 16 * lattice.amplitude_limit()
+bytes (1 GiB by default, set through TNKIT_MAX_AMPLITUDES).  Each
+charge adds what is about to be allocated and raises
+ResourceLimitError, naming the qubits and the bytes, before it is:
+init_zero charges its store, _pack the new pool beside the old one, a
+batch of rotations 128 bytes per word of its Z rows, for its merges
+and writes, and the entropy 64 bytes per word it unpacks and 32 per
+set bit of its (generator, column) list.  The tree state holds a
+few words per row; its largest charge, the rotations', is about 300
+bytes per qubit.  A near-dense store, which no command makes, is
+refused before it is allocated.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
 the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
@@ -181,11 +185,9 @@ def _pairs(t: StabilizerState, a, b,
 def _read(t: StabilizerState,
           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(index into rows, word, value) of every stored word of the given
-    bit rows, row after row.  The read and the merge that follows it are
-    charged to the budget first, 64 bytes per word read."""
+    bit rows, row after row."""
     first = t.start[rows]
     count = t.stop[rows] - first
-    _charge(t.num_qubits, _held(t) + 64 * int(count.sum()))
     label = np.repeat(np.arange(rows.size), count)
     # the i-th word read is slot i + first - (words of the rows before)
     slot = np.cumsum(count)
@@ -212,12 +214,12 @@ def _write(t: StabilizerState, rows: np.ndarray, label: np.ndarray,
 
 def _pack(t: StabilizerState, extra: int) -> None:
     """Move the live slices, row by row, to the front of a new pool twice
-    the size of them and extra more words; ResourceLimitError first when
-    the store would pass the budget while it holds both pools."""
-    size = 2 * (int((t.stop - t.start).sum()) + extra)
-    _charge(t.num_qubits, _held(t) + 16 * size)
+    the size of them and extra more words; ResourceLimitError before the
+    new pool is allocated when the store would pass the budget while it
+    holds both pools."""
     _, word, val = _read(t, np.arange(t.start.size))
-    t.word = np.empty(size, dtype=np.int64)
+    _charge(t.num_qubits, _held(t) + 32 * (word.size + extra))
+    t.word = np.empty(2 * (word.size + extra), dtype=np.int64)
     t.val = np.empty(t.word.size, dtype=np.uint64)
     t.word[:word.size], t.val[:word.size] = word, val
     count = t.stop - t.start
@@ -297,6 +299,8 @@ def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
     ab = np.concatenate([a, b])
     # the words of z[a] ^ z[b]: the generators anticommuting with X_a X_b
     k, word, val = _read(t, n + ab)
+    # the batch's merges and writes take about 128 bytes per word read
+    _charge(n, _held(t) + 128 * word.size)
     key, anti = _xor_merge(k % m * width + word, val)
     k, word = np.divmod(key, width)
     # the X row of a qubit in several pairs takes the words of each

@@ -914,11 +914,12 @@ def node_columns(rows) -> NodeColumns:
 def tns_from_dict(data: dict) -> Tns:
     """Network from its tns-v1 description; ValueError when the document
     is not an object, lacks a key, has a generator_version that is not a
-    string or a count that is not an integer, nodes that node_columns rejects, a line entry that is not an object or
-    lacks a key, a line end that is not a (node id, slot) pair, a line
-    id, slot or dim that is not an integer or does not fit in 64 bits, a
-    line that names an unknown node, two lines of one id, a node cell
-    whose length is not the lattice dimension, or a negative layer.  The
+    string or a count that is not an integer, nodes that node_columns
+    rejects, a line entry that is not an object or lacks a key, a line
+    end that is not a (node id, slot) pair, a line id, slot or dim that
+    is not an integer or does not fit in 64 bits, a line that names an
+    unknown node, two lines of one id, a node cell whose length is not
+    the lattice dimension, or a negative layer.  The
     nodes entry may also hold the columns node_columns made of it, as a
     reader that builds them while it decodes the text passes them; the
     lines become columns here, against the final node list."""

@@ -374,17 +374,17 @@ def test_entropy_random_cuts_leave_prediction_blank(tmp_path):
 
 
 def test_entropy_tree_resource_limit(monkeypatch, capsys):
-    # the T=1 tableau holds 112 bytes, and 336 with the words its
-    # entropy reads, over 16 * 16
+    # the T=1 tableau holds 112 bytes, and its rotation charges 368,
+    # over 16 * 16
     monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "16")
     assert main(["entropy", "--family", "ttn1d", "--layers-max", "5"]) == 3
     assert capsys.readouterr().err == "resource limit: stabilizer tableau " \
-        "of 2 qubits needs 336 bytes, over the budget of 256\n"
+        "of 2 qubits needs 368 bytes, over the budget of 256\n"
 
 
 def test_entropy_tree_seventeen_layers_at_the_default_budget(capsys):
-    # 2**17 qubits: the store and the entropy's bits take 23,553,376
-    # bytes, the dense tableau would take 2**32
+    # 2**17 qubits: the largest charge, the rotations', is 39,878,400
+    # bytes; the dense tableau would take 2**32
     assert main(["entropy", "--family", "ttn1d", "--layers-max", "17"]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == \
         ["15,32768,10923,8", "17,131072,43691,9"]
@@ -392,9 +392,9 @@ def test_entropy_tree_seventeen_layers_at_the_default_budget(capsys):
 
 def test_entropy_tree_resource_limit_keeps_finished_rows(monkeypatch,
                                                          capsys):
-    # 16 * 512 bytes hold the T=5 tableau and its entropy (5808 bytes at
-    # most) but not T=7, whose rotations read words of 22432 bytes
-    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "512")
+    # 16 * 1024 bytes hold every charge of T=5 (9488 bytes at most) but
+    # not T=7, whose rotations charge 38688 bytes
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "1024")
     assert main(["entropy", "--family", "ttn1d", "--layers-max", "7"]) == 3
     captured = capsys.readouterr()
     rows = captured.out.splitlines()
