@@ -392,8 +392,11 @@ def _restricted_hits(t: StabilizerState,
     cols, word, val = _read(t, np.concatenate([qubits,
                                                t.num_qubits + qubits]))
     octets = val.astype("<u8", copy=False).view(np.uint8)
-    _charge(t.num_qubits, _held(t) + 64 * val.size
-            + 32 * int(_POPCOUNT[octets].sum(dtype=np.int64)))
+    need = _held(t) + 64 * val.size
+    # the set bits are counted only when 64 a word might not fit
+    if need + 32 * 64 * val.size > 16 * amplitude_limit():
+        need += 32 * int(_POPCOUNT[octets].sum(dtype=np.int64))
+    _charge(t.num_qubits, need)
     bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
     hit = np.flatnonzero(bits)
     at = hit >> 6
