@@ -45,9 +45,10 @@ maximal straight runs, found where a chain's step changes; per leg it
 keeps the key of its first edge, its length, line id and the code of the
 line's class, a (dimension, physical) pair of a small table.  The lines
 of each class on each edge are counted by coverage along each axis, so
-the used edges come out in key order with their per-class counts, and
-no crossing is ever listed.  An edge's figures depend only on its row of
-those counts, so they are taken once per distinct row.
+the used edges come out in key order with their per-class counts; the
+tally lists no crossing, and only the report's edge_lines expands the
+legs into them.  An edge's figures depend only on its row of those
+counts, so they are taken once per distinct row.
 contract_refined_to_normal blocks the same legs onto the physical grid.
 """
 
