@@ -559,7 +559,7 @@ def _tally(lines, lower, axis, lengths, classes, class_table):
     if size * d >= 2 ** 63:
         raise ValueError("paths span too large a box to tally")
     if size * c > amplitude_limit():
-        raise ResourceLimitError(f"tally of {size} edges by {c} line "
+        raise ResourceLimitError(f"tally box of {size} sites by {c} line "
                                  f"classes exceeds the budget "
                                  f"{amplitude_limit()}")
     stride = [math.prod(shape[k + 1:]) for k in range(d)]

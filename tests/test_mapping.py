@@ -634,6 +634,20 @@ def test_tally_rejects_boxes_past_int64():
         measured_chi(net, _paths(chains))
 
 
+def test_tally_refuses_boxes_past_the_budget(monkeypatch):
+    # the coverage counts fill the box the paths span, here 1025 x 1
+    # sites by two line classes, past a budget of 1024 amplitudes
+    net = build_mera_1d(2, with_elements=False)
+    chains = {0: ((0, 0), (0, 1)), 3: ((1024, 0), (1024, 1))}
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "1024")
+    with pytest.raises(dense.ResourceLimitError,
+                       match="^tally box of 1025 sites by 2 line classes "
+                             "exceeds the budget 1024$"):
+        measured_chi(net, _paths(chains))
+    chains[3] = ((500, 0), (500, 1))
+    assert measured_chi(net, _paths(chains)).shape == (501, 1)
+
+
 def test_one_class_per_line_matches_oracle():
     # a distinct dimension per line puts every line in a class of its own
     net, _, pa = routed(build_mera_1d, 5, "shifted", with_elements=False)
