@@ -135,7 +135,7 @@ def cmd_map(args) -> int:
     code = _print_issues(tns_mod.validate_preconditions(network))
     if code:
         return code
-    placement = mapping.place(network, args.scheme, args.delta_tau)
+    placement = mapping.place(network, args.scheme)
     paths = mapping.route_lines(network, placement)
     report = mapping.measured_chi(network, paths)
     # both figures first, so that a chi they refuse leaves no file
@@ -196,6 +196,8 @@ def _entropy_ttn(args):
             print(f"resource limit: {exc}", file=sys.stderr)
             return rows, 3
         rows.append(f"{layers},{2 ** layers},{len(run.region)},{run.entropy}")
+        # the next depth's state is made without this one's beside it
+        del run
     return rows, 0
 
 
@@ -295,7 +297,7 @@ _MARKER_STYLE = {
 
 
 def cmd_render(args) -> int:
-    _, spec, _, nids, coords, paths = mapping.read_map(_load_json(args.map))
+    _, spec, nids, coords, paths = mapping.read_map(_load_json(args.map))
     dim, length = spec.dimension, spec.length
     if dim > 2:
         raise ValueError("rendering supports 1 and 2 dimensions")
@@ -375,9 +377,7 @@ def _build_parser():
 
     m = sub.add_parser("map", help="place and route a network")
     m.add_argument("--tns", required=True)
-    m.add_argument("--scheme", required=True,
-                   choices=("naive", "shifted", "refined"))
-    m.add_argument("--delta-tau", type=int, default=1)
+    m.add_argument("--scheme", required=True, choices=tuple(mapping.SCHEMES))
     m.add_argument("--out-prefix", required=True)
     m.set_defaults(func=cmd_map)
 

@@ -1,16 +1,17 @@
 """Placement of hierarchical networks onto a single lattice, path routing,
 congestion accounting, and assembly of the resulting embedded network.
 
-Placement schemes position every tensor on a host grid:
+Placement schemes, the rows of the table SCHEMES, position every tensor
+on a host grid:
 
 * naive: layer-tau cell n sits at b**tau * n, stacking all layers above
   the origin region.
 * shifted: layer-tau cell n sits at b**tau * n + b**(tau-1), which puts
   each layer on its own scale sublattice.
-* refined: the host grid is refined by b**dt and layer-tau cell n sits at
-  b**(tau+dt) * n + b**tau * m + b**(tau-1), where the offset m depends on
-  the tensor variant.  This spreads the tensors of one cell over distinct
-  sites.
+* refined: the host grid is one branching factor finer, and layer-tau
+  cell n sits at b**(tau+1) * n + b**tau * m + b**(tau-1), where the
+  offset m depends on the tensor variant.  This spreads the tensors of
+  one cell over distinct sites.
 
 Routed paths are L1-shortest and axis-monotone.  A path traverses its
 non-approach axes first, riding grid lines of the source's scale, and
@@ -76,7 +77,7 @@ _U2X1, _U1X2 = VARIANTS.index("u2x1"), VARIANTS.index("u1x2")
 
 
 def default_refined_offsets(dimension: int) -> dict[str, tuple[int, ...]]:
-    """Per-variant sub-cell offsets used by the refined scheme.
+    """Per-variant sub-cell offsets of the refined scheme, by sorted variant.
 
     Isometries and tops take the far corner of the cell, full disentanglers
     the near corner, and the partial disentanglers the mixed corners that
@@ -88,7 +89,27 @@ def default_refined_offsets(dimension: int) -> dict[str, tuple[int, ...]]:
     if dimension >= 2:
         offsets["u2x1"] = (1,) + zeros[1:]
         offsets["u1x2"] = (0, 1) + zeros[2:]
-    return offsets
+    return dict(sorted(offsets.items()))
+
+
+# scheme: (lowest layer with tensors, refinement exponent), as read by
+# the placers, the map-v1 writer and reader and the --scheme choices
+SCHEMES = {"naive": (0, 0), "shifted": (1, 0), "refined": (1, 1)}
+
+
+def _scheme(name) -> tuple[int, int]:
+    """The table row of a scheme name; ValueError for any other value."""
+    if not isinstance(name, str) or name not in SCHEMES:
+        raise ValueError(f"unknown placement scheme {name!r}")
+    return SCHEMES[name]
+
+
+def scheme_members(scheme: str, dimension: int) -> dict:
+    """The map-v1 members a scheme fixes: delta_tau, its refinement
+    exponent, and offsets; ValueError for an unknown scheme."""
+    refine = _scheme(scheme)[1]
+    return {"delta_tau": refine,
+            "offsets": default_refined_offsets(dimension) if refine else None}
 
 
 @dataclass(eq=False)
@@ -100,14 +121,13 @@ class Placement:
 
     scheme: str
     lattice: LatticeSpec
-    delta_tau: int
     ids: list[str]
     sites: np.ndarray
     anchor: np.ndarray
 
-    @property
-    def refine_factor(self) -> int:
-        return self.lattice.branching ** self.delta_tau
+    delta_tau = property(lambda self: SCHEMES[self.scheme][1])
+    refine_factor = property(
+        lambda self: self.lattice.branching ** self.delta_tau)
 
     site_of = property(
         lambda self: dict(zip(self.ids, map(tuple, self.sites.tolist()))))
@@ -128,29 +148,22 @@ def _tensor_site(scheme, b, tau, cells, dt, m):
     return site
 
 
-def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
-    b = tns.spec.branching
-    d = tns.spec.dimension
-    check_scheme(scheme, delta_tau)
-    if scheme == "refined":
-        # the host length L * b**delta_tau must fit in int64; b**64 alone
-        # does not, so no power past b**63 is taken
-        if delta_tau > 63 or tns.spec.length * b ** delta_tau >= 2 ** 63:
-            raise ValueError(f"delta_tau {delta_tau} makes the host lattice "
-                             f"longer than int64 coordinates hold")
-        offsets = default_refined_offsets(d)
-        factor = b ** delta_tau
-        host = LatticeSpec(d, tns.spec.length * factor, b,
-                           tns.spec.layers + delta_tau, tns.spec.boundary)
-    else:
-        delta_tau, offsets, factor = 0, None, 1
-        host = tns.spec
+def _place(tns: Tns, scheme: str) -> Placement:
+    lowest, refine = _scheme(scheme)
+    spec = host = tns.spec
+    b, d, factor = spec.branching, spec.dimension, spec.branching ** refine
+    if refine:
+        # a tns-v1 lattice header may ask for a host past int64
+        if spec.length * factor >= 2 ** 63:
+            raise ValueError(f"a {scheme} host of {spec.length} * {factor} "
+                             f"sites per axis is past int64")
+        host = LatticeSpec(d, spec.length * factor, b, spec.layers + refine,
+                           spec.boundary)
 
     ids, layer, cells = tns.ids, tns.layer, tns.cell
     anchor = tns.kind == _ANCHOR
     tensor = (~anchor).nonzero()[0]
     tau = layer[tensor]
-    lowest = 0 if scheme == "naive" else 1
     odd = ((tau - lowest).view(np.uint64)
            > tns.spec.layers - lowest).nonzero()[0]
     if odd.size:
@@ -158,24 +171,25 @@ def _place(tns: Tns, scheme: str, delta_tau: int = 0) -> Placement:
         raise ValueError(f"{ids[i]} placed outside the host lattice: layer "
                          f"{layer[i]} outside [{lowest}, {tns.spec.layers}]")
     m = None
-    if offsets:
+    if refine:
         # zeros for variants without an offset of their own
+        offsets = default_refined_offsets(d)
         table = np.array([offsets.get(v, (0,) * d) for v in tns.variants],
                          np.int64).reshape(-1, d)
         m = table[tns.variant[tensor]]
     sites = factor * cells
-    if scheme == "refined" and d >= 2:
+    if refine and d >= 2:
         # keep anchors off the tensor sublattices: x stays even except
         # for an offset of 1, which no layer >= 2 site has, and layer-1
         # sites differ in the remaining parities
         sites[:, 0] += anchor
-    sites[tensor] = _tensor_site(scheme, b, tau, cells[tensor], delta_tau, m)
+    sites[tensor] = _tensor_site(scheme, b, tau, cells[tensor], refine, m)
     outside = (sites.view(np.uint64) >= host.length).any(axis=1).nonzero()[0]
     if outside.size:
         i = outside[0]
         raise ValueError(f"{ids[i]} placed outside the host lattice at "
                          f"{tuple(sites[i].tolist())}")
-    return Placement(scheme, host, delta_tau, ids, sites, anchor)
+    return Placement(scheme, host, ids, sites, anchor)
 
 
 def place_naive(tns: Tns) -> Placement:
@@ -188,29 +202,15 @@ def place_shifted(tns: Tns) -> Placement:
     return _place(tns, "shifted")
 
 
-def place_refined(tns: Tns, delta_tau: int = 1) -> Placement:
-    """Place on a b**delta_tau refined grid with the default per-variant
-    offsets."""
-    return _place(tns, "refined", delta_tau)
+def place_refined(tns: Tns) -> Placement:
+    """Place on a grid one branching factor finer, with variant offsets."""
+    return _place(tns, "refined")
 
 
-def check_scheme(scheme, delta_tau) -> None:
-    """ValueError unless scheme names a placement (naive, shifted or
-    refined) and a refined one has delta_tau >= 1."""
-    if scheme not in ("naive", "shifted", "refined"):
-        raise ValueError(f"unknown placement scheme {scheme!r}")
-    if scheme == "refined" and delta_tau < 1:
-        raise ValueError("refined placement needs delta_tau >= 1")
-
-
-def place(tns: Tns, scheme: str, delta_tau: int = 1) -> Placement:
-    """Placement by scheme name: naive, shifted or refined."""
-    check_scheme(scheme, delta_tau)
-    if scheme == "naive":
-        return place_naive(tns)
-    if scheme == "shifted":
-        return place_shifted(tns)
-    return place_refined(tns, delta_tau)
+def place(tns: Tns, scheme: str) -> Placement:
+    """Placement by scheme name, by the module's place_<scheme> when called."""
+    _scheme(scheme)
+    return globals()[f"place_{scheme}"](tns)
 
 
 def detect_stacks(p: Placement) -> int:
@@ -359,19 +359,18 @@ def check_routing(tns: Tns, p: Placement,
                   paths: PathAssignment) -> str | None:
     """First structural problem of a routed placement, or None.
 
-    The placement must be the one the scheme makes: the same host lattice,
-    delta_tau and sites; an unknown scheme, or a delta_tau the scheme
-    refuses, raises ValueError.  Every line needs a path from its source's
-    site to its target's that stays on the host grid, moves by unit steps
-    and is L1-shortest, as route_lines makes it.  Each rule is a mask over
-    all lines or vertices; the first line in line order to break one
-    reports the first it breaks, in the order given here."""
-    expected = place(tns, p.scheme, p.delta_tau)
+    The placement must be the one the scheme makes: the same host lattice
+    and sites; an unknown scheme raises ValueError.  Every line needs a
+    path from its source's site to its target's that stays on the host
+    grid, moves by unit steps and is L1-shortest, as route_lines makes
+    it.  Each rule is a mask over all lines or vertices; the first line
+    in line order to break one reports the first it breaks, in the order
+    given here."""
+    expected = place(tns, p.scheme)
     if expected.lattice != p.lattice:
         return "host lattice does not match the scheme"
-    if (expected.delta_tau != p.delta_tau
-            or not np.array_equal(expected.sites, p.sites)):
-        return "site positions or delta_tau do not match the scheme"
+    if not np.array_equal(expected.sites, p.sites):
+        return "site positions do not match the scheme"
     if not np.array_equal(paths.line_ids, distinct(tns.line_id)[0]):
         return "paths do not cover the contraction lines"
     v, at = paths.vertices, paths.line_ids.searchsorted(tns.line_id)
@@ -729,11 +728,13 @@ class Peps:
 
     lattice: LatticeSpec
     physical_lattice: LatticeSpec
-    refine_factor: int
     physical_dim: int
     factors: list[tuple[np.ndarray, tuple]]
     sites: np.ndarray
     congestion: CongestionReport
+
+    refine_factor = property(
+        lambda self: self.lattice.length // self.physical_lattice.length)
 
     def all_factors(self) -> list[tuple[np.ndarray, tuple]]:
         return self.factors
@@ -784,7 +785,7 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
         wires += [(eye, pair) for pair in zip(labels, labels[1:])]
         at += range(start + 1, end - 1)
 
-    return Peps(p.lattice, tns.spec, p.refine_factor, tns.physical_dim,
+    return Peps(p.lattice, tns.spec, tns.physical_dim,
                 tns.all_factors(label_of) + wires,
                 np.concatenate((p.sites[tns.kind != _ANCHOR],
                                 paths.vertices[at])),
@@ -812,7 +813,7 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
     lower //= factor
     keep = lengths.nonzero()[0]
     coarse = peps.physical_lattice
-    return Peps(coarse, coarse, 1, peps.physical_dim, list(peps.factors),
+    return Peps(coarse, coarse, peps.physical_dim, list(peps.factors),
                 peps.sites // factor,
                 _tally(report.leg_lines[keep], lower[keep], axis[keep],
                        lengths[keep], report.leg_classes[keep],
@@ -827,11 +828,9 @@ def map_to_dict(p: Placement, paths: PathAssignment,
     the document a range at a time; the sites are sorted only when their
     range is not empty.
 
-    The offsets entry is derived from the scheme; read_map refuses any
-    other.
+    The delta_tau and offsets entries are the ones the scheme fixes;
+    read_map refuses any other.
     """
-    offsets = (default_refined_offsets(p.lattice.dimension)
-               if p.scheme == "refined" else None)
     first = range(len(paths.line_ids))[lines].start
     line_ids = paths.line_ids[lines].tolist()
     ends = paths.offsets[first:first + len(line_ids) + 1].tolist()
@@ -840,8 +839,7 @@ def map_to_dict(p: Placement, paths: PathAssignment,
         "version": "map-v1",
         "generator_version": GENERATOR_VERSION,
         "scheme": p.scheme,
-        "delta_tau": p.delta_tau,
-        "offsets": dict(sorted(offsets.items())) if offsets else None,
+        **scheme_members(p.scheme, p.lattice.dimension),
         "lattice": spec_to_dict(p.lattice),
         # json writes the (id, site) tuples as arrays
         "sites": sorted(zip(p.ids, zip(*p.sites.T.tolist())))[sites]
@@ -859,11 +857,12 @@ def map_text(p: Placement, paths: PathAssignment):
     tns.joined, so that neither the document nor its text is ever whole.
     A batch of paths is one stream of vertices, each ending with a tail:
     "], [" inside a chain, "]]], [<next id>, [[" at a chain's end and
-    "]]]" at the batch's end."""
-    dumps, step = json.dumps, _tns.JSON_SLICE
+    "]]]" at the batch's end.  Every chain needs a vertex, as route_lines
+    makes it: ValueError names the first line whose chain has none."""
+    step = _tns.JSON_SLICE
     head = map_to_dict(p, paths, slice(0), slice(0))
     del head["sites"], head["paths"]
-    yield dumps(head)[:-1] + ', "sites": ['
+    yield json.dumps(head)[:-1] + ', "sites": ['
     # ids are distinct, so this is the order sorted gives the sites
     order = np.array(p.ids, object).argsort(kind="stable")
     for start in range(0, len(order), step):
@@ -880,10 +879,10 @@ def map_text(p: Placement, paths: PathAssignment):
         ends = paths.offsets[start:start + step + 1]
         if start:
             yield ", "
-        if (ends[1:] == ends[:-1]).any():
-            # an empty chain has no vertex to carry its text
-            yield dumps(map_to_dict(p, paths, slice(0), part)["paths"])[1:-1]
-            continue
+        empty = (ends[1:] == ends[:-1]).nonzero()[0]
+        if empty.size:
+            lid = paths.line_ids[start + empty[0]]
+            raise ValueError(f"path of line {lid} has no vertex")
         lids = numerals(paths.line_ids[part])
         tail = tails(ends[-1] - ends[0], "], [", "]]]")
         tail[ends[1:-1] - ends[0] - 1] = "]]], [" + lids[1:] + ", [["
@@ -894,17 +893,16 @@ def map_text(p: Placement, paths: PathAssignment):
 
 
 def read_map(data: dict, d: int | None = None):
-    """The scheme, host lattice, delta_tau, site ids, (S, d) int64 site
-    coordinates and PathAssignment of a map-v1 document, every check that
-    needs no network made.  Sites and vertices have d coordinates, the
-    host lattice's dimension when d is None.  ValueError when the document
-    is not an object or lacks a key, when delta_tau, a path line id or a
-    coordinate is no JSON integer or past int64, a node id no string, a
-    site or vertex not d-dimensional, two sites or two paths share an
-    id, check_scheme refuses the scheme and delta_tau, generator_version
-    is no string, or offsets are not the ones map_to_dict writes for the
-    scheme.  The vertices are checked and packed a slice of paths at a
-    time."""
+    """The scheme, host lattice, site ids, (S, d) int64 site coordinates
+    and PathAssignment of a map-v1 document, every check that needs no
+    network made.  Sites and vertices have d coordinates, the host
+    lattice's dimension when d is None.  ValueError when the document is
+    not an object or lacks a key, when a path line id or a coordinate is
+    no JSON integer or past int64, a node id no string, a site or vertex
+    not d-dimensional, two sites or two paths share an id, the scheme is
+    no key of SCHEMES, generator_version is no string, or delta_tau and
+    offsets are not, as JSON text, the ones the scheme fixes.  The
+    vertices are checked and packed a slice of paths at a time."""
     if not isinstance(data, dict):
         raise ValueError("malformed map-v1 document: not a JSON object")
     if data.get("version") != "map-v1":
@@ -916,7 +914,6 @@ def read_map(data: dict, d: int | None = None):
     with malformed("map-v1"):
         scheme, host = data["scheme"], spec_from_dict(data["lattice"])
         d = host.dimension if d is None else d
-        require_ints((data["delta_tau"],), f"delta_tau {data['delta_tau']!r}")
         nids = [nid for nid, _ in data["sites"]]
         if not {str}.issuperset(map(type, nids)):
             raise TypeError("node id is not a string")
@@ -945,19 +942,17 @@ def read_map(data: dict, d: int | None = None):
         repeat = next(nid for nid in nids if nid in seen or seen.add(nid))
         raise ValueError(f"malformed map-v1 document: repeated site id "
                          f"{repeat!r}")
-    check_scheme(scheme, data["delta_tau"])
-    written = (default_refined_offsets(host.dimension)
-               if scheme == "refined" else None)
+    fixed = scheme_members(scheme, host.dimension)
     with malformed("map-v1"):
         if not isinstance(data["generator_version"], str):
             raise TypeError("generator_version is not a string")
-        if (json.dumps(data["offsets"], sort_keys=True)
-                != json.dumps(written, sort_keys=True)):
-            raise TypeError(f"offsets differ from the ones the {scheme} "
-                            f"scheme writes")
+        if (json.dumps([data[key] for key in fixed], sort_keys=True)
+                != json.dumps(list(fixed.values()), sort_keys=True)):
+            raise TypeError(f"delta_tau or offsets differ from the ones "
+                            f"the {scheme} scheme writes")
     offsets = np.cumsum([0] + [len(chain) for _, chain in paths],
                         dtype=np.int64)
-    return (scheme, host, data["delta_tau"], nids, coords[:len(nids)],
+    return (scheme, host, nids, coords[:len(nids)],
             PathAssignment(line_ids, offsets, coords[len(nids):]))
 
 
@@ -968,8 +963,7 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
     or a node has no site."""
     # vertices have the network's dimension; check_routing compares the
     # host lattice with the network's
-    scheme, host, delta_tau, nids, coords, paths = read_map(
-        data, tns.spec.dimension)
+    scheme, host, nids, coords, paths = read_map(data, tns.spec.dimension)
     index = dict(zip(tns.ids, itertools.count()))
     named = np.array([index.get(nid, -1) for nid in nids], np.int64)
     count = np.bincount(named[named >= 0], minlength=len(tns.ids))
@@ -981,5 +975,4 @@ def map_from_dict(data: dict, tns: Tns) -> tuple[Placement, PathAssignment]:
                              f"{names[int(bad.argmax())]!r}")
     sites = np.empty((len(tns.ids), tns.spec.dimension), np.int64)
     sites[named] = coords
-    return (Placement(scheme, host, delta_tau, tns.ids, sites,
-                      tns.kind == _ANCHOR), paths)
+    return Placement(scheme, host, tns.ids, sites, tns.kind == _ANCHOR), paths

@@ -45,10 +45,13 @@ ResourceLimitError, naming the qubits and the bytes, before it is:
 init_zero charges its store, _pack the new pool beside the old one, a
 batch of rotations 128 bytes per word of its Z rows, for its merges
 and writes, and the entropy 64 bytes per word it unpacks and 32 per
-set bit of its (generator, column) list.  The tree state holds a
-few words per row; its largest charge, the rotations', is about 300
-bytes per qubit.  A near-dense store, which no command makes, is
-refused before it is allocated.
+set bit of its (generator, column) list.  _pack and a batch of
+rotations count their words from the rows' slots and charge before
+they read one; the entropy's charge can fail only once it has counted
+the set bits of the words it read.  The tree state holds a few words
+per row; its largest charge, the rotations', is about 300 bytes per
+qubit.  A near-dense store, which no command makes, is refused before
+it is allocated.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
 the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
@@ -217,8 +220,9 @@ def _pack(t: StabilizerState, extra: int) -> None:
     the size of them and extra more words; ResourceLimitError before the
     new pool is allocated when the store would pass the budget while it
     holds both pools."""
+    words = int(t.stop.sum() - t.start.sum())
+    _charge(t.num_qubits, _held(t) + 32 * (words + extra))
     _, word, val = _read(t, np.arange(t.start.size))
-    _charge(t.num_qubits, _held(t) + 32 * (word.size + extra))
     t.word = np.empty(2 * (word.size + extra), dtype=np.int64)
     t.val = np.empty(t.word.size, dtype=np.uint64)
     t.word[:word.size], t.val[:word.size] = word, val
@@ -297,10 +301,11 @@ def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
     a, b = _pairs(t, a, b, disjoint=False)
     n, width, m = t.num_qubits, t.phase.shape[1], a.size
     ab = np.concatenate([a, b])
-    # the words of z[a] ^ z[b]: the generators anticommuting with X_a X_b
-    k, word, val = _read(t, n + ab)
+    rows = n + ab
     # the batch's merges and writes take about 128 bytes per word read
-    _charge(n, _held(t) + 128 * word.size)
+    _charge(n, _held(t) + 128 * int(t.stop[rows].sum() - t.start[rows].sum()))
+    # the words of z[a] ^ z[b]: the generators anticommuting with X_a X_b
+    k, word, val = _read(t, rows)
     key, anti = _xor_merge(k % m * width + word, val)
     k, word = np.divmod(key, width)
     # the X row of a qubit in several pairs takes the words of each

@@ -105,8 +105,7 @@ def test_verify_flags_tampered_map(built, tmp_path, capsys):
 
 def test_verify_rejects_shifted_map_with_edited_delta_tau(built, tmp_path,
                                                          capsys):
-    # the shifted scheme has delta_tau 0; 5 would make assembly merge the
-    # grid in 32-site blocks
+    # the shifted scheme fixes delta_tau 0; the reader refuses any other
     prefix = str(tmp_path / "m")
     main(["map", "--tns", str(built), "--scheme", "shifted",
           "--out-prefix", prefix])
@@ -116,9 +115,10 @@ def test_verify_rejects_shifted_map_with_edited_delta_tau(built, tmp_path,
     capsys.readouterr()
     code = main(["verify", "--tns", str(built),
                  "--map", str(tmp_path / "bad.json")])
-    assert code == 4
-    out = capsys.readouterr().out
-    assert "structural error" in out and "do not match the scheme" in out
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: malformed map-v1 document: TypeError delta_tau or offsets "
+        "differ from the ones the shifted scheme writes\n")
 
 
 def test_verify_reports_differing_state(built, tmp_path, monkeypatch,
@@ -1068,17 +1068,38 @@ def test_line_id_past_int64_exits_2(built, tmp_path, capsys, command):
     assert "does not fit in 64 bits" in captured.err
 
 
-@pytest.mark.parametrize("delta_tau", [61, 64])
-def test_map_refuses_host_past_int64(built, tmp_path, capsys, delta_tau):
-    # 4 * 2**61 sites per axis is past int64; the check runs before any
-    # power of delta_tau is taken, so nothing is allocated
+def _past_int64_host(built, tmp_path):
+    """A tns-v1 file of the built network under the lattice header of
+    2**62 sites per axis, 2**62 layers deep: the refined host, twice as
+    long, is past int64."""
+    doc = json.loads(built.read_text())
+    doc["lattice"].update(length=2 ** 62, layers=62)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_PAST_INT64 = ("error: a refined host of 4611686018427387904 * 2 sites per "
+               "axis is past int64\n")
+
+
+def test_map_refuses_host_past_int64(built, tmp_path, capsys):
+    # the check runs before the host is made, so nothing is allocated
+    long = _past_int64_host(built, tmp_path)
     capsys.readouterr()
-    assert main(["map", "--tns", str(built), "--scheme", "refined",
-                 "--delta-tau", str(delta_tau),
+    assert main(["map", "--tns", str(long), "--scheme", "refined",
                  "--out-prefix", str(tmp_path / "m")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: delta_tau {delta_tau} makes")
+    assert capsys.readouterr() == ("", _PAST_INT64)
+    assert not (tmp_path / "m.map.json").exists()
+    # the other schemes keep the header's lattice
+    assert main(["map", "--tns", str(long), "--scheme", "shifted",
+                 "--out-prefix", str(tmp_path / "m")]) == 0
+
+
+def test_map_has_no_delta_tau_option(built, tmp_path, capsys):
+    assert main(["map", "--tns", str(built), "--scheme", "refined",
+                 "--delta-tau", "1", "--out-prefix", str(tmp_path / "m")]) == 2
+    assert "unrecognized arguments: --delta-tau 1" in capsys.readouterr().err
     assert not (tmp_path / "m.map.json").exists()
 
 
@@ -1086,13 +1107,11 @@ def test_verify_refuses_map_with_host_past_int64(built, tmp_path, capsys):
     prefix = str(tmp_path / "m")
     main(["map", "--tns", str(built), "--scheme", "refined",
           "--out-prefix", prefix])
-    data = json.loads((tmp_path / "m.map.json").read_text())
-    data["delta_tau"] = 61
-    (tmp_path / "bad.json").write_text(json.dumps(data))
+    long = _past_int64_host(built, tmp_path)
     capsys.readouterr()
-    assert main(["verify", "--tns", str(built),
-                 "--map", str(tmp_path / "bad.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: delta_tau 61 makes")
+    assert main(["verify", "--tns", str(long),
+                 "--map", prefix + ".map.json"]) == 2
+    assert capsys.readouterr() == ("", _PAST_INT64)
 
 
 def test_pipeline_reads_the_tables_not_the_views(tmp_path, monkeypatch,

@@ -238,7 +238,7 @@ def test_contraction_matches_oracle_on_verify_shapes(build, layers, scheme):
     state = dense.contract_to_statevector(net)
     # the network has no wires: the same order and the same bits
     assert np.array_equal(state.amplitudes, _oracle_state(net).reshape(-1))
-    p = place(net, scheme, 1)
+    p = place(net, scheme)
     peps = assemble_peps(net, p, route_lines(net, p))
     embedded = dense.contract_to_statevector(peps)
     assert embedded.sites == state.sites
@@ -253,7 +253,7 @@ def test_embedding_contracts_to_the_network_state_bit_for_bit(build, layers,
     # the embedding lists the network's tensors in node order, so once its
     # wires are renamed away the greedy loop takes the network's steps
     net = build(layers, seed=5)
-    p = place(net, scheme, 1)
+    p = place(net, scheme)
     peps = assemble_peps(net, p, route_lines(net, p))
     assert np.array_equal(dense.contract_to_statevector(peps).amplitudes,
                           dense.contract_to_statevector(net).amplitudes)
@@ -282,7 +282,7 @@ def test_scaled_identity_is_a_tensor():
 
 def test_pauli_x_in_place_of_a_wire_changes_the_state():
     net = build_mera_1d(3, seed=2)
-    p = place(net, "refined", 1)
+    p = place(net, "refined")
     peps = assemble_peps(net, p, route_lines(net, p))
     state = dense.contract_to_statevector(net)
     assert dense.states_equal(dense.contract_to_statevector(peps), state)

@@ -206,13 +206,13 @@ def test_sliced_files_equal_whole_documents(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
 def test_writer_at_every_slice_boundary(monkeypatch, step, count):
     """Site and path counts 0, 1, step - 1, step and step + 1 for each
-    step; the chains have one vertex, their whole length, or none, which
-    a slice writes through map_to_dict."""
+    step; the chains have one vertex or their whole length, and a chain
+    of none, which route_lines never makes, is refused by name."""
     monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
     net = build_mera_1d(2)
     p = mapping.place(net, "refined")
     paths = mapping.route_lines(net, p)
-    p = mapping.Placement(p.scheme, p.lattice, p.delta_tau, p.ids[:count],
+    p = mapping.Placement(p.scheme, p.lattice, p.ids[:count],
                           p.sites[:count], p.anchor[:count])
     starts = paths.offsets[:count].tolist()
     chains = [paths.vertices[i:i + n] for i, n in
@@ -220,6 +220,12 @@ def test_writer_at_every_slice_boundary(monkeypatch, step, count):
     paths = mapping.PathAssignment(
         paths.line_ids[:count], np.cumsum([0] + list(map(len, chains))),
         np.concatenate(chains) if chains else paths.vertices[:0])
+    if count == 4:
+        with pytest.raises(ValueError, match=f"^path of line "
+                                             f"{paths.line_ids[3]} has no "
+                                             f"vertex$"):
+            "".join(mapping.map_text(p, paths))
+        return
     assert "".join(mapping.map_text(p, paths)) == \
         json.dumps(mapping.map_to_dict(p, paths)) + "\n"
 
@@ -383,11 +389,11 @@ def test_map_reader_slices_give_the_whole_reading(seeded, monkeypatch, step):
     whole = mapping.read_map(data)
     monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
     sliced = mapping.read_map(data)
-    assert sliced[:4] == whole[:4]
-    assert np.array_equal(sliced[4], whole[4])
+    assert sliced[:3] == whole[:3]
+    assert np.array_equal(sliced[3], whole[3])
     for name in ("line_ids", "offsets", "vertices"):
-        assert np.array_equal(getattr(sliced[5], name),
-                              getattr(whole[5], name))
+        assert np.array_equal(getattr(sliced[4], name),
+                              getattr(whole[4], name))
     # a fault in the last slice is named as in the first
     data["paths"][-1][1][-1][0] = 1.5
     with pytest.raises(ValueError, match="coordinate is not an integer"):

@@ -69,10 +69,9 @@ def test_mera_host_refinement():
         net = build(layers)
         b = net.spec.branching
         assert place_shifted(net).lattice == net.spec
-        for delta_tau in (1, 2):
-            host = place_refined(net, delta_tau=delta_tau).lattice
-            assert host.length == b ** (layers + delta_tau)
-            assert host.layers == layers + delta_tau
+        host = place_refined(net).lattice
+        assert host.length == b ** (layers + 1)
+        assert host.layers == layers + 1
 
 
 def test_sublattice_examples():

@@ -238,11 +238,14 @@ def test_edited_map_never_raises(documents, capsys):
 
 @pytest.mark.parametrize("role,member,value,message", [
     ("map", "offsets", {"a": 1},
-     "offsets differ from the ones the refined scheme writes"),
+     "delta_tau or offsets differ from the ones the refined scheme "
+     "writes"),
     ("map", "offsets", None,
-     "offsets differ from the ones the refined scheme writes"),
+     "delta_tau or offsets differ from the ones the refined scheme "
+     "writes"),
     ("map", "offsets", {"w": [True]},
-     "offsets differ from the ones the refined scheme writes"),
+     "delta_tau or offsets differ from the ones the refined scheme "
+     "writes"),
     ("map", "generator_version", [0], "generator_version is not a string"),
     ("map", "generator_version", 2 ** 63,
      "generator_version is not a string"),
@@ -278,8 +281,6 @@ def test_members_no_reader_reads_exit_2(documents, capsys, role, member,
     ("scheme", 2.5, "unknown placement scheme 2.5"),
     ("scheme", None, "unknown placement scheme None"),
     ("scheme", [1], "unknown placement scheme [1]"),
-    ("delta_tau", -1, "refined placement needs delta_tau >= 1"),
-    ("delta_tau", 0, "refined placement needs delta_tau >= 1"),
 ])
 def test_render_and_verify_share_the_scheme_rules(documents, capsys, field,
                                                   value, message):
@@ -294,6 +295,32 @@ def test_render_and_verify_share_the_scheme_rules(documents, capsys, field,
         assert cli.main(argv) == 2
         errs.append(capsys.readouterr().err)
     assert errs == [f"error: {message}\n"] * 2
+
+
+@pytest.mark.parametrize("member,value", [
+    ("delta_tau", 1.0), ("delta_tau", True), ("delta_tau", "1"),
+    ("delta_tau", None), ("delta_tau", 2), ("delta_tau", 0),
+    ("delta_tau", -1), ("delta_tau", 61), ("offsets", {"w": [1]}),
+], ids=["1.0", "true", "string-1", "null", "2", "0", "-1", "61",
+        "offsets"])
+def test_render_and_verify_refuse_members_the_scheme_does_not_fix(
+        documents, capsys, member, value):
+    # the refined scheme fixes delta_tau 1 and its offsets; one rule of
+    # the reader refuses anything else, compared as JSON text
+    work, tns_path, map_path = documents
+    edited = work / "members.json"
+    edited.write_text(json.dumps(
+        _edited(json.loads(open(map_path).read()), (member,), value)))
+    errs = []
+    for argv in (["verify", "--tns", str(tns_path), "--map", str(edited)],
+                 ["render", "--map", str(edited),
+                  "--out", str(work / "members.svg")]):
+        assert cli.main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == ["error: malformed map-v1 document: TypeError delta_tau "
+                    "or offsets differ from the ones the refined scheme "
+                    "writes\n"] * 2
+    assert not (work / "members.svg").exists()
 
 
 def _timeout(signum, frame):

@@ -23,7 +23,8 @@ from tnkit.mapping import (CongestionReport, PathAssignment, Peps,
                            default_refined_offsets, detect_stacks,
                            line_density_estimate, map_from_dict, map_to_dict,
                            measured_chi, place, place_naive, place_refined,
-                           place_shifted, read_map, route_lines, _tensor_site)
+                           place_shifted, read_map, route_lines,
+                           scheme_members, SCHEMES, _tensor_site)
 from tnkit.tns import (KIND_ANCHOR, KIND_CODES, MeraMeta, build_mera_1d,
                        build_mera_2d_b2, build_mera_2d_b3, build_ttn_example,
                        tns_from_dict, tns_to_dict)
@@ -135,12 +136,6 @@ def test_refined_formula_degenerates_to_shifted():
         _tensor_site("shifted", 2, tau, cells, 0, None))
 
 
-def test_refined_argument_validation():
-    net = build_mera_2d_b2(1)
-    with pytest.raises(ValueError):
-        place_refined(net, delta_tau=0)
-
-
 def test_shifted_refuses_tensor_at_layer_0():
     net = build_mera_1d(2, with_elements=False)
     i = int((net.kind != KIND_CODES[KIND_ANCHOR]).argmax())
@@ -152,15 +147,19 @@ def test_shifted_refuses_tensor_at_layer_0():
 
 
 def test_refined_host_length_stays_within_int64():
-    # L = 4: 4 * 2**60 fits in int64 and 4 * 2**61 does not; placing
-    # allocates per node, not per host site
+    # the network's lattice as a tns-v1 header may give it: 2 * 2**61
+    # fits in int64 and 2 * 2**62 does not; placing allocates per node,
+    # not per host site
     net = build_mera_1d(2, with_elements=False)
-    p = place_refined(net, delta_tau=60)
+    net.spec = LatticeSpec(1, 2 ** 61, 2, 61)
+    p = place(net, "refined")
     assert p.lattice.length == 2 ** 62
     assert max(max(s) for s in p.site_of.values()) < 2 ** 62
-    for delta_tau in (61, 2 ** 70):
-        with pytest.raises(ValueError, match=f"delta_tau {delta_tau} "):
-            place_refined(net, delta_tau)
+    net.spec = LatticeSpec(1, 2 ** 62, 2, 62)
+    with pytest.raises(ValueError, match=f"^a refined host of {2 ** 62} "
+                                         f"\\* 2 sites per axis is past "
+                                         f"int64$"):
+        place(net, "refined")
 
 
 # ------------------------------------------------------------------ routing
@@ -979,15 +978,45 @@ def test_read_map_needs_no_network(build, layers, scheme):
     # map_from_dict only binds the sites to the network's nodes
     net, p, pa = routed(build, layers, scheme, with_elements=False)
     doc = json.loads(json.dumps(map_to_dict(p, pa)))
-    got_scheme, host, delta_tau, ids, coords, paths = read_map(doc)
-    assert (got_scheme, host, delta_tau) == (p.scheme, p.lattice,
-                                             p.delta_tau)
+    got_scheme, host, ids, coords, paths = read_map(doc)
+    assert (got_scheme, host) == (p.scheme, p.lattice)
     assert ids == sorted(p.ids)
     assert coords.dtype == np.int64
     order = [p.ids.index(nid) for nid in ids]
     assert np.array_equal(coords, p.sites[order])
     for name in ("line_ids", "offsets", "vertices"):
         assert np.array_equal(getattr(paths, name), getattr(pa, name))
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("build", [build_mera_1d, build_mera_2d_b2])
+def test_read_map_accepts_exactly_the_members_map_to_dict_writes(build,
+                                                                 scheme):
+    # the scheme's own delta_tau and offsets are read; those of every
+    # scheme in either dimension, whole or one member at a time, are
+    # refused unless they are the same
+    net, p, pa = routed(build, 2, scheme, with_elements=False)
+    doc = json.loads(json.dumps(map_to_dict(p, pa)))
+    fixed = scheme_members(scheme, net.spec.dimension)
+    assert list(fixed) == ["delta_tau", "offsets"]
+    own = {key: doc[key] for key in fixed}
+    assert own == json.loads(json.dumps(fixed))
+    assert fixed["delta_tau"] == p.delta_tau == SCHEMES[scheme][1]
+    refused = 0
+    for other in (scheme_members(s, d) for s in SCHEMES for d in (1, 2)):
+        for edit in (other, *({key: value} for key, value in other.items())):
+            edited = {**doc, **json.loads(json.dumps(edit))}
+            if {key: edited[key] for key in fixed} == own:
+                assert read_map(edited)[0] == scheme
+                continue
+            refused += 1
+            with pytest.raises(ValueError, match=f"^malformed map-v1 "
+                                                 f"document: TypeError "
+                                                 f"delta_tau or offsets "
+                                                 f"differ from the ones the "
+                                                 f"{scheme} scheme writes$"):
+                read_map(edited)
+    assert refused >= 3
 
 
 @pytest.mark.parametrize("delta_tau", ["1", 1.0, True, None])
@@ -1070,12 +1099,12 @@ def _oracle_check_routing(tns, p, paths):
     """The routing check one line and one vertex at a time, on the
     placement's site dict and the paths' chains; the oracle of
     check_routing."""
-    expected = place(tns, p.scheme, p.delta_tau)
+    expected = place(tns, p.scheme)
     if expected.lattice != p.lattice:
         return "host lattice does not match the scheme"
     chains, site_of = paths.chains, p.site_of
-    if (expected.delta_tau, expected.site_of) != (p.delta_tau, site_of):
-        return "site positions or delta_tau do not match the scheme"
+    if expected.site_of != site_of:
+        return "site positions do not match the scheme"
     if set(chains) != set(tns.line_id.tolist()):
         return "paths do not cover the contraction lines"
     for line in tns.lines:
@@ -1150,10 +1179,8 @@ def test_check_routing_rejects_bad_paths():
     assert "host lattice" in _checked(
         net, dataclasses.replace(p, lattice=wider), pa)
     # the scheme check has no fallback: what place refuses, raises
-    for scheme, delta_tau in (("foo", 1), ("refined", 0), ("refined", -1)):
-        with pytest.raises(ValueError):
-            check_routing(net, dataclasses.replace(
-                p, scheme=scheme, delta_tau=delta_tau), pa)
+    with pytest.raises(ValueError, match="^unknown placement scheme 'foo'$"):
+        check_routing(net, dataclasses.replace(p, scheme="foo"), pa)
 
 
 def _vertex_edits(pa, length, rng, count):

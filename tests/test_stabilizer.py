@@ -540,6 +540,31 @@ def test_tableau_resource_guard(monkeypatch):
         stab.run_ttn_example(5)
 
 
+def test_refused_charges_read_no_word(monkeypatch):
+    # a batch of rotations and a pack count their words from the rows'
+    # slots and charge them before _read gathers one
+    from tnkit.dense import ResourceLimitError
+    reads = []
+    read = stab._read
+    monkeypatch.setattr(stab, "_read",
+                        lambda t, rows: reads.append(rows) or read(t, rows))
+    t = stab.init_zero(8)
+    # the 400 bytes of the store fit; its rotation of two Z rows, 256
+    # bytes more, and its pack, 256 bytes more, do not
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "25")
+    with pytest.raises(ResourceLimitError, match="^stabilizer tableau of 8 "
+                       "qubits needs 656 bytes, over the budget of 400$"):
+        stab.apply_xx_rotations(t, [0], [1])
+    with pytest.raises(ResourceLimitError, match="^stabilizer tableau of 8 "
+                       "qubits needs 656 bytes, over the budget of 400$"):
+        stab._pack(t, 0)
+    assert reads == []
+    # under the default budget the same rotation reads its two Z rows
+    monkeypatch.delenv("TNKIT_MAX_AMPLITUDES")
+    stab.apply_xx_rotations(t, [0], [1])
+    assert [r.tolist() for r in reads[:1]] == [[8, 9]]
+
+
 def _dense_clifford(n, layers, seed):
     """n qubits after layers of H on a random half of them and a batch
     of CNOTs on random disjoint pairs: most words of the tableau set."""
