@@ -1068,12 +1068,12 @@ def test_line_id_past_int64_exits_2(built, tmp_path, capsys, command):
     assert "does not fit in 64 bits" in captured.err
 
 
-def _past_int64_host(built, tmp_path):
+def _past_int64_host(built, tmp_path, layers=62):
     """A tns-v1 file of the built network under the lattice header of
-    2**62 sites per axis, 2**62 layers deep: the refined host, twice as
-    long, is past int64."""
+    2**layers sites per axis, layers deep: from 62 layers on, the refined
+    host, twice as long, is past int64."""
     doc = json.loads(built.read_text())
-    doc["lattice"].update(length=2 ** 62, layers=62)
+    doc["lattice"].update(length=2 ** layers, layers=layers)
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
     return path
@@ -1083,13 +1083,17 @@ _PAST_INT64 = ("error: a refined host of 4611686018427387904 * 2 sites per "
                "axis is past int64\n")
 
 
-def test_map_refuses_host_past_int64(built, tmp_path, capsys):
-    # the check runs before the host is made, so nothing is allocated
-    long = _past_int64_host(built, tmp_path)
+@pytest.mark.parametrize("k", [61, 64])
+def test_map_refuses_host_past_int64(built, tmp_path, capsys, k):
+    # a header of 2**(k + 1) sites per axis refines to 4 * 2**k, past
+    # int64; the check runs before the host is made, so nothing is allocated
+    long = _past_int64_host(built, tmp_path, k + 1)
     capsys.readouterr()
     assert main(["map", "--tns", str(long), "--scheme", "refined",
                  "--out-prefix", str(tmp_path / "m")]) == 2
-    assert capsys.readouterr() == ("", _PAST_INT64)
+    assert capsys.readouterr() == (
+        "", f"error: a refined host of {2 ** (k + 1)} * 2 sites per axis "
+            "is past int64\n")
     assert not (tmp_path / "m.map.json").exists()
     # the other schemes keep the header's lattice
     assert main(["map", "--tns", str(long), "--scheme", "shifted",
