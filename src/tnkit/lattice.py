@@ -90,7 +90,7 @@ class LatticeSpec:
     dimension : int
         Number of spatial dimensions, >= 1.
     length : int
-        Linear size; the grid has length**dimension sites.
+        Linear size below 2**63; the grid has length**dimension sites.
     branching : int
         Linear coarse-graining ratio b >= 2 used by the scale hierarchy.
     layers : int
@@ -116,6 +116,8 @@ class LatticeSpec:
             require_ints((value,), f"lattice {name} {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
+        if self.length >= 2 ** 63:  # coordinates are int64
+            raise ValueError(f"lattice length {self.length} is past int64")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 

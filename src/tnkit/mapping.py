@@ -720,7 +720,9 @@ class Peps:
     order, and `sites`, an (F, D) int64 array, their host sites.
 
     Contracting all factors over equal labels reproduces the original
-    state; labels of the form ("p", site) are the open physical indices.
+    state.  Labels are ints but for the open physical indices ("p", site);
+    the wires of one dimension share one identity array, so a wire is
+    replaced by assigning a new tuple, never by writing into the array.
     congestion tallies the lines crossing each host edge, so the bond
     dimension of an edge is the product of its lines' dimensions.
     `site_factors`, the factor lists by site, is made on each access.
@@ -750,45 +752,40 @@ class Peps:
 def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     """Realize a routed placement as a grid network of local factors.
 
-    Tensors become factors at their host sites, in node order.  A line of
-    positive length is split into one label per traversed edge, joined by
-    identity wires at the intermediate sites.  A physical leg keeps its
-    open index at the anchor's host site through an identity wire, so the
-    embedded network has one physical index per original site, located
-    where the anchor was placed.
+    Tensors become factors at their host sites, in node order, labelled
+    by slot_labels.  A line crossing n >= 1 edges becomes the int segment
+    labels first ... first + n - 1, first past the L line labels, joined
+    by identity wires at its inner vertices.  A physical leg keeps its
+    open index ("p", site) at its anchor's host site through one more
+    wire, so the embedded network has one physical index per site.
     """
-    anchor = (tns.kind == _ANCHOR).tolist()
     label_of = slot_labels(tns)
     ends = _orientation(tns)
-    # the source's slot is the a end's when the source is the a end
-    slots = np.where(ends[0] == tns.line_ends[0], tns.line_slots,
-                     tns.line_slots[::-1])
+    # each line's slots, the source's first
+    flat = tns.dim_offsets[tns.line_ends] + tns.line_slots
+    src_slot, dst_slot = np.where(ends[0] == tns.line_ends[0], flat, flat[::-1])
     # the paths cover the lines, as check_routing requires
     row = paths.line_ids.searchsorted(tns.line_id)
-    wires, at = [], []  # the wires and their vertex indices
-
-    for lid, dim, src, src_slot, dst_slot, start, end in zip(
-            tns.line_id.tolist(), tns.line_dim.tolist(), ends[0].tolist(),
-            *(tns.dim_offsets[ends] + slots).tolist(),
-            paths.offsets[row].tolist(), paths.offsets[row + 1].tolist()):
-        if end - start == 1:
-            # a line of length 0 keeps its label
-            continue
-        eye = np.eye(dim)
-        labels = [("t", lid, j) for j in range(end - start - 1)]
-        if anchor[src]:
-            wires.append((eye, (label_of[src_slot], labels[0])))
-            at.append(start)
-        else:
-            label_of[src_slot] = labels[0]
-        label_of[dst_slot] = labels[-1]
-        wires += [(eye, pair) for pair in zip(labels, labels[1:])]
-        at += range(start + 1, end - 1)
-
+    start, n = paths.offsets[row], np.diff(paths.offsets)[row] - 1
+    first = len(n) + np.cumsum(n) - n
+    cut = n > 0  # a line of length 0 keeps its label
+    anchored = cut & (tns.kind[ends[0]] == _ANCHOR)
+    label_of[dst_slot[cut]] = (first + n - 1)[cut]
+    label_of[src_slot[cut & ~anchored]] = first[cut & ~anchored]
+    # k wires per line: one from an anchor's open label to the first
+    # segment, then one per inner vertex; wire j leaves segment s[j]
+    k = n - cut + anchored
+    s = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k + anchored, k)
+    code = np.repeat(first, k) + s
+    ins = code.astype(object)
+    ins[s < 0] = label_of[src_slot[anchored]]
+    eye = {dim: np.eye(dim) for dim in set(tns.line_dim.tolist())}
+    wires = zip(map(eye.get, np.repeat(tns.line_dim, k).tolist()),
+                zip(ins.tolist(), (code + 1).tolist()))
     return Peps(p.lattice, tns.spec, tns.physical_dim,
-                tns.all_factors(label_of) + wires,
+                tns.all_factors(label_of.tolist()) + list(wires),
                 np.concatenate((p.sites[tns.kind != _ANCHOR],
-                                paths.vertices[at])),
+                                paths.vertices[np.repeat(start + 1, k) + s])),
                 measured_chi(tns, paths))
 
 

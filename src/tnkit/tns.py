@@ -243,19 +243,19 @@ class Tns:
                 for i in tensors.tolist()]
 
 
-def slot_labels(tns: Tns) -> list:
-    """One label per slot, slot k of node i at entry dim_offsets[i] + k:
-    both slots of a physical leg carry ("p", cell of its anchor), those
-    of any other line ("l", line id)."""
-    anchor = (tns.kind == KIND_CODES[KIND_ANCHOR]).tolist()
-    cells = tns.cell.tolist()
-    labels = [None] * int(tns.dim_offsets[-1])
-    flat = tns.dim_offsets[tns.line_ends] + tns.line_slots
-    for lid, a, b, fa, fb in zip(tns.line_id.tolist(), *tns.line_ends.tolist(),
-                                 *flat.tolist()):
-        end = a if anchor[a] else b if anchor[b] else None
-        labels[fa] = labels[fb] = ("l", lid) if end is None else \
-            ("p", tuple(cells[end]))
+def slot_labels(tns: Tns) -> np.ndarray:
+    """One label per slot, an object array, slot k of node i at entry
+    dim_offsets[i] + k: both slots of line i carry the int i, those of a
+    physical leg ("p", cell of its anchor), the open labels dense reads."""
+    ends = tns.line_ends
+    flat = tns.dim_offsets[ends] + tns.line_slots
+    labels = np.empty(int(tns.dim_offsets[-1]), object)
+    labels[flat] = np.arange(ends.shape[1])
+    anchor = tns.kind[ends] == KIND_CODES[KIND_ANCHOR]
+    legs = anchor.any(axis=0)
+    cells = map(tuple, tns.cell[np.where(anchor[0], *ends)[legs]].tolist())
+    labels[flat[:, legs]] = np.fromiter(zip(itertools.repeat("p"), cells),
+                                        object, legs.sum())
     return labels
 
 
@@ -617,7 +617,7 @@ def validate_preconditions(tns: Tns) -> list[str]:
     # the first power of b above the length on it is 1
     widths, scale = [], 1
     while scale <= spec.length:
-        widths.append(min(spec.length // scale, 2 ** 63 - 1))
+        widths.append(spec.length // scale)
         scale *= b
     width = np.array(widths + [1], np.uint64).take(layer, mode="clip")
     # as uint64 a negative layer or cell lies past every bound

@@ -1086,18 +1086,48 @@ _PAST_INT64 = ("error: a refined host of 4611686018427387904 * 2 sites per "
 @pytest.mark.parametrize("k", [61, 64])
 def test_map_refuses_host_past_int64(built, tmp_path, capsys, k):
     # a header of 2**(k + 1) sites per axis refines to 4 * 2**k, past
-    # int64; the check runs before the host is made, so nothing is allocated
+    # int64; the check runs before the host is made, so nothing is
+    # allocated.  A header itself past int64 (k = 64) is refused as it is
+    # read, by every scheme
     long = _past_int64_host(built, tmp_path, k + 1)
+    message = (f"a refined host of {2 ** (k + 1)} * 2 sites per axis"
+               if k + 1 < 63 else f"lattice length {2 ** (k + 1)}")
     capsys.readouterr()
     assert main(["map", "--tns", str(long), "--scheme", "refined",
                  "--out-prefix", str(tmp_path / "m")]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: a refined host of {2 ** (k + 1)} * 2 sites per axis "
-            "is past int64\n")
+    assert capsys.readouterr() == ("", f"error: {message} is past int64\n")
     assert not (tmp_path / "m.map.json").exists()
     # the other schemes keep the header's lattice
     assert main(["map", "--tns", str(long), "--scheme", "shifted",
-                 "--out-prefix", str(tmp_path / "m")]) == 0
+                 "--out-prefix", str(tmp_path / "m")]) == (
+        0 if k + 1 < 63 else 2)
+
+
+@pytest.mark.parametrize("length", [2 ** 63, 2 ** 65])
+def test_readers_refuse_a_lattice_length_past_int64(built, tmp_path, capsys,
+                                                     length):
+    # sites and path vertices are int64, so no tns-v1 or map-v1 lattice
+    # may be longer; every command exits 2 and writes nothing
+    prefix = str(tmp_path / "m")
+    main(["map", "--tns", str(built), "--scheme", "shifted",
+          "--out-prefix", prefix])
+    long_net = _past_int64_host(built, tmp_path, length.bit_length() - 1)
+    doc = json.loads((tmp_path / "m.map.json").read_text())
+    doc["lattice"]["length"] = length
+    long_map = tmp_path / "long.map.json"
+    long_map.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    runs = [["map", "--tns", str(long_net), "--scheme", scheme,
+             "--out-prefix", str(out)] for scheme in mapping.SCHEMES]
+    runs += [["verify", "--tns", str(long_net), "--map", prefix + ".map.json"],
+             ["verify", "--tns", str(built), "--map", str(long_map)],
+             ["render", "--map", str(long_map), "--out", str(out) + ".svg"]]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == (
+            "", f"error: lattice length {length} is past int64\n")
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_map_has_no_delta_tau_option(built, tmp_path, capsys):

@@ -227,7 +227,8 @@ VERIFY_SMALL = [(build_mera_1d, 4, "refined"), (build_mera_1d, 4, "shifted"),
 
 def _oracle_state(obj):
     factors = obj.all_factors()
-    open_labels = sorted({l for _, ls in factors for l in ls if l[0] == "p"},
+    open_labels = sorted({l for _, ls in factors for l in ls
+                          if isinstance(l, tuple) and l[0] == "p"},
                          key=lambda l: l[1])
     return _oracle_contract_labeled(factors, open_order=open_labels)[0]
 

@@ -48,6 +48,14 @@ def test_spec_validation():
         LatticeSpec(1, 4, branching=1)
     with pytest.raises(ValueError):
         LatticeSpec(1, 4, layers=-1)
+
+
+def test_spec_length_fits_int64():
+    assert LatticeSpec(1, 2 ** 63 - 1, layers=62).length == 2 ** 63 - 1
+    for length in (2 ** 63, 2 ** 65):
+        with pytest.raises(ValueError, match=(
+                f"^lattice length {length} is past int64$")):
+            LatticeSpec(2, length)
     with pytest.raises(ValueError):
         LatticeSpec(1, 4, boundary="twisted")
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import embed_oracle
 import tally_oracle
 from tnkit import dense
 from tnkit.lattice import LatticeSpec
@@ -27,7 +28,7 @@ from tnkit.mapping import (CongestionReport, PathAssignment, Peps,
                            scheme_members, SCHEMES, _tensor_site)
 from tnkit.tns import (KIND_ANCHOR, KIND_CODES, MeraMeta, build_mera_1d,
                        build_mera_2d_b2, build_mera_2d_b3, build_ttn_example,
-                       tns_from_dict, tns_to_dict)
+                       slot_labels, tns_from_dict, tns_to_dict)
 
 
 def _orient(tns, line):
@@ -824,7 +825,7 @@ def test_peps_bond_dims_match_congestion():
     assert peps.congestion.edge_lines == rep.edge_lines
     assert peps.congestion.chi_peps() == rep.chi_peps()
     open_cells = {l[1] for _, labels in peps.all_factors() for l in labels
-                  if l[0] == "p"}
+                  if isinstance(l, tuple) and l[0] == "p"}
     assert open_cells == set(map(tuple, net.cell[_anchor_rows(net)].tolist()))
 
 
@@ -873,14 +874,14 @@ def test_peps_is_a_factor_list_and_a_site_column(build, layers, scheme):
     # order, a line's wires along its path
     node_of = {id(net.elements[i]): i
                for i in (~_anchor_rows(net)).nonzero()[0].tolist()}
-    line_pos = {lid: k for k, lid in enumerate(net.line_id.tolist())}
 
+    # segment codes rise with line order and with position along a path,
+    # so a wire's outgoing segment orders it
     def key(factor):
         array, labels = factor
         if id(array) in node_of:
-            return 0, node_of[id(array)], 0
-        t = [l for l in labels if l[0] == "t"]
-        return 1, line_pos[t[-1][1]], t[-1][2]
+            return 0, node_of[id(array)]
+        return 1, labels[-1]
 
     assert sum(id(a) in node_of for a, _ in peps.factors) == len(node_of)
     for factors in view.values():
@@ -893,6 +894,67 @@ def test_peps_is_a_factor_list_and_a_site_column(build, layers, scheme):
                in zip(merged.factors, peps.factors))
     assert np.array_equal(merged.sites, peps.sites // peps.refine_factor)
     assert sum(map(len, merged.site_factors.values())) == len(peps.factors)
+
+
+def _assert_renamed(labels, reference):
+    """labels equal reference up to a one-to-one renaming that fixes every
+    ("p", site) label; every other label is an int."""
+    forward, backward = {}, {}
+    assert len(labels) == len(reference)
+    for new, old in zip(labels, reference):
+        assert forward.setdefault(new, old) == old
+        assert backward.setdefault(old, new) == new
+        if isinstance(new, tuple) or old[0] == "p":
+            assert new == old and new[0] == "p"
+        else:
+            assert type(new) is int
+
+
+def _assert_matches_embed_oracle(net, p, pa):
+    peps = assemble_peps(net, p, pa)
+    ref = embed_oracle.assemble_peps(net, p, pa)
+    _assert_renamed(list(slot_labels(net)), embed_oracle.slot_labels(net))
+    assert len(peps.factors) == len(ref.factors)
+    tensors = int((~_anchor_rows(net)).sum())
+    for (a, _), (b, _) in zip(peps.factors[:tensors], ref.factors):
+        assert a is b
+    for (a, _), (b, _) in zip(peps.factors[tensors:], ref.factors[tensors:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    _assert_renamed([l for _, ls in peps.factors for l in ls],
+                    [l for _, ls in ref.factors for l in ls])
+    assert peps.sites.dtype == ref.sites.dtype
+    assert np.array_equal(peps.sites, ref.sites)
+    if net.elements[-1] is not None and net.physical_dim ** (
+            int(_anchor_rows(net).sum())) <= 2 ** 16:
+        for obj, other in ((peps, ref), (contract_refined_to_normal(peps),
+                                         contract_refined_to_normal(ref))):
+            assert (dense.contract_to_statevector(obj).amplitudes.tobytes()
+                    == dense.contract_to_statevector(other).amplitudes
+                    .tobytes())
+
+
+@pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
+@pytest.mark.parametrize("build,layers", [
+    (build_mera_1d, 1), (build_mera_1d, 2), (build_mera_1d, 3),
+    (build_mera_1d, 4), (build_mera_2d_b2, 1), (build_mera_2d_b2, 2),
+    (build_mera_2d_b3, 1), (build_mera_2d_b3, 2), (build_ttn_example, 3)])
+def test_assembly_matches_embed_oracle(build, layers, scheme):
+    # naive maps stack tensors on one site, so some lines have length 0
+    net, p, pa = routed(build, layers, scheme, seed=5)
+    assert scheme != "naive" or (np.diff(pa.offsets) == 1).any()
+    _assert_matches_embed_oracle(net, p, pa)
+
+
+@pytest.mark.parametrize("build,layers,scheme", [
+    (build_mera_2d_b2, 2, "shifted"), (build_mera_2d_b3, 1, "refined")])
+def test_rerouted_read_map_matches_embed_oracle(build, layers, scheme):
+    net, p, pa = routed(build, layers, scheme, seed=1234567)
+    zigzag = _rerouted(pa, np.random.default_rng(layers))
+    doc = json.loads(json.dumps(map_to_dict(p, zigzag)))
+    read_p, read_pa = map_from_dict(doc, net)
+    assert check_routing(net, read_p, read_pa) is None
+    assert not np.array_equal(read_pa.vertices, pa.vertices)
+    _assert_matches_embed_oracle(net, read_p, read_pa)
 
 
 def test_refined_merge_bond_dimension_b2():
