@@ -176,11 +176,12 @@ def cmd_verify(args) -> int:
         return 4
 
     peps = mapping.assemble_peps(network, placement, paths)
+    report = mapping.measured_chi(network, paths)
     reference = dense.contract_to_statevector(network)
     embedded = dense.contract_to_statevector(peps)
     if dense.states_equal(reference, embedded, tol=args.tol):
         print(f"PASS embedded state matches "
-              f"(chi_peps {peps.congestion.chi_peps()})")
+              f"(chi_peps {report.chi_peps()})")
         return 0
     print("FAIL embedded state differs from the network state")
     return 4

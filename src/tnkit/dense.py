@@ -180,7 +180,7 @@ def contract_labeled(factors, open_order=None):
     return np.ascontiguousarray(np.transpose(array, perm)), tuple(open_order)
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Flat amplitudes over the listed sites, site order lexicographic."""
 

@@ -50,7 +50,7 @@ the used edges come out in key order with their per-class counts; the
 tally lists no crossing, and only the report's edge_lines expands the
 legs into them.  An edge's figures depend only on its row of those
 counts, so they are taken once per distinct row.
-contract_refined_to_normal blocks the same legs onto the physical grid.
+CongestionReport.blocked tallies the same legs again on a coarser grid.
 """
 
 from __future__ import annotations
@@ -537,6 +537,22 @@ class CongestionReport:
             raise ValueError("chi must be >= 2 for a log-chi figure")
         return math.log(self.chi_peps(include_physical)) / math.log(chi)
 
+    def blocked(self, factor: int) -> CongestionReport:
+        """The report of the same legs on a grid factor times coarser, for
+        an int factor >= 1 (ValueError otherwise): a leg from s, n edges up
+        one axis, crosses the block boundaries k * factor in (s, s + n]."""
+        if type(factor) is not int or factor < 1:
+            raise ValueError(f"blocking factor {factor!r} is no int >= 1")
+        d = len(self.shape)
+        lower, _ = self._ends(self.leg_keys)
+        axis = d - 1 - self.leg_keys % d
+        start = lower[np.arange(len(axis)), axis]
+        lengths = (start + self.leg_lengths) // factor - start // factor
+        lower //= factor
+        keep = lengths.nonzero()[0]
+        return _tally(self.leg_lines[keep], lower[keep], axis[keep],
+                      lengths[keep], self.leg_classes[keep], self.class_table)
+
 
 def _tally(lines, lower, axis, lengths, classes, class_table):
     """CongestionReport of legs: leg i, of line lines[i] and class
@@ -713,7 +729,7 @@ def congestion_csv(report: CongestionReport) -> str:
     return "".join(parts)
 
 
-@dataclass
+@dataclass(eq=False)
 class Peps:
     """Embedded network: `factors` lists the (array, labels) factors, the
     network's tensors in node order and then the identity wires in line
@@ -723,8 +739,6 @@ class Peps:
     state.  Labels are ints but for the open physical indices ("p", site);
     the wires of one dimension share one identity array, so a wire is
     replaced by assigning a new tuple, never by writing into the array.
-    congestion tallies the lines crossing each host edge, so the bond
-    dimension of an edge is the product of its lines' dimensions.
     `site_factors`, the factor lists by site, is made on each access.
     """
 
@@ -733,7 +747,6 @@ class Peps:
     physical_dim: int
     factors: list[tuple[np.ndarray, tuple]]
     sites: np.ndarray
-    congestion: CongestionReport
 
     refine_factor = property(
         lambda self: self.lattice.length // self.physical_lattice.length)
@@ -757,7 +770,8 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     labels first ... first + n - 1, first past the L line labels, joined
     by identity wires at its inner vertices.  A physical leg keeps its
     open index ("p", site) at its anchor's host site through one more
-    wire, so the embedded network has one physical index per site.
+    wire, so the embedded network has one physical index per site.  Its
+    bond dimensions are the report of measured_chi(tns, paths).
     """
     label_of = slot_labels(tns)
     ends = _orientation(tns)
@@ -785,8 +799,7 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     return Peps(p.lattice, tns.spec, tns.physical_dim,
                 tns.all_factors(label_of.tolist()) + list(wires),
                 np.concatenate((p.sites[tns.kind != _ANCHOR],
-                                paths.vertices[np.repeat(start + 1, k) + s])),
-                measured_chi(tns, paths))
+                                paths.vertices[np.repeat(start + 1, k) + s])))
 
 
 def contract_refined_to_normal(peps: Peps) -> Peps:
@@ -794,27 +807,12 @@ def contract_refined_to_normal(peps: Peps) -> Peps:
     sites of the physical grid; the factors stay, in a list of their own.
 
     Lines between sites of one block become internal to the merged site;
-    lines crossing a block boundary multiply into the merged bond, so a
-    merged edge carries the product of the parallel refined bonds.  The
-    legs are blocked and tallied again: a leg of length n along axis a
-    from s crosses the block boundaries k * f with s < k * f <= s + n,
-    a leg of the physical grid from block s // f.
+    lines crossing a block boundary multiply into the merged bond, the
+    product of the parallel refined bonds that report.blocked counts.
     """
-    factor = peps.refine_factor
-    report = peps.congestion
-    d = len(report.shape)
-    lower, _ = report._ends(report.leg_keys)
-    axis = d - 1 - report.leg_keys % d
-    start = lower[np.arange(len(axis)), axis]
-    lengths = (start + report.leg_lengths) // factor - start // factor
-    lower //= factor
-    keep = lengths.nonzero()[0]
     coarse = peps.physical_lattice
     return Peps(coarse, coarse, peps.physical_dim, list(peps.factors),
-                peps.sites // factor,
-                _tally(report.leg_lines[keep], lower[keep], axis[keep],
-                       lengths[keep], report.leg_classes[keep],
-                       report.class_table))
+                peps.sites // peps.refine_factor)
 
 
 def map_to_dict(p: Placement, paths: PathAssignment,

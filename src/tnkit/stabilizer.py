@@ -89,7 +89,7 @@ from .lattice import LatticeSpec, ResourceLimitError, amplitude_limit
 from .qca import layer_permutation, site_indices, sublayer_indices
 
 
-@dataclass
+@dataclass(eq=False)
 class StabilizerState:
     """Generators of a state on num_qubits qubits.  Bit row r (the X bits
     of qubit q in row q, its Z bits in row num_qubits + q) is the pool
@@ -516,7 +516,7 @@ def to_projector(t: StabilizerState) -> np.ndarray:
     return proj
 
 
-@dataclass
+@dataclass(eq=False)
 class TtnRun:
     entropy: int
     region: tuple[int, ...]

@@ -10,7 +10,7 @@ anchor wire when the source is an anchor, then one per inner vertex.
 
 import numpy as np
 
-from tnkit.mapping import Peps, _orientation, measured_chi
+from tnkit.mapping import Peps, _orientation
 from tnkit.tns import KIND_ANCHOR, KIND_CODES
 
 _ANCHOR = KIND_CODES[KIND_ANCHOR]
@@ -65,5 +65,4 @@ def assemble_peps(tns, p, paths) -> Peps:
     return Peps(p.lattice, tns.spec, tns.physical_dim,
                 tns.all_factors(label_of) + wires,
                 np.concatenate((p.sites[tns.kind != _ANCHOR],
-                                paths.vertices[at])),
-                measured_chi(tns, paths))
+                                paths.vertices[at])))

@@ -15,7 +15,7 @@ import pytest
 
 import embed_oracle
 import tally_oracle
-from tnkit import dense
+from tnkit import dense, mapping, stabilizer
 from tnkit.lattice import LatticeSpec
 from tnkit.mapping import (CongestionReport, PathAssignment, Peps,
                            Placement, assemble_peps, check_routing, chi_bound,
@@ -671,14 +671,13 @@ def test_tally_rejects_mixed_dimensions(chain):
 def test_merged_report_matches_oracle():
     net, p, pa = routed(build_mera_2d_b2, 2, "refined", chi=5, phys_dim=3,
                         with_elements=False)
-    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
     f = p.refine_factor
     blocked = {}
     for lid, chain in pa.chains.items():
         blocks = [tuple(c // f for c in v) for v in chain]
         blocked[lid] = tuple(b for i, b in enumerate(blocks)
                              if i == 0 or b != blocks[i - 1])
-    _assert_matches_oracle(merged.congestion, blocked, net)
+    _assert_matches_oracle(measured_chi(net, pa).blocked(f), blocked, net)
 
 
 def _assert_matches_crossings(rep, ref):
@@ -726,20 +725,16 @@ FAMILIES = [(build_mera_1d, 3), (build_mera_2d_b2, 2), (build_mera_2d_b3, 2),
 def test_legs_tally_matches_crossing_oracle(build, layers, scheme):
     net, p, pa = routed(build, layers, scheme, chi=3, phys_dim=5,
                         with_elements=False)
-    _assert_matches_crossings(measured_chi(net, pa),
-                              tally_oracle.crossings(net, pa))
-    # zig-zag re-routings that the routing check accepts
+    # the routed paths, then zig-zag re-routings that the routing check
+    # accepts, each tallied and blocked onto grids 2 and 3 times coarser
     rng = np.random.default_rng(layers + 7 * len(scheme))
-    for _ in range(3):
-        zigzag = _rerouted(pa, rng)
-        assert check_routing(net, p, zigzag) is None
-        rep = measured_chi(net, zigzag)
-        ref = tally_oracle.crossings(net, zigzag)
+    for paths in [pa] + [_rerouted(pa, rng) for _ in range(3)]:
+        assert check_routing(net, p, paths) is None
+        rep = measured_chi(net, paths)
+        ref = tally_oracle.crossings(net, paths)
         _assert_matches_crossings(rep, ref)
-        if scheme == "refined":
-            merged = contract_refined_to_normal(assemble_peps(net, p, zigzag))
-            _assert_matches_crossings(merged.congestion,
-                                      ref.blocked(p.refine_factor))
+        for f in (2, 3):
+            _assert_matches_crossings(rep.blocked(f), ref.blocked(f))
 
 
 @pytest.mark.parametrize("build,layers", [(build_mera_1d, 3),
@@ -748,10 +743,43 @@ def test_legs_tally_matches_crossing_oracle(build, layers, scheme):
 def test_blocked_legs_match_crossing_oracle(build, layers):
     net, p, pa = routed(build, layers, "refined", chi=3, phys_dim=5,
                         with_elements=False)
-    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
     _assert_matches_crossings(
-        merged.congestion,
+        measured_chi(net, pa).blocked(p.refine_factor),
         tally_oracle.crossings(net, pa).blocked(p.refine_factor))
+
+
+def _report_arrays(rep):
+    return (rep.edge_keys, rep.counts, rep.class_table, rep.leg_lines,
+            rep.leg_keys, rep.leg_lengths, rep.leg_classes)
+
+
+def _assert_same_report(rep, ref):
+    assert (rep.origin, rep.shape) == (ref.origin, ref.shape)
+    for got, expected in zip(_report_arrays(rep), _report_arrays(ref)):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("build,layers", [(build_mera_1d, 4),
+                                          (build_mera_2d_b2, 2),
+                                          (build_mera_2d_b3, 2)],
+                         ids=["1d", "b2", "b3"])
+def test_blocking_composes(build, layers):
+    # blocking by 1 keeps every edge and leg; blocking by a then by b is
+    # blocking by a * b
+    net, _, pa = routed(build, layers, "refined", with_elements=False)
+    rep = measured_chi(net, pa)
+    _assert_same_report(rep.blocked(1), rep)
+    for a, b in itertools.product((2, 3), repeat=2):
+        _assert_same_report(rep.blocked(a).blocked(b), rep.blocked(a * b))
+
+
+@pytest.mark.parametrize("factor", [0, -1, 2.0, True])
+def test_blocked_refuses_factors_that_are_not_positive_ints(factor):
+    net, _, pa = routed(build_mera_1d, 2, "refined", with_elements=False)
+    with pytest.raises(ValueError, match=f"^blocking factor {factor!r} is "
+                                         f"no int >= 1$"):
+        measured_chi(net, pa).blocked(factor)
 
 
 @pytest.mark.parametrize("build,layers", [(build_mera_1d, 3),
@@ -822,11 +850,25 @@ def test_peps_bond_dims_match_congestion():
     net, p, pa = routed(build_mera_1d, 2, "shifted")
     peps = assemble_peps(net, p, pa)
     rep = measured_chi(net, pa)
-    assert peps.congestion.edge_lines == rep.edge_lines
-    assert peps.congestion.chi_peps() == rep.chi_peps()
+    assert rep.blocked(1).edge_lines == rep.edge_lines
+    assert rep.blocked(1).chi_peps() == rep.chi_peps()
     open_cells = {l[1] for _, labels in peps.all_factors() for l in labels
                   if isinstance(l, tuple) and l[0] == "p"}
     assert open_cells == set(map(tuple, net.cell[_anchor_rows(net)].tolist()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_peps(*routed(build_mera_1d, 1, "shifted", seed=3)),
+    lambda: dense.contract_to_statevector(build_mera_1d(1, seed=3)),
+    lambda: stabilizer.init_zero(3),
+    lambda: stabilizer.run_ttn_example(3)],
+    ids=["Peps", "StateVector", "StabilizerState", "TtnRun"])
+def test_array_records_compare_by_identity(make):
+    # records of arrays: == compares identity, never array truth values
+    x, y = make(), make()
+    assert type(x) is type(y)
+    assert (x == y) is False
+    assert (x == x) is True
 
 
 def test_peps_preserves_small_states():
@@ -855,12 +897,18 @@ def test_refined_merge_to_physical_grid():
 @pytest.mark.parametrize("build,layers,scheme", [
     (build_mera_1d, 3, "refined"), (build_mera_2d_b2, 2, "refined"),
     (build_mera_2d_b3, 1, "shifted")])
-def test_peps_is_a_factor_list_and_a_site_column(build, layers, scheme):
+def test_peps_is_a_factor_list_and_a_site_column(build, layers, scheme,
+                                                 monkeypatch):
     net, p, pa = routed(build, layers, scheme)
+
+    def tally(*_):
+        raise AssertionError("the embedding takes no tally")
+
+    # assembly and merging neither take nor read a tally
+    monkeypatch.setattr(mapping, "measured_chi", tally)
     peps = assemble_peps(net, p, pa)
-    fields = [f.name for f in dataclasses.fields(Peps)]
-    assert "factors" in fields and "sites" in fields
-    assert "site_factors" not in fields
+    assert [f.name for f in dataclasses.fields(Peps)] == [
+        "lattice", "physical_lattice", "physical_dim", "factors", "sites"]
     with pytest.raises(AttributeError):
         peps.site_factors = {}
     assert peps.all_factors() is peps.factors
@@ -959,8 +1007,7 @@ def test_rerouted_read_map_matches_embed_oracle(build, layers, scheme):
 
 def test_refined_merge_bond_dimension_b2():
     net, p, pa = routed(build_mera_2d_b2, 2, "refined")
-    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
-    assert merged.congestion.chi_peps() == 16
+    assert measured_chi(net, pa).blocked(p.refine_factor).chi_peps() == 16
 
 
 @pytest.mark.parametrize("build,layers", [(build_mera_2d_b2, 2),
@@ -968,8 +1015,8 @@ def test_refined_merge_bond_dimension_b2():
                                           (build_mera_1d, 3)])
 def test_refined_merge_matches_coarse_grained_recount(build, layers):
     net, p, pa = routed(build, layers, "refined", with_elements=False)
-    merged = contract_refined_to_normal(assemble_peps(net, p, pa))
     f = p.refine_factor
+    blocked = measured_chi(net, pa).blocked(f)
     expected = {}
     chains = pa.chains
     for lid in sorted(chains):
@@ -977,10 +1024,10 @@ def test_refined_merge_matches_coarse_grained_recount(build, layers):
         for a, b in zip(blocks, blocks[1:]):
             if a != b:
                 expected.setdefault((min(a, b), max(a, b)), []).append(lid)
-    assert merged.congestion.edge_lines == \
+    assert blocked.edge_lines == \
         {e: tuple(ids) for e, ids in expected.items()}
-    assert list(merged.congestion.edge_lines) == sorted(expected)
-    assert merged.congestion.chi_peps() == max(
+    assert list(blocked.edge_lines) == sorted(expected)
+    assert blocked.chi_peps() == max(
         math.prod(net.lines[l].dim for l in ids)
         for ids in expected.values())
 
