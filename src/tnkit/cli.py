@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import io
 import json
 import sys
 
@@ -59,17 +60,29 @@ def _load_json(path):
 
 
 def _read_tns(path) -> tns_mod.Tns:
-    """tns_from_dict of a tns-v1 file.  Its top-level object is walked by
-    hand, each member's value decoded by one call of json's scanner.  The
-    nodes become columns before the next member is decoded, so that in
-    the order tnkit writes the decoded node list is freed before the
-    lines are decoded; every other member is kept as decoded, and
-    tns_from_dict makes the line columns once the text is freed.  The
-    text is read as json.load reads it: any key order or whitespace, the
-    last of repeated keys, and ValueError for anything but one JSON
-    value, or for nesting past the decoder's depth."""
-    with open(path) as fh:
-        text = fh.read()
+    """tns_from_dict of a tns-v1 file.  The file is read once as bytes.
+    A document without elements, as `build --no-elements` writes it, is
+    read by tns_mod.tns_from_bytes as arrays straight from the bytes; that
+    reader returns a network only when tns_text re-encodes it to the same
+    bytes, so the network is the one json would give, and it returns
+    None for anything else.  Those documents, elements among them, are
+    decoded as a text-mode open() reads them (the locale's encoding,
+    universal newlines), and the top-level object is walked by hand, each
+    member's value decoded by one call of json's scanner.  The nodes
+    become columns before the next member is decoded, so that in the
+    order tnkit writes the decoded node list is freed before the lines
+    are decoded; every other member is kept as decoded, and tns_from_dict
+    makes the line columns once the text is freed.  The text is read as
+    json.load reads it: any key order or whitespace, the last of repeated
+    keys, and ValueError for anything but one JSON value, or for nesting
+    past the decoder's depth."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    network = tns_mod.tns_from_bytes(data)
+    if network is not None:
+        return network
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    del data
     space = json.decoder.WHITESPACE.match
     pos = space(text).end()
     if not text.startswith("{", pos):
@@ -144,8 +157,8 @@ def cmd_map(args) -> int:
     with _output(args.out_prefix + ".map.json") as fh:
         fh.writelines(mapping.map_text(placement, paths))
     del paths
-    _write(args.out_prefix + ".congestion.csv",
-           mapping.congestion_csv(report))
+    with _output(args.out_prefix + ".congestion.csv") as fh:
+        fh.writelines(mapping.congestion_csv(report))
 
     bound = mapping.chi_bound(network.meta, network.spec.dimension)
     print(f"scheme: {args.scheme} (host L={placement.lattice.length}, "

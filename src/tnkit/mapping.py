@@ -707,26 +707,28 @@ def line_density_estimate(dimension: int, branching: int, layers: int) -> float:
                      for tau in range(layers + 1)))
 
 
-def congestion_csv(report: CongestionReport) -> str:
-    """CSV rows (edge_a, edge_b, paths, bond_dim), sorted by edge.
+def congestion_csv(report: CongestionReport):
+    """CSV rows (edge_a, edge_b, paths, bond_dim), sorted by edge, as the
+    header and then batches of rows for a file's writelines.
 
     Counts include physical-leg lines; interior-only figures are available
     through the report API.  Rows are formatted column-wise from the
-    report's per-edge arrays by tns.joined, 8 * JSON_SLICE edges at a
-    time, which bounds the Python objects alive at once; an edge's paths
-    and bond dimension depend only on its row of counts, so their text is
-    made once per distinct row.
+    report's per-edge arrays by tns.joined, 8 * JSON_SLICE edges per
+    batch, so that neither the Python objects of every row nor the whole
+    text is ever alive at once; an edge's paths and bond dimension depend
+    only on its row of counts, so their text is made once per distinct
+    row.
     """
     row_tails = np.array([f",{paths},{bond}\n" for paths, bond in zip(
         report._paths[True].tolist(), report._bonds[True])], object)
-    parts, size = ["edge_a,edge_b,paths,bond_dim\n"], 8 * _tns.JSON_SLICE
+    yield "edge_a,edge_b,paths,bond_dim\n"
+    size = 8 * _tns.JSON_SLICE
     for i in range(0, len(report.edge_keys), size):
         batch = slice(i, i + size)
         lower, upper = report._ends(report.edge_keys[batch])
-        parts.append(joined(len(lower), *numeral_axes(lower, ";"), ",",
-                            *numeral_axes(upper, ";"),
-                            row_tails[report._row_of_edge[batch]]))
-    return "".join(parts)
+        yield joined(len(lower), *numeral_axes(lower, ";"), ",",
+                     *numeral_axes(upper, ";"),
+                     row_tails[report._row_of_edge[batch]])
 
 
 @dataclass(eq=False)

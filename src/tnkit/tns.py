@@ -20,9 +20,19 @@ Slot conventions (array axes follow slot order):
 * top and physical-anchor nodes have a single slot 0.
 
 A network (Tns) is a node table and a line table of int64 columns.  The
-builders fill them, tns-v1 is read a column at a time, and every pass
-indexes the columns without a Python object per node or line; the views
-`Tns.nodes` and `Tns.lines` copy a row into a snapshot record per access.
+builders fill them, the readers make them, and every pass indexes the
+columns without a Python object per node or line; the views `Tns.nodes`
+and `Tns.lines` copy a row into a snapshot record per access.
+
+tns-v1 is read a column at a time.  The text tns_text writes for a
+network without elements (`build --no-elements`) is parsed as arrays
+straight from the file's bytes by tns_from_bytes, which returns the
+network only when tns_text re-encodes it to the same bytes: text equal
+to json.dumps of a document is text json reads as that document, so the
+network is the one json would give.  Any other document, elements among
+them (re-encoding elements costs more than decoding them), is decoded by
+json, nodes and lines into NodeColumns and LineColumns; tns_from_dict
+checks the columns of both readers by the same rules.
 """
 
 from __future__ import annotations
@@ -553,7 +563,18 @@ def build_ttn_example(layers: int) -> Tns:
 def distinct(values: np.ndarray):
     """Sorted distinct entries of a 1-D array, or distinct rows of a 2-D
     one in lexicographic order, and the index of each entry or row among
-    them (np.unique without its numpy.ma import)."""
+    them (np.unique without its numpy.ma import).  Int rows whose column
+    ranges multiply to no more than the row count are ranked a column at
+    a time by bincount, as numerals picks its table by the range; other
+    rows are lexsorted."""
+    if values.ndim == 2 and len(values) and \
+            np.can_cast(values.dtype, np.int64):
+        # per column: numpy reduces a narrow 2-D array along axis 0 slowly
+        lows = [int(column.min()) for column in values.T]
+        spans = [int(column.max()) - low + 1
+                 for column, low in zip(values.T, lows)]
+        if math.prod(spans) <= len(values):
+            return _ranked_rows(values, lows, spans)
     if values.ndim == 1:
         order = values.argsort()
     else:
@@ -570,6 +591,26 @@ def distinct(values: np.ndarray):
     inverse = np.empty(len(values), np.int64)
     inverse[order] = new.cumsum() - 1
     return ranked, inverse
+
+
+def _ranked_rows(values: np.ndarray, lows: list, spans: list):
+    """distinct of int rows whose column k holds spans[k] values from
+    lows[k] on, the spans multiplying to at most the row count.  Each
+    row's rank among the distinct rows of the columns so far becomes its
+    rank with the next column by a bincount over (rank, value) pairs, so
+    that no table is longer than the rows, and the distinct rows grow a
+    column from the pairs in use."""
+    rank, rows = np.zeros(len(values), np.int64), values[:1, :0]
+    for column, low, span in zip(values.T, lows, spans):
+        rank *= span
+        rank += column
+        rank -= low
+        used = np.bincount(rank, minlength=len(rows) * span) > 0
+        rank = (used.cumsum() - 1).take(rank)
+        used = used.nonzero()[0]
+        rows = np.column_stack((rows[used // span],
+                                (used % span + low).astype(values.dtype)))
+    return rows, rank
 
 
 def validate_preconditions(tns: Tns) -> list[str]:
@@ -770,6 +811,7 @@ def tns_text(tns: Tns):
     for start in range(0, len(ids), step):
         part = slice(start, start + step)
         count = len(ids[part])
+        elements = tns.elements[part]
         if start:
             yield ", "
         yield joined(
@@ -779,10 +821,11 @@ def tns_text(tns: Tns):
             kinds[tns.kind[part]], ', "variant": ',
             variants[tns.variant[part]], ', "dims": [',
             _dims_text(tns.dims, tns.dim_offsets[start:start + step + 1]),
-            '], "elements": ', np.array(
-                ["null" if e is None else dumps(_flat_elements(nid, e))
-                 for nid, e in zip(tns.ids[part], tns.elements[part])],
-                object),
+            '], "elements": ', "null" if all(e is None for e in elements)
+            else np.array(["null" if e is None
+                           else dumps(_flat_elements(nid, e))
+                           for nid, e in zip(tns.ids[part], elements)],
+                          object),
             tails(count, "}, ", "}"))
     yield '], "lines": ['
     for start in range(0, len(tns.line_id), step):
@@ -812,6 +855,216 @@ def _dims_text(dims: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return text
 
 
+# tns-v1 as tns_text writes it for a network without elements, which
+# tns_from_bytes reads from the bytes: in the nodes and lines arrays every
+# string is ASCII between two quote bytes, 20 to a node entry and 12 to a
+# line entry, and every int, cell and dims lies at a fixed offset from
+# them:
+#   {"id": "ID", "layer": 0, "cell": [0, 0], "kind": "KIND",
+#    "variant": "V", "dims": [2, 2], "elements": null}
+#   {"id": 0, "a": ["ID", 0], "b": ["ID", 1], "dim": 2}
+_NODES, _LINES, _END = b', "nodes": [', b'], "lines": [', b"]}\n"
+_QUOTE, _COMMA, _MINUS, _ZERO = map(ord, '",-0')
+# the mask of the lowest k bytes of a uint64, by k
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def tns_from_bytes(data: bytes):
+    """The network of a tns-v1 file's bytes when they are exactly the
+    text tns_text writes for a network without elements, else None; it
+    never raises.  No per-node or per-line JSON object is decoded: the
+    header members are decoded by json, and the nodes and lines arrays
+    are parsed as arrays from the quote positions of the bytes, about
+    128 * JSON_SLICE bytes at a time.  Line ends are matched to nodes by
+    a 64-bit hash of the id bytes.  The columns go to tns_from_dict,
+    which applies every rule of the format, and the network is returned
+    only when tns_text of it reproduces the bytes, batch by batch.  Text
+    equal to json.dumps of a document is text json.load reads as that
+    document, so the network is the one tns_from_dict(json.loads(...))
+    makes of the same bytes; anything else (elements, escapes, other
+    whitespace or key order, repeated members, ints past 18 digits, -0
+    or 007, an unknown kind, an end naming no node, a refused value, a
+    hash collision) gives None, and the caller reads the text by json."""
+    if (b'"elements": [' in data or b"\\" in data or not data.isascii()
+            or not data.endswith(_END)):
+        return None
+    nodes_at = data.find(_NODES)
+    lines_at = data.find(_LINES, nodes_at)
+    if nodes_at < 0 or lines_at < 0:
+        return None
+    try:
+        head = json.loads(data[:nodes_at] + b"}")
+        arr = np.frombuffer(data, np.uint8)
+        nodes, hashes = _node_arrays(
+            data, arr, nodes_at + len(_NODES), lines_at)
+        lines = _line_arrays(arr, lines_at + len(_LINES),
+                             len(data) - len(_END), hashes)
+        net = tns_from_dict({**head, "nodes": nodes, "lines": lines})
+        at = 0
+        for piece in tns_text(net):
+            piece = piece.encode()
+            if not data.startswith(piece, at):
+                return None
+            at += len(piece)
+    except (ValueError, RecursionError):
+        return None
+    return net if at == len(data) else None
+
+
+def _entries(arr: np.ndarray, start: int, end: int, quotes: int):
+    """Batches of the entries of the array text arr[start:end], each as
+    its (m, quotes) quote positions and the (m,) positions just past each
+    entry's closing brace; ValueError when the quotes make no whole
+    entries."""
+    window = 128 * JSON_SLICE
+    while start < end:
+        stop = min(end, start + window)
+        at = np.flatnonzero(arr[start:stop] == _QUOTE) + start
+        # an entry is whole once the next one's first quote is in view
+        whole = (len(at) - (stop < end)) // quotes
+        if stop == end and len(at) != whole * quotes or not len(at):
+            raise ValueError("not the entries tns_text writes")
+        if not whole:
+            window *= 2
+            continue
+        q = at[:whole * quotes].reshape(whole, quotes)
+        # the next entry's brace, 2 bytes past the ", " after this one
+        start = int(at[whole * quotes]) - 1 if stop < end else end + 2
+        yield q, np.append(q[1:, 0] - 1, start) - 2
+
+
+def _ints(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The int64 value of each decimal int arr[starts[i]:ends[i]], a minus
+    sign and up to 18 digits, parsed a digit column at a time from the
+    right; ValueError for anything else."""
+    if (ends <= starts).any():
+        raise ValueError("an empty int")
+    minus = arr.take(starts) == _MINUS
+    width = ends - starts - minus
+    least, most = int(width.min(initial=1)), int(width.max(initial=1))
+    if least < 1 or most > 18:
+        raise ValueError("an int of no digit or past 18 digits")
+    values = np.zeros(len(starts), np.int64)
+    for k in range(most, 0, -1):
+        digit = arr.take(ends - k) - np.uint8(_ZERO)
+        if k > least:
+            digit[width < k] = 0
+        if (digit > 9).any():
+            raise ValueError("not a decimal int")
+        values *= 10
+        values += digit
+    return np.where(minus, -values, values) if minus.any() else values
+
+
+def _int_lists(arr: np.ndarray, commas: np.ndarray, starts: np.ndarray,
+               ends: np.ndarray):
+    """The ints of each ", "-separated run arr[starts[i]:ends[i]] back to
+    back, and the count of each run's ints; commas holds the sorted
+    positions of the commas around and in the runs, which lie in order,
+    apart."""
+    first, last = commas.searchsorted(starts), commas.searchsorted(ends)
+    inner = last - first
+    # the positions of the commas in each run, runs in order
+    inner = commas[np.arange(inner.sum()) + np.repeat(
+        first - inner.cumsum() + inner, inner)]
+    some = ends > starts
+    counts = last - first + some
+    return _ints(arr, np.sort(np.concatenate((starts[some], inner + 2))),
+                 np.sort(np.concatenate((ends[some], inner)))), counts
+
+
+def _hashes(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """A 64-bit hash of each byte string arr[starts[i]:ends[i]]: its
+    length, then its bytes 8 at a time, each read as one little-endian
+    uint64 word, so that a string's hash does not depend on the others."""
+    # the word of the 8 bytes from each position
+    words = np.lib.stride_tricks.sliding_window_view(arr, 8).view("<u8")[:, 0]
+    width = ends - starts
+    h = width.astype(np.uint64)
+    for k in range(0, int(width.max(initial=0)), 8):
+        word = words[(starts + k).clip(0, len(words) - 1)]
+        word &= _LOW_BYTES.take((width - k).clip(0, 8))
+        h = np.where(width > k, h * np.uint64(0x100000001B3) ^ word, h)
+    return h
+
+
+def _names(data: bytes, arr: np.ndarray, starts: np.ndarray,
+           ends: np.ndarray):
+    """The distinct strings data[starts[i]:ends[i]], as str, and the index
+    of each string among them, strings told apart by their hash."""
+    keys, at = distinct(_hashes(arr, starts, ends))
+    one = np.empty(len(keys), np.int64)
+    one[at] = np.arange(len(at))
+    return [data[a:b].decode() for a, b in zip(starts[one].tolist(),
+                                                ends[one].tolist())], at
+
+
+def _node_arrays(data: bytes, arr: np.ndarray, start: int, end: int):
+    """NodeColumns of the nodes array text arr[start:end], and the hash of
+    each node id; ValueError when the text is not what tns_text writes or
+    a kind is unknown."""
+    ids, hashes = [], [np.empty(0, np.uint64)]
+    layers, kinds, variants, cells, cell_lens, dims, dim_lens = (
+        [np.empty(0, np.int64)] for _ in range(7))
+    seen = {}
+    for q, _ in _entries(arr, start, end, 20):
+        id_start, id_end = q[:, 2] + 1, q[:, 3]
+        ids += [data[a:b].decode() for a, b in zip(id_start.tolist(),
+                                                    id_end.tolist())]
+        hashes.append(_hashes(arr, id_start, id_end))
+        layers.append(_ints(arr, q[:, 5] + 3, q[:, 6] - 2))
+        names, at = _names(data, arr, q[:, 10] + 1, q[:, 11])
+        if not KINDS.issuperset(names):
+            raise ValueError("an unknown kind")
+        kinds.append(np.array([KIND_CODES[k] for k in names], np.int64)[at])
+        names, at = _names(data, arr, q[:, 14] + 1, q[:, 15])
+        variants.append(np.array([seen.setdefault(v, len(seen))
+                                  for v in names], np.int64)[at])
+        commas = np.flatnonzero(arr[q[0, 7]:q[-1, 18]] == _COMMA) + q[0, 7]
+        for values, counts, (a, b) in ((cells, cell_lens, (7, 8)),
+                                       (dims, dim_lens, (17, 18))):
+            run = _int_lists(arr, commas, q[:, a] + 4, q[:, b] - 3)
+            values.append(run[0])
+            counts.append(run[1])
+    names = VARIANTS + tuple(sorted(set(seen) - set(VARIANTS)))
+    codes = np.array([names.index(v) for v in seen], np.int64)
+    layer, kind, variant, cell_len, cell, dim, dim_len = map(
+        np.concatenate, (layers, kinds, variants, cell_lens, cells, dims,
+                         dim_lens))
+    return NodeColumns(ids, layer, kind, codes.take(variant), names,
+                       cell_len, cell, dim,
+                       np.concatenate(([0], dim_len.cumsum())),
+                       [None] * len(ids)), np.concatenate(hashes)
+
+
+def _line_arrays(arr: np.ndarray, start: int, end: int,
+                 hashes: np.ndarray) -> LineColumns:
+    """LineColumns of the lines array text arr[start:end], each end
+    matched to the node of its id's hash; ValueError when the text is not
+    what tns_text writes or an end hash is no node's, or when two nodes
+    share a hash."""
+    order = hashes.argsort()
+    ranked = hashes[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ValueError("two node ids of one hash")
+    ids, dims = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    ends, slots = [np.empty((2, 0), np.int64)], [np.empty((2, 0), np.int64)]
+    for q, stop in _entries(arr, start, end, 12):
+        ids.append(_ints(arr, q[:, 1] + 3, q[:, 2] - 2))
+        h = _hashes(arr, np.concatenate((q[:, 4], q[:, 8])) + 1,
+                    np.concatenate((q[:, 5], q[:, 9])))
+        at = ranked.searchsorted(h)
+        if (at == len(ranked)).any() or (ranked.take(at) != h).any():
+            raise ValueError("a line end names no node")
+        ends.append(order.take(at).reshape(2, -1))
+        slots.append(_ints(arr, np.concatenate((q[:, 5], q[:, 9])) + 3,
+                           np.concatenate((q[:, 6], q[:, 10])) - 3
+                           ).reshape(2, -1))
+        dims.append(_ints(arr, q[:, 11] + 3, stop - 1))
+    return LineColumns(np.concatenate(ids), np.concatenate(ends, axis=1),
+                       np.concatenate(slots, axis=1), np.concatenate(dims))
+
+
 def _columns(rows, keys):
     """Columns, as tuples, of the given keys of a list of JSON objects."""
     return [tuple(map(operator.itemgetter(key), rows)) for key in keys]
@@ -822,14 +1075,13 @@ _INTS = "a count, layer, cell, dim, slot or line id"
 
 @dataclass(eq=False)
 class NodeColumns:
-    """A tns-v1 node list as columns: `ids` and the `index` of each id,
-    int64 `layer`, `kind` codes and `variant` codes into `variants`, the
-    length `cell_len` of each cell and the cells back to back in `cells`,
-    each node's slot dims at `dims[dim_offsets[i]:dim_offsets[i + 1]]`,
-    and `elements`, an array or None per node."""
+    """A tns-v1 node list as columns: `ids`, int64 `layer`, `kind` codes
+    and `variant` codes into `variants`, the length `cell_len` of each
+    cell and the cells back to back in `cells`, each node's slot dims at
+    `dims[dim_offsets[i]:dim_offsets[i + 1]]`, and `elements`, an array
+    or None per node."""
 
     ids: list[str]
-    index: dict[str, int]
     layer: np.ndarray
     kind: np.ndarray
     variant: np.ndarray
@@ -867,8 +1119,7 @@ def node_columns(rows) -> NodeColumns:
             raise TypeError("node cell or dims is not an array")
         if not {list, type(None)}.issuperset(map(type, elements)):
             raise TypeError("node elements are neither an array nor null")
-        index = dict(zip(ids, itertools.count()))
-        if len(index) < len(ids):
+        if len(set(ids)) < len(ids):
             raise ValueError("malformed tns-v1 document: repeated node id")
         require_ints(flat((layers, flat(cells), flat(dims))), _INTS)
         n = len(ids)
@@ -903,12 +1154,41 @@ def node_columns(rows) -> NodeColumns:
     codes = dict(zip(names, itertools.count()))
     cell_len = _int64(map(len, cells), n)
     offsets = _int64(itertools.accumulate(map(len, dims), initial=0), n + 1)
-    return NodeColumns(list(ids), index, _int64(layers, n),
+    return NodeColumns(list(ids), _int64(layers, n),
                        _int64(map(KIND_CODES.__getitem__, kinds), n),
                        _int64(map(codes.__getitem__, variants), n), names,
                        cell_len, _int64(flat(cells), int(cell_len.sum())),
                        _int64(flat(dims), offsets[-1]), offsets,
                        list(elements))
+
+
+@dataclass(eq=False)
+class LineColumns:
+    """A tns-v1 line list as columns: int64 `line_id` (L,), the node
+    indices `ends` (2, L) and slots `slots` (2, L) of each line's a and b
+    ends, and `dim` (L,)."""
+
+    line_id: np.ndarray
+    ends: np.ndarray
+    slots: np.ndarray
+    dim: np.ndarray
+
+
+def _line_columns(rows, ids: list[str]) -> LineColumns:
+    """Columns of a tns-v1 line list against the node ids; ValueError as
+    tns_from_dict names it."""
+    with malformed("tns-v1"):
+        line_ids, a, b, dims = _columns(rows, ("id", "a", "b", "dim"))
+        ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
+        slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
+        require_ints(itertools.chain(line_ids, slots, dims), _INTS)
+    count = len(line_ids)
+    line_id, slots, dims = (_int64(line_ids, count), _int64(
+        slots, 2 * count).reshape(2, count), _int64(dims, count))
+    index = dict(zip(ids, itertools.count()))
+    with malformed("tns-v1"):
+        ends = _int64(map(index.__getitem__, ends), 2 * count)
+    return LineColumns(line_id, ends.reshape(2, count), slots, dims)
 
 
 def tns_from_dict(data: dict) -> Tns:
@@ -919,10 +1199,11 @@ def tns_from_dict(data: dict) -> Tns:
     end that is not a (node id, slot) pair, a line id, slot or dim that
     is not an integer or does not fit in 64 bits, a line that names an
     unknown node, two lines of one id, a node cell whose length is not
-    the lattice dimension, or a negative layer.  The
-    nodes entry may also hold the columns node_columns made of it, as a
-    reader that builds them while it decodes the text passes them; the
-    lines become columns here, against the final node list."""
+    the lattice dimension, or a negative layer.  The nodes and lines
+    entries may also hold their NodeColumns and LineColumns, as the
+    readers pass them: the streamed reader makes the node columns while
+    it decodes the text, and tns_from_bytes makes both from the bytes;
+    line dicts become columns here, against the final node list."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
@@ -937,19 +1218,12 @@ def tns_from_dict(data: dict) -> Tns:
                      _INTS)
     if not isinstance(nodes, NodeColumns):
         nodes = node_columns(nodes)
-    with malformed("tns-v1"):
-        line_ids, a, b, dims = _columns(lines, ("id", "a", "b", "dim"))
-        ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
-        slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
-        require_ints(itertools.chain(line_ids, slots, dims), _INTS)
-    n, count, d = len(nodes.ids), len(line_ids), spec.dimension
-    line_id, slots, dims = (_int64(line_ids, count), _int64(
-        slots, 2 * count).reshape(2, count), _int64(dims, count))
-    with malformed("tns-v1"):
-        ends = _int64(map(nodes.index.__getitem__, ends), 2 * count)
-    ranked = np.sort(line_id)
+    if not isinstance(lines, LineColumns):
+        lines = _line_columns(lines, nodes.ids)
+    ranked = np.sort(lines.line_id)
     if (ranked[1:] == ranked[:-1]).any():
         raise ValueError("malformed tns-v1 document: repeated line id")
+    n, d = len(nodes.ids), spec.dimension
     if (nodes.cell_len != d).any():
         bad = int((nodes.cell_len != d).argmax())
         start = int(nodes.cell_len[:bad].sum())
@@ -963,5 +1237,5 @@ def tns_from_dict(data: dict) -> Tns:
     return Tns(spec, data["physical_dim"], data["chi"], meta, nodes.ids,
                nodes.layer, nodes.kind, nodes.variant,
                nodes.cells.reshape(n, d), nodes.dims, nodes.dim_offsets,
-               nodes.elements, line_id, ends.reshape(2, count), slots, dims,
-               nodes.variants)
+               nodes.elements, lines.line_id, lines.ends, lines.slots,
+               lines.dim, nodes.variants)

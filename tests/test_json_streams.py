@@ -317,7 +317,11 @@ def test_csv_batches_equal_rows(monkeypatch, step):
         for a, b in report.edge_lines]
     assert len(oracle) - 1 > 8 * 3
     monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
-    assert mapping.congestion_csv(report) == "".join(oracle)
+    batches = list(mapping.congestion_csv(report))
+    assert batches[0] == oracle[0]
+    # the header, then one batch per 8 * step rows
+    assert len(batches) == 1 + -(-(len(oracle) - 1) // (8 * step))
+    assert "".join(batches) == "".join(oracle)
 
 
 def test_map_writer_holds_a_slice_not_the_text(tmp_path, monkeypatch):

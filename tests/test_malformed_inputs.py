@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tnkit import cli
+from tnkit import cli, tns
 from tnkit.lattice import LatticeSpec
 from tnkit.tns import build_mera_1d, tns_from_dict, tns_to_dict
 
@@ -119,6 +119,46 @@ def test_edited_elements_never_raise(documents, capsys):
                     f"elements, not 2 per amplitude of"), err
     assert set(codes) <= EXIT_CODES
     assert codes[:2] == codes[-4:-2] == codes[-2:] == [2, 2]
+
+
+def test_edited_symbolic_network_reads_as_json(documents, monkeypatch,
+                                               capsys):
+    # the same single-field edits on a copy without elements, written as
+    # tnkit writes it (json.dumps and a newline), so that each reaches
+    # the array reader: it must give the network json gives, or None, and
+    # `map` must exit and print as with the json reader alone
+    work, tns_path, _ = documents
+    doc = json.loads(tns_path.read_text())
+    for node in doc["nodes"]:
+        node["elements"] = None
+    edited = work / "symbolic.json"
+    argv = ["map", "--tns", str(edited), "--scheme", "refined",
+            "--out-prefix", str(work / "symbolic")]
+
+    def outcome():
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    text = json.dumps(doc) + "\n"
+    assert tns.tns_from_bytes(text.encode()) is not None
+    taken = 0
+    for path in _leaves(doc):
+        for value in BAD_VALUES:
+            text = json.dumps(_edited(doc, path, value)) + "\n"
+            edited.write_text(text)
+            got = tns.tns_from_bytes(text.encode())
+            if got is not None:
+                taken += 1
+                assert tns_to_dict(got) == tns_to_dict(
+                    tns_from_dict(json.loads(text))), (path, value)
+            result = outcome()
+            with monkeypatch.context() as patch:
+                patch.setattr(tns, "tns_from_bytes", lambda data: None)
+                assert outcome() == result, (path, value)
+            assert result[0] in EXIT_CODES
+    # -1 in an int field and "2" as a variant still read
+    assert taken >= 10
 
 
 _DEEP = "[" * 200_000 + "]" * 200_000

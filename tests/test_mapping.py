@@ -507,7 +507,7 @@ def _assert_matches_oracle(rep, chains, net):
     rows = [f"{';'.join(map(str, a))},{';'.join(map(str, b))},{len(ls)},"
             f"{math.prod(dims[l] for l in ls)}"
             for (a, b), ls in expected.items()]
-    assert congestion_csv(rep) == \
+    assert "".join(congestion_csv(rep)) == \
         "\n".join(["edge_a,edge_b,paths,bond_dim"] + rows) + "\n"
     for include_physical in (True, False):
         counted = {e: [l for l in ls if include_physical
@@ -808,9 +808,9 @@ def test_legs_tally_matches_crossing_oracle_on_vertex_edits(build, layers):
 def test_congestion_csv_deterministic():
     net, _, pa = routed(build_mera_1d, 2, "shifted")
     rep = measured_chi(net, pa)
-    text = congestion_csv(rep)
+    text = "".join(congestion_csv(rep))
     assert text.splitlines()[0] == "edge_a,edge_b,paths,bond_dim"
-    assert text == congestion_csv(measured_chi(net, pa))
+    assert text == "".join(congestion_csv(measured_chi(net, pa)))
     assert len(text.splitlines()) == len(rep.edge_lines) + 1
 
 

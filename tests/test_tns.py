@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tnkit.stabilizer as stab
-from tnkit import dense
+from tnkit import dense, tns as tns_mod
 from tnkit.mapping import map_to_dict, place_refined, route_lines
 from tnkit.tns import (KIND_ANCHOR, KIND_CODES, KIND_DISENTANGLER,
                        KIND_ISOMETRY, KIND_TOP, KINDS, MeraMeta,
@@ -629,3 +629,38 @@ def test_batched_draw_matches_per_tensor_draws(count, rows, cols):
     for k in range(count):
         assert np.array_equal(q[k], _random_isometry(single, (rows,), cols))
     assert batched.bit_generator.state == single.bit_generator.state
+
+
+# (rows, columns, low, high, dtype, ranked by bincount): rows whose column
+# ranges multiply to at most the row count take the bincount branch
+DISTINCT_CASES = [
+    (6000, 2, 0, 5, np.uint8, True),
+    (3000, 3, -4, 9, np.int64, True),
+    (200, 4, 0, 2, np.bool_, True),
+    (50, 1, -2**62, 2**62, np.int64, False),
+    (300, 2, 0, 40, np.int32, False),
+    (300, 3, -10, 10, np.int8, False),
+    (0, 3, 0, 5, np.int64, False),
+    (7, 0, 0, 1, np.int64, True),
+    (0, 0, 0, 1, np.int64, False),
+]
+
+
+@pytest.mark.parametrize("rows,columns,low,high,dtype,ranked",
+                         DISTINCT_CASES)
+def test_distinct_rows_equal_np_unique(monkeypatch, rows, columns, low,
+                                       high, dtype, ranked):
+    calls = []
+    rank = tns_mod._ranked_rows
+    monkeypatch.setattr(tns_mod, "_ranked_rows",
+                        lambda *args: calls.append(1) or rank(*args))
+    values = np.random.default_rng(rows + columns).integers(
+        low, high, (rows, columns)).astype(dtype)
+    got, inverse = tns_mod.distinct(values)
+    expected, expected_inverse = np.unique(values, axis=0,
+                                           return_inverse=True)
+    assert got.dtype == values.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert inverse.dtype == np.int64
+    assert np.array_equal(inverse, expected_inverse.ravel())
+    assert bool(calls) == ranked
