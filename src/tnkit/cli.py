@@ -60,22 +60,12 @@ def _load_json(path):
 
 
 def _read_tns(path) -> tns_mod.Tns:
-    """tns_from_dict of a tns-v1 file.  The file is read once as bytes.
-    A document without elements, as `build --no-elements` writes it, is
-    read by tns_mod.tns_from_bytes as arrays straight from the bytes; that
-    reader returns a network only when tns_text re-encodes it to the same
-    bytes, so the network is the one json would give, and it returns
-    None for anything else.  Those documents, elements among them, are
-    decoded as a text-mode open() reads them (the locale's encoding,
-    universal newlines), and the top-level object is walked by hand, each
-    member's value decoded by one call of json's scanner.  The nodes
-    become columns before the next member is decoded, so that in the
-    order tnkit writes the decoded node list is freed before the lines
-    are decoded; every other member is kept as decoded, and tns_from_dict
-    makes the line columns once the text is freed.  The text is read as
-    json.load reads it: any key order or whitespace, the last of repeated
-    keys, and ValueError for anything but one JSON value, or for nesting
-    past the decoder's depth."""
+    """tns_from_dict of a tns-v1 file, read once as bytes.  The text that
+    `build --no-elements` writes is read as arrays by tns_from_bytes,
+    which returns the network json would give, or None for any other
+    text.  That text is decoded as a text-mode open() reads it and parsed
+    by json.loads, so that the file is read by json's grammar whichever
+    reader takes it; the text is freed before the columns are made."""
     with open(path, "rb") as fh:
         data = fh.read()
     network = tns_mod.tns_from_bytes(data)
@@ -83,44 +73,10 @@ def _read_tns(path) -> tns_mod.Tns:
         return network
     text = io.TextIOWrapper(io.BytesIO(data)).read()
     del data
-    space = json.decoder.WHITESPACE.match
-    pos = space(text).end()
-    if not text.startswith("{", pos):
-        # not an object: json and tns_from_dict name the fault
-        with malformed("tns-v1"):
-            return tns_mod.tns_from_dict(json.loads(text))
-    decode = json.JSONDecoder().raw_decode
-    data, pos = {}, space(text, pos + 1).end()
-    more = not text.startswith("}", pos)
-    while more:
-        if not text.startswith('"', pos):
-            raise json.JSONDecodeError("Expecting property name enclosed in "
-                                       "double quotes", text, pos)
-        key, pos = json.decoder.scanstring(text, pos + 1)
-        pos = space(text, pos).end()
-        if not text.startswith(":", pos):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-        with malformed("tns-v1"):
-            value, pos = decode(text, space(text, pos + 1).end())
-        if key == "nodes":
-            # a list node_columns refuses stays as decoded, and
-            # tns_from_dict refuses it again unless a later member
-            # replaces it
-            with contextlib.suppress(ValueError):
-                value = tns_mod.node_columns(value)
-        data[key] = value
-        del value
-        pos = space(text, pos).end()
-        more = text.startswith(",", pos)
-        if more:
-            pos = space(text, pos + 1).end()
-        elif not text.startswith("}", pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-    pos = space(text, pos + 1).end()
-    if pos != len(text):
-        raise json.JSONDecodeError("Extra data", text, pos)
+    with malformed("tns-v1"):
+        document = json.loads(text)
     del text
-    return tns_mod.tns_from_dict(data)
+    return tns_mod.tns_from_dict(document)
 
 
 def _print_issues(issues) -> int:
@@ -178,8 +134,7 @@ def cmd_verify(args) -> int:
     if not 0 <= args.tol < 1:
         raise ValueError(f"--tol must lie in [0, 1), got {args.tol}")
     network = _read_tns(args.tns)
-    data = _load_json(args.map)
-    placement, paths = mapping.map_from_dict(data, network)
+    placement, paths = mapping.map_from_dict(_load_json(args.map), network)
 
     issues = tns_mod.validate_preconditions(network)
     problem = issues[0] if issues else \

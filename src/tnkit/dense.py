@@ -203,10 +203,10 @@ def contract_to_statevector(obj) -> StateVector:
     open_labels = sorted({l for _, labels in factors for l in labels
                           if isinstance(l, tuple) and l[0] == "p"},
                          key=lambda l: l[1])
-    size = phys_dim ** len(open_labels)
-    if size > amplitude_limit():
-        raise ResourceLimitError(f"state of {size} amplitudes exceeds "
-                                 f"budget {amplitude_limit()}")
+    n, limit = len(open_labels), amplitude_limit()
+    if phys_dim ** n > limit:  # a power: str() refuses past 4,300 digits
+        raise ResourceLimitError(f"state of {phys_dim}^{n} amplitudes "
+                                 f"exceeds budget {limit}")
     array, _ = contract_labeled(factors, open_order=open_labels)
     sites = tuple(l[1] for l in open_labels)
     return StateVector(array.reshape(-1), sites, phys_dim)

@@ -821,7 +821,7 @@ def tns_text(tns: Tns):
             kinds[tns.kind[part]], ', "variant": ',
             variants[tns.variant[part]], ', "dims": [',
             _dims_text(tns.dims, tns.dim_offsets[start:start + step + 1]),
-            '], "elements": ', "null" if all(e is None for e in elements)
+            '], "elements": ', "null" if _all_none(elements)
             else np.array(["null" if e is None
                            else dumps(_flat_elements(nid, e))
                            for nid, e in zip(tns.ids[part], elements)],
@@ -839,6 +839,14 @@ def tns_text(tns: Tns):
             numerals(sb), '], "dim": ', numerals(tns.line_dim[part]),
             tails(len(a), "}, ", "}"))
     yield "]}\n"
+
+
+def _all_none(values: list) -> bool:
+    """Whether every entry is None (an array's == None is no bool)."""
+    try:
+        return values.count(None) == len(values)
+    except ValueError:
+        return False
 
 
 def _dims_text(dims: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -1094,16 +1102,14 @@ class NodeColumns:
 
 
 def node_columns(rows) -> NodeColumns:
-    """Columns of a tns-v1 node list, which a reader makes as soon as the
-    list is decoded, so that the list is freed before the next member is;
-    ValueError when an entry is not an object or lacks a key, has a kind
-    that is unknown, an id or variant that is not a string, a cell or
-    dims that is not an array, elements that are neither an array nor
-    null, that hold a number past float64, an entry that is not a finite
-    JSON number (a string, a bool, an array, null, NaN or an infinity),
-    or that numpy cannot shape by dims (naming the node), or a layer,
-    cell entry or dim that is not an integer or does not fit in 64 bits,
-    or when two nodes share an id."""
+    """Columns of a decoded tns-v1 node list; ValueError when an entry is
+    not an object or lacks a key, has a kind that is unknown, an id or
+    variant that is not a string, a cell or dims that is not an array,
+    elements that are neither an array nor null, that hold a number past
+    float64, an entry that is not a finite JSON number (a string, a bool,
+    an array, null, NaN or an infinity), or that numpy cannot shape by
+    dims (naming the node), or a layer, cell entry or dim that is not an
+    integer or does not fit in 64 bits, or when two nodes share an id."""
     flat = itertools.chain.from_iterable
     with malformed("tns-v1"):
         ids, layers, cells, kinds, variants, dims, elements = _columns(
@@ -1200,10 +1206,8 @@ def tns_from_dict(data: dict) -> Tns:
     is not an integer or does not fit in 64 bits, a line that names an
     unknown node, two lines of one id, a node cell whose length is not
     the lattice dimension, or a negative layer.  The nodes and lines
-    entries may also hold their NodeColumns and LineColumns, as the
-    readers pass them: the streamed reader makes the node columns while
-    it decodes the text, and tns_from_bytes makes both from the bytes;
-    line dicts become columns here, against the final node list."""
+    entries may also be the NodeColumns and LineColumns that
+    tns_from_bytes makes."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":

@@ -158,6 +158,23 @@ def test_verify_resource_limit_is_reported(tmp_path, monkeypatch, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_verify_names_a_state_past_int_text_as_a_power(tmp_path, capsys):
+    # 2^16384 amplitudes: the size has 4,933 digits, past what str() of an
+    # int prints, so the budget names it as a power and exits 3
+    net, prefix = tmp_path / "b2.json", str(tmp_path / "b2")
+    assert main(["build", "--kind", "mera2d-b2", "--layers", "7",
+                 "--no-elements", "--out", str(net)]) == 0
+    assert main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(net),
+                 "--map", prefix + ".map.json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource limit: state of 2^16384 amplitudes "
+                          "exceeds budget ")
+
+
 def test_entropy_tree_scan(tmp_path):
     out = tmp_path / "scan.csv"
     code = main(["entropy", "--family", "ttn1d", "--layers-max", "3",

@@ -1,7 +1,8 @@
 """tns-v1 and map-v1 streamed through the command line.
 
 `build` and `map` encode their documents a slice of entries at a time,
-and `map` and `verify` read tns-v1 one top-level member at a time.  The
+and `map` and `verify` read tns-v1 as arrays from the bytes that
+`build --no-elements` writes, and any other text with json.loads.  The
 bytes must be those of json.dumps of the whole document, and the reader
 must accept and refuse what json.load accepts and refuses.
 """
@@ -64,29 +65,57 @@ def test_trailing_data_exits_2(seeded, tmp_path, capsys, tail):
         assert "Extra data" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rewrite", [
-    lambda text: '{"nodes": [], ' + text[1:],
-    lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True),
-    lambda text: json.dumps(json.loads(text), separators=(",", ":")),
-    lambda text: '{"lines": [], "nodes": [1], ' + text[1:],
-    lambda text: '\n\t ' + text.replace(": ", " :\r\n ") + ' \n',
-], ids=["repeated-nodes-first", "indent-sorted", "compact", "repeated-both",
-        "whitespace"])
-def test_reader_takes_any_key_order_and_whitespace(seeded, tmp_path, capsys,
-                                                   rewrite):
-    work, net = seeded
+@pytest.fixture(scope="module")
+def symbolic(tmp_path_factory):
+    """A b2 T=3 file without elements and the outputs `map` makes of it."""
+    work = tmp_path_factory.mktemp("symbolic")
+    net = work / "net.tns.json"
+    assert main(["build", "--kind", "mera2d-b2", "--layers", "3",
+                 "--no-elements", "--out", str(net)]) == 0
+    assert _map(net, work / "net") == 0
+    return work, net
+
+
+REWRITES = {
+    "repeated-nodes-first": lambda text: '{"nodes": [], ' + text[1:],
+    "indent-sorted":
+        lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True),
+    "compact":
+        lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    "repeated-both": lambda text: '{"lines": [], "nodes": [1], ' + text[1:],
+    "whitespace":
+        lambda text: '\n\t ' + text.replace(": ", " :\r\n ") + ' \n',
+}
+
+
+# the file with elements verifies; the symbolic one reaches verify's
+# amplitude budget, 2^64, and exits 3 as the file it was rewritten from
+@pytest.mark.parametrize("source,code,name", [
+    pytest.param(source, code, name, id=prefix + name)
+    for source, code, prefix in (("seeded", 0, ""),
+                                 ("symbolic", 3, "b2-symbolic-"))
+    for name in REWRITES])
+def test_reader_takes_any_key_order_and_whitespace(request, tmp_path, capsys,
+                                                   source, code, name):
+    work, net = request.getfixturevalue(source)
     edited = tmp_path / "edited.json"
-    edited.write_text(rewrite(net.read_text()))
+    edited.write_text(REWRITES[name](net.read_text()))
+    # the array reader refuses the text, so json reads it
+    assert tns_mod.tns_from_bytes(edited.read_bytes()) is None
     expected = tns_from_dict(json.loads(net.read_text()))
     assert tns_to_dict(cli._read_tns(edited)) == tns_to_dict(expected)
     assert _map(edited, tmp_path / "edited") == 0
     for suffix in (".map.json", ".congestion.csv"):
         assert (tmp_path / f"edited{suffix}").read_bytes() == \
             (work / f"net{suffix}").read_bytes()
-    capsys.readouterr()
-    assert main(["verify", "--tns", str(edited),
-                 "--map", str(work / "net.map.json")]) == 0
-    assert capsys.readouterr().out.startswith("PASS")
+    outcomes = []
+    for path in (net, edited):
+        capsys.readouterr()
+        outcomes.append((main(["verify", "--tns", str(path),
+                               "--map", str(work / "net.map.json")]),
+                         capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
 
 
 @pytest.mark.parametrize("text", ["", " ", "[]", "1", "null", '"tns-v1"',
@@ -158,7 +187,8 @@ def _traced_peak(read):
 
 @pytest.mark.parametrize("kind,layers", [("mera2d-b2", 6), ("mera1d", 10)])
 def test_reader_peaks_below_json_load(tmp_path, kind, layers):
-    # the decoded node list is freed before the lines are decoded
+    # a file `build --no-elements` writes is read as arrays from its
+    # bytes, with no decoded document beside them
     net = tmp_path / "net.json"
     assert main(["build", "--kind", kind, "--layers", str(layers),
                  "--no-elements", "--out", str(net)]) == 0
