@@ -13,10 +13,10 @@ from .tns import (KIND_CODES, KIND_NAMES, VARIANTS, ContractionLine,
                   GENERATOR_VERSION)
 from .mapping import (CongestionReport, PathAssignment, Peps, Placement,
                       assemble_peps, chi_bound, congestion_csv,
-                      contract_refined_to_normal, default_refined_offsets,
-                      detect_stacks, line_density_estimate, map_from_dict,
-                      map_to_dict, measured_chi, place_naive, place_refined,
-                      place_shifted, read_map, route_lines)
+                      default_refined_offsets, detect_stacks,
+                      line_density_estimate, map_from_dict, map_to_dict,
+                      measured_chi, place_naive, place_refined, place_shifted,
+                      read_map, route_lines)
 from .dense import (ResourceLimitError, StateVector, contract_to_statevector,
                     entanglement_entropy, entropy_bits, reduced_density,
                     states_equal)

@@ -49,8 +49,9 @@ of each class on each edge are counted by coverage along each axis, so
 the used edges come out in key order with their per-class counts; the
 tally lists no crossing, and only the report's edge_lines expands the
 legs into them.  An edge's figures depend only on its row of those
-counts, so they are taken once per distinct row.
-CongestionReport.blocked tallies the same legs again on a coarser grid.
+counts, so they are taken once per distinct row.  A report has two
+transforms: blocked tallies the same legs again on a coarser grid, and
+interior keeps the lines that end on no anchor.
 """
 
 from __future__ import annotations
@@ -422,11 +423,11 @@ class CongestionReport:
     expanded from the legs on first use.  paths_through and bond_dim_of
     take the key of a (lower, upper) pair and look it up in the used
     edge keys; a pair that is no edge of the report, reversed pairs and
-    non-unit steps among them, has 0 paths and bond 1.  Physical legs
-    can be included or excluded from every figure; embedded-network
-    bond dimensions include them, while the interior congestion figures
-    of the refined scheme exclude them.  The per-edge figures are taken
-    once, when the report is made.
+    non-unit steps among them, has 0 paths and bond 1.  Every figure
+    counts every line of the report: the embedded network's bond
+    dimensions include the physical legs, and interior() is the report
+    without them.  The per-edge figures are taken once, when the report
+    is made.
     """
 
     edge_keys: np.ndarray
@@ -443,15 +444,10 @@ class CongestionReport:
         # the figures are exact Python ints, taken once per distinct row
         # of counts
         rows, self._row_of_edge = distinct(self.counts)
-        # (paths, bond dimension) per distinct row, by include_physical
         dims = self.class_table[:, 0].tolist()
-        interior = self.class_table[:, 1] == 0
-        self._paths, self._bonds = {}, {}
-        for include_physical, used in ((True, rows),
-                                       (False, rows * interior)):
-            self._paths[include_physical] = used.sum(axis=1)
-            self._bonds[include_physical] = [
-                math.prod(map(pow, dims, row)) for row in used.tolist()]
+        self._paths = rows.sum(axis=1)
+        self._bonds = [math.prod(map(pow, dims, row))
+                       for row in rows.tolist()]
 
     def _ends(self, keys):
         """Lower and upper vertices, as (n, D) arrays, of keyed edges."""
@@ -462,10 +458,6 @@ class CongestionReport:
         upper = lower.copy()
         upper[np.arange(len(keys)), d - 1 - rest] += 1
         return lower, upper
-
-    def _edge_paths(self, include_physical):
-        """Number of counted lines on each edge, in key order."""
-        return self._paths[include_physical][self._row_of_edge]
 
     @functools.cached_property
     def edge_lines(self) -> dict[Edge, tuple[int, ...]]:
@@ -480,7 +472,7 @@ class CongestionReport:
         keys += np.repeat(self.leg_keys, n)
         lids = np.repeat(self.leg_lines, n)[
             np.argsort(keys, kind="stable")].tolist()
-        ends = np.cumsum(self._edge_paths(True)).tolist()
+        ends = np.cumsum(self._paths[self._row_of_edge]).tolist()
         lower, upper = self._ends(self.edge_keys)
         return {(a, b): tuple(lids[s:t]) for a, b, s, t in
                 zip(map(tuple, lower.tolist()), map(tuple, upper.tolist()),
@@ -507,21 +499,21 @@ class CongestionReport:
             return None
         return int(self._row_of_edge[i])
 
-    def paths_through(self, edge: Edge, include_physical: bool = True) -> int:
+    def paths_through(self, edge: Edge) -> int:
         row = self._row(edge)
-        return 0 if row is None else int(self._paths[include_physical][row])
+        return 0 if row is None else int(self._paths[row])
 
-    def bond_dim_of(self, edge: Edge, include_physical: bool = True) -> int:
+    def bond_dim_of(self, edge: Edge) -> int:
         row = self._row(edge)
-        return 1 if row is None else self._bonds[include_physical][row]
+        return 1 if row is None else self._bonds[row]
 
-    def max_paths(self, include_physical: bool = True) -> int:
-        return int(self._paths[include_physical].max(initial=0))
+    def max_paths(self) -> int:
+        return int(self._paths.max(initial=0))
 
-    def busiest_edge(self, include_physical: bool = True):
-        """First edge in edge order that carries the most counted lines,
-        with their number; (None, 0) when no counted line crosses one."""
-        paths = self._edge_paths(include_physical)
+    def busiest_edge(self):
+        """First edge in edge order that carries the most lines, with
+        their number; (None, 0) when no line crosses one."""
+        paths = self._paths[self._row_of_edge]
         if not paths.any():
             return None, 0
         i = int(paths.argmax())
@@ -529,13 +521,30 @@ class CongestionReport:
         return ((tuple(lower[0].tolist()), tuple(upper[0].tolist())),
                 int(paths[i]))
 
-    def chi_peps(self, include_physical: bool = True) -> int:
-        return max(self._bonds[include_physical], default=1)
+    def chi_peps(self) -> int:
+        return max(self._bonds, default=1)
 
-    def log_chi_peps(self, chi: int, include_physical: bool = True) -> float:
+    def log_chi_peps(self, chi: int) -> float:
         if chi < 2:
             raise ValueError("chi must be >= 2 for a log-chi figure")
-        return math.log(self.chi_peps(include_physical)) / math.log(chi)
+        return math.log(self.chi_peps()) / math.log(chi)
+
+    def interior(self) -> CongestionReport:
+        """The report of the same box without the physical lines, made
+        from this one's arrays: the interior rows of class_table and their
+        columns of counts, the edges that carry an interior line, and the
+        interior legs, their classes renumbered."""
+        interior = self.class_table[:, 1] == 0
+        keep = interior.nonzero()[0]
+        counts = self.counts[:, keep]
+        used = counts.any(axis=1).nonzero()[0]
+        legs = interior[self.leg_classes].nonzero()[0]
+        code = np.zeros(len(interior), self.leg_classes.dtype)
+        code[keep] = np.arange(len(keep))
+        return CongestionReport(
+            self.edge_keys[used], counts[used], self.origin, self.shape,
+            self.class_table[keep], self.leg_lines[legs], self.leg_keys[legs],
+            self.leg_lengths[legs], code[self.leg_classes[legs]])
 
     def blocked(self, factor: int) -> CongestionReport:
         """The report of the same legs on a grid factor times coarser, for
@@ -684,11 +693,12 @@ def measured_chi(tns: Tns, paths: PathAssignment) -> CongestionReport:
 
 
 def chi_bound(meta: MeraMeta, dimension: int) -> int:
-    """Size-independent cap on the log-chi bond dimension of the embedding.
-
-    Combines the worst-case number of lines that can share one edge: those
-    bridging nearby cells of the same scale, across the allowed layer
-    distance, for every tensor of a cell, at every order.
+    """The log-chi bound that map prints, a count of lines from the
+    network's meta constants alone: the cells within the allowed cell
+    distance, times the allowed layer distance plus the cells of the
+    layers it spans, times the tensors of a cell and their order.  No size
+    enters it, yet it bounds the measured log-chi only for D >= 2; mera1d's
+    is 160 and its measured host log-chi, 2T, passes it from T = 81.
     """
     b = meta.branching
     reach = (2 * meta.max_cell_distance) ** dimension
@@ -711,16 +721,16 @@ def congestion_csv(report: CongestionReport):
     """CSV rows (edge_a, edge_b, paths, bond_dim), sorted by edge, as the
     header and then batches of rows for a file's writelines.
 
-    Counts include physical-leg lines; interior-only figures are available
-    through the report API.  Rows are formatted column-wise from the
-    report's per-edge arrays by tns.joined, 8 * JSON_SLICE edges per
-    batch, so that neither the Python objects of every row nor the whole
-    text is ever alive at once; an edge's paths and bond dimension depend
-    only on its row of counts, so their text is made once per distinct
-    row.
+    Counts include every line of the report, physical legs too;
+    report.interior() gives the interior figures.  Rows are formatted
+    column-wise from the report's per-edge arrays by tns.joined, 8 *
+    JSON_SLICE edges per batch, so that neither the Python objects of
+    every row nor the whole text is ever alive at once; an edge's paths
+    and bond dimension depend only on its row of counts, so their text is
+    made once per distinct row.
     """
     row_tails = np.array([f",{paths},{bond}\n" for paths, bond in zip(
-        report._paths[True].tolist(), report._bonds[True])], object)
+        report._paths.tolist(), report._bonds)], object)
     yield "edge_a,edge_b,paths,bond_dim\n"
     size = 8 * _tns.JSON_SLICE
     for i in range(0, len(report.edge_keys), size):
@@ -733,9 +743,11 @@ def congestion_csv(report: CongestionReport):
 
 @dataclass(eq=False)
 class Peps:
-    """Embedded network: `factors` lists the (array, labels) factors, the
-    network's tensors in node order and then the identity wires in line
-    order, and `sites`, an (F, D) int64 array, their host sites.
+    """Embedded network on the host lattice: `factors` lists the (array,
+    labels) factors, the network's tensors in node order and then the
+    identity wires in line order, and `sites`, an (F, D) int64 array, their
+    host sites.  Its bond dimensions on the physical lattice are those of
+    measured_chi(...).blocked(placement.refine_factor).
 
     Contracting all factors over equal labels reproduces the original
     state.  Labels are ints but for the open physical indices ("p", site);
@@ -745,13 +757,9 @@ class Peps:
     """
 
     lattice: LatticeSpec
-    physical_lattice: LatticeSpec
     physical_dim: int
     factors: list[tuple[np.ndarray, tuple]]
     sites: np.ndarray
-
-    refine_factor = property(
-        lambda self: self.lattice.length // self.physical_lattice.length)
 
     def all_factors(self) -> list[tuple[np.ndarray, tuple]]:
         return self.factors
@@ -798,23 +806,10 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
     eye = {dim: np.eye(dim) for dim in set(tns.line_dim.tolist())}
     wires = zip(map(eye.get, np.repeat(tns.line_dim, k).tolist()),
                 zip(ins.tolist(), (code + 1).tolist()))
-    return Peps(p.lattice, tns.spec, tns.physical_dim,
+    return Peps(p.lattice, tns.physical_dim,
                 tns.all_factors(label_of.tolist()) + list(wires),
                 np.concatenate((p.sites[tns.kind != _ANCHOR],
                                 paths.vertices[np.repeat(start + 1, k) + s])))
-
-
-def contract_refined_to_normal(peps: Peps) -> Peps:
-    """Merge the refine_factor blocks of a refined embedding into single
-    sites of the physical grid; the factors stay, in a list of their own.
-
-    Lines between sites of one block become internal to the merged site;
-    lines crossing a block boundary multiply into the merged bond, the
-    product of the parallel refined bonds that report.blocked counts.
-    """
-    coarse = peps.physical_lattice
-    return Peps(coarse, coarse, peps.physical_dim, list(peps.factors),
-                peps.sites // peps.refine_factor)
 
 
 def map_to_dict(p: Placement, paths: PathAssignment,

@@ -62,7 +62,7 @@ def assemble_peps(tns, p, paths) -> Peps:
         wires += [(eye, pair) for pair in zip(labels, labels[1:])]
         at += range(start + 1, end - 1)
 
-    return Peps(p.lattice, tns.spec, tns.physical_dim,
+    return Peps(p.lattice, tns.physical_dim,
                 tns.all_factors(label_of) + wires,
                 np.concatenate((p.sites[tns.kind != _ANCHOR],
                                 paths.vertices[at])))

@@ -66,7 +66,7 @@ def test_criterion_03_refined_paths_per_edge_constant():
         net = build_mera_2d_b2(layers)
         p = place_refined(net)
         rep = measured_chi(net, route_lines(net, p))
-        values.append(rep.max_paths(include_physical=False))
+        values.append(rep.interior().max_paths())
     assert values == [2, 2, 2]
     report(3, "refined 2x2-block embedding: max 2 paths/edge at T=2,3,4")
 
@@ -80,7 +80,7 @@ def test_criterion_04_scheme_exponents():
         net = build_mera_2d_b3(layers)
         p = place_refined(net)
         rep = measured_chi(net, route_lines(net, p))
-        assert rep.log_chi_peps(2, include_physical=False) == 5.0, layers
+        assert rep.interior().log_chi_peps(2) == 5.0, layers
     report(4, "shifted 2x2 exponent 6; refined 3x3 exponent 5 (T=2,3)")
 
 
@@ -91,7 +91,7 @@ def b3_refined_interior_log_chi():
         net = build_mera_2d_b3(layers, with_elements=False)
         p = place_refined(net)
         rep = measured_chi(net, route_lines(net, p))
-        values.append(rep.log_chi_peps(2, include_physical=False))
+        values.append(rep.interior().log_chi_peps(2))
     return values
 
 

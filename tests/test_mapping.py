@@ -20,7 +20,6 @@ from tnkit.lattice import LatticeSpec
 from tnkit.mapping import (CongestionReport, PathAssignment, Peps,
                            Placement, assemble_peps, check_routing, chi_bound,
                            congestion_csv,
-                           contract_refined_to_normal,
                            default_refined_offsets, detect_stacks,
                            line_density_estimate, map_from_dict, map_to_dict,
                            measured_chi, place, place_naive, place_refined,
@@ -411,14 +410,14 @@ def test_congestion_frozen_b2():
         assert rep.log_chi_peps(2) == 6.0
         net, _, pa = routed(build_mera_2d_b2, layers, "refined")
         rep = measured_chi(net, pa)
-        assert rep.max_paths(include_physical=False) == 2
+        assert rep.interior().max_paths() == 2
 
 
 def test_congestion_frozen_b3():
     net, _, pa = routed(build_mera_2d_b3, 2, "refined")
     rep = measured_chi(net, pa)
-    assert rep.max_paths(include_physical=False) == 5
-    assert rep.log_chi_peps(2, include_physical=False) == 5.0
+    assert rep.interior().max_paths() == 5
+    assert rep.interior().log_chi_peps(2) == 5.0
 
 
 def test_congestion_frozen_1d():
@@ -438,7 +437,7 @@ def test_congestion_report_arithmetic():
     assert rep.paths_through(edge) == count == rep.max_paths()
     assert rep.bond_dim_of(edge) == 2 ** count
     assert rep.chi_peps() == 2 ** rep.max_paths()
-    assert rep.max_paths(include_physical=False) <= rep.max_paths()
+    assert rep.interior().max_paths() <= rep.max_paths()
     assert rep.paths_through(((97,), (98,))) == 0
     assert rep.bond_dim_of(((97,), (98,))) == 1
     with pytest.raises(ValueError):
@@ -451,7 +450,7 @@ def test_edge_queries_do_not_build_edge_lines():
     edge, count = rep.busiest_edge()
     a, b = edge
     assert rep.paths_through(edge) == count
-    assert rep.bond_dim_of(edge, include_physical=False) >= 1
+    assert rep.interior().bond_dim_of(edge) >= 1
     assert rep.paths_through((b, a)) == 0
     assert rep.paths_through((a, tuple(c + 1 for c in b))) == 0
     assert rep.paths_through(((-5, -5), (-5, -4))) == 0
@@ -471,10 +470,10 @@ def test_edge_queries_do_not_build_edge_lines():
 def test_no_lines_means_unit_bonds():
     net = build_mera_1d(1)
     rep = measured_chi(net, _paths({}, 1))
-    for include_physical in (True, False):
-        assert rep.max_paths(include_physical) == 0
-        assert rep.chi_peps(include_physical) == 1
-        assert rep.log_chi_peps(2, include_physical) == 0.0
+    for counted in (rep, rep.interior()):
+        assert counted.max_paths() == 0
+        assert counted.chi_peps() == 1
+        assert counted.log_chi_peps(2) == 0.0
 
 
 def _oracle_edge_lines(chains):
@@ -501,39 +500,40 @@ def _assert_matches_oracle(rep, chains, net):
     """Every figure of rep equals the one taken from the reference tally
     of chains, with the line dimensions of net."""
     expected = _oracle_edge_lines(chains)
-    assert rep.edge_lines == expected
-    assert list(rep.edge_lines) == list(expected)
     dims, physical = _line_classes(net)
     rows = [f"{';'.join(map(str, a))},{';'.join(map(str, b))},{len(ls)},"
             f"{math.prod(dims[l] for l in ls)}"
             for (a, b), ls in expected.items()]
     assert "".join(congestion_csv(rep)) == \
         "\n".join(["edge_a,edge_b,paths,bond_dim"] + rows) + "\n"
-    for include_physical in (True, False):
-        counted = {e: [l for l in ls if include_physical
-                       or l not in physical]
-                   for e, ls in expected.items()}
-        paths = {e: len(ls) for e, ls in counted.items()}
+    # the interior report: the oracle's lines less the physical ones, on
+    # the edges that keep a line
+    interior = {e: tuple(l for l in ls if l not in physical)
+                for e, ls in expected.items()}
+    interior = {e: ls for e, ls in interior.items() if ls}
+    for counted, lines in ((rep, expected), (rep.interior(), interior)):
+        assert counted.edge_lines == lines
+        assert list(counted.edge_lines) == list(lines)
+        paths = {e: len(ls) for e, ls in lines.items()}
         bonds = {e: math.prod(dims[l] for l in ls)
-                 for e, ls in counted.items()}
+                 for e, ls in lines.items()}
         most = max(paths.values(), default=0)
-        assert rep.max_paths(include_physical) == most
-        assert type(rep.max_paths(include_physical)) is int
+        assert counted.max_paths() == most
+        assert type(counted.max_paths()) is int
         chi = max(bonds.values(), default=1)
-        assert rep.chi_peps(include_physical) == chi
-        assert rep.log_chi_peps(5, include_physical) == \
-            math.log(chi) / math.log(5)
+        assert counted.chi_peps() == chi
+        assert counted.log_chi_peps(5) == math.log(chi) / math.log(5)
         busiest = next((e for e, n in paths.items() if n == most), None) \
             if most else None
-        assert rep.busiest_edge(include_physical) == (busiest, most)
+        assert counted.busiest_edge() == (busiest, most)
         for e in expected:
-            assert rep.paths_through(e, include_physical) == paths[e]
-            assert rep.bond_dim_of(e, include_physical) == bonds[e]
+            assert counted.paths_through(e) == paths.get(e, 0)
+            assert counted.bond_dim_of(e) == bonds.get(e, 1)
         # pairs that are no edge: every edge reversed, and a non-unit pair
         zero = (0,) * len(rep.shape)
         for e in [(b, a) for a, b in expected] + [(zero, (2,) + zero[1:])]:
-            assert rep.paths_through(e, include_physical) == 0
-            assert rep.bond_dim_of(e, include_physical) == 1
+            assert counted.paths_through(e) == 0
+            assert counted.bond_dim_of(e) == 1
 
 
 @pytest.mark.parametrize("build,layers,scheme", [
@@ -774,6 +774,26 @@ def test_blocking_composes(build, layers):
         _assert_same_report(rep.blocked(a).blocked(b), rep.blocked(a * b))
 
 
+@pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
+@pytest.mark.parametrize("build,layers", [
+    *itertools.product((build_mera_1d, build_mera_2d_b2, build_mera_2d_b3),
+                       (1, 2, 3)), (build_ttn_example, 3)])
+def test_interior_commutes_with_blocking(build, layers, scheme):
+    net, _, pa = routed(build, layers, scheme, with_elements=False)
+    rep = measured_chi(net, pa)
+    interior = rep.interior()
+    # the same box, and edges of the report's own
+    assert (interior.origin, interior.shape) == (rep.origin, rep.shape)
+    assert np.isin(interior.edge_keys, rep.edge_keys).all()
+    for f in (1, 2, 3):
+        # blocked tallies a box of its own, so the two are compared by
+        # edges, not keys
+        a, b = interior.blocked(f), rep.blocked(f).interior()
+        assert list(a.edge_lines.items()) == list(b.edge_lines.items())
+        assert (a.max_paths(), a.chi_peps(), a.busiest_edge()) == \
+            (b.max_paths(), b.chi_peps(), b.busiest_edge())
+
+
 @pytest.mark.parametrize("factor", [0, -1, 2.0, True])
 def test_blocked_refuses_factors_that_are_not_positive_ints(factor):
     net, _, pa = routed(build_mera_1d, 2, "refined", with_elements=False)
@@ -874,24 +894,14 @@ def test_array_records_compare_by_identity(make):
 def test_peps_preserves_small_states():
     for build, layers, scheme in ((build_mera_1d, 1, "shifted"),
                                   (build_mera_1d, 2, "refined"),
-                                  (build_mera_2d_b2, 1, "shifted")):
+                                  (build_mera_2d_b2, 1, "shifted"),
+                                  (build_mera_2d_b2, 1, "refined")):
         net, p, pa = routed(build, layers, scheme)
         peps = assemble_peps(net, p, pa)
         ref = dense.contract_to_statevector(net)
         emb = dense.contract_to_statevector(peps)
         assert ref.sites == emb.sites
         assert dense.states_equal(ref, emb, tol=1e-12)
-
-
-def test_refined_merge_to_physical_grid():
-    net, p, pa = routed(build_mera_2d_b2, 1, "refined")
-    peps = assemble_peps(net, p, pa)
-    merged = contract_refined_to_normal(peps)
-    assert merged.lattice == net.spec
-    assert merged.refine_factor == 1
-    ref = dense.contract_to_statevector(net)
-    emb = dense.contract_to_statevector(merged)
-    assert dense.states_equal(ref, emb, tol=1e-12)
 
 
 @pytest.mark.parametrize("build,layers,scheme", [
@@ -904,11 +914,11 @@ def test_peps_is_a_factor_list_and_a_site_column(build, layers, scheme,
     def tally(*_):
         raise AssertionError("the embedding takes no tally")
 
-    # assembly and merging neither take nor read a tally
+    # assembly neither takes nor reads a tally
     monkeypatch.setattr(mapping, "measured_chi", tally)
     peps = assemble_peps(net, p, pa)
     assert [f.name for f in dataclasses.fields(Peps)] == [
-        "lattice", "physical_lattice", "physical_dim", "factors", "sites"]
+        "lattice", "physical_dim", "factors", "sites"]
     with pytest.raises(AttributeError):
         peps.site_factors = {}
     assert peps.all_factors() is peps.factors
@@ -935,13 +945,6 @@ def test_peps_is_a_factor_list_and_a_site_column(build, layers, scheme,
     for factors in view.values():
         keys = list(map(key, factors))
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    merged = contract_refined_to_normal(peps)
-    assert merged.factors is not peps.factors
-    assert len(merged.factors) == len(peps.factors)
-    assert all(a is b and la == lb for (a, la), (b, lb)
-               in zip(merged.factors, peps.factors))
-    assert np.array_equal(merged.sites, peps.sites // peps.refine_factor)
-    assert sum(map(len, merged.site_factors.values())) == len(peps.factors)
 
 
 def _assert_renamed(labels, reference):
@@ -974,11 +977,8 @@ def _assert_matches_embed_oracle(net, p, pa):
     assert np.array_equal(peps.sites, ref.sites)
     if net.elements[-1] is not None and net.physical_dim ** (
             int(_anchor_rows(net).sum())) <= 2 ** 16:
-        for obj, other in ((peps, ref), (contract_refined_to_normal(peps),
-                                         contract_refined_to_normal(ref))):
-            assert (dense.contract_to_statevector(obj).amplitudes.tobytes()
-                    == dense.contract_to_statevector(other).amplitudes
-                    .tobytes())
+        assert (dense.contract_to_statevector(peps).amplitudes.tobytes()
+                == dense.contract_to_statevector(ref).amplitudes.tobytes())
 
 
 @pytest.mark.parametrize("scheme", ["naive", "shifted", "refined"])
