@@ -894,14 +894,29 @@ def test_array_records_compare_by_identity(make):
 def test_peps_preserves_small_states():
     for build, layers, scheme in ((build_mera_1d, 1, "shifted"),
                                   (build_mera_1d, 2, "refined"),
-                                  (build_mera_2d_b2, 1, "shifted"),
-                                  (build_mera_2d_b2, 1, "refined")):
+                                  (build_mera_2d_b2, 1, "shifted")):
         net, p, pa = routed(build, layers, scheme)
         peps = assemble_peps(net, p, pa)
         ref = dense.contract_to_statevector(net)
         emb = dense.contract_to_statevector(peps)
         assert ref.sites == emb.sites
         assert dense.states_equal(ref, emb, tol=1e-12)
+
+
+def test_refined_merge_to_physical_grid():
+    # the refined embedding holds the network's state, and blocking by the
+    # refine factor takes its sites and its tally to the physical grid
+    net, p, pa = routed(build_mera_2d_b2, 1, "refined")
+    peps = assemble_peps(net, p, pa)
+    assert peps.lattice != net.spec
+    f = p.refine_factor
+    assert all(net.spec.contains(tuple(map(int, s)))
+               for s in peps.sites // f)
+    blocked = measured_chi(net, pa).blocked(f)
+    assert all(net.spec.contains(v) for e in blocked.edge_lines for v in e)
+    ref = dense.contract_to_statevector(net)
+    emb = dense.contract_to_statevector(peps)
+    assert dense.states_equal(ref, emb, tol=1e-12)
 
 
 @pytest.mark.parametrize("build,layers,scheme", [
