@@ -61,11 +61,12 @@ def _load_json(path):
 
 def _read_tns(path) -> tns_mod.Tns:
     """tns_from_dict of a tns-v1 file, read once as bytes.  The text that
-    `build --no-elements` writes is read as arrays by tns_from_bytes,
-    which returns the network json would give, or None for any other
-    text.  That text is decoded as a text-mode open() reads it and parsed
-    by json.loads, so that the file is read by json's grammar whichever
-    reader takes it; the text is freed before the columns are made."""
+    `build --no-elements` writes is rebuilt from its header by
+    tns_from_bytes, which returns the network json would give, or None
+    for any other text.  That text is decoded as a text-mode open() reads
+    it and parsed by json.loads, so that the file is read by json's
+    grammar whichever reader takes it; the text is freed before the
+    columns are made."""
     with open(path, "rb") as fh:
         data = fh.read()
     network = tns_mod.tns_from_bytes(data)

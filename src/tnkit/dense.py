@@ -44,16 +44,16 @@ def _drop_wires(work, dims, uses):
     A square two-label factor equal to the identity joins its two labels
     into one class and is dropped.  A class that holds an open label (one
     used once) is named by it.  A wire stays a factor when its labels are
-    already joined (a loop, traced here) or when both classes hold an open
-    label.
+    already joined (a loop) or when both classes hold an open label.  Every
+    kept factor is traced over each class it carries twice, a loop of its
+    own slots among them.
     """
     parent = list(range(len(dims)))
     is_open = [k == 1 for k in uses]
-    kept, renamed = [], False
+    kept = []
     for array, codes in work:
         if array.ndim == 2 and array.shape[0] == array.shape[1]:
             a, b = _find(parent, codes[0]), _find(parent, codes[1])
-            renamed |= a == b
             # the identity by value: n nonzero entries, all on the diagonal
             # and equal to 1
             if a != b and not (is_open[a] and is_open[b]) and \
@@ -62,11 +62,8 @@ def _drop_wires(work, dims, uses):
                 if is_open[b]:
                     a, b = b, a
                 parent[b] = a
-                renamed = True
                 continue
         kept.append((array, codes))
-    if not renamed:
-        return kept
     return [_trace_repeats(array, [_find(parent, c) for c in codes])
             for array, codes in kept]
 

@@ -24,15 +24,14 @@ builders fill them, the readers make them, and every pass indexes the
 columns without a Python object per node or line; the views `Tns.nodes`
 and `Tns.lines` copy a row into a snapshot record per access.
 
-tns-v1 is read a column at a time.  The text tns_text writes for a
-network without elements (`build --no-elements`) is parsed as arrays
-straight from the file's bytes by tns_from_bytes, which returns the
-network only when tns_text re-encodes it to the same bytes: text equal
-to json.dumps of a document is text json reads as that document, so the
-network is the one json would give.  Any other document, elements among
-them (re-encoding elements costs more than decoding them), is decoded by
-json, nodes and lines into NodeColumns and LineColumns; tns_from_dict
-checks the columns of both readers by the same rules.
+A network of the _FAMILIES is one local rule repeated at every scale,
+so the tns-v1 text tns_text writes for it without elements (`build
+--no-elements`) follows from its header: tns_from_bytes decodes the
+header, rebuilds the network and returns it only when tns_text of it
+reproduces the bytes.  Text equal to json.dumps of a document is text
+json reads as that document, so the network is the one json would give.
+Any other document, elements among them, is decoded by json, and
+tns_from_dict reads its nodes and lines a column at a time.
 """
 
 from __future__ import annotations
@@ -396,7 +395,8 @@ def _build_mera(dimension: int, b: int, layers: int, chi: int,
                 for variant, roles in _FAMILIES[(dimension, b)]]
     block = b ** dimension
     spec = LatticeSpec(dimension, b ** layers, b, layers)
-    rng = np.random.default_rng(seed)
+    # numpy.random is imported only to draw: a symbolic build needs none
+    rng = np.random.default_rng(seed) if with_elements else None
     # index dimension per layer; grows by the block size until capped
     dims = [phys_dim]
     for _ in range(layers):
@@ -863,214 +863,51 @@ def _dims_text(dims: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return text
 
 
-# tns-v1 as tns_text writes it for a network without elements, which
-# tns_from_bytes reads from the bytes: in the nodes and lines arrays every
-# string is ASCII between two quote bytes, 20 to a node entry and 12 to a
-# line entry, and every int, cell and dims lies at a fixed offset from
-# them:
-#   {"id": "ID", "layer": 0, "cell": [0, 0], "kind": "KIND",
-#    "variant": "V", "dims": [2, 2], "elements": null}
-#   {"id": 0, "a": ["ID", 0], "b": ["ID", 1], "dim": 2}
-_NODES, _LINES, _END = b', "nodes": [', b'], "lines": [', b"]}\n"
-_QUOTE, _COMMA, _MINUS, _ZERO = map(ord, '",-0')
-# the mask of the lowest k bytes of a uint64, by k
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_NODES = b', "nodes": ['
 
 
 def tns_from_bytes(data: bytes):
     """The network of a tns-v1 file's bytes when they are exactly the
     text tns_text writes for a network without elements, else None; it
-    never raises.  No per-node or per-line JSON object is decoded: the
-    header members are decoded by json, and the nodes and lines arrays
-    are parsed as arrays from the quote positions of the bytes, about
-    128 * JSON_SLICE bytes at a time.  Line ends are matched to nodes by
-    a 64-bit hash of the id bytes.  The columns go to tns_from_dict,
-    which applies every rule of the format, and the network is returned
+    never raises.  The nodes and lines are not parsed: a network of one
+    of the _FAMILIES is one local rule repeated at every scale, so its
+    text follows from the header.  json decodes the header members,
+    which tns_from_dict checks over empty nodes and lines, _build_mera
+    rebuilds the network the header names, and the network is returned
     only when tns_text of it reproduces the bytes, batch by batch.  Text
     equal to json.dumps of a document is text json.load reads as that
     document, so the network is the one tns_from_dict(json.loads(...))
-    makes of the same bytes; anything else (elements, escapes, other
-    whitespace or key order, repeated members, ints past 18 digits, -0
-    or 007, an unknown kind, an end naming no node, a refused value, a
-    hash collision) gives None, and the caller reads the text by json."""
-    if (b'"elements": [' in data or b"\\" in data or not data.isascii()
-            or not data.endswith(_END)):
+    makes of the same bytes.  Nothing is built for elements, for a
+    header that names no family or a length that is not
+    branching**layers, or for more sites than the bytes hold, each
+    anchor entry being over 64 bytes; then, as for any other text, None
+    is returned, and the caller reads the text by json."""
+    if b'"elements": [' in data:
         return None
     nodes_at = data.find(_NODES)
-    lines_at = data.find(_LINES, nodes_at)
-    if nodes_at < 0 or lines_at < 0:
+    if nodes_at < 0:
         return None
     try:
         head = json.loads(data[:nodes_at] + b"}")
-        arr = np.frombuffer(data, np.uint8)
-        nodes, hashes = _node_arrays(
-            data, arr, nodes_at + len(_NODES), lines_at)
-        lines = _line_arrays(arr, lines_at + len(_LINES),
-                             len(data) - len(_END), hashes)
-        net = tns_from_dict({**head, "nodes": nodes, "lines": lines})
+        # the header passes every rule of the json reader
+        spec = tns_from_dict({**head, "nodes": [], "lines": []}).spec
+        b = spec.branching
+        # b**64 is past every length, so that no huge power is taken
+        if ((spec.dimension, b) not in _FAMILIES
+                or spec.length != b ** min(spec.layers, 64)
+                or spec.num_sites > len(data) // 64):
+            return None
+        net = _build_mera(spec.dimension, b, spec.layers, head["chi"],
+                          head["physical_dim"], 0, False)
         at = 0
         for piece in tns_text(net):
             piece = piece.encode()
             if not data.startswith(piece, at):
                 return None
             at += len(piece)
-    except (ValueError, RecursionError):
+    except (ValueError, RecursionError, ResourceLimitError):
         return None
     return net if at == len(data) else None
-
-
-def _entries(arr: np.ndarray, start: int, end: int, quotes: int):
-    """Batches of the entries of the array text arr[start:end], each as
-    its (m, quotes) quote positions and the (m,) positions just past each
-    entry's closing brace; ValueError when the quotes make no whole
-    entries."""
-    window = 128 * JSON_SLICE
-    while start < end:
-        stop = min(end, start + window)
-        at = np.flatnonzero(arr[start:stop] == _QUOTE) + start
-        # an entry is whole once the next one's first quote is in view
-        whole = (len(at) - (stop < end)) // quotes
-        if stop == end and len(at) != whole * quotes or not len(at):
-            raise ValueError("not the entries tns_text writes")
-        if not whole:
-            window *= 2
-            continue
-        q = at[:whole * quotes].reshape(whole, quotes)
-        # the next entry's brace, 2 bytes past the ", " after this one
-        start = int(at[whole * quotes]) - 1 if stop < end else end + 2
-        yield q, np.append(q[1:, 0] - 1, start) - 2
-
-
-def _ints(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The int64 value of each decimal int arr[starts[i]:ends[i]], a minus
-    sign and up to 18 digits, parsed a digit column at a time from the
-    right; ValueError for anything else."""
-    if (ends <= starts).any():
-        raise ValueError("an empty int")
-    minus = arr.take(starts) == _MINUS
-    width = ends - starts - minus
-    least, most = int(width.min(initial=1)), int(width.max(initial=1))
-    if least < 1 or most > 18:
-        raise ValueError("an int of no digit or past 18 digits")
-    values = np.zeros(len(starts), np.int64)
-    for k in range(most, 0, -1):
-        digit = arr.take(ends - k) - np.uint8(_ZERO)
-        if k > least:
-            digit[width < k] = 0
-        if (digit > 9).any():
-            raise ValueError("not a decimal int")
-        values *= 10
-        values += digit
-    return np.where(minus, -values, values) if minus.any() else values
-
-
-def _int_lists(arr: np.ndarray, commas: np.ndarray, starts: np.ndarray,
-               ends: np.ndarray):
-    """The ints of each ", "-separated run arr[starts[i]:ends[i]] back to
-    back, and the count of each run's ints; commas holds the sorted
-    positions of the commas around and in the runs, which lie in order,
-    apart."""
-    first, last = commas.searchsorted(starts), commas.searchsorted(ends)
-    inner = last - first
-    # the positions of the commas in each run, runs in order
-    inner = commas[np.arange(inner.sum()) + np.repeat(
-        first - inner.cumsum() + inner, inner)]
-    some = ends > starts
-    counts = last - first + some
-    return _ints(arr, np.sort(np.concatenate((starts[some], inner + 2))),
-                 np.sort(np.concatenate((ends[some], inner)))), counts
-
-
-def _hashes(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """A 64-bit hash of each byte string arr[starts[i]:ends[i]]: its
-    length, then its bytes 8 at a time, each read as one little-endian
-    uint64 word, so that a string's hash does not depend on the others."""
-    # the word of the 8 bytes from each position
-    words = np.lib.stride_tricks.sliding_window_view(arr, 8).view("<u8")[:, 0]
-    width = ends - starts
-    h = width.astype(np.uint64)
-    for k in range(0, int(width.max(initial=0)), 8):
-        word = words[(starts + k).clip(0, len(words) - 1)]
-        word &= _LOW_BYTES.take((width - k).clip(0, 8))
-        h = np.where(width > k, h * np.uint64(0x100000001B3) ^ word, h)
-    return h
-
-
-def _names(data: bytes, arr: np.ndarray, starts: np.ndarray,
-           ends: np.ndarray):
-    """The distinct strings data[starts[i]:ends[i]], as str, and the index
-    of each string among them, strings told apart by their hash."""
-    keys, at = distinct(_hashes(arr, starts, ends))
-    one = np.empty(len(keys), np.int64)
-    one[at] = np.arange(len(at))
-    return [data[a:b].decode() for a, b in zip(starts[one].tolist(),
-                                                ends[one].tolist())], at
-
-
-def _node_arrays(data: bytes, arr: np.ndarray, start: int, end: int):
-    """NodeColumns of the nodes array text arr[start:end], and the hash of
-    each node id; ValueError when the text is not what tns_text writes or
-    a kind is unknown."""
-    ids, hashes = [], [np.empty(0, np.uint64)]
-    layers, kinds, variants, cells, cell_lens, dims, dim_lens = (
-        [np.empty(0, np.int64)] for _ in range(7))
-    seen = {}
-    for q, _ in _entries(arr, start, end, 20):
-        id_start, id_end = q[:, 2] + 1, q[:, 3]
-        ids += [data[a:b].decode() for a, b in zip(id_start.tolist(),
-                                                    id_end.tolist())]
-        hashes.append(_hashes(arr, id_start, id_end))
-        layers.append(_ints(arr, q[:, 5] + 3, q[:, 6] - 2))
-        names, at = _names(data, arr, q[:, 10] + 1, q[:, 11])
-        if not KINDS.issuperset(names):
-            raise ValueError("an unknown kind")
-        kinds.append(np.array([KIND_CODES[k] for k in names], np.int64)[at])
-        names, at = _names(data, arr, q[:, 14] + 1, q[:, 15])
-        variants.append(np.array([seen.setdefault(v, len(seen))
-                                  for v in names], np.int64)[at])
-        commas = np.flatnonzero(arr[q[0, 7]:q[-1, 18]] == _COMMA) + q[0, 7]
-        for values, counts, (a, b) in ((cells, cell_lens, (7, 8)),
-                                       (dims, dim_lens, (17, 18))):
-            run = _int_lists(arr, commas, q[:, a] + 4, q[:, b] - 3)
-            values.append(run[0])
-            counts.append(run[1])
-    names = VARIANTS + tuple(sorted(set(seen) - set(VARIANTS)))
-    codes = np.array([names.index(v) for v in seen], np.int64)
-    layer, kind, variant, cell_len, cell, dim, dim_len = map(
-        np.concatenate, (layers, kinds, variants, cell_lens, cells, dims,
-                         dim_lens))
-    return NodeColumns(ids, layer, kind, codes.take(variant), names,
-                       cell_len, cell, dim,
-                       np.concatenate(([0], dim_len.cumsum())),
-                       [None] * len(ids)), np.concatenate(hashes)
-
-
-def _line_arrays(arr: np.ndarray, start: int, end: int,
-                 hashes: np.ndarray) -> LineColumns:
-    """LineColumns of the lines array text arr[start:end], each end
-    matched to the node of its id's hash; ValueError when the text is not
-    what tns_text writes or an end hash is no node's, or when two nodes
-    share a hash."""
-    order = hashes.argsort()
-    ranked = hashes[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        raise ValueError("two node ids of one hash")
-    ids, dims = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    ends, slots = [np.empty((2, 0), np.int64)], [np.empty((2, 0), np.int64)]
-    for q, stop in _entries(arr, start, end, 12):
-        ids.append(_ints(arr, q[:, 1] + 3, q[:, 2] - 2))
-        h = _hashes(arr, np.concatenate((q[:, 4], q[:, 8])) + 1,
-                    np.concatenate((q[:, 5], q[:, 9])))
-        at = ranked.searchsorted(h)
-        if (at == len(ranked)).any() or (ranked.take(at) != h).any():
-            raise ValueError("a line end names no node")
-        ends.append(order.take(at).reshape(2, -1))
-        slots.append(_ints(arr, np.concatenate((q[:, 5], q[:, 9])) + 3,
-                           np.concatenate((q[:, 6], q[:, 10])) - 3
-                           ).reshape(2, -1))
-        dims.append(_ints(arr, q[:, 11] + 3, stop - 1))
-    return LineColumns(np.concatenate(ids), np.concatenate(ends, axis=1),
-                       np.concatenate(slots, axis=1), np.concatenate(dims))
 
 
 def _columns(rows, keys):
@@ -1168,21 +1005,10 @@ def node_columns(rows) -> NodeColumns:
                        list(elements))
 
 
-@dataclass(eq=False)
-class LineColumns:
-    """A tns-v1 line list as columns: int64 `line_id` (L,), the node
-    indices `ends` (2, L) and slots `slots` (2, L) of each line's a and b
-    ends, and `dim` (L,)."""
-
-    line_id: np.ndarray
-    ends: np.ndarray
-    slots: np.ndarray
-    dim: np.ndarray
-
-
-def _line_columns(rows, ids: list[str]) -> LineColumns:
-    """Columns of a tns-v1 line list against the node ids; ValueError as
-    tns_from_dict names it."""
+def _line_columns(rows, ids: list[str]):
+    """Columns of a tns-v1 line list against the node ids: int64 ids
+    (L,), the node indices (2, L) and slots (2, L) of each line's a and b
+    ends, and dims (L,); ValueError as tns_from_dict names it."""
     with malformed("tns-v1"):
         line_ids, a, b, dims = _columns(rows, ("id", "a", "b", "dim"))
         ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
@@ -1194,7 +1020,7 @@ def _line_columns(rows, ids: list[str]) -> LineColumns:
     index = dict(zip(ids, itertools.count()))
     with malformed("tns-v1"):
         ends = _int64(map(index.__getitem__, ends), 2 * count)
-    return LineColumns(line_id, ends.reshape(2, count), slots, dims)
+    return line_id, ends.reshape(2, count), slots, dims
 
 
 def tns_from_dict(data: dict) -> Tns:
@@ -1205,9 +1031,7 @@ def tns_from_dict(data: dict) -> Tns:
     end that is not a (node id, slot) pair, a line id, slot or dim that
     is not an integer or does not fit in 64 bits, a line that names an
     unknown node, two lines of one id, a node cell whose length is not
-    the lattice dimension, or a negative layer.  The nodes and lines
-    entries may also be the NodeColumns and LineColumns that
-    tns_from_bytes makes."""
+    the lattice dimension, or a negative layer."""
     if not isinstance(data, dict):
         raise ValueError("malformed tns-v1 document: not a JSON object")
     if data.get("version") != "tns-v1":
@@ -1220,11 +1044,9 @@ def tns_from_dict(data: dict) -> Tns:
         nodes, lines = data["nodes"], data["lines"]
         require_ints((data["physical_dim"], data["chi"], *astuple(meta)),
                      _INTS)
-    if not isinstance(nodes, NodeColumns):
-        nodes = node_columns(nodes)
-    if not isinstance(lines, LineColumns):
-        lines = _line_columns(lines, nodes.ids)
-    ranked = np.sort(lines.line_id)
+    nodes = node_columns(nodes)
+    line_id, ends, slots, dims = _line_columns(lines, nodes.ids)
+    ranked = np.sort(line_id)
     if (ranked[1:] == ranked[:-1]).any():
         raise ValueError("malformed tns-v1 document: repeated line id")
     n, d = len(nodes.ids), spec.dimension
@@ -1241,5 +1063,4 @@ def tns_from_dict(data: dict) -> Tns:
     return Tns(spec, data["physical_dim"], data["chi"], meta, nodes.ids,
                nodes.layer, nodes.kind, nodes.variant,
                nodes.cells.reshape(n, d), nodes.dims, nodes.dim_offsets,
-               nodes.elements, lines.line_id, lines.ends, lines.slots,
-               lines.dim, nodes.variants)
+               nodes.elements, line_id, ends, slots, dims, nodes.variants)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tnkit import cli, mapping, tns as tns_mod
+from tnkit import cli, dense, mapping, tns as tns_mod
 from tnkit.cli import main
 
 
@@ -88,6 +88,33 @@ def test_verify_accepts_faithful_map(built, tmp_path, capsys):
     code = main(["verify", "--tns", str(built), "--map", prefix + ".map.json"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_traces_a_self_loop_line(tmp_path, capsys):
+    # a line from u:1:1 slot 0 to its slot 2 passes the preconditions;
+    # the contraction traces u over the pair, which once popped a factor
+    # twice and crashed
+    net, prefix = tmp_path / "net.json", str(tmp_path / "m")
+    assert main(["build", "--kind", "mera1d", "--layers", "2",
+                 "--out", str(net)]) == 0
+    doc = json.loads(net.read_text())
+    doc["lines"][0].update(a=["u:1:1", 0], b=["u:1:1", 2])
+    doc["lines"][3].update(a=["p:1", 0], b=["w:1:0", 1])
+    net.write_text(json.dumps(doc))
+    assert main(["map", "--tns", str(net), "--scheme", "refined",
+                 "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--tns", str(net),
+                 "--map", prefix + ".map.json"]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    network = cli._read_tns(net)
+    u, w10, w11, w20, t = (network.nodes[nid].elements for nid in (
+        "u:1:1", "w:1:0", "w:1:1", "w:2:0", "t:2:0"))
+    # sites 0..3 are a, b, c, d
+    expected = np.einsum("icik,abm,kdn,mno,o->abcd", u, w10, w11, w20, t)
+    np.testing.assert_allclose(
+        dense.contract_to_statevector(network).amplitudes,
+        expected.reshape(-1), rtol=1e-12, atol=1e-14)
 
 
 def test_verify_flags_tampered_map(built, tmp_path, capsys):
@@ -1494,15 +1521,16 @@ def test_entropy_half_cut_ignores_negative_seed(capsys):
 def test_entropy_does_not_import_numpy_ma(argv):
     # numpy.ma costs 12-16 ms to import and no entropy command needs it;
     # np.unique and np.setdiff1d pull it in
-    assert not _imports_numpy_ma(argv.split())
+    assert not _imports("numpy.ma", argv.split())
 
 
-def _imports_numpy_ma(argv) -> bool:
-    """Whether a fresh process that runs main(argv) imports numpy.ma."""
+def _imports(module, *argvs) -> bool:
+    """Whether a fresh process that runs main(argv) for each argv in turn
+    imports module."""
     code = ("import sys\n"
             "from tnkit.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print('numpy.ma' in sys.modules)\n")
+            + "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+            + f"print({module!r} in sys.modules)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -1518,9 +1546,21 @@ def test_map_and_verify_do_not_import_numpy_ma(tmp_path, command):
     map_argv = ["map", "--tns", net, "--scheme", "refined",
                 "--out-prefix", prefix]
     assert main(map_argv) == 0
-    assert not _imports_numpy_ma(
-        map_argv if command == "map"
+    assert not _imports(
+        "numpy.ma", map_argv if command == "map"
         else ["verify", "--tns", net, "--map", prefix + ".map.json"])
+
+
+def test_symbolic_build_and_map_do_not_import_numpy_random(tmp_path):
+    # numpy.random costs about 5 MiB a process; only drawn elements need
+    # it, and the reader rebuilds a symbolic network without drawing
+    net = str(tmp_path / "net.json")
+    assert not _imports(
+        "numpy.random",
+        ["build", "--kind", "mera2d-b2", "--layers", "3", "--no-elements",
+         "--out", net],
+        ["map", "--tns", net, "--scheme", "refined",
+         "--out-prefix", str(tmp_path / "m")])
 
 
 @pytest.mark.parametrize("value", [2 ** 63, 2 ** 70])

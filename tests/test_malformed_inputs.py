@@ -125,8 +125,8 @@ def test_edited_symbolic_network_reads_as_json(documents, monkeypatch,
                                                capsys):
     # the same single-field edits on a copy without elements, written as
     # tnkit writes it (json.dumps and a newline), so that each reaches
-    # the array reader: it must give the network json gives, or None, and
-    # `map` must exit and print as with the json reader alone
+    # the rebuild reader: it must give the network json gives, or None,
+    # and `map` must exit and print as with the json reader alone
     work, tns_path, _ = documents
     doc = json.loads(tns_path.read_text())
     for node in doc["nodes"]:
@@ -140,16 +140,15 @@ def test_edited_symbolic_network_reads_as_json(documents, monkeypatch,
         out = capsys.readouterr()
         return code, out.out, out.err
 
+    # the unedited text is taken
     text = json.dumps(doc) + "\n"
     assert tns.tns_from_bytes(text.encode()) is not None
-    taken = 0
     for path in _leaves(doc):
         for value in BAD_VALUES:
             text = json.dumps(_edited(doc, path, value)) + "\n"
             edited.write_text(text)
             got = tns.tns_from_bytes(text.encode())
             if got is not None:
-                taken += 1
                 assert tns_to_dict(got) == tns_to_dict(
                     tns_from_dict(json.loads(text))), (path, value)
             result = outcome()
@@ -157,8 +156,6 @@ def test_edited_symbolic_network_reads_as_json(documents, monkeypatch,
                 patch.setattr(tns, "tns_from_bytes", lambda data: None)
                 assert outcome() == result, (path, value)
             assert result[0] in EXIT_CODES
-    # -1 in an int field and "2" as a variant still read
-    assert taken >= 10
 
 
 _DEEP = "[" * 200_000 + "]" * 200_000

@@ -1,14 +1,17 @@
-"""The array reader of tns-v1 against json.
+"""The rebuild reader of tns-v1 against json.
 
-`tns.tns_from_bytes` reads the text tnkit writes for a network without
-elements as arrays straight from the bytes, and returns a network only
-when `tns_text` re-encodes it to the same bytes.  On tnkit's own files it
-must give exactly what `tns_from_dict(json.loads(text))` gives; on any
-other text it must return None, and `cli._read_tns` must then read the
-file as the json reader alone does.
+`tns.tns_from_bytes` reads the text tnkit writes for a hierarchical
+network without elements by decoding its header and rebuilding the
+network the header names, and returns the network only when `tns_text`
+of it reproduces the bytes.  On tnkit's own files it must give exactly
+what `tns_from_dict(json.loads(text))` gives; on any other text it must
+return None, and `cli._read_tns` must then read the file as the json
+reader alone does.  The guards that keep it from building are tested
+too.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,8 +56,11 @@ DOCUMENTS = {
     # the map-deep shapes, shallower
     **{f"{kind} T={layers}": (BUILDERS[kind], layers)
        for kind in BUILDERS for layers in (1, 2, 3)},
+    # a 1D network of branching 2 that no builder of the family makes:
+    # the rebuilt network differs, and json reads the file
     "ttn1d T=3": (lambda layers, with_elements: _symbolic_ttn(layers), 3),
 }
+JSON_ONLY = {"ttn1d T=3"}
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
@@ -62,9 +68,11 @@ def test_array_reader_equals_json(tmp_path, name):
     build, layers = DOCUMENTS[name]
     text = "".join(tns_text(build(layers, with_elements=False)))
     got = tns_from_bytes(text.encode())
-    assert got is not None
     expected = tns_from_dict(json.loads(text))
-    assert_same_network(got, expected)
+    if name in JSON_ONLY:
+        assert got is None
+    else:
+        assert_same_network(got, expected)
     path = tmp_path / "net.json"
     path.write_text(text)
     assert_same_network(cli._read_tns(path), expected)
@@ -72,8 +80,8 @@ def test_array_reader_equals_json(tmp_path, name):
 
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_array_reader_at_every_batch_boundary(monkeypatch, step):
-    # windows of 128 * step bytes hold a few entries or none, so that
-    # batches end at every entry and windows grow
+    # batches of step entries, so that the rebuilt text is compared
+    # against the bytes at every entry
     net = build_mera_2d_b2(2, with_elements=False)
     text = "".join(tns_text(net))
     monkeypatch.setattr(tns_mod, "JSON_SLICE", step)
@@ -81,14 +89,16 @@ def test_array_reader_at_every_batch_boundary(monkeypatch, step):
                         tns_from_dict(json.loads(text)))
 
 
-def test_empty_network_reads_as_json():
+def test_empty_network_reads_as_json(tmp_path):
     net = build_mera_1d(1, with_elements=False)
     doc = tns_to_dict(net)
     doc["nodes"], doc["lines"] = [], []
     text = json.dumps(doc) + "\n"
-    got = tns_from_bytes(text.encode())
-    assert got is not None
-    assert_same_network(got, tns_from_dict(json.loads(text)))
+    assert tns_from_bytes(text.encode()) is None
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert_same_network(cli._read_tns(path),
+                        tns_from_dict(json.loads(text)))
 
 
 def _base():
@@ -144,6 +154,7 @@ NEAR_CANONICAL = {
     "int-true": lambda: _replace('"layer": 1,', '"layer": true,'),
     "physical-dim-true": lambda: _edit(lambda d: d.update(
         physical_dim=True)),
+    "chi-true": lambda: _edit(lambda d: d.update(chi=True)),
     "crlf": lambda: (json.dumps(_base()) + "\n").replace("\n", "\r\n"),
     "no-final-newline": lambda: json.dumps(_base()),
     "member-after-lines": lambda: _replace("]}\n", '], "extra": 1}\n'),
@@ -193,17 +204,23 @@ def test_near_canonical_text_falls_back_to_json(tmp_path, monkeypatch,
 
 
 def test_reader_of_tnkit_files_takes_the_array_path(tmp_path, monkeypatch):
-    # a file `build --no-elements` writes never becomes node or line dicts
+    # a file `build --no-elements` writes is rebuilt from its header and
+    # never becomes node or line dicts; the header is checked by
+    # tns_from_dict over empty node and line lists
     path = tmp_path / "net.json"
     assert cli.main(["build", "--kind", "mera2d-b2", "--layers", "3",
                      "--no-elements", "--out", str(path)]) == 0
     expected = tns_from_dict(json.loads(path.read_text()))
 
-    def refuse(*args):
-        raise AssertionError("a tnkit file read as JSON objects")
+    def refusing(read):
+        def refuse(rows, *args):
+            if len(rows):
+                raise AssertionError("a tnkit file read as JSON objects")
+            return read(rows, *args)
+        return refuse
 
-    monkeypatch.setattr(tns_mod, "node_columns", refuse)
-    monkeypatch.setattr(tns_mod, "_line_columns", refuse)
+    for name in ("node_columns", "_line_columns"):
+        monkeypatch.setattr(tns_mod, name, refusing(getattr(tns_mod, name)))
     assert_same_network(cli._read_tns(path), expected)
 
 
@@ -220,27 +237,80 @@ def test_undecodable_bytes_exit_as_text_mode_open(tmp_path, capsys):
                                                   f"error: {raised.value}\n")
 
 
-def test_hash_collisions_fall_back(monkeypatch):
-    # a line end that names no node but hashes as a node's id is matched
-    # to that node; the re-encoded text names the node, so the reader
-    # refuses the text, as it does when node ids share a hash
-    doc = _base()
-    end = doc["lines"][2]["b"]
-    real, end[0] = end[0], "ghost"
-    text = (json.dumps(doc) + "\n").encode()
-    hashes = tns_mod._hashes
-    padded = np.frombuffer(real.encode() + b" " * 8, np.uint8)
-    target = hashes(padded, np.array([0]), np.array([len(real)]))[0]
+def _chi_one_true():
+    """The text of a chi 1 network, canonical but for "chi": true: the
+    rebuilt network would carry chi True and re-encode to the same
+    bytes."""
+    doc = tns_to_dict(build_mera_2d_b2(2, chi=1, with_elements=False))
+    doc["chi"] = True
+    return json.dumps(doc) + "\n"
 
-    def colliding(arr, starts, ends):
-        h = hashes(arr, starts, ends)
-        h[[arr[a:b].tobytes() == b"ghost"
-           for a, b in zip(starts.tolist(), ends.tolist())]] = target
-        return h
 
-    monkeypatch.setattr(tns_mod, "_hashes", colliding)
-    assert tns_from_bytes(text) is None
-    monkeypatch.setattr(tns_mod, "_hashes",
-                        lambda arr, starts, ends: np.zeros(len(starts),
-                                                           np.uint64))
-    assert tns_from_bytes((json.dumps(_base()) + "\n").encode()) is None
+def test_header_passes_the_json_checks(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(_chi_one_true())
+    assert tns_from_bytes(path.read_bytes()) is None
+    got = _map(path, tmp_path / "m", capsys)
+    assert got == _json_only(
+        monkeypatch, lambda: _map(path, tmp_path / "m", capsys))
+    assert got[0] == 2
+    assert got[2] == ("error: malformed tns-v1 document: TypeError a count, "
+                      "layer, cell, dim, slot or line id is not an integer\n")
+
+
+def _header_edit(**lattice):
+    """The text of b2 T=2 with lattice fields replaced."""
+    doc = tns_to_dict(build_mera_2d_b2(2, with_elements=False))
+    doc["lattice"].update(lattice)
+    return json.dumps(doc) + "\n"
+
+
+def _empty_b2_t10():
+    doc = tns_to_dict(build_mera_2d_b2(1, with_elements=False))
+    doc["lattice"].update(length=1024, layers=10)
+    doc["nodes"], doc["lines"] = [], []
+    return json.dumps(doc) + "\n"
+
+
+UNBUILT = {
+    # 2^20 sites named in a few hundred bytes
+    "b2-T10-empty": _empty_b2_t10,
+    "no-family-3d": lambda: _header_edit(dimension=3),
+    "no-family-1d-b3": lambda: _header_edit(dimension=1, branching=3,
+                                            length=9),
+    "length-not-a-power": lambda: _header_edit(length=5),
+    # b**layers is not taken
+    "huge-layers": lambda: _header_edit(layers=10 ** 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBUILT))
+def test_reader_builds_nothing_for_a_header_it_cannot_hold(tmp_path,
+                                                           monkeypatch, name):
+    text = UNBUILT[name]()
+
+    def refuse(*args):
+        raise AssertionError("a network built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tns_mod, "_build_mera", refuse)
+        assert tns_from_bytes(text.encode()) is None
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    try:
+        expected = tns_from_dict(json.loads(text))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            cli._read_tns(path)
+    else:
+        assert_same_network(cli._read_tns(path), expected)
+
+
+def test_grid_past_the_site_budget_reads_as_json(tmp_path, monkeypatch):
+    # the rebuild refuses a grid past the site budget; json does not
+    text = "".join(tns_text(build_mera_2d_b2(3, with_elements=False)))
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(64 * 63))
+    assert tns_from_bytes(text.encode()) is None
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert_same_network(cli._read_tns(path), tns_from_dict(json.loads(text)))
