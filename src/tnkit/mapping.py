@@ -725,9 +725,10 @@ def congestion_csv(report: CongestionReport):
     report.interior() gives the interior figures.  Rows are formatted
     column-wise from the report's per-edge arrays by tns.joined, 8 *
     JSON_SLICE edges per batch, so that neither the Python objects of
-    every row nor the whole text is ever alive at once; an edge's paths
-    and bond dimension depend only on its row of counts, so their text is
-    made once per distinct row.
+    every row nor the whole text is ever alive at once.  Each coordinate
+    axis of the two ends is a numeral table with the ";" or "," after it
+    folded in, and an edge's paths and bond dimension depend only on its
+    row of counts, so their text is made once per distinct row.
     """
     row_tails = np.array([f",{paths},{bond}\n" for paths, bond in zip(
         report._paths.tolist(), report._bonds)], object)
@@ -736,7 +737,7 @@ def congestion_csv(report: CongestionReport):
     for i in range(0, len(report.edge_keys), size):
         batch = slice(i, i + size)
         lower, upper = report._ends(report.edge_keys[batch])
-        yield joined(len(lower), *numeral_axes(lower, ";"), ",",
+        yield joined(len(lower), *numeral_axes(lower, ";", ","),
                      *numeral_axes(upper, ";"),
                      row_tails[report._row_of_edge[batch]])
 
@@ -847,16 +848,21 @@ def map_text(p: Placement, paths: PathAssignment):
     from map_to_dict; the sites, in id order, and the paths are formatted
     column-wise from the arrays, JSON_SLICE entries per batch, by
     tns.joined, so that neither the document nor its text is ever whole.
-    A batch of paths is one stream of vertices, each ending with a tail:
-    "], [" inside a chain, "]]], [<next id>, [[" at a chain's end and
-    "]]]" at the batch's end.  Every chain needs a vertex, as route_lines
-    makes it: ValueError names the first line whose chain has none."""
+    Each coordinate axis is a numeral table with the ", " after it
+    folded in (tns.numeral_axes).  A batch of paths is one stream of
+    vertices, each ending with a tail: "], [" inside a chain, "]]],
+    [<next id>, [[" at a chain's end and "]]]" at the batch's end.  Every
+    chain needs a vertex, as route_lines makes it: ValueError names the
+    first line whose chain has none."""
     step = _tns.JSON_SLICE
     head = map_to_dict(p, paths, slice(0), slice(0))
     del head["sites"], head["paths"]
     yield json.dumps(head)[:-1] + ', "sites": ['
-    # ids are distinct, so this is the order sorted gives the sites
-    order = np.array(p.ids, object).argsort(kind="stable")
+    # ids are distinct, so this is the order sorted gives the sites; kept
+    # as int64, since the list's Python ints, held for the whole write,
+    # would outweigh a slice of text
+    order = np.fromiter(sorted(range(len(p.ids)), key=p.ids.__getitem__),
+                        np.int64, len(p.ids))
     for start in range(0, len(order), step):
         at = order[start:start + step]
         if start:

@@ -73,10 +73,15 @@ _PAST_INT64 = "a layer, cell, dim, slot or line id does not fit in 64 bits"
 _int64 = functools.partial(int64_array, past=_PAST_INT64)
 
 
-# The text kernel of the writers of tns-v1, map-v1 and the congestion CSV:
-# each formats a batch of entries as object-array columns of strings and
-# joins them once, so that each distinct value is formatted once and the
-# rest moves references.
+# The text kernel of the writers of tns-v1, map-v1 and the congestion CSV,
+# and of node ids: each column of a batch of entries is a small table of
+# strings, one per distinct value, taken at the entries' indices into an
+# object array, and a batch is joined once, so that each distinct value
+# is formatted once and the rest moves references.  Constant text next
+# to a narrow column (coordinates, slots, dims, kinds, variants) is
+# folded into its table, which leaves fewer pieces to join; next to a
+# wide one (line and node ids) it stays a piece of its own, since
+# folding would cost a concatenation per distinct value.
 
 
 def joined(count: int, *pieces) -> str:
@@ -84,7 +89,9 @@ def joined(count: int, *pieces) -> str:
     a str piece is the same in every entry, any other is an object array
     of count strings, one per entry.  The pieces are interleaved in one
     list, which str.join takes as it is; an object array would be copied
-    into a list of the same size first."""
+    into a list of the same size first.  Each piece costs count
+    references in that list, so callers fold the constant text next to
+    a narrow column into its numeral table rather than pass it apart."""
     out = [None] * (count * len(pieces))
     for k, piece in enumerate(pieces):
         out[k::len(pieces)] = [piece] * count if isinstance(piece, str) \
@@ -92,30 +99,59 @@ def joined(count: int, *pieces) -> str:
     return "".join(out)
 
 
-def numerals(values: np.ndarray) -> np.ndarray:
-    """str of each entry of an int column, as an object array, each
-    distinct value formatted once: by a table of every value from the
-    least to the greatest when that range is no longer than the column,
-    else by one numeral per distinct value."""
+# the numerals of 0..999 and their three-digit forms, from which
+# _composed builds the numeral of any value in [0, 10**9)
+_UNITS = np.array(list(map(str, range(1000))), object)
+_PADDED = np.array(["%03d" % r for r in range(1000)], object)
+# tables longer than this are composed from the two above, not by str
+_WIDE = 2000
+
+
+def _composed(table: np.ndarray) -> np.ndarray:
+    """str of each entry of a sorted int column in [0, 10**9), as an
+    object array: the numeral of its leading group of three digits
+    (_UNITS) and the padded numerals of the groups after it (_PADDED),
+    added as object arrays, with no str call per value."""
+    # int64, so that 10**6 fits the dtype (a uint16 column's, say)
+    table = table.astype(np.int64, copy=False)
+    text = np.empty(len(table), object)
+    thousand, million = table.searchsorted((1000, 10 ** 6)).tolist()
+    text[:thousand] = _UNITS[table[:thousand]]
+    mid = table[thousand:million]
+    text[thousand:million] = _UNITS[mid // 1000] + _PADDED[mid % 1000]
+    top = table[million:]
+    text[million:] = (_UNITS[top // 10 ** 6] + _PADDED[top // 1000 % 1000]
+                      + _PADDED[top % 1000])
+    return text
+
+
+def numerals(values: np.ndarray, before: str = "",
+             after: str = "") -> np.ndarray:
+    """before + str(v) + after for each entry v of an int column, as an
+    object array, each distinct value's text made once into a table: a
+    table of every value from the least to the greatest when that range
+    is no longer than the column, else one of the distinct values.  A
+    table of more than _WIDE values, all in [0, 10**9), is composed by
+    _composed; any other is made by str, value by value."""
     if not len(values):
         return np.empty(0, object)
     # Python ints, so that the range of int64 extremes does not wrap
     low, high = int(values.min()), int(values.max())
-    if high - low < len(values):
-        table, at = range(low, high + 1), values - low
-    else:
-        table, at = distinct(values)
-        table = table.tolist()
-    return np.array(list(map(str, table)), object)[at]
+    ranged = high - low < len(values)
+    table, at = (range(low, high + 1), values - low) if ranged \
+        else distinct(values)
+    if len(table) > _WIDE and low >= 0 and high < 10 ** 9:
+        text = _composed(np.arange(low, high + 1) if ranged else table)
+        return (before + text + after if before or after else text)[at]
+    return np.array([before + str(v) + after for v in
+                     (table if ranged else table.tolist())], object)[at]
 
 
-def numeral_axes(rows: np.ndarray, sep: str) -> list:
+def numeral_axes(rows: np.ndarray, sep: str, end: str = "") -> list:
     """Pieces for joined: the numeral column of each axis of (n, D) int
-    rows, with sep between axes."""
-    pieces = []
-    for column in rows.T:
-        pieces += [sep, numerals(column)]
-    return pieces[1:]
+    rows, sep folded after each axis but the last, which takes end."""
+    return [numerals(column, after=sep) for column in rows.T[:-1]] + \
+        [numerals(rows[:, -1], after=end)]
 
 
 def encoded(strings) -> np.ndarray:
@@ -321,9 +357,18 @@ def _random_top(rng, dim) -> np.ndarray:
 
 
 def _ids(prefix: str, cells: np.ndarray) -> list[str]:
-    """Node ids of the form prefix + comma-joined cell, cells (n, D)."""
-    template = (prefix + ",".join(["%d"] * cells.shape[1])).__mod__
-    return list(map(template, zip(*cells.T.tolist())))
+    """Node ids of the form prefix + comma-joined cell, cells (n, D).
+    Each axis is a numeral table with the prefix or "," folded in, and
+    the axes are added as object arrays, one add per axis after the
+    first.  A 1D cell is distinct per node, so its table is as long as
+    the column and saves little: 1D ids keep a %-template per node."""
+    if cells.shape[1] == 1:
+        return list(map((prefix + "%d").__mod__, cells[:, 0].tolist()))
+    first, *rest = cells.T
+    text = numerals(first, before=prefix)
+    for column in rest:
+        text += numerals(column, before=",")
+    return text.tolist()
 
 
 def _add_anchors(t: _Tables, spec: LatticeSpec, phys_dim: int):
@@ -798,8 +843,11 @@ def tns_text(tns: Tns):
     tns_to_dict; the nodes and lines are formatted column-wise from the
     network's arrays, JSON_SLICE entries per batch, by joined over the
     id, kind and variant tables and numeral columns, so that neither the
-    document nor its text is ever whole.  ValueError as tns_to_dict's,
-    once the batches before it are given."""
+    document nor its text is ever whole.  The member names and brackets
+    after a layer, cell, kind, variant, dims or slot are folded into that
+    column's table; ids and line ids are wide, so the text around them
+    is a piece of its own.  ValueError as tns_to_dict's, once the batches
+    before it are given."""
     dumps, step = json.dumps, JSON_SLICE
     head = tns_to_dict(tns, slice(0), slice(0))
     del head["nodes"], head["lines"]
@@ -807,7 +855,8 @@ def tns_text(tns: Tns):
     # the function json.dumps applies to every string, so that any id
     # reads back exactly
     ids = encoded(tns.ids)
-    kinds, variants = encoded(KIND_NAMES), encoded(tns.variants)
+    kinds = encoded(KIND_NAMES) + ', "variant": '
+    variants = encoded(tns.variants) + ', "dims": ['
     for start in range(0, len(ids), step):
         part = slice(start, start + step)
         count = len(ids[part])
@@ -815,13 +864,12 @@ def tns_text(tns: Tns):
         if start:
             yield ", "
         yield joined(
-            count, '{"id": ', ids[part], ', "layer": ',
-            numerals(tns.layer[part]), ', "cell": [',
-            *numeral_axes(tns.cell[part], ", "), '], "kind": ',
-            kinds[tns.kind[part]], ', "variant": ',
-            variants[tns.variant[part]], ', "dims": [',
+            count, '{"id": ', ids[part],
+            numerals(tns.layer[part], ', "layer": ', ', "cell": ['),
+            *numeral_axes(tns.cell[part], ", ", '], "kind": '),
+            kinds[tns.kind[part]], variants[tns.variant[part]],
             _dims_text(tns.dims, tns.dim_offsets[start:start + step + 1]),
-            '], "elements": ', "null" if _all_none(elements)
+            "null" if _all_none(elements)
             else np.array(["null" if e is None
                            else dumps(_flat_elements(nid, e))
                            for nid, e in zip(tns.ids[part], elements)],
@@ -835,8 +883,8 @@ def tns_text(tns: Tns):
             yield ", "
         yield joined(
             len(a), '{"id": ', numerals(tns.line_id[part]), ', "a": [',
-            ids[a], ", ", numerals(sa), '], "b": [', ids[b], ", ",
-            numerals(sb), '], "dim": ', numerals(tns.line_dim[part]),
+            ids[a], numerals(sa, ", ", '], "b": ['), ids[b],
+            numerals(sb, ", ", '], "dim": '), numerals(tns.line_dim[part]),
             tails(len(a), "}, ", "}"))
     yield "]}\n"
 
@@ -851,15 +899,15 @@ def _all_none(values: list) -> bool:
 
 def _dims_text(dims: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The text of each node's dims, dims[bounds[i]:bounds[i + 1]] joined
-    by ", ", as an object array; each distinct row of dims is formatted
-    once."""
+    by ", ", followed by '], "elements": ', as an object array; each
+    distinct row of dims is formatted once, with that text folded in."""
     order = np.diff(bounds)
     text = np.empty(len(order), object)
     for width in distinct(order)[0].tolist():
         at = (order == width).nonzero()[0]
         rows, inverse = distinct(dims[bounds[at, None] + np.arange(width)])
-        text[at] = np.array([", ".join(map(str, row)) for row in
-                             rows.tolist()], object)[inverse]
+        text[at] = np.array([", ".join(map(str, row)) + '], "elements": '
+                             for row in rows.tolist()], object)[inverse]
     return text
 
 

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnkit import cli, mapping, tns as tns_mod
 from tnkit.cli import main
@@ -309,18 +310,111 @@ def test_map_writer_equals_json_dumps(monkeypatch, step, scheme):
         {nid for nid, _ in sites}
 
 
+# a sparse column of 2,500 distinct values whose table is of the
+# distinct values, across the group boundaries of the composed numerals
+_SPARSE = np.unique(np.concatenate((
+    [0, 999, 1000, 999_999, 10**6, 10**9 - 1],
+    np.linspace(0, 10**9 - 1, 2_494).astype(np.int64))))
+_composed = tns_mod._composed
+
+
 @pytest.mark.parametrize("values", [
-    [0], [0, 0, 1, 1], [7, 3, 5], [-1, -3, -2, -2], [-5, 12, 0, 100],
-    [2**63 - 1, 2**63 - 2], [-2**63, -2**63 + 1],
-    [2**63 - 1, -2**63, 0, -1, 2**63 - 1]])
-def test_numerals_print_as_str(values):
-    column = np.array(values, np.int64)
+    np.array(values, np.int64) for values in (
+        [0], [0, 0, 1, 1], [7, 3, 5], [-1, -3, -2, -2], [-5, 12, 0, 100],
+        [2**63 - 1, 2**63 - 2], [-2**63, -2**63 + 1],
+        [2**63 - 1, -2**63, 0, -1, 2**63 - 1])] + [
+    pytest.param(np.arange(12_345), id="arange-12345"),
+    pytest.param(np.arange(995, 3_010), id="arange-995-3010"),
+    pytest.param(np.repeat(_SPARSE, 2)[::-1], id="sparse"),
+    # 10**9 and negative values are past the composed tables
+    pytest.param(np.append(_SPARSE, 10**9), id="sparse-1e9"),
+    pytest.param(np.arange(-2, 2_500) * 7, id="wide-negative"),
+    pytest.param(np.arange(0, 65_535, 13, dtype=np.uint16), id="uint16")])
+def test_numerals_print_as_str(monkeypatch, values):
+    # the table of each column here is of its distinct values; one of
+    # more than 2,000 values, all in [0, 10**9), is composed from the
+    # numerals of 0..999
+    column, values = values, values.tolist()
+    calls = []
+    monkeypatch.setattr(tns_mod, "_composed", lambda table: calls.append(
+        len(table)) or _composed(table))
     assert tns_mod.numerals(column).tolist() == list(map(str, values))
+    assert bool(calls) == (len(set(values)) > 2_000
+                              and 0 <= min(values) <= max(values) < 10**9)
+    assert tns_mod.numerals(column, "<", '">').tolist() == \
+        [f'<{v}">' for v in values]
+    assert tns_mod.numerals(column, after=", ").tolist() == \
+        [f"{v}, " for v in values]
     rows = np.stack([column, column[::-1]], axis=1)
     assert tns_mod.joined(len(rows), "[", *tns_mod.numeral_axes(rows, ";"),
                           "]") == "".join(f"[{a};{b}]" for a, b in
                                           rows.tolist())
+    rows = np.stack([column, column[::-1], column], axis=1)
+    assert tns_mod.joined(len(rows), "[", *tns_mod.numeral_axes(
+        rows, ", ", "]")) == "".join(f"[{a}, {b}, {c}]" for a, b, c in
+                                    rows.tolist())
     assert tns_mod.numerals(column[:0]).tolist() == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(count=st.integers(0, 6_000),
+       low=st.one_of(st.integers(0, 10**9), st.integers(-2**63, 2**63 - 1)),
+       bits=st.integers(0, 64), seed=st.integers(0, 2**32 - 1),
+       before=st.sampled_from(["", '"', ", "]),
+       after=st.sampled_from(["", "]", '], "elements": ']))
+def test_numerals_equal_str_of_any_int64(count, low, bits, seed, before,
+                                         after):
+    # values in [low, low + 2**bits), clipped to int64
+    high = min(low + 2**bits, 2**63)
+    column = np.random.default_rng(seed).integers(low, high, count,
+                                                  dtype=np.int64)
+    assert tns_mod.numerals(column, before, after).tolist() == \
+        [f"{before}{v}{after}" for v in column.tolist()]
+
+
+@pytest.mark.parametrize("cells", [
+    pytest.param(cells, id=name) for name, cells in (
+        ("1d", np.arange(5_000)[:, None]),
+        ("2d", np.indices((90, 70)).reshape(2, -1).T),
+        ("3d", np.indices((12, 25, 17)).reshape(3, -1).T[::-1]),
+        ("one-cell", np.array([[3, 1_000, 7]])),
+        ("past-1000", np.array([[999, 1_000], [10**6, 123_456_789],
+                                [10**9, 2**62], [0, 1_001]])),
+        ("3d-past-1000", np.array([[1_000, 999, 10_000]] * 3)))])
+def test_ids_equal_the_template(cells):
+    template = ("w:3:" + ",".join(["%d"] * cells.shape[1])).__mod__
+    assert tns_mod._ids("w:3:", cells) == \
+        list(map(template, map(tuple, cells.tolist())))
+
+
+@pytest.fixture(scope="module")
+def two_batches():
+    """b2 T=6 without elements: 10,441 lines, two batches of the default
+    JSON_SLICE, and line ids past 10**4."""
+    net = build_mera_2d_b2(6, with_elements=False)
+    assert len(net.line_id) == 10_441 > tns_mod.JSON_SLICE
+    return net
+
+
+def test_two_batch_network_text_equals_json_dumps(two_batches):
+    assert "".join(tns_mod.tns_text(two_batches)) == \
+        json.dumps(tns_to_dict(two_batches)) + "\n"
+
+
+@pytest.mark.parametrize("scheme", ["refined", "shifted"])
+def test_two_batch_map_and_csv_equal_their_oracles(two_batches, scheme):
+    net = two_batches
+    p = mapping.place(net, scheme)
+    paths = mapping.route_lines(net, p)
+    assert len(paths.line_ids) > tns_mod.JSON_SLICE
+    assert "".join(mapping.map_text(p, paths)) == \
+        json.dumps(mapping.map_to_dict(p, paths)) + "\n"
+    report = mapping.measured_chi(net, paths)
+    assert "".join(mapping.congestion_csv(report)) == \
+        "edge_a,edge_b,paths,bond_dim\n" + "".join(
+            f"{';'.join(map(str, a))},{';'.join(map(str, b))},"
+            f"{report.paths_through((a, b))},{report.bond_dim_of((a, b))}\n"
+            for a, b in report.edge_lines)
 
 
 @pytest.mark.parametrize("step", [1, 2, 3])
