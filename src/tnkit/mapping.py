@@ -858,11 +858,8 @@ def map_text(p: Placement, paths: PathAssignment):
     head = map_to_dict(p, paths, slice(0), slice(0))
     del head["sites"], head["paths"]
     yield json.dumps(head)[:-1] + ', "sites": ['
-    # ids are distinct, so this is the order sorted gives the sites; kept
-    # as int64, since the list's Python ints, held for the whole write,
-    # would outweigh a slice of text
-    order = np.fromiter(sorted(range(len(p.ids)), key=p.ids.__getitem__),
-                        np.int64, len(p.ids))
+    # ids are distinct, so this is the order sorted gives the sites
+    order = np.array(p.ids, object).argsort(kind="stable")
     for start in range(0, len(order), step):
         at = order[start:start + step]
         if start:

@@ -99,52 +99,22 @@ def joined(count: int, *pieces) -> str:
     return "".join(out)
 
 
-# the numerals of 0..999 and their three-digit forms, from which
-# _composed builds the numeral of any value in [0, 10**9)
-_UNITS = np.array(list(map(str, range(1000))), object)
-_PADDED = np.array(["%03d" % r for r in range(1000)], object)
-# tables longer than this are composed from the two above, not by str
-_WIDE = 2000
-
-
-def _composed(table: np.ndarray) -> np.ndarray:
-    """str of each entry of a sorted int column in [0, 10**9), as an
-    object array: the numeral of its leading group of three digits
-    (_UNITS) and the padded numerals of the groups after it (_PADDED),
-    added as object arrays, with no str call per value."""
-    # int64, so that 10**6 fits the dtype (a uint16 column's, say)
-    table = table.astype(np.int64, copy=False)
-    text = np.empty(len(table), object)
-    thousand, million = table.searchsorted((1000, 10 ** 6)).tolist()
-    text[:thousand] = _UNITS[table[:thousand]]
-    mid = table[thousand:million]
-    text[thousand:million] = _UNITS[mid // 1000] + _PADDED[mid % 1000]
-    top = table[million:]
-    text[million:] = (_UNITS[top // 10 ** 6] + _PADDED[top // 1000 % 1000]
-                      + _PADDED[top % 1000])
-    return text
-
-
 def numerals(values: np.ndarray, before: str = "",
              after: str = "") -> np.ndarray:
     """before + str(v) + after for each entry v of an int column, as an
     object array, each distinct value's text made once into a table: a
     table of every value from the least to the greatest when that range
-    is no longer than the column, else one of the distinct values.  A
-    table of more than _WIDE values, all in [0, 10**9), is composed by
-    _composed; any other is made by str, value by value."""
+    is no longer than the column, else one of the distinct values."""
     if not len(values):
         return np.empty(0, object)
     # Python ints, so that the range of int64 extremes does not wrap
     low, high = int(values.min()), int(values.max())
-    ranged = high - low < len(values)
-    table, at = (range(low, high + 1), values - low) if ranged \
-        else distinct(values)
-    if len(table) > _WIDE and low >= 0 and high < 10 ** 9:
-        text = _composed(np.arange(low, high + 1) if ranged else table)
-        return (before + text + after if before or after else text)[at]
-    return np.array([before + str(v) + after for v in
-                     (table if ranged else table.tolist())], object)[at]
+    if high - low < len(values):
+        table, at = range(low, high + 1), values - low
+    else:
+        table, at = distinct(values)
+        table = table.tolist()
+    return np.array([before + str(v) + after for v in table], object)[at]
 
 
 def numeral_axes(rows: np.ndarray, sep: str, end: str = "") -> list:
@@ -360,10 +330,7 @@ def _ids(prefix: str, cells: np.ndarray) -> list[str]:
     """Node ids of the form prefix + comma-joined cell, cells (n, D).
     Each axis is a numeral table with the prefix or "," folded in, and
     the axes are added as object arrays, one add per axis after the
-    first.  A 1D cell is distinct per node, so its table is as long as
-    the column and saves little: 1D ids keep a %-template per node."""
-    if cells.shape[1] == 1:
-        return list(map((prefix + "%d").__mod__, cells[:, 0].tolist()))
+    first."""
     first, *rest = cells.T
     text = numerals(first, before=prefix)
     for column in rest:

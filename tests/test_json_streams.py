@@ -311,11 +311,10 @@ def test_map_writer_equals_json_dumps(monkeypatch, step, scheme):
 
 
 # a sparse column of 2,500 distinct values whose table is of the
-# distinct values, across the group boundaries of the composed numerals
+# distinct values, across the numerals' changes of width
 _SPARSE = np.unique(np.concatenate((
     [0, 999, 1000, 999_999, 10**6, 10**9 - 1],
     np.linspace(0, 10**9 - 1, 2_494).astype(np.int64))))
-_composed = tns_mod._composed
 
 
 @pytest.mark.parametrize("values", [
@@ -326,21 +325,12 @@ _composed = tns_mod._composed
     pytest.param(np.arange(12_345), id="arange-12345"),
     pytest.param(np.arange(995, 3_010), id="arange-995-3010"),
     pytest.param(np.repeat(_SPARSE, 2)[::-1], id="sparse"),
-    # 10**9 and negative values are past the composed tables
     pytest.param(np.append(_SPARSE, 10**9), id="sparse-1e9"),
     pytest.param(np.arange(-2, 2_500) * 7, id="wide-negative"),
     pytest.param(np.arange(0, 65_535, 13, dtype=np.uint16), id="uint16")])
-def test_numerals_print_as_str(monkeypatch, values):
-    # the table of each column here is of its distinct values; one of
-    # more than 2,000 values, all in [0, 10**9), is composed from the
-    # numerals of 0..999
+def test_numerals_print_as_str(values):
     column, values = values, values.tolist()
-    calls = []
-    monkeypatch.setattr(tns_mod, "_composed", lambda table: calls.append(
-        len(table)) or _composed(table))
     assert tns_mod.numerals(column).tolist() == list(map(str, values))
-    assert bool(calls) == (len(set(values)) > 2_000
-                              and 0 <= min(values) <= max(values) < 10**9)
     assert tns_mod.numerals(column, "<", '">').tolist() == \
         [f'<{v}">' for v in values]
     assert tns_mod.numerals(column, after=", ").tolist() == \
