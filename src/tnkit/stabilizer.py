@@ -14,54 +14,61 @@ ascending.  The phases r stay dense: a (2, ceil(n/64)) array of low and
 high bit planes.  The tree state at T=13 keeps 16,638 of the 2,097,152
 words of the dense tableau.
 
-Every gate reads and writes only the slices of its own rows.  A row
-move (SWAP, permute_qubits, the exchange of a qubit's X and Z rows by H)
+Every gate reads and writes only the slices of its own rows.  A row move
+(SWAP, permute_qubits, the exchange of a qubit's X and Z rows by H)
 moves the rows' start and stop slots; no word moves.  XOR-ing rows into
 rows (CNOT, S and the X bits of the rotations) gathers the slices of the
 rows written together with the new words, sorts them by (row, word),
-XORs the words of equal key into one, drops those that came out zero
-and appends each row's result to the pool as its new slice.  The old
-slices are left dead; when the pool is full, the live slices are packed,
-row by row, into a new pool twice their size.  apply_xx_rotations and
+XORs the words of equal key into one, drops those that came out zero and
+appends each row's result to the pool as its new slice.  The old slices
+are left dead; when the pool is full, the live slices move into a new
+pool twice their size.  With no dead slot, as in a fresh state, the used
+prefix is copied and every slice keeps its slots; only a pool with dead
+slots is gathered row by row, which compacts it.  apply_xx_rotations and
 apply_swaps apply a whole batch of qubit pairs in a few array
 operations; the single-gate calls are batches of one pair.  A batch of
 swaps moves rows, so its pairs must be disjoint.  The rotations of a
 batch may share qubits: they commute and none changes a Z bit, so the Z
 rows before the batch tell which generators anticommute with each pair.
 A batch of rotations gathers the Z words of its rows, merges them into
-each pair's anticommuting words and XORs those into the X rows of the
-pairs' qubits; its phase change is a bit-sliced count mod 4 over the
-pairs, taken per generator word as a segmented prefix parity.  Whatever
-the size of the state, a single H, S, CNOT or rotation costs a few dozen
-numpy calls, some tens of microseconds, plus time about linear in its
-rows' words; the packing of a full pool comes on top now and then.
+each pair's anticommuting words, merges those again by (qubit, word)
+into each qubit's flips, from which the distinct qubits follow without a
+sort of the qubits, and XORs the flips into those qubits' X rows; its
+phase change is a bit-sliced count mod 4 over the pairs, taken per
+generator word as a segmented prefix parity.  Whatever the size of the
+state, a single H, S, CNOT or rotation costs a few dozen numpy calls,
+some tens of microseconds, plus time about linear in its rows' words;
+the packing of a full pool comes on top now and then.
 
 The budget counts the bytes the store holds: 16 per pool slot, live,
-dead or free (word index and value), 16 per bit row (its start and
-stop) and the phase planes, against 16 * lattice.amplitude_limit()
-bytes (1 GiB by default, set through TNKIT_MAX_AMPLITUDES).  Each
-charge adds what is about to be allocated and raises
-ResourceLimitError, naming the qubits and the bytes, before it is:
-init_zero charges its store, _pack the new pool beside the old one, a
-batch of rotations 128 bytes per word of its Z rows, for its merges
-and writes, and the entropy 64 bytes per word it unpacks and 32 per
-set bit of its (generator, column) list.  _pack and a batch of
-rotations count their words from the rows' slots and charge before
-they read one; the entropy's charge can fail only once it has counted
-the set bits of the words it read.  The tree state holds a few words
-per row; its largest charge, the rotations', is about 300 bytes per
-qubit.  A near-dense store, which no command makes, is refused before
-it is allocated.
+dead or free (word index and value), 16 per bit row (its start and stop)
+and the phase planes, against 16 * lattice.amplitude_limit() bytes
+(1 GiB by default, set through TNKIT_MAX_AMPLITUDES).  Each charge adds
+what is about to be allocated and raises ResourceLimitError, naming the
+qubits and the bytes, before it is: init_zero charges its store, _pack
+the new pool beside the old one, a batch of rotations 128 bytes per word
+of its Z rows, for its merges and writes, and the entropy 24 bytes per
+word it reads and 32 per set bit of its (generator, column) list, which
+bound what it holds past the read.  _pack and a batch of rotations count
+their words from the rows' slots and charge before they read one; the
+entropy counts the set bits of the words it read, from their nonzero
+octets, and charges before it makes any array of set bits.  The tree
+state holds a few words per row; its largest charge, the rotations', is
+about 300 bytes per qubit.  A near-dense store, which no command makes,
+is refused before it is allocated.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
-the X and Z columns of A) - |A|, exact and integer.  The rank is taken on
-the smaller side of the cut, valid because S_A = S_B for a pure state,
-on the list of (generator, column) bits of the stored words of that
-side's rows.  Rounds of array operations first peel the pivots that need
-no elimination: a generator that alone sets some column, and a column
-that is some generator's only bit.  Only the core left over becomes
-Python-int rows for _gf2_rank; the tree cuts of every odd T <= 17 peel
-completely.
+the X and Z columns of A) - |A|, exact and integer.  The rank is taken
+on the smaller side of the cut, valid because S_A = S_B for a pure
+state, on the list of (generator, column) bits of the stored words of
+that side's rows.  The list is built from the words' nonzero octets
+through two 256-row tables, each octet's popcount and its bit positions,
+so it costs time with its set bits, about two a word for the tree, not
+with the 64 bits of every word.  Rounds of array operations first peel
+the pivots that need no elimination: a generator that alone sets some
+column, and a column that is some generator's only bit.  Only the core
+left over becomes Python-int rows for _gf2_rank; the tree cuts of every
+odd T <= 17 peel completely.
 
 The tree-state driver applies every row of tns.ttn_gate_schedule as one
 batch of rotations and sizes the cut by tns.ttn_cut_size; it never calls
@@ -216,20 +223,26 @@ def _write(t: StabilizerState, rows: np.ndarray, label: np.ndarray,
 
 
 def _pack(t: StabilizerState, extra: int) -> None:
-    """Move the live slices, row by row, to the front of a new pool twice
-    the size of them and extra more words; ResourceLimitError before the
-    new pool is allocated when the store would pass the budget while it
-    holds both pools."""
+    """Move the live slices to the front of a new pool twice the size of
+    them and extra more words; ResourceLimitError before the new pool is
+    allocated when the store would pass the budget while it holds both
+    pools.  Without a dead slot the used prefix is copied and every slice
+    keeps its slots; otherwise the live slices are gathered row by row."""
     words = int(t.stop.sum() - t.start.sum())
     _charge(t.num_qubits, _held(t) + 32 * (words + extra))
-    _, word, val = _read(t, np.arange(t.start.size))
-    t.word = np.empty(2 * (word.size + extra), dtype=np.int64)
+    dead = words < t.used
+    if dead:
+        _, word, val = _read(t, np.arange(t.start.size))
+    else:
+        word, val = t.word[:words], t.val[:words]
+    t.word = np.empty(2 * (words + extra), dtype=np.int64)
     t.val = np.empty(t.word.size, dtype=np.uint64)
-    t.word[:word.size], t.val[:word.size] = word, val
-    count = t.stop - t.start
-    t.stop = np.cumsum(count)
-    t.start = t.stop - count
-    t.used = word.size
+    t.word[:words], t.val[:words] = word, val
+    if dead:
+        count = t.stop - t.start
+        t.stop = np.cumsum(count)
+        t.start = t.stop - count
+    t.used = words
 
 
 def _starts(key: np.ndarray) -> np.ndarray:
@@ -295,23 +308,37 @@ def apply_xx_rotations(t: StabilizerState, a, b) -> StabilizerState:
     that anticommutes with X_a X_b.  No gate changes a Z bit, so whether a
     generator anticommutes with a pair does not depend on the other gates
     of the batch.  A qubit's X row takes the XOR of the flips of every
-    pair on it, and the subtractions of the batch are summed mod 4 before
-    they reach the phases.
+    pair on it, merged by (qubit, word); the runs of that merge give the
+    distinct qubits and each word's row, with no sort of the qubits and
+    no array over all n of them.  The subtractions of the batch are
+    summed mod 4 before they reach the phases.
     """
     a, b = _pairs(t, a, b, disjoint=False)
     n, width, m = t.num_qubits, t.phase.shape[1], a.size
-    ab = np.concatenate([a, b])
-    rows = n + ab
+    rows = n + np.concatenate([a, b])
     # the batch's merges and writes take about 128 bytes per word read
     _charge(n, _held(t) + 128 * int(t.stop[rows].sum() - t.start[rows].sum()))
     # the words of z[a] ^ z[b]: the generators anticommuting with X_a X_b
     k, word, val = _read(t, rows)
     key, anti = _xor_merge(k % m * width + word, val)
     k, word = np.divmod(key, width)
-    # the X row of a qubit in several pairs takes the words of each
-    rows, at = np.unique(ab, return_inverse=True)
-    _xor_into(t, rows, np.concatenate([at[k], at[k + m]]),
-              np.concatenate([word, word]), np.concatenate([anti, anti]))
+    # the X row of a qubit in several pairs takes the XOR of their words
+    key, flip = _xor_merge(np.concatenate([a[k], b[k]]) * width
+                           + np.concatenate([word, word]),
+                           np.concatenate([anti, anti]))
+    # each array goes once used: a batch sets the peak of the tree at
+    # T=21 and of the 2^20-qubit automaton
+    del k
+    qubit, at = np.divmod(key, width)
+    del key
+    # the distinct qubits, ascending; the qubit column becomes the labels
+    start = _starts(qubit)
+    rows = qubit[start]
+    qubit[:] = 0
+    qubit[start[1:]] = 1
+    np.cumsum(qubit, out=qubit)
+    _xor_into(t, rows, qubit, at, flip)
+    del qubit, at, flip
     # per generator word, the anticommuting pairs counted mod 4
     order = np.argsort(word, kind="stable")
     word, anti = word[order], anti[order]
@@ -385,6 +412,11 @@ def apply_cnot(t: StabilizerState, control: int, target: int) -> StabilizerState
 
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)
+# row v, flattened: the positions of the set bits of v, ascending, then
+# zeros
+_BIT_POSITIONS = np.array(
+    [([i for i in range(8) if v >> i & 1] + [0] * 8)[:8] for v in range(256)],
+    np.uint8).reshape(-1)
 
 
 def _restricted_hits(t: StabilizerState,
@@ -392,20 +424,42 @@ def _restricted_hits(t: StabilizerState,
     """(generator, column) of every set bit of the generators restricted
     to the X bits (columns 0..k-1) and Z bits (columns k..2k-1) of the
     given qubits, as two int64 arrays, read from the slices of their
-    rows.  Before the words are unpacked, the store, 64 bytes per word
-    read and 32 per set bit are charged to the budget."""
+    rows.  The words are read as octets; the set bits of the nonzero
+    ones come from two 256-row tables, the popcount and the bit
+    positions, so the work grows with the set bits, not with 64 a word.
+    Once they are counted, the store, 24 bytes per word read and 32 per
+    set bit are charged to the budget, before any array of set bits."""
     cols, word, val = _read(t, np.concatenate([qubits,
                                                t.num_qubits + qubits]))
     octets = val.astype("<u8", copy=False).view(np.uint8)
-    need = _held(t) + 64 * val.size
-    # the set bits are counted only when 64 a word might not fit
-    if need + 32 * 64 * val.size > 16 * amplitude_limit():
-        need += 32 * int(_POPCOUNT[octets].sum(dtype=np.int64))
-    _charge(t.num_qubits, need)
-    bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
-    hit = np.flatnonzero(bits)
-    at = hit >> 6
-    return 64 * word[at] + (hit & 63), cols[at]
+    key = np.flatnonzero(octets)
+    octet = octets[key]
+    del octets, val
+    count = _POPCOUNT[octet]
+    bits = int(count.sum(dtype=np.int64))
+    _charge(t.num_qubits, _held(t) + 24 * word.size + 32 * bits)
+    # set bit i, of rank r among the bits of nonzero octet j, is entry
+    # 8 * octet[j] + r of the position table, r being i less the set bits
+    # of the octets before j; its key is 2048 times the place of octet j
+    # among the octets read, plus that entry
+    key <<= 11
+    key += octet.astype(np.int64) << 3
+    key += count
+    key -= np.cumsum(count, dtype=np.int64)
+    key = np.repeat(key, count)
+    key += np.arange(bits)
+    # the bit's place in the words read, 64 a word
+    place = key >> 11
+    place <<= 3
+    key &= 2047
+    place += _BIT_POSITIONS[key]
+    del key, octet, count
+    slot = place >> 6
+    place &= 63
+    gens = word[slot]
+    gens <<= 6
+    gens |= place
+    return gens, cols[slot]
 
 
 def _peeled_rank(gens: np.ndarray, cols: np.ndarray, num_rows: int,
@@ -538,8 +592,8 @@ def run_ttn_example(layers: int) -> TtnRun:
     schedule = tns.ttn_gate_schedule(layers)
     _, a, b = schedule.T
     apply_xx_rotations(state, a, b)
-    region = tuple(range(n - p, n))
-    return TtnRun(entanglement_entropy(state, region), region, schedule, state)
+    return TtnRun(entanglement_entropy(state, np.arange(n - p, n)),
+                  tuple(range(n - p, n)), schedule, state)
 
 
 def permute_qubits(t: StabilizerState, source) -> StabilizerState:

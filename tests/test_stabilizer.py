@@ -8,6 +8,7 @@ kernel the word-sparse store replaced, the bit-for-bit reference.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tableau_oracle as oracle
 from tnkit import stabilizer as stab
@@ -768,6 +769,152 @@ def test_tree_fifteen_layers_matches_layer_by_layer():
     for got, want in zip(oracle.live_words(run), oracle.live_words(state)):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(run.phase, state.phase)
+
+
+# --------------------------------------- octets, packs and one-gate cost
+
+def _state_of_words(bits):
+    """A StabilizerState whose bit row r stores the nonzero words of
+    bits[r], a (2n, words) uint64 array; its generators need not
+    commute, which the hit list does not ask."""
+    rows, word = np.nonzero(bits)
+    stop = np.cumsum(np.bincount(rows, minlength=bits.shape[0]))
+    return stab.StabilizerState(
+        bits.shape[0] // 2, np.concatenate([[0], stop[:-1]]), stop,
+        word.astype(np.int64), bits[rows, word], rows.size,
+        np.zeros((2, bits.shape[1]), dtype=np.uint64))
+
+
+def _one_bit_per_octet(rng, shape):
+    shift = rng.integers(0, 8, size=shape).astype(np.uint64)
+    return np.uint64(0x0101010101010101) << shift
+
+
+WORD_PATTERNS = {
+    # the uint64 sign bit alone
+    "bit-63": lambda rng, shape: np.where(
+        rng.random(shape) < 0.5, np.uint64(1 << 63), np.uint64(0)),
+    "all-64": lambda rng, shape: np.where(
+        rng.random(shape) < 0.5, ~np.uint64(0), np.uint64(0)),
+    "one-per-octet": _one_bit_per_octet,
+    # words on one row in eight, the rest empty
+    "empty-rows": lambda rng, shape: np.where(
+        (np.arange(shape[0]) % 8 == 3)[:, None],
+        rng.integers(1, 2 ** 64, size=shape, dtype=np.uint64),
+        np.uint64(0)),
+}
+
+
+@pytest.mark.parametrize("pattern", WORD_PATTERNS.values(),
+                         ids=WORD_PATTERNS.keys())
+def test_octet_route_matches_oracle(pattern):
+    rng = np.random.default_rng(61)
+    n = 150
+    t = _state_of_words(pattern(rng, (2 * n, 3)))
+    ref = oracle.densify(t)
+    # one qubit, every row empty under empty-rows, a region across the
+    # word boundaries and one larger than half
+    for qubits in ([5], np.arange(0, n, 8), np.arange(60, 130),
+                   np.sort(rng.choice(n, size=110, replace=False))):
+        assert_hits_match(t, ref, np.asarray(qubits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       density=st.sampled_from([0.01, 0.05, 0.5, 0.95, 1.0]))
+def test_octet_route_matches_oracle_on_random_words(n, seed, fill, density):
+    # sparse and dense words: fill of the words stored, density of the
+    # bits set in each
+    rng = np.random.default_rng(seed)
+    shape = (2 * n, (n + 63) // 64)
+    bits = np.packbits(rng.random(shape + (64,)) < density, axis=-1,
+                       bitorder="little").view("<u8")[..., 0]
+    bits = np.where(rng.random(shape) < fill, bits, np.uint64(0))
+    t = _state_of_words(bits.astype(np.uint64))
+    qubits = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                replace=False))
+    assert_hits_match(t, oracle.densify(t), qubits)
+
+
+@pytest.mark.parametrize("pattern", WORD_PATTERNS.values(),
+                         ids=WORD_PATTERNS.keys())
+def test_entropy_charge_bounds_the_octet_route(pattern, monkeypatch):
+    # the charge takes 24 bytes per word read, what _read returns, and
+    # 32 per set bit; past the read the route's peak stays within the
+    # second, one set bit an octet included
+    import tracemalloc
+    rng = np.random.default_rng(67)
+    n = 1024
+    t = _state_of_words(pattern(rng, (2 * n, n // 64)))
+    qubits = np.arange(100, 700)
+    read, after_read = stab._read, []
+
+    def traced_read(t, rows):
+        out = read(t, rows)
+        assert sum(a.nbytes for a in out) == 24 * out[0].size
+        after_read.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(stab, "_read", traced_read)
+    tracemalloc.start()
+    try:
+        gens, _ = stab._restricted_hits(t, qubits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - after_read[0] <= 32 * gens.size
+
+
+def test_pack_of_a_fresh_state_keeps_every_slot():
+    # row moves leave no dead slot, but the slices out of row order
+    t = stab.init_zero(200)
+    stab.apply_swaps(t, [3, 150], [199, 4])
+    stab.apply_h(t, 17)
+    stab.permute_qubits(t, np.roll(np.arange(200), 9))
+    before = t.copy()
+    stab._pack(t, 7)
+    assert t.word.size == t.val.size == 2 * (200 + 7)
+    assert t.used == before.used == 200
+    np.testing.assert_array_equal(t.start, before.start)
+    np.testing.assert_array_equal(t.stop, before.stop)
+    np.testing.assert_array_equal(t.word[:200], before.word)
+    np.testing.assert_array_equal(t.val[:200], before.val)
+    assert_same_tableau(t, before)
+
+
+def test_pack_after_dead_slots_compacts_the_pool():
+    rng = np.random.default_rng(71)
+    t = stab.init_zero(200)
+    for _ in range(3):
+        stab.apply_xx_rotations(t, *random_pairs(rng, 200, 80))
+        stab.apply_cnot(t, *random_pairs(rng, 200, 40))
+    live = int(np.sum(t.stop - t.start))
+    assert live < t.used
+    before = t.copy()
+    stab._pack(t, 5)
+    assert t.used == live
+    assert t.word.size == 2 * (live + 5)
+    assert_same_tableau(t, before)
+
+
+def test_one_rotation_allocates_nothing_of_the_state_size():
+    # a single gate costs the same at any state size: no array of n
+    # entries, not even a mark array of n bools, which takes 1 MiB here
+    import tracemalloc
+    n = 2 ** 20
+    t = stab.init_zero(n)
+    # the first write packs the full pool of a fresh state
+    stab.apply_xx_rotation(t, 0, 1)
+    tracemalloc.start()
+    try:
+        stab.apply_xx_rotation(t, 5, n - 3)
+        stab.apply_xx_rotations(t, [1, 7, 1], [n - 1, 1, n - 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 16
 
 
 # ------------------------------------------------------- rank and entropy
