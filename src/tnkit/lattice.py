@@ -81,6 +81,28 @@ def int64_array(values: Iterable, count: int = -1, *, past: str) -> np.ndarray:
         raise ValueError(past) from None
 
 
+def off_grid(coords: np.ndarray, bound) -> np.ndarray:
+    """Rows of an (n, D) int64 array with a coordinate below 0 or at
+    least bound, a scalar or one per row.  Like the other column helpers
+    here, it works a column at a time: numpy reduces along an axis of a
+    few entries slowly."""
+    columns = coords.view(np.uint64).T
+    off = columns[0] >= bound
+    for column in columns[1:]:
+        off |= column >= bound
+    return off
+
+
+def l1_norms(diff: np.ndarray) -> np.ndarray:
+    """Row sums of |diff| of an (n, D) int array, which it overwrites
+    with |diff|, a column at a time."""
+    np.abs(diff, out=diff)
+    total = diff[:, 0].copy()
+    for column in diff.T[1:]:
+        total += column
+    return total
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """A finite D-dimensional square grid with nearest-neighbour edges.

@@ -67,8 +67,8 @@ import numpy as np
 
 from . import tns as _tns
 from .lattice import (Edge, LatticeSpec, ResourceLimitError, Site,
-                      amplitude_limit, int64_array, malformed, require_ints,
-                      spec_from_dict, spec_to_dict)
+                      amplitude_limit, int64_array, l1_norms, malformed,
+                      off_grid, require_ints, spec_from_dict, spec_to_dict)
 from .tns import (GENERATOR_VERSION, KIND_ANCHOR, KIND_CODES, KIND_ISOMETRY,
                   VARIANTS, MeraMeta, Tns, distinct, encoded, joined,
                   numeral_axes, numerals, slot_labels, tails)
@@ -185,7 +185,7 @@ def _place(tns: Tns, scheme: str) -> Placement:
         # sites differ in the remaining parities
         sites[:, 0] += anchor
     sites[tensor] = _tensor_site(scheme, b, tau, cells[tensor], refine, m)
-    outside = (sites.view(np.uint64) >= host.length).any(axis=1).nonzero()[0]
+    outside = off_grid(sites, host.length).nonzero()[0]
     if outside.size:
         i = outside[0]
         raise ValueError(f"{ids[i]} placed outside the host lattice at "
@@ -295,14 +295,16 @@ def _corners(b, layer, kind, variant, ends, s, t):
         else:
             first &= ~apex
     # corner k has the axes of rank below k at the target's coordinates;
-    # the approach axis ranks last
-    axis = np.where(first, 0, d - 1)[:, None]
-    axes = np.arange(d)
-    rank = np.where(axes == axis, d - 1, axes - (axes > axis))
+    # the approach axis ranks last, so axis a ranks a, or a - 1 mod D on
+    # a line that approaches along the first axis
     corners = np.empty((n, d + 1 + (d == 2), d), np.int64)
     corners[:, 0] = s
-    corners[:, 1:d + 1] = np.where(
-        rank[:, None] < np.arange(1, d + 1)[:, None], t[:, None], s[:, None])
+    for k in range(1, d + 1):
+        for a in range(d):
+            out, last, early = corners[:, k, a], a < k, (a - 1) % d < k
+            out[:] = t[:, a] if last and early else s[:, a]
+            if last != early:
+                np.copyto(out, t[:, a], where=first if early else ~first)
     if d == 2:
         corners[:, 3] = t
         # isometry lines into a 2x1 disentangler ride the multiple of
@@ -329,18 +331,21 @@ def _step_out(corners):
     vertices are allocated when they would number more than the
     amplitude limit."""
     n, k, d = corners.shape
-    legs = corners[:, 1:] - corners[:, :-1]
     # a move per vertex: the jump from the previous chain's end for a
     # chain's first vertex, a unit step for the others; the running sum
-    # of the moves is the vertices
+    # of the moves is the vertices.  The legs are made in place of the
+    # steps, which their signs then overwrite
     moves = np.empty(corners.shape, np.int64)
     moves[:, 0] = corners[:, 0]
     moves[1:, 0] -= corners[:-1, -1]
+    legs = moves[:, 1:]
+    np.subtract(corners[:, 1:], corners[:, :-1], out=legs)
     del corners
     counts = np.ones((n, k), np.int64)
-    np.abs(legs).sum(axis=2, out=counts[:, 1:])
-    np.sign(legs, out=moves[:, 1:])
-    del legs
+    np.abs(legs[..., 0], out=counts[:, 1:])
+    for axis in range(1, d):
+        counts[:, 1:] += np.abs(legs[..., axis])
+    np.sign(legs, out=legs)
     # a leg runs along one axis of the grid, so its length fits in int64;
     # their total, summed in float64, is exact up to 2**53 and cannot
     # overflow
@@ -349,7 +354,9 @@ def _step_out(corners):
         raise ResourceLimitError(f"routed paths of {size:.0f} vertices "
                                  f"exceed the budget {limit}")
     offsets = np.zeros(n + 1, np.int64)
-    counts.sum(axis=1).cumsum(out=offsets[1:])
+    for column in counts.T:
+        offsets[1:] += column
+    offsets.cumsum(out=offsets)
     vertices = moves.reshape(-1, d).repeat(counts.ravel(), axis=0)
     del moves
     vertices.cumsum(axis=0, out=vertices)
@@ -379,19 +386,29 @@ def check_routing(tns: Tns, p: Placement,
     s, t = p.sites[_orientation(tns)]
     joined = end > start
     k = joined.nonzero()[0]
-    joined[k] = ((v[start[k]] == s[k]) & (v[end[k] - 1] == t[k])).all(axis=1)
+    ok = joined[k]
+    for first, last, a, b in zip(v[start[k]].T, v[end[k] - 1].T,
+                                 s[k].T, t[k].T):
+        ok &= first == a
+        ok &= last == b
+    joined[k] = ok
     # running counts of vertices off the grid and of non-unit steps (at
     # the vertex they leave; one off the grid may wrap around, but its
     # line fails the grid rule first)
-    off = (v.view(np.uint64) >= p.lattice.length).any(axis=1)
-    step = np.abs(np.diff(v, axis=0))
+    off = off_grid(v, p.lattice.length)
+    step = np.diff(v, axis=0)
+    total = l1_norms(step)
+    top = step[:, 0].copy()
+    for column in step.T[1:]:
+        np.maximum(top, column, out=top)
     runs = np.zeros((len(v) + 1, 2), np.int64)
     runs[1:, 0] = off
-    runs[1:-1, 1] = (step.max(axis=1) != 1) | (step.sum(axis=1) != 1)
+    runs[1:-1, 1] = (top != 1) | (total != 1)
+    del step, total, top
     runs.cumsum(axis=0, out=runs)
     problems = np.stack((~joined, runs[end, 0] > runs[start, 0],
                          runs[end - 1, 1] > runs[start, 1],
-                         end - start - 1 != np.abs(t - s).sum(axis=1)))
+                         end - start - 1 != l1_norms(t - s)))
     bad = problems.any(axis=0)
     if not bad.any():
         return None

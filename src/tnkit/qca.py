@@ -27,12 +27,16 @@ sublayer_swaps, site_index and pair_separation.
 The region sampler draws the same integers as scalar rng.integers calls
 and leaves the generator in the same state.  Its picks are computed by
 numpy's bounded-integer rule from blocks of the generator's 32-bit words,
-and the words it read are then drawn again from the saved state.  It
-keeps each site's count of neighbours outside the region in a bytearray,
-so a frontier site with none left costs one lookup.  The neighbour table
-it walks holds one tuple per site over one shared int object per site,
-about 130 bytes per site on a 2D grid; it is built once per grid, 65,536
-rows at a time, and kept for the most recent grid only.
+the first block sized from the region, and the words it read are then
+drawn again from the saved state.  On a ring a connected region is an
+arc, and only its two ends can grow, so the 1D sampler replays the draws
+from the frontier's length and the positions of the arc's two ends in
+it, with no per-site state.  For D >= 2 it keeps each site's count of
+neighbours outside the region in a bytearray, so a frontier site with
+none left costs one lookup.  The neighbour table it walks there holds
+one tuple per site over one shared int object per site, about 130 bytes
+per site on a 2D grid; it is built once per grid, 65,536 rows at a time,
+and kept for the most recent grid only.
 
 The functions that hold per-site data (initial_pairs, the sublayers and
 layer_permutation, half_cut_region, random_connected_region) take at most
@@ -139,7 +143,10 @@ class PairSet:
 def _pair_set(spec: LatticeSpec, ends: np.ndarray) -> PairSet:
     """The canonical PairSet of (P, 2) endpoint indices: each pair in
     ascending order, then the pairs in ascending order."""
-    ends = np.sort(ends, axis=1)
+    a, b = ends.T
+    ends = np.empty(ends.shape, np.int64)
+    np.minimum(a, b, out=ends[:, 0])
+    np.maximum(a, b, out=ends[:, 1])
     return PairSet(spec, ends[np.lexsort((ends[:, 1], ends[:, 0]))])
 
 
@@ -209,11 +216,18 @@ def evolve(ps: PairSet, layers: int) -> PairSet:
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
-    d, length = ps.spec.dimension, ps.spec.length
-    coords = np.stack(np.unravel_index(ps.ends, (length,) * d), axis=-1)
-    shift = 2 * layers % length
-    moved = np.where(coords % 2 == 1, coords + shift, coords - shift) % length
-    return _pair_set(ps.spec, site_indices(moved, length))
+    length, shift = ps.spec.length, 2 * layers % ps.spec.length
+    moved = np.zeros(ps.ends.shape, np.int64)
+    # an axis at a time, on the row-major indices: coordinate c of stride
+    # s moves to c + shift or c - shift (mod L) by its parity
+    for axis in range(ps.spec.dimension):
+        stride = length ** axis
+        c = ps.ends // stride % length
+        c += (c & 1) * (2 * shift) - shift
+        c %= length
+        c *= stride
+        moved += c
+    return _pair_set(ps.spec, moved)
 
 
 def entropy_across(ps: PairSet, region) -> int:
@@ -247,25 +261,27 @@ class _Words:
     (arXiv:1805.10941): it takes the generator's next 32-bit word w,
     redraws while the low word of w * m is below (2**32 - m) % m, returns
     (w * m) >> 32, and reads no word for m = 1.  bounded(m) applies that
-    rule to words read _BLOCK at a time by one integers call, so it equals
-    the scalar call made at the same point of the stream.  close() puts
-    back the state saved at the start and draws again exactly the words
-    read, _BLOCK at a time, which leaves the generator where the scalar
-    calls would have.  Only .state and integers are used, so this holds
-    for every bit generator.  random_connected_region reads block and pos
-    itself for the one test numpy's rule always passes, low >= m (its
-    threshold (2**32 - m) % m is below m), and hands bounded every other
-    word.
+    rule to words read in blocks by one integers call each, so it equals
+    the scalar call made at the same point of the stream.  The first
+    block holds first words, or _BLOCK if that is fewer or first is None,
+    and every later block _BLOCK.  close() puts back the state saved at
+    the start and draws again exactly the words read, _BLOCK at a time,
+    which leaves the generator where the scalar calls would have.  Only
+    .state and integers are used, so this holds for every bit generator.
+    _arc and _grown read block and pos themselves for the one test
+    numpy's rule always passes, low >= m (its threshold (2**32 - m) % m
+    is below m), and hand bounded every other word.
     """
 
-    __slots__ = ("rng", "state", "block", "pos", "done")
+    __slots__ = ("rng", "state", "block", "pos", "done", "want")
 
-    def __init__(self, rng) -> None:
+    def __init__(self, rng, first: int | None = None) -> None:
         self.rng = rng
         self.state = rng.bit_generator.state
         self.block: list[int] = []
         self.pos = 0    # words read of block
         self.done = 0   # words of the blocks before it
+        self.want = min(first or _BLOCK, _BLOCK)    # words of the next block
 
     def _draw(self, n: int) -> np.ndarray:
         return self.rng.integers(0, 2 ** 32, size=n, dtype=np.uint64)
@@ -278,7 +294,8 @@ class _Words:
         while True:
             if pos == len(block):
                 self.done += pos
-                block = self.block = self._draw(_BLOCK).tolist()
+                block = self.block = self._draw(self.want).tolist()
+                self.want = _BLOCK
                 pos = 0
             x = block[pos] * m
             pos += 1
@@ -323,18 +340,65 @@ def _neighbours(dimension: int, length: int) -> list[tuple[int, ...]]:
     return table
 
 
-def random_connected_region(dimension: int, length: int, rng,
-                            size: int | None = None) -> np.ndarray:
-    """Connected random region grown by seeded breadth-first search, as
-    the sorted int64 array of its row-major site indices.
+def _arc(words: _Words, start: int, length: int,
+         size: int) -> np.ndarray:
+    """The region of size sites that the draws of _grown make on a ring
+    of length sites from start, made from three integers of state.
 
-    Each step draws a frontier site, then one of its neighbours outside
-    the region, listed axis by axis, -1 before +1; a frontier site with
-    none left is dropped.  Every draw equals a scalar rng.integers call,
-    and rng ends where those calls would leave it: the size and start
-    are drawn by integers, the picks are replayed from blocks of the
-    generator's words (_Words).  ValueError, before any draw, unless
-    size is None or an integer (not a bool) in [1, L**D).
+    On a ring the region is an arc, and only its two ends have a
+    neighbour outside it.  So the frontier is kept as its length m and
+    the positions lo and hi of the left and right ends in it; every other
+    entry is a site with no neighbour left outside.  The first step draws
+    the start's neighbour, left before right.  A frontier draw at an end
+    extends that side: the new end goes to position m and the old one
+    stays where it was, its last neighbour taken.  A draw elsewhere
+    deletes that entry, and the ends above it move down by one.  An end
+    has one neighbour outside, so its pick reads no word.
+    """
+    left = 0    # sites added left of start
+    if size > 1:
+        left = 1 - words.bounded(2)
+        lo, hi, m = left, 1 - left, 2
+        bounded = words.bounded
+        block, pos = words.block, words.pos
+        end = len(block)
+        for _ in range(size - 2):
+            while True:
+                if pos < end and (x := block[pos] * m) & 0xFFFFFFFF >= m:
+                    pos += 1
+                    i = x >> 32
+                else:
+                    words.pos = pos
+                    i = bounded(m)
+                    block, pos = words.block, words.pos
+                    end = len(block)
+                if i == lo:
+                    lo = m
+                    left += 1
+                    break
+                if i == hi:
+                    hi = m
+                    break
+                m -= 1
+                if lo > i:
+                    lo -= 1
+                if hi > i:
+                    hi -= 1
+            m += 1
+        words.pos = pos
+    # sites first, ..., first + size - 1 mod length, sorted: the wrap
+    # sites past length - 1 come first as 0, ..., wrap - 1
+    first = (start - left) % length
+    wrap = max(first + size - length, 0)
+    region = np.arange(size, dtype=np.int64)
+    region[wrap:] += first - wrap
+    return region
+
+
+def _grown(words: _Words, start: int, dimension: int, length: int,
+           size: int) -> np.ndarray:
+    """The region of size sites grown from start on any grid by the draws
+    random_connected_region describes, sorted.
 
     Each site keeps its count of neighbours outside the region, so a
     frontier site with none is dropped after one lookup, and a site with
@@ -343,24 +407,13 @@ def random_connected_region(dimension: int, length: int, rng,
     is at least m, which it always accepts; every other word, and every
     block read, goes through _Words.bounded.
     """
-    check_sites(dimension, length)
-    total = length ** dimension
-    if size is None:
-        size = int(rng.integers(1, total))
-    elif isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise ValueError(f"size must be an integer, not {size!r}")
-    if not 1 <= size < total:
-        raise ValueError(f"size must be in [1, {total})")
-    start = site_index(rng.integers(0, length, size=dimension).tolist(),
-                       length)
     neighbours = _neighbours(dimension, length)
-    inside = bytearray(total)
-    free = bytearray([2 * dimension]) * total
+    inside = bytearray(length ** dimension)
+    free = bytearray([2 * dimension]) * len(inside)
     inside[start] = 1
     for q in neighbours[start]:
         free[q] -= 1
     frontier = [start]
-    words = _Words(rng)
     bounded = words.bounded
     block, pos, end = words.block, 0, 0
     for _ in range(size - 1):
@@ -401,8 +454,40 @@ def random_connected_region(dimension: int, length: int, rng,
             free[q] -= 1
         frontier.append(pick)
     words.pos = pos
-    words.close()
     return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8))
+
+
+def random_connected_region(dimension: int, length: int, rng,
+                            size: int | None = None) -> np.ndarray:
+    """Connected random region grown by seeded breadth-first search, as
+    the sorted int64 array of its row-major site indices.
+
+    Each step draws a frontier site, then one of its neighbours outside
+    the region, listed axis by axis, -1 before +1; a frontier site with
+    none left is dropped.  Every draw equals a scalar rng.integers call,
+    and rng ends where those calls would leave it: the size and start
+    are drawn by integers, the picks are replayed from blocks of the
+    generator's words (_Words), the first block 3 * size words or
+    _BLOCK, whichever is fewer.
+    ValueError, before any draw, unless size is None or an integer (not
+    a bool) in [1, L**D).  A ring's region (D = 1) is an arc, made by
+    _arc without a neighbour table; _grown makes the others.
+    """
+    check_sites(dimension, length)
+    total = length ** dimension
+    if size is None:
+        size = int(rng.integers(1, total))
+    elif isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError(f"size must be an integer, not {size!r}")
+    if not 1 <= size < total:
+        raise ValueError(f"size must be in [1, {total})")
+    start = site_index(rng.integers(0, length, size=dimension).tolist(),
+                       length)
+    words = _Words(rng, 3 * size)
+    region = _arc(words, start, length, size) if dimension == 1 \
+        else _grown(words, start, dimension, length, size)
+    words.close()
+    return region
 
 
 def pair_separation(pair: Pair, length: int) -> float:

@@ -49,10 +49,12 @@ qubits and the bytes, before it is: init_zero charges its store, _pack
 the new pool beside the old one, a batch of rotations 128 bytes per word
 of its Z rows, for its merges and writes, and the entropy 24 bytes per
 word it reads and 32 per set bit of its (generator, column) list, which
-bound what it holds past the read.  _pack and a batch of rotations count
+bound what it holds past the read, and then its core, if one is left,
+at num_cols / 2 + 160 bytes a row.  _pack and a batch of rotations count
 their words from the rows' slots and charge before they read one; the
 entropy counts the set bits of the words it read, from their nonzero
-octets, and charges before it makes any array of set bits.  The tree
+octets, and charges before it makes any array of set bits, and its
+rank charges the core before it builds it.  The tree
 state holds a few words per row; its largest charge, the rotations', is
 about 300 bytes per qubit.  A near-dense store, which no command makes,
 is refused before it is allocated.
@@ -66,9 +68,10 @@ through two 256-row tables, each octet's popcount and its bit positions,
 so it costs time with its set bits, about two a word for the tree, not
 with the 64 bits of every word.  Rounds of array operations first peel
 the pivots that need no elimination: a generator that alone sets some
-column, and a column that is some generator's only bit.  Only the core
-left over becomes Python-int rows for _gf2_rank; the tree cuts of every
-odd T <= 17 peel completely.
+column, and a column that is some generator's only bit; each round
+frees the arrays it filters.  Only the core left over becomes rows for
+_gf2_rank, packed into bytes and turned into Python ints one at a time;
+the tree cuts of every odd T <= 17 peel completely.
 
 The tree-state driver applies every row of tns.ttn_gate_schedule as one
 batch of rotations and sizes the cut by tns.ttn_cut_size; it never calls
@@ -462,39 +465,79 @@ def _restricted_hits(t: StabilizerState,
     return gens, cols[slot]
 
 
+# bytes a core row holds past its num_cols / 2 (its packed bits, its
+# Python int and, as a pivot, another): the ints' headers and a pivot's
+# dict entry
+_CORE_ROW = 160
+
+
 def _peeled_rank(gens: np.ndarray, cols: np.ndarray, num_rows: int,
                  num_cols: int) -> int:
     """GF(2) rank of the num_rows x num_cols matrix whose ones sit at the
-    distinct (row, column) pairs (gens[i], cols[i]).
+    distinct (row, column) pairs (gens[i], cols[i]): _hit_rank of the
+    pair, which leaves the arrays as they are."""
+    return _hit_rank([gens, cols], num_rows, num_cols)
+
+
+def _hit_rank(hits: list, num_rows: int, num_cols: int,
+              held: int = 0) -> int:
+    """GF(2) rank of the num_rows x num_cols matrix whose ones sit at the
+    distinct (row, column) pairs of hits, a list [gens, cols] that it
+    empties, so that the arrays are freed as they are filtered unless
+    the caller holds them too.
 
     Rounds of array operations remove two kinds of pivot: a row that
     sets a column no other row sets (the row and its bits go), and a
     column that some row sets as its only bit (that column of every row
-    goes, and with it the row); each adds one to the rank.  _gf2_rank
-    takes the core that is left, one Python int per row."""
+    goes, and with it the row); each adds one to the rank.  A round
+    holds the pair, a bool a bit and one filtered array, at most 25
+    bytes a bit.  _gf2_rank takes the core that is left: its rows,
+    packed into num_cols bits each, become Python ints one at a time as
+    it reads them.  The core is charged before it is built, on top of
+    held, what the caller holds, and the pair."""
+    gens, cols = hits
+    hits.clear()
     rank = 0
     while gens.size:
         before = gens.size
         # rows with a column of their own
-        lone = np.bincount(cols, minlength=num_cols)[cols] == 1
+        lone = (np.bincount(cols, minlength=num_cols) == 1)[cols]
         pivot = np.zeros(num_rows, dtype=bool)
         pivot[gens[lone]] = True
+        del lone
         rank += int(np.count_nonzero(pivot))
         keep = ~pivot[gens]
-        gens, cols = gens[keep], cols[keep]
+        gens = gens[keep]
+        cols = cols[keep]
         # columns that are some row's only bit
-        lone = np.bincount(gens, minlength=num_rows)[gens] == 1
+        lone = (np.bincount(gens, minlength=num_rows) == 1)[gens]
         pivot = np.zeros(num_cols, dtype=bool)
         pivot[cols[lone]] = True
+        del lone
         rank += int(np.count_nonzero(pivot))
         keep = ~pivot[cols]
-        gens, cols = gens[keep], cols[keep]
+        gens = gens[keep]
+        cols = cols[keep]
         if gens.size == before:
             break
-    core: dict[int, int] = {}
-    for g, c in zip(gens.tolist(), cols.tolist()):
-        core[g] = core.get(g, 0) | (1 << c)
-    return rank + _gf2_rank(core.values())
+    if not gens.size:
+        return rank
+    # core row r is the generator with r others below it left
+    row = np.cumsum(np.bincount(gens, minlength=num_rows) != 0)
+    rows, width = int(row[-1]), (num_cols + 7) // 8
+    _charge(num_rows, held + gens.nbytes + cols.nbytes
+            + rows * (num_cols // 2 + _CORE_ROW))
+    byte = row[gens]
+    del row, gens
+    byte -= 1
+    byte *= width
+    byte += cols >> 3
+    cols &= 7
+    core = np.zeros((rows, width), np.uint8)
+    np.bitwise_or.at(core.reshape(-1), byte,
+                     np.left_shift(np.uint8(1), cols.astype(np.uint8)))
+    del byte, cols
+    return rank + _gf2_rank(int.from_bytes(r, "little") for r in core)
 
 
 def entanglement_entropy(t: StabilizerState, region) -> int:
@@ -509,8 +552,9 @@ def entanglement_entropy(t: StabilizerState, region) -> int:
     if k == 0 or k == n:
         return 0
     qubits = np.flatnonzero(inside if 2 * k <= n else ~inside)
-    gens, cols = _restricted_hits(t, qubits)
-    return _peeled_rank(gens, cols, n, 2 * len(qubits)) - len(qubits)
+    # only _hit_rank holds the hits, so its rounds free them
+    return _hit_rank(list(_restricted_hits(t, qubits)), n,
+                     2 * len(qubits), _held(t)) - len(qubits)
 
 
 def _gf2_rank(rows) -> int:

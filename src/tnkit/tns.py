@@ -48,8 +48,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .lattice import (LatticeSpec, ResourceLimitError, amplitude_limit,
-                      check_grid, int64_array, malformed, require_ints,
-                      spec_from_dict, spec_to_dict)
+                      check_grid, int64_array, l1_norms, malformed, off_grid,
+                      require_ints, spec_from_dict, spec_to_dict)
 
 GENERATOR_VERSION = "tnkit-0.1.0"
 
@@ -684,7 +684,7 @@ def validate_preconditions(tns: Tns) -> list[str]:
              lambda n: f"{n.id}: anchor at layer {n.layer}, not 0"),
             (tensor & (order > meta.max_tensor_order), lambda n: (
                 f"{n.id}: order {n.order} exceeds {meta.max_tensor_order}")),
-            (tensor & (cells.view(np.uint64) >= width[:, None]).any(axis=1),
+            (tensor & off_grid(cells, width),
              lambda n: f"{n.id}: cell {n.cell} outside layer grid")):
         issues.extend(text(TensorNode.of(tns, i))
                       for i in mask.nonzero()[0].tolist())
@@ -725,7 +725,8 @@ def validate_preconditions(tns: Tns) -> list[str]:
     past = exponent >= len(powers)
     if past.any():
         lo_cell[past] = np.where(cells[ends[0, past]] < 0, -1, 0)
-    dist = np.abs(lo_cell - hi_cell).sum(axis=1)
+    lo_cell -= hi_cell
+    dist = l1_norms(lo_cell)
     for mask, text in (
             (dim > meta.chi, lambda i: (
                 f"line {line_id[i]}: dimension {dim[i]} exceeds chi "

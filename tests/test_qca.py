@@ -8,6 +8,7 @@ an oracle takes them.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -581,10 +582,86 @@ def test_neighbour_table_built_in_chunks(monkeypatch):
 def test_sampler_keeps_the_most_recent_neighbour_table():
     qca._neighbours.cache_clear()
     rng = np.random.default_rng(4)
-    for dim, length in ((2, 6), (2, 6), (1, 8), (2, 6)):
+    for dim, length in ((2, 6), (2, 6), (3, 4), (2, 6)):
         qca.random_connected_region(dim, length, rng)
     info = qca._neighbours.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+    # a ring's region is an arc: it neither reads nor replaces the table
+    qca.random_connected_region(1, 8, rng)
+    assert qca._neighbours.cache_info() == info
+
+
+def _by_general_route(length, rng, size):
+    """random_connected_region(1, length, rng, size) through _grown, the
+    route of D >= 2, in place of the arc."""
+    if size is None:
+        size = int(rng.integers(1, length))
+    start = int(rng.integers(0, length, size=1)[0])
+    words = qca._Words(rng)
+    region = qca._grown(words, start, 1, length, size)
+    words.close()
+    return region
+
+
+@pytest.mark.parametrize("block", [None, 5, 7])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox,
+                                           np.random.SFC64])
+def test_arc_matches_the_general_route(monkeypatch, bit_generator, block):
+    """The arc makes the general route's draws on every ring of
+    REGION_SHAPES, and at full blocks on 2**16 sites, at both ends of the
+    sizes; with _BLOCK at 5 or 7 the blocks refill, and no block, the
+    first included, holds more than _BLOCK words."""
+    rings = [length for dim, length in REGION_SHAPES if dim == 1]
+    if block:
+        monkeypatch.setattr(qca, "_BLOCK", block)
+    else:
+        rings.append(2 ** 16)
+    sizes = []
+    draw = qca._Words._draw
+
+    def recording(self, n):
+        sizes.append(n)
+        return draw(self, n)
+
+    monkeypatch.setattr(qca._Words, "_draw", recording)
+    for case, length in enumerate(rings):
+        for size in (None, 1, 2, 3, length - 2, length - 1):
+            if size is None and length == 2 ** 16:
+                continue
+            seed = 1000 * case + (size or 0) % 997
+            rng = np.random.Generator(bit_generator(seed))
+            ref = np.random.Generator(bit_generator(seed))
+            del sizes[:]
+            got = qca.random_connected_region(1, length, rng, size=size)
+            want = _by_general_route(length, ref, size)
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist(), (length, size)
+            np.testing.assert_equal(rng.bit_generator.state,
+                                    ref.bit_generator.state)
+            assert max(sizes, default=0) <= qca._BLOCK
+            if size and size > 1:
+                assert sizes[0] == min(3 * size, qca._BLOCK)
+
+
+def test_arc_builds_no_neighbour_table():
+    """2**16 - 1 sites of a ring hold the region's 8 bytes a site and a
+    block of words, about 8.8 bytes a site in all: no neighbour table
+    (about 210 bytes a site through the general route), no count per
+    site."""
+    length = 2 ** 16
+    qca._neighbours.cache_clear()
+    rng = np.random.default_rng(9)
+    qca.random_connected_region(1, 8, rng)   # first-call allocations
+    tracemalloc.start()
+    try:
+        region = qca.random_connected_region(1, length, rng, size=length - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(region) == length - 1
+    assert qca._neighbours.cache_info().misses == 0
+    assert peak < 10 * length, peak
 
 
 def test_layer_permutation_is_both_sublayers():

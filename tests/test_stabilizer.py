@@ -867,6 +867,36 @@ def test_entropy_charge_bounds_the_octet_route(pattern, monkeypatch):
     assert peak - after_read[0] <= 32 * gens.size
 
 
+def test_entropy_peak_stays_within_its_charges(monkeypatch):
+    # a 512-qubit state of eight layers of H and disjoint CNOTs leaves
+    # most generators in the core: the peel rounds free the hit list as
+    # they filter it, and the core is charged before it is built, so the
+    # whole entropy's peak stays within the largest charge past the store
+    # (without both it was about twice the hit list's charge)
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    n = 512
+    t = stab.init_zero(n)
+    for _ in range(8):
+        for q in range(n):
+            if rng.integers(2):
+                stab.apply_h(t, q)
+        stab.apply_cnot(t, *random_pairs(rng, n, n // 2))
+    region = np.arange(n // 2)
+    entropy = stab.entanglement_entropy(t, region)
+    charges, charge = [], stab._charge
+    monkeypatch.setattr(stab, "_charge", lambda num_qubits, need: (
+        charges.append(need - stab._held(t)), charge(num_qubits, need)))
+    tracemalloc.start()
+    try:
+        assert stab.entanglement_entropy(t, region) == entropy
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charges), (peak, charges)
+    assert len(charges) == 2 and entropy > 200
+
+
 def test_pack_of_a_fresh_state_keeps_every_slot():
     # row moves leave no dead slot, but the slices out of row order
     t = stab.init_zero(200)
