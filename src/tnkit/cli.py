@@ -12,7 +12,6 @@ counting alone frees what they allocate.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import io
@@ -25,6 +24,17 @@ from . import dense, mapping, qca, stabilizer, tns as tns_mod
 from .lattice import ResourceLimitError, check_grid, malformed
 from .tns import GENERATOR_VERSION
 
+
+def _build_ttn(args) -> tns_mod.Tns:
+    """The binary-tree network: its gates are fixed, so --chi and
+    --phys-dim must be 2 and --seed draws nothing."""
+    if (args.chi, args.phys_dim) != (2, 2):
+        raise ValueError(f"--kind ttn1d has lines of dimension 2: --chi "
+                         f"and --phys-dim must be 2, got {args.chi} and "
+                         f"{args.phys_dim}")
+    return tns_mod.build_ttn_example(args.layers, not args.no_elements)
+
+
 _BUILDERS = {
     "mera1d": lambda a: tns_mod.build_mera_1d(a.layers, a.chi, a.phys_dim,
                                               a.seed, not a.no_elements),
@@ -34,23 +44,18 @@ _BUILDERS = {
     "mera2d-b3": lambda a: tns_mod.build_mera_2d_b3(a.layers, a.chi,
                                                     a.phys_dim, a.seed,
                                                     not a.no_elements),
-    "ttn1d": lambda a: tns_mod.build_ttn_example(a.layers),
+    "ttn1d": _build_ttn,
 }
 
 
-@contextlib.contextmanager
-def _output(path):
-    """The file to write, standard output for None or "-"."""
+def _write(path, texts) -> None:
+    """Write the strings of texts, a list or a generator of batches, to
+    the file at path, or to standard output for None or "-"."""
     if path in (None, "-"):
-        yield sys.stdout
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w") as fh:
-            yield fh
-
-
-def _write(path, *texts):
-    with _output(path) as fh:
-        fh.writelines(texts)
+            fh.writelines(texts)
 
 
 def _load_json(path):
@@ -89,8 +94,7 @@ def _print_issues(issues) -> int:
 
 def cmd_build(args) -> int:
     network = _BUILDERS[args.kind](args)
-    with _output(args.out) as fh:
-        fh.writelines(tns_mod.tns_text(network))
+    _write(args.out, tns_mod.tns_text(network))
     issues = tns_mod.validate_preconditions(network)
     spec = network.spec
     print(f"built {args.kind}: {spec.dimension}D L={spec.length} "
@@ -110,11 +114,9 @@ def cmd_map(args) -> int:
     report = mapping.measured_chi(network, paths)
     # the figure first, so that a chi it refuses leaves no file
     log_all = report.log_chi_peps(network.meta.chi)
-    with _output(args.out_prefix + ".map.json") as fh:
-        fh.writelines(mapping.map_text(placement, paths))
+    _write(args.out_prefix + ".map.json", mapping.map_text(placement, paths))
     del paths
-    with _output(args.out_prefix + ".congestion.csv") as fh:
-        fh.writelines(mapping.congestion_csv(report))
+    _write(args.out_prefix + ".congestion.csv", mapping.congestion_csv(report))
     # made after the writes, which then peak without it
     interior = report.interior()
     log_int = interior.log_chi_peps(network.meta.chi)
@@ -160,6 +162,8 @@ def cmd_verify(args) -> int:
 
 
 def _entropy_ttn(args):
+    if args.cross_check:
+        raise ValueError("--cross-check applies to --family qca")
     rows = ["T,L,cut_size,S"]
     for layers in range(1, args.layers_max + 1, 2):
         try:
@@ -257,7 +261,7 @@ def cmd_entropy(args) -> int:
         raise ValueError(f"--layers-max must be >= 1, got {args.layers_max}")
     rows, code = (_entropy_ttn(args) if args.family == "ttn1d"
                   else _entropy_qca(args))
-    _write(args.out, "\n".join(rows) + "\n")
+    _write(args.out, ["\n".join(rows) + "\n"])
     return code
 
 
@@ -326,7 +330,7 @@ def cmd_render(args) -> int:
                 parts.append(f'<circle cx="{px}" cy="{py}" r="7" '
                              f'fill="{color}">{title}</circle>')
     parts.append("</svg>")
-    _write(args.out, "\n".join(parts) + "\n")
+    _write(args.out, ["\n".join(parts) + "\n"])
     return 0
 
 

@@ -831,32 +831,32 @@ def assemble_peps(tns: Tns, p: Placement, paths: PathAssignment) -> Peps:
 
 
 def map_to_dict(p: Placement, paths: PathAssignment,
-                sites: slice = slice(None), lines: slice = slice(None)) -> dict:
-    """JSON-ready description of a routed placement, format map-v1.  Its
-    sites and paths entries are those in the given ranges of site id order
-    and line id order, all of them by default, so that a writer can encode
-    the document a range at a time; the sites are sorted only when their
-    range is not empty.
+                entries: bool = True) -> dict:
+    """JSON-ready description of a routed placement, format map-v1, its
+    sites in id order.  With entries false its sites and paths are
+    empty: the header that map_text writes the entries into.
 
     The delta_tau and offsets entries are the ones the scheme fixes;
     read_map refuses any other.
     """
-    first = range(len(paths.line_ids))[lines].start
-    line_ids = paths.line_ids[lines].tolist()
-    ends = paths.offsets[first:first + len(line_ids) + 1].tolist()
-    vertices = list(zip(*paths.vertices[ends[0]:ends[-1]].T.tolist()))
-    return {
+    doc = {
         "version": "map-v1",
         "generator_version": GENERATOR_VERSION,
         "scheme": p.scheme,
         **scheme_members(p.scheme, p.lattice.dimension),
         "lattice": spec_to_dict(p.lattice),
-        # json writes the (id, site) tuples as arrays
-        "sites": sorted(zip(p.ids, zip(*p.sites.T.tolist())))[sites]
-        if range(len(p.ids))[sites] else [],
-        "paths": [[lid, vertices[a - ends[0]:b - ends[0]]] for lid, a, b in
-                  zip(line_ids, ends, ends[1:])],
+        "sites": [],
+        "paths": [],
     }
+    if not entries:
+        return doc
+    ends = paths.offsets.tolist()
+    vertices = list(zip(*paths.vertices.T.tolist()))
+    # json writes the (id, site) tuples as arrays
+    doc["sites"] = sorted(zip(p.ids, zip(*p.sites.T.tolist())))
+    doc["paths"] = [[lid, vertices[a:b]] for lid, a, b in
+                    zip(paths.line_ids.tolist(), ends, ends[1:])]
+    return doc
 
 
 def map_text(p: Placement, paths: PathAssignment):
@@ -872,7 +872,7 @@ def map_text(p: Placement, paths: PathAssignment):
     chain needs a vertex, as route_lines makes it: ValueError names the
     first line whose chain has none."""
     step = _tns.JSON_SLICE
-    head = map_to_dict(p, paths, slice(0), slice(0))
+    head = map_to_dict(p, paths, entries=False)
     del head["sites"], head["paths"]
     yield json.dumps(head)[:-1] + ', "sites": ['
     # ids are distinct, so this is the order sorted gives the sites

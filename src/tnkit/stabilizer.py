@@ -471,14 +471,6 @@ def _restricted_hits(t: StabilizerState,
 _CORE_ROW = 160
 
 
-def _peeled_rank(gens: np.ndarray, cols: np.ndarray, num_rows: int,
-                 num_cols: int) -> int:
-    """GF(2) rank of the num_rows x num_cols matrix whose ones sit at the
-    distinct (row, column) pairs (gens[i], cols[i]): _hit_rank of the
-    pair, which leaves the arrays as they are."""
-    return _hit_rank([gens, cols], num_rows, num_cols)
-
-
 def _hit_rank(hits: list, num_rows: int, num_cols: int,
               held: int = 0) -> int:
     """GF(2) rank of the num_rows x num_cols matrix whose ones sit at the
@@ -617,7 +609,7 @@ def to_projector(t: StabilizerState) -> np.ndarray:
 @dataclass(eq=False)
 class TtnRun:
     entropy: int
-    region: tuple[int, ...]
+    region: np.ndarray
     schedule: np.ndarray
     state: StabilizerState
 
@@ -636,8 +628,9 @@ def run_ttn_example(layers: int) -> TtnRun:
     schedule = tns.ttn_gate_schedule(layers)
     _, a, b = schedule.T
     apply_xx_rotations(state, a, b)
-    return TtnRun(entanglement_entropy(state, np.arange(n - p, n)),
-                  tuple(range(n - p, n)), schedule, state)
+    region = np.arange(n - p, n)
+    return TtnRun(entanglement_entropy(state, region), region, schedule,
+                  state)
 
 
 def permute_qubits(t: StabilizerState, source) -> StabilizerState:

@@ -530,13 +530,14 @@ def ttn_cut_size(layers: int) -> int:
     return p
 
 
-def build_ttn_example(layers: int) -> Tns:
+def build_ttn_example(layers: int, with_elements: bool = True) -> Tns:
     """Binary-tree network of two-site Clifford gates on 2**layers sites.
 
     Every gate is exp(-i pi/4 XX) acting on one fresh ancilla in state
     (1, 0) and the carried index of its subtree; the tree closes with one
     extra ancilla at the root.  layers must be odd so the distinguished
-    trailing-cut entropy (layers + 1) / 2 is an integer.
+    trailing-cut entropy (layers + 1) / 2 is an integer.  Without
+    elements every node's elements are None.
     """
     if layers < 1 or layers % 2 == 0:
         raise ValueError("layers must be odd and >= 1")
@@ -544,18 +545,19 @@ def build_ttn_example(layers: int) -> Tns:
     spec = LatticeSpec(1, 2 ** layers, 2, layers)
     t = _Tables()
     _add_anchors(t, spec, 2)
-    gate = two_site_rotation_gate()
+    gate, zero = ([two_site_rotation_gate()], [np.array([1.0, 0.0])]) \
+        if with_elements else (None, None)
     producer: dict[int, tuple[int, int]] = {}
 
     def zero_node(tau, cell, tag):
         z, = t.add([f"t:{tau}:{cell}:{tag}"], tau, KIND_TOP, "t", [[cell]],
-                   (2,), [np.array([1.0, 0.0])])
+                   (2,), zero)
         return z
 
     for tau, a, b in ttn_gate_schedule(layers).tolist():
         cell = b // 2 ** tau
         g, = t.add([f"g:{tau}:{cell}"], tau, KIND_DISENTANGLER, "g",
-                   [[cell]], (2, 2, 2, 2), [gate])
+                   [[cell]], (2, 2, 2, 2), gate)
         t.connect(zero_node(tau, cell, "a"), g, 0, 0, 2)
         src, slot = producer.get(b) or (zero_node(tau, cell, "b"), 0)
         t.connect(src, g, slot, 1, 2)
@@ -765,23 +767,12 @@ def _flat_elements(nid: str, elements):
     return flat.tolist()
 
 
-def tns_to_dict(tns: Tns, nodes: slice = slice(None),
-                lines: slice = slice(None)) -> dict:
+def tns_to_dict(tns: Tns, entries: bool = True) -> dict:
     """JSON-ready description, format tns-v1.  Deterministic field order.
-    Its nodes and lines entries are those in the given ranges of node and
-    line order, all of them by default, so that a writer can encode the
-    document a range at a time.  ValueError names a node whose elements
-    hold a NaN or an infinity, which tns-v1 cannot carry."""
-    ids = tns.ids[nodes]
-    first = range(len(tns.ids))[nodes].start
-    bounds = tns.dim_offsets[first:first + len(ids) + 1]
-    dims = tns.dims[bounds[0]:bounds[-1]].tolist()
-    bounds = (bounds - bounds[0]).tolist()
-    elements = list(map(_flat_elements, ids, tns.elements[nodes]))
-    (a, b), (sa, sb) = [list(map(tns.ids.__getitem__, row)) for row in
-                        tns.line_ends[:, lines].tolist()], \
-        tns.line_slots[:, lines].tolist()
-    return {
+    With entries false its nodes and lines are empty: the header that
+    tns_text writes the entries into.  ValueError names a node whose
+    elements hold a NaN or an infinity, which tns-v1 cannot carry."""
+    doc = {
         "version": "tns-v1",
         "generator_version": GENERATOR_VERSION,
         "lattice": spec_to_dict(tns.spec),
@@ -789,20 +780,27 @@ def tns_to_dict(tns: Tns, nodes: slice = slice(None),
         "chi": tns.chi,
         # the int fields in their order, as dataclasses.asdict gives them
         "meta": dict(vars(tns.meta)),
-        "nodes": [{"id": i, "layer": layer, "cell": cell, "kind": kind,
-                   "variant": variant, "dims": dims[start:end],
-                   "elements": e}
-                  for i, layer, cell, kind, variant, start, end, e in zip(
-                      ids, tns.layer[nodes].tolist(), tns.cell[nodes].tolist(),
-                      map(KIND_NAMES.__getitem__, tns.kind[nodes].tolist()),
-                      map(tns.variants.__getitem__,
-                          tns.variant[nodes].tolist()),
-                      bounds, bounds[1:], elements)],
-        "lines": [{"id": i, "a": [na, slot_a], "b": [nb, slot_b], "dim": dim}
-                  for i, na, slot_a, nb, slot_b, dim in zip(
-                      tns.line_id[lines].tolist(), a, sa, b, sb,
-                      tns.line_dim[lines].tolist())],
+        "nodes": [],
+        "lines": [],
     }
+    if not entries:
+        return doc
+    dims, bounds = tns.dims.tolist(), tns.dim_offsets.tolist()
+    doc["nodes"] = [
+        {"id": i, "layer": layer, "cell": cell, "kind": kind,
+         "variant": variant, "dims": dims[start:end], "elements": e}
+        for i, layer, cell, kind, variant, start, end, e in zip(
+            tns.ids, tns.layer.tolist(), tns.cell.tolist(),
+            map(KIND_NAMES.__getitem__, tns.kind.tolist()),
+            map(tns.variants.__getitem__, tns.variant.tolist()),
+            bounds, bounds[1:], map(_flat_elements, tns.ids, tns.elements))]
+    (a, b), (sa, sb) = [list(map(tns.ids.__getitem__, row)) for row in
+                        tns.line_ends.tolist()], tns.line_slots.tolist()
+    doc["lines"] = [{"id": i, "a": [na, slot_a], "b": [nb, slot_b], "dim": dim}
+                    for i, na, slot_a, nb, slot_b, dim in zip(
+                        tns.line_id.tolist(), a, sa, b, sb,
+                        tns.line_dim.tolist())]
+    return doc
 
 
 def tns_text(tns: Tns):
@@ -817,7 +815,7 @@ def tns_text(tns: Tns):
     is a piece of its own.  ValueError as tns_to_dict's, once the batches
     before it are given."""
     dumps, step = json.dumps, JSON_SLICE
-    head = tns_to_dict(tns, slice(0), slice(0))
+    head = tns_to_dict(tns, entries=False)
     del head["nodes"], head["lines"]
     yield dumps(head)[:-1] + ', "nodes": ['
     # the function json.dumps applies to every string, so that any id
@@ -934,40 +932,41 @@ def _columns(rows, keys):
 _INTS = "a count, layer, cell, dim, slot or line id"
 
 
-@dataclass(eq=False)
-class NodeColumns:
-    """A tns-v1 node list as columns: `ids`, int64 `layer`, `kind` codes
-    and `variant` codes into `variants`, the length `cell_len` of each
-    cell and the cells back to back in `cells`, each node's slot dims at
-    `dims[dim_offsets[i]:dim_offsets[i + 1]]`, and `elements`, an array
-    or None per node."""
-
-    ids: list[str]
-    layer: np.ndarray
-    kind: np.ndarray
-    variant: np.ndarray
-    variants: tuple[str, ...]
-    cell_len: np.ndarray
-    cells: np.ndarray
-    dims: np.ndarray
-    dim_offsets: np.ndarray
-    elements: list
-
-
-def node_columns(rows) -> NodeColumns:
-    """Columns of a decoded tns-v1 node list; ValueError when an entry is
-    not an object or lacks a key, has a kind that is unknown, an id or
-    variant that is not a string, a cell or dims that is not an array,
-    elements that are neither an array nor null, that hold a number past
-    float64, an entry that is not a finite JSON number (a string, a bool,
-    an array, null, NaN or an infinity), or that numpy cannot shape by
-    dims (naming the node), or a layer, cell entry or dim that is not an
-    integer or does not fit in 64 bits, or when two nodes share an id."""
+def tns_from_dict(data: dict) -> Tns:
+    """Network from its tns-v1 description, its nodes and lines read a
+    column at a time.  ValueError, in this order of precedence, when the
+    document is not an object, lacks a key, or has a generator_version
+    that is not a string or a count that is not an integer; when a node
+    entry is not an object or lacks a key, has a kind that is unknown,
+    an id or variant that is not a string, a cell or dims that is not an
+    array, or elements that are neither an array nor null; when two
+    nodes share an id; when a layer, cell entry or dim is not an
+    integer; when elements do not hold 2 numbers per amplitude of dims,
+    hold an entry that is not a finite JSON number (a string, a bool, an
+    array, null, NaN or an infinity) or that cannot be shaped by dims,
+    each naming the node, or hold a number past float64; when a layer, cell
+    entry or dim does not fit in 64 bits; when a line entry is not an
+    object or lacks a key, a line end is not a (node id, slot) pair, or
+    a line id, slot or dim is not an integer or does not fit in 64 bits;
+    when a line names an unknown node; when two lines share an id; and
+    when a node cell's length is not the lattice dimension or a layer is
+    negative."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed tns-v1 document: not a JSON object")
+    if data.get("version") != "tns-v1":
+        raise ValueError(f"unsupported network format {data.get('version')!r}")
     flat = itertools.chain.from_iterable
     with malformed("tns-v1"):
+        if not isinstance(data["generator_version"], str):
+            raise TypeError("generator_version is not a string")
+        spec = spec_from_dict(data["lattice"])
+        meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
+        nodes, lines = data["nodes"], data["lines"]
+        require_ints((data["physical_dim"], data["chi"], *astuple(meta)),
+                     _INTS)
         ids, layers, cells, kinds, variants, dims, elements = _columns(
-            rows, ("id", "layer", "cell", "kind", "variant", "dims",
-                   "elements"))
+            nodes, ("id", "layer", "cell", "kind", "variant", "dims",
+                    "elements"))
         kind_set = set(kinds)
         if not kind_set <= KINDS:
             raise TypeError(f"unknown node kind "
@@ -981,16 +980,15 @@ def node_columns(rows) -> NodeColumns:
         if len(set(ids)) < len(ids):
             raise ValueError("malformed tns-v1 document: repeated node id")
         require_ints(flat((layers, flat(cells), flat(dims))), _INTS)
-        n = len(ids)
-        if elements.count(None) < n:
+        elements = list(elements)
+        if elements.count(None) < len(ids):
             for nid, e, shape in zip(ids, elements, dims):
                 if e is not None and len(e) != 2 * math.prod(shape):
                     raise ValueError(
                         f"malformed tns-v1 document: {nid}: {len(e)} "
                         f"numbers in elements, not 2 per amplitude of {shape}")
-            arrays = []
             try:
-                for nid, e, shape in zip(ids, elements, dims):
+                for k, (nid, e, shape) in enumerate(zip(ids, elements, dims)):
                     if e is not None:
                         # numpy would parse a string and read a bool as 1
                         a = (np.array(e, float)
@@ -1001,82 +999,46 @@ def node_columns(rows) -> NodeColumns:
                                        (int, float) or not math.isfinite(x))
                             raise ValueError(f"elements entry {bad!r} is "
                                              f"not a finite number")
-                        e = a.view(complex).reshape(shape)
-                    arrays.append(e)
+                        elements[k] = a.view(complex).reshape(shape)
             except ValueError as exc:
                 # an entry that is no finite number, or dims numpy cannot
                 # take
                 raise ValueError(f"malformed tns-v1 document: {nid}: "
                                  f"{exc}") from None
-            elements = arrays
-    names = VARIANTS + tuple(sorted(set(variants) - set(VARIANTS)))
-    codes = dict(zip(names, itertools.count()))
-    cell_len = _int64(map(len, cells), n)
-    offsets = _int64(itertools.accumulate(map(len, dims), initial=0), n + 1)
-    return NodeColumns(list(ids), _int64(layers, n),
-                       _int64(map(KIND_CODES.__getitem__, kinds), n),
-                       _int64(map(codes.__getitem__, variants), n), names,
-                       cell_len, _int64(flat(cells), int(cell_len.sum())),
-                       _int64(flat(dims), offsets[-1]), offsets,
-                       list(elements))
-
-
-def _line_columns(rows, ids: list[str]):
-    """Columns of a tns-v1 line list against the node ids: int64 ids
-    (L,), the node indices (2, L) and slots (2, L) of each line's a and b
-    ends, and dims (L,); ValueError as tns_from_dict names it."""
-    with malformed("tns-v1"):
-        line_ids, a, b, dims = _columns(rows, ("id", "a", "b", "dim"))
+        n = len(ids)
+        names = VARIANTS + tuple(sorted(set(variants) - set(VARIANTS)))
+        codes = dict(zip(names, itertools.count()))
+        cell_len = _int64(map(len, cells), n)
+        offsets = _int64(itertools.accumulate(map(len, dims), initial=0),
+                         n + 1)
+        layer = _int64(layers, n)
+        kind = _int64(map(KIND_CODES.__getitem__, kinds), n)
+        variant = _int64(map(codes.__getitem__, variants), n)
+        cell = _int64(flat(cells), int(cell_len.sum()))
+        flat_dims = _int64(flat(dims), offsets[-1])
+        line_ids, a, b, line_dims = _columns(lines, ("id", "a", "b", "dim"))
         ends = list(map(operator.itemgetter(0), itertools.chain(a, b)))
         slots = list(map(operator.itemgetter(1), itertools.chain(a, b)))
-        require_ints(itertools.chain(line_ids, slots, dims), _INTS)
-    count = len(line_ids)
-    line_id, slots, dims = (_int64(line_ids, count), _int64(
-        slots, 2 * count).reshape(2, count), _int64(dims, count))
-    index = dict(zip(ids, itertools.count()))
-    with malformed("tns-v1"):
+        require_ints(itertools.chain(line_ids, slots, line_dims), _INTS)
+        count = len(line_ids)
+        line_id = _int64(line_ids, count)
+        slots = _int64(slots, 2 * count).reshape(2, count)
+        line_dims = _int64(line_dims, count)
+        index = dict(zip(ids, itertools.count()))
         ends = _int64(map(index.__getitem__, ends), 2 * count)
-    return line_id, ends.reshape(2, count), slots, dims
-
-
-def tns_from_dict(data: dict) -> Tns:
-    """Network from its tns-v1 description; ValueError when the document
-    is not an object, lacks a key, has a generator_version that is not a
-    string or a count that is not an integer, nodes that node_columns
-    rejects, a line entry that is not an object or lacks a key, a line
-    end that is not a (node id, slot) pair, a line id, slot or dim that
-    is not an integer or does not fit in 64 bits, a line that names an
-    unknown node, two lines of one id, a node cell whose length is not
-    the lattice dimension, or a negative layer."""
-    if not isinstance(data, dict):
-        raise ValueError("malformed tns-v1 document: not a JSON object")
-    if data.get("version") != "tns-v1":
-        raise ValueError(f"unsupported network format {data.get('version')!r}")
-    with malformed("tns-v1"):
-        if not isinstance(data["generator_version"], str):
-            raise TypeError("generator_version is not a string")
-        spec = spec_from_dict(data["lattice"])
-        meta = MeraMeta(*(data["meta"][f.name] for f in fields(MeraMeta)))
-        nodes, lines = data["nodes"], data["lines"]
-        require_ints((data["physical_dim"], data["chi"], *astuple(meta)),
-                     _INTS)
-    nodes = node_columns(nodes)
-    line_id, ends, slots, dims = _line_columns(lines, nodes.ids)
     ranked = np.sort(line_id)
     if (ranked[1:] == ranked[:-1]).any():
         raise ValueError("malformed tns-v1 document: repeated line id")
-    n, d = len(nodes.ids), spec.dimension
-    if (nodes.cell_len != d).any():
-        bad = int((nodes.cell_len != d).argmax())
-        start = int(nodes.cell_len[:bad].sum())
-        cell = nodes.cells[start:start + nodes.cell_len[bad]].tolist()
-        raise ValueError(f"malformed tns-v1 document: {nodes.ids[bad]}: cell "
-                         f"{cell} is not {d}-dimensional")
-    if (nodes.layer < 0).any():
-        i = int((nodes.layer < 0).argmax())
-        raise ValueError(f"malformed tns-v1 document: {nodes.ids[i]}: "
-                         f"negative layer {nodes.layer[i]}")
-    return Tns(spec, data["physical_dim"], data["chi"], meta, nodes.ids,
-               nodes.layer, nodes.kind, nodes.variant,
-               nodes.cells.reshape(n, d), nodes.dims, nodes.dim_offsets,
-               nodes.elements, line_id, ends, slots, dims, nodes.variants)
+    d = spec.dimension
+    if (cell_len != d).any():
+        bad = int((cell_len != d).argmax())
+        raise ValueError(f"malformed tns-v1 document: {ids[bad]}: cell "
+                         f"{cells[bad]} is not {d}-dimensional")
+    if (layer < 0).any():
+        i = int((layer < 0).argmax())
+        raise ValueError(f"malformed tns-v1 document: {ids[i]}: "
+                         f"negative layer {layer[i]}")
+    return Tns(spec, data["physical_dim"], data["chi"], meta, list(ids),
+               layer, kind, variant, cell.reshape(n, d), flat_dims, offsets,
+               elements, line_id, ends.reshape(2, count), slots, line_dims,
+               names)

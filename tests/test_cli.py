@@ -54,6 +54,30 @@ def test_build_rejects_bad_layers(tmp_path):
     assert main(["build", "--kind", "ttn1d", "--layers", "2"]) == 2
 
 
+def test_build_ttn1d_honours_no_elements(tmp_path, capsys):
+    out = tmp_path / "net.json"
+    assert main(["build", "--kind", "ttn1d", "--layers", "3",
+                 "--no-elements", "--out", str(out)]) == 0
+    assert "preconditions=ok" in capsys.readouterr().out
+    expected = tns_mod.tns_to_dict(tns_mod.build_ttn_example(3))
+    for node in expected["nodes"]:
+        node["elements"] = None
+    assert json.loads(out.read_text()) == expected
+
+
+@pytest.mark.parametrize("flag,value", [("--chi", "7"), ("--phys-dim", "3")])
+def test_build_ttn1d_refuses_dims_it_cannot_build(tmp_path, capsys, flag,
+                                                  value):
+    out = tmp_path / "net.json"
+    assert main(["build", "--kind", "ttn1d", "--layers", "3", flag, value,
+                 "--no-elements", "--seed", "3", "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("error: --kind ttn1d has lines of dimension "
+                              "2: --chi and --phys-dim must be 2")
+    assert not out.exists()
+
+
 def test_no_command_is_usage_error():
     assert main([]) == 2
 
@@ -223,6 +247,19 @@ def test_entropy_qca_half_cut_with_cross_check(tmp_path, capsys):
     assert rows[0] == "D,L,T,cut_id,S,predicted"
     assert rows[1].startswith("2,8,1,half,16,")
     assert "agree" in capsys.readouterr().err
+
+
+def test_entropy_tree_refuses_cross_check(tmp_path, monkeypatch, capsys):
+    def no_rows(layers):
+        raise AssertionError("a row computed before the flags were checked")
+
+    monkeypatch.setattr(cli.stabilizer, "run_ttn_example", no_rows)
+    out = tmp_path / "scan.csv"
+    assert main(["entropy", "--family", "ttn1d", "--layers-max", "3",
+                 "--cross-check", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --cross-check applies to --family qca\n")
+    assert not out.exists()
 
 
 def test_entropy_qca_random_cuts(tmp_path):

@@ -474,32 +474,6 @@ def test_column_writer_holds_a_slice_not_the_text(tmp_path, monkeypatch):
     assert peak <= 0.5 * out.stat().st_size, peak / out.stat().st_size
 
 
-def _joined(to_dict, key, arg, count, step):
-    """The key entries of to_dict(**{arg: part}) over consecutive parts of
-    step entries, joined."""
-    joined = []
-    for start in range(0, count, step):
-        joined += to_dict(**{arg: slice(start, start + step)})[key]
-    return joined
-
-
-@pytest.mark.parametrize("step", [1, 2, 3, 5])
-def test_ranges_join_to_whole_documents(step):
-    net = build_mera_2d_b2(1, seed=2)
-    whole = tns_to_dict(net)
-    for key in ("nodes", "lines"):
-        assert _joined(lambda **part: tns_to_dict(net, **part), key, key,
-                       len(whole[key]), step) == whole[key]
-    p = mapping.place(net, "shifted")
-    paths = mapping.route_lines(net, p)
-    whole = mapping.map_to_dict(p, paths)
-    assert mapping.map_to_dict(p, paths, lines=slice(0))["paths"] == []
-    assert mapping.map_to_dict(p, paths, sites=slice(0))["sites"] == []
-    for key, arg in (("sites", "sites"), ("paths", "lines")):
-        assert _joined(lambda **part: mapping.map_to_dict(p, paths, **part),
-                       key, arg, len(whole[key]), step) == whole[key]
-
-
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_map_reader_slices_give_the_whole_reading(seeded, monkeypatch, step):
     work, _ = seeded

@@ -264,7 +264,7 @@ def test_elements_entries_must_be_finite_numbers(documents, capsys, command,
 
 def test_edited_map_never_raises(documents, capsys):
     work, tns_path, map_path = documents
-    doc = json.loads(open(map_path).read())
+    doc = json.loads(Path(map_path).read_text())
     assert len(list(_leaves(doc))) > 25
     bad = _run_all(work, "map", doc, lambda routed: [
         ["verify", "--tns", str(tns_path), "--map", routed],
@@ -299,7 +299,7 @@ def test_members_no_reader_reads_exit_2(documents, capsys, role, member,
     path = {"map": map_path, "tns": tns_path}[role]
     edited = work / f"member.{role}.json"
     edited.write_text(json.dumps(
-        _edited(json.loads(open(path).read()), (member,), value)))
+        _edited(json.loads(Path(path).read_text()), (member,), value)))
     net, routed = (edited, map_path) if role == "tns" else (tns_path, edited)
     commands = [["verify", "--tns", str(net), "--map", str(routed)]]
     commands.append(["map", "--tns", str(net), "--scheme", "refined",
@@ -324,7 +324,7 @@ def test_render_and_verify_share_the_scheme_rules(documents, capsys, field,
     work, tns_path, map_path = documents
     edited = work / "scheme.json"
     edited.write_text(json.dumps(
-        _edited(json.loads(open(map_path).read()), (field,), value)))
+        _edited(json.loads(Path(map_path).read_text()), (field,), value)))
     errs = []
     for argv in (["verify", "--tns", str(tns_path), "--map", str(edited)],
                  ["render", "--map", str(edited),
@@ -347,7 +347,7 @@ def test_render_and_verify_refuse_members_the_scheme_does_not_fix(
     work, tns_path, map_path = documents
     edited = work / "members.json"
     edited.write_text(json.dumps(
-        _edited(json.loads(open(map_path).read()), (member,), value)))
+        _edited(json.loads(Path(map_path).read_text()), (member,), value)))
     errs = []
     for argv in (["verify", "--tns", str(tns_path), "--map", str(edited)],
                  ["render", "--map", str(edited),

@@ -173,7 +173,8 @@ def test_tree_run_small_values():
     for layers, expected, cut in ((1, 1, 1), (3, 2, 3), (5, 3, 11)):
         run = stab.run_ttn_example(layers)
         assert run.entropy == expected
-        assert run.region == tuple(range(2 ** layers - cut, 2 ** layers))
+        assert run.region.tolist() == list(range(2 ** layers - cut,
+                                                 2 ** layers))
         assert len(run.schedule) == 2 ** layers - 1
     with pytest.raises(ValueError):
         stab.run_ttn_example(2)
@@ -1000,13 +1001,13 @@ def test_peeled_rank_matches_gf2_rank(kind):
     for _ in range(60):
         m = kind(rng)
         gens, cols = _hit_set(m)
-        assert stab._peeled_rank(gens, cols, *m.shape) \
+        assert stab._hit_rank([gens, cols], *m.shape) \
             == _rank_oracle(gens, cols)
 
 
 def test_peeled_rank_of_no_hits_is_zero():
     none = np.zeros(0, dtype=np.int64)
-    assert stab._peeled_rank(none, none, 5, 8) == 0
+    assert stab._hit_rank([none, none], 5, 8) == 0
 
 
 def _restricted_rows(t, qubits):

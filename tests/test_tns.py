@@ -575,6 +575,19 @@ def test_symbolic_documents_pinned(build, layers):
     assert _digest(map_to_dict(p, route_lines(net, p))) == map_digest
 
 
+@pytest.mark.parametrize("build,layers", BUILDERS)
+def test_headers_are_the_whole_documents_without_entries(build, layers):
+    net = build(layers)
+    whole = tns_to_dict(net)
+    assert tns_to_dict(net, entries=False) == {**whole, "nodes": [],
+                                                "lines": []}
+    p = place_refined(net)
+    paths = route_lines(net, p)
+    whole = map_to_dict(p, paths)
+    assert map_to_dict(p, paths, entries=False) == {**whole, "sites": [],
+                                                     "paths": []}
+
+
 def _random_isometry(rng, fine_dims, coarse_dim):
     """One isometry drawn on its own, (*fine_dims, coarse_dim): the
     per-tensor draw the builders' batched draw must reproduce."""

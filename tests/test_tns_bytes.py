@@ -43,11 +43,9 @@ def assert_same_network(got, expected):
 
 
 def _symbolic_ttn(layers):
-    """The binary-tree network with its elements dropped: top nodes on
+    """The binary-tree network without elements: top nodes on
     every layer, four-slot gates, ids with a trailing tag."""
-    net = build_ttn_example(layers)
-    net.elements = [None] * len(net.ids)
-    return net
+    return build_ttn_example(layers, with_elements=False)
 
 
 DOCUMENTS = {
@@ -212,15 +210,14 @@ def test_reader_of_tnkit_files_takes_the_array_path(tmp_path, monkeypatch):
                      "--no-elements", "--out", str(path)]) == 0
     expected = tns_from_dict(json.loads(path.read_text()))
 
-    def refusing(read):
-        def refuse(rows, *args):
-            if len(rows):
-                raise AssertionError("a tnkit file read as JSON objects")
-            return read(rows, *args)
-        return refuse
+    read = tns_mod.tns_from_dict
 
-    for name in ("node_columns", "_line_columns"):
-        monkeypatch.setattr(tns_mod, name, refusing(getattr(tns_mod, name)))
+    def refuse(document):
+        if document["nodes"] or document["lines"]:
+            raise AssertionError("a tnkit file read as JSON objects")
+        return read(document)
+
+    monkeypatch.setattr(tns_mod, "tns_from_dict", refuse)
     assert_same_network(cli._read_tns(path), expected)
 
 
