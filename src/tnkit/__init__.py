@@ -18,8 +18,7 @@ from .mapping import (CongestionReport, PathAssignment, Peps, Placement,
                       measured_chi, place_naive, place_refined, place_shifted,
                       read_map, route_lines)
 from .dense import (ResourceLimitError, StateVector, contract_to_statevector,
-                    entanglement_entropy, entropy_bits, reduced_density,
-                    states_equal)
+                    entanglement_entropy, states_equal)
 from . import qca, stabilizer
 
 __version__ = "0.1.0"

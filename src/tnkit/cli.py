@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import dense, mapping, qca, stabilizer, tns as tns_mod
-from .lattice import ResourceLimitError, check_grid, malformed
+from .lattice import ResourceLimitError, check_grid, malformed, site_budget
 from .tns import GENERATOR_VERSION
 
 
@@ -196,9 +196,15 @@ def _entropy_qca(args):
         # the cuts of a row are seeded with seed + L + 97 T
         raise ValueError(f"--seed must be >= 0 with --cut random, "
                          f"got {args.seed}")
-    # every grid fits the site budget before the first row is computed
+    # every grid fits the site budget before the first row is computed,
+    # and so does the number of rows
     for length in lengths:
         qca.check_sites(args.dimension, length)
+    count = len(lengths) * args.layers_max * \
+        (args.cuts if args.cut == "random" else 1)
+    if count > site_budget():
+        raise ResourceLimitError(f"{count} entropy rows exceed the site "
+                                 f"budget {site_budget()}")
     rows_data = []
     code = 0
     try:
@@ -217,9 +223,10 @@ def _entropy_qca(args):
                 else:
                     rng = np.random.default_rng(args.seed + length
                                                 + 97 * layers)
-                    cuts = [(f"rand{i}", qca.random_connected_region(
+                    # each region is drawn when its row is computed
+                    cuts = ((f"rand{i}", qca.random_connected_region(
                         args.dimension, length, rng))
-                            for i in range(args.cuts)]
+                            for i in range(args.cuts))
                 if args.cross_check:
                     stabilizer.permute_qubits(state, step)
                 for cut_id, region in cuts:
@@ -238,15 +245,13 @@ def _entropy_qca(args):
         # cross-check keeps its exit code
         print(f"resource limit: {exc}", file=sys.stderr)
         code = code or 3
-    half_rows = [(l, t, s) for d, l, t, c, s in rows_data if c == "half"]
-    if half_rows:
-        c_fit = sum(s / (l ** (args.dimension - 1) * t)
-                    for l, t, s in half_rows) / len(half_rows)
-    else:
-        c_fit = None
+    # the fit needs half-cut rows; random cuts leave the field blank
+    c_fit = None
+    if args.cut == "half" and rows_data:
+        c_fit = sum(s / (l ** (d - 1) * t)
+                    for d, l, t, _, s in rows_data) / len(rows_data)
     rows = ["D,L,T,cut_id,S,predicted"]
     for d, l, t, cut_id, s in rows_data:
-        # the fit needs half-cut rows; without them the field stays blank
         pred = "" if c_fit is None else f"{c_fit * l ** (d - 1) * t:.6f}"
         rows.append(f"{d},{l},{t},{cut_id},{s},{pred}")
     if args.cross_check and code == 0:

@@ -5,9 +5,11 @@ gives them (tns.Tns, mapping.Peps); equal labels are contracted, labels
 of the form ("p", site) stay open and define the state vector in
 lexicographic site order.  Identity wires, the factors an embedding adds
 along each routed line, are renamed away before any dense work: their
-two labels become one, and only the real tensors are contracted.  A hard
-amplitude budget keeps accidental large contractions from exhausting
-memory; override it with the environment variable TNKIT_MAX_AMPLITUDES.
+two labels become one, and only the real tensors are contracted.  The
+entropy of a state takes its Schmidt weights from one singular value
+decomposition across the cut.  A hard amplitude budget keeps accidental
+large contractions from exhausting memory; override it with the
+environment variable TNKIT_MAX_AMPLITUDES.
 """
 
 from __future__ import annotations
@@ -239,38 +241,21 @@ def _region_axes(state: StateVector, region):
     return sorted(set(axes))
 
 
-def reduced_density(state: StateVector, region) -> np.ndarray:
-    """Partial trace of |psi><psi| onto the given sites: the matrix of
-    unit trace (unless psi is zero), its axes over the region's sites in
-    the state's site order."""
-    axes = _region_axes(state, region)
-    d = state.site_dim
-    n = state.num_sites
-    dim_a = d ** len(axes)
-    if dim_a ** 2 > amplitude_limit():
-        raise ResourceLimitError(f"density matrix of {dim_a}^2 entries "
-                                 f"exceeds budget")
-    psi = state.amplitudes.reshape((d,) * n)
-    keep = axes
-    rest = [ax for ax in range(n) if ax not in keep]
-    psi = np.transpose(psi, keep + rest).reshape(dim_a, -1)
-    rho = psi @ psi.conj().T
-    tr = np.trace(rho).real
-    if tr > 0:
-        rho = rho / tr
-    return rho
-
-
-def entropy_bits(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits of a density matrix; eigenvalues below
-    1e-12 are dropped."""
-    if not np.allclose(rho, rho.conj().T, atol=1e-9):
-        raise ValueError("density matrix is not Hermitian")
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-12]
-    return float(-np.sum(evals * np.log2(evals)))
-
-
 def entanglement_entropy(state: StateVector, region) -> float:
-    """Entropy in bits of the reduced state on `region`."""
-    return entropy_bits(reduced_density(state, region))
+    """Entropy in bits of the reduced state on `region`, sites or bare
+    indices, from the Schmidt weights: the squared singular values of
+    the state as a (region, rest) matrix.  Weights below 1e-12 of their
+    total are dropped; ResourceLimitError when the smaller side of the
+    cut has more than sqrt(budget) dimensions."""
+    axes = _region_axes(state, region)
+    d, n = state.site_dim, state.num_sites
+    shape = d ** len(axes), d ** (n - len(axes))
+    if min(shape) ** 2 > amplitude_limit():
+        raise ResourceLimitError(f"Schmidt decomposition across a cut of "
+                                 f"{min(shape)} dimensions exceeds budget")
+    rest = [ax for ax in range(n) if ax not in axes]
+    psi = np.transpose(state.amplitudes.reshape((d,) * n), axes + rest)
+    weights = np.linalg.svd(psi.reshape(shape), compute_uv=False) ** 2
+    # the zero state keeps no weight, and its entropy is 0
+    weights = weights[weights > 1e-12 * weights.sum()] / weights.sum()
+    return float(-np.sum(weights * np.log2(weights)))

@@ -81,10 +81,10 @@ driver rotates the odd swap sublayer's pairs of qca.sublayer_indices
 into entangled pairs, the set qca.initial_pairs hands the pair tracker.
 Its layers are one permutation of qubits, qca.layer_permutation, and
 permute_qubits, the one row mover of whole layers, permutes the slots of
-every row at once; run_qca raises the permutation to the number of
-layers before it moves the rows once, and `entropy --cross-check` sets
-each length up once and moves the rows one layer at a time.  The
-cross-checks live in the test suite and in that command.
+every row at once, a layer at a time in run_qca and in `entropy
+--cross-check`.  The cross-checks live in the test suite and in that
+command, the dense projector and generator matrices in the tests'
+tableau_oracle.
 """
 
 from __future__ import annotations
@@ -541,8 +541,6 @@ def entanglement_entropy(t: StabilizerState, region) -> int:
     inside = np.zeros(n, dtype=bool)
     inside[_qubits(t, region)] = True
     k = int(np.count_nonzero(inside))
-    if k == 0 or k == n:
-        return 0
     qubits = np.flatnonzero(inside if 2 * k <= n else ~inside)
     # only _hit_rank holds the hits, so its rounds free them
     return _hit_rank(list(_restricted_hits(t, qubits)), n,
@@ -562,48 +560,6 @@ def _gf2_rank(rows) -> int:
                 break
             v ^= p
     return rank
-
-
-_I2 = np.eye(2)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_XZ = _X @ _Z
-
-
-def _bit(arr: np.ndarray, g: int) -> int:
-    """Bit of generator g in a word row."""
-    return int(arr[g // 64] >> np.uint64(g % 64)) & 1
-
-
-def _dense_row(t: StabilizerState, r: int) -> np.ndarray:
-    """Every word of bit row r, zeros included."""
-    out = np.zeros(t.phase.shape[1], dtype=np.uint64)
-    at = slice(t.start[r], t.stop[r])
-    out[t.word[at]] = t.val[at]
-    return out
-
-
-def generator_operator(t: StabilizerState, g: int) -> np.ndarray:
-    """Dense matrix of generator g; qubit 0 is the most significant."""
-    op = np.array([[1.0 + 0j]])
-    for q in range(t.num_qubits):
-        xb = _bit(_dense_row(t, q), g)
-        zb = _bit(_dense_row(t, t.num_qubits + q), g)
-        op = np.kron(op, (_I2, _X, _Z, _XZ)[xb + 2 * zb])
-    r = _bit(t.phase[0], g) + 2 * _bit(t.phase[1], g)
-    return (1j ** r) * op
-
-
-def to_projector(t: StabilizerState) -> np.ndarray:
-    """Dense projector prod_g (I + g) / 2 onto the stabilized subspace."""
-    if t.num_qubits > 10:
-        raise ValueError("dense projector limited to 10 qubits")
-    dim = 2 ** t.num_qubits
-    proj = np.eye(dim, dtype=complex)
-    for g in range(t.num_qubits):
-        proj = proj @ (np.eye(dim, dtype=complex)
-                       + generator_operator(t, g)) / 2.0
-    return proj
 
 
 @dataclass(eq=False)
@@ -655,23 +611,17 @@ def run_qca(dimension: int, length: int, layers: int) -> StabilizerState:
     layer applies the odd-aligned sublayer of diagonal swaps first and the
     even-aligned sublayer second.  Qubits are indexed row-major.  The two
     sublayers compose to one permutation of qubits,
-    qca.layer_permutation; it is raised to the number of layers on the
-    indices, and permute_qubits moves the rows once.  A caller that
-    wants every depth takes run_qca(dimension, length, 0) and applies
-    permute_qubits(state, qca.layer_permutation(dimension, length)) once
-    per layer, the same state layer by layer.
+    qca.layer_permutation, and each layer is one permute_qubits through
+    it, as `entropy --cross-check` steps its state layer by layer.
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
     state = init_zero(length ** dimension)
     # the initial pairs are the odd sublayer's swaps
     apply_xx_rotations(state, *sublayer_indices(dimension, length, 1))
-    if layers:
-        step = layer_permutation(dimension, length)
-        source = step
-        for _ in range(layers - 1):
-            source = source[step]
-        permute_qubits(state, source)
+    step = layer_permutation(dimension, length) if layers else None
+    for _ in range(layers):
+        permute_qubits(state, step)
     return state
 
 

@@ -1,12 +1,16 @@
-"""The dense generator-packed tableau kernel that the word-sparse store
-replaced, kept as the bit-for-bit reference of tnkit.stabilizer.
+"""The references of tnkit.stabilizer: the dense generator-packed
+tableau kernel that the word-sparse store replaced, kept as its
+bit-for-bit reference, and the dense matrices of a word-sparse state,
+its generators and the projector onto the state they stabilize.
 
 x and z are (n, ceil(n/64)) uint64 arrays whose row q holds the bits of
 every generator on qubit q, generator g at bit g % 64 of word g // 64;
 the phases are the same (2, ceil(n/64)) bit planes the sparse state
 keeps.  A batch of rotations runs in blocks of about BLOCK_WORDS
 generator words, each block's phase change a bit-sliced count mod 4 of
-the running XOR of its rows.
+the running XOR of its rows.  generator_operator and to_projector read
+a word-sparse state directly, one bit at a time, and build Kronecker
+products of Pauli matrices, up to 10 qubits.
 """
 
 from dataclasses import dataclass
@@ -140,3 +144,45 @@ def restricted_hits(t: DenseTableau, qubits):
         cols.append(at // words + offset)
     return np.unique(np.stack([np.concatenate(gens), np.concatenate(cols)],
                               axis=1), axis=0)
+
+
+_I2 = np.eye(2)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_XZ = _X @ _Z
+
+
+def _bit(arr: np.ndarray, g: int) -> int:
+    """Bit of generator g in a word row."""
+    return int(arr[g // 64] >> np.uint64(g % 64)) & 1
+
+
+def _dense_row(t, r: int) -> np.ndarray:
+    """Every word of bit row r, zeros included."""
+    out = np.zeros(t.phase.shape[1], dtype=np.uint64)
+    at = slice(t.start[r], t.stop[r])
+    out[t.word[at]] = t.val[at]
+    return out
+
+
+def generator_operator(t, g: int) -> np.ndarray:
+    """Dense matrix of generator g; qubit 0 is the most significant."""
+    op = np.array([[1.0 + 0j]])
+    for q in range(t.num_qubits):
+        xb = _bit(_dense_row(t, q), g)
+        zb = _bit(_dense_row(t, t.num_qubits + q), g)
+        op = np.kron(op, (_I2, _X, _Z, _XZ)[xb + 2 * zb])
+    r = _bit(t.phase[0], g) + 2 * _bit(t.phase[1], g)
+    return (1j ** r) * op
+
+
+def to_projector(t) -> np.ndarray:
+    """Dense projector prod_g (I + g) / 2 onto the stabilized subspace."""
+    if t.num_qubits > 10:
+        raise ValueError("dense projector limited to 10 qubits")
+    dim = 2 ** t.num_qubits
+    proj = np.eye(dim, dtype=complex)
+    for g in range(t.num_qubits):
+        proj = proj @ (np.eye(dim, dtype=complex)
+                       + generator_operator(t, g)) / 2.0
+    return proj

@@ -155,12 +155,8 @@ def _dense_apply(psi, n, qs, mat):
 
 
 def _dense_entropy(psi, n, region):
-    axes = sorted(region)
-    rest = [ax for ax in range(n) if ax not in axes]
-    mat = np.transpose(psi.reshape((2,) * n), axes + rest)
-    sv = np.linalg.svd(mat.reshape(2 ** len(axes), -1), compute_uv=False)
-    probs = sv[sv > 1e-12] ** 2
-    return float(-np.sum(probs * np.log2(probs)))
+    state = dense.StateVector(psi, tuple((q,) for q in range(n)), 2)
+    return dense.entanglement_entropy(state, region)
 
 
 def test_criterion_07_stabilizer_matches_dense_oracle():

@@ -515,6 +515,43 @@ def test_entropy_qca_checks_every_length_first(monkeypatch, capsys):
         "exceeds the site budget 16\n"
 
 
+def test_entropy_qca_bounds_its_rows(monkeypatch, capsys):
+    # 4096 amplitudes leave 64 sites, so 64 rows: 65 random cuts of one
+    # layer are refused before the first row is computed
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "4096")
+    argv = ["entropy", "--family", "qca", "--dimension", "1", "--lengths",
+            "4", "--layers-max", "1", "--cut", "random", "--cuts"]
+    assert main(argv + ["65"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: 65 entropy rows exceed the " \
+        "site budget 64\n"
+    assert main(argv + ["64"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 65
+
+
+def test_entropy_qca_draws_each_region_at_its_row(monkeypatch, tmp_path):
+    # a layer's regions are drawn one at a time: while one is drawn, at
+    # most the previous row's region is still alive
+    import weakref
+    from tnkit import qca
+    drawn, alive = [], []
+    draw = qca.random_connected_region
+
+    def tracked(*args):
+        alive.append(sum(ref() is not None for ref in drawn))
+        region = draw(*args)
+        drawn.append(weakref.ref(region))
+        return region
+
+    monkeypatch.setattr(qca, "random_connected_region", tracked)
+    assert main(["entropy", "--family", "qca", "--dimension", "2",
+                 "--lengths", "8", "--layers-max", "2", "--cut", "random",
+                 "--cuts", "5", "--out", str(tmp_path / "qca.csv")]) == 0
+    assert len(alive) == 10
+    assert max(alive) <= 1
+
+
 def _small_tableau_budget(monkeypatch):
     """A tableau budget of 2**14 amplitudes under the default site budget:
     the automaton's tableau takes 48 bytes a site, so at the default

@@ -410,17 +410,47 @@ def bell_state():
     return dense.StateVector(amps, ((0,), (1,)), 2)
 
 
-def test_reduced_density_bell():
-    rho = dense.reduced_density(bell_state(), [(0,)])
-    np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
-    assert dense.entropy_bits(rho) == pytest.approx(1.0)
-
-
-def test_reduced_density_accepts_bare_indices():
-    rho = dense.reduced_density(bell_state(), [1])
-    np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
+def test_entanglement_entropy_bell_sites_and_indices():
+    for region in ([(0,)], [(1,)], [0], [1]):
+        assert dense.entanglement_entropy(bell_state(), region) \
+            == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        dense.reduced_density(bell_state(), [(7,)])
+        dense.entanglement_entropy(bell_state(), [(7,)])
+
+
+def _eigenvalue_entropy(psi, n, axes):
+    """Entropy in bits from the eigenvalues of the reduced density matrix,
+    psi psi^dagger traced over the sites outside axes, formed here."""
+    rest = [ax for ax in range(n) if ax not in axes]
+    mat = np.transpose(psi.reshape((2,) * n), sorted(axes) + rest)
+    mat = mat.reshape(2 ** len(axes), -1)
+    rho = mat @ mat.conj().T
+    evals = np.linalg.eigvalsh(rho / np.trace(rho).real)
+    evals = evals[evals > 1e-12]
+    return float(-np.sum(evals * np.log2(evals)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_entanglement_entropy_matches_density_eigenvalues(n):
+    rng = np.random.default_rng(n)
+    sites = tuple((q,) for q in range(n))
+    for k in range(n + 1):
+        psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        # an unnormalized state, a region in no particular order
+        psi *= rng.uniform(0.1, 10.0)
+        axes = [int(q) for q in rng.permutation(n)[:k]]
+        expected = _eigenvalue_entropy(psi, n, axes)
+        state = dense.StateVector(psi, sites, 2)
+        for region in (axes, [sites[q] for q in axes]):
+            assert dense.entanglement_entropy(state, region) \
+                == pytest.approx(expected, abs=1e-9)
+
+
+def test_entanglement_entropy_of_zero_state():
+    state = dense.StateVector(np.zeros(8, dtype=complex),
+                              tuple((q,) for q in range(3)), 2)
+    for region in ([], [0], [(0,), (2,)], [0, 1, 2]):
+        assert dense.entanglement_entropy(state, region) == 0
 
 
 def test_entropy_of_product_state_is_zero():
@@ -428,11 +458,6 @@ def test_entropy_of_product_state_is_zero():
     amps[0] = 1.0
     state = dense.StateVector(amps, ((0,), (1,)), 2)
     assert dense.entanglement_entropy(state, [(0,)]) == pytest.approx(0.0)
-
-
-def test_entropy_bits_requires_hermitian():
-    with pytest.raises(ValueError):
-        dense.entropy_bits(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_ghz_entropy_one_bit_everywhere():
@@ -444,12 +469,15 @@ def test_ghz_entropy_one_bit_everywhere():
             == pytest.approx(1.0)
 
 
-def test_reduced_density_size_guard(monkeypatch):
+def test_entanglement_entropy_budget_takes_smaller_side(monkeypatch):
+    # 8 amplitudes admit a cut whose smaller side has 2 dimensions
     monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "8")
     state = dense.StateVector(np.ones(16) / 4.0,
                               tuple((q,) for q in range(4)), 2)
     with pytest.raises(dense.ResourceLimitError):
-        dense.reduced_density(state, [(0,), (1,)])
+        dense.entanglement_entropy(state, [(0,), (1,)])
+    for region in ([0], [1, 2, 3]):
+        assert dense.entanglement_entropy(state, region) == 0
 
 
 def test_dense_imports_no_package_module_but_lattice():

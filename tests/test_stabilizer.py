@@ -1,9 +1,11 @@
-"""Stabilizer tableau simulator against an independent dense oracle.
+"""Stabilizer tableau simulator against independent dense oracles.
 
-The dense reference below applies gate matrices to full statevectors and
-measures entropy through singular values, sharing no code with the
-tableau implementation.  tableau_oracle keeps the dense generator-packed
-kernel the word-sparse store replaced, the bit-for-bit reference.
+The dense reference below applies gate matrices to full statevectors;
+their entropy is tnkit.dense.entanglement_entropy, the Schmidt weights
+of one singular value decomposition, which shares no code with the
+tableau.  tableau_oracle keeps the dense generator-packed kernel the
+word-sparse store replaced, the bit-for-bit reference, and the dense
+projector onto a tableau's state.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tableau_oracle as oracle
-from tnkit import stabilizer as stab
+from tnkit import dense, stabilizer as stab
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 S2 = np.diag([1.0, 1.0j])
@@ -36,12 +38,9 @@ def apply_2q(psi, n, i, j, m):
 
 
 def dense_entropy(psi, n, region):
-    axes = sorted(region)
-    rest = [ax for ax in range(n) if ax not in axes]
-    mat = np.transpose(psi.reshape((2,) * n), axes + rest)
-    sv = np.linalg.svd(mat.reshape(2 ** len(axes), -1), compute_uv=False)
-    probs = sv[sv > 1e-12] ** 2
-    return float(-np.sum(probs * np.log2(probs)))
+    """Entropy in bits of the qubits of region in the n-qubit psi."""
+    state = dense.StateVector(psi, tuple((q,) for q in range(n)), 2)
+    return dense.entanglement_entropy(state, region)
 
 
 GATES = [
@@ -89,7 +88,7 @@ def test_init_zero_entropy_and_validation():
 def test_pair_creation_state():
     t = stab.apply_xx_rotation(stab.init_zero(2), 0, 1)
     psi = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2)
-    proj = stab.to_projector(t)
+    proj = oracle.to_projector(t)
     np.testing.assert_allclose(proj, np.outer(psi, psi.conj()), atol=1e-12)
     assert stab.entanglement_entropy(t, [0]) == 1
 
@@ -109,12 +108,12 @@ def test_gate_identities():
     u = t.copy()
     stab.apply_h(u, 1)
     stab.apply_h(u, 1)
-    np.testing.assert_allclose(stab.to_projector(u), stab.to_projector(t),
+    np.testing.assert_allclose(oracle.to_projector(u), oracle.to_projector(t),
                                atol=1e-12)
     v = t.copy()
     for _ in range(4):
         stab.apply_s(v, 2)
-    np.testing.assert_allclose(stab.to_projector(v), stab.to_projector(t),
+    np.testing.assert_allclose(oracle.to_projector(v), oracle.to_projector(t),
                                atol=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_swap_equals_three_cnots():
     stab.apply_cnot(b, 1, 3)
     stab.apply_cnot(b, 3, 1)
     stab.apply_cnot(b, 1, 3)
-    np.testing.assert_allclose(stab.to_projector(a), stab.to_projector(b),
+    np.testing.assert_allclose(oracle.to_projector(a), oracle.to_projector(b),
                                atol=1e-12)
 
 
@@ -136,7 +135,7 @@ def test_projector_matches_dense_state():
     for _ in range(25):
         n = int(rng.integers(2, 7))
         t, psi = run_both(rng, n, int(rng.integers(4, 4 * n)))
-        proj = stab.to_projector(t)
+        proj = oracle.to_projector(t)
         np.testing.assert_allclose(np.trace(proj), 1.0, atol=1e-9)
         np.testing.assert_allclose(proj, np.outer(psi, psi.conj()),
                                    atol=1e-9)
@@ -144,7 +143,7 @@ def test_projector_matches_dense_state():
 
 def test_projector_size_guard():
     with pytest.raises(ValueError):
-        stab.to_projector(stab.init_zero(11))
+        oracle.to_projector(stab.init_zero(11))
 
 
 def test_entropy_matches_dense_on_random_circuits():
@@ -302,7 +301,7 @@ def test_batches_match_single_gates_small(batch, single, mat):
             psi = apply_2q(psi, n, int(i), int(j), mat)
         many = batch(t.copy(), a, b)
         assert_same_tableau(many, one)
-        np.testing.assert_allclose(stab.to_projector(many),
+        np.testing.assert_allclose(oracle.to_projector(many),
                                    np.outer(psi, psi.conj()), atol=1e-9)
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import tableau_oracle as oracle
 import tnkit.stabilizer as stab
 from tnkit import dense, tns as tns_mod
 from tnkit.mapping import map_to_dict, place_refined, route_lines
@@ -476,7 +477,7 @@ def test_tree_state_matches_stabilizer_run():
     layers = 3
     run = stab.run_ttn_example(layers)
     state = dense.contract_to_statevector(build_ttn_example(layers))
-    proj = stab.to_projector(run.state)
+    proj = oracle.to_projector(run.state)
     v = state.amplitudes / np.linalg.norm(state.amplitudes)
     np.testing.assert_allclose(proj @ v, v, atol=1e-9)
     s_dense = dense.entanglement_entropy(state, [(q,) for q in run.region])
