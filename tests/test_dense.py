@@ -410,9 +410,26 @@ def bell_state():
     return dense.StateVector(amps, ((0,), (1,)), 2)
 
 
-def test_entanglement_entropy_bell_sites_and_indices():
-    for region in ([(0,)], [(1,)], [0], [1]):
-        assert dense.entanglement_entropy(bell_state(), region) \
+def _reduced_density(psi, n, axes):
+    """psi psi^dagger traced over the sites outside axes, normalized."""
+    rest = [ax for ax in range(n) if ax not in axes]
+    mat = np.transpose(psi.reshape((2,) * n), sorted(axes) + rest)
+    mat = mat.reshape(2 ** len(axes), -1)
+    rho = mat @ mat.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_reduced_density_bell():
+    for q in (0, 1):
+        rho = _reduced_density(bell_state().amplitudes, 2, [q])
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
+        assert dense.entanglement_entropy(bell_state(), [(q,)]) \
+            == pytest.approx(1.0)
+
+
+def test_reduced_density_accepts_bare_indices():
+    for q in (0, 1):
+        assert dense.entanglement_entropy(bell_state(), [q]) \
             == pytest.approx(1.0)
     with pytest.raises(ValueError):
         dense.entanglement_entropy(bell_state(), [(7,)])
@@ -420,12 +437,8 @@ def test_entanglement_entropy_bell_sites_and_indices():
 
 def _eigenvalue_entropy(psi, n, axes):
     """Entropy in bits from the eigenvalues of the reduced density matrix,
-    psi psi^dagger traced over the sites outside axes, formed here."""
-    rest = [ax for ax in range(n) if ax not in axes]
-    mat = np.transpose(psi.reshape((2,) * n), sorted(axes) + rest)
-    mat = mat.reshape(2 ** len(axes), -1)
-    rho = mat @ mat.conj().T
-    evals = np.linalg.eigvalsh(rho / np.trace(rho).real)
+    formed here."""
+    evals = np.linalg.eigvalsh(_reduced_density(psi, n, axes))
     evals = evals[evals > 1e-12]
     return float(-np.sum(evals * np.log2(evals)))
 
