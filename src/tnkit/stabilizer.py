@@ -46,18 +46,21 @@ and the phase planes, against 16 * lattice.amplitude_limit() bytes
 (1 GiB by default, set through TNKIT_MAX_AMPLITUDES).  Each charge adds
 what is about to be allocated and raises ResourceLimitError, naming the
 qubits and the bytes, before it is: init_zero charges its store, _pack
-the new pool beside the old one, a batch of rotations 128 bytes per word
-of its Z rows, for its merges and writes, and the entropy 24 bytes per
-word it reads and 32 per set bit of its (generator, column) list, which
-bound what it holds past the read, and then its core, if one is left,
-at num_cols / 2 + 160 bytes a row.  _pack and a batch of rotations count
-their words from the rows' slots and charge before they read one; the
-entropy counts the set bits of the words it read, from their nonzero
-octets, and charges before it makes any array of set bits, and its
-rank charges the core before it builds it.  The tree
-state holds a few words per row; its largest charge, the rotations', is
-about 300 bytes per qubit.  A near-dense store, which no command makes,
-is refused before it is allocated.
+the new pool beside the old one, the tree driver's tile its new store
+beside the state it copies, with 32 bytes per word and 24 per row of
+that state for the read, a batch of rotations 128 bytes per word of its
+Z rows, for its merges and writes, and the entropy 24 bytes per word it
+reads and 32 per set bit of its (generator, column) list, which bound
+what it holds past the read, and then its core, if one is left, at
+num_cols / 2 + 160 bytes a row.  _pack, the tile and a batch of
+rotations count their words from the rows' slots and charge before they
+read one; the entropy counts the set bits of the words it read, from
+their nonzero octets, and charges before it makes any array of set bits,
+and its rank charges the core before it builds it.  The tree state holds
+a few words per row.  Built in one batch, its largest charge, the
+rotations', is about 300 bytes per qubit; grown by the tile, it is the
+entropy's, about 120, the tile's about 110.  A near-dense store, which
+no command makes, is refused before it is allocated.
 
 Entanglement entropy of a region A is rank_GF2(generators restricted to
 the X and Z columns of A) - |A|, exact and integer.  The rank is taken
@@ -76,10 +79,18 @@ the tree cuts of every odd T <= 17 peel completely.
 The tree-state driver applies every row of tns.ttn_gate_schedule as one
 batch of rotations and sizes the cut by tns.ttn_cut_size; it never calls
 tns.build_ttn_example, so the tableau and the dense contraction of the
-built network simulate the same gates independently.  The automaton
-driver rotates the odd swap sublayer's pairs of qca.sublayer_indices
-into entangled pairs, the set qca.initial_pairs hands the pair tracker.
-Its layers are one permutation of qubits, qca.layer_permutation, and
+built network simulate the same gates independently.  Handed the run of
+two layers fewer, as `entropy --family ttn1d` hands each depth the last,
+it grows the tableau of T >= 9 from that run's instead: layers 1..T-2 of
+the schedule are four copies of the shallower one, shifted by multiples
+of its 2**(T-2) qubits, which fill whole generator words, so _tile lays
+four copies of the shallower pool's live words side by side, shifted by
+whole words, and only the schedule's rows 0-2, the top two layers, are
+applied.  The tableau is the same, word for word; the shallower state is
+taken out of its run and freed once tiled.  The automaton driver
+rotates the odd swap sublayer's pairs of qca.sublayer_indices into
+entangled pairs, the set qca.initial_pairs hands the pair tracker.  Its
+layers are one permutation of qubits, qca.layer_permutation, and
 permute_qubits, the one row mover of whole layers, permutes the slots of
 every row at once, a layer at a time in run_qca and in `entropy
 --cross-check`.  The cross-checks live in the test suite and in that
@@ -567,26 +578,92 @@ class TtnRun:
     entropy: int
     region: np.ndarray
     schedule: np.ndarray
-    state: StabilizerState
+    # None once the run of two layers more has taken it
+    state: StabilizerState | None
 
 
-def run_ttn_example(layers: int) -> TtnRun:
+def _tile(t: StabilizerState, copies: int, room: int) -> StabilizerState:
+    """The product of copies side-by-side copies of t, whose qubits must
+    fill whole words: qubit q and generator g of copy k become qubit
+    k * n + q and generator k * n + g, so the rows of copy k hold the
+    live words of t's rows shifted by k * n / 64 words, and the phase
+    planes repeat.  The pool holds the X rows of copies 0, 1, ... in
+    turn, then their Z rows, and room free slots past them.  The new
+    store, beside t, is charged with 32 bytes per word and 24 per row of
+    t for the read, before anything is read or allocated."""
+    n, width = t.num_qubits, t.phase.shape[1]
+    words = int(t.stop.sum() - t.start.sum())
+    size = copies * words + room
+    _charge(copies * n, _held(t) + 16 * (size + copies * width)
+            + 32 * copies * n + 32 * words + 48 * n)
+    count = t.stop - t.start
+    # a row's slot in the tile is its place among the words read, plus
+    # the words of the copies before it
+    place = np.cumsum(count)
+    place -= count
+    _, word, val = _read(t, np.arange(2 * n))
+    x = int(count[:n].sum())
+    shift = width * np.arange(copies)[:, None]
+    tiled_word = np.empty(size, dtype=np.int64)
+    tiled_val = np.empty(size, dtype=np.uint64)
+    for first, part in ((0, slice(0, x)), (copies * x, slice(x, words))):
+        block = slice(first, first + copies * (part.stop - part.start))
+        np.add(word[part], shift, out=tiled_word[block].reshape(copies, -1))
+        tiled_val[block].reshape(copies, -1)[:] = val[part]
+    del word, val
+    k = np.arange(copies)
+    before = np.stack([k * x, (copies - 1) * x + k * (words - x)])
+    start = (place.reshape(2, 1, n) + before[:, :, None]).reshape(-1)
+    del place
+    stop = (start.reshape(2, copies, n) + count.reshape(2, 1, n)).reshape(-1)
+    return StabilizerState(copies * n, start, stop, tiled_word, tiled_val,
+                           copies * words, np.tile(t.phase, copies))
+
+
+def run_ttn_example(layers: int, shallower: TtnRun | None = None) -> TtnRun:
     """Build the binary-tree Clifford state and measure the trailing cut.
 
     Every gate is exp(-i pi/4 XX); the gates commute, so the whole
     schedule is one batch.  The distinguished region is the last p sites
     with p_1 = 1 and p_{T+2} = 4 p_T - 1; its entropy comes out as
     (layers + 1) / 2, growing with depth at fixed region fraction.
+
+    shallower, the run of layers - 2 (ValueError unless its state has
+    2**(layers - 2) qubits), gives up its state.  From layers = 9 on,
+    where that state's generators fill whole words, the tree's layers
+    1..T-2 are four shifted copies of its gates, so the tableau starts
+    as four side-by-side copies of that state and only the top two
+    layers' three gates are applied; the result is the same tableau.
     """
     p = tns.ttn_cut_size(layers)
     n = 2 ** layers
-    state = init_zero(n)
-    schedule = tns.ttn_gate_schedule(layers)
-    _, a, b = schedule.T
+    state = None
+    if shallower is not None:
+        if shallower.state is None or shallower.state.num_qubits != n // 4:
+            raise ValueError(f"the shallower run must hold a tableau of "
+                             f"{n // 4} qubits")
+        # once tiled, the shallower state is freed
+        state, shallower.state = shallower.state, None
+    schedule = None
+    # below T=9 the shallower generators do not fill whole words
+    if state is None or n // 4 % 64:
+        state = init_zero(n)
+        schedule = tns.ttn_gate_schedule(layers)
+        _, a, b = schedule.T
+    else:
+        _, a, b = tns.ttn_gate_schedule(layers, 3).T
+        # the rotations write each end's X row with the Z words of its
+        # pairs flipped in: at most twice the words of the ends' rows
+        ends = np.concatenate([a, b]) % (n // 4)
+        rows = np.concatenate([ends, n // 4 + ends])
+        state = _tile(state, 4, 2 * int(state.stop[rows].sum()
+                                        - state.start[rows].sum()))
     apply_xx_rotations(state, a, b)
     region = np.arange(n - p, n)
-    return TtnRun(entanglement_entropy(state, region), region, schedule,
-                  state)
+    entropy = entanglement_entropy(state, region)
+    if schedule is None:
+        schedule = tns.ttn_gate_schedule(layers)
+    return TtnRun(entropy, region, schedule, state)
 
 
 def permute_qubits(t: StabilizerState, source) -> StabilizerState:

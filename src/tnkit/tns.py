@@ -504,16 +504,35 @@ def two_site_rotation_gate() -> np.ndarray:
     return u.T.reshape(2, 2, 2, 2)
 
 
-def ttn_gate_schedule(layers: int) -> np.ndarray:
+def ttn_gate_schedule(layers: int, rows: int | None = None) -> np.ndarray:
     """Gate rows (layer tau, site a, site b), int64, top layer first; the
     builder and the stabilizer tree driver both read them.  Layer tau
     holds 2**(layers - tau) gates from row 2**(layers - tau) - 1 on; gate
     k of it couples sites 2**(tau-1) * (2k - 1) - 1 and 2**tau * k - 1.
+    Only the first rows rows are made when rows is given.  The columns
+    are computed in place, with one temporary column at a time beside
+    them: the schedule of T=23 is 201 MB.
+
+    Layers 1..T of the schedule of T + 2 are four copies of the schedule
+    of T, shifted by 0, 1, 2 and 3 times 2**T sites; its rows 0-2, the
+    top two layers, are the rest.
     """
-    tau = np.repeat(np.arange(layers, 0, -1), 2 ** np.arange(layers))
-    k = np.arange(2, 2 ** layers + 1) - 2 ** (layers - tau)
-    b = (k << tau) - 1
-    return np.stack([tau, b - (1 << (tau - 1)), b], axis=1)
+    count = 2 ** layers - 1 if rows is None else rows
+    reach = min(layers, count.bit_length())
+    schedule = np.empty((count, 3), dtype=np.int64)
+    tau, a, b = schedule.T
+    tau[:] = np.repeat(np.arange(layers, layers - reach, -1),
+                       2 ** np.arange(reach))[:count]
+    # row r is gate k = r + 2 - 2**(layers - tau) of its layer
+    np.subtract(layers, tau, out=a)
+    np.left_shift(1, a, out=a)
+    np.subtract(np.arange(2, count + 2), a, out=b)
+    np.left_shift(b, tau, out=b)
+    b -= 1
+    np.subtract(tau, 1, out=a)
+    np.left_shift(1, a, out=a)
+    np.subtract(b, a, out=a)
+    return schedule
 
 
 def ttn_cut_size(layers: int) -> int:

@@ -49,6 +49,18 @@ def test_build_rejects_dims_past_int64(tmp_path, capsys, flag):
     assert "does not fit in 64 bits" in capsys.readouterr().err
 
 
+def test_build_rejects_a_phys_dim_of_two_to_the_63(tmp_path, capsys):
+    # the least dimension past int64 reaches the builder's own check of
+    # its line dimensions, which names the fault and writes no file
+    out = tmp_path / "net.json"
+    assert main(["build", "--kind", "mera1d", "--layers", "1",
+                 "--phys-dim", str(2 ** 63), "--no-elements",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: a layer, cell, dim, slot or "
+                                   "line id does not fit in 64 bits\n")
+    assert not out.exists()
+
+
 def test_build_rejects_bad_layers(tmp_path):
     assert main(["build", "--kind", "mera1d", "--layers", "0"]) == 2
     assert main(["build", "--kind", "ttn1d", "--layers", "2"]) == 2
@@ -464,8 +476,9 @@ def test_entropy_tree_resource_limit(monkeypatch, capsys):
 
 
 def test_entropy_tree_seventeen_layers_at_the_default_budget(capsys):
-    # 2**17 qubits: the largest charge, the rotations', is 39,878,400
-    # bytes; the dense tableau would take 2**32
+    # 2**17 qubits: the largest charge, the entropy's, is 15,745,504
+    # bytes (the rotations of the whole schedule as one batch charged
+    # 39,878,400); the dense tableau would take 2**32
     assert main(["entropy", "--family", "ttn1d", "--layers-max", "17"]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == \
         ["15,32768,10923,8", "17,131072,43691,9"]
@@ -482,6 +495,51 @@ def test_entropy_tree_resource_limit_keeps_finished_rows(monkeypatch,
     assert rows[0] == "T,L,cut_size,S"
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "3", "5"]
     assert "resource limit" in captured.err
+
+
+def test_entropy_tree_tile_refused_before_it_reads(monkeypatch, capsys):
+    # 16 * 3000 bytes hold every charge of T<=7 (38688 bytes at most) but
+    # not the T=9 tile of four T=7 tableaux, 60384 bytes; the tile is
+    # charged before it reads a word of the T=7 tableau or allocates its
+    # own arrays
+    import tracemalloc
+    from tnkit import stabilizer
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", "3000")
+    depth, reads, grown = [], [], []
+    run, read, charge = (stabilizer.run_ttn_example, stabilizer._read,
+                         stabilizer._charge)
+
+    def traced_run(layers, shallower=None):
+        depth.append(layers)
+        tracemalloc.reset_peak()
+        grown.append(tracemalloc.get_traced_memory()[0])
+        return run(layers, shallower)
+
+    def traced_charge(num_qubits, need):
+        try:
+            charge(num_qubits, need)
+        except dense.ResourceLimitError:
+            grown[-1] = tracemalloc.get_traced_memory()[1] - grown[-1]
+            raise
+
+    monkeypatch.setattr(stabilizer, "run_ttn_example", traced_run)
+    monkeypatch.setattr(stabilizer, "_read", lambda t, rows:
+                        reads.append(depth[-1]) or read(t, rows))
+    monkeypatch.setattr(stabilizer, "_charge", traced_charge)
+    tracemalloc.start()
+    try:
+        code = main(["entropy", "--family", "ttn1d", "--layers-max", "11"])
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "7,128,43,4"
+    assert captured.err == "resource limit: stabilizer tableau of 512 " \
+        "qubits needs 60384 bytes, over the budget of 48000\n"
+    assert depth == [1, 3, 5, 7, 9] and 9 not in reads
+    # the three top gates and their ends, some hundred bytes; the tile's
+    # rows and pool alone would take 33 KB
+    assert grown[-1] < 4096
 
 
 @pytest.mark.parametrize("cut", ["half", "random"])

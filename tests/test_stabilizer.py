@@ -771,6 +771,82 @@ def test_tree_fifteen_layers_matches_layer_by_layer():
     np.testing.assert_array_equal(run.phase, state.phase)
 
 
+def assert_same_words(got, want):
+    # equal stored words and phases of two canonical stores: equal tableaux
+    assert_canonical(got)
+    assert_canonical(want)
+    for g, w in zip(oracle.live_words(got), oracle.live_words(want)):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(got.phase, want.phase)
+
+
+def tiled_run(layers, monkeypatch):
+    """The run of layers grown from the one-batch run of layers - 2, and
+    the pairs of each rotation batch it applied.  The tile leaves room
+    for the rotations' writes, so no pool grows after it."""
+    shallower = stab.run_ttn_example(layers - 2)
+    batches, packs = [], []
+    rotations, pack = stab.apply_xx_rotations, stab._pack
+    monkeypatch.setattr(stab, "apply_xx_rotations", lambda t, a, b:
+                        batches.append((a, b)) or rotations(t, a, b))
+    monkeypatch.setattr(stab, "_pack", lambda t, extra:
+                        packs.append(extra) or pack(t, extra))
+    run = stab.run_ttn_example(layers, shallower)
+    assert shallower.state is None and packs == []
+    return run, batches
+
+
+@pytest.mark.parametrize("layers", [9, 11, 13, 15])
+def test_tiled_tree_matches_one_batch(layers, monkeypatch):
+    # from T=9 on, the tableau of T grows from four copies of that of
+    # T - 2, and only the top two layers' three gates are applied
+    from tnkit.tns import ttn_gate_schedule
+    run, batches = tiled_run(layers, monkeypatch)
+    top = ttn_gate_schedule(layers)[:3]
+    assert [(a.tolist(), b.tolist()) for a, b in batches] == \
+        [(top[:, 1].tolist(), top[:, 2].tolist())]
+    one = stab.run_ttn_example(layers)
+    assert_same_words(run.state, one.state)
+    assert run.entropy == one.entropy == (layers + 1) // 2
+    np.testing.assert_array_equal(run.region, one.region)
+    np.testing.assert_array_equal(run.schedule, ttn_gate_schedule(layers))
+
+
+def test_tiled_tree_seventeen_layers_under_a_raised_budget(monkeypatch):
+    # the budget of test_tree_run_seventeen_layers_under_a_raised_budget
+    monkeypatch.setenv("TNKIT_MAX_AMPLITUDES", str(2 ** 28))
+    run, _ = tiled_run(17, monkeypatch)
+    assert run.entropy == 9
+    assert_same_words(run.state, stab.run_ttn_example(17).state)
+
+
+@pytest.mark.parametrize("layers", [3, 7, 9, 13])
+def test_tree_run_refuses_a_shallower_run_of_another_size(layers):
+    for wrong in (layers - 4, layers):
+        if wrong < 1:
+            continue
+        shallower = stab.run_ttn_example(wrong)
+        with pytest.raises(ValueError, match="^the shallower run must hold "
+                           f"a tableau of {2 ** (layers - 2)} qubits$"):
+            stab.run_ttn_example(layers, shallower)
+        # a refused run keeps its state
+        assert shallower.state.num_qubits == 2 ** wrong
+    # a run whose state was taken is refused too
+    shallower = stab.run_ttn_example(layers - 2)
+    stab.run_ttn_example(layers, shallower)
+    with pytest.raises(ValueError, match="^the shallower run must hold"):
+        stab.run_ttn_example(layers, shallower)
+
+
+def test_tree_runs_grown_in_turn_match_one_batch():
+    # the chain the entropy command runs: every odd depth from the last
+    run = None
+    for layers in range(1, 14, 2):
+        run = stab.run_ttn_example(layers, run)
+        assert_same_words(run.state, stab.run_ttn_example(layers).state)
+        assert run.entropy == (layers + 1) // 2
+
+
 # --------------------------------------- octets, packs and one-gate cost
 
 def _state_of_words(bits):

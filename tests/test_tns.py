@@ -473,6 +473,31 @@ def test_tree_state_smallest_case():
     assert dense.states_equal(state, expected, tol=1e-12)
 
 
+@pytest.mark.parametrize("layers", range(1, 20, 2))
+def test_ttn_schedule_holds_four_copies_of_the_one_two_layers_down(layers):
+    # layers 1..T of the schedule of T + 2 are the schedule of T shifted
+    # by 0, 1, 2 and 3 times 2**T sites, layer by layer; its rows 0-2 are
+    # the rest, which the stabilizer tree driver applies to four copies
+    # of the tableau of T
+    from tnkit.tns import ttn_gate_schedule
+    n, shallow = 2 ** layers, ttn_gate_schedule(layers)
+    deep = ttn_gate_schedule(layers + 2)
+    assert deep[3:, 0].max() == layers
+    for tau in range(1, layers + 1):
+        block = shallow[shallow[:, 0] == tau]
+        np.testing.assert_array_equal(
+            deep[deep[:, 0] == tau],
+            np.concatenate([block + [0, k * n, k * n] for k in range(4)]))
+    big = 4 * n
+    np.testing.assert_array_equal(deep[:3], [
+        [layers + 2, big // 2 - 1, big - 1],
+        [layers + 1, big // 4 - 1, big // 2 - 1],
+        [layers + 1, 3 * big // 4 - 1, big - 1]])
+    for rows in (0, 1, 3, 5):
+        np.testing.assert_array_equal(ttn_gate_schedule(layers + 2, rows),
+                                      deep[:rows])
+
+
 def test_tree_state_matches_stabilizer_run():
     layers = 3
     run = stab.run_ttn_example(layers)
